@@ -9,7 +9,7 @@ module reconstructs the unique coefficient lattice of the underlying
 higher-derivative Lagrangian and cross-checks the associated canonical
 structure.
 """
-from .jets import Jet, Dual, jet_apply, JetError, JetOrderError, JetDomainError
+from .jets import Jet, Dual, JetError, JetOrderError, JetDomainError
 from .ode import IntegratorSettings, DenseSolution, IntegrationFailure, integrate_ivp
 from .rootfind import BracketError, invert_monotone
 from .schrodinger import PhysParams, PotentialModel, SolutionPair, solve_pair
@@ -19,6 +19,7 @@ from .reduced_action import (
     ds0_derivs,
     qshje_residual,
     s0_eval,
+    s0p,
     s0p_jet,
     wavefunction,
 )

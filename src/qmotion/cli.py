@@ -169,6 +169,9 @@ def _cmd_trajectory(args) -> int:
         if report.stalled:
             _say(args, f"legacy law stalled near x = {report.x_stall:.9g} "
                        f"(turning point {report.x_turn})")
+    note = s.pair.truncation_note()
+    if note:
+        print(note, file=sys.stderr)
     fmt = doc.get("output", {}).get("format", "csv")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown output format {fmt!r}")

@@ -24,7 +24,6 @@ __all__ = [
     "JetError",
     "JetOrderError",
     "JetDomainError",
-    "jet_apply",
     "sin",
     "cos",
     "exp",
@@ -43,7 +42,8 @@ class JetError(ValueError):
 
 
 class JetOrderError(JetError):
-    """Operand orders violate the strict-equality contract of jet_apply."""
+    """A jet's order is too low for the requested operation (differentiating
+    an order-0 jet, extending by truncation, too few outer derivatives)."""
 
 
 class JetDomainError(JetError):
@@ -323,49 +323,6 @@ def atan(u):
     if isinstance(u, Dual):
         return Dual(atan(u.re), u.du / (1.0 + u.re * u.re))
     return np.arctan(u)
-
-
-_UNARY = {
-    "neg": lambda u: -u,
-    "sin": sin,
-    "cos": cos,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "atan": atan,
-    "recip": lambda u: 1.0 / u,
-}
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "pow": lambda a, b: exp(b * log(a)),
-}
-
-
-def jet_apply(tag: str, a: Jet, b: Jet | None = None) -> Jet:
-    """Apply one tagged elementary operation to jets of equal order.
-
-    Unlike the overloaded operators (which truncate to the smaller order),
-    this strict entry point rejects mismatched orders.
-    """
-    if not isinstance(a, Jet):
-        raise JetError(f"jet_apply expects Jet operands, got {type(a).__name__}")
-    if tag in _UNARY:
-        if b is not None:
-            raise JetError(f"operation {tag!r} is unary")
-        return _UNARY[tag](a)
-    if tag in _BINARY:
-        if not isinstance(b, Jet):
-            raise JetError(f"operation {tag!r} needs a second Jet operand")
-        if a.order != b.order:
-            raise JetOrderError(
-                f"operand orders differ ({a.order} vs {b.order}) for {tag!r}"
-            )
-        return _BINARY[tag](a, b)
-    raise JetError(f"unknown operation tag {tag!r}")
 
 
 # -- composition and autonomous flows ---------------------------------

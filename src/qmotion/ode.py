@@ -46,7 +46,8 @@ class DenseSolution:
     """Piecewise polynomial interpolant of an integrated trajectory.
 
     Calling the object with a time inside the covered span returns the state
-    vector there; an array of times returns a (len(t), dim) array.
+    vector there; an array of times returns a (len(t), dim) array, each
+    step's interpolant evaluated once on all the times that fall in it.
     """
 
     def __init__(self, t0: float, t1: float, breakpoints, segments, y_end):
@@ -60,18 +61,21 @@ class DenseSolution:
     def n_steps(self) -> int:
         return len(self._segments)
 
-    def _eval_one(self, t: float) -> np.ndarray:
-        lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
-        if not (lo - 1e-12 <= t <= hi + 1e-12):
-            raise ValueError(f"time {t} outside integrated span [{lo}, {hi}]")
-        idx = int(np.searchsorted(self._breaks, t, side="left"))
-        idx = min(idx, len(self._segments) - 1)
-        return self._segments[idx](t)
-
     def __call__(self, t):
-        if np.ndim(t) == 0:
-            return self._eval_one(float(t))
-        return np.array([self._eval_one(float(ti)) for ti in np.asarray(t)])
+        ts = np.asarray(t, dtype=float)
+        flat = ts.reshape(-1)
+        lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
+        outside = ~((lo - 1e-12 <= flat) & (flat <= hi + 1e-12))
+        if outside.any():
+            raise ValueError(f"time {flat[outside][0]} outside integrated "
+                             f"span [{lo}, {hi}]")
+        idx = np.minimum(np.searchsorted(self._breaks, flat, side="left"),
+                         len(self._segments) - 1)
+        out = np.empty((flat.size, self.y_end.size))
+        for k in np.unique(idx):
+            sel = idx == k
+            out[sel] = self._segments[k](flat[sel]).T
+        return out[0] if ts.ndim == 0 else out
 
 
 class IntegrationFailure(RuntimeError):
@@ -127,24 +131,31 @@ def integrate_ivp(rhs, y0, t_span, settings: IntegratorSettings | None = None) -
         return DenseSolution(t0, breaks[-1], breaks, segments, stepper.y)
 
     n = 0
-    while stepper.status == "running":
-        if n >= settings.max_steps:
-            raise IntegrationFailure(
-                f"step budget of {settings.max_steps} exhausted at t = {stepper.t}",
-                stepper.t,
-                stepper.y,
-                partial(),
-            )
-        stepper.step()
-        n += 1
-        if stepper.status == "failed":
-            raise IntegrationFailure(
-                f"step size underflow at t = {stepper.t}",
-                stepper.t,
-                stepper.y,
-                partial(),
-            )
-        segments.append(stepper.dense_output())
-        breaks.append(stepper.t)
+    try:
+        while stepper.status == "running":
+            if n >= settings.max_steps:
+                raise IntegrationFailure(
+                    f"step budget of {settings.max_steps} exhausted at "
+                    f"t = {stepper.t}",
+                    stepper.t,
+                    stepper.y,
+                    partial(),
+                )
+            stepper.step()
+            n += 1
+            if stepper.status == "failed":
+                raise IntegrationFailure(
+                    f"step size underflow at t = {stepper.t}",
+                    stepper.t,
+                    stepper.y,
+                    partial(),
+                )
+            segments.append(stepper.dense_output())
+            breaks.append(stepper.t)
+    finally:
+        # the stepper's closures over itself form a reference cycle that
+        # would keep rhs, and everything rhs holds (such as a solution pair),
+        # alive until the next cyclic garbage collection
+        stepper.fun = stepper.fun_vectorized = None
 
     return DenseSolution(t0, t1, breaks, segments, stepper.y)

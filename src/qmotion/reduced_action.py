@@ -14,7 +14,9 @@ keeps one sign (that of a*W) and S0 is strictly monotone: the arctan branch
 jumps at zeros of phi2 are resolved by integrating S0' from the anchor and
 attaching the principal value there.  All higher derivatives of S0 are
 evaluated through jet arithmetic on the pair's derivative stacks, which the
-wave equation supplies exactly.
+wave equation supplies exactly.  ``s0p`` evaluates S0' itself in closed
+form, on a float or an array of points, with the same operations as the
+order-0 coefficient of ``s0p_jet``.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ __all__ = [
     "WaveCoefficients",
     "StateParamError",
     "s0_eval",
+    "s0p",
     "s0p_jet",
     "ds0_derivs",
     "qshje_residual",
@@ -74,15 +77,24 @@ class WaveCoefficients:
             raise StateParamError("alpha and beta cannot both vanish")
 
 
-def _denominator_jet(pair: SolutionPair, q: QuantumStateParams, x: float,
+def _denominator_jet(pair: SolutionPair, q: QuantumStateParams, x,
                      order: int) -> Jet:
     j1, j2 = pair.phi_jets(x, order)
     lin = q.a * j1 + q.b * j2
     return lin * lin + j2 * j2
 
 
-def s0p_jet(pair: SolutionPair, q: QuantumStateParams, x: float, order: int) -> Jet:
-    """Spatial jet of S0' at x: coefficients (S0', S0'', ..., S0^(order+1))."""
+def s0p(pair: SolutionPair, q: QuantumStateParams, x):
+    """S0' = hbar*a*W / ((a*phi1 + b*phi2)^2 + phi2^2) at x, a float or an
+    array of points; bit for bit ``s0p_jet(pair, q, x, 0).value``."""
+    p1, _, p2, _ = pair.eval01(x)
+    lin = q.a * p1 + q.b * p2
+    return (pair.params.hbar * q.a * pair.wronskian_ref) / (lin * lin + p2 * p2)
+
+
+def s0p_jet(pair: SolutionPair, q: QuantumStateParams, x, order: int) -> Jet:
+    """Spatial jet of S0' at x: coefficients (S0', S0'', ..., S0^(order+1)),
+    each a float or, for an array of points, an array."""
     dj = _denominator_jet(pair, q, x, order)
     return (pair.params.hbar * q.a * pair.wronskian_ref) / dj
 
@@ -106,10 +118,8 @@ def s0_eval(pair: SolutionPair, q: QuantumStateParams, x: float) -> float:
     if x == pair.anchor:
         return base
 
-    def s0p(u: float) -> float:
-        return float(s0p_jet(pair, q, u, 0).value)
-
-    val, err = quad(s0p, pair.anchor, x, epsabs=1e-13, epsrel=1e-12, limit=400)
+    val, err = quad(lambda u: s0p(pair, q, u), pair.anchor, x, epsabs=1e-13,
+                    epsrel=1e-12, limit=400)
     return base + val
 
 

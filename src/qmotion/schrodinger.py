@@ -12,6 +12,15 @@ Wronskian k; every other catalog entry is integrated on a uniform grid with
 the three-point fourth-order Numerov recursion.  Derivatives of order >= 2
 are never differenced: they come from the differential equation itself,
 which is also what keeps downstream phase-space constructions consistent.
+
+The march takes f = (2 mu/hbar^2)(V - E) at every node of a direction from
+one vectorised potential call and advances both solutions in one loop.
+Evaluation is array-first: ``SolutionPair.eval01``, ``eval_phi`` and
+``PotentialModel.derivs`` accept one point or an array of points.  On a
+Numerov pair, eval01 forms the 6-point Lagrange weights once per point and
+applies them to the four gridded columns (phi1, phi1', phi2, phi2') at once;
+a float in gives floats out, bit for bit the value of the same point inside
+an array.
 """
 from __future__ import annotations
 
@@ -163,9 +172,10 @@ class PotentialModel:
         self._check_table_range(x)
         return self._spline(x, 1)
 
-    def derivs(self, x: float, m: int) -> list[float]:
-        """[V, V', ..., V^(m)] at x.  Tabulated entries beyond the spline's
-        cubic degree are zero."""
+    def derivs(self, x, m: int) -> list:
+        """[V, V', ..., V^(m)] at x, a float or an array of points.  Entries
+        that do not depend on x are plain floats; tabulated entries beyond
+        the spline's cubic degree are zero."""
         out = [0.0] * (m + 1)
         if self.kind == "linear":
             out[0] = self.slope * x
@@ -180,7 +190,7 @@ class PotentialModel:
         elif self.kind == "tabulated":
             self._check_table_range(x)
             for j in range(min(m, 3) + 1):
-                out[j] = float(self._spline(x, j))
+                out[j] = self._spline(x, j)[()]
         return out
 
     def _check_table_range(self, x) -> None:
@@ -205,7 +215,7 @@ class SolutionPair:
     """Two independent real wave solutions sharing one energy.
 
     ``domain`` is the interval actually covered (it may be narrower than
-    requested when the solution magnitude hit the overflow cap, in which
+    ``requested`` when the solution magnitude hit the overflow cap, in which
     case ``truncated`` is set).  ``wronskian_ref`` is the pair's constant
     Wronskian: k for the analytic free pair, 1 for Numerov pairs.
     """
@@ -217,6 +227,7 @@ class SolutionPair:
     wronskian_ref: float
     source: str  # "analytic" | "numerov"
     truncated: bool = False
+    requested: tuple[float, float] | None = None
     _grid: dict = field(default_factory=dict, repr=False)
 
     # wave number, defined for the free analytic pair
@@ -226,48 +237,67 @@ class SolutionPair:
             raise SchrodingerError("wave number is defined for the free pair only")
         return self._grid["k"]
 
-    def eval01(self, x: float):
-        """(phi1, phi1', phi2, phi2') at x."""
+    def truncation_note(self) -> str | None:
+        """The line reporting a march stopped at the overflow cap, naming
+        the requested and the covered domain; None for an untruncated pair."""
+        if not self.truncated:
+            return None
+        (r0, r1), (c0, c1) = self.requested, self.domain
+        return (f"Numerov pair truncated at the overflow cap: requested "
+                f"domain [{r0:.6g}, {r1:.6g}], covered [{c0:.6g}, {c1:.6g}]")
+
+    def eval01(self, x):
+        """(phi1, phi1', phi2, phi2') at x, a float or an array of points.
+
+        On a Numerov pair each column is the polynomial through the six grid
+        nodes nearest the point; its Lagrange weights are formed once per
+        point and shared by the four columns.
+        """
+        xa = np.asarray(x, dtype=float)
         if self.source == "analytic":
             k = self._grid["k"]
-            s, c = math.sin(k * x), math.cos(k * x)
-            return s, k * c, c, -k * s
-        if not (self.domain[0] - 1e-9 <= x <= self.domain[1] + 1e-9):
+            s, c = np.sin(k * xa), np.cos(k * xa)
+            cols = (s, k * c, c, -k * s)
+            return tuple(map(float, cols)) if xa.ndim == 0 else cols
+        lo, hi = self.domain
+        if xa.size and not (xa.min() >= lo - 1e-9 and xa.max() <= hi + 1e-9):
+            bad = xa[~((lo - 1e-9 <= xa) & (xa <= hi + 1e-9))]
             raise DomainError(
-                f"x = {x} outside solved domain [{self.domain[0]}, {self.domain[1]}]"
+                f"x = {float(bad.flat[0])} outside solved domain [{lo}, {hi}]"
             )
-        g = self._grid
-        return (
-            _interp_local(g["xs"], g["y1"], x),
-            _interp_local(g["xs"], g["d1"], x),
-            _interp_local(g["xs"], g["y2"], x),
-            _interp_local(g["xs"], g["d2"], x),
-        )
+        out = _lagrange6(self._grid, xa)
+        return tuple(out.tolist()) if xa.ndim == 0 else tuple(np.moveaxis(out, -1, 0))
 
-    def phi_jets(self, x: float, order: int) -> tuple[Jet, Jet]:
-        """Spatial jets of (phi1, phi2) at x, derivatives from the wave
-        equation beyond first order."""
+    def phi_jets(self, x, order: int) -> tuple[Jet, Jet]:
+        """Spatial jets of (phi1, phi2) at x (a float or an array of
+        points), derivatives from the wave equation beyond first order."""
         d1, d2 = eval_phi(self, x, order)
         return Jet(tuple(d1)), Jet(tuple(d2))
 
 
-def _interp_local(xs: np.ndarray, ys: np.ndarray, x: float, width: int = 6) -> float:
-    """Polynomial interpolation through the ``width`` grid points nearest x."""
-    n = len(xs)
-    if n < width:
-        width = n
-    i = int(np.searchsorted(xs, x)) - width // 2
-    i = max(0, min(i, n - width))
-    xw = xs[i : i + width] - x  # center to kill cancellation
-    yw = ys[i : i + width]
-    out = 0.0
-    for j in range(width):
-        lj = 1.0
-        for m in range(width):
-            if m != j:
-                lj *= xw[m] / (xw[m] - xw[j])
-        out += lj * yw[j]
-    return out
+_WIDTH = 6
+_OFFSETS = np.arange(_WIDTH)
+_OFF_DIAGONAL = ~np.eye(_WIDTH, dtype=bool)
+
+
+def _lagrange6(grid: dict, x: np.ndarray) -> np.ndarray:
+    """Columns of ``grid["cols"]`` interpolated at x, shape x.shape + (4,).
+
+    The window is the six nodes nearest x, shifted inside the grid at its
+    ends.  The weights multiply out in the textbook order, l_j = prod over
+    m != j of xw_m / (xw_m - xw_j) with xw centred on the point, and the
+    weighted values add up from j = 0 (both as running accumulations), so
+    every entry equals the scalar double loop bit for bit.
+    """
+    i = np.searchsorted(grid["inner"], x)  # = clip(searchsorted(xs) - 3)
+    win = i[..., None] + _OFFSETS
+    xw = grid["xs"][win] - x[..., None]
+    ratio = np.divide(xw[..., None, :], xw[..., None, :] - xw[..., :, None],
+                      out=np.ones(xw.shape + (_WIDTH,)), where=_OFF_DIAGONAL)
+    weight = np.multiply.accumulate(ratio, axis=-1)[..., -1]
+    terms = weight[..., None] * grid["cols"][win]
+    # + 0.0 turns a -0.0 total into the 0.0 that a sum started at 0.0 gives
+    return np.add.accumulate(terms, axis=-2)[..., -1, :] + 0.0
 
 
 def solve_pair(potential: PotentialModel, params: PhysParams,
@@ -292,7 +322,8 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
         if not params.energy > 0:
             raise SchrodingerError("free-particle pair needs positive energy")
         k = math.sqrt(2.0 * params.mu * params.energy) / params.hbar
-        pair = SolutionPair(potential, params, anchor, (lo, hi), k, "analytic")
+        pair = SolutionPair(potential, params, anchor, (lo, hi), k,
+                            "analytic", requested=(lo, hi))
         pair._grid["k"] = k
         return pair
 
@@ -300,11 +331,8 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
         raise SchrodingerError("grid_step must be positive")
 
     c = params.kratio
-
-    def f(x: float) -> float:
-        return c * (potential.value(x) - params.energy)
-
     h = grid_step
+    h2 = h * h
     n_left = int(math.ceil((anchor - lo) / h - 1e-9))
     n_right = int(math.ceil((hi - anchor) / h - 1e-9))
     if n_left + n_right < 8:
@@ -322,44 +350,44 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
         s = direction * h
         return y0 + s * d0 + s**2 / 2 * y2 + s**3 / 6 * y3 + s**4 / 24 * y4
 
-    def march(n_steps: int, direction: float, y0: float, d0: float) -> np.ndarray:
-        """Numerov propagation; returns values at offsets 0..n_done."""
-        ys = np.empty(n_steps + 1)
-        ys[0] = y0
-        if n_steps == 0:
-            return ys
-        ys[1] = seed(y0, d0, direction)
-        h2 = h * h
-        fm = f(anchor)
-        fi = f(anchor + direction * h)
-        for i in range(1, n_steps):
-            fp = f(anchor + direction * (i + 1) * h)
-            num = 2.0 * ys[i] * (1.0 + 5.0 * h2 * fi / 12.0) - ys[i - 1] * (
-                1.0 - h2 * fm / 12.0
-            )
-            ys[i + 1] = num / (1.0 - h2 * fp / 12.0)
-            if abs(ys[i + 1]) > OVERFLOW_CAP:
-                return ys[: i + 2]
-            fm, fi = fi, fp
-        return ys
+    def march(n_steps: int, direction: float):
+        """Numerov propagation of (phi1, phi2) from the anchor data (0, 1)
+        and (1, 0); returns both at offsets 0..n_done, stopping after the
+        first node where either magnitude passes OVERFLOW_CAP."""
+        nodes = anchor + direction * np.arange(n_steps + 1) * h
+        f = c * (potential.value(nodes) - params.energy)
+        grow = memoryview(1.0 + 5.0 * h2 * f / 12.0)
+        damp = memoryview(1.0 - h2 * f / 12.0)
+        u, v = np.empty(n_steps + 2), np.empty(n_steps + 2)
+        um, vm = memoryview(u), memoryview(v)
+        um[0], um[1] = u0, u1 = 0.0, seed(0.0, 1.0, direction)
+        vm[0], vm[1] = v0, v1 = 1.0, seed(1.0, 0.0, direction)
+        n = min(2, n_steps + 1)
+        # node n = i + 1 from nodes i and i - 1, for i = 1 .. n_steps - 1
+        for g, dm, dp in zip(grow[1:n_steps], damp[:-2], damp[2:]):
+            u0, u1 = u1, (2.0 * u1 * g - u0 * dm) / dp
+            v0, v1 = v1, (2.0 * v1 * g - v0 * dm) / dp
+            um[n], vm[n] = u1, v1
+            n += 1
+            if abs(u1) > OVERFLOW_CAP or abs(v1) > OVERFLOW_CAP:
+                break
+        return u[:n], v[:n]
 
-    r1 = march(n_right, +1.0, 0.0, 1.0)
-    l1 = march(n_left, -1.0, 0.0, 1.0)
-    r2 = march(n_right, +1.0, 1.0, 0.0)
-    l2 = march(n_left, -1.0, 1.0, 0.0)
-
-    nr = min(len(r1), len(r2)) - 1
-    nl = min(len(l1), len(l2)) - 1
+    r1, r2 = march(n_right, +1.0)
+    l1, l2 = march(n_left, -1.0)
+    nr = len(r1) - 1
+    nl = len(l1) - 1
     truncated = nr < n_right or nl < n_left
 
     xs = anchor + h * np.arange(-nl, nr + 1)
-    y1 = np.concatenate([l1[nl:0:-1], r1[: nr + 1]])
-    y2 = np.concatenate([l2[nl:0:-1], r2[: nr + 1]])
+    y1 = np.concatenate([l1[nl:0:-1], r1])
+    y2 = np.concatenate([l2[nl:0:-1], r2])
 
     d1 = _stencil_derivative(y1, h)
     d2 = _stencil_derivative(y2, h)
     d1[nl] = 1.0  # anchor derivatives are initial data, keep them exact
     d2[nl] = 0.0
+    cols = np.stack([y1, d1, y2, d2], axis=1)
 
     pair = SolutionPair(
         potential,
@@ -369,8 +397,10 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
         1.0,
         "numerov",
         truncated=truncated,
+        requested=(lo, hi),
     )
-    pair._grid.update(xs=xs, y1=y1, y2=y2, d1=d1, d2=d2)
+    pair._grid.update(xs=xs, inner=xs[3:-3], cols=cols, y1=cols[:, 0],
+                      d1=cols[:, 1], y2=cols[:, 2], d2=cols[:, 3])
     return pair
 
 
@@ -388,8 +418,9 @@ def _stencil_derivative(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def eval_phi(pair: SolutionPair, x: float, max_order: int = 1):
-    """Derivative stacks (phi1^(0..m), phi2^(0..m)) at x.
+def eval_phi(pair: SolutionPair, x, max_order: int = 1):
+    """Derivative stacks (phi1^(0..m), phi2^(0..m)) at x, each of shape
+    (m + 1,) + shape(x).
 
     Orders 0 and 1 come from the pair's representation; order >= 2 applies
     phi'' = (2 mu/hbar^2)(V - E) phi and its Leibniz descendants, so no

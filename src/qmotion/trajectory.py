@@ -8,6 +8,13 @@ that is how consistent initial data for the fourth-order form of the law is
 produced, and how the closed-form observables (H, P, Q, L) are sampled
 along a run.
 
+The integrator's right-hand sides read S0' in closed form, one float per
+call (``reduced_action.s0p``).  Sampling is one array pass per run: the
+dense solution is evaluated on every sample time at once, and the spatial
+jets, the motion jets (``state_jet_from_x``, ``flow_jet``) and the
+observables are jets whose coefficients are arrays with one entry per
+sample.
+
 The legacy first-order law xd = 2(E - V)/S0' is kept for comparison; it
 freezes at classical turning points, which integrate_legacy_law detects and
 reports instead of treating as an integration failure.
@@ -16,7 +23,6 @@ reports instead of treating as an integration failure.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,7 +31,7 @@ import numpy as np
 from .jets import Jet, JetOrderError, flow_jet
 from .kinetic_series import SingularityError
 from .ode import DenseSolution, IntegrationFailure, IntegratorSettings, integrate_ivp
-from .reduced_action import QuantumStateParams, s0p_jet
+from .reduced_action import QuantumStateParams, s0p, s0p_jet
 from .rootfind import BracketError, expand_bracket, invert_monotone
 from .schrodinger import PhysParams, PotentialModel, SolutionPair, solve_pair
 
@@ -33,6 +39,7 @@ __all__ = [
     "LegacyReport",
     "ObservableSet",
     "ScenarioConfig",
+    "SingularObservables",
     "TrajectoryResult",
     "TrajectorySample",
     "VelocityFloorError",
@@ -64,6 +71,16 @@ class VelocityFloorError(RuntimeError):
             "the law of motion excludes xd = 0, so this is a numerical abort")
         self.t = t
         self.state = tuple(state)
+
+
+class SingularObservables(SingularityError):
+    """The observables are undefined at some samples: xd vanishes there, a
+    power of xd under- or overflows, or a value is not finite.  ``partial``
+    holds the observable set with NaN in those rows."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 class TrajectorySample(NamedTuple):
@@ -115,6 +132,8 @@ class ScenarioConfig:
             raise ValueError(f"law must be one of {_LAWS}, got {self.law!r}")
         if self.samples < 2:
             raise ValueError("need at least two output samples")
+        if self.potential.kind == "free" and not self.params.energy > 0:
+            raise ValueError("the free pair needs positive energy")
 
     def build_pair(self) -> SolutionPair:
         if self.pair is None:
@@ -166,40 +185,56 @@ class TrajectoryResult:
 # observables and chain-rule jets
 
 def observables(j: Jet, params: PhysParams, potential=None,
-                x: float | None = None) -> ObservableSet:
+                x=None) -> ObservableSet:
     """Closed-form (H, P, Q, L) at a motion jet of order >= 3.
 
+    The jet's coefficients are floats, or arrays with one entry per sample.
     Q is the quantum potential -(hbar^2/4 mu)[(5/2) xdd^2/xd^4 - xddd/xd^3];
     H and L split as mu xd^2/2 +- (Q + V), so H + L = mu xd^2 identically
-    (checked and enforced here).
+    (checked and enforced here).  Rows where xd vanishes, a power of xd
+    under- or overflows, or a value is not finite raise SingularObservables,
+    whose ``partial`` carries NaN in those rows.
     """
     if j.order < 3:
         raise JetOrderError("observables need x..xdddot")
-    xd, xdd, xddd = j.coeffs[1], j.coeffs[2], j.coeffs[3]
-    if xd == 0.0:
-        raise SingularityError("observables undefined at xd = 0")
+    xd, xdd, xddd = (np.asarray(c, dtype=float) for c in j.coeffs[1:4])
     mu = params.mu
     quart = params.hbar ** 2 / (4.0 * mu)
-    bracket = 2.5 * xdd * xdd / xd ** 4 - xddd / xd ** 3
-    Q = -quart * bracket
     if potential is None:
         V = 0.0
     else:
-        V = float(potential.value(j.coeffs[0] if x is None else x))
-    half = 0.5 * mu * xd * xd
-    H = half + Q + V
-    L = half - Q - V
-    P = mu * xd - quart * (2.0 * xdd * xdd / xd ** 5 - xddd / xd ** 4)
-    if not (math.isfinite(H) and math.isfinite(L) and math.isfinite(P)):
-        raise SingularityError("observables overflow near xd = 0")
-    if abs((H + L) - mu * xd * xd) > 1e-12 * (1.0 + abs(half) + abs(Q) + abs(V)):
+        V = np.asarray(potential.value(j.coeffs[0] if x is None else x),
+                       dtype=float)
+    with np.errstate(all="ignore"):
+        p3, p4, p5 = xd ** 3, xd ** 4, xd ** 5
+        Q = -quart * (2.5 * xdd * xdd / p4 - xddd / p3)
+        half = 0.5 * mu * xd * xd
+        H = half + Q + V
+        L = half - Q - V
+        P = mu * xd - quart * (2.0 * xdd * xdd / p5 - xddd / p4)
+        # an overflowing power (xd**5 first) divides to a finite 0, so it
+        # is flagged apart from the non-finite values
+        singular = np.isinf(p5) | ~(np.isfinite(H) & np.isfinite(L)
+                                    & np.isfinite(P))
+        broken = ~singular & (np.abs((H + L) - mu * xd * xd)
+                              > 1e-12 * (1.0 + np.abs(half) + np.abs(Q)
+                                         + np.abs(V)))
+    if broken.any():
         raise RuntimeError("H + L = mu xd^2 decomposition violated")
-    return ObservableSet(H, P, Q, L)
+    obs = ObservableSet(*(np.where(singular, np.nan, v)[()]
+                          for v in (H, P, Q, L)))
+    if singular.any():
+        raise SingularObservables(
+            f"observables undefined at {int(singular.sum())} of "
+            f"{singular.size} samples (xd = 0, or its powers under- or "
+            "overflow)", obs)
+    return obs
 
 
 def state_jet_from_x(pair: SolutionPair, q: QuantumStateParams,
-                     params: PhysParams, x: float, order: int = 6) -> Jet:
-    """Time jet (x, xd, xdd, ...) of the first-order law at position x.
+                     params: PhysParams, x, order: int = 6) -> Jet:
+    """Time jet (x, xd, xdd, ...) of the first-order law at position x, a
+    float or an array of positions (then each coefficient is an array).
 
     With g(x) = dS0/dx / mu, the jet is the Taylor flow of xd = g(x), so
     every coefficient is exact given the spatial derivatives of the action
@@ -212,11 +247,15 @@ def state_jet_from_x(pair: SolutionPair, q: QuantumStateParams,
     return flow_jet(g, x, order)
 
 
-def _sample(t: float, j: Jet, params: PhysParams, potential, s0p: float
-            ) -> TrajectorySample:
-    obs = observables(j, params, potential)
-    return TrajectorySample(t, j.coeffs[0], j.coeffs[1], j.coeffs[2],
-                            j.coeffs[3], obs.H, obs.P, obs.Q, s0p)
+def _samples(ts: np.ndarray, j: Jet, obs: ObservableSet, s0p_values) -> list:
+    """One TrajectorySample of plain floats per sample time."""
+    cols = (ts, *j.coeffs[:4], obs.H, obs.P, obs.Q, s0p_values)
+    return [TrajectorySample(*row) for row in zip(*(c.tolist() for c in cols))]
+
+
+def _pair_notes(pair: SolutionPair) -> list:
+    note = pair.truncation_note()
+    return [note] if note else []
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +267,18 @@ def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     mu = s.params.mu
 
     def rhs(t, y):
-        return [s0p_jet(pair, s.q, float(y[0]), 0).value / mu]
+        return [s0p(pair, s.q, float(y[0])) / mu]
 
     dense = integrate_ivp(rhs, [s.x_start], s.t_span, s.integrator)
     ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
-    out = []
-    for t in ts:
-        x = float(dense(t)[0])
-        j = state_jet_from_x(pair, s.q, s.params, x, order=3)
-        # the law itself is Bohm's relation, so s0p = mu*xd by construction
-        out.append(_sample(float(t), j, s.params, s.potential,
-                           mu * j.coeffs[1]))
-    result = TrajectoryResult(s, "velocity", out, dense)
-    xs = np.array([p.x for p in out])
-    dx = np.diff(xs)
+    xs = dense(ts)[:, 0]
+    j = state_jet_from_x(pair, s.q, s.params, xs, order=3)
+    obs = observables(j, s.params, s.potential)
+    # the law itself is Bohm's relation, so s0p = mu*xd by construction
+    result = TrajectoryResult(s, "velocity",
+                              _samples(ts, j, obs, mu * j.coeffs[1]), dense,
+                              _pair_notes(pair))
+    dx = np.diff(j.coeffs[0])
     if not (np.all(dx > 0) or np.all(dx < 0)):
         result.notes.append("sampled x is not strictly monotone")
     return result
@@ -280,13 +317,12 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
 
     dense = integrate_ivp(rhs, y0, s.t_span, s.integrator)
     ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
-    out = []
-    for t in ts:
-        y = dense(t)
-        j = Jet(tuple(float(v) for v in y))
-        s0p = s0p_jet(pair, s.q, float(y[0]), 0).value  # independent of y[1]
-        out.append(_sample(float(t), j, s.params, s.potential, s0p))
-    return TrajectoryResult(s, "newton", out, dense)
+    j = Jet(tuple(dense(ts).T))
+    obs = observables(j, s.params, s.potential)
+    # S0' at the sampled x is independent of the sampled xd
+    return TrajectoryResult(s, "newton",
+                            _samples(ts, j, obs, s0p(pair, s.q, j.coeffs[0])),
+                            dense, _pair_notes(pair))
 
 
 def _turning_point(potential: PotentialModel, energy: float, x0: float,
@@ -307,20 +343,20 @@ def integrate_legacy_law(s: ScenarioConfig):
     |xd| stays below 1e-6 of its initial size for three successive output
     samples while x keeps creeping monotonically toward the classical
     turning point; an integration abort near the turning point is folded
-    into the same report rather than raised.
+    into the same report rather than raised.  Samples where the observables
+    are undefined (xd so small that its powers underflow) carry NaN for H,
+    P and Q.
     """
     pair = s.build_pair()
     mu = s.params.mu
     E = s.params.energy
     vfun = s.potential.value
 
-    def xdot(x):
-        return 2.0 * (E - vfun(x)) / s0p_jet(pair, s.q, x, 0).value
-
     def rhs(t, y):
-        return [xdot(float(y[0]))]
+        x = float(y[0])
+        return [2.0 * (E - vfun(x)) / s0p(pair, s.q, x)]
 
-    notes = []
+    notes = _pair_notes(pair)
     try:
         dense = integrate_ivp(rhs, [s.x_start], s.t_span, s.integrator)
         t_end = s.t_span[1]
@@ -332,23 +368,17 @@ def integrate_legacy_law(s: ScenarioConfig):
         if dense is None:
             raise
     ts = np.linspace(s.t_span[0], t_end, s.samples)
-    out = []
-    gap = 0.0
-    for t in ts:
-        x = float(dense(t)[0])
-        sp = s0p_jet(pair, s.q, x, 2)
-        vj = Jet(tuple(s.potential.derivs(x, 2)))
-        wj = 2.0 * (E - vj) / sp          # (w, w', w'') as a spatial jet
-        j = flow_jet(wj.coeffs, x, 3)     # (x, xd, xdd, xddd) under this law
-        v = j.coeffs[1]
-        try:
-            out.append(_sample(float(t), j, s.params, s.potential,
-                               sp.coeffs[0]))
-        except (ZeroDivisionError, OverflowError):
-            out.append(TrajectorySample(float(t), x, v, j.coeffs[2],
-                                        j.coeffs[3], np.nan, np.nan, np.nan,
-                                        sp.coeffs[0]))
-        gap = max(gap, abs(v - sp.coeffs[0] / mu))
+    xs = dense(ts)[:, 0]
+    sp = s0p_jet(pair, s.q, xs, 2)
+    vj = Jet(tuple(s.potential.derivs(xs, 2)))
+    wj = 2.0 * (E - vj) / sp          # (w, w', w'') as a spatial jet
+    j = flow_jet(wj.coeffs, xs, 3)    # (x, xd, xdd, xddd) under this law
+    try:
+        obs = observables(j, s.params, s.potential)
+    except SingularObservables as exc:
+        obs = exc.partial
+    gap = float(np.max(np.abs(j.coeffs[1] - sp.coeffs[0] / mu), initial=0.0))
+    out = _samples(ts, j, obs, sp.coeffs[0])
     result = TrajectoryResult(s, "legacy", out, dense, notes)
 
     v0 = abs(out[0].xdot) if out else 0.0

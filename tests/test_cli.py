@@ -103,6 +103,30 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trajectory", "sweep"])
+def test_free_pair_without_positive_energy_exits_2(tmp_path, capsys,
+                                                   command):
+    doc = free_doc(str(tmp_path / "x.csv"))
+    doc["physics"]["energy"] = -0.5
+    doc["sweep"] = {"a": [1.0], "b": [0.0], "energy": [0.5, 0.0]}
+    cfg = write_config(tmp_path, doc)
+    assert run([command, "--config", cfg, "--quiet"]) == 2
+    assert "positive energy" in capsys.readouterr().err
+
+
+def test_truncated_pair_reported_on_stderr(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    doc = free_doc(str(out), t1=1.0, samples=8)
+    doc["potential"] = {"kind": "harmonic", "stiffness": 1.0}
+    doc["run"]["domain"] = [-30.0, 30.0]
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg, "--quiet"]) == 0
+    line = ("Numerov pair truncated at the overflow cap: requested domain "
+            "[-30, 30], covered [-7.794, 7.794]")
+    assert capsys.readouterr().err.strip() == line
+    assert json.loads((tmp_path / "t.csv.json").read_text())["notes"] == [line]
+
+
 def test_start_outside_domain_exits_2(tmp_path, capsys):
     doc = free_doc(str(tmp_path / "x.csv"))
     doc["potential"] = {"kind": "harmonic", "stiffness": 1.0}

@@ -66,6 +66,20 @@ def test_vector_evaluation_shape():
                                rtol=1e-9)
 
 
+def test_time_array_matches_pointwise_step_interpolants():
+    """A time array is evaluated step by step on all its times at once;
+    each row agrees with the owning step's interpolant at that one time
+    to rounding (the batched polynomial product may round differently)."""
+    sol = integrate_ivp(lambda t, y: np.array([y[1], -y[0]]), [0.0, 1.0],
+                        (0.0, 10.0))
+    ts = np.concatenate([np.linspace(0.0, 10.0, 301), sol._breaks[:40]])
+    idx = np.minimum(np.searchsorted(sol._breaks, ts, side="left"),
+                     sol.n_steps - 1)
+    ref = np.array([sol._segments[k](t) for k, t in zip(idx, ts)])
+    np.testing.assert_allclose(sol(ts), ref, rtol=0.0, atol=4e-16)
+    np.testing.assert_array_equal(sol(ts[7]), sol(ts[7:8])[0])
+
+
 def test_out_of_range_evaluation_rejected():
     sol = integrate_ivp(lambda t, y: -y, [1.0], (0.0, 1.0))
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from qmotion.reduced_action import (
     ds0_derivs,
     qshje_residual,
     s0_eval,
+    s0p,
     s0p_jet,
     wavefunction,
 )
@@ -240,3 +241,29 @@ def test_qshje_residual_property(a, b, x):
     pair = free_pair()
     q = QuantumStateParams(a=a, b=b)
     assert qshje_residual(pair, q, x) < 1e-11
+
+
+_PAIRS = [free_pair(), free_pair(energy=0.8, hbar=0.7, mu=1.3),
+          harmonic_pair(),
+          solve_pair(PotentialModel.linear(0.5),
+                     PhysParams(hbar=0.8, mu=1.2, energy=0.6), (-2.0, 6.0))]
+
+
+@given(st.integers(0, len(_PAIRS) - 1), st.floats(0.5, 2.5),
+       st.floats(-1.5, 1.5), st.lists(st.floats(0.0, 1.0), min_size=1,
+                                      max_size=20))
+@settings(deadline=None, max_examples=60)
+def test_closed_form_s0p_is_jet_value_bitwise(which, a, b, fractions):
+    """The integrator's S0' is the order-0 coefficient of the S0' jet, bit
+    for bit, on one point and on an array of points."""
+    pair = _PAIRS[which]
+    q = QuantumStateParams(a=a, b=b)
+    lo, hi = (-6.0, 6.0) if pair.source == "analytic" else pair.domain
+    xs = lo + (hi - lo) * np.asarray(fractions)
+    batched = s0p(pair, q, xs)
+    np.testing.assert_array_equal(batched.view(np.int64),
+                                  s0p_jet(pair, q, xs, 0).value.view(np.int64))
+    for k, x in enumerate(xs):
+        one = s0p(pair, q, float(x))
+        assert type(one) is float
+        assert one == s0p_jet(pair, q, float(x), 0).value == batched[k]

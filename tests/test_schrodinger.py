@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmotion.schrodinger import (
+    OVERFLOW_CAP,
     DomainError,
     PhysParams,
     PotentialModel,
@@ -20,6 +22,7 @@ from qmotion.schrodinger import (
     solve_pair,
     wronskian,
 )
+from qmotion.schrodinger import _stencil_derivative
 
 
 def harmonic_pair(domain=(-3.0, 3.0), energy=0.5, grid_step=1e-3):
@@ -202,3 +205,186 @@ def test_domain_validation():
     with pytest.raises(DomainError):
         solve_pair(PotentialModel.harmonic(1.0), params, (0.0, 4e-3),
                    grid_step=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Reference paths: the plain loops the vectorised code must reproduce
+# ---------------------------------------------------------------------------
+
+def reference_grid(potential, params, domain, anchor, grid_step):
+    """Numerov grid by the plain loop: one march per solution and
+    direction, f = (2 mu/hbar^2)(V - E) evaluated node by node."""
+    lo, hi = domain
+    c = params.kratio
+    h = grid_step
+    n_left = int(math.ceil((anchor - lo) / h - 1e-9))
+    n_right = int(math.ceil((hi - anchor) / h - 1e-9))
+
+    def f(x):
+        return c * (potential.value(x) - params.energy)
+
+    def seed(y0, d0, direction):
+        vd = potential.derivs(anchor, 2)
+        f0, f1, f2 = c * (vd[0] - params.energy), c * vd[1], c * vd[2]
+        y2 = f0 * y0
+        y3 = f1 * y0 + f0 * d0
+        y4 = f2 * y0 + 2.0 * f1 * d0 + f0 * y2
+        s = direction * h
+        return y0 + s * d0 + s**2 / 2 * y2 + s**3 / 6 * y3 + s**4 / 24 * y4
+
+    def march(n_steps, direction, y0, d0):
+        ys = [y0]
+        if n_steps == 0:
+            return ys
+        ys.append(seed(y0, d0, direction))
+        h2 = h * h
+        fm, fi = f(anchor), f(anchor + direction * h)
+        for i in range(1, n_steps):
+            fp = f(anchor + direction * (i + 1) * h)
+            num = 2.0 * ys[i] * (1.0 + 5.0 * h2 * fi / 12.0) - ys[i - 1] * (
+                1.0 - h2 * fm / 12.0)
+            ys.append(num / (1.0 - h2 * fp / 12.0))
+            if abs(ys[i + 1]) > OVERFLOW_CAP:
+                break
+            fm, fi = fi, fp
+        return ys
+
+    r1, l1 = march(n_right, 1.0, 0.0, 1.0), march(n_left, -1.0, 0.0, 1.0)
+    r2, l2 = march(n_right, 1.0, 1.0, 0.0), march(n_left, -1.0, 1.0, 0.0)
+    nr = min(len(r1), len(r2)) - 1
+    nl = min(len(l1), len(l2)) - 1
+    xs = anchor + h * np.arange(-nl, nr + 1)
+    y1 = np.array(l1[nl:0:-1] + r1[: nr + 1])
+    y2 = np.array(l2[nl:0:-1] + r2[: nr + 1])
+    d1 = _stencil_derivative(y1, h)
+    d2 = _stencil_derivative(y2, h)
+    d1[nl], d2[nl] = 1.0, 0.0
+    return {"xs": xs, "y1": y1, "y2": y2, "d1": d1, "d2": d2}
+
+
+def reference_eval01(pair, x):
+    """Four separate 6-point Lagrange interpolations by the double loop."""
+    g = pair._grid
+    xs = g["xs"]
+    i = max(0, min(int(np.searchsorted(xs, x)) - 3, len(xs) - 6))
+    xw = xs[i : i + 6] - x
+    out = []
+    for name in ("y1", "d1", "y2", "d2"):
+        yw = g[name][i : i + 6]
+        acc = 0.0
+        for j in range(6):
+            lj = 1.0
+            for m in range(6):
+                if m != j:
+                    lj *= xw[m] / (xw[m] - xw[j])
+            acc += lj * yw[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def _table_harmonic():
+    xs = np.linspace(-3.5, 3.5, 141)
+    return PotentialModel.tabulated(xs, 0.5 * xs * xs)
+
+
+NUMEROV_CASES = {
+    "harmonic": (PotentialModel.harmonic(1.0), (-3.0, 3.0), 0.0, 1e-3),
+    "linear": (PotentialModel.linear(1.0), (-2.0, 20.0), 0.0, 1e-2),
+    "tabulated": (_table_harmonic(), (-3.0, 3.0), None, 1e-3),
+    "truncated-harmonic": (PotentialModel.harmonic(1.0), (-30.0, 30.0), 0.0,
+                           1e-3),
+}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("case", sorted(NUMEROV_CASES))
+def test_numerov_grid_matches_plain_loop_bitwise(case):
+    potential, domain, anchor, h = NUMEROV_CASES[case]
+    params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
+    pair = solve_pair(potential, params, domain, anchor=anchor, grid_step=h)
+    ref = reference_grid(potential, params, domain, pair.anchor, h)
+    for name in ("xs", "y1", "y2", "d1", "d2"):
+        np.testing.assert_array_equal(_bits(pair._grid[name]),
+                                      _bits(ref[name]), err_msg=name)
+    assert pair.truncated == (case != "harmonic" and case != "tabulated")
+
+
+@pytest.mark.parametrize("case", sorted(NUMEROV_CASES))
+def test_eval01_matches_double_loop_bitwise(case):
+    potential, domain, anchor, h = NUMEROV_CASES[case]
+    pair = solve_pair(potential, PhysParams(hbar=1.0, mu=1.0, energy=0.5),
+                      domain, anchor=anchor, grid_step=h)
+    lo, hi = pair.domain
+    xs = pair._grid["xs"]
+    points = np.concatenate([np.linspace(lo, hi, 97), xs[:8], xs[-8:],
+                             xs[len(xs) // 2 - 4 : len(xs) // 2 + 4] + h / 3])
+    for x in points.clip(lo, hi):
+        got = pair.eval01(float(x))
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(_bits(got),
+                                      _bits(reference_eval01(pair, float(x))))
+
+
+_NUMEROV_PAIRS = [solve_pair(*args) for args in (
+    (PotentialModel.harmonic(1.0), PhysParams(1.0, 1.0, 0.5), (-3.0, 3.0)),
+    (PotentialModel.linear(0.5), PhysParams(1.0, 1.0, 0.5), (-2.0, 6.0)),
+    (_table_harmonic(), PhysParams(1.0, 1.0, 0.8), (-3.0, 3.0)),
+)]
+
+
+@given(st.integers(0, len(_NUMEROV_PAIRS) - 1),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+@settings(deadline=None, max_examples=60)
+def test_batched_eval01_equals_scalar_bitwise(which, fractions):
+    pair = _NUMEROV_PAIRS[which]
+    lo, hi = pair.domain
+    x = lo + (hi - lo) * np.asarray(fractions)
+    batched = np.stack(pair.eval01(x), axis=-1)
+    scalar = np.array([pair.eval01(float(v)) for v in x])
+    np.testing.assert_array_equal(_bits(batched), _bits(scalar))
+    for m in (0, 3):
+        b1, b2 = eval_phi(pair, x, m)
+        for k, v in enumerate(x):
+            s1, s2 = eval_phi(pair, float(v), m)
+            np.testing.assert_array_equal(_bits(b1[:, k]), _bits(s1))
+            np.testing.assert_array_equal(_bits(b2[:, k]), _bits(s2))
+
+
+def test_batched_eval01_rejects_any_point_outside():
+    pair = _NUMEROV_PAIRS[0]
+    with pytest.raises(DomainError, match="x = 3.5 outside solved domain"):
+        pair.eval01(np.array([0.0, 3.5, -1.0]))
+
+
+def test_harmonic_wide_domain_truncates_and_says_so():
+    params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
+    pair = solve_pair(PotentialModel.harmonic(1.0), params, (-30.0, 30.0),
+                      grid_step=1e-3)
+    assert pair.truncated
+    assert pair.domain == pytest.approx((-7.794, 7.794), abs=1e-12)
+    assert pair.truncation_note() == (
+        "Numerov pair truncated at the overflow cap: requested domain "
+        "[-30, 30], covered [-7.794, 7.794]")
+    assert harmonic_pair().truncation_note() is None
+
+
+def test_table_narrower_than_domain_rejected_before_marching():
+    pot = PotentialModel.tabulated(np.linspace(-2.0, 2.0, 41),
+                                   np.linspace(-2.0, 2.0, 41) ** 2)
+    with pytest.raises(DomainError, match="tabulated range"):
+        solve_pair(pot, PhysParams(hbar=1.0, mu=1.0, energy=0.5),
+                   (-3.0, 3.0))
+
+
+def test_derivs_take_arrays():
+    x = np.array([-1.0, 0.25, 2.0])
+    for pot in (PotentialModel.linear(0.5), PotentialModel.harmonic(2.0),
+                _table_harmonic()):
+        batched = pot.derivs(x, 3)
+        for k, v in enumerate(x):
+            scalar = pot.derivs(float(v), 3)
+            for b, s in zip(batched, scalar):
+                assert np.broadcast_to(b, x.shape)[k] == s

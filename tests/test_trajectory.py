@@ -15,13 +15,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmotion.jets import Jet
+from qmotion.ode import IntegratorSettings
 from qmotion.reduced_action import QuantumStateParams
 from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 from qmotion.trajectory import (
     CSV_HEADER,
     ScenarioConfig,
+    SingularObservables,
     VelocityFloorError,
     classical_limit_factor,
     free_time_of_x,
@@ -295,3 +298,92 @@ def test_summary_flags_drifting_run():
     res, _ = integrate_legacy_law(free_scenario(a=2.0, law="legacy", t1=4.0))
     info = summarize(res)
     assert info["energy_conserved"] is False
+
+
+# ---------------------------------------------------------------------------
+# Batched sampling against the scalar path
+# ---------------------------------------------------------------------------
+
+_TABLE_X = np.linspace(-3.5, 3.5, 141)
+_SAMPLING_PAIRS = [
+    (solve_pair(PotentialModel.free(), UNIT, (-8.0, 8.0)), (-6.0, 6.0)),
+    (solve_pair(PotentialModel.harmonic(1.0), UNIT, (-3.0, 3.0)), None),
+    (solve_pair(PotentialModel.tabulated(_TABLE_X, 0.5 * _TABLE_X ** 2), UNIT,
+                (-3.0, 3.0)), None),
+]
+
+
+@given(st.integers(0, len(_SAMPLING_PAIRS) - 1), st.floats(0.5, 2.0),
+       st.floats(-1.0, 1.0), st.integers(3, 6),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24))
+@settings(deadline=None, max_examples=50)
+def test_batched_state_jets_and_observables_match_scalar(which, a, b, order,
+                                                         fractions):
+    pair, span = _SAMPLING_PAIRS[which]
+    lo, hi = span or pair.domain
+    xs = lo + (hi - lo) * np.asarray(fractions)
+    q = QuantumStateParams(a=a, b=b)
+    batched = state_jet_from_x(pair, q, UNIT, xs, order=order)
+    obs = observables(batched, UNIT, pair.potential)
+    for k, x in enumerate(xs):
+        one = state_jet_from_x(pair, q, UNIT, float(x), order=order)
+        np.testing.assert_allclose([c[k] for c in batched.coeffs], one.coeffs,
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose([v[k] for v in obs],
+                                   observables(one, UNIT, pair.potential),
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_batched_observables_flag_singular_rows():
+    rows = np.array([[0.0, 1.0, 1.0, 0.0], [0.1, 0.0, 1.0, 0.0],
+                     [0.2, 1e-70, 0.5, 0.1], [0.3, 1.7, -0.4, 0.9]])
+    with pytest.raises(SingularObservables) as info:
+        observables(Jet(tuple(rows.T)), UNIT)
+    partial = info.value.partial
+    for field in partial:
+        assert np.isnan(field[1:3]).all() and np.isfinite(field[[0, 3]]).all()
+    for k in (0, 3):
+        np.testing.assert_allclose([v[k] for v in partial],
+                                   observables(Jet(tuple(rows[k])), UNIT),
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_legacy_law_underflowing_velocity_powers_give_nan_rows():
+    """Near the turning point at x = 0 the legacy speed decays like e^-t
+    from 1e-60: once xd**5 (and later xd**4) underflows the observables of
+    a row are undefined and only that row's H, P, Q turn NaN."""
+    s = ScenarioConfig(PotentialModel.linear(0.5),
+                       PhysParams(hbar=1.0, mu=1.0, energy=0.0),
+                       QuantumStateParams(a=1.0), x_start=-1e-60,
+                       law="legacy", t_span=(0.0, 60.0), samples=61,
+                       domain=(-2.0, 2.0),
+                       integrator=IntegratorSettings(abs_tol=1e-300))
+    res, _ = integrate_legacy_law(s)
+    cols = res.columns()
+    xd = cols[:, 2]
+    assert np.isfinite(cols[:, :5]).all() and np.isfinite(cols[:, 8]).all()
+    nan_rows = np.isnan(cols[:, 5])
+    assert (np.isnan(cols[:, 5:8]) == nan_rows[:, None]).all()
+    assert nan_rows.tolist() == (xd ** 5 == 0.0).tolist()
+    assert 5 < nan_rows.sum() < 60
+    assert (xd[nan_rows] ** 4 == 0.0).any()
+    for row in cols[~nan_rows][::3]:
+        obs = observables(Jet(tuple(row[1:5])), s.params, s.potential)
+        np.testing.assert_allclose((obs.H, obs.P, obs.Q), row[5:8],
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_truncated_pair_is_noted_in_the_summary():
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT,
+                       QuantumStateParams(a=1.0), t_span=(0.0, 1.0),
+                       samples=8, domain=(-30.0, 30.0))
+    notes = summarize(integrate_velocity_law(s))["notes"]
+    assert notes == ["Numerov pair truncated at the overflow cap: requested "
+                     "domain [-30, 30], covered [-7.794, 7.794]"]
+
+
+def test_free_scenario_needs_positive_energy():
+    with pytest.raises(ValueError, match="positive energy"):
+        ScenarioConfig(PotentialModel.free(),
+                       PhysParams(hbar=1.0, mu=1.0, energy=0.0),
+                       QuantumStateParams(a=1.0))
