@@ -241,9 +241,8 @@ def _cmd_verify_master(args) -> int:
     c = _apply_perturbations(KineticCoefficients.canonical(), args.perturb)
     params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
     tol = 1e-10 * args.tol_scale
-    worst = 0.0
-    for j in sample_jets(rng, args.samples):
-        worst = max(worst, master_residual(c, j, params))
+    worst = float(np.max(master_residual(c, sample_jets(rng, args.samples),
+                                         params), initial=0.0))
     _say(args, f"master residual over {args.samples} jets: "
                f"max {worst:.3e} (tol {tol:.1e})")
     return 0 if worst <= tol else 1
@@ -366,6 +365,10 @@ def _cmd_sweep(args) -> int:
                 idx += 1
     rows = [None] * len(cells)
     if args.workers > 1 and len(cells) > 1:
+        # the integrator's scipy import is deferred; load it before the pool
+        # starts so that forked workers share it instead of each loading it
+        import scipy.integrate  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             for i, row in pool.map(_sweep_cell, cells):
                 rows[i] = row

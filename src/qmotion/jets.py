@@ -64,6 +64,9 @@ class Jet:
     """
 
     __slots__ = ("coeffs",)
+    # numpy operands hand binary operations to the jet's reflected methods,
+    # so ndarray * Jet is a jet with array coefficients, not an object array
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         cs = tuple(coeffs)

@@ -16,9 +16,13 @@ Hamilton-Jacobi equation, and a sampling-based elimination that recovers
 the unique physical coefficient values level by level.
 
 All evaluators are generic over the numeric type of the state entries
-(floats, complex numbers, jets, dual numbers), which is what lets the
-master identity be graded by hbar: passing a jet in hbar separates the
-residual into per-level components.
+(floats, complex numbers, jets, dual numbers, or numpy arrays holding one
+column of a batch of states), which is what lets the master identity be
+graded by hbar: passing a jet in hbar separates the residual into
+per-level components, and with array state columns that jet carries array
+coefficients, so one pass grades a whole batch of states (Taylor
+arithmetic over arrays, Griewank and Walther, *Evaluating Derivatives*,
+ch. 13).  A single state is the same computation on floats.
 """
 from __future__ import annotations
 
@@ -74,22 +78,26 @@ class DeterminationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # generic monomial evaluation
 
-def _lead(v):
-    """Leading numeric value of a float/Jet/Dual, for singularity checks."""
-    while True:
+def _vanishes(v) -> bool:
+    """Whether the leading numeric value of a float/Jet/Dual is zero, at any
+    state of a batch when it is an array; for singularity checks."""
+    while not isinstance(v, float):  # floats first: the scalar paths are hot
         if isinstance(v, Jet):
             v = v.value
         elif isinstance(v, Dual):
             v = v.re
+        elif isinstance(v, np.ndarray):
+            return bool((v == 0).any())
         else:
-            return v
+            break
+    return v == 0
 
 
 def _ipow(base, e: int):
     """base**e for integer e with the 0^0 = 1 skip convention."""
     if e == 0:
         return 1
-    if e < 0 and _lead(base) == 0:
+    if e < 0 and _vanishes(base):
         raise SingularityError("negative power of a vanishing state component")
     return base ** e
 
@@ -268,8 +276,9 @@ def ab_tables(c: KineticCoefficients) -> ABTables:
 # kinetic term and Lagrangian
 
 def kinetic_term(c: KineticCoefficients, x, xd, xdd, xddd, mu, hbar):
-    """T evaluated on generic state components (floats, jets, duals)."""
-    if _lead(xd) == 0:
+    """T evaluated on generic state components (floats, jets, duals, or
+    (N,) arrays of a batch of states)."""
+    if _vanishes(xd):
         raise SingularityError("xd = 0 in kinetic series")
     xs = x - c.x0
     total = 0.0
@@ -330,6 +339,9 @@ class Momenta(NamedTuple):
 def momenta_state(c: KineticCoefficients, state, mu, hbar, lam=0.0) -> Momenta:
     """Closed-form (P, Pi, Xi) from the full state (x .. x5).
 
+    The six state entries may be (N,) arrays, one column each of a batch
+    of states; the momenta are then arrays too.
+
     P collects, per lattice point, the bracketed combinations of alpha and
     beta entries (including the two neighbor columns k+1, k+2) in front of
     the same two monomial families as T but with one extra power of xd in
@@ -337,7 +349,7 @@ def momenta_state(c: KineticCoefficients, state, mu, hbar, lam=0.0) -> Momenta:
     The regulator adds lam*x5 to P, -lam*x4 to Pi and lam*xddd to Xi.
     """
     x, xd, xdd, xddd, x4, x5 = state
-    if _lead(xd) == 0:
+    if _vanishes(xd):
         raise SingularityError("xd = 0 in momentum series")
     xs = x - c.x0
     p_tot, pi_tot, xi_tot = 0.0, 0.0, 0.0
@@ -406,7 +418,8 @@ def xi_series_core(c: KineticCoefficients, state, mu, hbar):
 # action-gradient series dS0/dx and its derivatives
 
 def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
-    """(S0', S0'', S0''') as phase-space functions of the state (x .. x5).
+    """(S0', S0'', S0''') as phase-space functions of the state (x .. x5),
+    whose entries may be (N,) arrays, one column each of a batch of states.
 
     S0' sums the A/B families; the second and third derivatives follow by
     spatial differentiation d/dx = (d/dt)/xd, which fans each family out
@@ -415,7 +428,7 @@ def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
     mu*(xddd*xd - xdd^2)/xd^3.
     """
     x, xd, xdd, xddd, x4, x5 = state
-    if _lead(xd) == 0:
+    if _vanishes(xd):
         raise SingularityError("xd = 0 in action-gradient series")
     xs = x - c.x0
     t = ab_tables(c)
@@ -489,6 +502,35 @@ def _taylor_of(v, m: int):
     return v if m == 0 else 0.0
 
 
+def _columns(states) -> np.ndarray:
+    """An (N, 6) array of states as six contiguous (N,) columns x .. x5."""
+    arr = np.asarray(states, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 6:
+        raise ValueError(f"expected an (N, 6) array of states, got {arr.shape}")
+    return np.ascontiguousarray(arr.T)
+
+
+def _level_pieces(c: KineticCoefficients, state, mu, hbar, order: int) -> np.ndarray:
+    """hbar-level components of the five additive pieces of the master
+    identity (see level_residuals), shape (order + 1, 5) + batch shape."""
+    hb = Jet((0.0, float(hbar)) + (0.0,) * (order - 1))
+    s1, s2, s3 = ds0dx_state(c, state, mu, hb)
+    x, xd, xdd, xddd = state[:4]
+    t_val = kinetic_term(c, x, xd, xdd, xddd, mu, hb)
+    pieces = (
+        xd * s1 ** 3,
+        -(s1 ** 4) / (2.0 * mu),
+        (hb * hb) * 0.375 / mu * s2 * s2,
+        -(hb * hb) * 0.25 / mu * s1 * s3,
+        -(s1 * s1 * t_val),
+    )
+    vals = np.empty((order + 1, len(pieces)) + np.shape(xd))
+    for m in range(order + 1):
+        for i, p in enumerate(pieces):
+            vals[m, i] = _taylor_of(p, m)
+    return vals
+
+
 def level_residuals(c: KineticCoefficients, state, mu, hbar, order: int | None = None):
     """Per-hbar-level scaled residuals of the master identity.
 
@@ -501,40 +543,37 @@ def level_residuals(c: KineticCoefficients, state, mu, hbar, order: int | None =
     level components; level m's residual is scaled by the largest piece
     magnitude at that level, which keeps the measure meaningful both where
     the classical terms dominate and deep in the quantum tail.
-    Returns (ratios, residuals, scales) indexed by level.
+    Returns (ratios, residuals, scales) indexed by level; with (N,) array
+    state columns each has shape (order + 1, N).
     """
     if order is None:
         order = 2 * c.n_max + 2
-    hb = Jet((0.0, float(hbar)) + (0.0,) * (order - 1))
-    s1, s2, s3 = ds0dx_state(c, state, mu, hb)
-    t_val = kinetic_term(c, state[0], state[1], state[2], state[3], mu, hb)
-    xd = state[1]
-    pieces = [
-        xd * s1 ** 3,
-        -(s1 ** 4) / (2.0 * mu),
-        (hb * hb) * 0.375 / mu * s2 * s2,
-        -(hb * hb) * 0.25 / mu * s1 * s3,
-        -(s1 * s1 * t_val),
-    ]
-    ratios = np.zeros(order + 1)
-    residuals = np.zeros(order + 1)
-    scales = np.zeros(order + 1)
-    for m in range(order + 1):
-        vals = [_taylor_of(p, m) for p in pieces]
-        resid = abs(sum(vals))
-        scale = max(abs(v) for v in vals)
-        residuals[m] = resid
-        scales[m] = scale
-        ratios[m] = resid / scale if scale > 0.0 else 0.0
+    vals = _level_pieces(c, state, mu, hbar, order)
+    residuals = np.abs(vals.sum(axis=1))
+    scales = np.abs(vals).max(axis=1)
+    ratios = np.divide(residuals, scales, out=np.zeros_like(residuals),
+                       where=scales > 0.0)
     return ratios, residuals, scales
 
 
-def master_residual(c: KineticCoefficients, j: Jet, params, *, hbar=None) -> float:
-    """Worst per-level scaled residual of the master identity at a jet."""
-    state = _state_from_jet(j, 6)
+def master_residual(c: KineticCoefficients, j, params, *, hbar=None):
+    """Worst per-level scaled residual of the master identity.
+
+    ``j`` is one motion jet of order >= 5, giving a float, or a sequence of
+    such jets or an (N, 6) array of states x .. x5, giving an (N,) array
+    with one residual per state, all evaluated in one pass.
+    """
     hb = params.hbar if hbar is None else hbar
+    if isinstance(j, Jet):
+        state = _state_from_jet(j, 6)
+    elif isinstance(j, np.ndarray):
+        state = _columns(j)
+    else:
+        state = _columns(np.array([_state_from_jet(jj, 6) for jj in j],
+                                  dtype=float).reshape(-1, 6))
     ratios, _, _ = level_residuals(c, state, params.mu, hb)
-    return float(np.max(ratios))
+    worst = ratios.max(axis=0)
+    return float(worst) if isinstance(j, Jet) else worst
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +664,6 @@ def _level_lattice(values: dict, n: int, k_max: int, base: KineticCoefficients):
     return KineticCoefficients(entries)
 
 
-def _classical_s1(theta: np.ndarray, k_max: int, state, mu: float) -> float:
-    """S0' of a pure level-0 lattice (hbar never enters)."""
-    c = _theta_lattice(theta, 0, k_max)
-    s1, _, _ = ds0dx_state(c, state, mu, 0.0)
-    return s1
-
-
 def _theta_lattice(theta: np.ndarray, n: int, k_max: int,
                    base: KineticCoefficients | None = None) -> KineticCoefficients:
     entries = dict(base.entries) if base is not None else {}
@@ -662,12 +694,19 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
     """
     mu = 1.0
     n_unk = 2 * (k_max + 1)
-    states = sampler(rng, samples)
+    cols = _columns(sampler(rng, samples))
+    x, xd, xdd = cols[:3]
     labels = ([("alpha", k) for k in range(k_max + 1)]
               + [("beta", k) for k in range(k_max + 1)])
 
+    def with_xddd(v):
+        out = cols.copy()
+        out[3] = v
+        return out
+
     def s1_of(theta, st):
-        return _classical_s1(theta, k_max, st, mu)
+        """S0' of a pure level-0 lattice (hbar never enters), per state."""
+        return ds0dx_state(_theta_lattice(theta, 0, k_max), st, mu, 0.0)[0]
 
     def resid(theta, st):
         c = _theta_lattice(theta, 0, k_max)
@@ -675,18 +714,10 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
         t_val = kinetic_term(c, st[0], st[1], st[2], st[3], mu, 0.0)
         return st[1] * s1 - s1 * s1 / (2.0 * mu) - t_val
 
-    def with_xddd(st, v):
-        out = list(st)
-        out[3] = v
-        return out
-
     # stage (a): xddd slope of S0' is linear in theta; exact central diff
-    basis = np.eye(n_unk)
-    mat_a = np.empty((samples, n_unk))
-    for i, st in enumerate(states):
-        for l in range(n_unk):
-            mat_a[i, l] = 0.5 * (s1_of(basis[l], with_xddd(st, 1.0))
-                                 - s1_of(basis[l], with_xddd(st, -1.0)))
+    up, down = with_xddd(1.0), with_xddd(-1.0)
+    mat_a = np.column_stack([0.5 * (s1_of(theta, up) - s1_of(theta, down))
+                             for theta in np.eye(n_unk)])
     null_a, rank_a = _nullspace(mat_a)
     if null_a.shape[1] != k_max + 1:
         raise DeterminationError(
@@ -695,11 +726,8 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
 
     # stage (b): on the stage-(a) subspace S0' carries no xddd, so the xddd
     # slope of R is again linear in theta
-    mat_b = np.empty((samples, null_a.shape[1]))
-    for i, st in enumerate(states):
-        for l in range(null_a.shape[1]):
-            mat_b[i, l] = 0.5 * (resid(null_a[:, l], with_xddd(st, 1.0))
-                                 - resid(null_a[:, l], with_xddd(st, -1.0)))
+    mat_b = np.column_stack([0.5 * (resid(theta, up) - resid(theta, down))
+                             for theta in null_a.T])
     null_b, rank_b = _nullspace(mat_b)
     surv = null_a @ null_b
     if surv.shape[1] != 2:
@@ -716,16 +744,13 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
     # stage (c): reconstruct the residual weights on the three monomials
     probes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0),
               (0.0, 2.0)]
-    design = np.empty((samples, 3))
-    for i, st in enumerate(states):
-        x, xd, xdd = st[0], st[1], st[2]
-        design[i] = (xd * xd, x * xdd, (x * xdd / xd) ** 2)
+    design = np.column_stack((xd * xd, x * xdd, (x * xdd / xd) ** 2))
     weights = np.empty((len(probes), 3))
     fit_res = 0.0
     for p, (s, u) in enumerate(probes):
         theta = np.zeros(n_unk)
         theta[0], theta[1] = s, u
-        rhs = np.array([resid(theta, st) for st in states])
+        rhs = resid(theta, cols)
         w, _, rank_c, _ = np.linalg.lstsq(design, rhs, rcond=None)
         if rank_c < 3:
             raise DeterminationError("stage (c) monomial design is rank-deficient")
@@ -781,15 +806,15 @@ def _determine_level_n(rng, n: int, k_max: int, samples: int,
     n_unk = 2 * (k_max + 1)
     labels = ([("alpha", k) for k in range(k_max + 1)]
               + [("beta", k) for k in range(k_max + 1)])
-    states = sampler(rng, samples)
+    cols = _columns(sampler(rng, samples))
 
-    r0 = _signed_level(base, states, mu, hbar_probe, n)
-    mat = np.empty((len(states), n_unk))
+    r0 = _signed_level(base, cols, mu, hbar_probe, n)
+    mat = np.empty((samples, n_unk))
     for l in range(n_unk):
         theta = np.zeros(n_unk)
         theta[l] = 1.0
         mat[:, l] = _signed_level(_theta_lattice(theta, n, k_max, base),
-                                  states, mu, hbar_probe, n) - r0
+                                  cols, mu, hbar_probe, n) - r0
     sol, _, rank, _ = np.linalg.lstsq(mat, -r0, rcond=None)
     if rank < n_unk:
         raise DeterminationError(
@@ -798,11 +823,9 @@ def _determine_level_n(rng, n: int, k_max: int, samples: int,
     values = {lab: _snap(float(v)) for lab, v in zip(labels, sol)}
     # confirm on fresh states
     solved = _level_lattice(values, n, k_max, base)
-    fresh = sampler(rng, max(8, n_unk))
-    worst = 0.0
-    for st in fresh:
-        ratios, _, _ = level_residuals(solved, st, mu, hbar_probe, order=n)
-        worst = max(worst, float(np.max(ratios[:n + 1])))
+    fresh = _columns(sampler(rng, max(8, n_unk)))
+    ratios, _, _ = level_residuals(solved, fresh, mu, hbar_probe, order=n)
+    worst = float(np.max(ratios))
     if worst > 1e-8:
         raise DeterminationError(
             f"level {n}: solved lattice leaves scaled residual {worst:.2e}")
@@ -812,18 +835,10 @@ def _determine_level_n(rng, n: int, k_max: int, samples: int,
         notes=[f"confirmation residual on fresh states {worst:.2e}"])
 
 
-def _signed_level(c, states, mu, hbar, n):
-    """Raw (signed) level-n coefficient of the master residual per state."""
-    out = np.empty(len(states))
-    hbj = Jet((0.0, float(hbar)) + (0.0,) * max(0, n - 1))
-    for i, st in enumerate(states):
-        s1, s2, s3 = ds0dx_state(c, st, mu, hbj)
-        t_val = kinetic_term(c, st[0], st[1], st[2], st[3], mu, hbj)
-        expr = (st[1] * s1 ** 3 - s1 ** 4 / (2.0 * mu)
-                + (hbj * hbj) * (0.375 * s2 * s2 - 0.25 * s1 * s3) / mu
-                - s1 * s1 * t_val)
-        out[i] = _taylor_of(expr, n)
-    return out
+def _signed_level(c, cols, mu, hbar, n):
+    """Raw (signed) level-n coefficient of the master residual per state,
+    from the six (N,) state columns."""
+    return _level_pieces(c, cols, mu, hbar, n)[n].sum(axis=0)
 
 
 def determine_coefficients(levels: int = 2, sampler=None, *, k_max: int = 4,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
 
 __all__ = [
     "IntegratorSettings",
@@ -92,6 +91,11 @@ class IntegrationFailure(RuntimeError):
         self.y_last = np.asarray(y_last)
         self.partial = partial
 
+    def __reduce__(self):
+        # rebuilt from the constructor arguments when it crosses a process
+        # boundary; the partial solution stays behind
+        return type(self), (self.reason, self.t_last, self.y_last, None)
+
 
 def integrate_ivp(rhs, y0, t_span, settings: IntegratorSettings | None = None) -> DenseSolution:
     """Integrate dy/dt = rhs(t, y) over t_span with dense output.
@@ -100,6 +104,8 @@ def integrate_ivp(rhs, y0, t_span, settings: IntegratorSettings | None = None) -
     ``settings.abs_tol``; the returned solution interpolates between steps
     with the stepper's own quartic interpolant.
     """
+    from scipy.integrate import RK45  # deferred: scipy is slow to import
+
     settings = settings or IntegratorSettings()
     settings.validate()
     t0, t1 = float(t_span[0]), float(t_span[1])

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .jets import Jet, exp as jexp, sqrt as jsqrt
 from .schrodinger import PhysParams, SolutionPair, eval_phi
@@ -117,6 +116,8 @@ def s0_eval(pair: SolutionPair, q: QuantumStateParams, x: float) -> float:
     base = pair.params.hbar * (math.atan(q.a * p1a / p2a + q.b) + q.kappa)
     if x == pair.anchor:
         return base
+
+    from scipy.integrate import quad  # deferred: scipy is slow to import
 
     val, err = quad(lambda u: s0p(pair, q, u), pair.anchor, x, epsabs=1e-13,
                     epsrel=1e-12, limit=400)

@@ -27,11 +27,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .jets import Jet, Dual
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "PhysParams",
@@ -105,6 +108,8 @@ class PotentialModel:
                 raise SchrodingerError("table needs matching 1-d arrays, >= 4 rows")
             if not np.all(np.diff(xs) > 0):
                 raise SchrodingerError("table x values must be strictly increasing")
+            from scipy.interpolate import CubicSpline  # deferred: slow import
+
             self._table = (xs, vs)
             self._spline = CubicSpline(xs, vs)
 

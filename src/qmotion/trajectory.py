@@ -72,6 +72,12 @@ class VelocityFloorError(RuntimeError):
         self.t = t
         self.state = tuple(state)
 
+    def __reduce__(self):
+        # rebuilt from the constructor arguments when it crosses a process
+        # boundary; the state goes back as the array it was raised with, so
+        # the message reads the same
+        return type(self), (self.t, np.asarray(self.state))
+
 
 class SingularObservables(SingularityError):
     """The observables are undefined at some samples: xd vanishes there, a

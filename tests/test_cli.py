@@ -5,6 +5,9 @@ console output can be asserted exactly; files land in tmp_path.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +158,25 @@ def test_verify_qshje(capsys):
     assert "harmonic pair: max residual" in out
 
 
+def test_identity_commands_do_not_import_scipy():
+    # verify master and coefficients need no scipy, which costs most of the
+    # package's import time, so they must not load it
+    code = ("import io, sys, contextlib\n"
+            "import qmotion.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert qmotion.cli.run(['verify', 'master', '--samples', '10']) == 0\n"
+            "    assert qmotion.cli.run(['coefficients', '--levels', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_verify_master_canonical(capsys):
     assert run(["verify", "master", "--samples", "50"]) == 0
     assert "master residual" in capsys.readouterr().out
@@ -229,6 +251,17 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert body[0].startswith("a,b,energy,")
     assert len(body) == 5  # header + 2 x 1 x 2 cells
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["2", "1"])
+def test_sweep_failing_cell_exits_3(tmp_path, capsys, workers):
+    # the cell's IntegrationFailure must cross the process boundary intact
+    doc = dict(SWEEP_DOC, integrator={"max_steps": 3},
+               sweep={"a": [1.0, 2.0], "b": [0.0]})
+    cfg = write_config(tmp_path, doc)
+    assert run(["sweep", "--config", cfg, "--workers", workers,
+                "--quiet"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_quiet_silences_stdout(tmp_path, capsys):

@@ -110,6 +110,20 @@ def test_mixed_order_operands_truncate():
     assert (a * b).order == 1
 
 
+def test_numpy_left_operand_gives_a_jet():
+    j = Jet((2.0, 1.0, 0.5))
+    arr = np.array([1.0, -3.0])
+    for got in (arr * j, arr + j, arr - j, arr / j):
+        assert isinstance(got, Jet)
+    prod = arr * j
+    for k, c in enumerate(j.coeffs):
+        np.testing.assert_array_equal(prod.coeffs[k], arr * c)
+    np.testing.assert_array_equal((arr - j).value, arr - 2.0)
+    scaled = np.float64(3.0) * j
+    assert isinstance(scaled, Jet)
+    assert scaled.coeffs == (6.0, 3.0, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # Elementary functions
 # ---------------------------------------------------------------------------

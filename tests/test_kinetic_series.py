@@ -31,9 +31,11 @@ from qmotion.kinetic_series import (
     master_residual,
     momenta_state,
     sample_jets,
+    sample_states,
     series_momenta,
     term_exponents,
 )
+from qmotion.jets import Jet
 from qmotion.schrodinger import PhysParams
 
 PARAMS = PhysParams(hbar=1.0, mu=1.0, energy=0.0)
@@ -295,3 +297,148 @@ def test_time_rescaling_per_level(n, k, cfac):
     scaled = kinetic_term(c, x, cfac * xd, cfac ** 2 * xdd, cfac ** 3 * xddd,
                           1.0, 1.0)
     assert scaled == pytest.approx(base * cfac ** (2 - n), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Batches of states against one state at a time
+# ---------------------------------------------------------------------------
+
+class Mag:
+    """Sum of the magnitudes of the terms of an expression.
+
+    The evaluators are generic over the numeric type, so passing state
+    entries of this type through them adds magnitudes where they add or
+    subtract and multiplies them where they multiply: the result bounds
+    the cancellation in the value, which is the scale that rounding
+    differences between the batched and the per-state path live on.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = abs(v)
+
+    @staticmethod
+    def _of(other):
+        return other.v if isinstance(other, Mag) else abs(other)
+
+    def __add__(self, other):
+        return Mag(self.v + Mag._of(other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return Mag(self.v * Mag._of(other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        return Mag(self.v ** e)
+
+
+coef = st.floats(-1.0, 1.0)
+random_lattices = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.tuples(coef, coef),
+    min_size=1, max_size=4).map(KineticCoefficients)
+CANONICAL = KineticCoefficients.canonical()
+perturbed_canonical = st.builds(
+    lambda nk, da, db: CANONICAL.with_entry(*nk, alpha=CANONICAL.alpha(*nk) + da,
+                                            beta=CANONICAL.beta(*nk) + db),
+    st.sampled_from([(0, 0), (1, 0), (2, 0), (2, 1), (3, 0)]),
+    st.floats(-0.1, 0.1), st.floats(-0.1, 0.1))
+lattices = st.one_of(random_lattices, perturbed_canonical)
+batches = st.builds(lambda seed, n: sample_states(np.random.default_rng(seed), n),
+                    st.integers(0, 2**32 - 1), st.integers(1, 8))
+positive = st.floats(0.5, 2.0)
+
+
+def _assert_batch_matches(batched, single, mag, rel=1e-14):
+    """Batched against per-state values, within rel times the magnitude of
+    their terms (``mag``, a Mag, or 0.0 where no term contributes)."""
+    single = np.asarray(single, dtype=float)
+    batched = np.broadcast_to(batched, single.shape)
+    scale = np.broadcast_to(getattr(mag, "v", mag), single.shape)
+    assert np.all(np.abs(batched - single) <= rel * scale), (batched, single)
+
+
+@given(lattices, batches, positive, positive, st.floats(0.0, 1.0))
+@settings(deadline=None, max_examples=80)
+def test_batched_values_match_per_state(c, states, mu, hbar, lam):
+    """kinetic_term, momenta_state and ds0dx_state over (N,) state columns
+    agree with one call per state to 1e-14 of the magnitude of their terms
+    (numpy's vectorised power and libm's pow may round differently)."""
+    cols = np.ascontiguousarray(states.T)
+    rows = [row.tolist() for row in states]
+    mags = [Mag(col) for col in cols]
+
+    _assert_batch_matches(kinetic_term(c, *cols[:4], mu, hbar),
+                          [kinetic_term(c, *r[:4], mu, hbar) for r in rows],
+                          kinetic_term(c, *mags[:4], mu, hbar))
+    for fn, args in ((momenta_state, (mu, hbar, lam)), (ds0dx_state, (mu, hbar))):
+        want = np.array([fn(c, r, *args) for r in rows]).T
+        for got, w, mag in zip(fn(c, cols, *args), want, fn(c, mags, *args)):
+            _assert_batch_matches(got, w, mag)
+
+
+@given(lattices, batches, positive, positive)
+@settings(deadline=None, max_examples=60)
+def test_batched_level_residuals_match_per_state(c, states, mu, hbar):
+    """Per-level residual ratios of a batch agree with one call per state
+    to 1e-13, and master_residual takes the same batch as jets, as an
+    array, or one jet at a time."""
+    cols = np.ascontiguousarray(states.T)
+    ratios, residuals, scales = level_residuals(c, cols, mu, hbar)
+    assert ratios.shape == residuals.shape == scales.shape == (
+        2 * c.n_max + 3, len(states))
+    want = np.array([level_residuals(c, row.tolist(), mu, hbar)[0]
+                     for row in states]).T
+    assert np.max(np.abs(ratios - want)) <= 1e-13
+
+    params = PhysParams(hbar=hbar, mu=mu, energy=0.0)
+    jets = [Jet(tuple(row)) for row in states]
+    per_jet = np.array([master_residual(c, j, params) for j in jets])
+    np.testing.assert_array_equal(master_residual(c, states, params),
+                                  master_residual(c, jets, params))
+    assert np.max(np.abs(master_residual(c, states, params) - per_jet)) <= 1e-13
+    assert np.array_equal(ratios.max(axis=0),
+                          master_residual(c, states, params))
+
+
+def test_master_residual_one_jet_is_a_float():
+    j = sample_jets(np.random.default_rng(4), 1)[0]
+    got = master_residual(KineticCoefficients.canonical(), j, PARAMS)
+    assert type(got) is float
+
+
+def test_batch_with_one_zero_velocity_row_is_singular():
+    c = KineticCoefficients.canonical()
+    states = sample_states(np.random.default_rng(8), 5)
+    cols = np.ascontiguousarray(states.T)
+    kinetic_term(c, *cols[:4], 1.0, 1.0)  # regular batch
+    states[3, 1] = 0.0
+    cols = np.ascontiguousarray(states.T)
+    with pytest.raises(SingularityError):
+        kinetic_term(c, *cols[:4], 1.0, 1.0)
+    with pytest.raises(SingularityError):
+        momenta_state(c, cols, 1.0, 1.0)
+    with pytest.raises(SingularityError):
+        ds0dx_state(c, cols, 1.0, 1.0)
+    with pytest.raises(SingularityError):
+        level_residuals(c, cols, 1.0, 1.0)
+    with pytest.raises(SingularityError):
+        master_residual(c, states, PARAMS)
+
+
+def test_batch_with_one_zero_acceleration_row_needs_negative_power():
+    # beta_00 carries xdd^-2, the canonical lattice no negative xdd power
+    states = sample_states(np.random.default_rng(8), 5)
+    states[2, 2] = 0.0
+    cols = np.ascontiguousarray(states.T)
+    kinetic_term(KineticCoefficients.canonical(), *cols[:4], 1.0, 1.0)
+    c = KineticCoefficients({(0, 0): (0.5, 0.3)})
+    with pytest.raises(SingularityError):
+        kinetic_term(c, *cols[:4], 1.0, 1.0)
+    with pytest.raises(SingularityError):
+        momenta_state(c, cols, 1.0, 1.0)
+    with pytest.raises(SingularityError):
+        ds0dx_state(c, cols, 1.0, 1.0)

@@ -5,6 +5,7 @@ stiff-ish decaying system where step control has to do real work.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -94,6 +95,11 @@ def test_step_budget_exhaustion_reports_partial():
     err = info.value
     assert "budget" in err.reason
     assert 0.0 < err.t_last < 50.0
+    # sweep workers send it back to the parent process, without the partial
+    back = pickle.loads(pickle.dumps(err))
+    assert (back.reason, back.t_last, back.partial) == (err.reason, err.t_last,
+                                                        None)
+    np.testing.assert_array_equal(back.y_last, err.y_last)
     if err.partial is not None:
         assert isinstance(err.partial, DenseSolution)
         # the partial solution must agree with the oracle on its own range

@@ -12,6 +12,7 @@ Free-particle oracles are closed forms worked out by hand:
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -214,8 +215,12 @@ def test_newton_law_conserves_h_off_family():
 
 def test_newton_law_velocity_floor():
     s = free_scenario(law="newton", t1=1.0)
-    with pytest.raises(VelocityFloorError):
+    with pytest.raises(VelocityFloorError) as info:
         integrate_newton_law(s, init=(0.0, 1e-13, 0.0, 0.0))
+    # sweep workers send it back to the parent process
+    back = pickle.loads(pickle.dumps(info.value))
+    assert (str(back), back.t, back.state) == (str(info.value), info.value.t,
+                                              info.value.state)
 
 
 # ---------------------------------------------------------------------------
