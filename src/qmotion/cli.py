@@ -50,15 +50,6 @@ _SCHEMA = {
     "sweep": {"a", "b", "energy"},
 }
 
-_DEFAULT_DOC = {
-    "potential": {"kind": "free"},
-    "physics": {"hbar": 1.0, "mu": 1.0, "energy": 0.5},
-    "quantum": {"a": 2.0, "b": 0.0},
-    "run": {"law": "velocity", "x_start": 0.0, "t0": 0.0, "t1": 10.0,
-            "samples": 256},
-}
-
-
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -134,9 +125,11 @@ def scenario_from_config(doc: dict, law: str | None = None) -> traj.ScenarioConf
 
 
 def _doc_for(args) -> dict:
+    """The --config document, or an empty one: omitted keys take
+    scenario_from_config's defaults."""
     if getattr(args, "config", None):
         return load_config(args.config)
-    return json.loads(json.dumps(_DEFAULT_DOC))
+    return {}
 
 
 def _say(args, *parts) -> None:
@@ -160,15 +153,10 @@ def _cmd_trajectory(args) -> int:
     if s.out_path is None:
         raise ConfigError("trajectory needs an output path "
                           "(output.path in the config or --out)")
-    if s.law == "velocity":
-        result = traj.integrate_velocity_law(s)
-    elif s.law == "newton":
-        result = traj.integrate_newton_law(s)
-    else:
-        result, report = traj.integrate_legacy_law(s)
-        if report.stalled:
-            _say(args, f"legacy law stalled near x = {report.x_stall:.9g} "
-                       f"(turning point {report.x_turn})")
+    result, report = traj.run_scenario(s)
+    if report is not None and report.stalled:
+        _say(args, f"legacy law stalled near x = {report.x_stall:.9g} "
+                   f"(turning point {report.x_turn})")
     note = s.pair.truncation_note()
     if note:
         print(note, file=sys.stderr)
@@ -258,12 +246,11 @@ def _cmd_verify_conservation(args) -> int:
     ok = True
     for idx in range(args.samples):
         q = _random_state(rng)
-        for law, runner in (("velocity", traj.integrate_velocity_law),
-                            ("newton", traj.integrate_newton_law)):
+        for law in ("velocity", "newton"):
             s = scenario_from_config(doc, law=law)
             s.q = q
             s.pair = pair
-            summary = traj.summarize(runner(s))
+            summary = traj.summarize(traj.run_scenario(s)[0])
             drift = summary["max_energy_drift_abs"]
             bohm = summary["max_bohm_gap_rel"]
             good = drift <= drift_tol and bohm <= bohm_tol
@@ -310,14 +297,14 @@ def _cmd_demo_legacy_stall(args) -> int:
         doc["run"].setdefault("domain", [-2.0, 6.0])
         doc["run"]["t1"] = max(40.0, float(doc["run"].get("t1", 0.0)))
     s = scenario_from_config(doc, law="legacy")
-    result, report = traj.integrate_legacy_law(s)
+    _, report = traj.run_scenario(s)
     _say(args, f"legacy law on {s.potential.kind} potential, "
                f"E = {s.params.energy:g}:")
     _say(args, f"  stalled: {report.stalled}")
     for note in report.notes:
         _say(args, f"  {note}")
     sv = scenario_from_config(doc, law="velocity")
-    rv = traj.integrate_velocity_law(sv)
+    rv, _ = traj.run_scenario(sv)
     vmin = min(abs(p.xdot) for p in rv.samples)
     _say(args, f"  first-order action-gradient law over the same span: "
                f"x reaches {rv.samples[-1].x:.6g}, min |xd| = {vmin:.6g}")
@@ -330,13 +317,7 @@ def _sweep_cell(payload):
     doc.setdefault("quantum", {})["a"] = a
     doc["quantum"]["b"] = b
     doc.setdefault("physics", {})["energy"] = energy
-    s = scenario_from_config(doc)
-    if s.law == "velocity":
-        result = traj.integrate_velocity_law(s)
-    elif s.law == "newton":
-        result = traj.integrate_newton_law(s)
-    else:
-        result, _ = traj.integrate_legacy_law(s)
+    result, _ = traj.run_scenario(scenario_from_config(doc))
     summary = traj.summarize(result)
     return idx, (a, b, energy, summary["x_last"],
                  summary["max_energy_drift_rel"], summary["max_bohm_gap_rel"],

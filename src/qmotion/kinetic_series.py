@@ -15,6 +15,12 @@ derivatives, the master identity tying these to the quantum stationary
 Hamilton-Jacobi equation, and a sampling-based elimination that recovers
 the unique physical coefficient values level by level.
 
+Each series is a table of monomials built once per lattice, and S0'',
+S0''' and the Hamiltonian's gradient sums are exact derivatives of the
+tables of T and dS0/dx.  The closed-form momenta and the A/B formula stay
+hand-expanded, as independent transcriptions for the momentum and
+master-identity checks to compare against.
+
 All evaluators are generic over the numeric type of the state entries
 (floats, complex numbers, jets, dual numbers, or numpy arrays holding one
 column of a batch of states), which is what lets the master identity be
@@ -102,19 +108,18 @@ def _ipow(base, e: int):
     return base ** e
 
 
-def _mono(xs, xd, xdd, xddd, x4, x5, kx, e2, ed, e3=0, e4=0, e5=0):
-    """x^kx * xdd^e2 * xd^ed * xddd^e3 * x4^e4 * x5^e5 (ed usually < 0)."""
-    val = _ipow(xd, ed)
-    if kx:
-        val = val * _ipow(xs, kx)
-    if e2:
-        val = val * _ipow(xdd, e2)
-    if e3:
-        val = val * _ipow(xddd, e3)
-    if e4:
-        val = val * _ipow(x4, e4)
-    if e5:
-        val = val * _ipow(x5, e5)
+def _mono(vals, e, powers: dict):
+    """prod vals[i]^e[i] over the slots (x - x0, xd, xdd, xddd, x4, x5) that
+    ``e`` reaches, the xd factor first (e[1] is usually < 0); ``powers``
+    keeps each vals[i]^p for the other monomials of one evaluation."""
+    val = None
+    for i in (1, 0, 2, 3, 4, 5)[:len(e)]:
+        p = e[i]
+        if p or i == 1:
+            f = powers.get((i, p))
+            if f is None:
+                f = powers[(i, p)] = _ipow(vals[i], p)
+            val = f if val is None else val * f
     return val
 
 
@@ -125,6 +130,57 @@ def _prefactor(mu, hbar, n: int):
     if n:
         val = _ipow(hbar, n) * val
     return val
+
+
+# ---------------------------------------------------------------------------
+# monomial tables
+#
+# A series over the state is held as a table {(n, e): coef} of the terms
+#
+#     coef * hbar^n / mu^(n-1) * (x - x0)^e[0] xd^e[1] xdd^e[2] xddd^e[3] x4^e[4] x5^e[5],
+#
+# so a derivative of a series is an exact rewrite of its exponent tuples
+# (Taylor arithmetic on exponents, Griewank and Walther, *Evaluating
+# Derivatives*, ch. 13) and one evaluator serves every series.
+
+def _partial(table: dict, slot: int) -> dict:
+    """Partial derivative of a table with respect to one state slot."""
+    out = {}
+    for (n, e), coef in table.items():
+        if e[slot]:
+            d = list(e)
+            d[slot] -= 1
+            out[(n, tuple(d))] = coef * e[slot]
+    return out
+
+
+def _d_dx(table: dict) -> dict:
+    """d/dx = (d/dt)/xd of a table: the sum over slots of the partial
+    derivative times the next slot, over xd (no term may carry x5)."""
+    out = {}
+    for (n, e), coef in table.items():
+        for s in range(5):
+            if e[s]:
+                d = list(e)
+                d[s] -= 1
+                d[s + 1] += 1
+                d[1] -= 1
+                key = (n, tuple(d))
+                out[key] = out.get(key, 0.0) + coef * e[s]
+    return {key: coef for key, coef in out.items() if coef}
+
+
+def _evaluate(table: dict, state, x0, mu, hbar):
+    """Sum of a table's terms at a state (x, xd, ...) of floats, jets, duals
+    or (N,) arrays; the state needs only the slots the table reaches."""
+    vals = (state[0] - x0,) + tuple(state[1:])
+    prefs, powers = {}, {}
+    total = 0.0
+    for (n, e), coef in table.items():
+        if n not in prefs:
+            prefs[n] = _prefactor(mu, hbar, n)
+        total = total + coef * prefs[n] * _mono(vals, e, powers)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +205,7 @@ class KineticCoefficients:
                 clean[(int(n), int(k))] = (al, be)
         self.entries = clean
         self.x0 = float(x0)
+        self._derived = {}
 
     @classmethod
     def canonical(cls) -> "KineticCoefficients":
@@ -176,6 +233,14 @@ class KineticCoefficients:
         new[(n, k)] = (old[0] if alpha is None else alpha,
                        old[1] if beta is None else beta)
         return KineticCoefficients(new, self.x0)
+
+    def derived(self, build):
+        """``build(self)``, computed on the first call and kept, so each
+        monomial table is derived once per lattice (``entries`` never
+        changes after construction; with_entry copies)."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KineticCoefficients):
@@ -233,14 +298,6 @@ class ABTables:
 
     A: dict = field(default_factory=dict)
     B: dict = field(default_factory=dict)
-    n_max: int = 0
-    k_max: int = 0
-
-    def a(self, n: int, k: int) -> float:
-        return self.A.get((n, k), 0.0)
-
-    def b(self, n: int, k: int) -> float:
-        return self.B.get((n, k), 0.0)
 
 
 def ab_tables(c: KineticCoefficients) -> ABTables:
@@ -269,7 +326,41 @@ def ab_tables(c: KineticCoefficients) -> ABTables:
                 A[(n, k)] = a_nk
             if b_nk:
                 B[(n, k)] = b_nk
-    return ABTables(A, B, c.n_max, c.k_max)
+    return ABTables(A, B)
+
+
+def _table(rows: dict, xd_shift: int = 0) -> dict:
+    """Monomial table of a lattice-shaped series: ``rows`` maps (n, k) to
+    the coefficients of T's alpha and beta monomials there, each taken
+    with xd's exponent shifted by ``xd_shift``."""
+    table = {}
+    for (n, k), coefs in sorted(rows.items()):
+        for e, coef in zip(term_exponents(n, k).values(), coefs):
+            if coef:
+                key = (e["x"], e["xd"] + xd_shift, e["xdd"], e["xddd"], 0, 0)
+                table[(n, key)] = coef
+    return table
+
+
+def _kinetic_table(c: KineticCoefficients) -> dict:
+    """T as a monomial table."""
+    return _table(c.entries)
+
+
+def _xi_table(c: KineticCoefficients) -> dict:
+    """dT/dxddd, the bare beta sum of Xi, as a monomial table."""
+    return _partial(c.derived(_kinetic_table), 3)
+
+
+def _s0_tables(c: KineticCoefficients) -> tuple:
+    """S0' and its first two spatial derivatives as monomial tables: S0'
+    is the A/B families (T's monomials with one more 1/xd), the others
+    follow by d/dx."""
+    t = ab_tables(c)
+    s1 = _table({nk: (t.A.get(nk, 0.0), t.B.get(nk, 0.0))
+                 for nk in t.A.keys() | t.B.keys()}, -1)
+    s2 = _d_dx(s1)
+    return s1, s2, _d_dx(s2)
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +371,7 @@ def kinetic_term(c: KineticCoefficients, x, xd, xdd, xddd, mu, hbar):
     (N,) arrays of a batch of states)."""
     if _vanishes(xd):
         raise SingularityError("xd = 0 in kinetic series")
-    xs = x - c.x0
-    total = 0.0
-    for (n, k), (al, be) in sorted(c.entries.items()):
-        pref = _prefactor(mu, hbar, n)
-        if al:
-            total = total + al * pref * _mono(
-                xs, xd, xdd, xddd, None, None, k, n + k, -(3 * n + 2 * k - 2))
-        if be:
-            total = total + be * pref * _mono(
-                xs, xd, xdd, xddd, None, None, k, n + k - 2, -(3 * n + 2 * k - 3), 1)
-    return total
+    return _evaluate(c.derived(_kinetic_table), (x, xd, xdd, xddd), c.x0, mu, hbar)
 
 
 def _state_from_jet(j: Jet, need: int) -> tuple:
@@ -351,7 +432,7 @@ def momenta_state(c: KineticCoefficients, state, mu, hbar, lam=0.0) -> Momenta:
     x, xd, xdd, xddd, x4, x5 = state
     if _vanishes(xd):
         raise SingularityError("xd = 0 in momentum series")
-    xs = x - c.x0
+    vals, powers = (x - c.x0, xd, xdd, xddd), {}
     p_tot, pi_tot, xi_tot = 0.0, 0.0, 0.0
     for n in range(c.n_max + 1):
         for k in range(c.k_max + 1):
@@ -376,16 +457,16 @@ def momenta_state(c: KineticCoefficients, state, mu, hbar, lam=0.0) -> Momenta:
             pi_c = (n + k) * al + (3 * n + 2 * k - 3) * be - (k + 1) * be1
             if pa:
                 p_tot = p_tot + pa * pref * _mono(
-                    xs, xd, xdd, xddd, x4, x5, k, n + k, -(3 * n + 2 * k - 1))
+                    vals, (k, -(3 * n + 2 * k - 1), n + k), powers)
             if pb:
                 p_tot = p_tot + pb * pref * _mono(
-                    xs, xd, xdd, xddd, x4, x5, k, n + k - 2, -(3 * n + 2 * k - 2), 1)
+                    vals, (k, -(3 * n + 2 * k - 2), n + k - 2, 1), powers)
             if pi_c:
                 pi_tot = pi_tot + pi_c * pref * _mono(
-                    xs, xd, xdd, xddd, x4, x5, k, n + k - 1, -(3 * n + 2 * k - 2))
+                    vals, (k, -(3 * n + 2 * k - 2), n + k - 1), powers)
             if be:
                 xi_tot = xi_tot + be * pref * _mono(
-                    xs, xd, xdd, xddd, x4, x5, k, n + k - 2, -(3 * n + 2 * k - 3))
+                    vals, (k, -(3 * n + 2 * k - 3), n + k - 2), powers)
     if lam:
         p_tot = p_tot + lam * x5
         pi_tot = pi_tot - lam * x4
@@ -403,15 +484,9 @@ def series_momenta(c: KineticCoefficients, j: Jet, params, lam: float = 0.0,
 
 def xi_series_core(c: KineticCoefficients, state, mu, hbar):
     """The bare beta sum appearing in Xi and in the regulated Hamiltonian
-    bracket: sum hbar^n beta_nk / mu^(n-1) x^k xdd^(n+k-2) / xd^(3n+2k-3)."""
-    x, xd, xdd = state[0], state[1], state[2]
-    xs = x - c.x0
-    total = 0.0
-    for (n, k), (_, be) in sorted(c.entries.items()):
-        if be:
-            total = total + be * _prefactor(mu, hbar, n) * _mono(
-                xs, xd, xdd, None, None, None, k, n + k - 2, -(3 * n + 2 * k - 3))
-    return total
+    bracket, dT/dxddd = sum hbar^n beta_nk / mu^(n-1) x^k xdd^(n+k-2) /
+    xd^(3n+2k-3); ``state`` needs only (x, xd, xdd)."""
+    return _evaluate(c.derived(_xi_table), state, c.x0, mu, hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -421,69 +496,15 @@ def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
     """(S0', S0'', S0''') as phase-space functions of the state (x .. x5),
     whose entries may be (N,) arrays, one column each of a batch of states.
 
-    S0' sums the A/B families; the second and third derivatives follow by
-    spatial differentiation d/dx = (d/dt)/xd, which fans each family out
-    into the fixed combinations of neighbor-column A/B coefficients coded
-    below.  Canonically these collapse to mu*xd, mu*xdd/xd and
+    S0' sums the A/B families; the second and third derivatives are the
+    exact spatial derivatives d/dx = (d/dt)/xd of its monomial table.
+    Canonically these collapse to mu*xd, mu*xdd/xd and
     mu*(xddd*xd - xdd^2)/xd^3.
     """
-    x, xd, xdd, xddd, x4, x5 = state
-    if _vanishes(xd):
+    if _vanishes(state[1]):
         raise SingularityError("xd = 0 in action-gradient series")
-    xs = x - c.x0
-    t = ab_tables(c)
-    s1, s2, s3 = 0.0, 0.0, 0.0
-
-    def m(kx, e2, ed, e3=0, e4=0, e5=0):
-        return _mono(xs, xd, xdd, xddd, x4, x5, kx, e2, ed, e3, e4, e5)
-
-    for n in range(t.n_max + 1):
-        for k in range(t.k_max + 1):
-            a, b = t.a(n, k), t.b(n, k)
-            a1, b1 = t.a(n, k + 1), t.b(n, k + 1)
-            a2, b2 = t.a(n, k + 2), t.b(n, k + 2)
-            if not any((a, b, a1, b1, a2, b2)):
-                continue
-            pref = _prefactor(mu, hbar, n)
-            q = 3 * n + 2 * k
-            # first derivative: two families
-            if a:
-                s1 = s1 + pref * a * m(k, n + k, -(q - 1))
-            if b:
-                s1 = s1 + pref * b * m(k, n + k - 2, -(q - 2), 1)
-            # second derivative: four families
-            c1 = (k + 1) * a1 - (q - 1) * a
-            c2 = (n + k) * a - (q - 2) * b + (k + 1) * b1
-            if c1:
-                s2 = s2 + pref * c1 * m(k, n + k + 1, -(q + 1))
-            if c2:
-                s2 = s2 + pref * c2 * m(k, n + k - 1, -q, 1)
-            if b:
-                s2 = s2 + pref * (n + k - 2) * b * m(k, n + k - 3, -(q - 1), 2)
-                s2 = s2 + pref * b * m(k, n + k - 2, -(q - 1), 0, 1)
-            # third derivative: seven families
-            d1 = ((q - 1) * (q + 1) * a - 2 * (k + 1) * (q + 1) * a1
-                  + (k + 1) * (k + 2) * a2)
-            d2 = (-(6 * n * n + 4 * k * k + 10 * n * k + 2 * n + k - 1) * a
-                  + q * (q - 2) * b + 2 * (k + 1) * (n + k + 1) * a1
-                  - 2 * (k + 1) * q * b1 + (k + 1) * (k + 2) * b2)
-            d3 = ((n + k) * (n + k - 1) * a
-                  - (6 * n * n + 4 * k * k + 10 * n * k - 12 * n - 9 * k + 4) * b
-                  + 2 * (k + 1) * (n + k - 1) * b1)
-            d5 = (n + k) * a - (6 * n + 4 * k - 3) * b + 2 * (k + 1) * b1
-            if d1:
-                s3 = s3 + pref * d1 * m(k, n + k + 2, -(q + 3))
-            if d2:
-                s3 = s3 + pref * d2 * m(k, n + k, -(q + 2), 1)
-            if d3:
-                s3 = s3 + pref * d3 * m(k, n + k - 2, -(q + 1), 2)
-            if d5:
-                s3 = s3 + pref * d5 * m(k, n + k - 1, -(q + 1), 0, 1)
-            if b:
-                s3 = s3 + pref * (n + k - 2) * (n + k - 3) * b * m(k, n + k - 4, -q, 3)
-                s3 = s3 + pref * 3 * (n + k - 2) * b * m(k, n + k - 3, -q, 1, 1)
-                s3 = s3 + pref * b * m(k, n + k - 2, -q, 0, 0, 1)
-    return s1, s2, s3
+    return tuple(_evaluate(t, state, c.x0, mu, hbar)
+                 for t in c.derived(_s0_tables))
 
 
 def ds0dx_series(c: KineticCoefficients, j: Jet, params, *, hbar=None):

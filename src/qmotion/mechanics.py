@@ -13,7 +13,10 @@ The module also carries two consistency demonstrations: the canonical
 equations of the regulated series Hamiltonian checked as identities along
 arbitrary jets, and the classical pathology of a Lagrangian whose velocity
 enters linearly (the case that motivates the x3dot^2 regulator in the first
-place).
+place).  The Hamiltonian's partial derivatives in x, xd and xdd are exact
+derivatives of the kinetic series' monomial tables, derived once per
+lattice, while the momenta they are checked against come from the series'
+closed-form brackets.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ from .jets import Dual, Jet, JetOrderError
 from .kinetic_series import (
     KineticCoefficients,
     SingularityError,
+    _evaluate,
     _ipow,
-    _mono,
-    _prefactor,
+    _kinetic_table,
+    _partial,
+    _xi_table,
     kinetic_term,
     momenta_state,
     xi_series_core,
@@ -285,50 +290,23 @@ class CanonicalReport:
         return "\n".join(lines)
 
 
-class _GradSums(NamedTuple):
-    s86a: float  # sum k alpha x^(k-1) xdd^(n+k) / xd^(3n+2k-2)
-    s86b: float  # sum k beta  x^(k-1) xdd^(n+k-2) / xd^(3n+2k-3)
-    s87a: float  # sum (3n+2k-2) alpha x^k xdd^(n+k)   / xd^(3n+2k-1)
-    s87b: float  # sum (3n+2k-3) beta  x^k xdd^(n+k-2) / xd^(3n+2k-2)
-    s88a: float  # sum (n+k)   alpha x^k xdd^(n+k-1) / xd^(3n+2k-2)
-    s88b: float  # sum (n+k-2) beta  x^k xdd^(n+k-3) / xd^(3n+2k-3)
+def _gradient_tables(c: KineticCoefficients) -> tuple:
+    """d/dx, -d/dxd and d/dxdd, each of T's alpha rows and of dT/dxddd (the
+    bare beta sum of Xi), as monomial tables."""
+    alpha = {key: v for key, v in c.derived(_kinetic_table).items()
+             if not key[1][3]}
+    rows = (alpha, c.derived(_xi_table))
+    return tuple(tuple({key: sign * v for key, v in _partial(t, slot).items()}
+                       for t in rows)
+                 for slot, sign in ((0, 1), (1, -1), (2, 1)))
 
 
-def _canonical_sums(c: KineticCoefficients, x, xd, xdd, mu, hbar) -> _GradSums:
-    """The six coefficient sums entering the Hamiltonian's partial
+def _canonical_sums(c: KineticCoefficients, x, xd, xdd, mu, hbar) -> tuple:
+    """The (alpha, beta) pairs of sums entering the Hamiltonian's partial
     derivatives with respect to x, xd and xdd (each taken at fixed momenta,
     after the momentum relations are folded back in)."""
-    xs = x - c.x0
-    acc = [0.0] * 6
-    for (n, k), (al, be) in sorted(c.entries.items()):
-        pref = _prefactor(mu, hbar, n)
-        if al:
-            if k:
-                acc[0] += k * al * pref * _mono(
-                    xs, xd, xdd, None, None, None, k - 1, n + k,
-                    -(3 * n + 2 * k - 2))
-            if 3 * n + 2 * k - 2:
-                acc[2] += (3 * n + 2 * k - 2) * al * pref * _mono(
-                    xs, xd, xdd, None, None, None, k, n + k,
-                    -(3 * n + 2 * k - 1))
-            if n + k:
-                acc[4] += (n + k) * al * pref * _mono(
-                    xs, xd, xdd, None, None, None, k, n + k - 1,
-                    -(3 * n + 2 * k - 2))
-        if be:
-            if k:
-                acc[1] += k * be * pref * _mono(
-                    xs, xd, xdd, None, None, None, k - 1, n + k - 2,
-                    -(3 * n + 2 * k - 3))
-            if 3 * n + 2 * k - 3:
-                acc[3] += (3 * n + 2 * k - 3) * be * pref * _mono(
-                    xs, xd, xdd, None, None, None, k, n + k - 2,
-                    -(3 * n + 2 * k - 2))
-            if n + k - 2:
-                acc[5] += (n + k - 2) * be * pref * _mono(
-                    xs, xd, xdd, None, None, None, k, n + k - 3,
-                    -(3 * n + 2 * k - 3))
-    return _GradSums(*acc)
+    return tuple(tuple(_evaluate(t, (x, xd, xdd), c.x0, mu, hbar) for t in pair)
+                 for pair in c.derived(_gradient_tables))
 
 
 def canonical_consistency(c: KineticCoefficients, j: Jet, params, lam: float,
@@ -374,24 +352,26 @@ def canonical_consistency(c: KineticCoefficients, j: Jet, params, lam: float,
     xi_dot = jtrip.Xi.coeffs[1]
     pi_dot = jtrip.Pi.coeffs[1]
 
-    sums = _canonical_sums(c, x, xd, xdd, mu, hbar)
+    # d/dx, -d/dxd and d/dxdd of T's alpha rows (_a) and of dT/dxddd (_b)
+    (dx_a, dx_b), (mdxd_a, mdxd_b), (dxdd_a, dxdd_b) = _canonical_sums(
+        c, x, xd, xdd, mu, hbar)
 
-    pi_pred = sums.s88a + gap * sums.s88b - xi_dot
+    pi_pred = dxdd_a + gap * dxdd_b - xi_dot
     checks["pi_recovery"] = CheckResult(
         abs(pi_pred - trip.Pi),
-        abs(sums.s88a) + big * abs(sums.s88b) + abs(xi_dot) + abs(trip.Pi))
+        abs(dxdd_a) + big * abs(dxdd_b) + abs(xi_dot) + abs(trip.Pi))
 
-    p_pred = -pi_dot - sums.s87a - gap * sums.s87b
+    p_pred = -pi_dot - mdxd_a - gap * mdxd_b
     checks["p_recovery"] = CheckResult(
         abs(p_pred - trip.P),
-        abs(pi_dot) + abs(sums.s87a) + big * abs(sums.s87b) + abs(trip.P))
+        abs(pi_dot) + abs(mdxd_a) + big * abs(mdxd_b) + abs(trip.P))
 
     grad = _grad_fn(potential)(x)
-    lhs = sums.s86a + xddd * sums.s86b - grad
-    rhs = sums.s86a + gap * sums.s86b - grad
+    lhs = dx_a + xddd * dx_b - grad
+    rhs = dx_a + gap * dx_b - grad
     checks["gradient_balance"] = CheckResult(
         abs(lhs - rhs),
-        abs(sums.s86a) + (abs(xddd) + big) * abs(sums.s86b) + 2.0 * abs(grad))
+        abs(dx_a) + (abs(xddd) + big) * abs(dx_b) + 2.0 * abs(grad))
 
     return CanonicalReport(lam, checks)
 

@@ -50,6 +50,7 @@ __all__ = [
     "integrate_newton_law",
     "integrate_velocity_law",
     "observables",
+    "run_scenario",
     "state_jet_from_x",
     "summarize",
     "write_csv",
@@ -412,6 +413,15 @@ def integrate_legacy_law(s: ScenarioConfig):
             f"x pinned near {report.x_stall:.9g}"
             + (f" (turning point {x_turn:.9g})" if x_turn is not None else ""))
     return result, report
+
+
+def run_scenario(s: ScenarioConfig):
+    """Integrate a scenario under its law: (TrajectoryResult, LegacyReport
+    for the legacy law, else None)."""
+    if s.law == "legacy":
+        return integrate_legacy_law(s)
+    law = integrate_velocity_law if s.law == "velocity" else integrate_newton_law
+    return law(s), None
 
 
 # ---------------------------------------------------------------------------

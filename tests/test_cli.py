@@ -226,6 +226,17 @@ def test_demo_legacy_stall(capsys):
     assert "stall" in out.lower()
 
 
+def test_demo_legacy_stall_defaults_are_the_config_defaults(tmp_path, capsys):
+    """Without --config the demo runs the scenario an empty config gives
+    (a = 1, the state of acceptance criterion 10), and it stalls."""
+    assert run(["demo", "legacy-stall"]) == 0
+    bare = capsys.readouterr().out
+    assert run(["demo", "legacy-stall", "--config",
+                write_config(tmp_path, {})]) == 0
+    assert bare == capsys.readouterr().out
+    assert "  stalled: True" in bare.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -353,7 +353,8 @@ positive = st.floats(0.5, 2.0)
 
 
 def _assert_batch_matches(batched, single, mag, rel=1e-14):
-    """Batched against per-state values, within rel times the magnitude of
+    """Values against reference values (batched against per-state ones, or
+    against another evaluation path), within rel times the magnitude of
     their terms (``mag``, a Mag, or 0.0 where no term contributes)."""
     single = np.asarray(single, dtype=float)
     batched = np.broadcast_to(batched, single.shape)
@@ -442,3 +443,53 @@ def test_batch_with_one_zero_acceleration_row_needs_negative_power():
         momenta_state(c, cols, 1.0, 1.0)
     with pytest.raises(SingularityError):
         ds0dx_state(c, cols, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# S0'' and S0''' against the chain rule
+# ---------------------------------------------------------------------------
+
+def random_offset_lattice(seed: int) -> KineticCoefficients:
+    """One to four entries at n <= 3, k <= 2, at least one of them at
+    k >= 1, and an offset x0 with |x0| in [0.1, 1].
+
+    The coefficients come from numpy rather than from Hypothesis floats:
+    a reference path that keeps apart terms the series merges needs them
+    in general position, not at the exact ties Hypothesis favours.
+    """
+    rng = np.random.default_rng(seed)
+    cells = [(int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+             for _ in range(rng.integers(0, 4))]
+    cells.append((int(rng.integers(0, 4)), int(rng.integers(1, 3))))
+    return KineticCoefficients(
+        {cell: tuple(rng.uniform(-1.0, 1.0, 2)) for cell in cells},
+        x0=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)))
+
+
+offset_lattices = st.integers(0, 2**32 - 1).map(random_offset_lattice)
+
+
+def chain_rule_s0(c, state, mu, hbar):
+    """S0'' and S0''' from ds0dx_state's S0' alone: (dS0'/dt)/xd and
+    (dS0''/dt)/xd, with S0' evaluated on time jets of the state."""
+    x, xd, xdd, xddd, x4, x5 = state
+    zero = 0.0 * x5
+    tjets = [Jet((x, xd, xdd)), Jet((xd, xdd, xddd)), Jet((xdd, xddd, x4)),
+             Jet((xddd, x4, x5)), Jet((x4, x5, zero)), Jet((x5, zero, zero))]
+    s1 = ds0dx_state(c, tjets, mu, hbar)[0]
+    s2 = s1.derivative() / tjets[1].truncated(1)
+    return s2.value, s2.coeffs[1] / xd
+
+
+@given(offset_lattices, batches, positive, positive)
+@settings(deadline=None, max_examples=80)
+def test_s0_derivatives_follow_the_chain_rule(c, states, mu, hbar):
+    """ds0dx_state's S0'' and S0''' equal the chain rule applied to its S0'
+    to 1e-12 of the magnitude of their terms, for a batch and for each
+    state of it."""
+    for state in [np.ascontiguousarray(states.T)] + [r.tolist() for r in states]:
+        _, mag2, mag3 = ds0dx_state(c, [Mag(v) for v in state], mu, hbar)
+        _, got2, got3 = ds0dx_state(c, state, mu, hbar)
+        want2, want3 = chain_rule_s0(c, state, mu, hbar)
+        _assert_batch_matches(got2, want2, mag2, rel=1e-12)
+        _assert_batch_matches(got3, want3, mag3, rel=1e-12)

@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmotion.jets import Jet, JetOrderError, sin as jet_sin
-from qmotion.kinetic_series import KineticCoefficients, sample_jets, series_momenta
+from qmotion.kinetic_series import (
+    KineticCoefficients,
+    momenta_state,
+    sample_jets,
+    sample_states,
+    series_momenta,
+)
 from qmotion.mechanics import (
     canonical_consistency,
     classical_lagrangian,
@@ -33,6 +39,7 @@ from qmotion.mechanics import (
     series_lagrangian,
 )
 from qmotion.schrodinger import PhysParams, PotentialModel
+from test_kinetic_series import Mag, random_offset_lattice
 
 PARAMS = PhysParams(hbar=1.0, mu=1.0, energy=0.0)
 
@@ -121,7 +128,8 @@ def test_classical_momenta():
 
 def test_two_path_momenta_agree():
     """Legendre transform of the closed-form Lagrangian must reproduce the
-    series momenta of the canonical lattice."""
+    series momenta of the canonical lattice, and that of any lattice's
+    series Lagrangian its closed-form series momenta."""
     L = quantum_lagrangian(PARAMS)
     c = KineticCoefficients.canonical()
     rng = np.random.default_rng(31)
@@ -129,6 +137,22 @@ def test_two_path_momenta_agree():
         direct = momenta(L, j)
         viaseries = series_momenta(c, j, PARAMS)
         np.testing.assert_allclose(direct, viaseries, rtol=1e-11, atol=1e-12)
+
+    # any lattice: the Legendre momenta of its series Lagrangian, within
+    # 1e-12 of the magnitude of the closed form's terms (P cancels)
+    for seed in range(40):
+        c = random_offset_lattice(seed)
+        params = PhysParams(hbar=rng.uniform(0.5, 2.0), mu=rng.uniform(0.5, 2.0),
+                            energy=0.0)
+        L = series_lagrangian(c, params)
+        for state in sample_states(rng, 4):
+            direct = np.array(momenta(L, Jet(tuple(state))))
+            viaseries = np.array(series_momenta(c, Jet(tuple(state)), params))
+            mag = momenta_state(c, [Mag(v) for v in state], params.mu,
+                                params.hbar)
+            scale = np.array([getattr(m, "v", m) for m in mag])
+            assert np.all(np.abs(direct - viaseries) <= 1e-12 * scale), (
+                seed, direct, viaseries)
 
 
 def test_series_lagrangian_matches_closed_form():
@@ -169,6 +193,16 @@ def test_canonical_consistency_any_lattice():
     c = KineticCoefficients.canonical().with_entry(2, 0, beta=0.0)
     j = sample_jets(np.random.default_rng(9), 1)[0]
     assert canonical_consistency(c, j, PARAMS, 1e-3).max_ratio < 1e-12
+    # and for random lattices with k >= 1 entries and an offset x0, on
+    # states whose xdd stays away from 0: the beta monomials carry negative
+    # xdd powers, and near xdd = 0 their cancellation grows
+    rng = np.random.default_rng(19)
+    for seed in range(40):
+        c = random_offset_lattice(seed)
+        for state in sample_states(rng, 2):
+            for lam in (0.5, 1e-3, 1e-6):
+                rep = canonical_consistency(c, Jet(tuple(state)), PARAMS, lam)
+                assert rep.max_ratio < 1e-12, (seed, lam, rep.summary())
 
 
 def test_canonical_consistency_with_potential():

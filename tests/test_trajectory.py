@@ -34,6 +34,7 @@ from qmotion.trajectory import (
     integrate_newton_law,
     integrate_velocity_law,
     observables,
+    run_scenario,
     state_jet_from_x,
     summarize,
     write_csv,
@@ -264,6 +265,23 @@ def test_modified_laws_cross_the_legacy_barrier():
     for res in (rv, rn):
         assert res.samples[-1].x > 1.0  # beyond the classical turning point
         assert min(abs(s.xdot) for s in res.samples) > 0.1
+
+
+@pytest.mark.parametrize("law, integrate", [
+    ("velocity", integrate_velocity_law), ("newton", integrate_newton_law),
+    ("legacy", integrate_legacy_law)])
+def test_run_scenario_dispatches_on_the_law(law, integrate):
+    """run_scenario gives the law's own samples, and a report only for the
+    legacy law."""
+    got, report = run_scenario(free_scenario(law=law, t1=2.0, samples=16))
+    want = integrate(free_scenario(law=law, t1=2.0, samples=16))
+    if law == "legacy":
+        want, want_report = want
+        assert report.velocity_gap == want_report.velocity_gap
+    else:
+        assert report is None
+    assert got.law == law
+    assert got.samples == want.samples
 
 
 # ---------------------------------------------------------------------------
