@@ -311,17 +311,31 @@ def _cmd_demo_legacy_stall(args) -> int:
     return 0
 
 
-def _sweep_cell(payload):
-    idx, doc, a, b, energy = payload
+def _sweep_group(task):
+    """Run the sweep cells ``[(idx, a, b), ...]`` that share one energy.
+
+    The solution pair depends on the energy but not on (a, b): the first
+    cell builds it through its scenario's pair cache, and the other cells
+    reuse it.  Returns the ``(idx, row)`` pairs and the pair's truncation
+    note (None when the march covered the requested domain).
+    """
+    doc, energy, cells = task
     doc = json.loads(json.dumps(doc))
-    doc.setdefault("quantum", {})["a"] = a
-    doc["quantum"]["b"] = b
     doc.setdefault("physics", {})["energy"] = energy
-    result, _ = traj.run_scenario(scenario_from_config(doc))
-    summary = traj.summarize(result)
-    return idx, (a, b, energy, summary["x_last"],
-                 summary["max_energy_drift_rel"], summary["max_bohm_gap_rel"],
-                 summary["min_abs_xdot"], int(summary["energy_conserved"]))
+    q = doc.setdefault("quantum", {})
+    rows, pair = [], None
+    for idx, a, b in cells:
+        q["a"], q["b"] = a, b
+        s = scenario_from_config(doc)
+        s.pair = pair
+        summary = traj.summarize(traj.run_scenario(s)[0])
+        pair = s.pair
+        rows.append((idx, (a, b, energy, summary["x_last"],
+                           summary["max_energy_drift_rel"],
+                           summary["max_bohm_gap_rel"],
+                           summary["min_abs_xdot"],
+                           int(summary["energy_conserved"]))))
+    return rows, pair.truncation_note()
 
 
 _SWEEP_HEADER = ("a,b,energy,x_last,max_energy_drift_rel,"
@@ -329,6 +343,17 @@ _SWEEP_HEADER = ("a,b,energy,x_last,max_energy_drift_rel,"
 
 
 def _cmd_sweep(args) -> int:
+    """One CSV row per (a, b, E) cell, in grid order.
+
+    Only a, b and E vary between cells, so the cells are run one energy
+    group at a time and each group shares one solution pair (see
+    ``_sweep_group``); serially that is one pair build per distinct energy.
+    Under ``--workers N`` each group is split into at most N interleaved
+    slices, one pool task each, so that a single energy still keeps the
+    pool busy.  A truncated pair is reported on stderr once per energy, in
+    the order the energies first appear.  When several cells fail, the
+    error raised first in this energy-major order is the one reported.
+    """
     doc = _doc_for(args)
     grid = doc.get("sweep")
     if not grid:
@@ -337,26 +362,38 @@ def _cmd_sweep(args) -> int:
     b_list = [float(v) for v in grid.get("b", [0.0])]
     e_list = [float(v) for v in grid.get("energy",
                                          [doc.get("physics", {}).get("energy", 0.5)])]
-    cells = []
+    # repr(E) -> (E, its cells (idx, a, b) in grid order); repr keeps 0.0
+    # and -0.0 apart, which print differently
+    groups = {}
     idx = 0
     for a in a_list:
         for b in b_list:
             for energy in e_list:
-                cells.append((idx, doc, a, b, energy))
+                groups.setdefault(repr(energy), (energy, []))[1].append(
+                    (idx, a, b))
                 idx += 1
-    rows = [None] * len(cells)
-    if args.workers > 1 and len(cells) > 1:
+    slices = max(args.workers, 1)
+    tasks = [(doc, energy, cells[k::slices])
+             for energy, cells in groups.values()
+             for k in range(min(slices, len(cells)))]
+    if len(tasks) > 1 and slices > 1:
         # the integrator's scipy import is deferred; load it before the pool
         # starts so that forked workers share it instead of each loading it
         import scipy.integrate  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for i, row in pool.map(_sweep_cell, cells):
-                rows[i] = row
+            done = list(pool.map(_sweep_group, tasks))
     else:
-        for cell in cells:
-            i, row = _sweep_cell(cell)
+        done = [_sweep_group(task) for task in tasks]
+    rows = [None] * idx
+    notes = {}
+    for (_, energy, _), (group_rows, note) in zip(tasks, done):
+        notes.setdefault(repr(energy), note)
+        for i, row in group_rows:
             rows[i] = row
+    for note in notes.values():
+        if note:
+            print(note, file=sys.stderr)
     lines = [_SWEEP_HEADER]
     for row in rows:
         lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v)

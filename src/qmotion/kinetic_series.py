@@ -352,13 +352,18 @@ def _xi_table(c: KineticCoefficients) -> dict:
     return _partial(c.derived(_kinetic_table), 3)
 
 
-def _s0_tables(c: KineticCoefficients) -> tuple:
-    """S0' and its first two spatial derivatives as monomial tables: S0'
-    is the A/B families (T's monomials with one more 1/xd), the others
-    follow by d/dx."""
+def _s0p_table(c: KineticCoefficients) -> dict:
+    """S0' as a monomial table: the A/B families (T's monomials with one
+    more 1/xd)."""
     t = ab_tables(c)
-    s1 = _table({nk: (t.A.get(nk, 0.0), t.B.get(nk, 0.0))
-                 for nk in t.A.keys() | t.B.keys()}, -1)
+    return _table({nk: (t.A.get(nk, 0.0), t.B.get(nk, 0.0))
+                   for nk in t.A.keys() | t.B.keys()}, -1)
+
+
+def _s0_tables(c: KineticCoefficients) -> tuple:
+    """S0' and its first two spatial derivatives as monomial tables; the
+    derivatives follow from S0' by d/dx."""
+    s1 = c.derived(_s0p_table)
     s2 = _d_dx(s1)
     return s1, s2, _d_dx(s2)
 
@@ -505,6 +510,13 @@ def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
         raise SingularityError("xd = 0 in action-gradient series")
     return tuple(_evaluate(t, state, c.x0, mu, hbar)
                  for t in c.derived(_s0_tables))
+
+
+def _s0p_state(c: KineticCoefficients, state, mu, hbar):
+    """S0' alone: ``ds0dx_state(...)[0]`` without deriving S0'' and S0'''."""
+    if _vanishes(state[1]):
+        raise SingularityError("xd = 0 in action-gradient series")
+    return _evaluate(c.derived(_s0p_table), state, c.x0, mu, hbar)
 
 
 def ds0dx_series(c: KineticCoefficients, j: Jet, params, *, hbar=None):
@@ -725,19 +737,27 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
         out[3] = v
         return out
 
-    def s1_of(theta, st):
-        """S0' of a pure level-0 lattice (hbar never enters), per state."""
-        return ds0dx_state(_theta_lattice(theta, 0, k_max), st, mu, 0.0)[0]
+    def lattice(theta):
+        return _theta_lattice(theta, 0, k_max)
 
-    def resid(theta, st):
-        c = _theta_lattice(theta, 0, k_max)
-        s1 = ds0dx_state(c, st, mu, 0.0)[0]
+    def s1_of(c, st):
+        """S0' of a pure level-0 lattice (hbar never enters), per state."""
+        return _s0p_state(c, st, mu, 0.0)
+
+    def resid(c, st):
+        s1 = s1_of(c, st)
         t_val = kinetic_term(c, st[0], st[1], st[2], st[3], mu, 0.0)
         return st[1] * s1 - s1 * s1 / (2.0 * mu) - t_val
 
-    # stage (a): xddd slope of S0' is linear in theta; exact central diff
     up, down = with_xddd(1.0), with_xddd(-1.0)
-    mat_a = np.column_stack([0.5 * (s1_of(theta, up) - s1_of(theta, down))
+
+    def xddd_slope(f, c):
+        """The xddd slope of f on lattice c: f is linear in xddd, so the
+        central difference is exact."""
+        return 0.5 * (f(c, up) - f(c, down))
+
+    # stage (a): xddd slope of S0' is linear in theta
+    mat_a = np.column_stack([xddd_slope(s1_of, lattice(theta))
                              for theta in np.eye(n_unk)])
     null_a, rank_a = _nullspace(mat_a)
     if null_a.shape[1] != k_max + 1:
@@ -747,7 +767,7 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
 
     # stage (b): on the stage-(a) subspace S0' carries no xddd, so the xddd
     # slope of R is again linear in theta
-    mat_b = np.column_stack([0.5 * (resid(theta, up) - resid(theta, down))
+    mat_b = np.column_stack([xddd_slope(resid, lattice(theta))
                              for theta in null_a.T])
     null_b, rank_b = _nullspace(mat_b)
     surv = null_a @ null_b
@@ -771,7 +791,7 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
     for p, (s, u) in enumerate(probes):
         theta = np.zeros(n_unk)
         theta[0], theta[1] = s, u
-        rhs = resid(theta, cols)
+        rhs = resid(lattice(theta), cols)
         w, _, rank_c, _ = np.linalg.lstsq(design, rhs, rcond=None)
         if rank_c < 3:
             raise DeterminationError("stage (c) monomial design is rank-deficient")

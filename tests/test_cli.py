@@ -275,6 +275,104 @@ def test_sweep_failing_cell_exits_3(tmp_path, capsys, workers):
     assert "numerical failure" in capsys.readouterr().err
 
 
+HARMONIC_SWEEP_DOC = {
+    "potential": {"kind": "harmonic", "stiffness": 1.0},
+    "physics": {"hbar": 1.0, "mu": 1.0, "energy": 0.5},
+    "run": {"law": "velocity", "t1": 0.5, "samples": 16,
+            "domain": [-3.0, 3.0], "grid_step": 1e-3},
+    "sweep": {"a": [1.4, -0.8], "b": [0.3], "energy": [0.5, 0.8, 0.5]},
+}
+
+
+def _sweep_reference(doc) -> bytes:
+    """The sweep CSV with every cell run on its own freshly built scenario,
+    so with its own solution pair."""
+    from qmotion.cli import scenario_from_config
+    from qmotion.trajectory import run_scenario, summarize
+
+    lines = ["a,b,energy,x_last,max_energy_drift_rel,max_bohm_gap_rel,"
+             "min_abs_xdot,energy_conserved"]
+    grid = doc["sweep"]
+    for a in grid["a"]:
+        for b in grid["b"]:
+            for energy in grid["energy"]:
+                cell = json.loads(json.dumps(doc))
+                cell["quantum"] = {"a": a, "b": b}
+                cell["physics"]["energy"] = energy
+                s = summarize(run_scenario(scenario_from_config(cell))[0])
+                row = (a, b, energy, s["x_last"], s["max_energy_drift_rel"],
+                       s["max_bohm_gap_rel"], s["min_abs_xdot"])
+                lines.append(",".join("%.17g" % v for v in row)
+                             + f",{int(s['energy_conserved'])}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_sweep_shares_one_numerov_pair_per_energy(tmp_path, monkeypatch):
+    import qmotion.trajectory as traj
+
+    cfg = write_config(tmp_path, HARMONIC_SWEEP_DOC)
+    out = {w: tmp_path / f"w{w}.csv" for w in ("1", "2")}
+    assert run(["sweep", "--config", cfg, "--out", str(out["2"]),
+                "--workers", "2", "--quiet"]) == 0
+    builds, solve_pair = [], traj.solve_pair
+
+    def counted(*args, **kwargs):
+        builds.append(args[1].energy)
+        return solve_pair(*args, **kwargs)
+
+    monkeypatch.setattr(traj, "solve_pair", counted)
+    assert run(["sweep", "--config", cfg, "--out", str(out["1"]),
+                "--workers", "1", "--quiet"]) == 0
+    assert builds == [0.5, 0.8]  # one build per distinct energy
+    monkeypatch.undo()
+    body = out["1"].read_bytes()
+    assert len(body.decode().strip().split("\n")) == 1 + 2 * 3
+    assert body == out["2"].read_bytes() == _sweep_reference(HARMONIC_SWEEP_DOC)
+
+
+def test_sweep_keeps_signed_zero_energies_apart(tmp_path):
+    # 0.0 and -0.0 are equal floats but print differently, so each keeps
+    # its own rows
+    doc = json.loads(json.dumps(HARMONIC_SWEEP_DOC))
+    doc["sweep"]["energy"] = [0.0, -0.0]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "zero.csv"
+    assert run(["sweep", "--config", cfg, "--out", str(out),
+                "--workers", "1", "--quiet"]) == 0
+    assert out.read_bytes() == _sweep_reference(doc)
+
+
+@pytest.mark.parametrize("workers", ["2", "1"])
+def test_sweep_failing_harmonic_cell_exits_3(tmp_path, capsys, workers):
+    doc = dict(HARMONIC_SWEEP_DOC, integrator={"max_steps": 3})
+    cfg = write_config(tmp_path, doc)
+    assert run(["sweep", "--config", cfg, "--workers", workers,
+                "--quiet"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_reports_truncated_pair_once_per_energy(tmp_path, capsys,
+                                                      workers):
+    from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
+
+    doc = json.loads(json.dumps(HARMONIC_SWEEP_DOC))
+    doc["run"]["domain"] = [-30.0, 30.0]
+    doc["sweep"]["energy"] = [0.8, 0.5, 0.8]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", cfg, "--out", str(out),
+                "--workers", workers, "--quiet"]) == 0
+    captured = capsys.readouterr()
+    notes = [solve_pair(PotentialModel.harmonic(1.0),
+                        PhysParams(1.0, 1.0, e),
+                        (-30.0, 30.0)).truncation_note() for e in (0.8, 0.5)]
+    assert all(notes)
+    assert captured.err.splitlines() == notes
+    assert captured.out == ""
+    assert out.read_bytes() == _sweep_reference(doc)
+
+
 def test_quiet_silences_stdout(tmp_path, capsys):
     out = str(tmp_path / "q.csv")
     cfg = write_config(tmp_path, free_doc(out, t1=1.0, samples=8, fmt="csv"))

@@ -236,6 +236,28 @@ def test_determination_recovers_canonical():
         assert rep.rank == rep.n_unknowns
 
 
+def test_level0_builds_each_lattice_once_and_reads_only_s0p(monkeypatch):
+    # level 0 reads S0' alone, so it needs no d/dx of any table; its 10
+    # basis vectors (stage a), 5 stage-(b) vectors and 6 probes (stage c)
+    # each need one lattice, shared by the xddd = +1 and -1 states
+    import qmotion.kinetic_series as ks
+
+    calls = {"d_dx": 0, "lattice": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ks, "_d_dx", counting("d_dx", ks._d_dx))
+    monkeypatch.setattr(ks, "_theta_lattice",
+                        counting("lattice", ks._theta_lattice))
+    _, report = determine_coefficients(levels=0)
+    assert report.levels[0].selected_root == pytest.approx(0.5)
+    assert calls == {"d_dx": 0, "lattice": 21}
+
+
 def test_determination_rejects_bad_levels():
     with pytest.raises(ValueError):
         determine_coefficients(levels=5)
