@@ -10,13 +10,13 @@ whose spatial derivative has the closed form
     S0' = hbar * a * W / D,     D = (a*phi1 + b*phi2)^2 + phi2^2 > 0.
 
 D is a sum of squares that never vanishes for admissible parameters, so S0'
-keeps one sign (that of a*W) and S0 is strictly monotone: the arctan branch
-jumps at zeros of phi2 are resolved by integrating S0' from the anchor and
-attaching the principal value there.  All higher derivatives of S0 are
-evaluated through jet arithmetic on the pair's derivative stacks, which the
-wave equation supplies exactly.  ``s0p`` evaluates S0' itself in closed
-form, on a float or an array of points, with the same operations as the
-order-0 coefficient of ``s0p_jet``.
+keeps one sign (that of a*W) and S0 is strictly monotone: S0/hbar is the
+phase angle of (phi2, a*phi1 + b*phi2), unwrapped by counting the zeros of
+phi2 from the anchor, where the principal arctan jumps.  All higher
+derivatives of S0 are evaluated through jet arithmetic on the pair's
+derivative stacks, which the wave equation supplies exactly.  ``s0p``
+evaluates S0' itself in closed form, on a float or an array of points, with
+the same operations as the order-0 coefficient of ``s0p_jet``.
 """
 from __future__ import annotations
 
@@ -104,24 +104,17 @@ def ds0_derivs(pair: SolutionPair, q: QuantumStateParams, x: float):
 
 
 def s0_eval(pair: SolutionPair, q: QuantumStateParams, x: float) -> float:
-    """Branch-unwrapped reduced action at x.
-
-    Integrates S0' from the pair's anchor and adds the principal arctan
-    value there plus the constant hbar*kappa, so the result is continuous
-    and strictly monotone across zeros of phi2.
+    """Branch-unwrapped reduced action at x: the principal value
+    hbar*(arctan(a*phi1/phi2 + b) + kappa), plus sign(a*W)*pi*hbar per zero
+    of phi2 between the anchor and x (``SolutionPair.phi2_zeros``), so it is
+    continuous and strictly monotone across those zeros.  On a zero itself
+    arctan takes the limit sign(a*phi1)*pi/2 that the count agrees with.
     """
-    p1a, _, p2a, _ = pair.eval01(pair.anchor)
-    if p2a == 0:
-        raise StateParamError("anchor sits on a zero of phi2; move the anchor")
-    base = pair.params.hbar * (math.atan(q.a * p1a / p2a + q.b) + q.kappa)
-    if x == pair.anchor:
-        return base
-
-    from scipy.integrate import quad  # deferred: scipy is slow to import
-
-    val, err = quad(lambda u: s0p(pair, q, u), pair.anchor, x, epsabs=1e-13,
-                    epsrel=1e-12, limit=400)
-    return base + val
+    p1, _, p2, _ = pair.eval01(x)
+    principal = (math.atan(q.a * p1 / p2 + q.b) if p2
+                 else math.copysign(0.5 * math.pi, q.a * p1))
+    turns = math.copysign(1.0, q.a * pair.wronskian_ref) * pair.phi2_zeros(x)
+    return pair.params.hbar * (principal + q.kappa + math.pi * turns)
 
 
 def qshje_residual(pair: SolutionPair, q: QuantumStateParams, x: float,

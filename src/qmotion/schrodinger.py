@@ -16,11 +16,13 @@ which is also what keeps downstream phase-space constructions consistent.
 The march takes f = (2 mu/hbar^2)(V - E) at every node of a direction from
 one vectorised potential call and advances both solutions in one loop.
 Evaluation is array-first: ``SolutionPair.eval01``, ``eval_phi`` and
-``PotentialModel.derivs`` accept one point or an array of points.  On a
-Numerov pair, eval01 forms the 6-point Lagrange weights once per point and
-applies them to the four gridded columns (phi1, phi1', phi2, phi2') at once;
-a float in gives floats out, bit for bit the value of the same point inside
-an array.
+``PotentialModel.derivs`` accept one point or an array of points.  A Numerov
+pair keeps, at every grid node, the Taylor coefficients phi^(m)/m! of both
+solutions for m = 0..5: the node's (phi, phi') and the wave-equation
+recursion that ``eval_phi`` runs at any point.  eval01 is the Horner sum
+from the nearest node, so a node gives back its stored (phi, phi'), and a
+float in gives floats out, bit for bit the value of the same point inside an
+array.
 """
 from __future__ import annotations
 
@@ -50,6 +52,9 @@ __all__ = [
 
 OVERFLOW_CAP = 1e12
 _MAX_PHI_ORDER = 6
+# node Taylor coefficients phi^(m)/m! for m = 0..5, so phi' is a quartic; a
+# higher degree does not bring eval01 closer on the h = 1e-3 grids
+_TAYLOR_DEGREE = 5
 
 
 class SchrodingerError(ValueError):
@@ -254,9 +259,9 @@ class SolutionPair:
     def eval01(self, x):
         """(phi1, phi1', phi2, phi2') at x, a float or an array of points.
 
-        On a Numerov pair each column is the polynomial through the six grid
-        nodes nearest the point; its Lagrange weights are formed once per
-        point and shared by the four columns.
+        On a Numerov pair both solutions are the Taylor polynomials of the
+        grid node nearest the point, summed by Horner's rule together with
+        their derivatives; at a node they give back its stored (phi, phi').
         """
         xa = np.asarray(x, dtype=float)
         if self.source == "analytic":
@@ -267,42 +272,51 @@ class SolutionPair:
         lo, hi = self.domain
         if xa.size and not (xa.min() >= lo - 1e-9 and xa.max() <= hi + 1e-9):
             bad = xa[~((lo - 1e-9 <= xa) & (xa <= hi + 1e-9))]
-            raise DomainError(
-                f"x = {float(bad.flat[0])} outside solved domain [{lo}, {hi}]"
-            )
-        out = _lagrange6(self._grid, xa)
-        return tuple(out.tolist()) if xa.ndim == 0 else tuple(np.moveaxis(out, -1, 0))
+            raise DomainError(f"x = {float(bad.flat[0])} outside solved "
+                              f"domain [{lo}, {hi}]")
+        i, s = self._nearest_node(xa)
+        coeffs = self._grid["taylor"][:, :, i]
+        if xa.ndim == 0:  # the same Horner steps, on Python floats
+            coeffs, s = coeffs.tolist(), float(s)
+        (p1, p2), d1, d2 = coeffs[-1], 0.0, 0.0
+        for c1, c2 in coeffs[-2::-1]:
+            d1, p1 = d1 * s + p1, p1 * s + c1
+            d2, p2 = d2 * s + p2, p2 * s + c2
+        return p1, d1, p2, d2
+
+    def _nearest_node(self, xa: np.ndarray):
+        """Index of the grid node nearest xa and xa's offset from it."""
+        xs = self._grid["xs"]
+        i = np.rint((xa - xs[0]) / self._grid["h"]).astype(np.intp)
+        i = np.minimum(np.maximum(i, 0), len(xs) - 1)
+        return i, xa - xs[i]
+
+    def phi2_zeros(self, x: float) -> int:
+        """Signed number of zeros of phi2 between the anchor and x (negative
+        left of it): those up to the reference point nearest x -- a grid
+        node, or an extremum m*pi/k of the free pair's cos kx -- plus one
+        when phi2(x) from ``eval01`` has the other sign, so that the count
+        always agrees with the sign eval01 gives."""
+        def left_of(u: float) -> int:
+            if self.source == "analytic":
+                t = self.k * u / math.pi
+                j = round(t)
+                zeros, ref, past = j, (-1.0) ** j, t - j
+            else:
+                j, past = self._nearest_node(np.asarray(u))
+                y2 = self._grid["taylor"][0, 1, : j + 1]
+                zeros, ref = int(np.count_nonzero(np.diff(y2 < 0))), y2[-1]
+            if (self.eval01(u)[2] < 0) != (ref < 0):
+                zeros += 1 if past > 0 else -1
+            return zeros
+
+        return left_of(x) - left_of(self.anchor)
 
     def phi_jets(self, x, order: int) -> tuple[Jet, Jet]:
         """Spatial jets of (phi1, phi2) at x (a float or an array of
         points), derivatives from the wave equation beyond first order."""
         d1, d2 = eval_phi(self, x, order)
         return Jet(tuple(d1)), Jet(tuple(d2))
-
-
-_WIDTH = 6
-_OFFSETS = np.arange(_WIDTH)
-_OFF_DIAGONAL = ~np.eye(_WIDTH, dtype=bool)
-
-
-def _lagrange6(grid: dict, x: np.ndarray) -> np.ndarray:
-    """Columns of ``grid["cols"]`` interpolated at x, shape x.shape + (4,).
-
-    The window is the six nodes nearest x, shifted inside the grid at its
-    ends.  The weights multiply out in the textbook order, l_j = prod over
-    m != j of xw_m / (xw_m - xw_j) with xw centred on the point, and the
-    weighted values add up from j = 0 (both as running accumulations), so
-    every entry equals the scalar double loop bit for bit.
-    """
-    i = np.searchsorted(grid["inner"], x)  # = clip(searchsorted(xs) - 3)
-    win = i[..., None] + _OFFSETS
-    xw = grid["xs"][win] - x[..., None]
-    ratio = np.divide(xw[..., None, :], xw[..., None, :] - xw[..., :, None],
-                      out=np.ones(xw.shape + (_WIDTH,)), where=_OFF_DIAGONAL)
-    weight = np.multiply.accumulate(ratio, axis=-1)[..., -1]
-    terms = weight[..., None] * grid["cols"][win]
-    # + 0.0 turns a -0.0 total into the 0.0 that a sum started at 0.0 gives
-    return np.add.accumulate(terms, axis=-2)[..., -1, :] + 0.0
 
 
 def solve_pair(potential: PotentialModel, params: PhysParams,
@@ -327,10 +341,8 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
         if not params.energy > 0:
             raise SchrodingerError("free-particle pair needs positive energy")
         k = math.sqrt(2.0 * params.mu * params.energy) / params.hbar
-        pair = SolutionPair(potential, params, anchor, (lo, hi), k,
-                            "analytic", requested=(lo, hi))
-        pair._grid["k"] = k
-        return pair
+        return SolutionPair(potential, params, anchor, (lo, hi), k, "analytic",
+                            requested=(lo, hi), _grid={"k": k})
 
     if not grid_step > 0:
         raise SchrodingerError("grid_step must be positive")
@@ -344,16 +356,10 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
         raise DomainError("domain too narrow for the requested grid step")
 
     def seed(y0: float, d0: float, direction: float) -> float:
-        # Taylor step using wave-equation derivatives at the anchor
-        vd = potential.derivs(anchor, 2)
-        f0 = c * (vd[0] - params.energy)
-        f1 = c * vd[1]
-        f2 = c * vd[2]
-        y2 = f0 * y0
-        y3 = f1 * y0 + f0 * d0
-        y4 = f2 * y0 + 2.0 * f1 * d0 + f0 * y2
+        # fourth-order Taylor step from the anchor's wave-equation derivatives
+        tower = _wave_derivatives(potential, params, anchor, [y0, d0, 0, 0, 0])
         s = direction * h
-        return y0 + s * d0 + s**2 / 2 * y2 + s**3 / 6 * y3 + s**4 / 24 * y4
+        return sum(s**m / math.factorial(m) * y for m, y in enumerate(tower))
 
     def march(n_steps: int, direction: float):
         """Numerov propagation of (phi1, phi2) from the anchor data (0, 1)
@@ -385,28 +391,16 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
     truncated = nr < n_right or nl < n_left
 
     xs = anchor + h * np.arange(-nl, nr + 1)
-    y1 = np.concatenate([l1[nl:0:-1], r1])
-    y2 = np.concatenate([l2[nl:0:-1], r2])
-
-    d1 = _stencil_derivative(y1, h)
-    d2 = _stencil_derivative(y2, h)
-    d1[nl] = 1.0  # anchor derivatives are initial data, keep them exact
-    d2[nl] = 0.0
-    cols = np.stack([y1, d1, y2, d2], axis=1)
-
-    pair = SolutionPair(
-        potential,
-        params,
-        anchor,
-        (float(xs[0]), float(xs[-1])),
-        1.0,
-        "numerov",
-        truncated=truncated,
-        requested=(lo, hi),
-    )
-    pair._grid.update(xs=xs, inner=xs[3:-3], cols=cols, y1=cols[:, 0],
-                      d1=cols[:, 1], y2=cols[:, 2], d2=cols[:, 3])
-    return pair
+    taylor = np.empty((_TAYLOR_DEGREE + 1, 2, len(xs)))
+    taylor[0] = np.concatenate([l1[nl:0:-1], r1]), np.concatenate([l2[nl:0:-1], r2])
+    del r1, r2, l1, l2  # the march buffers; the table build sets the peak memory
+    taylor[1] = [_stencil_derivative(y, h) for y in taylor[0]]
+    taylor[1, :, nl] = 1.0, 0.0  # anchor derivatives are initial data, exact
+    _wave_derivatives(potential, params, xs, taylor)
+    taylor /= np.array([math.factorial(m) for m in range(len(taylor))])[:, None, None]
+    return SolutionPair(potential, params, anchor, (float(xs[0]), float(xs[-1])),
+                        1.0, "numerov", truncated=truncated, requested=(lo, hi),
+                        _grid={"xs": xs, "h": h, "taylor": taylor})
 
 
 def _stencil_derivative(y: np.ndarray, h: float) -> np.ndarray:
@@ -423,33 +417,41 @@ def _stencil_derivative(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def _wave_derivatives(potential: PotentialModel, params: PhysParams, x,
+                      tower):
+    """Fill ``tower[2:]`` with phi'', phi''', ... at x from tower[0] = phi
+    and tower[1] = phi', by phi'' = f phi with f = (2 mu/hbar^2)(V - E) and
+    its Leibniz descendants phi^(m) = sum_j C(m-2, j) f^(j) phi^(m-2-j).
+    Entries broadcast against x, so one call serves both solutions."""
+    top = len(tower) - 1
+    if top < 2:
+        return tower
+    c = params.kratio
+    fd = potential.derivs(x, top - 2)
+    fd = [c * (fd[0] - params.energy)] + [c * v for v in fd[1:]]
+    for m in range(2, top + 1):
+        acc = 0.0
+        for j in range(m - 1):
+            acc += math.comb(m - 2, j) * fd[j] * tower[m - 2 - j]
+        tower[m] = acc
+    return tower
+
+
 def eval_phi(pair: SolutionPair, x, max_order: int = 1):
     """Derivative stacks (phi1^(0..m), phi2^(0..m)) at x, each of shape
     (m + 1,) + shape(x).
 
-    Orders 0 and 1 come from the pair's representation; order >= 2 applies
-    phi'' = (2 mu/hbar^2)(V - E) phi and its Leibniz descendants, so no
-    numerical differencing beyond first order ever happens.
+    Orders 0 and 1 come from ``pair.eval01``; order >= 2 applies the wave
+    equation's recursion (``_wave_derivatives``), so no numerical
+    differencing beyond first order ever happens.
     """
     if not 0 <= max_order <= _MAX_PHI_ORDER:
         raise SchrodingerError(f"max_order must be in [0, {_MAX_PHI_ORDER}]")
     p1, d1, p2, d2 = pair.eval01(x)
-    out1 = [p1, d1]
-    out2 = [p2, d2]
-    if max_order >= 2:
-        c = pair.params.kratio
-        vd = pair.potential.derivs(x, max(0, max_order - 2))
-        fd = [c * (vd[0] - pair.params.energy)] + [c * v for v in vd[1:]]
-        for m in range(2, max_order + 1):
-            acc1 = 0.0
-            acc2 = 0.0
-            for j in range(m - 1):
-                w = math.comb(m - 2, j) * fd[j]
-                acc1 += w * out1[m - 2 - j]
-                acc2 += w * out2[m - 2 - j]
-            out1.append(acc1)
-            out2.append(acc2)
-    return np.asarray(out1[: max_order + 1]), np.asarray(out2[: max_order + 1])
+    tower = [np.array((p1, p2)), np.array((d1, d2))] + [None] * (max_order - 1)
+    rows = np.asarray(
+        _wave_derivatives(pair.potential, pair.params, x, tower)[: max_order + 1])
+    return rows[:, 0], rows[:, 1]
 
 
 def wronskian(pair: SolutionPair, x: float) -> float:

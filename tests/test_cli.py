@@ -158,15 +158,9 @@ def test_verify_qshje(capsys):
     assert "harmonic pair: max residual" in out
 
 
-def test_identity_commands_do_not_import_scipy():
-    # verify master and coefficients need no scipy, which costs most of the
-    # package's import time, so they must not load it
-    code = ("import io, sys, contextlib\n"
-            "import qmotion.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert qmotion.cli.run(['verify', 'master', '--samples', '10']) == 0\n"
-            "    assert qmotion.cli.run(['coefficients', '--levels', '1']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+def _scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -174,7 +168,32 @@ def test_identity_commands_do_not_import_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_identity_commands_do_not_import_scipy():
+    # verify master and coefficients need no scipy, which costs most of the
+    # package's import time, so they must not load it
+    code = ("import io, sys, contextlib\n"
+            "import qmotion.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert qmotion.cli.run(['verify', 'master', '--samples', '10']) == 0\n"
+            "    assert qmotion.cli.run(['coefficients', '--levels', '1']) == 0")
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_reduced_action_on_numerov_pair_does_not_import_scipy_integrate():
+    # S0 is a phase angle read off the pair, not a quadrature of S0'
+    code = ("import sys\n"
+            "from qmotion.reduced_action import (QuantumStateParams,\n"
+            "    WaveCoefficients, s0_eval, wavefunction)\n"
+            "from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair\n"
+            "pair = solve_pair(PotentialModel.harmonic(1.0),\n"
+            "                  PhysParams(1.0, 1.0, 4.5), (-3.0, 3.0))\n"
+            "q = QuantumStateParams(a=1.3, b=0.2)\n"
+            "s0_eval(pair, q, 2.5)\n"
+            "wavefunction(pair, q, WaveCoefficients(1.0, 0.5j), -2.5)")
+    assert "scipy.integrate" not in _scipy_modules_after(code)
 
 
 def test_verify_master_canonical(capsys):

@@ -141,6 +141,61 @@ def test_s0_monotone_in_x():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def _zero_cells(pair):
+    """Grid cells (x_j, x_j+1) across which the node column of phi2 changes
+    sign."""
+    xs = pair._grid["xs"]
+    y2 = pair._grid["taylor"][0, 1]
+    j = np.flatnonzero(np.diff(y2 < 0))
+    return list(zip(xs[j], xs[j + 1]))
+
+
+def _zero_of_phi2(pair, lo, hi):
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (pair.eval01(mid)[2] < 0) == (pair.eval01(lo)[2] < 0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("energy,zeros", [(4.5, 4), (12.5, 8)])
+@pytest.mark.parametrize("a,b", [(1.3, 0.2), (-0.8, -0.4)])
+def test_s0_on_numerov_pair_is_the_unwrapped_phase(energy, zeros, a, b):
+    pair = solve_pair(PotentialModel.harmonic(1.0),
+                      PhysParams(hbar=1.0, mu=1.0, energy=energy),
+                      (-3.0, 3.0), anchor=0.0)
+    cells = _zero_cells(pair)
+    assert len(cells) == zeros
+    q = QuantumStateParams(a=a, b=b, kappa=0.3)
+    sign = math.copysign(1.0, a)
+
+    # the principal value at the anchor
+    p1, _, p2, _ = pair.eval01(0.0)
+    assert s0_eval(pair, q, 0.0) == math.atan(a * p1 / p2 + b) + 0.3
+
+    # strictly monotone, in the direction of a*W
+    xs = np.linspace(-2.99, 2.99, 601)
+    vals = np.array([s0_eval(pair, q, float(x)) for x in xs])
+    assert np.all(sign * np.diff(vals) > 0)
+
+    # continuous across each zero of phi2: no pi*hbar step
+    for lo, hi in cells:
+        z = _zero_of_phi2(pair, lo, hi)
+        for d in (1e-7, 1e-5):
+            step = s0_eval(pair, q, z + d) - s0_eval(pair, q, z - d)
+            assert step == pytest.approx(2 * d * s0p(pair, q, z), rel=1e-3,
+                                         abs=1e-12)
+
+    # its central difference is S0'
+    d = 1e-5
+    probes = np.concatenate([xs[::20], [c[0] for c in cells]])
+    for x in probes:
+        fd = (s0_eval(pair, q, x + d) - s0_eval(pair, q, x - d)) / (2 * d)
+        assert fd == pytest.approx(s0p(pair, q, float(x)), rel=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # Hamilton-Jacobi residual
 # ---------------------------------------------------------------------------

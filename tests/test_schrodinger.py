@@ -262,9 +262,17 @@ def reference_grid(potential, params, domain, anchor, grid_step):
     return {"xs": xs, "y1": y1, "y2": y2, "d1": d1, "d2": d2}
 
 
+def node_columns(pair):
+    """The node columns xs, y1, y2, d1, d2 a Numerov pair keeps: (phi, phi')
+    are its Taylor coefficients of orders 0 and 1."""
+    (y1, y2), (d1, d2) = pair._grid["taylor"][:2]
+    return {"xs": pair._grid["xs"], "y1": y1, "y2": y2, "d1": d1, "d2": d2}
+
+
 def reference_eval01(pair, x):
-    """Four separate 6-point Lagrange interpolations by the double loop."""
-    g = pair._grid
+    """Four separate 6-point Lagrange interpolations of the node columns by
+    the double loop: an oracle independent of the node Taylor sums."""
+    g = node_columns(pair)
     xs = g["xs"]
     i = max(0, min(int(np.searchsorted(xs, x)) - 3, len(xs) - 6))
     xw = xs[i : i + 6] - x
@@ -306,26 +314,46 @@ def test_numerov_grid_matches_plain_loop_bitwise(case):
     params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
     pair = solve_pair(potential, params, domain, anchor=anchor, grid_step=h)
     ref = reference_grid(potential, params, domain, pair.anchor, h)
+    got = node_columns(pair)
     for name in ("xs", "y1", "y2", "d1", "d2"):
-        np.testing.assert_array_equal(_bits(pair._grid[name]),
+        np.testing.assert_array_equal(_bits(got[name]),
                                       _bits(ref[name]), err_msg=name)
     assert pair.truncated == (case != "harmonic" and case != "tabulated")
 
 
-@pytest.mark.parametrize("case", sorted(NUMEROV_CASES))
-def test_eval01_matches_double_loop_bitwise(case):
+def _numerov_case(case):
     potential, domain, anchor, h = NUMEROV_CASES[case]
-    pair = solve_pair(potential, PhysParams(hbar=1.0, mu=1.0, energy=0.5),
+    return solve_pair(potential, PhysParams(hbar=1.0, mu=1.0, energy=0.5),
                       domain, anchor=anchor, grid_step=h)
+
+
+@pytest.mark.parametrize("case", sorted(NUMEROV_CASES))
+def test_eval01_returns_node_values_bitwise(case):
+    pair = _numerov_case(case)
+    g = node_columns(pair)
+    want = [g[name] for name in ("y1", "d1", "y2", "d2")]
+    np.testing.assert_array_equal(_bits(pair.eval01(g["xs"])), _bits(want))
+    for k, x in enumerate(g["xs"]):
+        got = pair.eval01(float(x))
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(_bits(got), _bits([w[k] for w in want]))
+
+
+@pytest.mark.parametrize("case", ["harmonic", "tabulated",
+                                  "truncated-harmonic"])
+def test_eval01_matches_lagrange_oracle(case):
+    # the h = 1e-3 cases; each solution's error is measured against its
+    # own |phi| + |phi'|, which never vanishes
+    pair = _numerov_case(case)
     lo, hi = pair.domain
-    xs = pair._grid["xs"]
+    xs, h = node_columns(pair)["xs"], NUMEROV_CASES[case][3]
     points = np.concatenate([np.linspace(lo, hi, 97), xs[:8], xs[-8:],
                              xs[len(xs) // 2 - 4 : len(xs) // 2 + 4] + h / 3])
     for x in points.clip(lo, hi):
-        got = pair.eval01(float(x))
-        assert all(type(v) is float for v in got)
-        np.testing.assert_array_equal(_bits(got),
-                                      _bits(reference_eval01(pair, float(x))))
+        got = np.array(pair.eval01(float(x)))
+        ref = np.array(reference_eval01(pair, float(x)))
+        scale = np.repeat(abs(ref[0::2]) + abs(ref[1::2]), 2)
+        assert np.all(abs(got - ref) <= 1e-10 * scale), (x, got, ref)
 
 
 _NUMEROV_PAIRS = [solve_pair(*args) for args in (
