@@ -8,21 +8,20 @@ produces two real, linearly independent solutions (phi1, phi2) of
 normalized at an anchor point by phi1 = 0, phi1' = 1, phi2 = 1, phi2' = 0,
 so their Wronskian phi2*phi1' - phi1*phi2' equals 1 there (and everywhere).
 The free potential gets the closed-form pair sin(kx), cos(kx) with
-Wronskian k; every other catalog entry is integrated on a uniform grid with
-the three-point fourth-order Numerov recursion.  Derivatives of order >= 2
-are never differenced: they come from the differential equation itself,
-which is also what keeps downstream phase-space constructions consistent.
+Wronskian k.  Every other catalog entry is solved on a uniform grid by the
+wave equation alone, which gives every derivative at a node as a linear
+function of the node's (phi, phi'): one ``_wave_derivatives`` call gives
+each node's Taylor coefficients phi^(m)/m!, m = 0..5, for the unit data
+(1, 0) and (0, 1); a float loop marches (phi, phi') out from the anchor by
+2x2 step maps built from them, each step making the two nodes' polynomials
+meet at the midpoint; the marched values then turn the unit coefficients
+into those of both solutions, which the pair keeps.  Nothing is differenced.
 
-The march takes f = (2 mu/hbar^2)(V - E) at every node of a direction from
-one vectorised potential call and advances both solutions in one loop.
 Evaluation is array-first: ``SolutionPair.eval01``, ``eval_phi`` and
-``PotentialModel.derivs`` accept one point or an array of points.  A Numerov
-pair keeps, at every grid node, the Taylor coefficients phi^(m)/m! of both
-solutions for m = 0..5: the node's (phi, phi') and the wave-equation
-recursion that ``eval_phi`` runs at any point.  eval01 is the Horner sum
-from the nearest node, so a node gives back its stored (phi, phi'), and a
-float in gives floats out, bit for bit the value of the same point inside an
-array.
+``PotentialModel.derivs`` accept one point or an array of points.  eval01
+is the Horner sum from the nearest node, so a node gives back its stored
+(phi, phi'), and a float in gives floats out, bit for bit the value of the
+same point inside an array.
 """
 from __future__ import annotations
 
@@ -227,7 +226,7 @@ class SolutionPair:
     ``domain`` is the interval actually covered (it may be narrower than
     ``requested`` when the solution magnitude hit the overflow cap, in which
     case ``truncated`` is set).  ``wronskian_ref`` is the pair's constant
-    Wronskian: k for the analytic free pair, 1 for Numerov pairs.
+    Wronskian: k for the analytic free pair, 1 for Taylor-marched pairs.
     """
 
     potential: PotentialModel
@@ -235,7 +234,7 @@ class SolutionPair:
     anchor: float
     domain: tuple[float, float]
     wronskian_ref: float
-    source: str  # "analytic" | "numerov"
+    source: str  # "analytic" | "taylor"
     truncated: bool = False
     requested: tuple[float, float] | None = None
     _grid: dict = field(default_factory=dict, repr=False)
@@ -253,43 +252,48 @@ class SolutionPair:
         if not self.truncated:
             return None
         (r0, r1), (c0, c1) = self.requested, self.domain
-        return (f"Numerov pair truncated at the overflow cap: requested "
-                f"domain [{r0:.6g}, {r1:.6g}], covered [{c0:.6g}, {c1:.6g}]")
+        return (f"Taylor-marched pair truncated at the overflow cap: requested"
+                f" domain [{r0:.6g}, {r1:.6g}], covered [{c0:.6g}, {c1:.6g}]")
 
     def eval01(self, x):
         """(phi1, phi1', phi2, phi2') at x, a float or an array of points.
 
-        On a Numerov pair both solutions are the Taylor polynomials of the
-        grid node nearest the point, summed by Horner's rule together with
-        their derivatives; at a node they give back its stored (phi, phi').
+        On a Taylor-marched pair both solutions are the Taylor polynomials of
+        the grid node nearest the point, summed by Horner's rule together
+        with their derivatives; at a node they give back its stored (phi,
+        phi').  A float runs the same steps on Python floats.
         """
-        xa = np.asarray(x, dtype=float)
         if self.source == "analytic":
+            xa = np.asarray(x, dtype=float)
             k = self._grid["k"]
             s, c = np.sin(k * xa), np.cos(k * xa)
             cols = (s, k * c, c, -k * s)
             return tuple(map(float, cols)) if xa.ndim == 0 else cols
         lo, hi = self.domain
-        if xa.size and not (xa.min() >= lo - 1e-9 and xa.max() <= hi + 1e-9):
+        if isinstance(x, float) or np.ndim(x) == 0:
+            x = first = last = float(x)
+        else:
+            x = np.asarray(x, dtype=float)
+            first, last = (x.min(), x.max()) if x.size else (lo, hi)
+        if not (first >= lo - 1e-9 and last <= hi + 1e-9):
+            xa = np.atleast_1d(x)
             bad = xa[~((lo - 1e-9 <= xa) & (xa <= hi + 1e-9))]
             raise DomainError(f"x = {float(bad.flat[0])} outside solved "
                               f"domain [{lo}, {hi}]")
-        i, s = self._nearest_node(xa)
+        i, s = self._nearest_node(x)
         coeffs = self._grid["taylor"][:, :, i]
-        if xa.ndim == 0:  # the same Horner steps, on Python floats
-            coeffs, s = coeffs.tolist(), float(s)
-        (p1, p2), d1, d2 = coeffs[-1], 0.0, 0.0
-        for c1, c2 in coeffs[-2::-1]:
-            d1, p1 = d1 * s + p1, p1 * s + c1
-            d2, p2 = d2 * s + p2, p2 * s + c2
-        return p1, d1, p2, d2
+        return _horner(coeffs.tolist() if isinstance(x, float) else coeffs, s)
 
-    def _nearest_node(self, xa: np.ndarray):
-        """Index of the grid node nearest xa and xa's offset from it."""
-        xs = self._grid["xs"]
-        i = np.rint((xa - xs[0]) / self._grid["h"]).astype(np.intp)
+    def _nearest_node(self, x):
+        """Index of the grid node nearest x and x's offset from it, as a
+        Python int and float when x is a float."""
+        xs, h = self._grid["xs"], self._grid["h"]
+        if isinstance(x, float):  # round is half to even, like np.rint
+            i = min(max(round((x - self.domain[0]) / h), 0), len(xs) - 1)
+            return i, x - float(xs[i])
+        i = np.rint((x - xs[0]) / h).astype(np.intp)
         i = np.minimum(np.maximum(i, 0), len(xs) - 1)
-        return i, xa - xs[i]
+        return i, x - xs[i]
 
     def phi2_zeros(self, x: float) -> int:
         """Signed number of zeros of phi2 between the anchor and x (negative
@@ -324,9 +328,10 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
                grid_step: float = 1e-3) -> SolutionPair:
     """Build the normalized solution pair over ``domain``.
 
-    The free potential returns the closed-form pair; everything else is
-    propagated with Numerov steps of size ``grid_step`` in both directions
-    from the anchor, seeded by a fourth-order Taylor step.
+    The free potential returns the closed-form pair.  Everything else is
+    marched with the nodes' own Taylor polynomials over a grid of step
+    ``grid_step``, in both directions from the anchor (see the module
+    docstring).
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
@@ -347,74 +352,67 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
     if not grid_step > 0:
         raise SchrodingerError("grid_step must be positive")
 
-    c = params.kratio
     h = grid_step
-    h2 = h * h
     n_left = int(math.ceil((anchor - lo) / h - 1e-9))
     n_right = int(math.ceil((hi - anchor) / h - 1e-9))
     if n_left + n_right < 8:
         raise DomainError("domain too narrow for the requested grid step")
 
-    def seed(y0: float, d0: float, direction: float) -> float:
-        # fourth-order Taylor step from the anchor's wave-equation derivatives
-        tower = _wave_derivatives(potential, params, anchor, [y0, d0, 0, 0, 0])
-        s = direction * h
-        return sum(s**m / math.factorial(m) * y for m, y in enumerate(tower))
-
-    def march(n_steps: int, direction: float):
-        """Numerov propagation of (phi1, phi2) from the anchor data (0, 1)
-        and (1, 0); returns both at offsets 0..n_done, stopping after the
-        first node where either magnitude passes OVERFLOW_CAP."""
-        nodes = anchor + direction * np.arange(n_steps + 1) * h
-        f = c * (potential.value(nodes) - params.energy)
-        grow = memoryview(1.0 + 5.0 * h2 * f / 12.0)
-        damp = memoryview(1.0 - h2 * f / 12.0)
-        u, v = np.empty(n_steps + 2), np.empty(n_steps + 2)
-        um, vm = memoryview(u), memoryview(v)
-        um[0], um[1] = u0, u1 = 0.0, seed(0.0, 1.0, direction)
-        vm[0], vm[1] = v0, v1 = 1.0, seed(1.0, 0.0, direction)
-        n = min(2, n_steps + 1)
-        # node n = i + 1 from nodes i and i - 1, for i = 1 .. n_steps - 1
-        for g, dm, dp in zip(grow[1:n_steps], damp[:-2], damp[2:]):
-            u0, u1 = u1, (2.0 * u1 * g - u0 * dm) / dp
-            v0, v1 = v1, (2.0 * v1 * g - v0 * dm) / dp
-            um[n], vm[n] = u1, v1
-            n += 1
-            if abs(u1) > OVERFLOW_CAP or abs(v1) > OVERFLOW_CAP:
-                break
-        return u[:n], v[:n]
-
-    r1, r2 = march(n_right, +1.0)
-    l1, l2 = march(n_left, -1.0)
-    nr = len(r1) - 1
-    nl = len(l1) - 1
-    truncated = nr < n_right or nl < n_left
-
-    xs = anchor + h * np.arange(-nl, nr + 1)
-    taylor = np.empty((_TAYLOR_DEGREE + 1, 2, len(xs)))
-    taylor[0] = np.concatenate([l1[nl:0:-1], r1]), np.concatenate([l2[nl:0:-1], r2])
-    del r1, r2, l1, l2  # the march buffers; the table build sets the peak memory
-    taylor[1] = [_stencil_derivative(y, h) for y in taylor[0]]
-    taylor[1, :, nl] = 1.0, 0.0  # anchor derivatives are initial data, exact
+    # unit table: every node's phi^(m)/m! for the node data (phi, phi') =
+    # (1, 0) in column 0 and (0, 1) in column 1
+    xs = anchor + h * np.arange(-n_left, n_right + 1)
+    taylor = np.zeros((_TAYLOR_DEGREE + 1, 2, len(xs)))
+    taylor[0, 0] = taylor[1, 1] = 1.0
     _wave_derivatives(potential, params, xs, taylor)
     taylor /= np.array([math.factorial(m) for m in range(len(taylor))])[:, None, None]
+    nr = _march(taylor[:, :, n_left:], h)
+    nl = _march(taylor[:, :, n_left::-1], -h)
+    # the anchor data, once both marches have read the anchor's unit rows
+    taylor[:2, :, n_left] = (0.0, 1.0), (1.0, 0.0)
+    truncated = nl < n_left or nr < n_right
+
+    cover = slice(n_left - nl, n_left + nr + 1)
+    # a truncated pair keeps only its covered nodes, not the whole buffer
+    xs, taylor = xs[cover].copy(), np.ascontiguousarray(taylor[:, :, cover])
+    for row in taylor[2:]:  # unit coefficients -> those of (phi1, phi2)
+        row[:] = row[:1] * taylor[0] + row[1:] * taylor[1]
     return SolutionPair(potential, params, anchor, (float(xs[0]), float(xs[-1])),
-                        1.0, "numerov", truncated=truncated, requested=(lo, hi),
+                        1.0, "taylor", truncated=truncated, requested=(lo, hi),
                         _grid={"xs": xs, "h": h, "taylor": taylor})
 
 
-def _stencil_derivative(y: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative of uniformly gridded values."""
-    n = len(y)
-    d = np.empty(n)
-    if n < 5:
-        raise DomainError("grid too short for fourth-order differencing")
-    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-    d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
-    d[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
-    d[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / (12 * h)
-    d[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / (12 * h)
-    return d
+def _march(table: np.ndarray, s: float) -> int:
+    """March both solutions from the anchor data (0, 1) and (1, 0) over a
+    unit table's nodes, a step s apart from the anchor first; each step
+    solves for the (phi, phi') whose polynomials meet the last node's at
+    the midpoint.  Writes them to rows 0 and 1 past the anchor and returns
+    the step count, stopping after the first phi past OVERFLOW_CAP."""
+    pa, da, pb, db = _horner(table[:, :, :-1], 0.5 * s)
+    qa, ea, qb, eb = _horner(table[:, :, 1:], -0.5 * s)
+    det = qa * eb - qb * ea
+    steps = ((eb * pa - qb * da) / det, (eb * pb - qb * db) / det,
+             (qa * da - ea * pa) / det, (qa * db - ea * pb) / det)
+    o1, o2, o3, o4 = (memoryview(table[i, j]) for j in (0, 1) for i in (0, 1))
+    y1, d1, y2, d2 = 0.0, 1.0, 1.0, 0.0
+    n = 0
+    for n, (a, b, c, e) in enumerate(zip(*map(memoryview, steps)), 1):
+        y1, d1 = a * y1 + b * d1, c * y1 + e * d1
+        y2, d2 = a * y2 + b * d2, c * y2 + e * d2
+        o1[n], o2[n], o3[n], o4[n] = y1, d1, y2, d2
+        if abs(y1) > OVERFLOW_CAP or abs(y2) > OVERFLOW_CAP:
+            break
+    return n
+
+
+def _horner(coeffs, s: float):
+    """(p1, p1', p2, p2') at offset s of the polynomial pairs whose Taylor
+    coefficients are ``coeffs``, lowest order first: an array of shape
+    (degree + 1, 2, ...) or its nested lists of floats."""
+    (p1, p2), d1, d2 = coeffs[-1], 0.0, 0.0
+    for c1, c2 in coeffs[-2::-1]:
+        d1, p1 = d1 * s + p1, p1 * s + c1
+        d2, p2 = d2 * s + p2, p2 * s + c2
+    return p1, d1, p2, d2
 
 
 def _wave_derivatives(potential: PotentialModel, params: PhysParams, x,

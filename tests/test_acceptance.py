@@ -127,7 +127,7 @@ def test_criterion_04_master_identity_sharpness():
 
 def test_criterion_05_stationary_action_residuals():
     """Scaled stationary-action defect: 1e-10 on the analytic pair, 1e-6 on
-    the Numerov harmonic pair."""
+    the Taylor-marched harmonic pair."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     pair = solve_pair(PotentialModel.free(), UNIT, (-8.0, 8.0))

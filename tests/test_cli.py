@@ -124,8 +124,8 @@ def test_truncated_pair_reported_on_stderr(tmp_path, capsys):
     doc["run"]["domain"] = [-30.0, 30.0]
     cfg = write_config(tmp_path, doc)
     assert run(["trajectory", "--config", cfg, "--quiet"]) == 0
-    line = ("Numerov pair truncated at the overflow cap: requested domain "
-            "[-30, 30], covered [-7.794, 7.794]")
+    line = ("Taylor-marched pair truncated at the overflow cap: requested "
+            "domain [-30, 30], covered [-7.794, 7.794]")
     assert capsys.readouterr().err.strip() == line
     assert json.loads((tmp_path / "t.csv.json").read_text())["notes"] == [line]
 

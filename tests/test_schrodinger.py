@@ -1,9 +1,9 @@
 """Tests for stationary-wave solution pairs.
 
 The harmonic oracle is exact: with hbar = mu = omega = 1 and E = 1/2 the
-even initial data (1, 0) at the origin propagates the Gaussian
-exp(-x^2/2), so the Numerov march is checked against a closed form, not
-against another numerical solution.
+initial data (1, 0) at the origin propagate the Gaussian exp(-x^2/2) and
+the data (0, 1) the function exp(x^2/2) * dawsn(x), so the Taylor march is
+checked against closed forms, not against another numerical solution.
 """
 
 import math
@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import dawsn
 
+from qmotion.reduced_action import QuantumStateParams, qshje_residual
 from qmotion.schrodinger import (
-    OVERFLOW_CAP,
     DomainError,
     PhysParams,
     PotentialModel,
@@ -22,7 +23,6 @@ from qmotion.schrodinger import (
     solve_pair,
     wronskian,
 )
-from qmotion.schrodinger import _stencil_derivative
 
 
 def harmonic_pair(domain=(-3.0, 3.0), energy=0.5, grid_step=1e-3):
@@ -131,16 +131,32 @@ def test_free_phi_jets_derivative_tower():
 
 
 # ---------------------------------------------------------------------------
-# Numerov pair against the Gaussian oracle
+# Taylor-marched pair against the exact harmonic solutions
 # ---------------------------------------------------------------------------
 
 def test_harmonic_even_solution_is_gaussian():
+    # and the odd one is exp(x^2/2) * dawsn(x); each solution's error is
+    # measured against its own |phi| + |phi'|
     pair = harmonic_pair()
-    for x in np.linspace(-2.8, 2.8, 29):
-        _, _, p2, d2 = pair.eval01(float(x))
-        g = math.exp(-0.5 * x * x)
-        assert p2 == pytest.approx(g, abs=1e-10)
-        assert d2 == pytest.approx(-x * g, abs=1e-10)
+    x = np.linspace(-3.0, 3.0, 1201)
+    g, e = np.exp(-0.5 * x * x), np.exp(0.5 * x * x)
+    exact = (e * dawsn(x), e * (1.0 - x * dawsn(x)), g, -x * g)
+    got = pair.eval01(x)
+    for k in (0, 2):
+        scale = abs(exact[k]) + abs(exact[k + 1])
+        for j in (k, k + 1):
+            assert np.max(abs(got[j] - exact[j]) / scale) <= 1e-10, j
+
+
+def test_harmonic_qshje_residual_at_rounding_level():
+    # criterion 5's harmonic check, at a tolerance the exact pair would meet
+    pair = harmonic_pair()
+    rng = np.random.default_rng(5)
+    worst = max(qshje_residual(pair, QuantumStateParams(a=a, b=b), float(x))
+                for a, b in zip(rng.uniform(0.5, 2.0, 5) * [1, -1, 1, -1, 1],
+                                rng.uniform(-1.0, 1.0, 5))
+                for x in rng.uniform(-2.5, 2.5, 25))
+    assert worst <= 1e-12
 
 
 def test_anchor_initial_data():
@@ -208,63 +224,12 @@ def test_domain_validation():
 
 
 # ---------------------------------------------------------------------------
-# Reference paths: the plain loops the vectorised code must reproduce
+# Node columns, node polynomials and the reference Lagrange oracle
 # ---------------------------------------------------------------------------
 
-def reference_grid(potential, params, domain, anchor, grid_step):
-    """Numerov grid by the plain loop: one march per solution and
-    direction, f = (2 mu/hbar^2)(V - E) evaluated node by node."""
-    lo, hi = domain
-    c = params.kratio
-    h = grid_step
-    n_left = int(math.ceil((anchor - lo) / h - 1e-9))
-    n_right = int(math.ceil((hi - anchor) / h - 1e-9))
-
-    def f(x):
-        return c * (potential.value(x) - params.energy)
-
-    def seed(y0, d0, direction):
-        vd = potential.derivs(anchor, 2)
-        f0, f1, f2 = c * (vd[0] - params.energy), c * vd[1], c * vd[2]
-        y2 = f0 * y0
-        y3 = f1 * y0 + f0 * d0
-        y4 = f2 * y0 + 2.0 * f1 * d0 + f0 * y2
-        s = direction * h
-        return y0 + s * d0 + s**2 / 2 * y2 + s**3 / 6 * y3 + s**4 / 24 * y4
-
-    def march(n_steps, direction, y0, d0):
-        ys = [y0]
-        if n_steps == 0:
-            return ys
-        ys.append(seed(y0, d0, direction))
-        h2 = h * h
-        fm, fi = f(anchor), f(anchor + direction * h)
-        for i in range(1, n_steps):
-            fp = f(anchor + direction * (i + 1) * h)
-            num = 2.0 * ys[i] * (1.0 + 5.0 * h2 * fi / 12.0) - ys[i - 1] * (
-                1.0 - h2 * fm / 12.0)
-            ys.append(num / (1.0 - h2 * fp / 12.0))
-            if abs(ys[i + 1]) > OVERFLOW_CAP:
-                break
-            fm, fi = fi, fp
-        return ys
-
-    r1, l1 = march(n_right, 1.0, 0.0, 1.0), march(n_left, -1.0, 0.0, 1.0)
-    r2, l2 = march(n_right, 1.0, 1.0, 0.0), march(n_left, -1.0, 1.0, 0.0)
-    nr = min(len(r1), len(r2)) - 1
-    nl = min(len(l1), len(l2)) - 1
-    xs = anchor + h * np.arange(-nl, nr + 1)
-    y1 = np.array(l1[nl:0:-1] + r1[: nr + 1])
-    y2 = np.array(l2[nl:0:-1] + r2[: nr + 1])
-    d1 = _stencil_derivative(y1, h)
-    d2 = _stencil_derivative(y2, h)
-    d1[nl], d2[nl] = 1.0, 0.0
-    return {"xs": xs, "y1": y1, "y2": y2, "d1": d1, "d2": d2}
-
-
 def node_columns(pair):
-    """The node columns xs, y1, y2, d1, d2 a Numerov pair keeps: (phi, phi')
-    are its Taylor coefficients of orders 0 and 1."""
+    """The node columns xs, y1, y2, d1, d2 a Taylor-marched pair keeps:
+    (phi, phi') are its Taylor coefficients of orders 0 and 1."""
     (y1, y2), (d1, d2) = pair._grid["taylor"][:2]
     return {"xs": pair._grid["xs"], "y1": y1, "y2": y2, "d1": d1, "d2": d2}
 
@@ -295,7 +260,7 @@ def _table_harmonic():
     return PotentialModel.tabulated(xs, 0.5 * xs * xs)
 
 
-NUMEROV_CASES = {
+GRID_CASES = {
     "harmonic": (PotentialModel.harmonic(1.0), (-3.0, 3.0), 0.0, 1e-3),
     "linear": (PotentialModel.linear(1.0), (-2.0, 20.0), 0.0, 1e-2),
     "tabulated": (_table_harmonic(), (-3.0, 3.0), None, 1e-3),
@@ -308,28 +273,41 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("case", sorted(NUMEROV_CASES))
-def test_numerov_grid_matches_plain_loop_bitwise(case):
-    potential, domain, anchor, h = NUMEROV_CASES[case]
-    params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
-    pair = solve_pair(potential, params, domain, anchor=anchor, grid_step=h)
-    ref = reference_grid(potential, params, domain, pair.anchor, h)
-    got = node_columns(pair)
-    for name in ("xs", "y1", "y2", "d1", "d2"):
-        np.testing.assert_array_equal(_bits(got[name]),
-                                      _bits(ref[name]), err_msg=name)
-    assert pair.truncated == (case != "harmonic" and case != "tabulated")
-
-
-def _numerov_case(case):
-    potential, domain, anchor, h = NUMEROV_CASES[case]
+def _grid_case(case):
+    potential, domain, anchor, h = GRID_CASES[case]
     return solve_pair(potential, PhysParams(hbar=1.0, mu=1.0, energy=0.5),
                       domain, anchor=anchor, grid_step=h)
 
 
-@pytest.mark.parametrize("case", sorted(NUMEROV_CASES))
+def node_polynomial(pair, i, s):
+    """(phi1, phi1', phi2, phi2') of node i's Taylor polynomials at offset
+    s, summed by powers rather than by eval01's Horner rule."""
+    c = pair._grid["taylor"][:, :, i]
+    m = np.arange(len(c))[:, None, None]
+    p = (c * s ** m).sum(axis=0)
+    d = (c[1:] * m[1:] * s ** (m[1:] - 1)).sum(axis=0)
+    return p[0], d[0], p[1], d[1]
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_node_polynomials_meet_at_midpoints(case):
+    # each march step solves for the next node's (phi, phi') whose
+    # polynomials meet the current node's halfway, where eval01 changes
+    # node; every neighbour pair must agree there to rounding
+    pair = _grid_case(case)
+    h, i = pair._grid["h"], np.arange(len(pair._grid["xs"]) - 1)
+    got = np.array(node_polynomial(pair, i, 0.5 * h))
+    want = np.array(node_polynomial(pair, i + 1, -0.5 * h))
+    for k in (0, 2):
+        scale = abs(want[k]) + abs(want[k + 1])
+        for j in (k, k + 1):
+            assert np.max(abs(got[j] - want[j]) / scale) <= 1e-14, j
+    assert pair.truncated == (case in ("linear", "truncated-harmonic"))
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
 def test_eval01_returns_node_values_bitwise(case):
-    pair = _numerov_case(case)
+    pair = _grid_case(case)
     g = node_columns(pair)
     want = [g[name] for name in ("y1", "d1", "y2", "d2")]
     np.testing.assert_array_equal(_bits(pair.eval01(g["xs"])), _bits(want))
@@ -344,9 +322,9 @@ def test_eval01_returns_node_values_bitwise(case):
 def test_eval01_matches_lagrange_oracle(case):
     # the h = 1e-3 cases; each solution's error is measured against its
     # own |phi| + |phi'|, which never vanishes
-    pair = _numerov_case(case)
+    pair = _grid_case(case)
     lo, hi = pair.domain
-    xs, h = node_columns(pair)["xs"], NUMEROV_CASES[case][3]
+    xs, h = node_columns(pair)["xs"], GRID_CASES[case][3]
     points = np.concatenate([np.linspace(lo, hi, 97), xs[:8], xs[-8:],
                              xs[len(xs) // 2 - 4 : len(xs) // 2 + 4] + h / 3])
     for x in points.clip(lo, hi):
@@ -356,18 +334,18 @@ def test_eval01_matches_lagrange_oracle(case):
         assert np.all(abs(got - ref) <= 1e-10 * scale), (x, got, ref)
 
 
-_NUMEROV_PAIRS = [solve_pair(*args) for args in (
+_GRID_PAIRS = [solve_pair(*args) for args in (
     (PotentialModel.harmonic(1.0), PhysParams(1.0, 1.0, 0.5), (-3.0, 3.0)),
     (PotentialModel.linear(0.5), PhysParams(1.0, 1.0, 0.5), (-2.0, 6.0)),
     (_table_harmonic(), PhysParams(1.0, 1.0, 0.8), (-3.0, 3.0)),
 )]
 
 
-@given(st.integers(0, len(_NUMEROV_PAIRS) - 1),
+@given(st.integers(0, len(_GRID_PAIRS) - 1),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
 @settings(deadline=None, max_examples=60)
 def test_batched_eval01_equals_scalar_bitwise(which, fractions):
-    pair = _NUMEROV_PAIRS[which]
+    pair = _GRID_PAIRS[which]
     lo, hi = pair.domain
     x = lo + (hi - lo) * np.asarray(fractions)
     batched = np.stack(pair.eval01(x), axis=-1)
@@ -382,7 +360,7 @@ def test_batched_eval01_equals_scalar_bitwise(which, fractions):
 
 
 def test_batched_eval01_rejects_any_point_outside():
-    pair = _NUMEROV_PAIRS[0]
+    pair = _GRID_PAIRS[0]
     with pytest.raises(DomainError, match="x = 3.5 outside solved domain"):
         pair.eval01(np.array([0.0, 3.5, -1.0]))
 
@@ -394,7 +372,7 @@ def test_harmonic_wide_domain_truncates_and_says_so():
     assert pair.truncated
     assert pair.domain == pytest.approx((-7.794, 7.794), abs=1e-12)
     assert pair.truncation_note() == (
-        "Numerov pair truncated at the overflow cap: requested domain "
+        "Taylor-marched pair truncated at the overflow cap: requested domain "
         "[-30, 30], covered [-7.794, 7.794]")
     assert harmonic_pair().truncation_note() is None
 

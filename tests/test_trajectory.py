@@ -401,8 +401,8 @@ def test_truncated_pair_is_noted_in_the_summary():
                        QuantumStateParams(a=1.0), t_span=(0.0, 1.0),
                        samples=8, domain=(-30.0, 30.0))
     notes = summarize(integrate_velocity_law(s))["notes"]
-    assert notes == ["Numerov pair truncated at the overflow cap: requested "
-                     "domain [-30, 30], covered [-7.794, 7.794]"]
+    assert notes == ["Taylor-marched pair truncated at the overflow cap: "
+                     "requested domain [-30, 30], covered [-7.794, 7.794]"]
 
 
 def test_free_scenario_needs_positive_energy():
