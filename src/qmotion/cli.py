@@ -377,10 +377,6 @@ def _cmd_sweep(args) -> int:
              for energy, cells in groups.values()
              for k in range(min(slices, len(cells)))]
     if len(tasks) > 1 and slices > 1:
-        # the integrator's scipy import is deferred; load it before the pool
-        # starts so that forked workers share it instead of each loading it
-        import scipy.integrate  # noqa: F401
-
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             done = list(pool.map(_sweep_group, tasks))
     else:

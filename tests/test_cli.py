@@ -196,6 +196,47 @@ def test_reduced_action_on_numerov_pair_does_not_import_scipy_integrate():
     assert "scipy.integrate" not in _scipy_modules_after(code)
 
 
+def test_trajectory_and_sweep_runs_do_not_import_scipy(tmp_path):
+    # the integrator is the package's own, so only a tabulated potential's
+    # spline needs scipy
+    harmonic = {"kind": "harmonic", "stiffness": 1.0}
+    runs = []
+    for law in ("velocity", "newton", "legacy"):
+        for name, potential in (("free", {"kind": "free"}),
+                                ("harmonic", harmonic)):
+            out = str(tmp_path / f"{name}-{law}.csv")
+            doc = {"potential": potential, "quantum": {"a": 1.4, "b": 0.3},
+                   "run": {"law": law, "t1": 2.0, "samples": 16,
+                           "domain": [-3.0, 3.0]}}
+            runs.append(["trajectory", "--config",
+                         write_config(tmp_path, doc, f"{name}-{law}.json"),
+                         "--out", out])
+    sweep = write_config(tmp_path, dict(HARMONIC_SWEEP_DOC), "sweep.json")
+    for workers in ("1", "2"):
+        runs.append(["sweep", "--config", sweep, "--workers", workers,
+                     "--out", str(tmp_path / f"sweep{workers}.csv")])
+
+    def code(argvs):
+        return ("import io, sys, contextlib\n"
+                "import qmotion.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                + "".join(f"    assert qmotion.cli.run({a!r}) == 0\n"
+                          for a in argvs))
+
+    assert _scipy_modules_after(code(runs)) == "[]"
+    xs = [-3.5 + 0.05 * i for i in range(141)]
+    tabulated = {"potential": {"kind": "tabulated", "xs": xs,
+                               "vs": [0.5 * x * x for x in xs]},
+                 "run": {"law": "velocity", "t1": 2.0, "samples": 16,
+                         "domain": [-3.0, 3.0]}}
+    argv = ["trajectory", "--config",
+            write_config(tmp_path, tabulated, "tabulated.json"),
+            "--out", str(tmp_path / "tabulated.csv")]
+    loaded = _scipy_modules_after(code([argv]))
+    assert "scipy.interpolate" in loaded
+    assert "scipy.integrate" not in loaded
+
+
 def test_verify_master_canonical(capsys):
     assert run(["verify", "master", "--samples", "50"]) == 0
     assert "master residual" in capsys.readouterr().out

@@ -1,7 +1,8 @@
 """Tests for the adaptive Runge-Kutta integrator with dense output.
 
 Oracles are closed-form solutions: exponentials, circular motion, and a
-stiff-ish decaying system where step control has to do real work.
+stiff-ish decaying system where step control has to do real work.  scipy's
+RK45, whose controller the stepper copies, is the oracle for the steps.
 """
 
 import math
@@ -10,12 +11,17 @@ import pickle
 import numpy as np
 import pytest
 
+from qmotion import trajectory
 from qmotion.ode import (
+    _CONTROL_MARGIN,
     DenseSolution,
     IntegrationFailure,
     IntegratorSettings,
     integrate_ivp,
 )
+from qmotion.reduced_action import QuantumStateParams
+from qmotion.schrodinger import PhysParams, PotentialModel
+from qmotion.trajectory import ScenarioConfig
 
 
 def test_settings_validation():
@@ -67,18 +73,87 @@ def test_vector_evaluation_shape():
                                rtol=1e-9)
 
 
-def test_time_array_matches_pointwise_step_interpolants():
-    """A time array is evaluated step by step on all its times at once;
-    each row agrees with the owning step's interpolant at that one time
-    to rounding (the batched polynomial product may round differently)."""
+def test_time_array_rows_equal_scalar_calls_bitwise():
+    """A time array is evaluated in one pass over all its times; each row
+    equals the call at that one time bit for bit, breakpoints included."""
     sol = integrate_ivp(lambda t, y: np.array([y[1], -y[0]]), [0.0, 1.0],
                         (0.0, 10.0))
-    ts = np.concatenate([np.linspace(0.0, 10.0, 301), sol._breaks[:40]])
-    idx = np.minimum(np.searchsorted(sol._breaks, ts, side="left"),
-                     sol.n_steps - 1)
-    ref = np.array([sol._segments[k](t) for k, t in zip(idx, ts)])
-    np.testing.assert_allclose(sol(ts), ref, rtol=0.0, atol=4e-16)
-    np.testing.assert_array_equal(sol(ts[7]), sol(ts[7:8])[0])
+    ts = np.concatenate([np.linspace(0.0, 10.0, 301), sol._ts[:40]])
+    rows = sol(ts)
+    assert rows.shape == (ts.size, 2)
+    for t, row in zip(ts.tolist(), rows):
+        np.testing.assert_array_equal(sol(t), row)
+
+
+def _rk45_reference(rhs, y0, t_span):
+    """scipy's RK45 stepped to the end with the tolerances integrate_ivp
+    hands its controller by default: the step edges, the states there, the
+    per-step interpolants and the number of rhs calls."""
+    from scipy.integrate import RK45
+
+    settings = IntegratorSettings()
+    stepper = RK45(rhs, t_span[0], np.asarray(y0, dtype=float), t_span[1],
+                   rtol=max(settings.rel_tol / _CONTROL_MARGIN, 2.5e-14),
+                   atol=settings.abs_tol / _CONTROL_MARGIN,
+                   max_step=settings.max_step)
+    ts, ys, steps = [stepper.t], [stepper.y], []
+    while stepper.status == "running":
+        stepper.step()
+        ts.append(stepper.t)
+        ys.append(stepper.y)
+        steps.append(stepper.dense_output())
+    return np.array(ts), np.array(ys), steps, stepper.nfev
+
+
+def _free_newton_problem():
+    """The free fourth-order law at (a, b) = (1.4, 0.3), T = 10, as
+    integrate_newton_law hands it to the integrator."""
+    captured = []
+
+    def spy(rhs, y0, t_span, settings):
+        captured.append((rhs, y0, t_span))
+        return integrate_ivp(rhs, y0, t_span, settings)
+
+    s = ScenarioConfig(PotentialModel.free(), PhysParams(1.0, 1.0, 0.5),
+                       QuantumStateParams(a=1.4, b=0.3), law="newton",
+                       t_span=(0.0, 10.0), samples=16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajectory, "integrate_ivp", spy)
+        trajectory.integrate_newton_law(s)
+    return captured[0]
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: (lambda t, y: -y, [1.0], (0.0, 5.0)),
+    lambda: (lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.0], (0.0, 20.0)),
+    # y0 = 0: the initial step is the 100 h0 bound
+    lambda: (lambda t, y: np.array([math.cos(t)]), [0.0], (0.0, 10.0)),
+    _free_newton_problem,
+], ids=["exponential", "circle", "cosine", "free-newton"])
+def test_steps_match_scipy_rk45(problem):
+    """The stepper copies RK45: the same steps, the same rhs calls (two for
+    the initial step, then six per attempted step), the same states and
+    the same dense output."""
+    rhs, y0, t_span = problem()
+    calls = [0]
+
+    def counted(t, y):
+        calls[0] += 1
+        return rhs(t, y)
+
+    sol = integrate_ivp(counted, y0, t_span)
+    ts, ys, steps, nfev = _rk45_reference(rhs, y0, t_span)
+    assert sol.n_steps == len(steps)
+    assert calls[0] == nfev
+    assert (calls[0] - 2) % 6 == 0 and (calls[0] - 2) // 6 >= sol.n_steps
+    np.testing.assert_allclose(sol._ts, ts, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(np.vstack([sol._y, sol.y_end]), ys,
+                               rtol=1e-13, atol=0.0)
+    tq = np.concatenate([np.linspace(*t_span, 1001), ts])
+    idx = np.minimum(np.searchsorted(ts[1:], tq, side="left"), len(steps) - 1)
+    ref = np.array([steps[k](t) for k, t in zip(idx, tq)])
+    np.testing.assert_allclose(sol(tq), ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(ys).max())
 
 
 def test_out_of_range_evaluation_rejected():

@@ -12,7 +12,11 @@ Free-particle oracles are closed forms worked out by hand:
 
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -222,6 +226,36 @@ def test_newton_law_velocity_floor():
     back = pickle.loads(pickle.dumps(info.value))
     assert (str(back), back.t, back.state) == (str(info.value), info.value.t,
                                               info.value.state)
+
+
+def test_newton_law_nonfinite_derivative_fails_instead_of_hanging():
+    # xd**4 overflows to inf, and inf * V'(0) = inf * 0 is NaN: with no
+    # finite initial derivative no step size can be chosen, and a NaN step
+    # size passes every underflow test.  A child process runs it, so a
+    # stepper that spins fails this test instead of hanging the suite.
+    code = textwrap.dedent("""
+        from qmotion.ode import IntegrationFailure, IntegratorSettings
+        from qmotion.reduced_action import QuantumStateParams
+        from qmotion.schrodinger import PhysParams, PotentialModel
+        from qmotion.trajectory import ScenarioConfig, integrate_newton_law
+        s = ScenarioConfig(PotentialModel.harmonic(1.0),
+                           PhysParams(hbar=1.0, mu=1.0, energy=0.5),
+                           QuantumStateParams(a=1.4, b=0.3), law="newton",
+                           domain=(-3.0, 3.0),
+                           integrator=IntegratorSettings(max_steps=2000))
+        try:
+            integrate_newton_law(s, init=(0.0, 1e80, 0.0, 0.0))
+        except IntegrationFailure as exc:
+            print(exc.reason)
+        """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "non-finite derivative at t = 0.0"
 
 
 # ---------------------------------------------------------------------------
