@@ -3,9 +3,13 @@
 Scenario parameters live in a JSON config document with sections
 ``potential``, ``physics``, ``quantum``, ``run``, ``integrator``,
 ``output`` (and ``sweep`` for grid runs); unknown sections or keys are
-rejected before any computation starts.  Exit codes: 0 success, 1 a
+rejected before any computation starts.  The ``integrator`` keys act on
+the newton and legacy laws only: the velocity law sums t(x) over the
+pair's cells and integrates no ODE.  Exit codes: 0 success, 1 a
 verification residual exceeded its tolerance, 2 configuration error,
-3 numerical failure.
+3 numerical failure.  A velocity-law trajectory that reaches the edge of
+the solved domain before t1 writes its samples up to the edge, then exits
+3.
 """
 
 from __future__ import annotations
@@ -153,16 +157,27 @@ def _cmd_trajectory(args) -> int:
     if s.out_path is None:
         raise ConfigError("trajectory needs an output path "
                           "(output.path in the config or --out)")
-    result, report = traj.run_scenario(s)
-    if report is not None and report.stalled:
-        _say(args, f"legacy law stalled near x = {report.x_stall:.9g} "
-                   f"(turning point {report.x_turn})")
-    note = s.pair.truncation_note()
-    if note:
-        print(note, file=sys.stderr)
     fmt = doc.get("output", {}).get("format", "csv")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown output format {fmt!r}")
+    try:
+        result, report = traj.run_scenario(s)
+    except traj.DomainEdgeError as exc:
+        # the samples up to the edge are written, then the run exits 3
+        _write_run(args, s, fmt, exc.partial)
+        raise
+    if report is not None and report.stalled:
+        _say(args, f"legacy law stalled near x = {report.x_stall:.9g} "
+                   f"(turning point {report.x_turn})")
+    _write_run(args, s, fmt, result)
+    return 0
+
+
+def _write_run(args, s: traj.ScenarioConfig, fmt: str,
+               result: traj.TrajectoryResult) -> None:
+    note = s.pair.truncation_note()
+    if note:
+        print(note, file=sys.stderr)
     if fmt in ("csv", "both"):
         traj.write_csv(result.samples, s.out_path)
         _say(args, f"wrote {len(result.samples)} samples to {s.out_path}")
@@ -170,7 +185,6 @@ def _cmd_trajectory(args) -> int:
         jpath = s.out_path if fmt == "json" else s.out_path + ".json"
         traj.write_summary(result, jpath)
         _say(args, f"wrote summary to {jpath}")
-    return 0
 
 
 def _cmd_verify_qshje(args) -> int:

@@ -35,6 +35,7 @@ __all__ = [
     "s0_eval",
     "s0p",
     "s0p_jet",
+    "inverse_s0p",
     "ds0_derivs",
     "qshje_residual",
     "wavefunction",
@@ -89,6 +90,17 @@ def s0p(pair: SolutionPair, q: QuantumStateParams, x):
     p1, _, p2, _ = pair.eval01(x)
     lin = q.a * p1 + q.b * p2
     return (pair.params.hbar * q.a * pair.wronskian_ref) / (lin * lin + p2 * p2)
+
+
+def inverse_s0p(pair: SolutionPair, q: QuantumStateParams, squares):
+    """1/S0' = D/(hbar*a*W) from the squares (phi1^2, phi1*phi2, phi2^2)
+    stacked along the first axis of ``squares``, since D = a^2 phi1^2 +
+    2ab phi1 phi2 + (1 + b^2) phi2^2.  The map is linear, so integrals of
+    the squares give the integral of dx/S0' over the same interval."""
+    s11, s12, s22 = squares
+    a, b = q.a, q.b
+    return ((a * a * s11 + 2.0 * a * b * s12 + (1.0 + b * b) * s22)
+            / (pair.params.hbar * a * pair.wronskian_ref))
 
 
 def s0p_jet(pair: SolutionPair, q: QuantumStateParams, x, order: int) -> Jet:

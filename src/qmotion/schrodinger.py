@@ -54,6 +54,8 @@ _MAX_PHI_ORDER = 6
 # node Taylor coefficients phi^(m)/m! for m = 0..5, so phi' is a quartic; a
 # higher degree does not bring eval01 closer on the h = 1e-3 grids
 _TAYLOR_DEGREE = 5
+# nodes per block of the cell-integral table build
+_TABLE_BLOCK = 2048
 
 
 class SchrodingerError(ValueError):
@@ -280,13 +282,19 @@ class SolutionPair:
             bad = xa[~((lo - 1e-9 <= xa) & (xa <= hi + 1e-9))]
             raise DomainError(f"x = {float(bad.flat[0])} outside solved "
                               f"domain [{lo}, {hi}]")
-        i, s = self._nearest_node(x)
+        i, s = self.nearest_node(x)
         coeffs = self._grid["taylor"][:, :, i]
         return _horner(coeffs.tolist() if isinstance(x, float) else coeffs, s)
 
-    def _nearest_node(self, x):
-        """Index of the grid node nearest x and x's offset from it, as a
-        Python int and float when x is a float."""
+    def nearest_node(self, x):
+        """Index of the node nearest x and x's offset from it, as a Python
+        int and float when x is a float on a grid pair.  The free pair's
+        nodes are the points m*pi/k, one per period of its squares, for
+        every integer m."""
+        if self.source == "analytic":
+            h = math.pi / self.k
+            i = np.rint(np.asarray(x) / h).astype(np.intp)
+            return i, x - i * h
         xs, h = self._grid["xs"], self._grid["h"]
         if isinstance(x, float):  # round is half to even, like np.rint
             i = min(max(round((x - self.domain[0]) / h), 0), len(xs) - 1)
@@ -295,19 +303,104 @@ class SolutionPair:
         i = np.minimum(np.maximum(i, 0), len(xs) - 1)
         return i, x - xs[i]
 
+    def cells(self, i):
+        """(x_i, lo, hi): the positions of the nodes i and the offsets from
+        them that bound their cells [x_i - h/2, x_i + h/2].  A grid pair's two end cells
+        stop at the covered domain's edges; the free pair's cells are its
+        periods pi/k."""
+        i = np.asarray(i)
+        if self.source == "analytic":
+            h = math.pi / self.k
+            half = np.full(i.shape, 0.5 * h)
+            return i * h, -half, half
+        xs, half = self._grid["xs"], 0.5 * self._grid["h"]
+        return (xs[i], np.where(i == 0, 0.0, -half),
+                np.where(i == len(xs) - 1, 0.0, half))
+
+    def cell_integrals(self, i):
+        """Integrals of (phi1^2, phi1*phi2, phi2^2) over the cells of nodes
+        i (see ``cells``), shape (3,) + shape(i).  On a grid pair i may be
+        a slice of the nodes; the result is then a view of the table.
+
+        A grid pair sums its node polynomials' squares over every cell
+        once, on first use, and keeps the table, so every run on the pair
+        reads the same values.  The free pair's cells are all alike:
+        (h/2, 0, h/2) with h = pi/k.
+        """
+        if self.source == "analytic":
+            h = math.pi / self.k
+            return np.multiply.outer((0.5 * h, 0.0, 0.5 * h),
+                                     np.ones(np.shape(i)))
+        table = self._grid.get("cells")
+        if table is None:
+            table = self._grid["cells"] = self._cell_table()
+        return table[:, i]
+
+    def _cell_table(self) -> np.ndarray:
+        """cell_integrals of every grid node.  Over a cell [-h/2, h/2] the
+        integral of p*q for two node polynomials is the quadratic form
+        sum_jk p_j M_jk q_k with the moments M_jk = integral of s^(j+k) ds,
+        zero for odd j + k; it runs over blocks of nodes, so temporaries
+        stay small.  The two end cells are summed apart."""
+        taylor, half = self._grid["taylor"], 0.5 * self._grid["h"]
+        m = np.arange(_TAYLOR_DEGREE + 1)
+        power = m[:, None] + m
+        moments = np.where(power % 2, 0.0,
+                           2.0 * half ** (power + 1) / (power + 1))
+        n = taylor.shape[2]
+        table = np.empty((3, n))
+        for lo in range(0, n, _TABLE_BLOCK):
+            block = slice(lo, lo + _TABLE_BLOCK)
+            p = taylor[:, :, block]
+            mp = np.tensordot(moments, p, 1)
+            for row, (u, v) in zip(table, ((0, 0), (0, 1), (1, 1))):
+                row[block] = np.einsum("jb,jb->b", p[:, u], mp[:, v])
+        ends = np.array([0, n - 1])
+        _, lo, hi = self.cells(ends)
+        prim = self.square_primitives(ends)
+        table[:, ends] = prim(hi) - prim(lo)
+        return table
+
+    def square_primitives(self, i):
+        """F with F(s) = integral from 0 to s of (phi1^2, phi1*phi2,
+        phi2^2)(x_i + u) du, shape (3,) + shape(i), for offsets s from the
+        nodes i (see ``nearest_node``).  On a grid pair the squares are the
+        products of the node polynomials, integrated term by term; on the
+        free pair, where they are sin^2, sin*cos and cos^2 of k*s, F is
+        closed form."""
+        if self.source == "analytic":
+            k = self.k
+
+            def free(s):
+                s = np.asarray(s, dtype=float)
+                wave = np.sin(2.0 * k * s) / (4.0 * k)
+                return np.array((0.5 * s - wave, np.sin(k * s) ** 2 / (2.0 * k),
+                                 0.5 * s + wave))
+
+            return free
+        coeffs = self._grid["taylor"][:, :, i]
+        prim = [np.array(_square_terms(coeffs, m)) / (m + 1)
+                for m in range(2 * _TAYLOR_DEGREE + 1)]
+
+        def grid(s):
+            acc = prim[-1]
+            for c in prim[-2::-1]:
+                acc = acc * s + c
+            return acc * s
+
+        return grid
+
     def phi2_zeros(self, x: float) -> int:
         """Signed number of zeros of phi2 between the anchor and x (negative
-        left of it): those up to the reference point nearest x -- a grid
-        node, or an extremum m*pi/k of the free pair's cos kx -- plus one
+        left of it): those up to the node nearest x -- on the free pair an
+        extremum m*pi/k of cos kx (see ``nearest_node``) -- plus one
         when phi2(x) from ``eval01`` has the other sign, so that the count
         always agrees with the sign eval01 gives."""
         def left_of(u: float) -> int:
+            j, past = self.nearest_node(np.asarray(u))
             if self.source == "analytic":
-                t = self.k * u / math.pi
-                j = round(t)
-                zeros, ref, past = j, (-1.0) ** j, t - j
+                zeros, ref = int(j), (-1.0) ** j
             else:
-                j, past = self._nearest_node(np.asarray(u))
                 y2 = self._grid["taylor"][0, 1, : j + 1]
                 zeros, ref = int(np.count_nonzero(np.diff(y2 < 0))), y2[-1]
             if (self.eval01(u)[2] < 0) != (ref < 0):
@@ -413,6 +506,20 @@ def _horner(coeffs, s: float):
         d1, p1 = d1 * s + p1, p1 * s + c1
         d2, p2 = d2 * s + p2, p2 * s + c2
     return p1, d1, p2, d2
+
+
+def _square_terms(coeffs, m: int):
+    """The degree-m Taylor coefficients of (p1^2, p1*p2, p2^2) for the
+    polynomial pairs whose coefficients are ``coeffs``, lowest order first,
+    shape (degree + 1, 2, ...)."""
+    deg = len(coeffs) - 1
+    s11 = s12 = s22 = 0.0
+    for j in range(max(0, m - deg), min(m, deg) + 1):
+        (a1, a2), (b1, b2) = coeffs[j], coeffs[m - j]
+        s11 = s11 + a1 * b1
+        s12 = s12 + a1 * b2
+        s22 = s22 + a2 * b2
+    return s11, s12, s22
 
 
 def _wave_derivatives(potential: PotentialModel, params: PhysParams, x,

@@ -8,12 +8,21 @@ that is how consistent initial data for the fourth-order form of the law is
 produced, and how the closed-form observables (H, P, Q, L) are sampled
 along a run.
 
-The integrator's right-hand sides read S0' in closed form, one float per
-call (``reduced_action.s0p``).  Sampling is one array pass per run: the
-dense solution is evaluated on every sample time at once, and the spatial
-jets, the motion jets (``state_jet_from_x``, ``flow_jet``) and the
-observables are jets whose coefficients are arrays with one entry per
-sample.
+The first-order law separates: t - t0 = mu * integral of dx/S0', and 1/S0'
+is a quadratic form in the pair, so no ODE is solved for it.  The time to
+cross each of the pair's cells follows from the cell integrals of the
+pair's squares; summed outward from the start they give t at every cell
+exit, and each sample position is a Newton solve of t(x) = t_k inside its
+cell.  On a grid pair the last exit is the covered domain's edge, so the
+time at which a run leaves the solved domain is known before sampling.
+The fourth-order and legacy laws run the adaptive integrator, whose
+right-hand sides read S0' in closed form, one float per call
+(``reduced_action.s0p``).
+
+Sampling is one array pass per run: the positions at every sample time
+are found at once, and the spatial jets, the motion jets
+(``state_jet_from_x``, ``flow_jet``) and the observables are jets whose
+coefficients are arrays with one entry per sample.
 
 The legacy first-order law xd = 2(E - V)/S0' is kept for comparison; it
 freezes at classical turning points, which integrate_legacy_law detects and
@@ -22,7 +31,9 @@ reports instead of treating as an integration failure.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,11 +42,14 @@ import numpy as np
 from .jets import Jet, JetOrderError, flow_jet
 from .kinetic_series import SingularityError
 from .ode import DenseSolution, IntegrationFailure, IntegratorSettings, integrate_ivp
-from .reduced_action import QuantumStateParams, s0p, s0p_jet
-from .rootfind import BracketError, expand_bracket, invert_monotone
-from .schrodinger import PhysParams, PotentialModel, SolutionPair, solve_pair
+from .reduced_action import QuantumStateParams, inverse_s0p, s0p, s0p_jet
+from .rootfind import (BracketError, RootConvergenceError, expand_bracket,
+                       invert_monotone)
+from .schrodinger import (DomainError, PhysParams, PotentialModel,
+                          SolutionPair, solve_pair)
 
 __all__ = [
+    "DomainEdgeError",
     "LegacyReport",
     "ObservableSet",
     "ScenarioConfig",
@@ -59,6 +73,9 @@ __all__ = [
 
 _LAWS = ("velocity", "newton", "legacy")
 _VELOCITY_FLOOR = 1e-12
+# Newton steps allowed per sample of the velocity law; bisection inside a
+# cell reaches rounding level in about 60
+_NEWTON_STEPS = 100
 
 CSV_HEADER = "t,x,xdot,xddot,xdddot,H,P,Q,s0p"
 
@@ -78,6 +95,21 @@ class VelocityFloorError(RuntimeError):
         # boundary; the state goes back as the array it was raised with, so
         # the message reads the same
         return type(self), (self.t, np.asarray(self.state))
+
+
+class DomainEdgeError(DomainError):
+    """The velocity law reaches the edge of the pair's covered domain before
+    the end of the time span.  ``partial`` holds the run's result for the
+    samples up to the edge, with a note naming the edge and its time."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
+
+    def __reduce__(self):
+        # rebuilt from the message when it crosses a process boundary; the
+        # partial result, which holds the pair, stays behind
+        return type(self), (str(self), None)
 
 
 class SingularObservables(SingularityError):
@@ -139,6 +171,8 @@ class ScenarioConfig:
             raise ValueError(f"law must be one of {_LAWS}, got {self.law!r}")
         if self.samples < 2:
             raise ValueError("need at least two output samples")
+        # checked here too, since the velocity law runs no integrator
+        self.integrator.validate()
         if self.potential.kind == "free" and not self.params.energy > 0:
             raise ValueError("the free pair needs positive energy")
 
@@ -171,15 +205,24 @@ class LegacyReport:
 
 @dataclass
 class TrajectoryResult:
+    """One run's samples.  ``dense`` is the integrator's solution for the
+    fourth-order and legacy laws; the velocity law has ``time_of_x``, its
+    t(x), instead."""
+
     config: ScenarioConfig
     law: str
     samples: list
-    dense: DenseSolution
+    dense: DenseSolution | None
     notes: list = field(default_factory=list)
+    time_of_x: _VelocityClock | None = None
 
     def arrival_time(self, x_target: float) -> float:
         """First time at which x(t) reaches x_target (x is monotone under
-        the first-order laws, so the crossing is unique)."""
+        the first-order laws, so the crossing is unique).  The velocity law
+        evaluates its t(x); the other laws invert the dense solution over
+        the integrated span."""
+        if self.time_of_x is not None:
+            return self.time_of_x(x_target)
         f = lambda t: float(self.dense(t)[0])
         lo, hi = self.dense.t0, self.dense.t1
         return invert_monotone(f, x_target, (lo, hi), tol=1e-14)
@@ -268,26 +311,153 @@ def _pair_notes(pair: SolutionPair) -> list:
 # ---------------------------------------------------------------------------
 # the three laws
 
+class _VelocityClock:
+    """t(x) of the velocity law on one pair and state.
+
+    mu dx/dt = S0' gives t - t0 = mu * integral from x_start to x of dx/S0'.
+    The run crosses the pair's cells (``SolutionPair.cells``) outward from
+    x_start in the direction of S0'; the time across each is mu times its
+    cell integrals mapped by ``inverse_s0p``, a positive term, and the
+    running sum of those terms is the time at every cell exit.  Inside a
+    cell t(x) adds the integral from the cell's entry to x.  A grid pair's
+    cells run to the covered domain's edge, whose time is ``t_edge``; the
+    free pair's periods run on, and as many are summed as ``t_span`` needs.
+    """
+
+    def __init__(self, s: ScenarioConfig):
+        pair, q, mu = s.pair, s.q, s.params.mu
+        self.pair, self.q, self.mu, self.t0 = pair, q, mu, s.t_span[0]
+        self.step = step = 1 if q.a * pair.wronskian_ref > 0 else -1
+        self.i0, self.s0 = pair.nearest_node(np.asarray(s.x_start, dtype=float))
+        start = pair.square_primitives(self.i0)
+        _, _, s_out = self._cells(np.asarray(0))
+        first = mu * inverse_s0p(pair, q, start(s_out) - start(self.s0))
+        if pair.source == "analytic":
+            period = mu * step * inverse_s0p(pair, q,
+                                             pair.cell_integrals(self.i0))
+            count = 1 + int((s.t_span[1] - s.t_span[0]) // period)
+            rest = pair.cell_integrals(self.i0 + step * np.arange(1, count + 1))
+        elif step > 0:  # grid cells are read from the pair's table
+            rest = pair.cell_integrals(slice(self.i0 + 1, None))
+        else:
+            rest = pair.cell_integrals(slice(None, self.i0))[:, ::-1]
+        crossings = (step * mu) * inverse_s0p(pair, q, rest)
+        self.t_exit = np.cumsum(np.concatenate([[first], crossings]))
+        self.t_edge = (math.inf if pair.source == "analytic"
+                       else self.t0 + float(self.t_exit[-1]))
+
+    def _cells(self, cell):
+        """Node, entry offset and exit offset of the run's cells ``cell``
+        (0 is the start cell, entered at x_start)."""
+        node = self.i0 + self.step * cell
+        _, lo, hi = self.pair.cells(node)
+        s_in, s_out = (lo, hi) if self.step > 0 else (hi, lo)
+        return node, np.where(cell == 0, self.s0, s_in), s_out
+
+    def _elapsed(self, cell, s):
+        """Elapsed time at offsets s in the run's cells ``cell``."""
+        node, s_in, _ = self._cells(cell)
+        prim = self.pair.square_primitives(node)
+        t_in = np.where(cell > 0, self.t_exit[cell - 1], 0.0)
+        return t_in + self.mu * inverse_s0p(self.pair, self.q,
+                                            prim(s) - prim(s_in))
+
+    def __call__(self, x):
+        """t at x, a float or an array of points on the run's path."""
+        xa = np.asarray(x, dtype=float)
+        node, s = self.pair.nearest_node(xa)
+        cell = self.step * (node - self.i0)
+        lo, hi = self.pair.domain
+        off_grid = self.pair.source != "analytic" and not np.all(
+            (lo - 1e-9 <= xa) & (xa <= hi + 1e-9))
+        if off_grid or np.any((cell < 0) | (cell >= self.t_exit.size)):
+            raise ValueError(f"x = {x} is not on the run's path")
+        tau = self._elapsed(cell, s)
+        if np.any(tau < 0):
+            raise ValueError(f"x = {x} lies behind the run's start")
+        t = self.t0 + tau
+        return float(t) if t.ndim == 0 else t
+
+    def positions(self, tau: np.ndarray) -> np.ndarray:
+        """x at the elapsed times tau (within the summed cells).
+
+        Each time is solved in its cell by Newton's method on t(x), whose
+        step is dx = (tau - t(x)) * S0'(x)/mu with the closed-form S0';
+        a step that leaves the shrinking bracket of the root is replaced by
+        bisection.  A sample is final once its step or bracket is below
+        rounding size; one still open after _NEWTON_STEPS raises
+        RootConvergenceError.
+        """
+        cell = np.minimum(np.searchsorted(self.t_exit, tau, side="right"),
+                          self.t_exit.size - 1)
+        node, s_in, s_out = self._cells(cell)
+        xn = self.pair.cells(node)[0]
+        t_in = np.where(cell > 0, self.t_exit[cell - 1], 0.0)
+        lo, hi = np.minimum(s_in, s_out), np.maximum(s_in, s_out)
+        tol = 4.0 * np.finfo(float).eps * (np.abs(xn) + hi - lo)
+        width = self.t_exit[cell] - t_in
+        frac = np.divide(tau - t_in, width, out=np.zeros_like(tau),
+                         where=width > 0)
+        s = s_in + (s_out - s_in) * np.clip(frac, 0.0, 1.0)
+        prim = self.pair.square_primitives(node)
+        base = prim(s_in)
+        open_ = np.ones(tau.shape, dtype=bool)
+        for _ in range(_NEWTON_STEPS):
+            lag = tau - t_in - self.mu * inverse_s0p(self.pair, self.q,
+                                                     prim(s) - base)
+            ds = lag * s0p(self.pair, self.q, xn + s) / self.mu
+            lo, hi = np.where(ds > 0, s, lo), np.where(ds < 0, s, hi)
+            new = s + ds
+            small = np.abs(ds) <= tol
+            new = np.where(small, np.clip(new, lo, hi),
+                           np.where((lo <= new) & (new <= hi), new,
+                                    0.5 * (lo + hi)))
+            s = np.where(open_, new, s)
+            open_ &= ~(small | (hi - lo <= tol))
+            if not open_.any():
+                return xn + s
+        k = int(np.flatnonzero(open_)[0])
+        raise RootConvergenceError(
+            f"velocity law: x(t) at t = {self.t0 + tau[k]:.6g} not found in "
+            f"{_NEWTON_STEPS} Newton steps")
+
+
 def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
-    """Integrate mu xd = dS0/dx with dense output and observable sampling."""
+    """Sample mu xd = dS0/dx at evenly spaced times, from its t(x).
+
+    t(x) is summed over the pair's cells (``_VelocityClock``) and each
+    sample's x solves t(x) = t_k; no ODE is integrated, so the integrator
+    settings do not apply.  A run that reaches the edge of a grid pair's
+    covered domain before t1 raises DomainEdgeError, whose ``partial``
+    result holds the samples up to the edge and a note naming it.
+    """
     pair = s.build_pair()
     mu = s.params.mu
-
-    def rhs(t, y):
-        return [s0p(pair, s.q, float(y[0])) / mu]
-
-    dense = integrate_ivp(rhs, [s.x_start], s.t_span, s.integrator)
-    ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
-    xs = dense(ts)[:, 0]
-    j = state_jet_from_x(pair, s.q, s.params, xs, order=3)
+    clock = _VelocityClock(s)
+    t0, t1 = s.t_span
+    ts = np.linspace(t0, t1, s.samples)
+    if clock.t_edge < t1:
+        ts = ts[ts <= clock.t_edge]
+    j = state_jet_from_x(pair, s.q, s.params, clock.positions(ts - t0),
+                         order=3)
     obs = observables(j, s.params, s.potential)
-    # the law itself is Bohm's relation, so s0p = mu*xd by construction
+    # the law itself is Bohm's relation, so s0p = mu*xd by construction;
+    # summarize checks it in its integral form
     result = TrajectoryResult(s, "velocity",
-                              _samples(ts, j, obs, mu * j.coeffs[1]), dense,
-                              _pair_notes(pair))
+                              _samples(ts, j, obs, mu * j.coeffs[1]), None,
+                              _pair_notes(pair), clock)
     dx = np.diff(j.coeffs[0])
     if not (np.all(dx > 0) or np.all(dx < 0)):
         result.notes.append("sampled x is not strictly monotone")
+    if clock.t_edge < t1:
+        lo, hi = pair.domain
+        edge = hi if clock.step > 0 else lo
+        result.notes.append(f"domain edge x = {edge:.9g} reached at "
+                            f"t = {clock.t_edge:.9g}; no samples after it")
+        raise DomainEdgeError(
+            f"the run reaches x = {edge:.6g} at t = {clock.t_edge:.6g}, "
+            f"before t1 = {t1:.6g}; later positions are outside solved "
+            f"domain [{lo:.6g}, {hi:.6g}]", result)
     return result
 
 
@@ -475,15 +645,51 @@ def write_csv(samples, path) -> None:
             fh.write(",".join("%.17g" % v for v in p) + "\n")
 
 
+@functools.cache
+def _gauss_legendre_8():
+    """Nodes and weights of 8-point Gauss-Legendre quadrature on [-1, 1],
+    from the eigenvectors of the Legendre recurrence's Jacobi matrix
+    (Golub and Welsch)."""
+    k = np.arange(1.0, 8.0)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vecs[0] ** 2
+
+
+def _interval_time_gap(result: TrajectoryResult) -> float:
+    """The velocity law's Bohm gap in integral form: the worst relative gap
+    between a sample interval t_{k+1} - t_k and mu * integral of dx/S0'
+    over [x_k, x_{k+1}], by 8-point Gauss-Legendre quadrature of the
+    closed-form S0' (``reduced_action.s0p``), apart from the cell sums
+    that placed the samples."""
+    s = result.config
+    cols = result.columns()
+    t, x = cols[:, 0], cols[:, 1]
+    nodes, weights = _gauss_legendre_8()
+    half = 0.5 * np.diff(x)
+    points = (x[:-1] + half)[:, None] + half[:, None] * nodes
+    quad = s.params.mu * half * ((1.0 / s0p(s.pair, s.q, points)) @ weights)
+    dt = np.diff(t)
+    return float(np.max(np.abs(quad - dt) / np.abs(dt), initial=0.0))
+
+
 def summarize(result: TrajectoryResult) -> dict:
-    """Drift maxima and invariant verdicts for one run."""
+    """Drift maxima and invariant verdicts for one run.
+
+    ``max_bohm_gap_rel`` compares the sampled motion with S0': for the
+    velocity law, whose samples satisfy mu*xd = S0' by construction, in
+    integral form (``_interval_time_gap``); for the other laws, pointwise
+    between mu*xd and the sampled S0'."""
     params = result.config.params
     cols = result.columns()
     E = params.energy
     h_abs = float(np.nanmax(np.abs(cols[:, 5] - E)))
     xd = cols[:, 2]
-    bohm = float(np.nanmax(np.abs(params.mu * xd - cols[:, 8])
-                           / np.maximum(np.abs(params.mu * xd), 1e-30)))
+    if result.law == "velocity":
+        bohm = _interval_time_gap(result)
+    else:
+        bohm = float(np.nanmax(np.abs(params.mu * xd - cols[:, 8])
+                               / np.maximum(np.abs(params.mu * xd), 1e-30)))
     p_drift = float(np.nanmax(np.abs(cols[:, 6] - cols[0, 6]))
                     / max(abs(cols[0, 6]), 1e-30))
     min_xd = float(np.min(np.abs(xd)))

@@ -106,6 +106,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_bad_integrator_settings_exit_2_for_every_law(tmp_path, capsys):
+    # the velocity law runs no integrator, yet its settings are still checked
+    doc = free_doc(str(tmp_path / "x.csv"))
+    doc["integrator"] = {"rel_tol": -1.0}
+    cfg = write_config(tmp_path, doc)
+    for law in ("velocity", "newton", "legacy"):
+        assert run(["trajectory", "--config", cfg, "--law", law]) == 2
+        assert "tolerances must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["trajectory", "sweep"])
 def test_free_pair_without_positive_energy_exits_2(tmp_path, capsys,
                                                    command):
@@ -140,11 +150,56 @@ def test_start_outside_domain_exits_2(tmp_path, capsys):
 
 
 def test_step_budget_exhaustion_exits_3(tmp_path, capsys):
+    # the step budget binds the integrated laws; the velocity law runs none
     doc = free_doc(str(tmp_path / "x.csv"), a=2.0)
+    doc["run"]["law"] = "newton"
     doc["integrator"] = {"max_steps": 3}
     cfg = write_config(tmp_path, doc)
     assert run(["trajectory", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+# a linear barrier the velocity law crosses, on a domain whose right edge it
+# reaches at t = 14.39, long before t1
+EDGE_DOC = {
+    "potential": {"kind": "linear", "slope": 0.5},
+    "quantum": {"a": 1.0, "b": 0.0},
+    "run": {"law": "velocity", "t1": 50.0, "samples": 256,
+            "domain": [-2.0, 3.0]},
+}
+
+
+def test_domain_edge_writes_partial_result_and_exits_3(tmp_path, capsys):
+    out = tmp_path / "edge.csv"
+    doc = dict(EDGE_DOC, output={"path": str(out), "format": "both"})
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg, "--quiet"]) == 3
+    assert "outside solved domain" in capsys.readouterr().err
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().strip().split("\n")[1:]]
+    summary = json.loads((tmp_path / "edge.csv.json").read_text())
+    (note,) = summary["notes"]
+    assert note.startswith("domain edge x = 3 reached at t = ")
+    t_edge = float(note.split("t = ")[1].split(";")[0])
+    assert 2 < len(rows) < 256
+    assert rows[-1][0] <= t_edge < rows[-1][0] + 50.0 / 255
+    assert 2.9 < rows[-1][1] <= 3.0
+    assert summary["samples"] == len(rows)
+    again = tmp_path / "again.csv"
+    assert run(["trajectory", "--config", cfg, "--out", str(again),
+                "--quiet"]) == 3
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_domain_edge_error_survives_pickling():
+    import pickle
+
+    from qmotion.trajectory import DomainEdgeError
+
+    exc = DomainEdgeError("x = 3 outside solved domain", partial=object())
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is DomainEdgeError and str(back) == str(exc)
+    assert back.partial is None
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +383,7 @@ def test_sweep_rows_and_determinism(tmp_path):
 def test_sweep_failing_cell_exits_3(tmp_path, capsys, workers):
     # the cell's IntegrationFailure must cross the process boundary intact
     doc = dict(SWEEP_DOC, integrator={"max_steps": 3},
+               run=dict(SWEEP_DOC["run"], law="newton"),
                sweep={"a": [1.0, 2.0], "b": [0.0]})
     cfg = write_config(tmp_path, doc)
     assert run(["sweep", "--config", cfg, "--workers", workers,
@@ -404,11 +460,21 @@ def test_sweep_keeps_signed_zero_energies_apart(tmp_path):
 
 @pytest.mark.parametrize("workers", ["2", "1"])
 def test_sweep_failing_harmonic_cell_exits_3(tmp_path, capsys, workers):
-    doc = dict(HARMONIC_SWEEP_DOC, integrator={"max_steps": 3})
+    doc = dict(HARMONIC_SWEEP_DOC, integrator={"max_steps": 3},
+               run=dict(HARMONIC_SWEEP_DOC["run"], law="newton"))
     cfg = write_config(tmp_path, doc)
     assert run(["sweep", "--config", cfg, "--workers", workers,
                 "--quiet"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["2", "1"])
+def test_sweep_cell_reaching_domain_edge_exits_3(tmp_path, capsys, workers):
+    doc = dict(EDGE_DOC, sweep={"a": [1.0, 2.0], "b": [0.0]})
+    cfg = write_config(tmp_path, doc)
+    assert run(["sweep", "--config", cfg, "--workers", workers,
+                "--quiet"]) == 3
+    assert "outside solved domain" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -394,3 +394,60 @@ def test_derivs_take_arrays():
             scalar = pot.derivs(float(v), 3)
             for b, s in zip(batched, scalar):
                 assert np.broadcast_to(b, x.shape)[k] == s
+
+
+# ---------------------------------------------------------------------------
+# Cell integrals of the squares
+# ---------------------------------------------------------------------------
+
+def _squares_by_quadrature(pair, x0, lo, hi, pieces):
+    """(phi1^2, phi1*phi2, phi2^2) integrated over [x0 + lo, x0 + hi] by
+    8-point Gauss-Legendre on ``pieces`` equal parts, from eval01.  The
+    widths are taken from the offsets, which x0 + offset would round."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(lo, hi, pieces + 1)
+    half = 0.5 * np.diff(edges)
+    x = x0 + ((edges[:-1] + half)[:, None] + half[:, None] * nodes)
+    p1, _, p2, _ = pair.eval01(x)
+    return np.array([((f @ weights) * half).sum()
+                     for f in (p1 * p1, p1 * p2, p2 * p2)])
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES) + ["free"])
+def test_cell_integrals_match_quadrature_of_the_squares(case):
+    # a grid cell's squares are its node's degree-10 polynomials, which
+    # 8-point quadrature integrates exactly; the free pair's cells are
+    # periods of sin^2, sin*cos and cos^2 of kx
+    if case == "free":
+        pair = solve_pair(PotentialModel.free(),
+                          PhysParams(hbar=1.0, mu=1.0, energy=0.8),
+                          (-8.0, 8.0))
+        nodes, pieces = np.array([-3, -1, 0, 2, 5]), 16
+    else:
+        pair = _grid_case(case)
+        n = len(pair._grid["xs"])
+        nodes, pieces = np.array([0, 1, n // 3, n // 2, n - 2, n - 1]), 1
+    x, lo, hi = pair.cells(nodes)
+    got = pair.cell_integrals(nodes)
+    prim = pair.square_primitives(nodes)
+    for k, i in enumerate(nodes):
+        want = _squares_by_quadrature(pair, x[k], lo[k], hi[k], pieces)
+        scale = want[0] + want[2]
+        np.testing.assert_allclose(got[:, k], want, rtol=0.0,
+                                   atol=1e-14 * scale)
+        np.testing.assert_allclose(prim(hi)[:, k] - prim(lo)[:, k], want,
+                                   rtol=0.0, atol=1e-14 * scale)
+
+
+def test_grid_cells_tile_the_covered_domain():
+    pair = harmonic_pair()
+    n = len(pair._grid["xs"])
+    x, lo, hi = pair.cells(np.arange(n))
+    assert (x[0] + lo[0], x[-1] + hi[-1]) == pair.domain
+    np.testing.assert_allclose((x + hi)[:-1], (x + lo)[1:], rtol=0.0,
+                               atol=1e-15)
+    # built once, then read as views: every run on the pair sees one table
+    table = pair.cell_integrals(slice(None))
+    assert np.shares_memory(table, pair.cell_integrals(slice(None)))
+    np.testing.assert_array_equal(table, harmonic_pair().cell_integrals(
+        np.arange(n)))

@@ -23,11 +23,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmotion.jets import Jet
-from qmotion.ode import IntegratorSettings
-from qmotion.reduced_action import QuantumStateParams
+from qmotion import trajectory
+from qmotion.ode import IntegratorSettings, integrate_ivp
+from qmotion.reduced_action import QuantumStateParams, s0p
 from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 from qmotion.trajectory import (
     CSV_HEADER,
+    DomainEdgeError,
     ScenarioConfig,
     SingularObservables,
     VelocityFloorError,
@@ -194,6 +196,113 @@ def test_velocity_law_samples_costate():
     res = integrate_velocity_law(free_scenario(a=2.0, t1=2.0))
     for s in res.samples[:: 16]:
         assert s.s0p == pytest.approx(s.xdot, rel=1e-12)  # mu = 1
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.0, 0.0), (1.4, 0.3),
+                                  (-0.8, 0.5), (0.6, -0.9)])
+def test_velocity_law_free_positions_match_closed_form(a, b):
+    q = QuantumStateParams(a=a, b=b)
+    res = integrate_velocity_law(free_scenario(a=a, b=b, t1=20.0,
+                                               samples=512))
+    worst = max(abs(s.x - free_x_of_time(UNIT, q, s.t)) for s in res.samples)
+    assert worst < 1e-12
+
+
+def _rk45_reference(s: ScenarioConfig) -> np.ndarray:
+    """x at the sample times by the adaptive integrator at rel_tol 1e-13."""
+    pair = s.build_pair()
+    rhs = lambda t, y: [s0p(pair, s.q, float(y[0])) / s.params.mu]
+    dense = integrate_ivp(rhs, [s.x_start], s.t_span,
+                          IntegratorSettings(rel_tol=1e-13))
+    return dense(np.linspace(*s.t_span, s.samples))[:, 0]
+
+
+@pytest.mark.parametrize("potential", [
+    PotentialModel.harmonic(1.0),
+    PotentialModel.tabulated(np.linspace(-3.5, 3.5, 141),
+                             0.5 * np.linspace(-3.5, 3.5, 141) ** 2)])
+@pytest.mark.parametrize("a, b", [(1.4, 0.3), (-0.8, 0.3), (0.6, -0.9)])
+def test_velocity_law_grid_positions_match_tight_rk45(potential, a, b):
+    s = ScenarioConfig(potential, UNIT, QuantumStateParams(a=a, b=b),
+                       t_span=(0.0, 10.0), samples=256, domain=(-3.0, 3.0))
+    xs = np.array([p.x for p in integrate_velocity_law(s).samples])
+    assert np.max(np.abs(xs - _rk45_reference(s))) < 1e-11
+
+
+def test_velocity_law_integrates_no_ode(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the velocity law called integrate_ivp")
+
+    monkeypatch.setattr(trajectory, "integrate_ivp", refuse)
+    integrate_velocity_law(free_scenario(a=2.0, b=0.5, t1=10.0))
+    integrate_velocity_law(ScenarioConfig(
+        PotentialModel.harmonic(1.0), UNIT, QuantumStateParams(a=-1.4, b=0.3),
+        t_span=(0.0, 10.0), domain=(-3.0, 3.0)))
+
+
+_CLOCKS = [
+    integrate_velocity_law(free_scenario(a=2.0, b=0.5, t1=10.0)).time_of_x,
+    integrate_velocity_law(free_scenario(a=-0.7, b=-0.2, t1=10.0)).time_of_x,
+    integrate_velocity_law(ScenarioConfig(
+        PotentialModel.harmonic(1.0), UNIT, QuantumStateParams(a=1.4, b=0.3),
+        t_span=(0.0, 2.0), domain=(-3.0, 3.0))).time_of_x,
+    integrate_velocity_law(ScenarioConfig(
+        PotentialModel.harmonic(1.0), UNIT, QuantumStateParams(a=-0.8, b=0.3),
+        x_start=0.4, t_span=(0.0, 2.0), domain=(-3.0, 3.0))).time_of_x,
+]
+
+
+@given(st.integers(0, len(_CLOCKS) - 1),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24))
+@settings(deadline=None, max_examples=60)
+def test_batched_time_of_x_equals_scalar_bitwise(which, fractions):
+    clock = _CLOCKS[which]
+    x0 = clock.pair.cells(clock.i0)[0] + clock.s0
+    reach = 3.0 if clock.pair.source == "analytic" else 0.5
+    xs = x0 + clock.step * reach * np.asarray(fractions)
+    batched = clock(xs)
+    for k, x in enumerate(xs):
+        assert clock(float(x)) == batched[k]
+
+
+def test_time_of_x_inverts_the_samples():
+    res = integrate_velocity_law(ScenarioConfig(
+        PotentialModel.harmonic(1.0), UNIT, QuantumStateParams(a=-0.8, b=0.3),
+        t_span=(0.0, 10.0), samples=64, domain=(-3.0, 3.0)))
+    cols = res.columns()
+    np.testing.assert_allclose(res.time_of_x(cols[:, 1]), cols[:, 0],
+                               rtol=0.0, atol=1e-13)
+    # the run moves left from x = 0, on a grid of step 1e-3
+    with pytest.raises(ValueError, match="behind the run's start"):
+        res.arrival_time(4e-4)
+    with pytest.raises(ValueError, match="not on the run's path"):
+        res.arrival_time(0.01)
+
+
+def test_velocity_bohm_gap_detects_a_displaced_sample():
+    res = integrate_velocity_law(ScenarioConfig(
+        PotentialModel.harmonic(1.0), UNIT, QuantumStateParams(a=1.4, b=0.3),
+        t_span=(0.0, 10.0), samples=256, domain=(-3.0, 3.0)))
+    assert summarize(res)["max_bohm_gap_rel"] < 1e-12
+    k = 100
+    res.samples[k] = res.samples[k]._replace(x=res.samples[k].x + 1e-7)
+    assert summarize(res)["max_bohm_gap_rel"] > 1e-6
+
+
+def test_velocity_law_stops_at_the_domain_edge():
+    s = ScenarioConfig(PotentialModel.linear(0.5), UNIT,
+                       QuantumStateParams(a=1.0), t_span=(0.0, 50.0),
+                       samples=256, domain=(-2.0, 3.0))
+    with pytest.raises(DomainEdgeError, match="outside solved domain") as info:
+        integrate_velocity_law(s)
+    part = info.value.partial
+    t_edge = part.time_of_x(3.0)
+    assert part.samples[-1].t <= t_edge < part.samples[-1].t + 50.0 / 255
+    assert len(part.samples) == int(t_edge / (50.0 / 255)) + 1
+    assert part.notes == [f"domain edge x = 3 reached at t = {t_edge:.9g}; "
+                          "no samples after it"]
+    info = summarize(part)
+    assert info["energy_conserved"] and info["max_bohm_gap_rel"] < 1e-12
 
 
 # ---------------------------------------------------------------------------
