@@ -12,10 +12,12 @@ Wronskian k.  Every other catalog entry is solved on a uniform grid by the
 wave equation alone, which gives every derivative at a node as a linear
 function of the node's (phi, phi'): one ``_wave_derivatives`` call gives
 each node's Taylor coefficients phi^(m)/m!, m = 0..5, for the unit data
-(1, 0) and (0, 1); a float loop marches (phi, phi') out from the anchor by
-2x2 step maps built from them, each step making the two nodes' polynomials
-meet at the midpoint; the marched values then turn the unit coefficients
-into those of both solutions, which the pair keeps.  Nothing is differenced.
+(1, 0) and (0, 1); 2x2 step maps built from them, each making two
+neighbouring nodes' polynomials meet at the midpoint, carry (phi, phi') out
+from the anchor as prefix products, formed by a scan within short blocks of
+steps and a float loop from block to block; the marched values then turn
+the unit coefficients into those of both solutions, which the pair keeps.
+Nothing is differenced.
 
 Evaluation is array-first: ``SolutionPair.eval01``, ``eval_phi`` and
 ``PotentialModel.derivs`` accept one point or an array of points.  eval01
@@ -56,6 +58,10 @@ _MAX_PHI_ORDER = 6
 _TAYLOR_DEGREE = 5
 # nodes per block of the cell-integral table build
 _TABLE_BLOCK = 2048
+# steps per block of the march's prefix product: a product over many more
+# steps mixes the growing solution into the decaying one and loses the
+# Wronskian
+_MARCH_BLOCK = 64
 
 
 class SchrodingerError(ValueError):
@@ -479,22 +485,60 @@ def _march(table: np.ndarray, s: float) -> int:
     unit table's nodes, a step s apart from the anchor first; each step
     solves for the (phi, phi') whose polynomials meet the last node's at
     the midpoint.  Writes them to rows 0 and 1 past the anchor and returns
-    the step count, stopping after the first phi past OVERFLOW_CAP."""
+    the step count, up to and including the first node with a phi past
+    OVERFLOW_CAP.
+
+    The nodes' values are the prefix products of the 2x2 step maps applied
+    to the anchor data.  The maps are cut into blocks of _MARCH_BLOCK steps
+    (the last one padded with identities); a doubling scan forms every
+    block's prefix products at once, then a float loop carries both
+    solutions from block to block, stopping after the first block whose end
+    passes the cap, and one product writes the covered blocks' nodes.
+    """
+    m = table.shape[2] - 1
+    blocks = -(-m // _MARCH_BLOCK)
     pa, da, pb, db = _horner(table[:, :, :-1], 0.5 * s)
     qa, ea, qb, eb = _horner(table[:, :, 1:], -0.5 * s)
     det = qa * eb - qb * ea
-    steps = ((eb * pa - qb * da) / det, (eb * pb - qb * db) / det,
-             (qa * da - ea * pa) / det, (qa * db - ea * pb) / det)
-    o1, o2, o3, o4 = (memoryview(table[i, j]) for j in (0, 1) for i in (0, 1))
-    y1, d1, y2, d2 = 0.0, 1.0, 1.0, 0.0
-    n = 0
-    for n, (a, b, c, e) in enumerate(zip(*map(memoryview, steps)), 1):
-        y1, d1 = a * y1 + b * d1, c * y1 + e * d1
-        y2, d2 = a * y2 + b * d2, c * y2 + e * d2
-        o1[n], o2[n], o3[n], o4[n] = y1, d1, y2, d2
-        if abs(y1) > OVERFLOW_CAP or abs(y2) > OVERFLOW_CAP:
-            break
-    return n
+    # every step's map [[a, b], [c, e]], one row per entry, identities past
+    # the last step; formed in place, so one temporary is alive at a time
+    maps = np.empty((4, blocks * _MARCH_BLOCK))
+    maps[:, m:] = ((1.0,), (0.0,), (0.0,), (1.0,))
+    for entry, (u, v, w, z) in zip(maps[:, :m], (
+            (eb, pa, qb, da), (eb, pb, qb, db), (qa, da, ea, pa),
+            (qa, db, ea, pb))):
+        np.multiply(u, v, out=entry)
+        entry -= w * z
+        entry /= det
+    del pa, da, pb, db, qa, ea, qb, eb, det
+    maps = maps.reshape(2, 2, blocks, _MARCH_BLOCK)
+    spare = np.empty_like(maps)
+    # products in blocks past the cap may overflow; they are never kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = 1
+        while d < _MARCH_BLOCK:  # each node's map times its block's earlier ones
+            np.einsum("ijkb,jlkb->ilkb", maps[..., d:], maps[..., :-d],
+                      out=spare[..., d:])
+            spare[..., :d] = maps[..., :d]
+            maps, spare, d = spare, maps, 2 * d
+        # the state at each block's first node, columns (phi, phi') of both
+        # solutions, up to the first block that ends past the cap
+        y1, d1, y2, d2 = 0.0, 1.0, 1.0, 0.0
+        starts = []
+        for a, b, c, e in zip(*maps[:, :, :, -1].reshape(4, blocks).tolist()):
+            starts.append((y1, y2, d1, d2))
+            y1, d1 = a * y1 + b * d1, c * y1 + e * d1
+            y2, d2 = a * y2 + b * d2, c * y2 + e * d2
+            if not (abs(y1) <= OVERFLOW_CAP and abs(y2) <= OVERFLOW_CAP):
+                break
+        k = len(starts)
+        starts = np.array(starts).T.reshape(2, 2, k)
+        np.einsum("ijkb,jlk->ilkb", maps[:, :, :k], starts,
+                  out=spare[:, :, :k])
+    n = min(k * _MARCH_BLOCK, m)
+    table[:2, :, 1 : n + 1] = spare.reshape(2, 2, -1)[:, :, :n]
+    past = (abs(table[0, :, 1 : n + 1]) > OVERFLOW_CAP).any(axis=0)
+    return int(past.argmax()) + 1 if past.any() else n
 
 
 def _horner(coeffs, s: float):

@@ -7,12 +7,15 @@ checked against closed forms, not against another numerical solution.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import dawsn
 
+from qmotion import schrodinger
 from qmotion.reduced_action import QuantumStateParams, qshje_residual
 from qmotion.schrodinger import (
     DomainError,
@@ -394,6 +397,122 @@ def test_derivs_take_arrays():
             scalar = pot.derivs(float(v), 3)
             for b, s in zip(batched, scalar):
                 assert np.broadcast_to(b, x.shape)[k] == s
+
+
+# ---------------------------------------------------------------------------
+# The blocked march against the node-by-node float loop
+# ---------------------------------------------------------------------------
+
+def reference_march(table, s):
+    """``schrodinger._march`` as a float loop that applies the step maps
+    one node at a time: the oracle for the blocked prefix product."""
+    pa, da, pb, db = schrodinger._horner(table[:, :, :-1], 0.5 * s)
+    qa, ea, qb, eb = schrodinger._horner(table[:, :, 1:], -0.5 * s)
+    det = qa * eb - qb * ea
+    steps = ((eb * pa - qb * da) / det, (eb * pb - qb * db) / det,
+             (qa * da - ea * pa) / det, (qa * db - ea * pb) / det)
+    o1, o2, o3, o4 = (memoryview(table[i, j]) for j in (0, 1) for i in (0, 1))
+    y1, d1, y2, d2 = 0.0, 1.0, 1.0, 0.0
+    n = 0
+    for n, (a, b, c, e) in enumerate(zip(*map(memoryview, steps)), 1):
+        y1, d1 = a * y1 + b * d1, c * y1 + e * d1
+        y2, d2 = a * y2 + b * d2, c * y2 + e * d2
+        o1[n], o2[n], o3[n], o4[n] = y1, d1, y2, d2
+        cap = schrodinger.OVERFLOW_CAP
+        if abs(y1) > cap or abs(y2) > cap:
+            break
+    return n
+
+
+def _pair_and_oracle(monkeypatch, potential, energy, domain, anchor, h):
+    args = (potential, PhysParams(hbar=1.0, mu=1.0, energy=energy), domain)
+    pair = solve_pair(*args, anchor=anchor, grid_step=h)
+    with monkeypatch.context() as patch:
+        patch.setattr(schrodinger, "_march", reference_march)
+        oracle = solve_pair(*args, anchor=anchor, grid_step=h)
+    return pair, oracle
+
+
+def _node_wronskian_gap(pair):
+    (y1, y2), (d1, d2) = pair._grid["taylor"][:2]
+    return np.max(abs(y2 * d1 - y1 * d2 - 1.0))
+
+
+# the grid cases at E = 1/2, and the bench sweep's two pairs
+MARCH_CASES = {**{case: (pot, 0.5, dom, anchor, h)
+                  for case, (pot, dom, anchor, h) in GRID_CASES.items()},
+               **{f"sweep-E{energy}": (PotentialModel.harmonic(1.0), energy,
+                                       (-6.0, 6.0), None, 2.5e-4)
+                  for energy in (0.5, 0.8)}}
+
+
+@pytest.mark.parametrize("case", sorted(MARCH_CASES))
+def test_blocked_march_matches_float_loop(case, monkeypatch):
+    pair, oracle = _pair_and_oracle(monkeypatch, *MARCH_CASES[case])
+    assert pair.domain == oracle.domain
+    assert pair.truncated == oracle.truncated
+    got, want = pair._grid["taylor"][:2], oracle._grid["taylor"][:2]
+    # measured against all four of a node's values: where one solution
+    # decays under the other's growth, both marches carry rounding of the
+    # larger one, so the small one's own digits differ (the Gaussian of
+    # the sweep's E = 1/2 pair by more than itself at x = 6)
+    scale = abs(want).sum(axis=(0, 1))
+    assert np.max(abs(got - want) / scale) <= 1e-13
+    assert _node_wronskian_gap(pair) <= 2.0 * _node_wronskian_gap(oracle)
+
+
+@pytest.mark.parametrize("where", ["inside-first-block", "block-first-node",
+                                   "block-last-node", "grid-last-node",
+                                   "nowhere"])
+def test_cap_crossing_matches_float_loop(where, monkeypatch):
+    # anchored at x = 2, past the turning point, both solutions grow on the
+    # right, so every right node's max |phi| is a new high and a cap just
+    # under it makes that node the first crossing
+    case = (PotentialModel.harmonic(1.0), 0.5, (-3.0, 3.0), 2.0, 1e-3)
+    _, full = _pair_and_oracle(monkeypatch, *case)
+    right = full._grid["xs"] > 2.0
+    high = abs(full._grid["taylor"][0][:, right]).max(axis=0)
+    steps, block = len(high), schrodinger._MARCH_BLOCK
+    assert steps % block  # the last block is a partial one
+    node = {"inside-first-block": block // 2, "block-first-node": 3 * block + 1,
+            "block-last-node": 5 * block, "grid-last-node": steps,
+            "nowhere": None}[where]
+    if node is None:
+        cap = high.max()
+    else:
+        assert high[node - 1] > high[: node - 1].max()
+        cap = 0.5 * (high[: node - 1].max() + high[node - 1])
+    monkeypatch.setattr(schrodinger, "OVERFLOW_CAP", cap)
+    pair, oracle = _pair_and_oracle(monkeypatch, *case)
+    assert pair.domain == oracle.domain
+    assert pair.truncated == oracle.truncated
+    assert np.count_nonzero(pair._grid["xs"] > 2.0) == (node or steps)
+
+
+def test_truncated_march_warns_nothing():
+    params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = solve_pair(PotentialModel.harmonic(1.0), params, (-30.0, 30.0),
+                          grid_step=1e-3)
+    assert pair.domain == pytest.approx((-7.794, 7.794), abs=1e-12)
+    assert np.isfinite(pair._grid["taylor"]).all()
+
+
+def test_pair_build_memory_peak():
+    # the sweep's 48k-node pair: the build's temporaries stay within 0.6 of
+    # the node arrays the pair keeps
+    params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pair = solve_pair(PotentialModel.harmonic(1.0), params, (-6.0, 6.0),
+                          grid_step=2.5e-4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = pair._grid["xs"].nbytes + pair._grid["taylor"].nbytes
+    assert peak <= 1.6 * kept, (peak, kept)
 
 
 # ---------------------------------------------------------------------------
