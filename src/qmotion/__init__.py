@@ -16,7 +16,6 @@ from .schrodinger import PhysParams, PotentialModel, SolutionPair, solve_pair
 from .reduced_action import (
     QuantumStateParams,
     WaveCoefficients,
-    ds0_derivs,
     qshje_residual,
     s0_eval,
     s0p,
@@ -35,7 +34,6 @@ from .mechanics import (
     el_residual,
     hamiltonian,
     linear_term_demo,
-    make_evaluator,
     momenta,
     quantum_lagrangian,
     series_lagrangian,

@@ -3,13 +3,16 @@
 Scenario parameters live in a JSON config document with sections
 ``potential``, ``physics``, ``quantum``, ``run``, ``integrator``,
 ``output`` (and ``sweep`` for grid runs); unknown sections or keys are
-rejected before any computation starts.  The ``integrator`` keys act on
-the newton and legacy laws only: the velocity law sums t(x) over the
-pair's cells and integrates no ODE.  Exit codes: 0 success, 1 a
-verification residual exceeded its tolerance, 2 configuration error,
-3 numerical failure.  A velocity-law trajectory that reaches the edge of
-the solved domain before t1 writes its samples up to the edge, then exits
-3.
+rejected before any computation starts.  A key the document leaves out
+takes its default from one place: ``ScenarioConfig`` for ``run`` keys,
+``IntegratorSettings`` for ``integrator`` keys, and this module's table
+for the physics and quantum values the library has no default for.  The
+``integrator`` keys act on the newton and legacy laws only: the velocity
+law sums t(x) over the pair's cells and integrates no ODE.  Exit codes:
+0 success, 1 a verification residual exceeded its tolerance, 2
+configuration error, 3 numerical failure.  A velocity-law trajectory that
+reaches the edge of the solved domain before t1 writes its samples up to
+the edge, then exits 3.
 """
 
 from __future__ import annotations
@@ -91,36 +94,42 @@ def _potential_from(cfg: dict) -> PotentialModel:
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
+# the physics and quantum values the library has no default for, taken when
+# a document leaves them out (b and kappa default to 0 in QuantumStateParams)
+_DEFAULTS = {"physics": {"hbar": 1.0, "mu": 1.0, "energy": 0.5},
+             "quantum": {"a": 1.0}}
+
+# how each key is read; a run or integrator key the document leaves out
+# takes the ScenarioConfig or IntegratorSettings default
+_CASTS = {**dict.fromkeys(("hbar", "mu", "energy", "a", "b", "kappa",
+                           "x_start", "grid_step", "rel_tol", "abs_tol",
+                           "max_step"), float),
+          "samples": int, "max_steps": int,
+          "domain": lambda v: None if v is None else tuple(v)}
+
+
+def _read(doc: dict, section: str) -> dict:
+    """The section's keys over its ``_DEFAULTS``, each read by its cast
+    (``run``'s t0, t1 and law are read apart)."""
+    body = {**_DEFAULTS.get(section, {}), **doc.get(section, {})}
+    return {k: _CASTS[k](v) for k, v in body.items() if k in _CASTS}
+
+
 def scenario_from_config(doc: dict, law: str | None = None) -> traj.ScenarioConfig:
     try:
         potential = _potential_from(doc.get("potential", {}))
-        phys = doc.get("physics", {})
-        params = PhysParams(hbar=float(phys.get("hbar", 1.0)),
-                            mu=float(phys.get("mu", 1.0)),
-                            energy=float(phys.get("energy", 0.5)))
-        qc = doc.get("quantum", {})
-        q = QuantumStateParams(a=float(qc.get("a", 1.0)),
-                               b=float(qc.get("b", 0.0)),
-                               kappa=float(qc.get("kappa", 0.0)))
+        params = PhysParams(**_read(doc, "physics"))
+        q = QuantumStateParams(**_read(doc, "quantum"))
+        settings = IntegratorSettings(**_read(doc, "integrator"))
         run = doc.get("run", {})
-        integ = doc.get("integrator", {})
-        settings = IntegratorSettings(
-            rel_tol=float(integ.get("rel_tol", 1e-10)),
-            abs_tol=float(integ.get("abs_tol", 1e-12)),
-            max_step=float(integ.get("max_step", np.inf)),
-            max_steps=int(integ.get("max_steps", 1_000_000)))
-        domain = run.get("domain")
-        out = doc.get("output", {})
-        return traj.ScenarioConfig(
-            potential=potential, params=params, q=q,
-            x_start=float(run.get("x_start", 0.0)),
-            t_span=(float(run.get("t0", 0.0)), float(run.get("t1", 10.0))),
-            law=law or run.get("law", "velocity"),
-            integrator=settings,
-            samples=int(run.get("samples", 256)),
-            domain=tuple(domain) if domain is not None else None,
-            grid_step=float(run.get("grid_step", 1e-3)),
-            out_path=out.get("path"))
+        kw = _read(doc, "run")
+        if "t0" in run or "t1" in run:
+            t0, t1 = traj.ScenarioConfig.t_span
+            kw["t_span"] = (float(run.get("t0", t0)), float(run.get("t1", t1)))
+        if law or "law" in run:
+            kw["law"] = law or run["law"]
+        return traj.ScenarioConfig(potential=potential, params=params, q=q,
+                                   integrator=settings, **kw)
     except (ValueError, TypeError, KeyError, SchrodingerError,
             StateParamError) as exc:
         if isinstance(exc, ConfigError):
@@ -129,8 +138,7 @@ def scenario_from_config(doc: dict, law: str | None = None) -> traj.ScenarioConf
 
 
 def _doc_for(args) -> dict:
-    """The --config document, or an empty one: omitted keys take
-    scenario_from_config's defaults."""
+    """The --config document, or an empty one (every key at its default)."""
     if getattr(args, "config", None):
         return load_config(args.config)
     return {}
@@ -152,9 +160,8 @@ def _random_state(rng) -> QuantumStateParams:
 def _cmd_trajectory(args) -> int:
     doc = _doc_for(args)
     s = scenario_from_config(doc, law=args.law)
-    if args.out:
-        s.out_path = args.out
-    if s.out_path is None:
+    path = args.out or doc.get("output", {}).get("path")
+    if path is None:
         raise ConfigError("trajectory needs an output path "
                           "(output.path in the config or --out)")
     fmt = doc.get("output", {}).get("format", "csv")
@@ -164,25 +171,25 @@ def _cmd_trajectory(args) -> int:
         result, report = traj.run_scenario(s)
     except traj.DomainEdgeError as exc:
         # the samples up to the edge are written, then the run exits 3
-        _write_run(args, s, fmt, exc.partial)
+        _write_run(args, s, fmt, path, exc.partial)
         raise
     if report is not None and report.stalled:
         _say(args, f"legacy law stalled near x = {report.x_stall:.9g} "
                    f"(turning point {report.x_turn})")
-    _write_run(args, s, fmt, result)
+    _write_run(args, s, fmt, path, result)
     return 0
 
 
-def _write_run(args, s: traj.ScenarioConfig, fmt: str,
+def _write_run(args, s: traj.ScenarioConfig, fmt: str, path: str,
                result: traj.TrajectoryResult) -> None:
     note = s.pair.truncation_note()
     if note:
         print(note, file=sys.stderr)
     if fmt in ("csv", "both"):
-        traj.write_csv(result.samples, s.out_path)
-        _say(args, f"wrote {len(result.samples)} samples to {s.out_path}")
+        traj.write_csv(result.samples, path)
+        _say(args, f"wrote {len(result.samples)} samples to {path}")
     if fmt in ("json", "both"):
-        jpath = s.out_path if fmt == "json" else s.out_path + ".json"
+        jpath = path if fmt == "json" else path + ".json"
         traj.write_summary(result, jpath)
         _say(args, f"wrote summary to {jpath}")
 
@@ -291,9 +298,8 @@ def _cmd_coefficients(args) -> int:
 
 
 def _cmd_demo_linear_term(args) -> int:
-    potential = (PotentialModel.free() if args.potential == "free" else
-                 PotentialModel.linear(args.slope) if args.potential == "linear"
-                 else PotentialModel.harmonic(args.stiffness))
+    potential = _potential_from({"kind": args.potential, "slope": args.slope,
+                                 "stiffness": args.stiffness})
     fconst = args.f_const
     report = mechanics.linear_term_demo(args.i, lambda x: fconst, potential,
                                         args.lam, seed=args.seed)
@@ -325,6 +331,11 @@ def _cmd_demo_legacy_stall(args) -> int:
     return 0
 
 
+# the summary keys a sweep row carries after its a, b and energy
+_SWEEP_KEYS = ("x_last", "max_energy_drift_rel", "max_bohm_gap_rel",
+               "min_abs_xdot", "energy_conserved")
+
+
 def _sweep_group(task):
     """Run the sweep cells ``[(idx, a, b), ...]`` that share one energy.
 
@@ -344,16 +355,11 @@ def _sweep_group(task):
         s.pair = pair
         summary = traj.summarize(traj.run_scenario(s)[0])
         pair = s.pair
-        rows.append((idx, (a, b, energy, summary["x_last"],
-                           summary["max_energy_drift_rel"],
-                           summary["max_bohm_gap_rel"],
-                           summary["min_abs_xdot"],
-                           int(summary["energy_conserved"]))))
+        rows.append((idx, (a, b, energy,
+                           *(summary[key] for key in _SWEEP_KEYS))))
     return rows, pair.truncation_note()
 
 
-_SWEEP_HEADER = ("a,b,energy,x_last,max_energy_drift_rel,"
-                 "max_bohm_gap_rel,min_abs_xdot,energy_conserved")
 
 
 def _cmd_sweep(args) -> int:
@@ -374,8 +380,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a 'sweep' section with value lists")
     a_list = [float(v) for v in grid.get("a", [1.0])]
     b_list = [float(v) for v in grid.get("b", [0.0])]
-    e_list = [float(v) for v in grid.get("energy",
-                                         [doc.get("physics", {}).get("energy", 0.5)])]
+    energy = doc.get("physics", {}).get("energy",
+                                        _DEFAULTS["physics"]["energy"])
+    e_list = [float(v) for v in grid.get("energy", [energy])]
     # repr(E) -> (E, its cells (idx, a, b) in grid order); repr keeps 0.0
     # and -0.0 apart, which print differently
     groups = {}
@@ -404,10 +411,11 @@ def _cmd_sweep(args) -> int:
     for note in notes.values():
         if note:
             print(note, file=sys.stderr)
-    lines = [_SWEEP_HEADER]
+    lines = [",".join(("a", "b", "energy") + _SWEEP_KEYS)]
     for row in rows:
-        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
-                              for v in row))
+        # energy_conserved, the one bool, prints as 0 or 1
+        lines.append(",".join("%.17g" % v if isinstance(v, float)
+                              else str(int(v)) for v in row))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -438,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="integrate one scenario to CSV/JSON")
     p.add_argument("--config", required=True)
-    p.add_argument("--law", choices=("velocity", "newton", "legacy"))
+    p.add_argument("--law", choices=traj.LAWS)
     p.add_argument("--out", help="override output.path")
     _add_common(p)
     p.set_defaults(func=_cmd_trajectory)

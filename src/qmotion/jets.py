@@ -131,7 +131,7 @@ class Jet:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other, op: str):
+    def _coerce(self, other):
         if isinstance(other, Jet):
             m = min(self.order, other.order)
             return self.truncated(m), other.truncated(m)
@@ -140,7 +140,7 @@ class Jet:
         return None
 
     def __add__(self, other):
-        pair = self._coerce(other, "add")
+        pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
@@ -149,7 +149,7 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._coerce(other, "sub")
+        pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
@@ -164,7 +164,7 @@ class Jet:
     def __mul__(self, other):
         if _is_scalar(other):
             return Jet(tuple(c * other for c in self.coeffs))
-        pair = self._coerce(other, "mul")
+        pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
@@ -177,7 +177,7 @@ class Jet:
     def __truediv__(self, other):
         if _is_scalar(other):
             return Jet(tuple(c / other for c in self.coeffs))
-        pair = self._coerce(other, "div")
+        pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair

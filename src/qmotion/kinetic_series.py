@@ -47,11 +47,9 @@ __all__ = [
     "LatticeError",
     "DeterminationError",
     "KineticCoefficients",
-    "ABTables",
     "Momenta",
     "eval_kinetic",
     "kinetic_term",
-    "eval_lagrangian_series",
     "series_momenta",
     "momenta_state",
     "ab_tables",
@@ -292,16 +290,9 @@ def term_exponents(n: int, k: int) -> dict:
 # ---------------------------------------------------------------------------
 # derived coefficient tables
 
-@dataclass(frozen=True)
-class ABTables:
-    """Coefficients of the dS0/dx series induced by a kinetic lattice."""
-
-    A: dict = field(default_factory=dict)
-    B: dict = field(default_factory=dict)
-
-
-def ab_tables(c: KineticCoefficients) -> ABTables:
-    """A/B coefficient tables of the action-gradient series.
+def ab_tables(c: KineticCoefficients) -> tuple:
+    """A/B coefficient tables (two dicts keyed by (n, k)) of the
+    action-gradient series dS0/dx induced by a kinetic lattice.
 
     Each pair (A_nk, B_nk) collapses the momentum combination
     P + Pi*xdd/xd + Xi*xddd/xd into two monomial families per lattice
@@ -326,7 +317,7 @@ def ab_tables(c: KineticCoefficients) -> ABTables:
                 A[(n, k)] = a_nk
             if b_nk:
                 B[(n, k)] = b_nk
-    return ABTables(A, B)
+    return A, B
 
 
 def _table(rows: dict, xd_shift: int = 0) -> dict:
@@ -355,9 +346,9 @@ def _xi_table(c: KineticCoefficients) -> dict:
 def _s0p_table(c: KineticCoefficients) -> dict:
     """S0' as a monomial table: the A/B families (T's monomials with one
     more 1/xd)."""
-    t = ab_tables(c)
-    return _table({nk: (t.A.get(nk, 0.0), t.B.get(nk, 0.0))
-                   for nk in t.A.keys() | t.B.keys()}, -1)
+    A, B = ab_tables(c)
+    return _table({nk: (A.get(nk, 0.0), B.get(nk, 0.0))
+                   for nk in A.keys() | B.keys()}, -1)
 
 
 def _s0_tables(c: KineticCoefficients) -> tuple:
@@ -399,24 +390,12 @@ def eval_kinetic(c: KineticCoefficients, j: Jet, params, *, hbar=None):
     return kinetic_term(c, x, xd, xdd, xddd, params.mu, hb)
 
 
-def eval_lagrangian_series(c: KineticCoefficients, j: Jet, params, lam: float,
-                           potential, x=None, *, hbar=None):
-    """T + (lam/2) xddd^2 - V(x) at a motion jet."""
-    xj, xd, xdd, xddd, _, _ = _state_from_jet(j, 4)
-    if x is None:
-        x = xj
-    hb = params.hbar if hbar is None else hbar
-    val = kinetic_term(c, xj, xd, xdd, xddd, params.mu, hb)
-    if lam:
-        val = val + 0.5 * lam * xddd * xddd
-    vfun = getattr(potential, "value", potential)
-    return val - vfun(x)
-
-
 # ---------------------------------------------------------------------------
 # conjugate momenta (closed-form series)
 
 class Momenta(NamedTuple):
+    """Principal momentum and the two secondary ones."""
+
     P: float
     Pi: float
     Xi: float

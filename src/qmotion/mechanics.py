@@ -22,13 +22,14 @@ closed-form brackets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .jets import Dual, Jet, JetOrderError
 from .kinetic_series import (
     KineticCoefficients,
+    Momenta,
     SingularityError,
     _evaluate,
     _ipow,
@@ -46,28 +47,18 @@ __all__ = [
     "LagrangianEvaluator",
     "LagrangianPartials",
     "LinearTermReport",
-    "MomentumTriple",
     "canonical_consistency",
     "classical_lagrangian",
     "el_residual",
     "hamiltonian",
     "linear_term_acceleration",
     "linear_term_demo",
-    "make_evaluator",
     "momenta",
     "quantum_lagrangian",
     "series_lagrangian",
 ]
 
 _SLOTS = 4  # x, xd, xdd, xddd
-
-
-class MomentumTriple(NamedTuple):
-    """Principal momentum and the two secondary ones."""
-
-    P: float
-    Pi: float
-    Xi: float
 
 
 @dataclass(frozen=True)
@@ -145,12 +136,6 @@ class LagrangianEvaluator:
         return worst
 
 
-def make_evaluator(fn: Callable) -> LagrangianEvaluator:
-    """Wrap a scalar callable L(x, xd, xdd, xddd, t) for use with
-    el_residual / momenta / hamiltonian."""
-    return LagrangianEvaluator(fn)
-
-
 def el_residual(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> float:
     """Generalized Euler-Lagrange residual at a motion jet of order 6.
 
@@ -165,7 +150,14 @@ def el_residual(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> float:
                  + p.dxd.coeffs[1] - p.dx.coeffs[0])
 
 
-def momenta(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> MomentumTriple:
+def _momenta(p: LagrangianPartials) -> Momenta:
+    """P, Pi and Xi from the depth-2 partials of L."""
+    return Momenta(p.dxd.coeffs[0] - p.dxdd.coeffs[1] + p.dxddd.coeffs[2],
+                   p.dxdd.coeffs[0] - p.dxddd.coeffs[1],
+                   p.dxddd.coeffs[0])
+
+
+def momenta(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> Momenta:
     """Conjugate momenta at a motion jet of order >= 5.
 
     P  = dL/dxd - d/dt dL/dxdd + d^2/dt^2 dL/dxddd
@@ -174,12 +166,7 @@ def momenta(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> MomentumTriple:
     """
     if j.order < 5:
         raise JetOrderError("momenta need a jet of order 5")
-    p = L.partials(j, t, depth=2)
-    return MomentumTriple(
-        float(p.dxd.coeffs[0] - p.dxdd.coeffs[1] + p.dxddd.coeffs[2]),
-        float(p.dxdd.coeffs[0] - p.dxddd.coeffs[1]),
-        float(p.dxddd.coeffs[0]),
-    )
+    return Momenta(*map(float, _momenta(L.partials(j, t, depth=2))))
 
 
 def hamiltonian(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> float:
@@ -187,9 +174,7 @@ def hamiltonian(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> float:
     if j.order < 5:
         raise JetOrderError("hamiltonian needs a jet of order 5")
     p = L.partials(j, t, depth=2)
-    P = p.dxd.coeffs[0] - p.dxdd.coeffs[1] + p.dxddd.coeffs[2]
-    Pi = p.dxdd.coeffs[0] - p.dxddd.coeffs[1]
-    Xi = p.dxddd.coeffs[0]
+    P, Pi, Xi = _momenta(p)
     xd, xdd, xddd = j.coeffs[1:4]
     return float(P * xd + Pi * xdd + Xi * xddd - p.L.coeffs[0])
 

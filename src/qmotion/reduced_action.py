@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import Jet, exp as jexp, sqrt as jsqrt
-from .schrodinger import PhysParams, SolutionPair, eval_phi
+from .schrodinger import PhysParams, SolutionPair
 
 __all__ = [
     "QuantumStateParams",
@@ -36,7 +36,6 @@ __all__ = [
     "s0p",
     "s0p_jet",
     "inverse_s0p",
-    "ds0_derivs",
     "qshje_residual",
     "wavefunction",
     "compensated_params",
@@ -110,11 +109,6 @@ def s0p_jet(pair: SolutionPair, q: QuantumStateParams, x, order: int) -> Jet:
     return (pair.params.hbar * q.a * pair.wronskian_ref) / dj
 
 
-def ds0_derivs(pair: SolutionPair, q: QuantumStateParams, x: float):
-    """(S0', S0'', S0''') at x."""
-    return s0p_jet(pair, q, x, 2).coeffs
-
-
 def s0_eval(pair: SolutionPair, q: QuantumStateParams, x: float) -> float:
     """Branch-unwrapped reduced action at x: the principal value
     hbar*(arctan(a*phi1/phi2 + b) + kappa), plus sign(a*W)*pi*hbar per zero
@@ -137,7 +131,7 @@ def qshje_residual(pair: SolutionPair, q: QuantumStateParams, x: float,
     - S0'''/S0'), normalized by |E| + |V| + (S0')^2/(2 mu).
     """
     params = params or pair.params
-    s1, s2, s3 = ds0_derivs(pair, q, x)
+    s1, s2, s3 = s0p_jet(pair, q, x, 2).coeffs
     v = pair.potential.value(x)
     kin = s1 * s1 / (2.0 * params.mu)
     quant = (params.hbar**2 / (4.0 * params.mu)) * (

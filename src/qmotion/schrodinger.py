@@ -47,7 +47,6 @@ __all__ = [
     "DomainError",
     "solve_pair",
     "eval_phi",
-    "wronskian",
     "OVERFLOW_CAP",
 ]
 
@@ -602,8 +601,3 @@ def eval_phi(pair: SolutionPair, x, max_order: int = 1):
         _wave_derivatives(pair.potential, pair.params, x, tower)[: max_order + 1])
     return rows[:, 0], rows[:, 1]
 
-
-def wronskian(pair: SolutionPair, x: float) -> float:
-    """phi2 * phi1' - phi1 * phi2' at x (constant along the axis)."""
-    p1, d1, p2, d2 = pair.eval01(x)
-    return p2 * d1 - p1 * d2

@@ -71,13 +71,11 @@ __all__ = [
     "write_summary",
 ]
 
-_LAWS = ("velocity", "newton", "legacy")
+LAWS = ("velocity", "newton", "legacy")
 _VELOCITY_FLOOR = 1e-12
 # Newton steps allowed per sample of the velocity law; bisection inside a
 # cell reaches rounding level in about 60
 _NEWTON_STEPS = 100
-
-CSV_HEADER = "t,x,xdot,xddot,xdddot,H,P,Q,s0p"
 
 
 class VelocityFloorError(RuntimeError):
@@ -134,6 +132,9 @@ class TrajectorySample(NamedTuple):
     s0p: float
 
 
+CSV_HEADER = ",".join(TrajectorySample._fields)
+
+
 class ObservableSet(NamedTuple):
     H: float
     P: float
@@ -148,6 +149,7 @@ class ScenarioConfig:
     ``domain`` bounds the wave-pair construction for numerically solved
     potentials; the free pair is closed-form and ignores it.  ``pair`` may
     be supplied prebuilt (it is cached after the first build either way).
+    The field defaults are those of a config document that omits the key.
     """
 
     potential: PotentialModel
@@ -157,18 +159,17 @@ class ScenarioConfig:
     t_span: tuple = (0.0, 10.0)
     law: str = "velocity"
     integrator: IntegratorSettings = field(default_factory=IntegratorSettings)
-    samples: int = 512
+    samples: int = 256
     domain: tuple | None = None
     grid_step: float = 1e-3
     pair: SolutionPair | None = None
-    out_path: str | None = None
 
     def __post_init__(self):
         t0, t1 = self.t_span
         if not t1 > t0:
             raise ValueError(f"empty time span {self.t_span}")
-        if self.law not in _LAWS:
-            raise ValueError(f"law must be one of {_LAWS}, got {self.law!r}")
+        if self.law not in LAWS:
+            raise ValueError(f"law must be one of {LAWS}, got {self.law!r}")
         if self.samples < 2:
             raise ValueError("need at least two output samples")
         # checked here too, since the velocity law runs no integrator
@@ -234,8 +235,7 @@ class TrajectoryResult:
 # ---------------------------------------------------------------------------
 # observables and chain-rule jets
 
-def observables(j: Jet, params: PhysParams, potential=None,
-                x=None) -> ObservableSet:
+def observables(j: Jet, params: PhysParams, potential=None) -> ObservableSet:
     """Closed-form (H, P, Q, L) at a motion jet of order >= 3.
 
     The jet's coefficients are floats, or arrays with one entry per sample.
@@ -253,8 +253,7 @@ def observables(j: Jet, params: PhysParams, potential=None,
     if potential is None:
         V = 0.0
     else:
-        V = np.asarray(potential.value(j.coeffs[0] if x is None else x),
-                       dtype=float)
+        V = np.asarray(potential.value(j.coeffs[0]), dtype=float)
     with np.errstate(all="ignore"):
         p3, p4, p5 = xd ** 3, xd ** 4, xd ** 5
         Q = -quart * (2.5 * xdd * xdd / p4 - xddd / p3)

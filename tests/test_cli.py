@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
-from qmotion.cli import ConfigError, load_config, run
-from qmotion.trajectory import CSV_HEADER
+from qmotion.cli import ConfigError, load_config, run, scenario_from_config
+from qmotion.ode import IntegratorSettings
+from qmotion.trajectory import CSV_HEADER, ScenarioConfig
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -52,6 +53,29 @@ def test_unknown_key_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
+
+
+def test_omitted_run_keys_take_the_scenario_defaults():
+    """A document without run or integrator keys gives the scenario that
+    ScenarioConfig builds from the same potential, params and state."""
+    s = scenario_from_config({})
+    lib = ScenarioConfig(s.potential, s.params, s.q)
+    for name in ("x_start", "t_span", "law", "samples", "domain",
+                 "grid_step", "integrator"):
+        assert getattr(s, name) == getattr(lib, name), name
+    assert scenario_from_config({"run": {"t1": 3.0}}).t_span == (0.0, 3.0)
+
+
+def test_every_run_and_integrator_key_round_trips():
+    s = scenario_from_config({
+        "run": {"law": "newton", "x_start": 0.25, "t0": 1, "t1": 3.5,
+                "samples": 17, "domain": [-4.0, 5.0], "grid_step": 2e-3},
+        "integrator": {"rel_tol": 1e-9, "abs_tol": 1e-11, "max_step": 0.1,
+                       "max_steps": 5000}})
+    assert (s.law, s.x_start, s.t_span, s.samples, s.domain, s.grid_step) \
+        == ("newton", 0.25, (1.0, 3.5), 17, (-4.0, 5.0), 2e-3)
+    assert type(s.t_span[0]) is float
+    assert s.integrator == IntegratorSettings(1e-9, 1e-11, 0.1, 5000)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +181,33 @@ def test_step_budget_exhaustion_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert run(["trajectory", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_legacy_step_budget_writes_partial_result_and_exits_0(tmp_path,
+                                                             capsys):
+    """The legacy law folds an exhausted step budget into its result: it
+    writes its samples over the completed span, notes the early stop and
+    exits 0, where the newton law on the same config exits 3 and writes
+    nothing."""
+    out = tmp_path / "h.csv"
+    doc = {"potential": {"kind": "harmonic", "stiffness": 1.0},
+           "run": {"law": "legacy", "domain": [-3.0, 3.0]},
+           "integrator": {"max_steps": 3},
+           "output": {"path": str(out), "format": "both"}}
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg, "--quiet"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 257
+    t_last = float(lines[-1].split(",")[0])
+    assert 0.0 < t_last < 10.0
+    (note,) = json.loads((tmp_path / "h.csv.json").read_text())["notes"]
+    assert note.startswith(f"integration stopped early at t = {t_last:.6g}: "
+                           "step budget of 3 exhausted")
+    out.unlink()
+    (tmp_path / "h.csv.json").unlink()
+    assert run(["trajectory", "--config", cfg, "--law", "newton"]) == 3
+    assert "step budget of 3 exhausted" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # a linear barrier the velocity law crosses, on a domain whose right edge it

@@ -25,7 +25,6 @@ from qmotion.kinetic_series import (
     ds0dx_series,
     ds0dx_state,
     eval_kinetic,
-    eval_lagrangian_series,
     kinetic_term,
     level_residuals,
     master_residual,
@@ -36,6 +35,7 @@ from qmotion.kinetic_series import (
     term_exponents,
 )
 from qmotion.jets import Jet
+from qmotion.mechanics import series_lagrangian
 from qmotion.schrodinger import PhysParams
 
 PARAMS = PhysParams(hbar=1.0, mu=1.0, energy=0.0)
@@ -135,7 +135,7 @@ def test_lagrangian_series_includes_potential_and_lambda():
     lam = 0.01
     pot = lambda x: 0.3 * x
     base = eval_kinetic(c, j, PARAMS)
-    full = eval_lagrangian_series(c, j, PARAMS, lam, pot)
+    full = series_lagrangian(c, PARAMS, lam, pot).value(j)
     xddd = j.coeffs[3]
     assert full == pytest.approx(base + 0.5 * lam * xddd * xddd
                                  - 0.3 * j.coeffs[0], rel=1e-12)

@@ -33,7 +33,6 @@ from qmotion.mechanics import (
     hamiltonian,
     linear_term_acceleration,
     linear_term_demo,
-    make_evaluator,
     momenta,
     quantum_lagrangian,
     series_lagrangian,

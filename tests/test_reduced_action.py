@@ -16,7 +16,6 @@ from qmotion.reduced_action import (
     StateParamError,
     WaveCoefficients,
     compensated_params,
-    ds0_derivs,
     qshje_residual,
     s0_eval,
     s0p,

@@ -24,7 +24,6 @@ from qmotion.schrodinger import (
     SchrodingerError,
     eval_phi,
     solve_pair,
-    wronskian,
 )
 
 
@@ -32,6 +31,11 @@ def harmonic_pair(domain=(-3.0, 3.0), energy=0.5, grid_step=1e-3):
     params = PhysParams(hbar=1.0, mu=1.0, energy=energy)
     return solve_pair(PotentialModel.harmonic(1.0), params, domain,
                       anchor=0.0, grid_step=grid_step)
+
+
+def wronskian(pair, x):
+    p1, d1, p2, d2 = pair.eval01(x)
+    return p2 * d1 - p1 * d2
 
 
 # ---------------------------------------------------------------------------

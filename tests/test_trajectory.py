@@ -29,6 +29,7 @@ from qmotion.reduced_action import QuantumStateParams, s0p
 from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 from qmotion.trajectory import (
     CSV_HEADER,
+    LAWS,
     DomainEdgeError,
     ScenarioConfig,
     SingularObservables,
@@ -425,6 +426,21 @@ def test_run_scenario_dispatches_on_the_law(law, integrate):
         assert report is None
     assert got.law == law
     assert got.samples == want.samples
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_run_scenario_calls_the_law_by_its_module_name(monkeypatch, law):
+    """run_scenario looks each law up in the module when it runs, so a
+    wrapper set in a law's place is the one called."""
+    calls = []
+    for name in LAWS:
+        attr = f"integrate_{name}_law"
+        def record(s, _law=getattr(trajectory, attr), _name=name):
+            calls.append(_name)
+            return _law(s)
+        monkeypatch.setattr(trajectory, attr, record)
+    run_scenario(free_scenario(law=law, t1=2.0, samples=16))
+    assert calls == [law]
 
 
 # ---------------------------------------------------------------------------
