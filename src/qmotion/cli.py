@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -398,6 +397,9 @@ def _cmd_sweep(args) -> int:
              for energy, cells in groups.values()
              for k in range(min(slices, len(cells)))]
     if len(tasks) > 1 and slices > 1:
+        # imported here so that no other command loads concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             done = list(pool.map(_sweep_group, tasks))
     else:

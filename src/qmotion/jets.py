@@ -7,9 +7,11 @@ Coefficient entries may be floats, complex numbers, or numpy arrays of a
 common shape, so the same recurrences serve scalar evaluation and batched
 evaluation over many sample points.
 
-The module also provides a one-epsilon forward-mode channel (`Dual`) layered
-on top of jets, used to extract partial derivatives of black-box scalar
-functions along a trajectory jet.
+The module also provides a forward-mode perturbation (`Dual`) layered on
+top of jets, used to extract partial derivatives of black-box scalar
+functions along a trajectory jet; a perturbation whose coefficients are
+vectors carries one channel per entry, so one evaluation yields several
+partials.
 """
 from __future__ import annotations
 
@@ -372,12 +374,14 @@ def flow_jet(g_derivs, x0, order: int) -> Jet:
 
 
 class Dual:
-    """Value plus one infinitesimal perturbation channel (eps^2 = 0).
+    """Value plus an infinitesimal perturbation (eps^2 = 0).
 
     Both components may be plain numbers or jets; arithmetic follows the
     usual forward-mode rules, so evaluating a generic scalar expression with
     a unit epsilon in one slot yields the partial derivative with respect to
-    that slot alongside the primal value.
+    that slot alongside the primal value.  With vector perturbations (unit
+    vector s in slot s) one evaluation yields every slot's partial, one per
+    vector entry.
     """
 
     __slots__ = ("re", "du")

@@ -458,12 +458,10 @@ def momenta_state(c: KineticCoefficients, state, mu, hbar, lam=0.0) -> Momenta:
     return Momenta(p_tot, pi_tot, xi_tot)
 
 
-def series_momenta(c: KineticCoefficients, j: Jet, params, lam: float = 0.0,
-                   *, hbar=None) -> Momenta:
+def series_momenta(c: KineticCoefficients, j: Jet, params,
+                   lam: float = 0.0) -> Momenta:
     """(P, Pi, Xi) at a motion jet of order >= 5."""
-    state = _state_from_jet(j, 6)
-    hb = params.hbar if hbar is None else hbar
-    return momenta_state(c, state, params.mu, hb, lam)
+    return momenta_state(c, _state_from_jet(j, 6), params.mu, params.hbar, lam)
 
 
 def xi_series_core(c: KineticCoefficients, state, mu, hbar):
@@ -498,11 +496,9 @@ def _s0p_state(c: KineticCoefficients, state, mu, hbar):
     return _evaluate(c.derived(_s0p_table), state, c.x0, mu, hbar)
 
 
-def ds0dx_series(c: KineticCoefficients, j: Jet, params, *, hbar=None):
+def ds0dx_series(c: KineticCoefficients, j: Jet, params):
     """(S0', S0'', S0''') at a motion jet of order >= 5."""
-    state = _state_from_jet(j, 6)
-    hb = params.hbar if hbar is None else hbar
-    return ds0dx_state(c, state, params.mu, hb)
+    return ds0dx_state(c, _state_from_jet(j, 6), params.mu, params.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +564,13 @@ def level_residuals(c: KineticCoefficients, state, mu, hbar, order: int | None =
     return ratios, residuals, scales
 
 
-def master_residual(c: KineticCoefficients, j, params, *, hbar=None):
+def master_residual(c: KineticCoefficients, j, params):
     """Worst per-level scaled residual of the master identity.
 
     ``j`` is one motion jet of order >= 5, giving a float, or a sequence of
     such jets or an (N, 6) array of states x .. x5, giving an (N,) array
     with one residual per state, all evaluated in one pass.
     """
-    hb = params.hbar if hbar is None else hbar
     if isinstance(j, Jet):
         state = _state_from_jet(j, 6)
     elif isinstance(j, np.ndarray):
@@ -583,7 +578,7 @@ def master_residual(c: KineticCoefficients, j, params, *, hbar=None):
     else:
         state = _columns(np.array([_state_from_jet(jj, 6) for jj in j],
                                   dtype=float).reshape(-1, 6))
-    ratios, _, _ = level_residuals(c, state, params.mu, hb)
+    ratios, _, _ = level_residuals(c, state, params.mu, params.hbar)
     worst = ratios.max(axis=0)
     return float(worst) if isinstance(j, Jet) else worst
 
@@ -666,21 +661,20 @@ def _snap(v: float, tol: float = 1e-9, max_den: int = 16) -> float:
     return float(frac) if abs(v - float(frac)) <= tol else v
 
 
-def _level_lattice(values: dict, n: int, k_max: int, base: KineticCoefficients):
-    entries = dict(base.entries)
-    for k in range(k_max + 1):
-        al = values.get(("alpha", k), 0.0)
-        be = values.get(("beta", k), 0.0)
-        if al or be:
-            entries[(n, k)] = (al, be)
-    return KineticCoefficients(entries)
+# the elimination's fixed design: spatial weights k = 0 .. _K_MAX at every
+# level, one unknown per (alpha or beta, k), three sampled states per unknown
+_K_MAX = 4
+_LABELS = ([("alpha", k) for k in range(_K_MAX + 1)]
+           + [("beta", k) for k in range(_K_MAX + 1)])
+_SAMPLES = 3 * len(_LABELS)
 
 
-def _theta_lattice(theta: np.ndarray, n: int, k_max: int,
+def _theta_lattice(theta, n: int,
                    base: KineticCoefficients | None = None) -> KineticCoefficients:
+    """``base`` with level n set to theta, the values of ``_LABELS`` in order."""
     entries = dict(base.entries) if base is not None else {}
-    for k in range(k_max + 1):
-        al, be = theta[k], theta[k_max + 1 + k]
+    for k in range(_K_MAX + 1):
+        al, be = theta[k], theta[_K_MAX + 1 + k]
         if al or be:
             entries[(n, k)] = (al, be)
     return KineticCoefficients(entries)
@@ -693,7 +687,7 @@ def _nullspace(mat: np.ndarray, rel_tol: float = 1e-9):
     return vt[rank:].T, rank
 
 
-def _determine_level0(rng, k_max: int, samples: int, sampler):
+def _determine_level0(rng):
     """Classical-level elimination on the divided form of the master identity.
 
     R(theta; state) = xd*S0'(theta) - S0'(theta)^2/(2 mu) - T(theta) must
@@ -702,14 +696,13 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
     subspace the xddd slope of R kills the beta entries, (c) the surviving
     two-dimensional family (alpha_00, alpha_01) is resolved by reconstructing
     R's weights on the three residual monomials xd^2, x*xdd, x^2 xdd^2/xd^2
-    as exact quadratics in the two unknowns.
+    as exact quadratics in the two unknowns.  Returns the report and the
+    level-0 lattice.
     """
     mu = 1.0
-    n_unk = 2 * (k_max + 1)
-    cols = _columns(sampler(rng, samples))
+    n_unk = len(_LABELS)
+    cols = _columns(sample_states(rng, _SAMPLES))
     x, xd, xdd = cols[:3]
-    labels = ([("alpha", k) for k in range(k_max + 1)]
-              + [("beta", k) for k in range(k_max + 1)])
 
     def with_xddd(v):
         out = cols.copy()
@@ -717,7 +710,7 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
         return out
 
     def lattice(theta):
-        return _theta_lattice(theta, 0, k_max)
+        return _theta_lattice(theta, 0)
 
     def s1_of(c, st):
         """S0' of a pure level-0 lattice (hbar never enters), per state."""
@@ -739,10 +732,10 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
     mat_a = np.column_stack([xddd_slope(s1_of, lattice(theta))
                              for theta in np.eye(n_unk)])
     null_a, rank_a = _nullspace(mat_a)
-    if null_a.shape[1] != k_max + 1:
+    if null_a.shape[1] != _K_MAX + 1:
         raise DeterminationError(
             f"stage (a) nullspace dimension {null_a.shape[1]}, "
-            f"expected {k_max + 1}")
+            f"expected {_K_MAX + 1}")
 
     # stage (b): on the stage-(a) subspace S0' carries no xddd, so the xddd
     # slope of R is again linear in theta
@@ -804,55 +797,54 @@ def _determine_level0(rng, k_max: int, samples: int, sampler):
         f"xd^2 weight roots {roots}; zero root drops the classical kinetic "
         "term, nonzero root kept")
 
-    values = {lab: 0.0 for lab in labels}
-    values[("alpha", 0)] = selected
-    return LevelReport(
-        level=0, labels=labels, values=values,
+    theta = np.zeros(n_unk)
+    theta[0] = selected
+    report = LevelReport(
+        level=0, labels=_LABELS, values=dict(zip(_LABELS, theta.tolist())),
         rank=rank_a + rank_b + 2, n_unknowns=n_unk, fit_residual=fit_res,
         roots=roots, selected_root=selected, notes=notes)
+    return report, lattice(theta)
 
 
-def _determine_level_n(rng, n: int, k_max: int, samples: int,
-                       base: KineticCoefficients, sampler,
-                       hbar_probe: float = 1.0):
+def _determine_level_n(rng, n: int, base: KineticCoefficients):
     """Affine elimination of the level-n unknowns given the lower levels.
 
     The level-n component of the master residual is exactly affine in the
     level-n lattice entries (their pairwise products land at level 2n), so
     a sampled linear solve determines them; full column rank certifies
-    uniqueness.
+    uniqueness.  The component scales as hbar^n, so hbar = 1 serves as the
+    probe.  Returns the report and ``base`` with level n added.
     """
-    mu = 1.0
-    n_unk = 2 * (k_max + 1)
-    labels = ([("alpha", k) for k in range(k_max + 1)]
-              + [("beta", k) for k in range(k_max + 1)])
-    cols = _columns(sampler(rng, samples))
+    mu = hbar = 1.0
+    n_unk = len(_LABELS)
+    cols = _columns(sample_states(rng, _SAMPLES))
 
-    r0 = _signed_level(base, cols, mu, hbar_probe, n)
-    mat = np.empty((samples, n_unk))
+    r0 = _signed_level(base, cols, mu, hbar, n)
+    mat = np.empty((_SAMPLES, n_unk))
     for l in range(n_unk):
         theta = np.zeros(n_unk)
         theta[l] = 1.0
-        mat[:, l] = _signed_level(_theta_lattice(theta, n, k_max, base),
-                                  cols, mu, hbar_probe, n) - r0
+        mat[:, l] = _signed_level(_theta_lattice(theta, n, base),
+                                  cols, mu, hbar, n) - r0
     sol, _, rank, _ = np.linalg.lstsq(mat, -r0, rcond=None)
     if rank < n_unk:
         raise DeterminationError(
             f"level {n}: sample matrix rank {rank} < {n_unk} unknowns")
     fit = float(np.max(np.abs(mat @ sol + r0)))
-    values = {lab: _snap(float(v)) for lab, v in zip(labels, sol)}
+    theta = [_snap(float(v)) for v in sol]
     # confirm on fresh states
-    solved = _level_lattice(values, n, k_max, base)
-    fresh = _columns(sampler(rng, max(8, n_unk)))
-    ratios, _, _ = level_residuals(solved, fresh, mu, hbar_probe, order=n)
+    solved = _theta_lattice(theta, n, base)
+    fresh = _columns(sample_states(rng, n_unk))
+    ratios, _, _ = level_residuals(solved, fresh, mu, hbar, order=n)
     worst = float(np.max(ratios))
     if worst > 1e-8:
         raise DeterminationError(
             f"level {n}: solved lattice leaves scaled residual {worst:.2e}")
-    return LevelReport(
-        level=n, labels=labels, values=values, rank=rank,
+    report = LevelReport(
+        level=n, labels=_LABELS, values=dict(zip(_LABELS, theta)), rank=rank,
         n_unknowns=n_unk, fit_residual=fit,
         notes=[f"confirmation residual on fresh states {worst:.2e}"])
+    return report, solved
 
 
 def _signed_level(c, cols, mu, hbar, n):
@@ -861,29 +853,21 @@ def _signed_level(c, cols, mu, hbar, n):
     return _level_pieces(c, cols, mu, hbar, n)[n].sum(axis=0)
 
 
-def determine_coefficients(levels: int = 2, sampler=None, *, k_max: int = 4,
-                           seed: int = 20260823, oversample: int = 3):
+def determine_coefficients(levels: int = 2, *, seed: int = 20260823):
     """Level-by-level recovery of the kinetic coefficients.
 
     Runs the classical-level elimination and then the affine solves for
-    levels 1..levels (each using the already-determined lower levels).
-    Levels above 4 are outside the certified truncation.  ``sampler``, if
-    given, must map (rng, count) to an array of states and replaces the
-    default bounded sampler.  Returns (coefficients, report).
+    levels 1..levels (each using the already-determined lower levels), over
+    states from ``sample_states``.  Levels above 4 are outside the
+    certified truncation.  Returns (coefficients, report).
     """
     if not 0 <= levels <= 4:
         raise ValueError("levels must lie in 0..4 (certified truncation)")
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
     rng = np.random.default_rng(seed)
-    draw = sample_states if sampler is None else sampler
-    samples = oversample * 2 * (k_max + 1)
-    reports = [_determine_level0(rng, k_max, samples, draw)]
-    lattice = _level_lattice(reports[0].values, 0, k_max,
-                             KineticCoefficients({}))
+    rep, lattice = _determine_level0(rng)
+    reports = [rep]
     for n in range(1, levels + 1):
-        rep = _determine_level_n(rng, n, k_max, samples, lattice, draw)
+        rep, lattice = _determine_level_n(rng, n, lattice)
         reports.append(rep)
-        lattice = _level_lattice(rep.values, n, k_max, lattice)
     unique = all(r.rank >= r.n_unknowns for r in reports)
     return lattice, DeterminationReport(reports, lattice, unique)

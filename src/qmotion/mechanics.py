@@ -4,9 +4,10 @@ The model Lagrangians treated by this package depend on time derivatives of
 the coordinate up to third order, so the variational calculus brings in a
 generalized Euler-Lagrange equation with total time derivatives up to
 d^3/dt^3, three conjugate momenta and a Hamiltonian built from all of them.
-Everything here works on black-box callables: partial derivatives are
-extracted with one forward perturbation channel per argument slot, layered
-over jets in t, so total time derivatives are exact rather than finite
+Everything here works on black-box callables: one call of the Lagrangian
+on four-channel duals over jets in t gives L and its four slot partials
+(vector forward mode, Griewank and Walther, *Evaluating Derivatives*,
+ch. 3), so total time derivatives are exact rather than finite
 differences.
 
 The module also carries two consistency demonstrations: the canonical
@@ -35,6 +36,7 @@ from .kinetic_series import (
     _ipow,
     _kinetic_table,
     _partial,
+    _taylor_of,
     _xi_table,
     kinetic_term,
     momenta_state,
@@ -86,8 +88,10 @@ class LagrangianEvaluator:
     arithmetic expression qualifies, as do the transcendental helpers in
     :mod:`qmotion.jets`.  ``partials`` returns L and the four slot partials
     as jets in t of the requested order, which is what the generalized
-    Euler-Lagrange equation consumes.  The evaluator holds no state between
-    calls.
+    Euler-Lagrange equation consumes.  It calls ``fn`` once: slot s is a
+    dual whose perturbation is a jet of 4-vectors, unit in channel s, and
+    partial s is channel s of the result's perturbation.  The evaluator
+    holds no state between calls.
     """
 
     def __init__(self, fn: Callable):
@@ -104,22 +108,19 @@ class LagrangianEvaluator:
         if j.order < need:
             raise JetOrderError(
                 f"depth-{depth} partials draw on x^({need}); jet order {j.order}")
-        slots = []
-        base = j
-        for _ in range(_SLOTS):
-            slots.append(base.truncated(depth))
-            base = base.derivative()
+        # channels lead, so array coefficients (a batch of jets) broadcast
+        rows = np.eye(_SLOTS)[(...,) + (None,) * np.ndim(j.value)]
+        slots = [Dual(Jet(j.coeffs[s:s + depth + 1]), Jet.constant(row, depth))
+                 for s, row in enumerate(rows)]
         tj = Jet.variable(t, depth) if depth >= 1 else float(t)
-        val = self.fn(*slots, tj)
-        one = Jet.constant(1.0, depth)
-        parts = []
-        for s in range(_SLOTS):
-            args = list(slots)
-            args[s] = Dual(slots[s], one)
-            out = self.fn(*args, tj)
-            parts.append(out.du if isinstance(out, Dual) else 0.0)
+        out = self.fn(*slots, tj)
+        if not isinstance(out, Dual):
+            return LagrangianPartials(_as_tjet(out, depth),
+                                      *(_as_tjet(0.0, depth),) * _SLOTS)
         return LagrangianPartials(
-            _as_tjet(val, depth), *(_as_tjet(p, depth) for p in parts))
+            _as_tjet(out.re, depth),
+            *(_as_tjet(Jet([c[s] for c in out.du.coeffs]), depth)
+              for s in range(_SLOTS)))
 
     def self_test(self, j: Jet, t: float = 0.0, h: float = 1e-5) -> float:
         """Worst relative mismatch of the four partials against central
@@ -321,21 +322,20 @@ def canonical_consistency(c: KineticCoefficients, j: Jet, params, lam: float,
     if j.order < 5:
         raise JetOrderError("canonical_consistency needs a jet of order >= 5")
     mu, hbar = params.mu, params.hbar
-    state = j.coeffs[:6]
-    x, xd, xdd, xddd = state[:4]
-    trip = momenta_state(c, state, mu, hbar, lam)
-    core = xi_series_core(c, state, mu, hbar)
+    x, xd, xdd, xddd = j.coeffs[:4]
+    # momenta as (value, rate) jets in t: the values for the recoveries, the
+    # rates for the two rate equations
+    jstate = tuple(Jet(j.coeffs[i:i + 2]) for i in range(5)) + (j.coeffs[5],)
+    jtrip = momenta_state(c, jstate, mu, hbar, lam)
+    trip = Momenta(*(_taylor_of(m, 0) for m in jtrip))
+    xi_dot = jtrip.Xi.coeffs[1]
+    pi_dot = jtrip.Pi.coeffs[1]
+    core = xi_series_core(c, (x, xd, xdd), mu, hbar)
     gap = (trip.Xi - core) / lam
     big = (abs(trip.Xi) + abs(core)) / lam
 
     checks = {}
     checks["xddd_recovery"] = CheckResult(abs(gap - xddd), big + abs(xddd))
-
-    # momenta as (value, rate) jets in t for the two rate equations
-    jstate = tuple(Jet(j.coeffs[i:i + 2]) for i in range(5)) + (j.coeffs[5],)
-    jtrip = momenta_state(c, jstate, mu, hbar, lam)
-    xi_dot = jtrip.Xi.coeffs[1]
-    pi_dot = jtrip.Pi.coeffs[1]
 
     # d/dx, -d/dxd and d/dxdd of T's alpha rows (_a) and of dT/dxddd (_b)
     (dx_a, dx_b), (mdxd_a, mdxd_b), (dxdd_a, dxdd_b) = _canonical_sums(
@@ -417,9 +417,12 @@ def linear_term_acceleration(i: int, f, potential, x: float, xd: float) -> float
     return -((i - 1) * fp * _ipow(xd, i) + gv) / denom
 
 
+_PROBES = 32
+_PROBE_SPAN = 1.5
+
+
 def linear_term_demo(i: int, f, potential=None, lam: float = 0.0, *,
-                     samples: int = 32, seed: int = 20260823,
-                     span: float = 1.5) -> LinearTermReport:
+                     seed: int = 20260823) -> LinearTermReport:
     """Probe the Hamiltonian formulation of L = f(x) xd^i - V(x).
 
     For i not in {0, 1} the canonical equations derived from
@@ -449,8 +452,8 @@ def linear_term_demo(i: int, f, potential=None, lam: float = 0.0, *,
     if i != 1:
         used = 0
         worst_xd = worst_pd = 0.0
-        for _ in range(samples):
-            x = rng.uniform(-span, span)
+        for _ in range(_PROBES):
+            x = rng.uniform(-_PROBE_SPAN, _PROBE_SPAN)
             xd = rng.uniform(0.4, 1.6)
             fv, fp = _with_slope(f, x)
             if fv <= 1e-12:
@@ -477,10 +480,10 @@ def linear_term_demo(i: int, f, potential=None, lam: float = 0.0, *,
         return report
 
     # i == 1: P = f(x) is velocity-blind
-    xs = rng.uniform(-span, span, size=samples)
+    xs = rng.uniform(-_PROBE_SPAN, _PROBE_SPAN, size=_PROBES)
     grads = np.array([grad(float(xv)) for xv in xs])
-    report.samples_used = samples
-    report.max_gradient = float(np.max(np.abs(grads))) if samples else 0.0
+    report.samples_used = _PROBES
+    report.max_gradient = float(np.max(np.abs(grads)))
     report.naive_inconsistent = report.max_gradient > 1e-10
     if report.naive_inconsistent:
         report.notes.append(

@@ -41,7 +41,7 @@ import numpy as np
 
 from .jets import Jet, JetOrderError, flow_jet
 from .kinetic_series import SingularityError
-from .ode import DenseSolution, IntegrationFailure, IntegratorSettings, integrate_ivp
+from .ode import IntegrationFailure, IntegratorSettings, integrate_ivp
 from .reduced_action import QuantumStateParams, inverse_s0p, s0p, s0p_jet
 from .rootfind import (BracketError, RootConvergenceError, expand_bracket,
                        invert_monotone)
@@ -146,9 +146,10 @@ class ObservableSet(NamedTuple):
 class ScenarioConfig:
     """One trajectory run: which law, over which span, from which state.
 
-    ``domain`` bounds the wave-pair construction for numerically solved
-    potentials; the free pair is closed-form and ignores it.  ``pair`` may
-    be supplied prebuilt (it is cached after the first build either way).
+    ``domain``, two finite numbers lo < hi, bounds the wave-pair
+    construction for numerically solved potentials; the free pair is
+    closed-form and ignores it.  ``pair`` may be supplied prebuilt (it is
+    cached after the first build either way).
     The field defaults are those of a config document that omits the key.
     """
 
@@ -172,6 +173,11 @@ class ScenarioConfig:
             raise ValueError(f"law must be one of {LAWS}, got {self.law!r}")
         if self.samples < 2:
             raise ValueError("need at least two output samples")
+        dom = self.domain
+        if dom is not None and not (len(dom) == 2 and dom[0] < dom[1]
+                                    and all(map(math.isfinite, dom))):
+            raise ValueError("domain must be two finite numbers lo < hi, "
+                             f"got {list(dom)}")
         # checked here too, since the velocity law runs no integrator
         self.integrator.validate()
         if self.potential.kind == "free" and not self.params.energy > 0:
@@ -206,27 +212,22 @@ class LegacyReport:
 
 @dataclass
 class TrajectoryResult:
-    """One run's samples.  ``dense`` is the integrator's solution for the
-    fourth-order and legacy laws; the velocity law has ``time_of_x``, its
-    t(x), instead."""
+    """One run's samples.  The velocity law also keeps ``time_of_x``, its
+    t(x)."""
 
     config: ScenarioConfig
     law: str
     samples: list
-    dense: DenseSolution | None
     notes: list = field(default_factory=list)
     time_of_x: _VelocityClock | None = None
 
     def arrival_time(self, x_target: float) -> float:
-        """First time at which x(t) reaches x_target (x is monotone under
-        the first-order laws, so the crossing is unique).  The velocity law
-        evaluates its t(x); the other laws invert the dense solution over
-        the integrated span."""
-        if self.time_of_x is not None:
-            return self.time_of_x(x_target)
-        f = lambda t: float(self.dense(t)[0])
-        lo, hi = self.dense.t0, self.dense.t1
-        return invert_monotone(f, x_target, (lo, hi), tol=1e-14)
+        """First time at which x(t) reaches x_target, from the velocity
+        law's t(x) (x is monotone under it, so the crossing is unique)."""
+        if self.time_of_x is None:
+            raise ValueError("arrival_time needs the velocity law's t(x); "
+                             f"this run used the {self.law} law")
+        return self.time_of_x(x_target)
 
     def columns(self) -> np.ndarray:
         return np.array([tuple(s) for s in self.samples])
@@ -443,7 +444,7 @@ def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     # the law itself is Bohm's relation, so s0p = mu*xd by construction;
     # summarize checks it in its integral form
     result = TrajectoryResult(s, "velocity",
-                              _samples(ts, j, obs, mu * j.coeffs[1]), None,
+                              _samples(ts, j, obs, mu * j.coeffs[1]),
                               _pair_notes(pair), clock)
     dx = np.diff(j.coeffs[0])
     if not (np.all(dx > 0) or np.all(dx < 0)):
@@ -498,7 +499,7 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
     # S0' at the sampled x is independent of the sampled xd
     return TrajectoryResult(s, "newton",
                             _samples(ts, j, obs, s0p(pair, s.q, j.coeffs[0])),
-                            dense, _pair_notes(pair))
+                            _pair_notes(pair))
 
 
 def _turning_point(potential: PotentialModel, energy: float, x0: float,
@@ -555,7 +556,7 @@ def integrate_legacy_law(s: ScenarioConfig):
         obs = exc.partial
     gap = float(np.max(np.abs(j.coeffs[1] - sp.coeffs[0] / mu), initial=0.0))
     out = _samples(ts, j, obs, sp.coeffs[0])
-    result = TrajectoryResult(s, "legacy", out, dense, notes)
+    result = TrajectoryResult(s, "legacy", out, notes)
 
     v0 = abs(out[0].xdot) if out else 0.0
     threshold = 1e-6 * v0
@@ -675,10 +676,12 @@ def _interval_time_gap(result: TrajectoryResult) -> float:
 def summarize(result: TrajectoryResult) -> dict:
     """Drift maxima and invariant verdicts for one run.
 
-    ``max_bohm_gap_rel`` compares the sampled motion with S0': for the
-    velocity law, whose samples satisfy mu*xd = S0' by construction, in
-    integral form (``_interval_time_gap``); for the other laws, pointwise
-    between mu*xd and the sampled S0'."""
+    ``t_span`` is the span the samples cover: short of the requested one
+    when a legacy run spent its step budget or a velocity run reached the
+    domain edge.  ``max_bohm_gap_rel`` compares the sampled motion with
+    S0': for the velocity law, whose samples satisfy mu*xd = S0' by
+    construction, in integral form (``_interval_time_gap``); for the other
+    laws, pointwise between mu*xd and the sampled S0'."""
     params = result.config.params
     cols = result.columns()
     E = params.energy
@@ -695,7 +698,7 @@ def summarize(result: TrajectoryResult) -> dict:
     return {
         "law": result.law,
         "samples": len(result.samples),
-        "t_span": list(result.config.t_span),
+        "t_span": [float(cols[0, 0]), float(cols[-1, 0])],
         "x_first": cols[0, 1],
         "x_last": cols[-1, 1],
         "max_energy_drift_abs": h_abs,

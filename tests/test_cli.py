@@ -164,6 +164,17 @@ def test_truncated_pair_reported_on_stderr(tmp_path, capsys):
     assert json.loads((tmp_path / "t.csv.json").read_text())["notes"] == [line]
 
 
+@pytest.mark.parametrize("domain", [[1.0], [3.0, -3.0]])
+def test_bad_domain_exits_2(tmp_path, capsys, domain):
+    doc = free_doc(str(tmp_path / "x.csv"))
+    doc["potential"] = {"kind": "harmonic", "stiffness": 1.0}
+    doc["run"]["domain"] = domain
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_start_outside_domain_exits_2(tmp_path, capsys):
     doc = free_doc(str(tmp_path / "x.csv"))
     doc["potential"] = {"kind": "harmonic", "stiffness": 1.0}
@@ -200,7 +211,9 @@ def test_legacy_step_budget_writes_partial_result_and_exits_0(tmp_path,
     assert lines[0] == CSV_HEADER and len(lines) == 257
     t_last = float(lines[-1].split(",")[0])
     assert 0.0 < t_last < 10.0
-    (note,) = json.loads((tmp_path / "h.csv.json").read_text())["notes"]
+    summary = json.loads((tmp_path / "h.csv.json").read_text())
+    assert summary["t_span"] == [0.0, t_last]
+    (note,) = summary["notes"]
     assert note.startswith(f"integration stopped early at t = {t_last:.6g}: "
                            "step budget of 3 exhausted")
     out.unlink()
@@ -236,6 +249,7 @@ def test_domain_edge_writes_partial_result_and_exits_3(tmp_path, capsys):
     assert rows[-1][0] <= t_edge < rows[-1][0] + 50.0 / 255
     assert 2.9 < rows[-1][1] <= 3.0
     assert summary["samples"] == len(rows)
+    assert summary["t_span"] == [0.0, rows[-1][0]]
     again = tmp_path / "again.csv"
     assert run(["trajectory", "--config", cfg, "--out", str(again),
                 "--quiet"]) == 3

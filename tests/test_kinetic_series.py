@@ -239,7 +239,8 @@ def test_determination_recovers_canonical():
 def test_level0_builds_each_lattice_once_and_reads_only_s0p(monkeypatch):
     # level 0 reads S0' alone, so it needs no d/dx of any table; its 10
     # basis vectors (stage a), 5 stage-(b) vectors and 6 probes (stage c)
-    # each need one lattice, shared by the xddd = +1 and -1 states
+    # each need one lattice, shared by the xddd = +1 and -1 states, and the
+    # determined lattice is the 22nd
     import qmotion.kinetic_series as ks
 
     calls = {"d_dx": 0, "lattice": 0}
@@ -255,7 +256,7 @@ def test_level0_builds_each_lattice_once_and_reads_only_s0p(monkeypatch):
                         counting("lattice", ks._theta_lattice))
     _, report = determine_coefficients(levels=0)
     assert report.levels[0].selected_root == pytest.approx(0.5)
-    assert calls == {"d_dx": 0, "lattice": 21}
+    assert calls == {"d_dx": 0, "lattice": 22}
 
 
 def test_determination_rejects_bad_levels():

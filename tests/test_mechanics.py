@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmotion.jets import Jet, JetOrderError, sin as jet_sin
+from qmotion.jets import Dual, Jet, JetOrderError, sin as jet_sin
 from qmotion.kinetic_series import (
     KineticCoefficients,
     momenta_state,
@@ -27,6 +27,7 @@ from qmotion.kinetic_series import (
     series_momenta,
 )
 from qmotion.mechanics import (
+    LagrangianEvaluator,
     canonical_consistency,
     classical_lagrangian,
     el_residual,
@@ -68,6 +69,111 @@ def test_partials_require_enough_order():
     L = classical_lagrangian(PARAMS)
     with pytest.raises(JetOrderError):
         L.partials(Jet((0.0, 1.0, 0.0)), depth=2)
+
+
+def reference_partials(L, j, t=0.0, depth=2):
+    """L and its four slot partials as jets in t, from five calls of the
+    Lagrangian: one on the plain slot jets for L, then one per slot with a
+    one-channel dual in that slot."""
+    slots = [Jet(j.coeffs[s:s + depth + 1]) for s in range(4)]
+    tj = Jet.variable(t, depth) if depth >= 1 else float(t)
+    val = L.fn(*slots, tj)
+    one = Jet.constant(1.0, depth)
+    parts = []
+    for s in range(4):
+        args = list(slots)
+        args[s] = Dual(slots[s], one)
+        out = L.fn(*args, tj)
+        parts.append(out.du if isinstance(out, Dual) else 0.0)
+    return [v if isinstance(v, Jet) else Jet.constant(float(v), depth)
+            for v in (val, *parts)]
+
+
+_REF_PARAMS = PhysParams(hbar=0.8, mu=1.3, energy=0.0)
+_HARMONIC = PotentialModel.harmonic(1.0)
+
+
+@st.composite
+def partials_case(draw):
+    """(jet, t, depth): a motion jet of order depth + 3 .. depth + 5 with
+    xd = +-[0.5, 2] and the rest in [-1, 1], an evaluation time, and the
+    depth (0, 2 or 3)."""
+    depth = draw(st.sampled_from([0, 2, 3]))
+    unit = st.floats(-1.0, 1.0)
+    coeffs = draw(st.lists(unit, min_size=depth + 4, max_size=depth + 6))
+    coeffs[1] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
+    return Jet(tuple(coeffs)), draw(unit), depth
+
+
+def _partial_jets(L, j, t, depth):
+    p = L.partials(j, t, depth)
+    got = [p.L, p.dx, p.dxd, p.dxdd, p.dxddd]
+    assert all(q.order == depth for q in got)
+    return got, reference_partials(L, j, t, depth)
+
+
+@pytest.mark.parametrize("L", [
+    quantum_lagrangian(_REF_PARAMS), quantum_lagrangian(_REF_PARAMS, _HARMONIC),
+    classical_lagrangian(_REF_PARAMS), classical_lagrangian(_REF_PARAMS, _HARMONIC),
+], ids=["quantum", "quantum-harmonic", "classical", "classical-harmonic"])
+@given(case=partials_case())
+@settings(deadline=None, max_examples=40)
+def test_partials_match_the_five_call_reference_bitwise(L, case):
+    got, want = _partial_jets(L, *case)
+    for g, w in zip(got, want):
+        assert np.array_equal(np.array(g.coeffs, dtype=float).view(np.int64),
+                              np.array(w.coeffs, dtype=float).view(np.int64))
+
+
+def _sin_t_lagrangian(x, xd, xdd, xddd, t):
+    return jet_sin(x) * xd * xd + t * xdd * xddd - 0.5 * xddd * xddd / xd
+
+
+@pytest.mark.parametrize("L", [
+    series_lagrangian(KineticCoefficients.canonical(), _REF_PARAMS, 0.3,
+                      _HARMONIC),
+    LagrangianEvaluator(_sin_t_lagrangian),
+], ids=["series-lam", "sin-explicit-t"])
+@given(case=partials_case())
+@settings(deadline=None, max_examples=40)
+def test_partials_match_the_five_call_reference_to_rounding(L, case):
+    # the five calls form some jet products with the operands swapped (a
+    # plain jet times a dual goes through Dual.__rmul__), so the two agree
+    # to rounding, relative to each partial's largest coefficient
+    got, want = _partial_jets(L, *case)
+    for g, w in zip(got, want):
+        w = np.array(w.coeffs, dtype=float)
+        scale = max(np.max(np.abs(w)), np.finfo(float).tiny)
+        assert np.max(np.abs(np.array(g.coeffs, dtype=float) - w)) <= 1e-13 * scale
+
+
+def test_partials_call_the_lagrangian_once():
+    inner = quantum_lagrangian(PARAMS).fn
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return inner(*args)
+
+    LagrangianEvaluator(fn).partials(Jet((0.2, 1.1, -0.4, 0.7, 0.3, -0.2)),
+                                     depth=2)
+    assert len(calls) == 1
+
+
+def test_partials_of_a_batch_of_jets_match_each_jet():
+    # four jets, as many as the dual's channels, so a mix-up of the batch
+    # and channel axes would broadcast instead of failing
+    L = quantum_lagrangian(_REF_PARAMS, _HARMONIC)
+    rng = np.random.default_rng(5)
+    cols = rng.uniform(-1.0, 1.0, (6, 4))
+    cols[1] = rng.uniform(0.5, 2.0, 4)
+    batch = L.partials(Jet(tuple(cols)), 0.4, depth=2)
+    for i in range(4):
+        one = L.partials(Jet(tuple(cols[:, i])), 0.4, depth=2)
+        for name in ("L", "dx", "dxd", "dxdd", "dxddd"):
+            got = [np.broadcast_to(v, (4,))[i]
+                   for v in getattr(batch, name).coeffs]
+            assert got == list(getattr(one, name).coeffs), (i, name)
 
 
 def test_partials_of_untouched_slot_are_zero():

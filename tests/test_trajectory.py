@@ -319,6 +319,12 @@ def test_newton_law_agrees_with_velocity_law():
     assert worst < 1e-7
 
 
+def test_arrival_time_needs_the_velocity_law():
+    res = integrate_newton_law(free_scenario(a=2.0, law="newton", t1=1.0))
+    with pytest.raises(ValueError, match="newton law"):
+        res.arrival_time(0.5)
+
+
 def test_newton_law_conserves_h_off_family():
     # an initial state not generated by any (a, b): H stays pinned anyway
     s = free_scenario(law="newton", t1=3.0)
