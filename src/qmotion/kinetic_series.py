@@ -616,7 +616,7 @@ def sample_states(rng: np.random.Generator, count: int) -> np.ndarray:
 @dataclass
 class LevelReport:
     level: int
-    labels: list
+    labels: tuple
     values: dict
     rank: int
     n_unknowns: int
@@ -664,8 +664,8 @@ def _snap(v: float, tol: float = 1e-9, max_den: int = 16) -> float:
 # the elimination's fixed design: spatial weights k = 0 .. _K_MAX at every
 # level, one unknown per (alpha or beta, k), three sampled states per unknown
 _K_MAX = 4
-_LABELS = ([("alpha", k) for k in range(_K_MAX + 1)]
-           + [("beta", k) for k in range(_K_MAX + 1)])
+_LABELS = tuple([("alpha", k) for k in range(_K_MAX + 1)]
+                + [("beta", k) for k in range(_K_MAX + 1)])
 _SAMPLES = 3 * len(_LABELS)
 
 

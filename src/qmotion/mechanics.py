@@ -226,10 +226,9 @@ def quantum_lagrangian(params, potential=None) -> LagrangianEvaluator:
 
 
 def series_lagrangian(c: KineticCoefficients, params, lam: float = 0.0,
-                      potential=None, *, hbar=None) -> LagrangianEvaluator:
+                      potential=None) -> LagrangianEvaluator:
     """T(c) + (lam/2) xddd^2 - V(x) as a black-box evaluator."""
-    mu = params.mu
-    hb = params.hbar if hbar is None else hbar
+    mu, hb = params.mu, params.hbar
     vfun = _value_fn(potential)
 
     def fn(x, xd, xdd, xddd, t):
