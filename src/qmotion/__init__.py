@@ -25,7 +25,6 @@ from .reduced_action import (
 from .kinetic_series import (
     KineticCoefficients,
     determine_coefficients,
-    eval_kinetic,
     master_residual,
     series_momenta,
 )

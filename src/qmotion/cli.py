@@ -195,8 +195,7 @@ def _write_run(args, s: traj.ScenarioConfig, fmt: str, path: str,
 
 def _cmd_verify_qshje(args) -> int:
     rng = np.random.default_rng(args.seed)
-    tol_free = 1e-10 * args.tol_scale
-    tol_num = 1e-6 * args.tol_scale
+    tol_free, tol_num = 1e-10, 1e-6
     params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
     ok = True
 
@@ -248,7 +247,7 @@ def _cmd_verify_master(args) -> int:
     rng = np.random.default_rng(args.seed)
     c = _apply_perturbations(KineticCoefficients.canonical(), args.perturb)
     params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
-    tol = 1e-10 * args.tol_scale
+    tol = 1e-10
     worst = float(np.max(master_residual(c, sample_jets(rng, args.samples),
                                          params), initial=0.0))
     _say(args, f"master residual over {args.samples} jets: "
@@ -261,8 +260,8 @@ def _cmd_verify_conservation(args) -> int:
     rng = np.random.default_rng(args.seed)
     base = scenario_from_config(doc)
     pair = base.build_pair()  # shared: it depends on neither (a, b) nor law
-    drift_tol = max(1e-8 * abs(base.params.energy), 1e-10) * args.tol_scale
-    bohm_tol = 1e-8 * args.tol_scale
+    drift_tol = max(1e-8 * abs(base.params.energy), 1e-10)
+    bohm_tol = 1e-8
     ok = True
     for idx in range(args.samples):
         q = _random_state(rng)
@@ -431,11 +430,11 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # parser plumbing
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=20260823,
-                   help="random seed for sampled checks")
-    p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
-                   help="multiply verification tolerances by this factor")
+def _add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+    """--quiet, and --seed for the subcommands that draw random samples."""
+    if seeded:
+        p.add_argument("--seed", type=int, default=20260823,
+                       help="random seed for sampled checks")
     p.add_argument("--quiet", action="store_true",
                    help="suppress informational output")
 
@@ -450,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--law", choices=traj.LAWS)
     p.add_argument("--out", help="override output.path")
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_trajectory)
 
     v = sub.add_parser("verify", help="verification suites")
@@ -500,14 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = dsub.add_parser("legacy-stall",
                         help="legacy law freezing at a classical turning point")
     p.add_argument("--config")
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_demo_legacy_stall)
 
     p = sub.add_parser("sweep", help="grid over (a, b, E) with one row per cell")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--workers", type=int, default=4)
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -32,7 +32,6 @@ ch. 13).  A single state is the same computation on floats.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,12 +47,10 @@ __all__ = [
     "DeterminationError",
     "KineticCoefficients",
     "Momenta",
-    "eval_kinetic",
     "kinetic_term",
     "series_momenta",
     "momenta_state",
     "ab_tables",
-    "ds0dx_series",
     "ds0dx_state",
     "master_residual",
     "level_residuals",
@@ -107,7 +104,7 @@ def _ipow(base, e: int):
 
 
 def _mono(vals, e, powers: dict):
-    """prod vals[i]^e[i] over the slots (x - x0, xd, xdd, xddd, x4, x5) that
+    """prod vals[i]^e[i] over the slots (x, xd, xdd, xddd, x4, x5) that
     ``e`` reaches, the xd factor first (e[1] is usually < 0); ``powers``
     keeps each vals[i]^p for the other monomials of one evaluation."""
     val = None
@@ -135,7 +132,7 @@ def _prefactor(mu, hbar, n: int):
 #
 # A series over the state is held as a table {(n, e): coef} of the terms
 #
-#     coef * hbar^n / mu^(n-1) * (x - x0)^e[0] xd^e[1] xdd^e[2] xddd^e[3] x4^e[4] x5^e[5],
+#     coef * hbar^n / mu^(n-1) * x^e[0] xd^e[1] xdd^e[2] xddd^e[3] x4^e[4] x5^e[5],
 #
 # so a derivative of a series is an exact rewrite of its exponent tuples
 # (Taylor arithmetic on exponents, Griewank and Walther, *Evaluating
@@ -168,16 +165,15 @@ def _d_dx(table: dict) -> dict:
     return {key: coef for key, coef in out.items() if coef}
 
 
-def _evaluate(table: dict, state, x0, mu, hbar):
+def _evaluate(table: dict, state, mu, hbar):
     """Sum of a table's terms at a state (x, xd, ...) of floats, jets, duals
     or (N,) arrays; the state needs only the slots the table reaches."""
-    vals = (state[0] - x0,) + tuple(state[1:])
     prefs, powers = {}, {}
     total = 0.0
     for (n, e), coef in table.items():
         if n not in prefs:
             prefs[n] = _prefactor(mu, hbar, n)
-        total = total + coef * prefs[n] * _mono(vals, e, powers)
+        total = total + coef * prefs[n] * _mono(state, e, powers)
     return total
 
 
@@ -187,12 +183,11 @@ def _evaluate(table: dict, state, x0, mu, hbar):
 class KineticCoefficients:
     """Sparse lattice (n, k) -> (alpha, beta), n >= 0, k >= 0.
 
-    ``x0`` shifts the spatial weight factors to (x - x0)^k; the physical
-    solution carries no explicit x dependence, so the offset is inert for
-    it but kept for generality.
+    Entry (n, k) weighs T's two monomials at level n with the spatial
+    factor x^k (see ``term_exponents``); zero entries are dropped.
     """
 
-    def __init__(self, entries: dict | None = None, x0: float = 0.0):
+    def __init__(self, entries: dict | None = None):
         clean: dict[tuple[int, int], tuple[float, float]] = {}
         for key, val in (entries or {}).items():
             n, k = key
@@ -202,7 +197,6 @@ class KineticCoefficients:
             if al != 0.0 or be != 0.0:
                 clean[(int(n), int(k))] = (al, be)
         self.entries = clean
-        self.x0 = float(x0)
         self._derived = {}
 
     @classmethod
@@ -230,7 +224,7 @@ class KineticCoefficients:
         old = new.get((n, k), (0.0, 0.0))
         new[(n, k)] = (old[0] if alpha is None else alpha,
                        old[1] if beta is None else beta)
-        return KineticCoefficients(new, self.x0)
+        return KineticCoefficients(new)
 
     def derived(self, build):
         """``build(self)``, computed on the first call and kept, so each
@@ -243,40 +237,14 @@ class KineticCoefficients:
     def __eq__(self, other) -> bool:
         if not isinstance(other, KineticCoefficients):
             return NotImplemented
-        return self.entries == other.entries and self.x0 == other.x0
+        return self.entries == other.entries
 
     def __repr__(self) -> str:
         cells = ", ".join(
             f"({n},{k}): a={a:g}, b={b:g}"
             for (n, k), (a, b) in sorted(self.entries.items())
         )
-        return f"KineticCoefficients({{{cells}}}, x0={self.x0:g})"
-
-    def to_json(self) -> str:
-        doc = {
-            "entries": [
-                {"n": n, "k": k, "alpha": a, "beta": b}
-                for (n, k), (a, b) in sorted(self.entries.items())
-            ]
-        }
-        if self.x0:
-            doc["x0"] = self.x0
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "KineticCoefficients":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or "entries" not in doc:
-            raise LatticeError("expected an object with an 'entries' list")
-        entries = {}
-        for cell in doc["entries"]:
-            try:
-                key = (int(cell["n"]), int(cell["k"]))
-                entries[key] = (float(cell.get("alpha", 0.0)),
-                                float(cell.get("beta", 0.0)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LatticeError(f"bad lattice cell {cell!r}") from exc
-        return cls(entries, float(doc.get("x0", 0.0)))
+        return f"KineticCoefficients({{{cells}}})"
 
 
 def term_exponents(n: int, k: int) -> dict:
@@ -367,27 +335,15 @@ def kinetic_term(c: KineticCoefficients, x, xd, xdd, xddd, mu, hbar):
     (N,) arrays of a batch of states)."""
     if _vanishes(xd):
         raise SingularityError("xd = 0 in kinetic series")
-    return _evaluate(c.derived(_kinetic_table), (x, xd, xdd, xddd), c.x0, mu, hbar)
+    return _evaluate(c.derived(_kinetic_table), (x, xd, xdd, xddd), mu, hbar)
 
 
-def _state_from_jet(j: Jet, need: int) -> tuple:
-    if j.order + 1 < need:
+def _state_from_jet(j: Jet) -> tuple:
+    """The state (x .. x5) of a motion jet of order >= 5."""
+    if j.order < 5:
         raise LatticeError(
-            f"jet carries {j.order + 1} derivatives, need at least {need}")
-    coeffs = j.coeffs + (0.0,) * (6 - len(j.coeffs))
-    return coeffs[:6]
-
-
-def eval_kinetic(c: KineticCoefficients, j: Jet, params, *, hbar=None):
-    """T at a motion jet (x, xd, xdd, xddd, ...); order >= 3 required.
-
-    ``hbar`` overrides params.hbar; it may be a plain number (0 recovers
-    the classical limit mu*xd^2/2 for the canonical lattice) or a Jet for
-    level-graded evaluation.
-    """
-    x, xd, xdd, xddd, _, _ = _state_from_jet(j, 4)
-    hb = params.hbar if hbar is None else hbar
-    return kinetic_term(c, x, xd, xdd, xddd, params.mu, hb)
+            f"jet carries {j.order + 1} derivatives, need at least 6")
+    return j.coeffs[:6]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +372,7 @@ def momenta_state(c: KineticCoefficients, state, mu, hbar, lam=0.0) -> Momenta:
     x, xd, xdd, xddd, x4, x5 = state
     if _vanishes(xd):
         raise SingularityError("xd = 0 in momentum series")
-    vals, powers = (x - c.x0, xd, xdd, xddd), {}
+    powers = {}
     p_tot, pi_tot, xi_tot = 0.0, 0.0, 0.0
     for n in range(c.n_max + 1):
         for k in range(c.k_max + 1):
@@ -441,16 +397,16 @@ def momenta_state(c: KineticCoefficients, state, mu, hbar, lam=0.0) -> Momenta:
             pi_c = (n + k) * al + (3 * n + 2 * k - 3) * be - (k + 1) * be1
             if pa:
                 p_tot = p_tot + pa * pref * _mono(
-                    vals, (k, -(3 * n + 2 * k - 1), n + k), powers)
+                    state, (k, -(3 * n + 2 * k - 1), n + k), powers)
             if pb:
                 p_tot = p_tot + pb * pref * _mono(
-                    vals, (k, -(3 * n + 2 * k - 2), n + k - 2, 1), powers)
+                    state, (k, -(3 * n + 2 * k - 2), n + k - 2, 1), powers)
             if pi_c:
                 pi_tot = pi_tot + pi_c * pref * _mono(
-                    vals, (k, -(3 * n + 2 * k - 2), n + k - 1), powers)
+                    state, (k, -(3 * n + 2 * k - 2), n + k - 1), powers)
             if be:
                 xi_tot = xi_tot + be * pref * _mono(
-                    vals, (k, -(3 * n + 2 * k - 3), n + k - 2), powers)
+                    state, (k, -(3 * n + 2 * k - 3), n + k - 2), powers)
     if lam:
         p_tot = p_tot + lam * x5
         pi_tot = pi_tot - lam * x4
@@ -461,14 +417,14 @@ def momenta_state(c: KineticCoefficients, state, mu, hbar, lam=0.0) -> Momenta:
 def series_momenta(c: KineticCoefficients, j: Jet, params,
                    lam: float = 0.0) -> Momenta:
     """(P, Pi, Xi) at a motion jet of order >= 5."""
-    return momenta_state(c, _state_from_jet(j, 6), params.mu, params.hbar, lam)
+    return momenta_state(c, _state_from_jet(j), params.mu, params.hbar, lam)
 
 
 def xi_series_core(c: KineticCoefficients, state, mu, hbar):
     """The bare beta sum appearing in Xi and in the regulated Hamiltonian
     bracket, dT/dxddd = sum hbar^n beta_nk / mu^(n-1) x^k xdd^(n+k-2) /
     xd^(3n+2k-3); ``state`` needs only (x, xd, xdd)."""
-    return _evaluate(c.derived(_xi_table), state, c.x0, mu, hbar)
+    return _evaluate(c.derived(_xi_table), state, mu, hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +441,7 @@ def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
     """
     if _vanishes(state[1]):
         raise SingularityError("xd = 0 in action-gradient series")
-    return tuple(_evaluate(t, state, c.x0, mu, hbar)
+    return tuple(_evaluate(t, state, mu, hbar)
                  for t in c.derived(_s0_tables))
 
 
@@ -493,12 +449,7 @@ def _s0p_state(c: KineticCoefficients, state, mu, hbar):
     """S0' alone: ``ds0dx_state(...)[0]`` without deriving S0'' and S0'''."""
     if _vanishes(state[1]):
         raise SingularityError("xd = 0 in action-gradient series")
-    return _evaluate(c.derived(_s0p_table), state, c.x0, mu, hbar)
-
-
-def ds0dx_series(c: KineticCoefficients, j: Jet, params):
-    """(S0', S0'', S0''') at a motion jet of order >= 5."""
-    return ds0dx_state(c, _state_from_jet(j, 6), params.mu, params.hbar)
+    return _evaluate(c.derived(_s0p_table), state, mu, hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +523,11 @@ def master_residual(c: KineticCoefficients, j, params):
     with one residual per state, all evaluated in one pass.
     """
     if isinstance(j, Jet):
-        state = _state_from_jet(j, 6)
+        state = _state_from_jet(j)
     elif isinstance(j, np.ndarray):
         state = _columns(j)
     else:
-        state = _columns(np.array([_state_from_jet(jj, 6) for jj in j],
+        state = _columns(np.array([_state_from_jet(jj) for jj in j],
                                   dtype=float).reshape(-1, 6))
     ratios, _, _ = level_residuals(c, state, params.mu, params.hbar)
     worst = ratios.max(axis=0)

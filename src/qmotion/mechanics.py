@@ -4,11 +4,12 @@ The model Lagrangians treated by this package depend on time derivatives of
 the coordinate up to third order, so the variational calculus brings in a
 generalized Euler-Lagrange equation with total time derivatives up to
 d^3/dt^3, three conjugate momenta and a Hamiltonian built from all of them.
-Everything here works on black-box callables: one call of the Lagrangian
-on four-channel duals over jets in t gives L and its four slot partials
-(vector forward mode, Griewank and Walther, *Evaluating Derivatives*,
-ch. 3), so total time derivatives are exact rather than finite
-differences.
+A Lagrangian is a plain function ``L(x, xd, xdd, xddd, t)``, and the stock
+ones are built as such.  Everything here treats it as a black box:
+``partials`` makes one call of it on four-channel duals over jets in t and
+gets L and its four slot partials (vector forward mode, Griewank and
+Walther, *Evaluating Derivatives*, ch. 3), so total time derivatives are
+exact rather than finite differences.
 
 The module also carries two consistency demonstrations: the canonical
 equations of the regulated series Hamiltonian checked as identities along
@@ -46,7 +47,6 @@ from .kinetic_series import (
 __all__ = [
     "CanonicalReport",
     "CheckResult",
-    "LagrangianEvaluator",
     "LagrangianPartials",
     "LinearTermReport",
     "canonical_consistency",
@@ -56,6 +56,7 @@ __all__ = [
     "linear_term_acceleration",
     "linear_term_demo",
     "momenta",
+    "partials",
     "quantum_lagrangian",
     "series_lagrangian",
 ]
@@ -80,64 +81,37 @@ def _as_tjet(v, depth: int) -> Jet:
     return Jet.constant(float(v), depth)
 
 
-class LagrangianEvaluator:
-    """Black-box Lagrangian with jet-valued partial derivatives.
+def partials(L: Callable, j: Jet, t: float = 0.0,
+             depth: int = 2) -> LagrangianPartials:
+    """L and its four slot partials as jets in t of order ``depth``.
 
-    Wraps a callable ``fn(x, xd, xdd, xddd, t)`` that must be generic over
-    the argument types (plain floats, jets, duals-over-jets); any closed
-    arithmetic expression qualifies, as do the transcendental helpers in
-    :mod:`qmotion.jets`.  ``partials`` returns L and the four slot partials
-    as jets in t of the requested order, which is what the generalized
-    Euler-Lagrange equation consumes.  It calls ``fn`` once: slot s is a
-    dual whose perturbation is a jet of 4-vectors, unit in channel s, and
-    partial s is channel s of the result's perturbation.  The evaluator
-    holds no state between calls.
+    ``L(x, xd, xdd, xddd, t)`` must be generic over the argument types
+    (plain floats, jets, duals-over-jets); any closed arithmetic expression
+    qualifies, as do the transcendental helpers in :mod:`qmotion.jets`.  L
+    is called once: slot s is a dual whose perturbation is a jet of
+    4-vectors, unit in channel s, and partial s is channel s of the
+    result's perturbation.
     """
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def value(self, j: Jet, t: float = 0.0) -> float:
-        if j.order < _SLOTS - 1:
-            raise JetOrderError("Lagrangian evaluation needs x..xddd")
-        x, xd, xdd, xddd = j.coeffs[:_SLOTS]
-        return float(self.fn(x, xd, xdd, xddd, t))
-
-    def partials(self, j: Jet, t: float = 0.0, depth: int = 2) -> LagrangianPartials:
-        need = depth + _SLOTS - 1
-        if j.order < need:
-            raise JetOrderError(
-                f"depth-{depth} partials draw on x^({need}); jet order {j.order}")
-        # channels lead, so array coefficients (a batch of jets) broadcast
-        rows = np.eye(_SLOTS)[(...,) + (None,) * np.ndim(j.value)]
-        slots = [Dual(Jet(j.coeffs[s:s + depth + 1]), Jet.constant(row, depth))
-                 for s, row in enumerate(rows)]
-        tj = Jet.variable(t, depth) if depth >= 1 else float(t)
-        out = self.fn(*slots, tj)
-        if not isinstance(out, Dual):
-            return LagrangianPartials(_as_tjet(out, depth),
-                                      *(_as_tjet(0.0, depth),) * _SLOTS)
-        return LagrangianPartials(
-            _as_tjet(out.re, depth),
-            *(_as_tjet(Jet([c[s] for c in out.du.coeffs]), depth)
-              for s in range(_SLOTS)))
-
-    def self_test(self, j: Jet, t: float = 0.0, h: float = 1e-5) -> float:
-        """Worst relative mismatch of the four partials against central
-        differences of the value; O(h^2), so ~1e-10 for smooth Lagrangians."""
-        p = self.partials(j, t, depth=0)
-        worst = 0.0
-        for s, got in enumerate((p.dx, p.dxd, p.dxdd, p.dxddd)):
-            up = list(j.coeffs)
-            dn = list(j.coeffs)
-            up[s] += h
-            dn[s] -= h
-            fd = (self.value(Jet(up), t) - self.value(Jet(dn), t)) / (2.0 * h)
-            worst = max(worst, abs(got.value - fd) / max(1.0, abs(fd)))
-        return worst
+    need = depth + _SLOTS - 1
+    if j.order < need:
+        raise JetOrderError(
+            f"depth-{depth} partials draw on x^({need}); jet order {j.order}")
+    # channels lead, so array coefficients (a batch of jets) broadcast
+    rows = np.eye(_SLOTS)[(...,) + (None,) * np.ndim(j.value)]
+    slots = [Dual(Jet(j.coeffs[s:s + depth + 1]), Jet.constant(row, depth))
+             for s, row in enumerate(rows)]
+    tj = Jet.variable(t, depth) if depth >= 1 else float(t)
+    out = L(*slots, tj)
+    if not isinstance(out, Dual):
+        return LagrangianPartials(_as_tjet(out, depth),
+                                  *(_as_tjet(0.0, depth),) * _SLOTS)
+    return LagrangianPartials(
+        _as_tjet(out.re, depth),
+        *(_as_tjet(Jet([c[s] for c in out.du.coeffs]), depth)
+          for s in range(_SLOTS)))
 
 
-def el_residual(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> float:
+def el_residual(L: Callable, j: Jet, t: float = 0.0) -> float:
     """Generalized Euler-Lagrange residual at a motion jet of order 6.
 
     d^3/dt^3 (dL/dxddd) - d^2/dt^2 (dL/dxdd) + d/dt (dL/dxd) - dL/dx,
@@ -146,7 +120,7 @@ def el_residual(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> float:
     """
     if j.order < 6:
         raise JetOrderError("el_residual needs a jet of order 6")
-    p = L.partials(j, t, depth=3)
+    p = partials(L, j, t, depth=3)
     return float(p.dxddd.coeffs[3] - p.dxdd.coeffs[2]
                  + p.dxd.coeffs[1] - p.dx.coeffs[0])
 
@@ -158,7 +132,7 @@ def _momenta(p: LagrangianPartials) -> Momenta:
                    p.dxddd.coeffs[0])
 
 
-def momenta(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> Momenta:
+def momenta(L: Callable, j: Jet, t: float = 0.0) -> Momenta:
     """Conjugate momenta at a motion jet of order >= 5.
 
     P  = dL/dxd - d/dt dL/dxdd + d^2/dt^2 dL/dxddd
@@ -167,14 +141,14 @@ def momenta(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> Momenta:
     """
     if j.order < 5:
         raise JetOrderError("momenta need a jet of order 5")
-    return Momenta(*map(float, _momenta(L.partials(j, t, depth=2))))
+    return Momenta(*map(float, _momenta(partials(L, j, t, depth=2))))
 
 
-def hamiltonian(L: LagrangianEvaluator, j: Jet, t: float = 0.0) -> float:
+def hamiltonian(L: Callable, j: Jet, t: float = 0.0) -> float:
     """H = P xd + Pi xdd + Xi xddd - L; conserved when L has no explicit t."""
     if j.order < 5:
         raise JetOrderError("hamiltonian needs a jet of order 5")
-    p = L.partials(j, t, depth=2)
+    p = partials(L, j, t, depth=2)
     P, Pi, Xi = _momenta(p)
     xd, xdd, xddd = j.coeffs[1:4]
     return float(P * xd + Pi * xdd + Xi * xddd - p.L.coeffs[0])
@@ -189,7 +163,7 @@ def _value_fn(potential):
     return getattr(potential, "value", potential)
 
 
-def classical_lagrangian(params, potential=None) -> LagrangianEvaluator:
+def classical_lagrangian(params, potential=None) -> Callable:
     """mu xd^2/2 - V(x)."""
     mu = params.mu
     vfun = _value_fn(potential)
@@ -200,10 +174,10 @@ def classical_lagrangian(params, potential=None) -> LagrangianEvaluator:
             out = out - vfun(x)
         return out
 
-    return LagrangianEvaluator(fn)
+    return fn
 
 
-def quantum_lagrangian(params, potential=None) -> LagrangianEvaluator:
+def quantum_lagrangian(params, potential=None) -> Callable:
     """Closed-form quantum Lagrangian: the classical kinetic term plus the
     hbar^2 correction (5/2) xdd^2/xd^4 - xddd/xd^3, minus the potential.
 
@@ -222,12 +196,12 @@ def quantum_lagrangian(params, potential=None) -> LagrangianEvaluator:
             out = out - vfun(x)
         return out
 
-    return LagrangianEvaluator(fn)
+    return fn
 
 
 def series_lagrangian(c: KineticCoefficients, params, lam: float = 0.0,
-                      potential=None) -> LagrangianEvaluator:
-    """T(c) + (lam/2) xddd^2 - V(x) as a black-box evaluator."""
+                      potential=None) -> Callable:
+    """T(c) + (lam/2) xddd^2 - V(x)."""
     mu, hb = params.mu, params.hbar
     vfun = _value_fn(potential)
 
@@ -239,7 +213,7 @@ def series_lagrangian(c: KineticCoefficients, params, lam: float = 0.0,
             out = out - vfun(x)
         return out
 
-    return LagrangianEvaluator(fn)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +264,7 @@ def _canonical_sums(c: KineticCoefficients, x, xd, xdd, mu, hbar) -> tuple:
     """The (alpha, beta) pairs of sums entering the Hamiltonian's partial
     derivatives with respect to x, xd and xdd (each taken at fixed momenta,
     after the momentum relations are folded back in)."""
-    return tuple(tuple(_evaluate(t, (x, xd, xdd), c.x0, mu, hbar) for t in pair)
+    return tuple(tuple(_evaluate(t, (x, xd, xdd), mu, hbar) for t in pair)
                  for pair in c.derived(_gradient_tables))
 
 

@@ -65,14 +65,14 @@ _EXPONENT = -1 / 5
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and budgets for adaptive integration."""
+    """Tolerances and budgets for adaptive integration, checked when built."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = np.inf
     max_steps: int = 1_000_000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if not self.max_step > 0:
@@ -180,7 +180,6 @@ def integrate_ivp(rhs, y0, t_span, settings: IntegratorSettings | None = None) -
     attempted step.
     """
     settings = settings or IntegratorSettings()
-    settings.validate()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")

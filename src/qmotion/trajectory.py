@@ -5,7 +5,7 @@ supplied by a solution pair of the stationary wave equation.  Because the
 gradient never vanishes, x(t) is strictly monotone and high-order time jets
 of the motion follow from the spatial jets of dS0/dx by the chain rule --
 that is how consistent initial data for the fourth-order form of the law is
-produced, and how the closed-form observables (H, P, Q, L) are sampled
+produced, and how the closed-form observables (H, P, Q) are sampled
 along a run.
 
 The first-order law separates: t - t0 = mu * integral of dx/S0', and 1/S0'
@@ -139,7 +139,6 @@ class ObservableSet(NamedTuple):
     H: float
     P: float
     Q: float
-    L: float
 
 
 @dataclass
@@ -178,8 +177,6 @@ class ScenarioConfig:
                                     and all(map(math.isfinite, dom))):
             raise ValueError("domain must be two finite numbers lo < hi, "
                              f"got {list(dom)}")
-        # checked here too, since the velocity law runs no integrator
-        self.integrator.validate()
         if self.potential.kind == "free" and not self.params.energy > 0:
             raise ValueError("the free pair needs positive energy")
 
@@ -237,12 +234,11 @@ class TrajectoryResult:
 # observables and chain-rule jets
 
 def observables(j: Jet, params: PhysParams, potential=None) -> ObservableSet:
-    """Closed-form (H, P, Q, L) at a motion jet of order >= 3.
+    """Closed-form (H, P, Q) at a motion jet of order >= 3.
 
     The jet's coefficients are floats, or arrays with one entry per sample.
-    Q is the quantum potential -(hbar^2/4 mu)[(5/2) xdd^2/xd^4 - xddd/xd^3];
-    H and L split as mu xd^2/2 +- (Q + V), so H + L = mu xd^2 identically
-    (checked and enforced here).  Rows where xd vanishes, a power of xd
+    Q is the quantum potential -(hbar^2/4 mu)[(5/2) xdd^2/xd^4 - xddd/xd^3]
+    and H = mu xd^2/2 + Q + V.  Rows where xd vanishes, a power of xd
     under- or overflows, or a value is not finite raise SingularObservables,
     whose ``partial`` carries NaN in those rows.
     """
@@ -258,21 +254,13 @@ def observables(j: Jet, params: PhysParams, potential=None) -> ObservableSet:
     with np.errstate(all="ignore"):
         p3, p4, p5 = xd ** 3, xd ** 4, xd ** 5
         Q = -quart * (2.5 * xdd * xdd / p4 - xddd / p3)
-        half = 0.5 * mu * xd * xd
-        H = half + Q + V
-        L = half - Q - V
+        H = 0.5 * mu * xd * xd + Q + V
         P = mu * xd - quart * (2.0 * xdd * xdd / p5 - xddd / p4)
         # an overflowing power (xd**5 first) divides to a finite 0, so it
         # is flagged apart from the non-finite values
-        singular = np.isinf(p5) | ~(np.isfinite(H) & np.isfinite(L)
-                                    & np.isfinite(P))
-        broken = ~singular & (np.abs((H + L) - mu * xd * xd)
-                              > 1e-12 * (1.0 + np.abs(half) + np.abs(Q)
-                                         + np.abs(V)))
-    if broken.any():
-        raise RuntimeError("H + L = mu xd^2 decomposition violated")
+        singular = np.isinf(p5) | ~(np.isfinite(H) & np.isfinite(P))
     obs = ObservableSet(*(np.where(singular, np.nan, v)[()]
-                          for v in (H, P, Q, L)))
+                          for v in (H, P, Q)))
     if singular.any():
         raise SingularObservables(
             f"observables undefined at {int(singular.sum())} of "
@@ -540,8 +528,7 @@ def integrate_legacy_law(s: ScenarioConfig):
     except IntegrationFailure as fail:
         dense = fail.partial
         t_end = fail.t_last
-        notes.append(f"integration stopped early at t = {t_end:.6g}: "
-                     f"{fail.reason}")
+        notes.append(f"integration stopped early: {fail.reason}")
         if dense is None:
             raise
     ts = np.linspace(s.t_span[0], t_end, s.samples)

@@ -130,6 +130,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "master", "--tol-scale", "2"],
+    ["trajectory", "--seed", "1", "--config", "cfg.json"],
+    ["sweep", "--seed", "1", "--config", "cfg.json"],
+    ["demo", "legacy-stall", "--seed", "1"],
+], ids=["tol-scale", "trajectory-seed", "sweep-seed", "legacy-stall-seed"])
+def test_options_a_subcommand_does_not_read_exit_2(argv, capsys):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bad_integrator_settings_exit_2_for_every_law(tmp_path, capsys):
     # the velocity law runs no integrator, yet its settings are still checked
     doc = free_doc(str(tmp_path / "x.csv"))
@@ -214,8 +225,12 @@ def test_legacy_step_budget_writes_partial_result_and_exits_0(tmp_path,
     summary = json.loads((tmp_path / "h.csv.json").read_text())
     assert summary["t_span"] == [0.0, t_last]
     (note,) = summary["notes"]
-    assert note.startswith(f"integration stopped early at t = {t_last:.6g}: "
-                           "step budget of 3 exhausted")
+    # the stop time is named once, by the integrator's own reason
+    assert note.startswith("integration stopped early: "
+                           "step budget of 3 exhausted at t = ")
+    assert note.count("t = ") == 1
+    assert float(note.rsplit("t = ", 1)[1]) == pytest.approx(t_last,
+                                                            rel=1e-12)
     out.unlink()
     (tmp_path / "h.csv.json").unlink()
     assert run(["trajectory", "--config", cfg, "--law", "newton"]) == 3

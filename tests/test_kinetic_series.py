@@ -22,9 +22,7 @@ from qmotion.kinetic_series import (
     LatticeError,
     SingularityError,
     determine_coefficients,
-    ds0dx_series,
     ds0dx_state,
-    eval_kinetic,
     kinetic_term,
     level_residuals,
     master_residual,
@@ -76,12 +74,6 @@ def test_invalid_indices_rejected():
         KineticCoefficients({(0, 2.5): (1.0, 0.0)})
 
 
-def test_json_roundtrip():
-    c = KineticCoefficients.canonical().with_entry(1, 3, alpha=0.125, beta=-2.0)
-    d = KineticCoefficients.from_json(c.to_json())
-    assert d == c
-
-
 def test_equality_ignores_zero_entries():
     a = KineticCoefficients({(0, 0): (0.5, 0.0), (3, 1): (0.0, 0.0)})
     b = KineticCoefficients({(0, 0): (0.5, 0.0)})
@@ -109,17 +101,10 @@ def test_canonical_series_equals_quantum_form():
         assert got == pytest.approx(quantum_kinetic(xd, xdd, xddd), rel=1e-12)
 
 
-def test_eval_kinetic_from_jet():
-    c = KineticCoefficients.canonical()
-    j = sample_jets(np.random.default_rng(5), 1)[0]
-    want = quantum_kinetic(j.coeffs[1], j.coeffs[2], j.coeffs[3])
-    assert eval_kinetic(c, j, PARAMS) == pytest.approx(want, rel=1e-12)
-
-
 def test_hbar_override_reaches_classical_limit():
     c = KineticCoefficients.canonical()
     j = sample_jets(np.random.default_rng(5), 1)[0]
-    got = eval_kinetic(c, j, PARAMS, hbar=0.0)
+    got = kinetic_term(c, *j.coeffs[:4], 1.0, 0.0)
     assert got == pytest.approx(0.5 * j.coeffs[1] ** 2, rel=1e-14)
 
 
@@ -134,8 +119,8 @@ def test_lagrangian_series_includes_potential_and_lambda():
     j = sample_jets(np.random.default_rng(11), 1)[0]
     lam = 0.01
     pot = lambda x: 0.3 * x
-    base = eval_kinetic(c, j, PARAMS)
-    full = series_lagrangian(c, PARAMS, lam, pot).value(j)
+    base = kinetic_term(c, *j.coeffs[:4], 1.0, 1.0)
+    full = series_lagrangian(c, PARAMS, lam, pot)(*j.coeffs[:4], 0.0)
     xddd = j.coeffs[3]
     assert full == pytest.approx(base + 0.5 * lam * xddd * xddd
                                  - 0.3 * j.coeffs[0], rel=1e-12)
@@ -207,16 +192,6 @@ def test_level_residuals_vanish_for_canonical():
     assert scales[0] > 0.1 and scales[2] > 0.01
     # odd levels are empty for this lattice
     assert scales[1] == 0.0 and scales[3] == 0.0
-
-
-def test_ds0dx_state_matches_series_path():
-    c = KineticCoefficients.canonical()
-    rng = np.random.default_rng(23)
-    for j in sample_jets(rng, 30):
-        st6 = tuple(j.coeffs[:6])
-        a = ds0dx_state(c, st6, 1.0, 1.0)
-        b = ds0dx_series(c, j, PARAMS)
-        assert a == pytest.approx(b, rel=1e-11, abs=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +447,9 @@ def test_batch_with_one_zero_acceleration_row_needs_negative_power():
 # S0'' and S0''' against the chain rule
 # ---------------------------------------------------------------------------
 
-def random_offset_lattice(seed: int) -> KineticCoefficients:
+def seeded_lattice(seed: int) -> KineticCoefficients:
     """One to four entries at n <= 3, k <= 2, at least one of them at
-    k >= 1, and an offset x0 with |x0| in [0.1, 1].
+    k >= 1.
 
     The coefficients come from numpy rather than from Hypothesis floats:
     a reference path that keeps apart terms the series merges needs them
@@ -485,11 +460,10 @@ def random_offset_lattice(seed: int) -> KineticCoefficients:
              for _ in range(rng.integers(0, 4))]
     cells.append((int(rng.integers(0, 4)), int(rng.integers(1, 3))))
     return KineticCoefficients(
-        {cell: tuple(rng.uniform(-1.0, 1.0, 2)) for cell in cells},
-        x0=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)))
+        {cell: tuple(rng.uniform(-1.0, 1.0, 2)) for cell in cells})
 
 
-offset_lattices = st.integers(0, 2**32 - 1).map(random_offset_lattice)
+seeded_lattices = st.integers(0, 2**32 - 1).map(seeded_lattice)
 
 
 def chain_rule_s0(c, state, mu, hbar):
@@ -504,7 +478,7 @@ def chain_rule_s0(c, state, mu, hbar):
     return s2.value, s2.coeffs[1] / xd
 
 
-@given(offset_lattices, batches, positive, positive)
+@given(seeded_lattices, batches, positive, positive)
 @settings(deadline=None, max_examples=80)
 def test_s0_derivatives_follow_the_chain_rule(c, states, mu, hbar):
     """ds0dx_state's S0'' and S0''' equal the chain rule applied to its S0'

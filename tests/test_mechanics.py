@@ -27,7 +27,6 @@ from qmotion.kinetic_series import (
     series_momenta,
 )
 from qmotion.mechanics import (
-    LagrangianEvaluator,
     canonical_consistency,
     classical_lagrangian,
     el_residual,
@@ -35,11 +34,12 @@ from qmotion.mechanics import (
     linear_term_acceleration,
     linear_term_demo,
     momenta,
+    partials,
     quantum_lagrangian,
     series_lagrangian,
 )
 from qmotion.schrodinger import PhysParams, PotentialModel
-from test_kinetic_series import Mag, random_offset_lattice
+from test_kinetic_series import Mag, seeded_lattice
 
 PARAMS = PhysParams(hbar=1.0, mu=1.0, energy=0.0)
 
@@ -53,22 +53,53 @@ def motion_jet(fn, t0=0.3, order=6):
 # Partial derivatives of black-box Lagrangians
 # ---------------------------------------------------------------------------
 
+def value(L, j, t=0.0):
+    """L at the first four coefficients (x .. xddd) of a motion jet."""
+    return float(L(*j.coeffs[:4], t))
+
+
+def self_test(L, j, t=0.0, h=1e-5):
+    """Worst relative mismatch of the four slot partials against central
+    differences of L; O(h^2), so ~1e-10 for smooth Lagrangians."""
+    p = partials(L, j, t, depth=0)
+    worst = 0.0
+    for s, got in enumerate((p.dx, p.dxd, p.dxdd, p.dxddd)):
+        up = list(j.coeffs)
+        dn = list(j.coeffs)
+        up[s] += h
+        dn[s] -= h
+        fd = (value(L, Jet(up), t) - value(L, Jet(dn), t)) / (2.0 * h)
+        worst = max(worst, abs(got.value - fd) / max(1.0, abs(fd)))
+    return worst
+
+
+_SELF_TEST_JET = Jet((0.2, 1.1, -0.4, 0.7, 0.3, -0.2, 0.5))
+_POTENTIALS = (None, PotentialModel.harmonic(1.0))
+
+
 def test_self_test_quantum():
-    L = quantum_lagrangian(PARAMS)
-    j = Jet((0.2, 1.1, -0.4, 0.7, 0.3, -0.2, 0.5))
-    assert L.self_test(j) < 1e-6
+    for potential in _POTENTIALS:
+        L = quantum_lagrangian(PARAMS, potential)
+        assert self_test(L, _SELF_TEST_JET) < 1e-6, potential
 
 
 def test_self_test_classical():
-    L = classical_lagrangian(PARAMS, PotentialModel.harmonic(1.0))
-    j = Jet((0.2, 1.1, -0.4, 0.7, 0.3, -0.2, 0.5))
-    assert L.self_test(j) < 1e-8
+    for potential in _POTENTIALS:
+        L = classical_lagrangian(PARAMS, potential)
+        assert self_test(L, _SELF_TEST_JET) < 1e-8, potential
+
+
+def test_self_test_series():
+    for potential in _POTENTIALS:
+        L = series_lagrangian(KineticCoefficients.canonical(), PARAMS, 0.3,
+                              potential)
+        assert self_test(L, _SELF_TEST_JET) < 1e-6, potential
 
 
 def test_partials_require_enough_order():
     L = classical_lagrangian(PARAMS)
     with pytest.raises(JetOrderError):
-        L.partials(Jet((0.0, 1.0, 0.0)), depth=2)
+        partials(L, Jet((0.0, 1.0, 0.0)), depth=2)
 
 
 def reference_partials(L, j, t=0.0, depth=2):
@@ -77,13 +108,13 @@ def reference_partials(L, j, t=0.0, depth=2):
     one-channel dual in that slot."""
     slots = [Jet(j.coeffs[s:s + depth + 1]) for s in range(4)]
     tj = Jet.variable(t, depth) if depth >= 1 else float(t)
-    val = L.fn(*slots, tj)
+    val = L(*slots, tj)
     one = Jet.constant(1.0, depth)
     parts = []
     for s in range(4):
         args = list(slots)
         args[s] = Dual(slots[s], one)
-        out = L.fn(*args, tj)
+        out = L(*args, tj)
         parts.append(out.du if isinstance(out, Dual) else 0.0)
     return [v if isinstance(v, Jet) else Jet.constant(float(v), depth)
             for v in (val, *parts)]
@@ -106,7 +137,7 @@ def partials_case(draw):
 
 
 def _partial_jets(L, j, t, depth):
-    p = L.partials(j, t, depth)
+    p = partials(L, j, t, depth)
     got = [p.L, p.dx, p.dxd, p.dxdd, p.dxddd]
     assert all(q.order == depth for q in got)
     return got, reference_partials(L, j, t, depth)
@@ -132,7 +163,7 @@ def _sin_t_lagrangian(x, xd, xdd, xddd, t):
 @pytest.mark.parametrize("L", [
     series_lagrangian(KineticCoefficients.canonical(), _REF_PARAMS, 0.3,
                       _HARMONIC),
-    LagrangianEvaluator(_sin_t_lagrangian),
+    _sin_t_lagrangian,
 ], ids=["series-lam", "sin-explicit-t"])
 @given(case=partials_case())
 @settings(deadline=None, max_examples=40)
@@ -148,15 +179,14 @@ def test_partials_match_the_five_call_reference_to_rounding(L, case):
 
 
 def test_partials_call_the_lagrangian_once():
-    inner = quantum_lagrangian(PARAMS).fn
+    inner = quantum_lagrangian(PARAMS)
     calls = []
 
     def fn(*args):
         calls.append(args)
         return inner(*args)
 
-    LagrangianEvaluator(fn).partials(Jet((0.2, 1.1, -0.4, 0.7, 0.3, -0.2)),
-                                     depth=2)
+    partials(fn, Jet((0.2, 1.1, -0.4, 0.7, 0.3, -0.2)), depth=2)
     assert len(calls) == 1
 
 
@@ -167,9 +197,9 @@ def test_partials_of_a_batch_of_jets_match_each_jet():
     rng = np.random.default_rng(5)
     cols = rng.uniform(-1.0, 1.0, (6, 4))
     cols[1] = rng.uniform(0.5, 2.0, 4)
-    batch = L.partials(Jet(tuple(cols)), 0.4, depth=2)
+    batch = partials(L, Jet(tuple(cols)), 0.4, depth=2)
     for i in range(4):
-        one = L.partials(Jet(tuple(cols[:, i])), 0.4, depth=2)
+        one = partials(L, Jet(tuple(cols[:, i])), 0.4, depth=2)
         for name in ("L", "dx", "dxd", "dxdd", "dxddd"):
             got = [np.broadcast_to(v, (4,))[i]
                    for v in getattr(batch, name).coeffs]
@@ -178,7 +208,7 @@ def test_partials_of_a_batch_of_jets_match_each_jet():
 
 def test_partials_of_untouched_slot_are_zero():
     L = classical_lagrangian(PARAMS)  # depends on xd only (V = 0)
-    p = L.partials(Jet((0.2, 1.3, 0.1, 0.4, 0.0, 0.0)), depth=2)
+    p = partials(L, Jet((0.2, 1.3, 0.1, 0.4, 0.0, 0.0)), depth=2)
     assert p.dx.coeffs == (0.0, 0.0, 0.0)
     assert p.dxdd.coeffs == (0.0, 0.0, 0.0)
     assert p.dxddd.coeffs == (0.0, 0.0, 0.0)
@@ -246,7 +276,7 @@ def test_two_path_momenta_agree():
     # any lattice: the Legendre momenta of its series Lagrangian, within
     # 1e-12 of the magnitude of the closed form's terms (P cancels)
     for seed in range(40):
-        c = random_offset_lattice(seed)
+        c = seeded_lattice(seed)
         params = PhysParams(hbar=rng.uniform(0.5, 2.0), mu=rng.uniform(0.5, 2.0),
                             energy=0.0)
         L = series_lagrangian(c, params)
@@ -264,7 +294,7 @@ def test_series_lagrangian_matches_closed_form():
     Ls = series_lagrangian(KineticCoefficients.canonical(), PARAMS)
     Lq = quantum_lagrangian(PARAMS)
     j = Jet((0.4, 1.2, -0.3, 0.6, 0.2, -0.1, 0.3))
-    assert Ls.value(j) == pytest.approx(Lq.value(j), rel=1e-13)
+    assert value(Ls, j) == pytest.approx(value(Lq, j), rel=1e-13)
     assert el_residual(Ls, j) == pytest.approx(el_residual(Lq, j), rel=1e-10)
 
 
@@ -298,12 +328,12 @@ def test_canonical_consistency_any_lattice():
     c = KineticCoefficients.canonical().with_entry(2, 0, beta=0.0)
     j = sample_jets(np.random.default_rng(9), 1)[0]
     assert canonical_consistency(c, j, PARAMS, 1e-3).max_ratio < 1e-12
-    # and for random lattices with k >= 1 entries and an offset x0, on
+    # and for random lattices with k >= 1 entries, on
     # states whose xdd stays away from 0: the beta monomials carry negative
     # xdd powers, and near xdd = 0 their cancellation grows
     rng = np.random.default_rng(19)
     for seed in range(40):
-        c = random_offset_lattice(seed)
+        c = seeded_lattice(seed)
         for state in sample_states(rng, 2):
             for lam in (0.5, 1e-3, 1e-6):
                 rep = canonical_consistency(c, Jet(tuple(state)), PARAMS, lam)
@@ -397,7 +427,7 @@ def test_h_plus_l_is_kinetic_square(xd, xdd, xddd):
     """H + L = mu xd^2 for the quantum Lagrangian at V = 0."""
     L = quantum_lagrangian(PARAMS)
     j = Jet((0.1, xd, xdd, xddd, 0.2, -0.1))
-    total = hamiltonian(L, j) + L.value(j)
+    total = hamiltonian(L, j) + value(L, j)
     assert total == pytest.approx(xd * xd, rel=1e-9, abs=1e-9)
 
 

@@ -26,9 +26,9 @@ from qmotion.trajectory import ScenarioConfig
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        IntegratorSettings(rel_tol=-1.0).validate()
+        IntegratorSettings(rel_tol=-1.0)
     with pytest.raises(ValueError):
-        IntegratorSettings(max_steps=0).validate()
+        IntegratorSettings(max_steps=0)
 
 
 def test_exponential_decay():

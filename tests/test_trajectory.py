@@ -116,13 +116,6 @@ def test_observable_hand_oracle():
     assert obs.Q == pytest.approx(-0.625, abs=1e-14)
     assert obs.H == pytest.approx(-0.125, abs=1e-14)
     assert obs.P == pytest.approx(0.5, abs=1e-14)
-    assert obs.L == pytest.approx(1.125, abs=1e-14)
-
-
-def test_observables_identity():
-    j = Jet((0.3, 1.7, -0.4, 0.9, 0.0, 0.0))
-    obs = observables(j, UNIT, potential=PotentialModel.linear(0.2))
-    assert obs.H + obs.L == pytest.approx(1.7 ** 2, rel=1e-12)
 
 
 def test_observables_reject_stationary_point():
