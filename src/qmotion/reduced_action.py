@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import Jet, exp as jexp, sqrt as jsqrt
-from .schrodinger import PhysParams, SolutionPair
+from .schrodinger import SolutionPair
 
 __all__ = [
     "QuantumStateParams",
@@ -123,14 +123,17 @@ def s0_eval(pair: SolutionPair, q: QuantumStateParams, x: float) -> float:
     return pair.params.hbar * (principal + q.kappa + math.pi * turns)
 
 
-def qshje_residual(pair: SolutionPair, q: QuantumStateParams, x: float,
-                   params: PhysParams | None = None) -> float:
-    """Scaled defect of the stationary quantum Hamilton-Jacobi equation.
+def qshje_residual(pair: SolutionPair, q: QuantumStateParams, x):
+    """Scaled defect of the stationary quantum Hamilton-Jacobi equation at
+    x, a float or an array of points.
 
     Evaluates (S0')^2/(2 mu) + V - E - (hbar^2/4 mu) * ((3/2)(S0''/S0')^2
-    - S0'''/S0'), normalized by |E| + |V| + (S0')^2/(2 mu).
+    - S0'''/S0'), normalized by |E| + |V| + (S0')^2/(2 mu).  S0'' and
+    S0''' come from the wave equation at the pair's own energy, so the
+    defect measures how far the Wronskian of (phi1, phi2) at x is from the
+    pair's stated one.
     """
-    params = params or pair.params
+    params = pair.params
     s1, s2, s3 = s0p_jet(pair, q, x, 2).coeffs
     v = pair.potential.value(x)
     kin = s1 * s1 / (2.0 * params.mu)
@@ -138,8 +141,8 @@ def qshje_residual(pair: SolutionPair, q: QuantumStateParams, x: float,
         1.5 * (s2 / s1) ** 2 - s3 / s1
     )
     resid = kin + v - params.energy - quant
-    scale = abs(params.energy) + abs(v) + kin
-    return abs(resid) / max(scale, 1e-300)
+    scale = np.abs(params.energy) + np.abs(v) + kin
+    return np.abs(resid) / np.maximum(scale, 1e-300)
 
 
 def wavefunction(pair: SolutionPair, q: QuantumStateParams,

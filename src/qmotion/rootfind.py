@@ -1,11 +1,10 @@
 """Bracketed scalar root finding for inverting monotone maps.
 
-The solver is a bisection/secant hybrid: every iterate stays inside the
-current sign-change bracket, the secant step is taken whenever it lands
-strictly inside, and bisection is the fallback, so convergence is guaranteed
-for any continuous function with a sign change.  The stopping rule is on the
-*residual* |f(x) - target|, which is the contract callers rely on when they
-re-evaluate the inverted point.
+The solver is plain bisection, run until the bracket's ends are adjacent
+floats: every iterate stays inside the current sign-change bracket, so it
+converges for any continuous function with a sign change, and the answer is
+the better of the two floats that straddle the root.  There is no secant
+step and no residual stopping rule, so there is no tolerance to choose.
 """
 from __future__ import annotations
 
@@ -13,7 +12,9 @@ import numpy as np
 
 __all__ = ["BracketError", "RootConvergenceError", "invert_monotone", "expand_bracket"]
 
-_MAX_ITER = 200
+# geometric widening of expand_bracket: factor per try, and tries
+_GROW = 2.0
+_MAX_EXPANSIONS = 60
 
 
 class BracketError(ValueError):
@@ -21,74 +22,50 @@ class BracketError(ValueError):
 
 
 class RootConvergenceError(RuntimeError):
-    """The residual tolerance was not reached within the iteration budget."""
+    """An iterative root search did not converge within its step budget."""
 
 
-def invert_monotone(f, target: float, bracket, tol: float = 1e-12) -> float:
+def invert_monotone(f, target: float, bracket) -> float:
     """Solve f(x) = target for x inside a bracketing interval.
 
-    Returns x* with |f(x*) - target| <= tol * scale, where scale is
-    max(1, |target|).  The function need only be continuous with a sign
-    change of f - target across the bracket; monotonicity makes the root
-    unique but is not verified.
+    Bisects until the bracket's ends are adjacent floats and returns the
+    end with the smaller |f(x) - target|, or a point where f hits target
+    exactly.  The function need only be continuous with a sign change of
+    f - target across the bracket; monotonicity makes the root unique but
+    is not verified.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
         raise BracketError(f"empty bracket ({a}, {b})")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    scale = max(1.0, abs(target))
     fa = f(a) - target
     fb = f(b) - target
-    if abs(fa) <= tol * scale:
+    if fa == 0:
         return a
-    if abs(fb) <= tol * scale:
+    if fb == 0:
         return b
     if np.sign(fa) == np.sign(fb):
         raise BracketError(
             f"no sign change over ({a}, {b}): f-target = ({fa:.3e}, {fb:.3e})"
         )
-    x, fx = a, fa
-    for _ in range(_MAX_ITER):
-        # secant proposal from the bracket endpoints, bisection fallback
-        denom = fb - fa
-        if denom != 0.0:
-            xs = b - fb * (b - a) / denom
-        else:
-            xs = 0.5 * (a + b)
-        if not (a < xs < b):
-            xs = 0.5 * (a + b)
-        x = xs
-        fx = f(x) - target
-        if abs(fx) <= tol * scale or x in (a, b):
-            return x
-        if np.sign(fx) == np.sign(fa):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        # keep the interval shrinking even when secant stalls on one side
+    while True:
         mid = 0.5 * (a + b)
-        if b - a > 0 and abs(x - mid) > 0.45 * (b - a):
-            fm = f(mid) - target
-            if abs(fm) <= tol * scale:
-                return mid
-            if np.sign(fm) == np.sign(fa):
-                a, fa = mid, fm
-            else:
-                b, fb = mid, fm
-    if abs(fx) <= 1e3 * tol * scale:
-        return x
-    raise RootConvergenceError(
-        f"no convergence to residual {tol:g} in {_MAX_ITER} iterations (last {abs(fx):.3e})"
-    )
+        if mid in (a, b):
+            return a if abs(fa) <= abs(fb) else b
+        fm = f(mid) - target
+        if fm == 0:
+            return mid
+        if np.sign(fm) == np.sign(fa):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
 
 
-def expand_bracket(f, target: float, start: float, step: float, grow: float = 2.0,
-                   max_expansions: int = 60):
+def expand_bracket(f, target: float, start: float, step: float):
     """Geometrically widen an interval from ``start`` until it brackets target.
 
-    Searches in the direction of ``step`` (sign included).  Returns the
-    bracketing pair (a, b) with a < b, or raises BracketError.
+    Searches in the direction of ``step`` (sign included), doubling the
+    step up to 60 times.  Returns the bracketing pair (a, b) with a < b,
+    or raises BracketError.
     """
     if step == 0:
         raise ValueError("step must be nonzero")
@@ -97,13 +74,13 @@ def expand_bracket(f, target: float, start: float, step: float, grow: float = 2.
     if fa == 0:
         return (a, a + abs(step) * 1e-9) if step > 0 else (a - abs(step) * 1e-9, a)
     h = step
-    for _ in range(max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         b = a + h
         fb = f(b) - target
         if np.sign(fb) != np.sign(fa):
             return (a, b) if b > a else (b, a)
-        h *= grow
+        h *= _GROW
     raise BracketError(
         f"no sign change found from {start} in direction {np.sign(step):+.0f} "
-        f"after {max_expansions} expansions"
+        f"after {_MAX_EXPANSIONS} expansions"
     )

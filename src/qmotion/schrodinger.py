@@ -94,10 +94,13 @@ class PhysParams:
 class PotentialModel:
     """One-dimensional potential from a small catalog.
 
-    Analytic kinds (free, linear, harmonic) evaluate exactly, including on
-    jets and dual numbers; tabulated potentials interpolate a strictly
+    The analytic kinds (free, linear, harmonic) are one quadratic, V =
+    slope*x + stiffness*x^2/2, whose constructors leave the coefficients a
+    kind does not use at 0; it evaluates exactly on floats, arrays, jets
+    and dual numbers.  Tabulated potentials interpolate a strictly
     increasing (x, V) table with a cubic spline, whose derivative is used
-    for dV/dx so value and gradient always come from the same interpolant.
+    for dV/dx so value and gradient always come from the same interpolant;
+    they take floats or arrays only.
     """
 
     def __init__(self, kind: str, *, slope: float = 0.0, stiffness: float = 0.0,
@@ -108,7 +111,6 @@ class PotentialModel:
         self.slope = float(slope)
         self.stiffness = float(stiffness)
         self._spline: CubicSpline | None = None
-        self._table = None
         if kind == "harmonic" and not self.stiffness > 0:
             raise SchrodingerError("harmonic potential needs positive stiffness")
         if kind == "tabulated":
@@ -121,7 +123,6 @@ class PotentialModel:
                 raise SchrodingerError("table x values must be strictly increasing")
             from scipy.interpolate import CubicSpline  # deferred: slow import
 
-            self._table = (xs, vs)
             self._spline = CubicSpline(xs, vs)
 
     # -- constructors --------------------------------------------------
@@ -165,65 +166,36 @@ class PotentialModel:
     # -- evaluation ----------------------------------------------------
 
     def value(self, x):
-        if self.kind == "free":
-            return 0.0 * x if isinstance(x, (Jet, Dual, np.ndarray)) else 0.0
-        if self.kind == "linear":
-            return self.slope * x
-        if self.kind == "harmonic":
-            return 0.5 * self.stiffness * x * x
-        if isinstance(x, Jet):
-            return self._spline_on_jet(x)
-        if isinstance(x, Dual):
-            raise SchrodingerError("tabulated potentials do not support dual numbers")
+        if self._spline is None:
+            return self.slope * x + 0.5 * self.stiffness * x * x
         self._check_table_range(x)
         return self._spline(x)
 
     def grad(self, x):
-        if self.kind == "free":
-            return 0.0 * x if isinstance(x, np.ndarray) else 0.0
-        if self.kind == "linear":
-            return self.slope + 0.0 * x if isinstance(x, np.ndarray) else self.slope
-        if self.kind == "harmonic":
-            return self.stiffness * x
+        if self._spline is None:
+            return self.slope + self.stiffness * x
         self._check_table_range(x)
         return self._spline(x, 1)
 
     def derivs(self, x, m: int) -> list:
-        """[V, V', ..., V^(m)] at x, a float or an array of points.  Entries
-        that do not depend on x are plain floats; tabulated entries beyond
-        the spline's cubic degree are zero."""
-        out = [0.0] * (m + 1)
-        if self.kind == "linear":
-            out[0] = self.slope * x
-            if m >= 1:
-                out[1] = self.slope
-        elif self.kind == "harmonic":
-            out[0] = 0.5 * self.stiffness * x * x
-            if m >= 1:
-                out[1] = self.stiffness * x
-            if m >= 2:
-                out[2] = self.stiffness
-        elif self.kind == "tabulated":
+        """[V, V', ..., V^(m)] at x, a float or an array of points; entries
+        beyond the quadratic's, or the spline's cubic, degree are zero."""
+        if self._spline is None:
+            out = [self.value(x), self.grad(x), self.stiffness]
+        else:
             self._check_table_range(x)
-            for j in range(min(m, 3) + 1):
-                out[j] = self._spline(x, j)[()]
-        return out
+            out = [self._spline(x, j)[()] for j in range(min(m, 3) + 1)]
+        return (out + [0.0] * m)[: m + 1]
 
     def _check_table_range(self, x) -> None:
-        xs = self._table[0]
+        if isinstance(x, (Jet, Dual)):
+            raise SchrodingerError(
+                "tabulated potentials take floats or arrays, not jets or duals")
+        xs = self._spline.x
         if np.any(np.asarray(x) < xs[0]) or np.any(np.asarray(x) > xs[-1]):
             raise DomainError(
                 f"x outside tabulated range [{xs[0]}, {xs[-1]}]"
             )
-
-    def _spline_on_jet(self, x: Jet):
-        x0 = float(x.value)
-        self._check_table_range(x0)
-        i = int(np.clip(np.searchsorted(self._spline.x, x0, side="right") - 1,
-                        0, len(self._spline.x) - 2))
-        c = self._spline.c[:, i]
-        w = x - self._spline.x[i]
-        return ((c[0] * w + c[1]) * w + c[2]) * w + c[3]
 
 
 @dataclass

@@ -43,8 +43,7 @@ from .jets import Jet, JetOrderError, flow_jet
 from .kinetic_series import SingularityError
 from .ode import IntegrationFailure, IntegratorSettings, integrate_ivp
 from .reduced_action import QuantumStateParams, inverse_s0p, s0p, s0p_jet
-from .rootfind import (BracketError, RootConvergenceError, expand_bracket,
-                       invert_monotone)
+from .rootfind import RootConvergenceError, expand_bracket, invert_monotone
 from .schrodinger import (DomainError, PhysParams, PotentialModel,
                           SolutionPair, solve_pair)
 
@@ -496,8 +495,8 @@ def _turning_point(potential: PotentialModel, energy: float, x0: float,
     try:
         bracket = expand_bracket(potential.value, energy, x0,
                                  0.25 * direction)
-        return invert_monotone(potential.value, energy, bracket, tol=1e-12)
-    except (BracketError, ValueError, RuntimeError):
+        return invert_monotone(potential.value, energy, bracket)
+    except ValueError:
         return None
 
 
@@ -613,7 +612,7 @@ def free_x_of_time(params: PhysParams, q: QuantumStateParams, t: float) -> float
     v_cl = classical_limit_factor(q) * np.sqrt(2.0 * params.energy / params.mu)
     step = np.sign(t) * np.sign(q.a) * max(0.5, abs(t * v_cl))
     bracket = expand_bracket(f, t, 0.0, float(step))
-    return invert_monotone(f, t, bracket, tol=1e-14)
+    return invert_monotone(f, t, bracket)
 
 
 def classical_limit_factor(q: QuantumStateParams) -> float:

@@ -5,6 +5,7 @@ momentum), and a = 2, b = 0 gives S0' = 2 hbar k / (1 + 3 sin^2 kx); both
 are hand-derived closed forms used as oracles below.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -215,12 +216,16 @@ def test_qshje_residual_harmonic():
     assert worst < 1e-6
 
 
-def test_qshje_residual_detects_wrong_energy():
-    # evaluating the defect with a deliberately wrong E must not be small
-    pair = free_pair(energy=0.5)
+def test_qshje_residual_detects_wrong_wronskian():
+    # S0'' and S0''' come from the wave equation at the pair's own energy,
+    # so the defect is a^2 (W_ref^2 - W(x)^2) / D^2 up to scaling: a pair
+    # whose stated Wronskian is off by 20 % must not pass
+    pair = free_pair(energy=0.5)  # W = k = 1
     q = QuantumStateParams(a=1.0)
-    wrong = PhysParams(hbar=1.0, mu=1.0, energy=0.7)
-    assert qshje_residual(pair, q, 1.0, params=wrong) > 1e-2
+    assert qshje_residual(pair, q, 1.0) < 1e-15
+    for w in (0.8, 1.2):
+        wrong = dataclasses.replace(pair, wronskian_ref=w)
+        assert qshje_residual(wrong, q, 1.0) > 1e-2
 
 
 # ---------------------------------------------------------------------------

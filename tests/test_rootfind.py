@@ -35,7 +35,7 @@ def test_unbracketed_target_raises():
 
 def test_tolerance_is_honoured():
     f = lambda u: math.sinh(u)
-    x = invert_monotone(f, 1.0, (0.0, 3.0), tol=1e-14)
+    x = invert_monotone(f, 1.0, (0.0, 3.0))
     assert abs(f(x) - 1.0) < 1e-13
 
 
@@ -53,7 +53,7 @@ def test_expand_bracket_negative_direction():
 
 def test_expand_bracket_gives_up():
     with pytest.raises(BracketError):
-        expand_bracket(lambda u: math.tanh(u), 2.0, 0.0, 1.0, max_expansions=20)
+        expand_bracket(lambda u: math.tanh(u), 2.0, 0.0, 1.0)
 
 
 @given(st.floats(-0.9, 0.9), st.floats(0.05, 2.0))
@@ -62,5 +62,35 @@ def test_roundtrip_property(x_true, scale):
     """invert_monotone(f, f(x)) recovers x for a strictly increasing f."""
     f = lambda u: scale * u + 0.1 * math.atan(u)
     y = f(x_true)
-    x = invert_monotone(f, y, (-1.0, 1.0), tol=1e-13)
+    x = invert_monotone(f, y, (-1.0, 1.0))
     assert x == pytest.approx(x_true, abs=1e-10)
+
+
+@pytest.mark.parametrize("f,target,bracket", [
+    (math.sinh, 1.0, (0.0, 3.0)),
+    (lambda u: u ** 3 - 2.0 * u, 1.0, (1.0, 3.0)),
+    (lambda u: 0.3 - 0.7 * u, -0.1, (-2.0, 5.0)),
+])
+def test_bisection_ends_at_the_best_float(f, target, bracket):
+    """No float next to the returned x has a smaller residual."""
+    x = invert_monotone(f, target, bracket)
+    r = abs(f(x) - target)
+    assert r <= abs(f(math.nextafter(x, -math.inf)) - target)
+    assert r <= abs(f(math.nextafter(x, math.inf)) - target)
+
+
+def test_exact_midpoint_hit_is_returned():
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return u
+
+    assert invert_monotone(f, 0.5, (0.0, 1.0)) == 0.5
+    assert calls == [0.0, 1.0, 0.5]
+
+
+def test_step_function_returns_its_jump():
+    jump = 0.3
+    x = invert_monotone(lambda u: 1.0 if u >= jump else -1.0, 0.0, (0.0, 1.0))
+    assert x in (jump, math.nextafter(jump, -math.inf))

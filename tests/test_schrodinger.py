@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import dawsn
 
 from qmotion import schrodinger
+from qmotion.jets import Dual, Jet
 from qmotion.reduced_action import QuantumStateParams, qshje_residual
 from qmotion.schrodinger import (
     DomainError,
@@ -102,6 +103,53 @@ def test_potential_from_csv(tmp_path):
 def test_unknown_kind_rejected():
     with pytest.raises(SchrodingerError):
         PotentialModel("quartic")
+
+
+def _per_kind(pot, x, m):
+    """(value, grad, [V, ..., V^(m)]) written out kind by kind: the oracle
+    for the one quadratic that the analytic kinds share."""
+    arr = isinstance(x, np.ndarray)
+    if pot.kind == "free":
+        value, grad, out = (0.0 * x if arr else 0.0), (0.0 * x if arr else 0.0), []
+    elif pot.kind == "linear":
+        value = pot.slope * x
+        grad = pot.slope + 0.0 * x if arr else pot.slope
+        out = [value, pot.slope]
+    else:
+        value, grad = 0.5 * pot.stiffness * x * x, pot.stiffness * x
+        out = [value, grad, pot.stiffness]
+    return value, grad, (out + [0.0] * (m + 1))[: m + 1]
+
+
+_BOUNDED = st.floats(-1e100, 1e100)
+_ANALYTIC = st.one_of(
+    st.just(PotentialModel.free()),
+    st.floats(-10.0, 10.0).map(PotentialModel.linear),
+    st.floats(0.01, 10.0).map(PotentialModel.harmonic))
+
+
+@given(_ANALYTIC, st.one_of(_BOUNDED, st.lists(_BOUNDED, min_size=1, max_size=5)
+                            .map(np.array)))
+@settings(deadline=None, max_examples=200)
+def test_quadratic_matches_per_kind_formulas(pot, x):
+    """Values agree (the sign of a zero may differ) on floats and arrays."""
+    for m in range(5):
+        value, grad, derivs = _per_kind(pot, x, m)
+        assert np.array_equal(pot.value(x), value)
+        assert np.array_equal(pot.grad(x), grad)
+        got = pot.derivs(x, m)
+        assert len(got) == m + 1
+        for g, want in zip(got, derivs):
+            assert np.array_equal(np.broadcast_to(g, np.shape(x)),
+                                  np.broadcast_to(want, np.shape(x)))
+
+
+def test_tabulated_rejects_jets_and_duals():
+    pot = _table_harmonic()
+    for x in (Jet((0.5, 1.0)), Dual(0.5, 1.0)):
+        for call in (pot.value, pot.grad, lambda u: pot.derivs(u, 2)):
+            with pytest.raises(SchrodingerError, match="not jets or duals"):
+                call(x)
 
 
 # ---------------------------------------------------------------------------
