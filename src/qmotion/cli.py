@@ -12,7 +12,14 @@ law sums t(x) over the pair's cells and integrates no ODE.  Exit codes:
 0 success, 1 a verification residual exceeded its tolerance, 2
 configuration error, 3 numerical failure.  A velocity-law trajectory that
 reaches the edge of the solved domain before t1 writes its samples up to
-the edge, then exits 3.
+the edge, then exits 3.  ``--law`` is checked where ``run.law`` is, by
+``ScenarioConfig``, so an unknown law is a configuration error.
+
+A subcommand loads only the modules it runs: ``trajectory``, ``sweep``
+and ``demo legacy-stall`` never import the kinetic series or the
+higher-derivative mechanics, and ``verify master``, ``coefficients`` and
+``demo linear-term`` never import the laws of motion, the integrator, the
+root finder or the reduced action.
 """
 
 from __future__ import annotations
@@ -20,24 +27,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kinetic_series import (
-    DeterminationError,
-    KineticCoefficients,
-    LatticeError,
-    SingularityError,
-    determine_coefficients,
-    master_residual,
-    sample_jets,
-)
-from .ode import IntegrationFailure, IntegratorSettings
-from .reduced_action import QuantumStateParams, StateParamError, qshje_residual
-from .rootfind import BracketError, RootConvergenceError
+from .jets import SingularityError
 from .schrodinger import PhysParams, PotentialModel, SchrodingerError, solve_pair
-from . import mechanics
-from . import trajectory as traj
+
+# The other modules are imported inside the functions that run them, so that
+# a process loads only its own command's half of the package.
+if TYPE_CHECKING:
+    from . import trajectory as traj
+    from .kinetic_series import KineticCoefficients
 
 __all__ = ["ConfigError", "entry", "load_config", "run", "scenario_from_config"]
 
@@ -115,6 +116,10 @@ def _read(doc: dict, section: str) -> dict:
 
 
 def scenario_from_config(doc: dict, law: str | None = None) -> traj.ScenarioConfig:
+    from . import trajectory as traj
+    from .ode import IntegratorSettings
+    from .reduced_action import QuantumStateParams, StateParamError
+
     try:
         potential = _potential_from(doc.get("potential", {}))
         params = PhysParams(**_read(doc, "physics"))
@@ -125,8 +130,8 @@ def scenario_from_config(doc: dict, law: str | None = None) -> traj.ScenarioConf
         if "t0" in run or "t1" in run:
             t0, t1 = traj.ScenarioConfig.t_span
             kw["t_span"] = (float(run.get("t0", t0)), float(run.get("t1", t1)))
-        if law or "law" in run:
-            kw["law"] = law or run["law"]
+        if law is not None or "law" in run:
+            kw["law"] = run["law"] if law is None else law
         return traj.ScenarioConfig(potential=potential, params=params, q=q,
                                    integrator=settings, **kw)
     except (ValueError, TypeError, KeyError, SchrodingerError,
@@ -148,7 +153,9 @@ def _say(args, *parts) -> None:
         print(*parts)
 
 
-def _random_state(rng) -> QuantumStateParams:
+def _random_state(rng):
+    from .reduced_action import QuantumStateParams
+
     a = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
     return QuantumStateParams(a=float(a), b=float(rng.uniform(-1.0, 1.0)))
 
@@ -157,6 +164,8 @@ def _random_state(rng) -> QuantumStateParams:
 # subcommands
 
 def _cmd_trajectory(args) -> int:
+    from . import trajectory as traj
+
     doc = _doc_for(args)
     s = scenario_from_config(doc, law=args.law)
     path = args.out or doc.get("output", {}).get("path")
@@ -181,6 +190,8 @@ def _cmd_trajectory(args) -> int:
 
 def _write_run(args, s: traj.ScenarioConfig, fmt: str, path: str,
                result: traj.TrajectoryResult) -> None:
+    from . import trajectory as traj
+
     note = s.pair.truncation_note()
     if note:
         print(note, file=sys.stderr)
@@ -194,6 +205,8 @@ def _write_run(args, s: traj.ScenarioConfig, fmt: str, path: str,
 
 
 def _cmd_verify_qshje(args) -> int:
+    from .reduced_action import qshje_residual
+
     rng = np.random.default_rng(args.seed)
     params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
     cases = (("free", solve_pair(PotentialModel.free(), params, (-8.0, 8.0)),
@@ -237,6 +250,8 @@ def _apply_perturbations(c: KineticCoefficients, specs) -> KineticCoefficients:
 
 
 def _cmd_verify_master(args) -> int:
+    from .kinetic_series import KineticCoefficients, master_residual, sample_jets
+
     rng = np.random.default_rng(args.seed)
     c = _apply_perturbations(KineticCoefficients.canonical(), args.perturb)
     params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
@@ -249,6 +264,8 @@ def _cmd_verify_master(args) -> int:
 
 
 def _cmd_verify_conservation(args) -> int:
+    from . import trajectory as traj
+
     doc = _doc_for(args)
     rng = np.random.default_rng(args.seed)
     base = scenario_from_config(doc)
@@ -278,6 +295,8 @@ def _cmd_verify_conservation(args) -> int:
 
 
 def _cmd_coefficients(args) -> int:
+    from .kinetic_series import determine_coefficients
+
     c, report = determine_coefficients(levels=args.levels, seed=args.seed)
     if not args.quiet:
         print(report.summary())
@@ -289,11 +308,13 @@ def _cmd_coefficients(args) -> int:
 
 
 def _cmd_demo_linear_term(args) -> int:
+    from .mechanics import linear_term_demo
+
     potential = _potential_from({"kind": args.potential, "slope": args.slope,
                                  "stiffness": args.stiffness})
     fconst = args.f_const
-    report = mechanics.linear_term_demo(args.i, lambda x: fconst, potential,
-                                        args.lam, seed=args.seed)
+    report = linear_term_demo(args.i, lambda x: fconst, potential, args.lam,
+                              seed=args.seed)
     _say(args, report.summary())
     if args.i != 1 and not report.consistent:
         return 1
@@ -301,6 +322,8 @@ def _cmd_demo_linear_term(args) -> int:
 
 
 def _cmd_demo_legacy_stall(args) -> int:
+    from . import trajectory as traj
+
     doc = _doc_for(args)
     if "potential" not in doc or doc["potential"].get("kind") == "free":
         doc["potential"] = {"kind": "linear", "slope": 0.5}
@@ -335,6 +358,8 @@ def _sweep_group(task):
     reuse it.  Returns the ``(idx, row)`` pairs and the pair's truncation
     note (None when the march covered the requested domain).
     """
+    from . import trajectory as traj
+
     doc, energy, cells = task
     doc = json.loads(json.dumps(doc))
     doc.setdefault("physics", {})["energy"] = energy
@@ -389,7 +414,10 @@ def _cmd_sweep(args) -> int:
              for energy, cells in groups.values()
              for k in range(min(slices, len(cells)))]
     if len(tasks) > 1 and slices > 1:
-        # imported here so that no other command loads concurrent.futures
+        # trajectory is loaded before the pool forks, so that its workers
+        # inherit it instead of each compiling it again; concurrent.futures
+        # is imported here so that no other command loads it
+        from . import trajectory  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -440,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="integrate one scenario to CSV/JSON")
     p.add_argument("--config", required=True)
-    p.add_argument("--law", choices=traj.LAWS)
+    p.add_argument("--law")
     p.add_argument("--out", help="override output.path")
     _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_trajectory)
@@ -505,6 +533,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_failures() -> tuple:
+    """The exception classes that ``run`` reports as numerical failures
+    (exit 3).  Their modules are imported only when an exception reaches
+    ``run``, since Python evaluates an ``except`` expression only then."""
+    from .kinetic_series import DeterminationError, LatticeError
+    from .ode import IntegrationFailure
+    from .rootfind import BracketError, RootConvergenceError
+    from .trajectory import VelocityFloorError
+
+    return (IntegrationFailure, VelocityFloorError, DeterminationError,
+            SingularityError, LatticeError, BracketError,
+            RootConvergenceError, SchrodingerError, ZeroDivisionError)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -516,9 +558,7 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationFailure, traj.VelocityFloorError, DeterminationError,
-            SingularityError, LatticeError, BracketError,
-            RootConvergenceError, SchrodingerError, ZeroDivisionError) as exc:
+    except _numerical_failures() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -26,6 +26,7 @@ __all__ = [
     "JetError",
     "JetOrderError",
     "JetDomainError",
+    "SingularityError",
     "sin",
     "cos",
     "exp",
@@ -51,6 +52,11 @@ class JetOrderError(JetError):
 class JetDomainError(JetError):
     """Operation left its mathematical domain (division by zero jet, log of
     a non-positive value, ...)."""
+
+
+class SingularityError(ZeroDivisionError):
+    """A state component sits on the singular locus (xd = 0, or xdd = 0
+    while a negative xdd power is required)."""
 
 
 def _is_scalar(v) -> bool:

@@ -32,17 +32,15 @@ ch. 13).  A single state is the same computation on floats.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .jets import Dual, Jet
+from .jets import Dual, Jet, SingularityError
 
 __all__ = [
-    "SingularityError",
     "LatticeError",
     "DeterminationError",
     "KineticCoefficients",
@@ -61,11 +59,6 @@ __all__ = [
     "LevelReport",
     "DeterminationReport",
 ]
-
-
-class SingularityError(ZeroDivisionError):
-    """A state component sits on the singular locus (xd = 0, or xdd = 0
-    while a negative xdd power is required)."""
 
 
 class LatticeError(ValueError):

@@ -28,11 +28,10 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Dual, Jet, JetOrderError
+from .jets import Dual, Jet, JetOrderError, SingularityError
 from .kinetic_series import (
     KineticCoefficients,
     Momenta,
-    SingularityError,
     _evaluate,
     _ipow,
     _kinetic_table,
@@ -237,9 +236,6 @@ class CanonicalReport:
     @property
     def max_ratio(self) -> float:
         return max(c.ratio for c in self.checks.values())
-
-    def ok(self, tol: float = 1e-10) -> bool:
-        return self.max_ratio <= tol
 
     def summary(self) -> str:
         lines = [f"canonical-equation identities at lam = {self.lam:g}"]

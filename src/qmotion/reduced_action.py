@@ -25,20 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, exp as jexp, sqrt as jsqrt
+from .jets import Jet
 from .schrodinger import SolutionPair
 
 __all__ = [
     "QuantumStateParams",
-    "WaveCoefficients",
     "StateParamError",
     "s0_eval",
     "s0p",
     "s0p_jet",
     "inverse_s0p",
     "qshje_residual",
-    "wavefunction",
-    "compensated_params",
 ]
 
 
@@ -62,18 +59,6 @@ class QuantumStateParams:
             raise StateParamError("state parameters must be finite")
         if self.a == 0:
             raise StateParamError("parameter a must be nonzero")
-
-
-@dataclass(frozen=True)
-class WaveCoefficients:
-    """Complex weights of the two phase branches of the wave function."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        if self.alpha == 0 and self.beta == 0:
-            raise StateParamError("alpha and beta cannot both vanish")
 
 
 def _denominator_jet(pair: SolutionPair, q: QuantumStateParams, x,
@@ -143,54 +128,3 @@ def qshje_residual(pair: SolutionPair, q: QuantumStateParams, x):
     resid = kin + v - params.energy - quant
     scale = np.abs(params.energy) + np.abs(v) + kin
     return np.abs(resid) / np.maximum(scale, 1e-300)
-
-
-def wavefunction(pair: SolutionPair, q: QuantumStateParams,
-                 wc: WaveCoefficients, x: float):
-    """Wave value (S0')^(-1/2) (alpha e^{i S0/hbar} + beta e^{-i S0/hbar})
-    and its scaled wave-equation residual at x.
-
-    When a*W < 0 the prefactor uses |S0'|^(-1/2); the overall sign
-    convention is absorbed into alpha, beta.
-    """
-    hbar = pair.params.hbar
-    s0 = s0_eval(pair, q, x)
-    sj = s0p_jet(pair, q, x, 2)  # (S0', S0'', S0''')
-    s0_jet = Jet((s0 + 0j,) + tuple(complex(c) for c in sj.coeffs))  # order 3
-    sp_jet = Jet(tuple(complex(c) for c in sj.coeffs))  # order 2
-    sign = 1.0 if sj.value.real >= 0 else -1.0
-    amp = 1.0 / jsqrt(sign * sp_jet)
-    phase = jexp(1j * s0_jet / hbar)
-    psi = amp * (wc.alpha * phase + wc.beta / phase)
-    value, _, second = psi.coeffs[0], psi.coeffs[1], psi.coeffs[2]
-    f = pair.params.kratio * (pair.potential.value(x) - pair.params.energy)
-    resid = abs(second - f * value) / (1.0 + abs(f * value))
-    return value, resid
-
-
-def compensated_params(theta01, hbar: float, s0p_target, probes) -> tuple:
-    """Re-anchor state parameters on a different basis pair.
-
-    ``theta01(x)`` returns (theta1, theta1', theta2, theta2') of the new
-    pair; ``s0p_target(x)`` returns the S0' values to reproduce.  Matching
-    at three probe points turns the denominator expansion into a linear
-    system for (a, 2b, (b^2+1)/a); the returned triple is (a, b, defect)
-    where the defect measures how well the quadratic constraint closes.
-    """
-    xs = list(probes)
-    if len(xs) < 3:
-        raise StateParamError("need at least three probe points")
-    rows, rhs = [], []
-    t1v, t1d, t2v, t2d = theta01(xs[0])
-    wref = t2v * t1d - t1v * t2d
-    for x in xs[:3]:
-        t1, _, t2, _ = theta01(x)
-        rows.append([t1 * t1, t1 * t2, t2 * t2])
-        rhs.append(hbar * wref / s0p_target(x))
-    sol = np.linalg.solve(np.asarray(rows), np.asarray(rhs))
-    a_new = sol[0]
-    if a_new == 0:
-        raise StateParamError("degenerate probe system: new a vanishes")
-    b_new = 0.5 * sol[1]
-    defect = abs(sol[2] * a_new - (b_new**2 + 1.0)) / (b_new**2 + 1.0)
-    return a_new, b_new, defect

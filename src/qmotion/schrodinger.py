@@ -95,9 +95,9 @@ class PotentialModel:
     """One-dimensional potential from a small catalog.
 
     The analytic kinds (free, linear, harmonic) are one quadratic, V =
-    slope*x + stiffness*x^2/2, whose constructors leave the coefficients a
-    kind does not use at 0; it evaluates exactly on floats, arrays, jets
-    and dual numbers.  Tabulated potentials interpolate a strictly
+    slope*x + stiffness*x^2/2, in which a coefficient the kind does not
+    use must be 0 (linear uses the slope, harmonic the stiffness); it
+    evaluates exactly on floats, arrays, jets and dual numbers.  Tabulated potentials interpolate a strictly
     increasing (x, V) table with a cubic spline, whose derivative is used
     for dV/dx so value and gradient always come from the same interpolant;
     they take floats or arrays only.
@@ -111,6 +111,9 @@ class PotentialModel:
         self.slope = float(slope)
         self.stiffness = float(stiffness)
         self._spline: CubicSpline | None = None
+        for name, user in (("slope", "linear"), ("stiffness", "harmonic")):
+            if kind != user and getattr(self, name) != 0.0:
+                raise SchrodingerError(f"{kind} potential takes no {name}")
         if kind == "harmonic" and not self.stiffness > 0:
             raise SchrodingerError("harmonic potential needs positive stiffness")
         if kind == "tabulated":

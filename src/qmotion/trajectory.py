@@ -39,8 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import Jet, JetOrderError, flow_jet
-from .kinetic_series import SingularityError
+from .jets import Jet, JetOrderError, SingularityError, flow_jet
 from .ode import IntegrationFailure, IntegratorSettings, integrate_ivp
 from .reduced_action import QuantumStateParams, inverse_s0p, s0p, s0p_jet
 from .rootfind import RootConvergenceError, expand_bracket, invert_monotone

@@ -122,6 +122,16 @@ def test_trajectory_requires_out_path(tmp_path):
     assert run(["trajectory", "--config", cfg, "--quiet"]) == 2
 
 
+def test_unknown_law_option_exits_2(tmp_path, capsys):
+    # --law is checked by ScenarioConfig, like run.law, not by argparse
+    cfg = write_config(tmp_path, free_doc(str(tmp_path / "x.csv")))
+    assert run(["trajectory", "--config", cfg, "--law", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for law in ("velocity", "newton", "legacy"):
+        assert law in err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     doc = free_doc(str(tmp_path / "x.csv"))
     doc["run"]["law"] = "warp"
@@ -293,9 +303,11 @@ def test_verify_qshje(capsys):
     assert "harmonic pair: max residual" in out
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+def _modules_after(code, package):
+    """The modules of ``package`` loaded once ``code`` has run in a fresh
+    interpreter."""
+    code += ("\nprint(*sorted(m for m in sys.modules "
+             f"if m.split('.')[0] == {package!r}))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -303,32 +315,59 @@ def _scipy_modules_after(code):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    return res.stdout.strip()
+    return res.stdout.split()
+
+
+def _cli_code(argvs):
+    """Code that runs each of ``argvs`` through ``qmotion.cli.run``, each
+    exiting 0."""
+    return ("import io, sys, contextlib\n"
+            "import qmotion.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            + "".join(f"    assert qmotion.cli.run({a!r}) == 0\n"
+                      for a in argvs))
+
+
+IDENTITY_ARGVS = (["verify", "master", "--samples", "10"],
+                  ["coefficients", "--levels", "1"])
 
 
 def test_identity_commands_do_not_import_scipy():
     # verify master and coefficients need no scipy, which costs most of the
     # package's import time, so they must not load it
-    code = ("import io, sys, contextlib\n"
-            "import qmotion.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert qmotion.cli.run(['verify', 'master', '--samples', '10']) == 0\n"
-            "    assert qmotion.cli.run(['coefficients', '--levels', '1']) == 0")
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(_cli_code(IDENTITY_ARGVS), "scipy") == []
+
+
+def test_commands_load_only_their_own_modules(tmp_path):
+    # the trajectory runs and the kinetic-series identities are separate
+    # halves of the package: a command must not compile the other half
+    loaded = _modules_after(_cli_code(IDENTITY_ARGVS), "qmotion")
+    assert "qmotion.kinetic_series" in loaded
+    for name in ("trajectory", "ode", "rootfind", "reduced_action",
+                 "mechanics"):
+        assert f"qmotion.{name}" not in loaded
+    doc = {"potential": {"kind": "harmonic", "stiffness": 1.0},
+           "run": {"t1": 1.0, "samples": 16, "domain": [-3.0, 3.0]}}
+    cfg = write_config(tmp_path, doc)
+    loaded = _modules_after(_cli_code(
+        ["trajectory", "--config", cfg, "--law", law,
+         "--out", str(tmp_path / f"{law}.csv")]
+        for law in ("velocity", "newton", "legacy")), "qmotion")
+    assert "qmotion.trajectory" in loaded
+    assert "qmotion.kinetic_series" not in loaded
+    assert "qmotion.mechanics" not in loaded
 
 
 def test_reduced_action_on_numerov_pair_does_not_import_scipy_integrate():
     # S0 is a phase angle read off the pair, not a quadrature of S0'
     code = ("import sys\n"
-            "from qmotion.reduced_action import (QuantumStateParams,\n"
-            "    WaveCoefficients, s0_eval, wavefunction)\n"
+            "from qmotion.reduced_action import QuantumStateParams, s0_eval\n"
             "from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair\n"
             "pair = solve_pair(PotentialModel.harmonic(1.0),\n"
             "                  PhysParams(1.0, 1.0, 4.5), (-3.0, 3.0))\n"
             "q = QuantumStateParams(a=1.3, b=0.2)\n"
-            "s0_eval(pair, q, 2.5)\n"
-            "wavefunction(pair, q, WaveCoefficients(1.0, 0.5j), -2.5)")
-    assert "scipy.integrate" not in _scipy_modules_after(code)
+            "s0_eval(pair, q, 2.5)")
+    assert "scipy.integrate" not in _modules_after(code, "scipy")
 
 
 def test_trajectory_and_sweep_runs_do_not_import_scipy(tmp_path):
@@ -350,15 +389,7 @@ def test_trajectory_and_sweep_runs_do_not_import_scipy(tmp_path):
     for workers in ("1", "2"):
         runs.append(["sweep", "--config", sweep, "--workers", workers,
                      "--out", str(tmp_path / f"sweep{workers}.csv")])
-
-    def code(argvs):
-        return ("import io, sys, contextlib\n"
-                "import qmotion.cli\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                + "".join(f"    assert qmotion.cli.run({a!r}) == 0\n"
-                          for a in argvs))
-
-    assert _scipy_modules_after(code(runs)) == "[]"
+    assert _modules_after(_cli_code(runs), "scipy") == []
     xs = [-3.5 + 0.05 * i for i in range(141)]
     tabulated = {"potential": {"kind": "tabulated", "xs": xs,
                                "vs": [0.5 * x * x for x in xs]},
@@ -367,7 +398,7 @@ def test_trajectory_and_sweep_runs_do_not_import_scipy(tmp_path):
     argv = ["trajectory", "--config",
             write_config(tmp_path, tabulated, "tabulated.json"),
             "--out", str(tmp_path / "tabulated.csv")]
-    loaded = _scipy_modules_after(code([argv]))
+    loaded = _modules_after(_cli_code([argv]), "scipy")
     assert "scipy.interpolate" in loaded
     assert "scipy.integrate" not in loaded
 

@@ -15,13 +15,10 @@ from hypothesis import given, settings, strategies as st
 from qmotion.reduced_action import (
     QuantumStateParams,
     StateParamError,
-    WaveCoefficients,
-    compensated_params,
     qshje_residual,
     s0_eval,
     s0p,
     s0p_jet,
-    wavefunction,
 )
 from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 
@@ -226,67 +223,6 @@ def test_qshje_residual_detects_wrong_wronskian():
     for w in (0.8, 1.2):
         wrong = dataclasses.replace(pair, wronskian_ref=w)
         assert qshje_residual(wrong, q, 1.0) > 1e-2
-
-
-# ---------------------------------------------------------------------------
-# Wave reconstruction
-# ---------------------------------------------------------------------------
-
-def test_wavefunction_solves_wave_equation():
-    pair = free_pair()
-    q = QuantumStateParams(a=2.0, b=0.5)
-    wc = WaveCoefficients(alpha=1.0, beta=0.25j)
-    for x in [-1.0, 0.2, 1.7]:
-        _, resid = wavefunction(pair, q, wc, x)
-        assert resid < 1e-9
-
-
-def test_wavefunction_reduces_to_plane_wave():
-    pair = free_pair()  # k = 1
-    q = QuantumStateParams(a=1.0)
-    wc = WaveCoefficients(alpha=1.0, beta=0.0)
-    v0, _ = wavefunction(pair, q, wc, 0.0)
-    v1, _ = wavefunction(pair, q, wc, 1.2)
-    # pure e^{ix}: unit modulus ratio, phase advance = 1.2
-    ratio = v1 / v0
-    assert abs(ratio) == pytest.approx(1.0, abs=1e-12)
-    assert math.atan2(ratio.imag, ratio.real) == pytest.approx(1.2, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# Re-anchoring on a different basis pair
-# ---------------------------------------------------------------------------
-
-def test_compensated_params_recovers_rotated_state():
-    # Express the (a, b) state of the sin/cos pair on a rotated basis and
-    # check the probe system reproduces the same S0' field.
-    pair = free_pair()
-    q = QuantumStateParams(a=1.8, b=-0.4)
-
-    c, s = math.cos(0.6), math.sin(0.6)
-
-    def theta01(x):
-        p1, d1, p2, d2 = pair.eval01(x)
-        return (c * p1 - s * p2, c * d1 - s * d2,
-                s * p1 + c * p2, s * d1 + c * d2)
-
-    def target(x):
-        return s0p_jet(pair, q, x, 0).value
-
-    a2, b2, defect = compensated_params(theta01, 1.0, target, [0.1, 0.7, 1.3])
-    assert defect < 1e-9
-    # the reproduced field must match at a point not used for fitting
-    x = 2.1
-    t1, _, t2, _ = theta01(x)
-    t1a, t1da, t2a, t2da = theta01(0.0)
-    wref = t2a * t1da - t1a * t2da
-    d = (a2 * t1 + b2 * t2) ** 2 + t2 * t2
-    assert 1.0 * a2 * wref / d == pytest.approx(target(x), rel=1e-9)
-
-
-def test_compensated_params_needs_three_probes():
-    with pytest.raises(StateParamError):
-        compensated_params(lambda x: (0, 0, 1, 0), 1.0, lambda x: 1.0, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

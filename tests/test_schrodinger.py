@@ -105,6 +105,21 @@ def test_unknown_kind_rejected():
         PotentialModel("quartic")
 
 
+def test_coefficient_the_kind_does_not_use_rejected():
+    # the analytic kinds share one quadratic, so a stray coefficient would
+    # change V while the kind still names the old potential
+    with pytest.raises(SchrodingerError):
+        PotentialModel("linear", slope=1.0, stiffness=2.0)
+    with pytest.raises(SchrodingerError):
+        PotentialModel("free", slope=1.0)
+    with pytest.raises(SchrodingerError):
+        PotentialModel("harmonic", slope=1.0, stiffness=2.0)
+    with pytest.raises(SchrodingerError):
+        PotentialModel("tabulated", stiffness=1.0,
+                       table=(np.arange(4.0), np.zeros(4)))
+    assert PotentialModel("linear", slope=0.0).value(2.0) == 0.0
+
+
 def _per_kind(pot, x, m):
     """(value, grad, [V, ..., V^(m)]) written out kind by kind: the oracle
     for the one quadratic that the analytic kinds share."""
