@@ -10,10 +10,11 @@ for the physics and quantum values the library has no default for.  The
 ``integrator`` keys act on the newton and legacy laws only: the velocity
 law sums t(x) over the pair's cells and integrates no ODE.  Exit codes:
 0 success, 1 a verification residual exceeded its tolerance, 2
-configuration error, 3 numerical failure.  A velocity-law trajectory that
-reaches the edge of the solved domain before t1 writes its samples up to
-the edge, then exits 3.  ``--law`` is checked where ``run.law`` is, by
-``ScenarioConfig``, so an unknown law is a configuration error.
+configuration error, 3 numerical failure.  A velocity- or newton-law
+trajectory that reaches the edge of the solved domain before t1 writes its
+samples up to the edge, then exits 3.  ``--law`` is checked where
+``run.law`` is, by ``ScenarioConfig``, so an unknown law is a
+configuration error.
 
 A subcommand loads only the modules it runs: ``trajectory``, ``sweep``
 and ``demo legacy-stall`` never import the kinetic series or the
@@ -25,6 +26,7 @@ root finder or the reduced action.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -269,16 +271,14 @@ def _cmd_verify_conservation(args) -> int:
     doc = _doc_for(args)
     rng = np.random.default_rng(args.seed)
     base = scenario_from_config(doc)
-    pair = base.build_pair()  # shared: it depends on neither (a, b) nor law
+    base.build_pair()  # shared: it depends on neither (a, b) nor law
     drift_tol = max(1e-8 * abs(base.params.energy), 1e-10)
     bohm_tol = 1e-8
     ok = True
     for idx in range(args.samples):
         q = _random_state(rng)
         for law in ("velocity", "newton"):
-            s = scenario_from_config(doc, law=law)
-            s.q = q
-            s.pair = pair
+            s = dataclasses.replace(base, q=q, law=law)
             summary = traj.summarize(traj.run_scenario(s)[0])
             drift = summary["max_energy_drift_abs"]
             bohm = summary["max_bohm_gap_rel"]
@@ -310,10 +310,9 @@ def _cmd_coefficients(args) -> int:
 def _cmd_demo_linear_term(args) -> int:
     from .mechanics import linear_term_demo
 
-    potential = _potential_from({"kind": args.potential, "slope": args.slope,
-                                 "stiffness": args.stiffness})
-    fconst = args.f_const
-    report = linear_term_demo(args.i, lambda x: fconst, potential, args.lam,
+    # unit stiffness for the harmonic potential, and f(x) = 1/2 throughout
+    potential = _potential_from({"kind": args.potential, "slope": args.slope})
+    report = linear_term_demo(args.i, lambda x: 0.5, potential, args.lam,
                               seed=args.seed)
     _say(args, report.summary())
     if args.i != 1 and not report.consistent:
@@ -337,8 +336,8 @@ def _cmd_demo_legacy_stall(args) -> int:
     _say(args, f"  stalled: {report.stalled}")
     for note in report.notes:
         _say(args, f"  {note}")
-    sv = scenario_from_config(doc, law="velocity")
-    rv, _ = traj.run_scenario(sv)
+    # the same scenario and pair under the first-order law
+    rv, _ = traj.run_scenario(dataclasses.replace(s, law="velocity"))
     vmin = min(abs(p.xdot) for p in rv.samples)
     _say(args, f"  first-order action-gradient law over the same span: "
                f"x reaches {rv.samples[-1].x:.6g}, min |xd| = {vmin:.6g}")
@@ -511,9 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", choices=("free", "linear", "harmonic"),
                    default="harmonic")
     p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--stiffness", type=float, default=1.0)
-    p.add_argument("--f-const", type=float, default=0.5, dest="f_const",
-                   help="constant value of the velocity-term factor f(x)")
     _add_common(p)
     p.set_defaults(func=_cmd_demo_linear_term)
 

@@ -9,17 +9,19 @@ hbar) and spatial weights k,
 with the convention that any factor carrying exponent zero is skipped
 (0^0 = 1), so entries with n+k = 2 never divide by xdd.  On top of T the
 module provides: the regularized Lagrangian T + (lam/2) xddd^2 - V, the
-three conjugate momenta of the third-order formalism in closed form, the
-action-gradient series dS0/dx together with its second and third spatial
-derivatives, the master identity tying these to the quantum stationary
-Hamilton-Jacobi equation, and a sampling-based elimination that recovers
-the unique physical coefficient values level by level.
+three conjugate momenta of the third-order formalism, the action-gradient
+series dS0/dx together with its second and third spatial derivatives, the
+master identity tying these to the quantum stationary Hamilton-Jacobi
+equation, and a sampling-based elimination that recovers the unique
+physical coefficient values level by level.
 
-Each series is a table of monomials built once per lattice, and S0'',
-S0''' and the Hamiltonian's gradient sums are exact derivatives of the
-tables of T and dS0/dx.  The closed-form momenta and the A/B formula stay
-hand-expanded, as independent transcriptions for the momentum and
-master-identity checks to compare against.
+Each series is a table of monomials, and T's is the only one written
+down: every other table is derived from it exactly, once per lattice.
+The momenta follow Ostrogradsky's construction, Xi = dT/dxddd,
+Pi = dT/dxdd - d/dt Xi and P = dT/dxd - d/dt Pi.  In the stationary case
+S0' = (L + H)/xd = P + Pi xdd/xd + Xi xddd/xd, which the canonical
+lattice reduces to Bohm's relation S0' = mu xd.  S0'', S0''' and the
+Hamiltonian's gradient sums are derivatives of these tables.
 
 All evaluators are generic over the numeric type of the state entries
 (floats, complex numbers, jets, dual numbers, or numpy arrays holding one
@@ -48,7 +50,6 @@ __all__ = [
     "kinetic_term",
     "series_momenta",
     "momenta_state",
-    "ab_tables",
     "ds0dx_state",
     "master_residual",
     "level_residuals",
@@ -101,7 +102,7 @@ def _mono(vals, e, powers: dict):
     ``e`` reaches, the xd factor first (e[1] is usually < 0); ``powers``
     keeps each vals[i]^p for the other monomials of one evaluation."""
     val = None
-    for i in (1, 0, 2, 3, 4, 5)[:len(e)]:
+    for i in (1, 0, 2, 3, 4, 5):
         p = e[i]
         if p or i == 1:
             f = powers.get((i, p))
@@ -142,32 +143,48 @@ def _partial(table: dict, slot: int) -> dict:
     return out
 
 
-def _d_dx(table: dict) -> dict:
-    """d/dx = (d/dt)/xd of a table: the sum over slots of the partial
-    derivative times the next slot, over xd (no term may carry x5)."""
+def _sum(*parts) -> dict:
+    """Sum of tables, each times a monomial: ``parts`` are (table, coef,
+    exponents) triples, the exponents added to every term's; terms that
+    cancel are dropped."""
     out = {}
-    for (n, e), coef in table.items():
-        for s in range(5):
-            if e[s]:
-                d = list(e)
-                d[s] -= 1
-                d[s + 1] += 1
-                d[1] -= 1
-                key = (n, tuple(d))
-                out[key] = out.get(key, 0.0) + coef * e[s]
+    for table, scale, shift in parts:
+        for (n, e), coef in table.items():
+            key = (n, tuple(a + b for a, b in zip(e, shift)))
+            out[key] = out.get(key, 0.0) + scale * coef
     return {key: coef for key, coef in out.items() if coef}
 
 
-def _evaluate(table: dict, state, mu, hbar):
-    """Sum of a table's terms at a state (x, xd, ...) of floats, jets, duals
-    or (N,) arrays; the state needs only the slots the table reaches."""
+_ONE = (0, 0, 0, 0, 0, 0)
+_NEXT = ((0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+         (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+
+
+def _d_dt(table: dict) -> dict:
+    """Total time derivative of a table: the sum over slots of the partial
+    derivative times the next slot (no term may carry x5)."""
+    return _sum(*((_partial(table, s), 1, _NEXT[s]) for s in range(5)))
+
+
+def _d_dx(table: dict) -> dict:
+    """d/dx = (d/dt)/xd of a table."""
+    return _sum((_d_dt(table), 1, (0, -1, 0, 0, 0, 0)))
+
+
+def _evaluate(tables, state, mu, hbar) -> tuple:
+    """Sums of the tables' terms at a state (x, xd, ...) of floats, jets,
+    duals or (N,) arrays, one per table, in one pass that shares powers and
+    prefactors; the state needs only the slots the tables reach."""
     prefs, powers = {}, {}
-    total = 0.0
-    for (n, e), coef in table.items():
-        if n not in prefs:
-            prefs[n] = _prefactor(mu, hbar, n)
-        total = total + coef * prefs[n] * _mono(state, e, powers)
-    return total
+    totals = []
+    for table in tables:
+        total = 0.0
+        for (n, e), coef in table.items():
+            if n not in prefs:
+                prefs[n] = _prefactor(mu, hbar, n)
+            total = total + coef * prefs[n] * _mono(state, e, powers)
+        totals.append(total)
+    return tuple(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -249,67 +266,35 @@ def term_exponents(n: int, k: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# derived coefficient tables
+# tables derived from T
 
-def ab_tables(c: KineticCoefficients) -> tuple:
-    """A/B coefficient tables (two dicts keyed by (n, k)) of the
-    action-gradient series dS0/dx induced by a kinetic lattice.
-
-    Each pair (A_nk, B_nk) collapses the momentum combination
-    P + Pi*xdd/xd + Xi*xddd/xd into two monomial families per lattice
-    point; the canonical lattice yields A_00 = 1 and nothing else.
-    """
-    A, B = {}, {}
-    for n in range(c.n_max + 1):
-        for k in range(c.k_max + 1):
-            a_nk = (
-                (3 * n * n + 2 * k * k + 5 * n * k - 4 * n - 3 * k + 2) * c.alpha(n, k)
-                + (3 * n + 2 * k - 1) * (3 * n + 2 * k - 3) * c.beta(n, k)
-                - (k + 1) * (n + k + 1) * c.alpha(n, k + 1)
-                - 2 * (k + 1) * (3 * n + 2 * k - 1) * c.beta(n, k + 1)
-                + (k + 1) * (k + 2) * c.beta(n, k + 2)
-            )
-            b_nk = (
-                -(n + k) * (n + k - 1) * c.alpha(n, k)
-                - (3 * n * n + 2 * k * k + 5 * n * k - 3 * n - 3 * k - 1) * c.beta(n, k)
-                + (k + 1) * (n + k - 1) * c.beta(n, k + 1)
-            )
-            if a_nk:
-                A[(n, k)] = a_nk
-            if b_nk:
-                B[(n, k)] = b_nk
-    return A, B
-
-
-def _table(rows: dict, xd_shift: int = 0) -> dict:
-    """Monomial table of a lattice-shaped series: ``rows`` maps (n, k) to
-    the coefficients of T's alpha and beta monomials there, each taken
-    with xd's exponent shifted by ``xd_shift``."""
+def _kinetic_table(c: KineticCoefficients) -> dict:
+    """T as a monomial table, the one series written out term by term."""
     table = {}
-    for (n, k), coefs in sorted(rows.items()):
+    for (n, k), coefs in sorted(c.entries.items()):
         for e, coef in zip(term_exponents(n, k).values(), coefs):
             if coef:
-                key = (e["x"], e["xd"] + xd_shift, e["xdd"], e["xddd"], 0, 0)
-                table[(n, key)] = coef
+                table[(n, (e["x"], e["xd"], e["xdd"], e["xddd"], 0, 0))] = coef
     return table
 
 
-def _kinetic_table(c: KineticCoefficients) -> dict:
-    """T as a monomial table."""
-    return _table(c.entries)
-
-
-def _xi_table(c: KineticCoefficients) -> dict:
-    """dT/dxddd, the bare beta sum of Xi, as a monomial table."""
-    return _partial(c.derived(_kinetic_table), 3)
+def _momentum_tables(c: KineticCoefficients) -> tuple:
+    """(P, Pi, Xi) as monomial tables, by Ostrogradsky's construction:
+    Xi = dT/dxddd, Pi = dT/dxdd - d/dt Xi and P = dT/dxd - d/dt Pi.  T is
+    linear in xddd, so the x4 and x5 terms cancel."""
+    t = c.derived(_kinetic_table)
+    xi = _partial(t, 3)
+    pi = _sum((_partial(t, 2), 1, _ONE), (_d_dt(xi), -1, _ONE))
+    p = _sum((_partial(t, 1), 1, _ONE), (_d_dt(pi), -1, _ONE))
+    return p, pi, xi
 
 
 def _s0p_table(c: KineticCoefficients) -> dict:
-    """S0' as a monomial table: the A/B families (T's monomials with one
-    more 1/xd)."""
-    A, B = ab_tables(c)
-    return _table({nk: (A.get(nk, 0.0), B.get(nk, 0.0))
-                   for nk in A.keys() | B.keys()}, -1)
+    """S0' = (L + H)/xd = P + Pi xdd/xd + Xi xddd/xd as a monomial table;
+    the canonical lattice leaves mu xd alone (Bohm's relation)."""
+    p, pi, xi = c.derived(_momentum_tables)
+    return _sum((p, 1, _ONE), (pi, 1, (0, -1, 1, 0, 0, 0)),
+                (xi, 1, (0, -1, 0, 1, 0, 0)))
 
 
 def _s0_tables(c: KineticCoefficients) -> tuple:
@@ -328,7 +313,8 @@ def kinetic_term(c: KineticCoefficients, x, xd, xdd, xddd, mu, hbar):
     (N,) arrays of a batch of states)."""
     if _vanishes(xd):
         raise SingularityError("xd = 0 in kinetic series")
-    return _evaluate(c.derived(_kinetic_table), (x, xd, xdd, xddd), mu, hbar)
+    return _evaluate((c.derived(_kinetic_table),), (x, xd, xdd, xddd),
+                     mu, hbar)[0]
 
 
 def _state_from_jet(j: Jet) -> tuple:
@@ -340,7 +326,7 @@ def _state_from_jet(j: Jet) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# conjugate momenta (closed-form series)
+# conjugate momenta
 
 class Momenta(NamedTuple):
     """Principal momentum and the two secondary ones."""
@@ -351,55 +337,18 @@ class Momenta(NamedTuple):
 
 
 def momenta_state(c: KineticCoefficients, state, mu, hbar, lam=0.0) -> Momenta:
-    """Closed-form (P, Pi, Xi) from the full state (x .. x5).
+    """(P, Pi, Xi) from the full state (x .. x5), in one pass over the
+    momentum tables derived from T.
 
     The six state entries may be (N,) arrays, one column each of a batch
-    of states; the momenta are then arrays too.
-
-    P collects, per lattice point, the bracketed combinations of alpha and
-    beta entries (including the two neighbor columns k+1, k+2) in front of
-    the same two monomial families as T but with one extra power of xd in
-    the denominator; Pi and Xi follow the analogous single-bracket sums.
-    The regulator adds lam*x5 to P, -lam*x4 to Pi and lam*xddd to Xi.
+    of states; the momenta are then arrays too.  The regulator adds
+    lam*x5 to P, -lam*x4 to Pi and lam*xddd to Xi.
     """
     x, xd, xdd, xddd, x4, x5 = state
     if _vanishes(xd):
         raise SingularityError("xd = 0 in momentum series")
-    powers = {}
-    p_tot, pi_tot, xi_tot = 0.0, 0.0, 0.0
-    for n in range(c.n_max + 1):
-        for k in range(c.k_max + 1):
-            al, be = c.alpha(n, k), c.beta(n, k)
-            al1, be1 = c.alpha(n, k + 1), c.beta(n, k + 1)
-            be2 = c.beta(n, k + 2)
-            if not any((al, be, al1, be1, be2)):
-                continue
-            pref = _prefactor(mu, hbar, n)
-            pa = (
-                (3 * n + 2 * k - 2) * (n + k - 1) * al
-                + (3 * n + 2 * k - 2) * (3 * n + 2 * k - 3) * be
-                - (k + 1) * (n + k + 1) * al1
-                - (k + 1) * (6 * n + 4 * k - 3) * be1
-                + (k + 1) * (k + 2) * be2
-            )
-            pb = (
-                -(n + k) * (n + k - 1) * al
-                - (n + k) * (3 * n + 2 * k - 3) * be
-                + (k + 1) * (n + k - 1) * be1
-            )
-            pi_c = (n + k) * al + (3 * n + 2 * k - 3) * be - (k + 1) * be1
-            if pa:
-                p_tot = p_tot + pa * pref * _mono(
-                    state, (k, -(3 * n + 2 * k - 1), n + k), powers)
-            if pb:
-                p_tot = p_tot + pb * pref * _mono(
-                    state, (k, -(3 * n + 2 * k - 2), n + k - 2, 1), powers)
-            if pi_c:
-                pi_tot = pi_tot + pi_c * pref * _mono(
-                    state, (k, -(3 * n + 2 * k - 2), n + k - 1), powers)
-            if be:
-                xi_tot = xi_tot + be * pref * _mono(
-                    state, (k, -(3 * n + 2 * k - 3), n + k - 2), powers)
+    p_tot, pi_tot, xi_tot = _evaluate(c.derived(_momentum_tables), state,
+                                      mu, hbar)
     if lam:
         p_tot = p_tot + lam * x5
         pi_tot = pi_tot - lam * x4
@@ -417,7 +366,7 @@ def xi_series_core(c: KineticCoefficients, state, mu, hbar):
     """The bare beta sum appearing in Xi and in the regulated Hamiltonian
     bracket, dT/dxddd = sum hbar^n beta_nk / mu^(n-1) x^k xdd^(n+k-2) /
     xd^(3n+2k-3); ``state`` needs only (x, xd, xdd)."""
-    return _evaluate(c.derived(_xi_table), state, mu, hbar)
+    return _evaluate(c.derived(_momentum_tables)[2:], state, mu, hbar)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +376,21 @@ def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
     """(S0', S0'', S0''') as phase-space functions of the state (x .. x5),
     whose entries may be (N,) arrays, one column each of a batch of states.
 
-    S0' sums the A/B families; the second and third derivatives are the
-    exact spatial derivatives d/dx = (d/dt)/xd of its monomial table.
+    S0' is P + Pi xdd/xd + Xi xddd/xd; the second and third derivatives
+    are the exact spatial derivatives d/dx = (d/dt)/xd of its table.
     Canonically these collapse to mu*xd, mu*xdd/xd and
     mu*(xddd*xd - xdd^2)/xd^3.
     """
     if _vanishes(state[1]):
         raise SingularityError("xd = 0 in action-gradient series")
-    return tuple(_evaluate(t, state, mu, hbar)
-                 for t in c.derived(_s0_tables))
+    return _evaluate(c.derived(_s0_tables), state, mu, hbar)
 
 
 def _s0p_state(c: KineticCoefficients, state, mu, hbar):
     """S0' alone: ``ds0dx_state(...)[0]`` without deriving S0'' and S0'''."""
     if _vanishes(state[1]):
         raise SingularityError("xd = 0 in action-gradient series")
-    return _evaluate(c.derived(_s0p_table), state, mu, hbar)
+    return _evaluate((c.derived(_s0p_table),), state, mu, hbar)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ The module also carries two consistency demonstrations: the canonical
 equations of the regulated series Hamiltonian checked as identities along
 arbitrary jets, and the classical pathology of a Lagrangian whose velocity
 enters linearly (the case that motivates the x3dot^2 regulator in the first
-place).  The Hamiltonian's partial derivatives in x, xd and xdd are exact
-derivatives of the kinetic series' monomial tables, derived once per
-lattice, while the momenta they are checked against come from the series'
-closed-form brackets.
+place).  The momenta and the Hamiltonian's partial derivatives in x, xd
+and xdd are exact derivatives of the kinetic series' monomial table of T,
+derived once per lattice; the momentum rates the canonical equations are
+checked with come from evaluating the momenta on jets in t, not from
+differentiating their tables.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .kinetic_series import (
     _evaluate,
     _ipow,
     _kinetic_table,
+    _momentum_tables,
     _partial,
     _taylor_of,
-    _xi_table,
     kinetic_term,
     momenta_state,
     xi_series_core,
@@ -250,7 +251,7 @@ def _gradient_tables(c: KineticCoefficients) -> tuple:
     bare beta sum of Xi), as monomial tables."""
     alpha = {key: v for key, v in c.derived(_kinetic_table).items()
              if not key[1][3]}
-    rows = (alpha, c.derived(_xi_table))
+    rows = (alpha, c.derived(_momentum_tables)[2])
     return tuple(tuple({key: sign * v for key, v in _partial(t, slot).items()}
                        for t in rows)
                  for slot, sign in ((0, 1), (1, -1), (2, 1)))
@@ -260,8 +261,9 @@ def _canonical_sums(c: KineticCoefficients, x, xd, xdd, mu, hbar) -> tuple:
     """The (alpha, beta) pairs of sums entering the Hamiltonian's partial
     derivatives with respect to x, xd and xdd (each taken at fixed momenta,
     after the momentum relations are folded back in)."""
-    return tuple(tuple(_evaluate(t, (x, xd, xdd), mu, hbar) for t in pair)
-                 for pair in c.derived(_gradient_tables))
+    sums = _evaluate([t for pair in c.derived(_gradient_tables) for t in pair],
+                     (x, xd, xdd), mu, hbar)
+    return sums[0:2], sums[2:4], sums[4:6]
 
 
 def canonical_consistency(c: KineticCoefficients, j: Jet, params, lam: float,
@@ -274,10 +276,10 @@ def canonical_consistency(c: KineticCoefficients, j: Jet, params, lam: float,
     scale individually, so a small regulator does not inflate the ratio):
 
     * xddd_recovery -- the Xi canonical equation returns xddd;
-    * pi_recovery   -- the time derivative of Xi's closed form, fed through
-      the Xi-rate canonical equation, reproduces the closed-form Pi;
-    * p_recovery    -- the time derivative of Pi's closed form, fed through
-      the Pi-rate canonical equation, reproduces the closed-form P;
+    * pi_recovery   -- the time derivative of the series Xi, fed through
+      the Xi-rate canonical equation, reproduces the series Pi;
+    * p_recovery    -- the time derivative of the series Pi, fed through
+      the Pi-rate canonical equation, reproduces the series P;
     * gradient_balance -- dL/dx equals -dH/dx.
 
     These hold for any coefficient lattice, not only the canonical one;

@@ -61,6 +61,8 @@ _TABLE_BLOCK = 2048
 # steps mixes the growing solution into the decaying one and loses the
 # Wronskian
 _MARCH_BLOCK = 64
+# how far past a grid pair's covered domain eval01 still evaluates
+_EDGE_TOL = 1e-9
 
 
 class SchrodingerError(ValueError):
@@ -257,14 +259,23 @@ class SolutionPair:
         else:
             x = np.asarray(x, dtype=float)
             first, last = (x.min(), x.max()) if x.size else (lo, hi)
-        if not (first >= lo - 1e-9 and last <= hi + 1e-9):
+        if not (first >= lo - _EDGE_TOL and last <= hi + _EDGE_TOL):
             xa = np.atleast_1d(x)
-            bad = xa[~((lo - 1e-9 <= xa) & (xa <= hi + 1e-9))]
+            bad = xa[~self.covers(xa)]
             raise DomainError(f"x = {float(bad.flat[0])} outside solved "
                               f"domain [{lo}, {hi}]")
         i, s = self.nearest_node(x)
         coeffs = self._grid["taylor"][:, :, i]
         return _horner(coeffs.tolist() if isinstance(x, float) else coeffs, s)
+
+    def covers(self, x):
+        """Whether eval01 accepts x, elementwise for an array: every x on
+        the analytic pair, x within _EDGE_TOL of the covered domain on a
+        grid pair."""
+        if self.source == "analytic":
+            return np.full(np.shape(x), True)
+        lo, hi = self.domain
+        return (lo - _EDGE_TOL <= x) & (x <= hi + _EDGE_TOL)
 
     def nearest_node(self, x):
         """Index of the node nearest x and x's offset from it, as a Python

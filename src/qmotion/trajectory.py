@@ -94,9 +94,11 @@ class VelocityFloorError(RuntimeError):
 
 
 class DomainEdgeError(DomainError):
-    """The velocity law reaches the edge of the pair's covered domain before
-    the end of the time span.  ``partial`` holds the run's result for the
-    samples up to the edge, with a note naming the edge and its time."""
+    """A velocity or newton run reaches the edge of the pair's covered
+    domain before the end of the time span.  ``partial`` holds the run's
+    result for the samples up to the edge, with a note naming the edge and
+    when it is reached: the time itself for the velocity law, the two
+    sample times around the crossing for the newton law."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)
@@ -353,10 +355,8 @@ class _VelocityClock:
         xa = np.asarray(x, dtype=float)
         node, s = self.pair.nearest_node(xa)
         cell = self.step * (node - self.i0)
-        lo, hi = self.pair.domain
-        off_grid = self.pair.source != "analytic" and not np.all(
-            (lo - 1e-9 <= xa) & (xa <= hi + 1e-9))
-        if off_grid or np.any((cell < 0) | (cell >= self.t_exit.size)):
+        if (not np.all(self.pair.covers(xa))
+                or np.any((cell < 0) | (cell >= self.t_exit.size))):
             raise ValueError(f"x = {x} is not on the run's path")
         tau = self._elapsed(cell, s)
         if np.any(tau < 0):
@@ -456,7 +456,10 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
     first-order law at x_start; an explicit 4-tuple overrides it (the
     fourth-order equation admits such data, but the sampled H then differs
     from params.energy).  |xd| reaching the 1e-12 floor aborts: the law
-    cannot cross xd = 0 on consistent data.
+    cannot cross xd = 0 on consistent data.  The right-hand side does not
+    read the pair, but the sampled S0' does: a run whose samples leave the
+    pair's covered domain raises DomainEdgeError, whose ``partial`` result
+    holds the samples before the first one outside.
     """
     pair = s.build_pair()
     mu, hbar = s.params.mu, s.params.hbar
@@ -480,12 +483,29 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
 
     dense = integrate_ivp(rhs, y0, s.t_span, s.integrator)
     ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
-    j = Jet(tuple(dense(ts).T))
+    ys = dense(ts)
+    outside = np.flatnonzero(~pair.covers(ys[:, 0]))
+    k = int(outside[0]) if outside.size else len(ts)
+    if k == 0:  # only an explicit init can start outside
+        raise DomainError(f"initial x = {ys[0, 0]} outside solved domain "
+                          f"{list(pair.domain)}")
+    j = Jet(tuple(ys[:k].T))
     obs = observables(j, s.params, s.potential)
     # S0' at the sampled x is independent of the sampled xd
-    return TrajectoryResult(s, "newton",
-                            _samples(ts, j, obs, s0p(pair, s.q, j.coeffs[0])),
-                            _pair_notes(pair))
+    result = TrajectoryResult(
+        s, "newton", _samples(ts[:k], j, obs, s0p(pair, s.q, j.coeffs[0])),
+        _pair_notes(pair))
+    if k < len(ts):
+        lo, hi = pair.domain
+        edge = hi if ys[k, 0] > hi else lo
+        result.notes.append(
+            f"domain edge x = {edge:.9g} crossed between t = {ts[k - 1]:.9g}"
+            f" and t = {ts[k]:.9g}; no samples after it")
+        raise DomainEdgeError(
+            f"the run crosses x = {edge:.6g} between t = {ts[k - 1]:.6g} and "
+            f"t = {ts[k]:.6g}, before t1 = {s.t_span[1]:.6g}; later positions "
+            f"are outside solved domain [{lo:.6g}, {hi:.6g}]", result)
+    return result
 
 
 def _turning_point(potential: PotentialModel, energy: float, x0: float,

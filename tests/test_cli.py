@@ -281,6 +281,28 @@ def test_domain_edge_writes_partial_result_and_exits_3(tmp_path, capsys):
     assert again.read_bytes() == out.read_bytes()
 
 
+def test_newton_domain_edge_writes_partial_result_and_exits_3(tmp_path,
+                                                              capsys):
+    """The newton law integrates past the edge; the samples before the
+    first one outside the solved domain are written, then the run exits 3."""
+    out = tmp_path / "edge.csv"
+    doc = dict(EDGE_DOC, output={"path": str(out), "format": "both"})
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg, "--law", "newton",
+                "--quiet"]) == 3
+    assert "outside solved domain" in capsys.readouterr().err
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().strip().split("\n")[1:]]
+    summary = json.loads((tmp_path / "edge.csv.json").read_text())
+    assert 1 < len(rows) < 256
+    assert all(row[1] <= 3.0 for row in rows)
+    assert summary["law"] == "newton" and summary["samples"] == len(rows)
+    assert summary["t_span"] == [0.0, rows[-1][0]]
+    (note,) = summary["notes"]
+    assert note.startswith(
+        f"domain edge x = 3 crossed between t = {rows[-1][0]:.9g} and t = ")
+
+
 def test_domain_edge_error_survives_pickling():
     import pickle
 
@@ -450,6 +472,28 @@ def test_demo_legacy_stall(capsys):
     assert run(["demo", "legacy-stall"]) == 0
     out = capsys.readouterr().out
     assert "stall" in out.lower()
+
+
+def test_demo_legacy_stall_builds_one_pair(monkeypatch, capsys):
+    """The velocity comparison runs on the legacy scenario's pair."""
+    import qmotion.trajectory as traj
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return solve_pair(*args, **kwargs)
+
+    solve_pair = traj.solve_pair
+    monkeypatch.setattr(traj, "solve_pair", counting)
+    assert run(["demo", "legacy-stall"]) == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("option", ["--f-const", "--stiffness"])
+def test_linear_term_constants_are_not_options(option, capsys):
+    assert run(["demo", "linear-term", option, "0.5"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_demo_legacy_stall_defaults_are_the_config_defaults(tmp_path, capsys):

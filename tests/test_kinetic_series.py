@@ -490,3 +490,34 @@ def test_s0_derivatives_follow_the_chain_rule(c, states, mu, hbar):
         want2, want3 = chain_rule_s0(c, state, mu, hbar)
         _assert_batch_matches(got2, want2, mag2, rel=1e-12)
         _assert_batch_matches(got3, want3, mag3, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Tables derived from T
+# ---------------------------------------------------------------------------
+
+def test_bohm_relation_is_derived():
+    """S0' = P + Pi xdd/xd + Xi xddd/xd of the canonical lattice is the
+    single monomial mu xd: every quantum term of the momenta cancels."""
+    import qmotion.kinetic_series as ks
+
+    c = KineticCoefficients.canonical()
+    assert ks._s0p_table(c) == {(0, (0, 1, 0, 0, 0, 0)): 1.0}
+    rng = np.random.default_rng(23)
+    for mu, hbar in rng.uniform(0.5, 2.0, (4, 2)).tolist():
+        states = sample_states(rng, 8)
+        for row in states.tolist():
+            assert ds0dx_state(c, row, mu, hbar)[0] == mu * row[1]
+        cols = np.ascontiguousarray(states.T)
+        assert np.array_equal(ds0dx_state(c, cols, mu, hbar)[0], mu * cols[1])
+
+
+@given(st.one_of(lattices, seeded_lattices))
+@settings(deadline=None, max_examples=80)
+def test_derived_tables_stop_at_xddd(c):
+    """T is linear in xddd, so the x4 and x5 terms of d/dt Pi cancel
+    exactly and no momentum or S0' table reaches past xddd."""
+    import qmotion.kinetic_series as ks
+
+    for table in (*ks._momentum_tables(c), ks._s0p_table(c)):
+        assert all(e[4] == e[5] == 0 for _, e in table)

@@ -364,6 +364,37 @@ def test_canonical_report_names_all_checks():
         assert name in text
 
 
+@pytest.mark.parametrize("which", [0, 1], ids=["P", "Pi"])
+def test_checks_see_one_scaled_momentum_coefficient(monkeypatch, which):
+    """The momenta are derived from T, so the momentum checks compare two
+    ways of differentiating: scaling one coefficient of the derived P or Pi
+    table by 1 + 1e-6 must show in the canonical equations (whose rates
+    come from jets in t) and against the Legendre momenta of the
+    closed-form quantum Lagrangian."""
+    import qmotion.kinetic_series as ks
+
+    derive = ks._momentum_tables
+
+    def scaled(c):
+        tables = list(derive(c))
+        key = next(iter(tables[which]))
+        tables[which] = {**tables[which], key: tables[which][key] * (1 + 1e-6)}
+        return tuple(tables)
+
+    monkeypatch.setattr(ks, "_momentum_tables", scaled)
+    c = KineticCoefficients.canonical()
+    jets = sample_jets(np.random.default_rng(7), 20)
+    for lam in (0.5, 1e-3, 1e-6):
+        worst = max(canonical_consistency(c, j, PARAMS, lam).max_ratio
+                    for j in jets)
+        assert worst > 1e-10, lam
+    L = quantum_lagrangian(PARAMS)
+    gap = max(np.max(np.abs(np.subtract(series_momenta(c, j, PARAMS),
+                                        momenta(L, j))))
+              for j in jets)
+    assert gap > 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Linear velocity term
 # ---------------------------------------------------------------------------
