@@ -310,10 +310,9 @@ def _cmd_coefficients(args) -> int:
 def _cmd_demo_linear_term(args) -> int:
     from .mechanics import linear_term_demo
 
-    # unit stiffness for the harmonic potential, and f(x) = 1/2 throughout
+    # unit stiffness for the harmonic potential, and the constant f = 1/2
     potential = _potential_from({"kind": args.potential, "slope": args.slope})
-    report = linear_term_demo(args.i, lambda x: 0.5, potential, args.lam,
-                              seed=args.seed)
+    report = linear_term_demo(args.i, 0.5, potential, args.lam, seed=args.seed)
     _say(args, report.summary())
     if args.i != 1 and not report.consistent:
         return 1

@@ -3,9 +3,9 @@
 A jet of order m carries the values (f, f', f'', ..., f^(m)) of a smooth
 function at a single point.  Coefficients are stored as *raw derivatives*;
 the factorial weights of the Taylor form are applied inside each operation.
-Coefficient entries may be floats, complex numbers, or numpy arrays of a
-common shape, so the same recurrences serve scalar evaluation and batched
-evaluation over many sample points.
+Coefficient entries may be floats or numpy arrays of a common shape, so
+the same recurrences serve scalar evaluation and batched evaluation over
+many sample points.
 
 The module also provides a forward-mode perturbation (`Dual`) layered on
 top of jets, used to extract partial derivatives of black-box scalar
@@ -27,12 +27,6 @@ __all__ = [
     "JetOrderError",
     "JetDomainError",
     "SingularityError",
-    "sin",
-    "cos",
-    "exp",
-    "log",
-    "sqrt",
-    "atan",
     "compose",
     "flow_jet",
 ]
@@ -50,8 +44,8 @@ class JetOrderError(JetError):
 
 
 class JetDomainError(JetError):
-    """Operation left its mathematical domain (division by zero jet, log of
-    a non-positive value, ...)."""
+    """Operation left its mathematical domain (division by a jet with zero
+    value)."""
 
 
 class SingularityError(ZeroDivisionError):
@@ -208,132 +202,28 @@ class Jet:
         return Jet._from_tay(v)
 
     def __pow__(self, p):
-        if isinstance(p, numbers.Integral):
-            n = int(p)
-            if n == 0:
-                return Jet.constant(self.value * 0 + 1.0, self.order)
-            if n < 0:
-                return (1.0 / self) ** (-n)
-            out = None
-            base = self
-            while n:
-                if n & 1:
-                    out = base if out is None else out * base
-                n >>= 1
-                if n:
-                    base = base * base
-            return out
-        if isinstance(p, numbers.Real):
-            return exp(p * log(self))
-        return NotImplemented
+        if not isinstance(p, numbers.Integral):
+            return NotImplemented
+        n = int(p)
+        if n == 0:
+            return Jet.constant(self.value * 0 + 1.0, self.order)
+        if n < 0:
+            return (1.0 / self) ** (-n)
+        out = None
+        base = self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
 
 def _check_nonzero(v, msg: str) -> None:
     bad = np.any(np.asarray(v) == 0)
     if bad:
         raise JetDomainError(msg)
-
-
-def _check_positive(v, msg: str) -> None:
-    arr = np.asarray(v)
-    if np.iscomplexobj(arr):
-        _check_nonzero(v, msg)
-        return
-    if np.any(arr <= 0):
-        raise JetDomainError(msg)
-
-
-# -- elementary functions (generic over Jet / Dual / plain numerics) ---
-
-
-def sin(u):
-    if isinstance(u, Jet):
-        s, _ = _sincos(u)
-        return s
-    if isinstance(u, Dual):
-        return Dual(sin(u.re), cos(u.re) * u.du)
-    return np.sin(u)
-
-
-def cos(u):
-    if isinstance(u, Jet):
-        _, c = _sincos(u)
-        return c
-    if isinstance(u, Dual):
-        return Dual(cos(u.re), -sin(u.re) * u.du)
-    return np.cos(u)
-
-
-def _sincos(u: Jet):
-    ut = u._tay()
-    m = len(ut)
-    s = [np.sin(ut[0])]
-    c = [np.cos(ut[0])]
-    for k in range(1, m):
-        sk = sum(j * ut[j] * c[k - j] for j in range(1, k + 1)) / k
-        ck = -sum(j * ut[j] * s[k - j] for j in range(1, k + 1)) / k
-        s.append(sk)
-        c.append(ck)
-    return Jet._from_tay(s), Jet._from_tay(c)
-
-
-def exp(u):
-    if isinstance(u, Jet):
-        ut = u._tay()
-        v = [np.exp(ut[0])]
-        for k in range(1, len(ut)):
-            v.append(sum(j * ut[j] * v[k - j] for j in range(1, k + 1)) / k)
-        return Jet._from_tay(v)
-    if isinstance(u, Dual):
-        e = exp(u.re)
-        return Dual(e, e * u.du)
-    return np.exp(u)
-
-
-def log(u):
-    if isinstance(u, Jet):
-        _check_positive(u.value, "log of a jet with non-positive value")
-        ut = u._tay()
-        v = [np.log(ut[0])]
-        for k in range(1, len(ut)):
-            acc = k * ut[k]
-            for j in range(1, k):
-                acc = acc - j * v[j] * ut[k - j]
-            v.append(acc / (k * ut[0]))
-        return Jet._from_tay(v)
-    if isinstance(u, Dual):
-        return Dual(log(u.re), u.du / u.re)
-    return np.log(u)
-
-
-def sqrt(u):
-    if isinstance(u, Jet):
-        _check_positive(u.value, "sqrt of a jet with non-positive value")
-        ut = u._tay()
-        v = [np.sqrt(ut[0])]
-        for k in range(1, len(ut)):
-            acc = ut[k]
-            for j in range(1, k):
-                acc = acc - v[j] * v[k - j]
-            v.append(acc / (2 * v[0]))
-        return Jet._from_tay(v)
-    if isinstance(u, Dual):
-        r = sqrt(u.re)
-        return Dual(r, u.du / (2 * r))
-    return np.sqrt(u)
-
-
-def atan(u):
-    if isinstance(u, Jet):
-        w = (1.0 / (1.0 + u * u))._tay()
-        ut = u._tay()
-        v = [np.arctan(ut[0])]
-        for k in range(1, len(ut)):
-            v.append(sum(j * ut[j] * w[k - j] for j in range(1, k + 1)) / k)
-        return Jet._from_tay(v)
-    if isinstance(u, Dual):
-        return Dual(atan(u.re), u.du / (1.0 + u.re * u.re))
-    return np.arctan(u)
 
 
 # -- composition and autonomous flows ---------------------------------
@@ -438,11 +328,9 @@ class Dual:
         return Dual(val, (du - val * self.du) / self.re)
 
     def __pow__(self, p):
-        if isinstance(p, numbers.Integral):
-            n = int(p)
-            if n == 0:
-                return Dual(self.re * 0 + 1.0, self.du * 0)
-            return Dual(self.re**n, n * self.re ** (n - 1) * self.du)
-        if isinstance(p, numbers.Real):
-            return Dual(self.re**p, p * self.re ** (p - 1.0) * self.du)
-        return NotImplemented
+        if not isinstance(p, numbers.Integral):
+            return NotImplemented
+        n = int(p)
+        if n == 0:
+            return Dual(self.re * 0 + 1.0, self.du * 0)
+        return Dual(self.re**n, n * self.re ** (n - 1) * self.du)

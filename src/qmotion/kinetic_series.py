@@ -24,13 +24,13 @@ lattice reduces to Bohm's relation S0' = mu xd.  S0'', S0''' and the
 Hamiltonian's gradient sums are derivatives of these tables.
 
 All evaluators are generic over the numeric type of the state entries
-(floats, complex numbers, jets, dual numbers, or numpy arrays holding one
-column of a batch of states), which is what lets the master identity be
-graded by hbar: passing a jet in hbar separates the residual into
-per-level components, and with array state columns that jet carries array
-coefficients, so one pass grades a whole batch of states (Taylor
-arithmetic over arrays, Griewank and Walther, *Evaluating Derivatives*,
-ch. 13).  A single state is the same computation on floats.
+(floats, jets, dual numbers, or numpy arrays holding one column of a batch
+of states), which is what lets the master identity be graded by hbar:
+passing a jet in hbar separates the residual into per-level components,
+and with array state columns that jet carries array coefficients, so one
+pass grades a whole batch of states (Taylor arithmetic over arrays,
+Griewank and Walther, *Evaluating Derivatives*, ch. 13).  A single state
+is the same computation on floats.
 """
 from __future__ import annotations
 
@@ -216,16 +216,6 @@ class KineticCoefficients:
     @property
     def n_max(self) -> int:
         return max((n for n, _ in self.entries), default=0)
-
-    @property
-    def k_max(self) -> int:
-        return max((k for _, k in self.entries), default=0)
-
-    def alpha(self, n: int, k: int) -> float:
-        return self.entries.get((n, k), (0.0, 0.0))[0]
-
-    def beta(self, n: int, k: int) -> float:
-        return self.entries.get((n, k), (0.0, 0.0))[1]
 
     def with_entry(self, n: int, k: int, alpha: float | None = None,
                    beta: float | None = None) -> "KineticCoefficients":
@@ -508,7 +498,6 @@ def sample_states(rng: np.random.Generator, count: int) -> np.ndarray:
 @dataclass
 class LevelReport:
     level: int
-    labels: tuple
     values: dict
     rank: int
     n_unknowns: int
@@ -516,13 +505,11 @@ class LevelReport:
     roots: list = field(default_factory=list)
     selected_root: float | None = None
     notes: list = field(default_factory=list)
-    ok: bool = True
 
 
 @dataclass
 class DeterminationReport:
     levels: list
-    coefficients: KineticCoefficients
     unique: bool
 
     def summary(self) -> str:
@@ -692,7 +679,7 @@ def _determine_level0(rng):
     theta = np.zeros(n_unk)
     theta[0] = selected
     report = LevelReport(
-        level=0, labels=_LABELS, values=dict(zip(_LABELS, theta.tolist())),
+        level=0, values=dict(zip(_LABELS, theta.tolist())),
         rank=rank_a + rank_b + 2, n_unknowns=n_unk, fit_residual=fit_res,
         roots=roots, selected_root=selected, notes=notes)
     return report, lattice(theta)
@@ -733,8 +720,8 @@ def _determine_level_n(rng, n: int, base: KineticCoefficients):
         raise DeterminationError(
             f"level {n}: solved lattice leaves scaled residual {worst:.2e}")
     report = LevelReport(
-        level=n, labels=_LABELS, values=dict(zip(_LABELS, theta)), rank=rank,
-        n_unknowns=n_unk, fit_residual=fit,
+        level=n, values=dict(zip(_LABELS, theta)), rank=rank, n_unknowns=n_unk,
+        fit_residual=fit,
         notes=[f"confirmation residual on fresh states {worst:.2e}"])
     return report, solved
 
@@ -762,4 +749,4 @@ def determine_coefficients(levels: int = 2, *, seed: int = 20260823):
         rep, lattice = _determine_level_n(rng, n, lattice)
         reports.append(rep)
     unique = all(r.rank >= r.n_unknowns for r in reports)
-    return lattice, DeterminationReport(reports, lattice, unique)
+    return lattice, DeterminationReport(reports, unique)

@@ -87,9 +87,8 @@ def partials(L: Callable, j: Jet, t: float = 0.0,
 
     ``L(x, xd, xdd, xddd, t)`` must be generic over the argument types
     (plain floats, jets, duals-over-jets); any closed arithmetic expression
-    qualifies, as do the transcendental helpers in :mod:`qmotion.jets`.  L
-    is called once: slot s is a dual whose perturbation is a jet of
-    4-vectors, unit in channel s, and partial s is channel s of the
+    qualifies.  L is called once: slot s is a dual whose perturbation is a
+    jet of 4-vectors, unit in channel s, and partial s is channel s of the
     result's perturbation.
     """
     need = depth + _SLOTS - 1
@@ -157,21 +156,14 @@ def hamiltonian(L: Callable, j: Jet, t: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 # stock Lagrangians
 
-def _value_fn(potential):
-    if potential is None:
-        return None
-    return getattr(potential, "value", potential)
-
-
 def classical_lagrangian(params, potential=None) -> Callable:
     """mu xd^2/2 - V(x)."""
     mu = params.mu
-    vfun = _value_fn(potential)
 
     def fn(x, xd, xdd, xddd, t):
         out = 0.5 * mu * xd * xd
-        if vfun is not None:
-            out = out - vfun(x)
+        if potential is not None:
+            out = out - potential.value(x)
         return out
 
     return fn
@@ -187,13 +179,12 @@ def quantum_lagrangian(params, potential=None) -> Callable:
     """
     mu = params.mu
     qc = params.hbar ** 2 / (4.0 * mu)
-    vfun = _value_fn(potential)
 
     def fn(x, xd, xdd, xddd, t):
         out = 0.5 * mu * xd * xd + qc * (
             2.5 * xdd * xdd / _ipow(xd, 4) - xddd / _ipow(xd, 3))
-        if vfun is not None:
-            out = out - vfun(x)
+        if potential is not None:
+            out = out - potential.value(x)
         return out
 
     return fn
@@ -203,14 +194,13 @@ def series_lagrangian(c: KineticCoefficients, params, lam: float = 0.0,
                       potential=None) -> Callable:
     """T(c) + (lam/2) xddd^2 - V(x)."""
     mu, hb = params.mu, params.hbar
-    vfun = _value_fn(potential)
 
     def fn(x, xd, xdd, xddd, t):
         out = kinetic_term(c, x, xd, xdd, xddd, mu, hb)
         if lam:
             out = out + 0.5 * lam * xddd * xddd
-        if vfun is not None:
-            out = out - vfun(x)
+        if potential is not None:
+            out = out - potential.value(x)
         return out
 
     return fn
@@ -322,7 +312,7 @@ def canonical_consistency(c: KineticCoefficients, j: Jet, params, lam: float,
         abs(p_pred - trip.P),
         abs(pi_dot) + abs(mdxd_a) + big * abs(mdxd_b) + abs(trip.P))
 
-    grad = _grad_fn(potential)(x)
+    grad = _grad(potential, x)
     lhs = dx_a + xddd * dx_b - grad
     rhs = dx_a + gap * dx_b - grad
     checks["gradient_balance"] = CheckResult(
@@ -342,7 +332,6 @@ class LinearTermReport:
     i: int
     lam: float
     consistent: bool
-    samples_used: int = 0
     max_xdot_mismatch: float = 0.0
     max_pdot_mismatch: float = 0.0
     max_gradient: float = 0.0
@@ -357,54 +346,41 @@ class LinearTermReport:
         return "\n".join(lines)
 
 
-def _with_slope(g, x: float):
-    """Value and x-derivative of a scalar callable via one dual channel."""
-    out = g(Dual(float(x), 1.0))
-    if isinstance(out, Dual):
-        return float(out.re), float(out.du)
-    return float(out), 0.0
+def _grad(potential, x):
+    """V'(x), 0 without a potential."""
+    return 0.0 if potential is None else potential.grad(x)
 
 
-def _grad_fn(potential):
-    if potential is None:
-        return lambda x: 0.0
-    g = getattr(potential, "grad", None)
-    if g is not None:
-        return lambda x: float(g(x))
-    return lambda x: _with_slope(potential, x)[1]
-
-
-def linear_term_acceleration(i: int, f, potential, x: float, xd: float) -> float:
-    """xdd from the second-order equation of motion of L = f(x) xd^i - V:
-    (i-1)[i f xd^(i-2) xdd + f' xd^i] + V' = 0.  Undefined for i in {0, 1}
-    (no xdd term survives)."""
+def linear_term_acceleration(i: int, f: float, potential, x: float,
+                             xd: float) -> float:
+    """xdd from the second-order equation of motion of L = f xd^i - V with
+    a constant f: (i-1) i f xd^(i-2) xdd + V' = 0.  Undefined for i in
+    {0, 1} (no xdd term survives)."""
     if i in (0, 1):
         raise ValueError("no acceleration term for velocity exponent %d" % i)
-    fv, fp = _with_slope(f, x)
-    gv = _grad_fn(potential)(x)
-    denom = (i - 1) * i * fv * _ipow(xd, i - 2)
+    denom = (i - 1) * i * f * _ipow(xd, i - 2)
     if denom == 0.0:
         raise SingularityError("degenerate linear-term acceleration")
-    return -((i - 1) * fp * _ipow(xd, i) + gv) / denom
+    return -_grad(potential, x) / denom
 
 
 _PROBES = 32
 _PROBE_SPAN = 1.5
 
 
-def linear_term_demo(i: int, f, potential=None, lam: float = 0.0, *,
+def linear_term_demo(i: int, f: float, potential=None, lam: float = 0.0, *,
                      seed: int = 20260823) -> LinearTermReport:
-    """Probe the Hamiltonian formulation of L = f(x) xd^i - V(x).
+    """Probe the Hamiltonian formulation of L = f xd^i - V(x), f a constant.
 
     For i not in {0, 1} the canonical equations derived from
     H = P xd - L (with xd eliminated through P = i f xd^(i-1)) are checked
     against the Euler-Lagrange dynamics over random probe points: the
     velocity recovered from P must match, and the momentum rate from
     -dH/dx must match the chain-rule rate along the second-order equation
-    of motion.  Probes keep xd > 0 and need f > 0 there, since eliminating
-    xd takes a fractional power of P/(i f).
+    of motion.  Probes keep xd > 0 and f must be positive, since
+    eliminating xd takes a fractional power of P/(i f).
 
-    For i = 1 the momentum P = f(x) carries no velocity information: the
+    For i = 1 the momentum P = f carries no velocity information: the
     naive canonical route fixes xd = 0 and P-rate = -V', while the
     equation of motion collapses to V' = 0.  The report flags the
     incompatibility whenever the sampled potential has slope.  With
@@ -417,43 +393,36 @@ def linear_term_demo(i: int, f, potential=None, lam: float = 0.0, *,
     if lam < 0.0:
         raise ValueError("the regulator strength cannot be negative")
     rng = np.random.default_rng(seed)
-    grad = _grad_fn(potential)
     report = LinearTermReport(i=i, lam=lam, consistent=False)
 
     if i != 1:
-        used = 0
+        if not f > 0.0:
+            raise ValueError("eliminating xd needs f > 0")
         worst_xd = worst_pd = 0.0
         for _ in range(_PROBES):
             x = rng.uniform(-_PROBE_SPAN, _PROBE_SPAN)
             xd = rng.uniform(0.4, 1.6)
-            fv, fp = _with_slope(f, x)
-            if fv <= 1e-12:
-                continue
-            used += 1
-            P = i * fv * _ipow(xd, i - 1)
-            base = P / (i * fv)
+            P = i * f * _ipow(xd, i - 1)
+            base = P / (i * f)
             xd_can = base ** (1.0 / (i - 1.0))
             worst_xd = max(worst_xd, abs(xd_can - xd) / max(1.0, abs(xd)))
-            gv = grad(x)
-            pdot_can = base ** (i / (i - 1.0)) * fp - gv
+            pdot_can = -_grad(potential, x)
             xdd = linear_term_acceleration(i, f, potential, x, xd)
-            pdot_el = i * fp * _ipow(xd, i) + i * (i - 1) * fv * _ipow(xd, i - 2) * xdd
+            pdot_el = i * (i - 1) * f * _ipow(xd, i - 2) * xdd
             pdot_scale = max(1.0, abs(pdot_can), abs(pdot_el))
             worst_pd = max(worst_pd, abs(pdot_can - pdot_el) / pdot_scale)
-        report.samples_used = used
         report.max_xdot_mismatch = worst_xd
         report.max_pdot_mismatch = worst_pd
-        report.consistent = used > 0 and worst_xd <= 1e-9 and worst_pd <= 1e-9
+        report.consistent = worst_xd <= 1e-9 and worst_pd <= 1e-9
         report.notes.append(
             f"canonical velocity and momentum-rate relations agree with the "
-            f"second-order equation of motion over {used} probes "
+            f"second-order equation of motion over {_PROBES} probes "
             f"(worst mismatches {worst_xd:.2e}, {worst_pd:.2e})")
         return report
 
-    # i == 1: P = f(x) is velocity-blind
+    # i == 1: P = f is velocity-blind
     xs = rng.uniform(-_PROBE_SPAN, _PROBE_SPAN, size=_PROBES)
-    grads = np.array([grad(float(xv)) for xv in xs])
-    report.samples_used = _PROBES
+    grads = np.array([_grad(potential, float(xv)) for xv in xs])
     report.max_gradient = float(np.max(np.abs(grads)))
     report.naive_inconsistent = report.max_gradient > 1e-10
     if report.naive_inconsistent:
@@ -469,19 +438,18 @@ def linear_term_demo(i: int, f, potential=None, lam: float = 0.0, *,
         worst = 0.0
         for xv in xs:
             xd = rng.uniform(-1.6, 1.6)
-            fv, fp = _with_slope(f, float(xv))
-            gv = grad(float(xv))
-            P = lam * xd + fv
-            xd_back = (P - fv) / lam
-            scale_v = (abs(P) + abs(fv)) / lam + abs(xd)
+            gv = _grad(potential, float(xv))
+            P = lam * xd + f
+            xd_back = (P - f) / lam
+            scale_v = (abs(P) + abs(f)) / lam + abs(xd)
             if scale_v > 0.0:
                 worst = max(worst, abs(xd_back - xd) / scale_v)
+            # f is constant, so the canonical and the Euler-Lagrange momentum
+            # rates are -V' and lam xdd
             xdd = -gv / lam
-            pdot_can = fp * (P - fv) / lam - gv
-            pdot_el = lam * xdd + fp * xd
-            scale_p = (abs(P) + abs(fv)) / lam * max(1.0, abs(fp)) + abs(gv) + abs(fp * xd)
+            scale_p = (abs(P) + abs(f)) / lam + abs(gv)
             if scale_p > 0.0:
-                worst = max(worst, abs(pdot_can - pdot_el) / scale_p)
+                worst = max(worst, abs(-gv - lam * xdd) / scale_p)
         report.regularized_max_mismatch = worst
         report.consistent = worst <= 1e-10
         report.notes.append(

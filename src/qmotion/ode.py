@@ -169,7 +169,8 @@ def _initial_step(fun, t0, y0, f0, span, max_step, rtol, atol) -> float:
     return min(100 * h0, h1, span, max_step)
 
 
-def integrate_ivp(rhs, y0, t_span, settings: IntegratorSettings | None = None) -> DenseSolution:
+def integrate_ivp(rhs, y0, t_span, settings: IntegratorSettings | None = None,
+                  stop=None) -> DenseSolution:
     """Integrate dy/dt = rhs(t, y) over t_span with dense output.
 
     ``rhs`` gets the state as a 1-d float array and returns a sequence of
@@ -177,7 +178,9 @@ def integrate_ivp(rhs, y0, t_span, settings: IntegratorSettings | None = None) -
     ``settings.rel_tol`` / ``settings.abs_tol``; the returned solution
     interpolates between steps with the stepper's own quartic interpolant.
     ``rhs`` is called twice for the initial step, then six times per
-    attempted step.
+    attempted step.  ``stop(y)``, when given, is asked after each accepted
+    step; once it holds, the solution ends at that step (its ``t1`` falls
+    short of t_span's end).
     """
     settings = settings or IntegratorSettings()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -250,4 +253,6 @@ def integrate_ivp(rhs, y0, t_span, settings: IntegratorSettings | None = None) -
         ts.append(t_new)
         ys.frombytes(y_new.tobytes())
         t, y, f = t_new, y_new, f_new
+        if stop is not None and stop(y):
+            break
     return DenseSolution(ts, ys, stages)

@@ -172,6 +172,11 @@ class ScenarioConfig:
             raise ValueError(f"law must be one of {LAWS}, got {self.law!r}")
         if self.samples < 2:
             raise ValueError("need at least two output samples")
+        if not math.isfinite(self.x_start):
+            raise ValueError(f"x_start must be finite, got {self.x_start}")
+        if not 0.0 < self.grid_step < math.inf:
+            raise ValueError("grid_step must be finite and positive, "
+                             f"got {self.grid_step}")
         dom = self.domain
         if dom is not None and not (len(dom) == 2 and dom[0] < dom[1]
                                     and all(map(math.isfinite, dom))):
@@ -457,9 +462,10 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
     fourth-order equation admits such data, but the sampled H then differs
     from params.energy).  |xd| reaching the 1e-12 floor aborts: the law
     cannot cross xd = 0 on consistent data.  The right-hand side does not
-    read the pair, but the sampled S0' does: a run whose samples leave the
-    pair's covered domain raises DomainEdgeError, whose ``partial`` result
-    holds the samples before the first one outside.
+    read the pair, but the sampled S0' does: on a grid pair the integration
+    stops at the first step that ends outside the covered domain, and the
+    run raises DomainEdgeError, whose ``partial`` result holds the samples
+    before the first one outside.
     """
     pair = s.build_pair()
     mu, hbar = s.params.mu, s.params.hbar
@@ -481,11 +487,14 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
               - 10.0 * xdd ** 3 / xd ** 2 + 8.0 * xdd * xddd / xd)
         return [xd, xdd, xddd, x4]
 
-    dense = integrate_ivp(rhs, y0, s.t_span, s.integrator)
+    # x is monotone (xd never crosses 0), so once outside it stays outside
+    stop = None if pair.source == "analytic" else (
+        lambda y: not pair.covers(y[0]))
+    dense = integrate_ivp(rhs, y0, s.t_span, s.integrator, stop=stop)
     ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
-    ys = dense(ts)
+    ys = dense(ts[ts <= dense.t1])
     outside = np.flatnonzero(~pair.covers(ys[:, 0]))
-    k = int(outside[0]) if outside.size else len(ts)
+    k = int(outside[0]) if outside.size else len(ys)
     if k == 0:  # only an explicit init can start outside
         raise DomainError(f"initial x = {ys[0, 0]} outside solved domain "
                           f"{list(pair.domain)}")
@@ -497,7 +506,7 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
         _pair_notes(pair))
     if k < len(ts):
         lo, hi = pair.domain
-        edge = hi if ys[k, 0] > hi else lo
+        edge = hi if dense.y_end[0] > hi else lo
         result.notes.append(
             f"domain edge x = {edge:.9g} crossed between t = {ts[k - 1]:.9g}"
             f" and t = {ts[k]:.9g}; no samples after it")

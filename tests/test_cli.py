@@ -205,6 +205,23 @@ def test_start_outside_domain_exits_2(tmp_path, capsys):
     assert run(["trajectory", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("x_start", float("nan"), "x_start must be finite"),
+    ("grid_step", -0.001, "grid_step must be finite and positive"),
+], ids=["x_start", "grid_step"])
+def test_bad_run_value_exits_2(tmp_path, capsys, key, value, message):
+    # on a grid pair whose domain follows from x_start, neither reaches
+    # ScenarioConfig's domain check
+    doc = free_doc(str(tmp_path / "x.csv"))
+    doc["potential"] = {"kind": "harmonic", "stiffness": 1.0}
+    doc["run"][key] = value
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_step_budget_exhaustion_exits_3(tmp_path, capsys):
     # the step budget binds the integrated laws; the velocity law runs none
     doc = free_doc(str(tmp_path / "x.csv"), a=2.0)
@@ -283,8 +300,9 @@ def test_domain_edge_writes_partial_result_and_exits_3(tmp_path, capsys):
 
 def test_newton_domain_edge_writes_partial_result_and_exits_3(tmp_path,
                                                               capsys):
-    """The newton law integrates past the edge; the samples before the
-    first one outside the solved domain are written, then the run exits 3."""
+    """The newton law stops at the first step past the edge; the samples
+    before the first one outside the solved domain are written, then the
+    run exits 3."""
     out = tmp_path / "edge.csv"
     doc = dict(EDGE_DOC, output={"path": str(out), "format": "both"})
     cfg = write_config(tmp_path, doc)

@@ -34,7 +34,7 @@ from qmotion.kinetic_series import (
 )
 from qmotion.jets import Jet
 from qmotion.mechanics import series_lagrangian
-from qmotion.schrodinger import PhysParams
+from qmotion.schrodinger import PhysParams, PotentialModel
 
 PARAMS = PhysParams(hbar=1.0, mu=1.0, energy=0.0)
 
@@ -52,19 +52,15 @@ def quantum_kinetic(xd, xdd, xddd, mu=1.0, hbar=1.0):
 
 def test_canonical_entries():
     c = KineticCoefficients.canonical()
-    assert c.alpha(0, 0) == 0.5
-    assert c.alpha(2, 0) == 0.625
-    assert c.beta(2, 0) == -0.25
-    assert c.alpha(1, 0) == 0.0  # absent entries read as zero
-    assert c.n_max == 2 and c.k_max == 0
+    assert c.entries == {(0, 0): (0.5, 0.0), (2, 0): (0.625, -0.25)}
+    assert c.n_max == 2
 
 
 def test_with_entry_keeps_unset_component():
     c = KineticCoefficients.canonical()
     d = c.with_entry(2, 0, alpha=0.7)
-    assert d.alpha(2, 0) == 0.7
-    assert d.beta(2, 0) == -0.25  # None keeps the old value
-    assert c.alpha(2, 0) == 0.625  # original untouched
+    assert d.entries[(2, 0)] == (0.7, -0.25)  # None keeps the old value
+    assert c.entries[(2, 0)] == (0.625, -0.25)  # original untouched
 
 
 def test_invalid_indices_rejected():
@@ -118,7 +114,7 @@ def test_lagrangian_series_includes_potential_and_lambda():
     c = KineticCoefficients.canonical()
     j = sample_jets(np.random.default_rng(11), 1)[0]
     lam = 0.01
-    pot = lambda x: 0.3 * x
+    pot = PotentialModel.linear(0.3)
     base = kinetic_term(c, *j.coeffs[:4], 1.0, 1.0)
     full = series_lagrangian(c, PARAMS, lam, pot)(*j.coeffs[:4], 0.0)
     xddd = j.coeffs[3]
@@ -339,9 +335,15 @@ random_lattices = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 2)), st.tuples(coef, coef),
     min_size=1, max_size=4).map(KineticCoefficients)
 CANONICAL = KineticCoefficients.canonical()
+
+
+def _perturbed(nk, da, db):
+    al, be = CANONICAL.entries.get(nk, (0.0, 0.0))
+    return CANONICAL.with_entry(*nk, alpha=al + da, beta=be + db)
+
+
 perturbed_canonical = st.builds(
-    lambda nk, da, db: CANONICAL.with_entry(*nk, alpha=CANONICAL.alpha(*nk) + da,
-                                            beta=CANONICAL.beta(*nk) + db),
+    _perturbed,
     st.sampled_from([(0, 0), (1, 0), (2, 0), (2, 1), (3, 0)]),
     st.floats(-0.1, 0.1), st.floats(-0.1, 0.1))
 lattices = st.one_of(random_lattices, perturbed_canonical)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmotion.jets import Dual, Jet, JetOrderError, sin as jet_sin
+from qmotion.jets import Dual, Jet, JetOrderError
 from qmotion.kinetic_series import (
     KineticCoefficients,
     momenta_state,
@@ -44,9 +44,10 @@ from test_kinetic_series import Mag, seeded_lattice
 PARAMS = PhysParams(hbar=1.0, mu=1.0, energy=0.0)
 
 
-def motion_jet(fn, t0=0.3, order=6):
-    """Jet of a scalar trajectory t -> fn(t) at t0."""
-    return fn(Jet.variable(t0, order))
+def sin_jet(t0, order=6):
+    """Jet of the trajectory x = sin t at t0, from the closed-form
+    derivatives sin(t0 + k pi/2)."""
+    return Jet(tuple(math.sin(t0 + k * math.pi / 2) for k in range(order + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +157,15 @@ def test_partials_match_the_five_call_reference_bitwise(L, case):
                               np.array(w.coeffs, dtype=float).view(np.int64))
 
 
-def _sin_t_lagrangian(x, xd, xdd, xddd, t):
-    return jet_sin(x) * xd * xd + t * xdd * xddd - 0.5 * xddd * xddd / xd
+def _rational_t_lagrangian(x, xd, xdd, xddd, t):
+    return x / (1.0 + x * x) * xd * xd + t * xdd * xddd - 0.5 * xddd * xddd / xd
 
 
 @pytest.mark.parametrize("L", [
     series_lagrangian(KineticCoefficients.canonical(), _REF_PARAMS, 0.3,
                       _HARMONIC),
-    _sin_t_lagrangian,
-], ids=["series-lam", "sin-explicit-t"])
+    _rational_t_lagrangian,
+], ids=["series-lam", "rational-explicit-t"])
 @given(case=partials_case())
 @settings(deadline=None, max_examples=40)
 def test_partials_match_the_five_call_reference_to_rounding(L, case):
@@ -222,7 +223,7 @@ def test_partials_of_untouched_slot_are_zero():
 def test_classical_harmonic_solution_annihilates_el():
     L = classical_lagrangian(PARAMS, PotentialModel.harmonic(1.0))
     for t0 in [0.0, 0.4, 2.0]:
-        j = motion_jet(jet_sin, t0)
+        j = sin_jet(t0)
         assert el_residual(L, j) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -400,7 +401,7 @@ def test_checks_see_one_scaled_momentum_coefficient(monkeypatch, which):
 # ---------------------------------------------------------------------------
 
 def test_quadratic_exponent_is_consistent():
-    rep = linear_term_demo(2, lambda x: 0.5, potential=PotentialModel.harmonic(1.0))
+    rep = linear_term_demo(2, 0.5, potential=PotentialModel.harmonic(1.0))
     assert rep.consistent
     assert rep.max_xdot_mismatch < 1e-12
     assert rep.max_pdot_mismatch < 1e-12
@@ -408,42 +409,44 @@ def test_quadratic_exponent_is_consistent():
 
 @pytest.mark.parametrize("i", [3, -2])
 def test_other_exponents_consistent(i):
-    rep = linear_term_demo(i, lambda x: 0.8, potential=PotentialModel.linear(0.3))
+    rep = linear_term_demo(i, 0.8, potential=PotentialModel.linear(0.3))
     assert rep.consistent
     assert rep.max_pdot_mismatch < 1e-10
 
 
 def test_linear_exponent_breaks_naive_route():
-    rep = linear_term_demo(1, lambda x: 1.0, potential=PotentialModel.linear(0.8))
+    rep = linear_term_demo(1, 1.0, potential=PotentialModel.linear(0.8))
     assert rep.naive_inconsistent is True
     assert rep.max_gradient == pytest.approx(0.8)
 
 
 def test_linear_exponent_fixed_by_regulator():
-    rep = linear_term_demo(1, lambda x: 1.0, potential=PotentialModel.linear(0.8),
+    rep = linear_term_demo(1, 1.0, potential=PotentialModel.linear(0.8),
                            lam=1e-3)
     assert rep.consistent
     assert rep.regularized_max_mismatch < 1e-10
 
 
 def test_linear_exponent_flat_potential_is_vacuous():
-    rep = linear_term_demo(1, lambda x: 1.0)
+    rep = linear_term_demo(1, 1.0)
     assert rep.naive_inconsistent is False
     assert any("flat" in n or "vacuous" in n for n in rep.notes)
 
 
 def test_degenerate_exponents_rejected():
     with pytest.raises(ValueError):
-        linear_term_demo(0, lambda x: 1.0)
+        linear_term_demo(0, 1.0)
     with pytest.raises(ValueError):
-        linear_term_demo(2, lambda x: 1.0, lam=-1.0)
+        linear_term_demo(2, 1.0, lam=-1.0)
+    with pytest.raises(ValueError, match="f > 0"):
+        linear_term_demo(2, 0.0)
     with pytest.raises(ValueError):
-        linear_term_acceleration(1, lambda x: 1.0, PotentialModel.free(), 0.0, 1.0)
+        linear_term_acceleration(1, 1.0, PotentialModel.free(), 0.0, 1.0)
 
 
 def test_linear_term_acceleration_quadratic_case():
     # L = f xd^2 - V: acceleration -V'/(2 f)
-    acc = linear_term_acceleration(2, lambda x: 0.5, PotentialModel.linear(0.3),
+    acc = linear_term_acceleration(2, 0.5, PotentialModel.linear(0.3),
                                    0.2, 1.1)
     assert acc == pytest.approx(-0.3)
 

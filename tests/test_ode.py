@@ -110,9 +110,9 @@ def _free_newton_problem():
     integrate_newton_law hands it to the integrator."""
     captured = []
 
-    def spy(rhs, y0, t_span, settings):
+    def spy(rhs, y0, t_span, settings, stop=None):
         captured.append((rhs, y0, t_span))
-        return integrate_ivp(rhs, y0, t_span, settings)
+        return integrate_ivp(rhs, y0, t_span, settings, stop=stop)
 
     s = ScenarioConfig(PotentialModel.free(), PhysParams(1.0, 1.0, 0.5),
                        QuantumStateParams(a=1.4, b=0.3), law="newton",
@@ -212,3 +212,15 @@ def test_max_step_is_respected():
     settings = IntegratorSettings(max_step=0.25)
     sol = integrate_ivp(lambda t, y: -0.01 * y, [1.0], (0.0, 10.0), settings)
     assert sol.n_steps >= 40
+
+
+def test_stop_ends_the_solution_at_the_first_step_it_holds():
+    full = integrate_ivp(lambda t, y: np.ones(1), [0.0], (0.0, 10.0),
+                         IntegratorSettings(max_step=0.25))
+    sol = integrate_ivp(lambda t, y: np.ones(1), [0.0], (0.0, 10.0),
+                        IntegratorSettings(max_step=0.25),
+                        stop=lambda y: y[0] > 2.0)
+    assert 2.0 < sol.t1 <= 2.25 and sol.y_end[0] > 2.0
+    assert np.all(sol._y[:, 0] <= 2.0)
+    # the steps up to the stop are the unstopped run's
+    np.testing.assert_array_equal(sol._ts, full._ts[:sol.n_steps + 1])

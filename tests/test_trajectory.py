@@ -283,6 +283,20 @@ def test_velocity_bohm_gap_detects_a_displaced_sample():
     assert summarize(res)["max_bohm_gap_rel"] > 1e-6
 
 
+def test_newton_law_stops_at_the_domain_edge():
+    """Downhill, x leaves the solved domain near t = 2.2.  The right-hand
+    side never reads the pair, so without a stop the run would go on to
+    t1 = 50 and exhaust the step budget near t = 5.2."""
+    s = ScenarioConfig(PotentialModel.linear(-0.5), UNIT,
+                       QuantumStateParams(a=1.0), law="newton",
+                       t_span=(0.0, 50.0), samples=256, domain=(-2.0, 3.0),
+                       integrator=IntegratorSettings(max_steps=5000))
+    with pytest.raises(DomainEdgeError, match="outside solved domain") as info:
+        integrate_newton_law(s)
+    xs = [p.x for p in info.value.partial.samples]
+    assert len(xs) > 1 and max(xs) <= 3.0 + 1e-9
+
+
 def test_velocity_law_stops_at_the_domain_edge():
     s = ScenarioConfig(PotentialModel.linear(0.5), UNIT,
                        QuantumStateParams(a=1.0), t_span=(0.0, 50.0),
