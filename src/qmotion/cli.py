@@ -7,12 +7,12 @@ rejected before any computation starts.  A key the document leaves out
 takes its default from one place: ``ScenarioConfig`` for ``run`` keys,
 ``IntegratorSettings`` for ``integrator`` keys, and this module's table
 for the physics and quantum values the library has no default for.  The
-``integrator`` keys act on the newton and legacy laws only: the velocity
-law sums t(x) over the pair's cells and integrates no ODE.  Exit codes:
+``integrator`` keys act on the newton law only: the velocity and legacy
+laws sum t(x) over the pair's cells and integrate no ODE.  Exit codes:
 0 success, 1 a verification residual exceeded its tolerance, 2
-configuration error, 3 numerical failure.  A velocity- or newton-law
-trajectory that reaches the edge of the solved domain before t1 writes its
-samples up to the edge, then exits 3.  ``--law`` is checked where
+configuration error, 3 numerical failure.  A trajectory that reaches the
+edge of the solved domain before t1 writes its samples up to the edge,
+then exits 3.  ``--law`` is checked where
 ``run.law`` is, by ``ScenarioConfig``, so an unknown law is a
 configuration error.
 

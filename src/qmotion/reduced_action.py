@@ -15,8 +15,8 @@ phase angle of (phi2, a*phi1 + b*phi2), unwrapped by counting the zeros of
 phi2 from the anchor, where the principal arctan jumps.  All higher
 derivatives of S0 are evaluated through jet arithmetic on the pair's
 derivative stacks, which the wave equation supplies exactly.  ``s0p``
-evaluates S0' itself in closed form, on a float or an array of points, with
-the same operations as the order-0 coefficient of ``s0p_jet``.
+evaluates S0' itself in closed form, on a point or an array of points
+(as the laws' cell sums do), with the order-0 arithmetic of ``s0p_jet``.
 """
 from __future__ import annotations
 

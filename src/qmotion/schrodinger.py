@@ -22,8 +22,7 @@ Nothing is differenced.
 Evaluation is array-first: ``SolutionPair.eval01``, ``eval_phi`` and
 ``PotentialModel.derivs`` accept one point or an array of points.  eval01
 is the Horner sum from the nearest node, so a node gives back its stored
-(phi, phi'), and a float in gives floats out, bit for bit the value of the
-same point inside an array.
+(phi, phi'); a point gives bit for bit its value inside an array.
 """
 from __future__ import annotations
 
@@ -182,6 +181,12 @@ class PotentialModel:
         self._check_table_range(x)
         return self._spline(x, 1)
 
+    @property
+    def knots(self):
+        """The spline's breakpoints, where the third derivative jumps; None
+        for the analytic kinds."""
+        return None if self._spline is None else self._spline.x
+
     def derivs(self, x, m: int) -> list:
         """[V, V', ..., V^(m)] at x, a float or an array of points; entries
         beyond the quadratic's, or the spline's cubic, degree are zero."""
@@ -245,28 +250,19 @@ class SolutionPair:
         On a Taylor-marched pair both solutions are the Taylor polynomials of
         the grid node nearest the point, summed by Horner's rule together
         with their derivatives; at a node they give back its stored (phi,
-        phi').  A float runs the same steps on Python floats.
+        phi').
         """
+        x = np.asarray(x, dtype=float)
         if self.source == "analytic":
-            xa = np.asarray(x, dtype=float)
             k = self._grid["k"]
-            s, c = np.sin(k * xa), np.cos(k * xa)
-            cols = (s, k * c, c, -k * s)
-            return tuple(map(float, cols)) if xa.ndim == 0 else cols
-        lo, hi = self.domain
-        if isinstance(x, float) or np.ndim(x) == 0:
-            x = first = last = float(x)
-        else:
-            x = np.asarray(x, dtype=float)
-            first, last = (x.min(), x.max()) if x.size else (lo, hi)
-        if not (first >= lo - _EDGE_TOL and last <= hi + _EDGE_TOL):
-            xa = np.atleast_1d(x)
-            bad = xa[~self.covers(xa)]
-            raise DomainError(f"x = {float(bad.flat[0])} outside solved "
-                              f"domain [{lo}, {hi}]")
+            s, c = np.sin(k * x), np.cos(k * x)
+            return s, k * c, c, -k * s
+        outside = ~self.covers(np.atleast_1d(x))
+        if outside.any():
+            raise DomainError(f"x = {np.atleast_1d(x)[outside][0]} outside "
+                              f"solved domain {list(self.domain)}")
         i, s = self.nearest_node(x)
-        coeffs = self._grid["taylor"][:, :, i]
-        return _horner(coeffs.tolist() if isinstance(x, float) else coeffs, s)
+        return _horner(self._grid["taylor"][:, :, i], s)
 
     def covers(self, x):
         """Whether eval01 accepts x, elementwise for an array: every x on
@@ -278,18 +274,14 @@ class SolutionPair:
         return (lo - _EDGE_TOL <= x) & (x <= hi + _EDGE_TOL)
 
     def nearest_node(self, x):
-        """Index of the node nearest x and x's offset from it, as a Python
-        int and float when x is a float on a grid pair.  The free pair's
-        nodes are the points m*pi/k, one per period of its squares, for
-        every integer m."""
+        """Index of the node nearest x and x's offset from it.  The free
+        pair's nodes are the points m*pi/k, one per period of its squares,
+        for every integer m."""
         if self.source == "analytic":
             h = math.pi / self.k
             i = np.rint(np.asarray(x) / h).astype(np.intp)
             return i, x - i * h
         xs, h = self._grid["xs"], self._grid["h"]
-        if isinstance(x, float):  # round is half to even, like np.rint
-            i = min(max(round((x - self.domain[0]) / h), 0), len(xs) - 1)
-            return i, x - float(xs[i])
         i = np.rint((x - xs[0]) / h).astype(np.intp)
         i = np.minimum(np.maximum(i, 0), len(xs) - 1)
         return i, x - xs[i]
@@ -528,8 +520,8 @@ def _march(table: np.ndarray, s: float) -> int:
 
 def _horner(coeffs, s: float):
     """(p1, p1', p2, p2') at offset s of the polynomial pairs whose Taylor
-    coefficients are ``coeffs``, lowest order first: an array of shape
-    (degree + 1, 2, ...) or its nested lists of floats."""
+    coefficients are ``coeffs``, lowest order first, shape (degree + 1, 2,
+    ...)."""
     (p1, p2), d1, d2 = coeffs[-1], 0.0, 0.0
     for c1, c2 in coeffs[-2::-1]:
         d1, p1 = d1 * s + p1, p1 * s + c1

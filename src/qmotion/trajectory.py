@@ -8,16 +8,12 @@ that is how consistent initial data for the fourth-order form of the law is
 produced, and how the closed-form observables (H, P, Q) are sampled
 along a run.
 
-The first-order law separates: t - t0 = mu * integral of dx/S0', and 1/S0'
-is a quadratic form in the pair, so no ODE is solved for it.  The time to
-cross each of the pair's cells follows from the cell integrals of the
-pair's squares; summed outward from the start they give t at every cell
-exit, and each sample position is a Newton solve of t(x) = t_k inside its
-cell.  On a grid pair the last exit is the covered domain's edge, so the
-time at which a run leaves the solved domain is known before sampling.
-The fourth-order and legacy laws run the adaptive integrator, whose
-right-hand sides read S0' in closed form, one float per call
-(``reduced_action.s0p``).
+Both first-order laws separate, t - t0 = integral of dx/(dx/dt): summed
+over the pair's cells it gives t at every cell exit, and each sample is a
+Newton solve of t(x) = t_k in its cell, so no ODE is solved for them.  On
+a grid pair the last exit is the covered domain's edge, so the time at
+which a run leaves the solved domain is known before sampling.  The
+fourth-order law is stepped by its own Taylor series (``ode``).
 
 Sampling is one array pass per run: the positions at every sample time
 are found at once, and the spatial jets, the motion jets
@@ -34,13 +30,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .jets import Jet, JetOrderError, SingularityError, flow_jet
-from .ode import IntegrationFailure, IntegratorSettings, integrate_ivp
+from .ode import IntegratorSettings, integrate_ivp
 from .reduced_action import QuantumStateParams, inverse_s0p, s0p, s0p_jet
 from .rootfind import RootConvergenceError, expand_bracket, invert_monotone
 from .schrodinger import (DomainError, PhysParams, PotentialModel,
@@ -71,7 +68,7 @@ __all__ = [
 
 LAWS = ("velocity", "newton", "legacy")
 _VELOCITY_FLOOR = 1e-12
-# Newton steps allowed per sample of the velocity law; bisection inside a
+# Newton steps allowed per sample of a first-order law; bisection inside a
 # cell reaches rounding level in about 60
 _NEWTON_STEPS = 100
 
@@ -94,11 +91,10 @@ class VelocityFloorError(RuntimeError):
 
 
 class DomainEdgeError(DomainError):
-    """A velocity or newton run reaches the edge of the pair's covered
-    domain before the end of the time span.  ``partial`` holds the run's
-    result for the samples up to the edge, with a note naming the edge and
-    when it is reached: the time itself for the velocity law, the two
-    sample times around the crossing for the newton law."""
+    """A run reaches the edge of the pair's covered domain before the end
+    of the time span.  ``partial`` holds the run's result for the samples
+    up to the edge, with a note naming the edge and the time at which it
+    is reached."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)
@@ -221,7 +217,7 @@ class TrajectoryResult:
     law: str
     samples: list
     notes: list = field(default_factory=list)
-    time_of_x: _VelocityClock | None = None
+    time_of_x: _Clock | None = None
 
     def arrival_time(self, x_target: float) -> float:
         """First time at which x(t) reaches x_target, from the velocity
@@ -304,56 +300,62 @@ def _pair_notes(pair: SolutionPair) -> list:
 # ---------------------------------------------------------------------------
 # the three laws
 
-class _VelocityClock:
-    """t(x) of the velocity law on one pair and state.
-
-    mu dx/dt = S0' gives t - t0 = mu * integral from x_start to x of dx/S0'.
-    The run crosses the pair's cells (``SolutionPair.cells``) outward from
-    x_start in the direction of S0'; the time across each is mu times its
-    cell integrals mapped by ``inverse_s0p``, a positive term, and the
-    running sum of those terms is the time at every cell exit.  Inside a
-    cell t(x) adds the integral from the cell's entry to x.  A grid pair's
-    cells run to the covered domain's edge, whose time is ``t_edge``; the
-    free pair's periods run on, and as many are summed as ``t_span`` needs.
+class _Clock:
+    """t(x) = t0 + integral of dx/(dx/dt) of a first-order law on one pair
+    and state, summed over the pair's cells (``SolutionPair.cells``) from
+    x_start in the direction of motion ``step``: ``t_exit`` at each cell
+    exit, and inside a cell the time from its entry.  A grid pair's cells
+    end at the covered domain's edge, reached at ``t_edge``; the free
+    pair's periods run on as far as ``t_span`` needs.  Three hooks carry the
+    law, here the velocity law mu dx/dt = S0': ``_dx`` (dx/dt times a time
+    lag), ``_entry_time`` (time from a cell's entry, from the squares'
+    primitives) and ``_cell_times`` (times across the run's cells, from the
+    pair's cell integrals, a table kept on a grid pair).
     """
 
-    def __init__(self, s: ScenarioConfig):
-        pair, q, mu = s.pair, s.q, s.params.mu
-        self.pair, self.q, self.mu, self.t0 = pair, q, mu, s.t_span[0]
-        self.step = step = 1 if q.a * pair.wronskian_ref > 0 else -1
+    def __init__(self, s: ScenarioConfig, step: int | None = None):
+        pair, self.mu = s.pair, s.params.mu
+        self.pair, self.q, self.t0 = pair, s.q, s.t_span[0]
+        self.step = step or (1 if s.q.a * pair.wronskian_ref > 0 else -1)
+        self.edge = pair.domain[1] if self.step > 0 else pair.domain[0]
         self.i0, self.s0 = pair.nearest_node(np.asarray(s.x_start, dtype=float))
-        start = pair.square_primitives(self.i0)
-        _, _, s_out = self._cells(np.asarray(0))
-        first = mu * inverse_s0p(pair, q, start(s_out) - start(self.s0))
+        self.t_exit = np.cumsum(self._cell_times(s.t_span[1] - s.t_span[0]))
+        self.t_edge = (math.inf if pair.source == "analytic"
+                       else self.t0 + float(self.t_exit[-1]))
+
+    def _dx(self, lag, x):
+        return lag * s0p(self.pair, self.q, x) / self.mu
+
+    def _entry_time(self, node, s_in):
+        prim = self.pair.square_primitives(node)
+        base = prim(s_in)
+        return lambda s: self.mu * inverse_s0p(self.pair, self.q,
+                                               prim(s) - base)
+
+    def _cell_times(self, span):
+        pair, q, mu, step = self.pair, self.q, self.mu, self.step
         if pair.source == "analytic":
             period = mu * step * inverse_s0p(pair, q,
                                              pair.cell_integrals(self.i0))
-            count = 1 + int((s.t_span[1] - s.t_span[0]) // period)
+            count = 1 + int(span // period)
             rest = pair.cell_integrals(self.i0 + step * np.arange(1, count + 1))
         elif step > 0:  # grid cells are read from the pair's table
             rest = pair.cell_integrals(slice(self.i0 + 1, None))
         else:
             rest = pair.cell_integrals(slice(None, self.i0))[:, ::-1]
         crossings = (step * mu) * inverse_s0p(pair, q, rest)
-        self.t_exit = np.cumsum(np.concatenate([[first], crossings]))
-        self.t_edge = (math.inf if pair.source == "analytic"
-                       else self.t0 + float(self.t_exit[-1]))
+        return np.concatenate([[self._start_crossing()], crossings])
 
     def _cells(self, cell):
-        """Node, entry offset and exit offset of the run's cells ``cell``
-        (0 is the start cell, entered at x_start)."""
+        """Node, entry and exit offsets of the run's cells (0 starts it)."""
         node = self.i0 + self.step * cell
         _, lo, hi = self.pair.cells(node)
         s_in, s_out = (lo, hi) if self.step > 0 else (hi, lo)
         return node, np.where(cell == 0, self.s0, s_in), s_out
 
-    def _elapsed(self, cell, s):
-        """Elapsed time at offsets s in the run's cells ``cell``."""
-        node, s_in, _ = self._cells(cell)
-        prim = self.pair.square_primitives(node)
-        t_in = np.where(cell > 0, self.t_exit[cell - 1], 0.0)
-        return t_in + self.mu * inverse_s0p(self.pair, self.q,
-                                            prim(s) - prim(s_in))
+    def _start_crossing(self):
+        _, _, s_out = self._cells(np.asarray(0))
+        return self._entry_time(self.i0, self.s0)(s_out)
 
     def __call__(self, x):
         """t at x, a float or an array of points on the run's path."""
@@ -363,74 +365,180 @@ class _VelocityClock:
         if (not np.all(self.pair.covers(xa))
                 or np.any((cell < 0) | (cell >= self.t_exit.size))):
             raise ValueError(f"x = {x} is not on the run's path")
-        tau = self._elapsed(cell, s)
+        node, s_in, _ = self._cells(cell)
+        t_in = np.where(cell > 0, self.t_exit[cell - 1], 0.0)
+        tau = t_in + self._entry_time(node, s_in)(s)
         if np.any(tau < 0):
             raise ValueError(f"x = {x} lies behind the run's start")
         t = self.t0 + tau
         return float(t) if t.ndim == 0 else t
 
-    def positions(self, tau: np.ndarray) -> np.ndarray:
-        """x at the elapsed times tau (within the summed cells).
+    def sample(self, s: ScenarioConfig):
+        """The run's sample times up to the domain edge, and x at each."""
+        ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
+        ts = ts[ts <= self.t_edge]
+        return ts, self.positions(ts - self.t0)
 
-        Each time is solved in its cell by Newton's method on t(x), whose
-        step is dx = (tau - t(x)) * S0'(x)/mu with the closed-form S0';
-        a step that leaves the shrinking bracket of the root is replaced by
-        bisection.  A sample is final once its step or bracket is below
-        rounding size; one still open after _NEWTON_STEPS raises
-        RootConvergenceError.
-        """
+    def positions(self, tau: np.ndarray) -> np.ndarray:
+        """x at the elapsed times tau (within the summed cells), each solved
+        in its cell by ``_newton`` with the step dx = (tau - t(x)) * dx/dt."""
         cell = np.minimum(np.searchsorted(self.t_exit, tau, side="right"),
                           self.t_exit.size - 1)
         node, s_in, s_out = self._cells(cell)
         xn = self.pair.cells(node)[0]
         t_in = np.where(cell > 0, self.t_exit[cell - 1], 0.0)
         lo, hi = np.minimum(s_in, s_out), np.maximum(s_in, s_out)
-        tol = 4.0 * np.finfo(float).eps * (np.abs(xn) + hi - lo)
         width = self.t_exit[cell] - t_in
         frac = np.divide(tau - t_in, width, out=np.zeros_like(tau),
                          where=width > 0)
         s = s_in + (s_out - s_in) * np.clip(frac, 0.0, 1.0)
-        prim = self.pair.square_primitives(node)
-        base = prim(s_in)
-        open_ = np.ones(tau.shape, dtype=bool)
-        for _ in range(_NEWTON_STEPS):
-            lag = tau - t_in - self.mu * inverse_s0p(self.pair, self.q,
-                                                     prim(s) - base)
-            ds = lag * s0p(self.pair, self.q, xn + s) / self.mu
-            lo, hi = np.where(ds > 0, s, lo), np.where(ds < 0, s, hi)
-            new = s + ds
-            small = np.abs(ds) <= tol
-            new = np.where(small, np.clip(new, lo, hi),
-                           np.where((lo <= new) & (new <= hi), new,
-                                    0.5 * (lo + hi)))
-            s = np.where(open_, new, s)
-            open_ &= ~(small | (hi - lo <= tol))
-            if not open_.any():
-                return xn + s
-        k = int(np.flatnonzero(open_)[0])
-        raise RootConvergenceError(
-            f"velocity law: x(t) at t = {self.t0 + tau[k]:.6g} not found in "
-            f"{_NEWTON_STEPS} Newton steps")
+        return xn + _newton(
+            tau - t_in, self._entry_time(node, s_in),
+            lambda lag, s: self._dx(lag, xn + s), s, lo, hi,
+            4.0 * np.finfo(float).eps * (np.abs(xn) + hi - lo), self.t0 + tau)
+
+
+def _newton(target, elapsed, step, v, lo, hi, tol, t):
+    """Solve elapsed(v) = target in the brackets [lo, hi] elementwise by
+    Newton steps ``step(target - elapsed(v), v)``, bisecting where one does
+    not land strictly inside (the last steps meet rounding noise), until the
+    step or bracket is below ``tol``; RootConvergenceError names time t."""
+    open_ = np.ones(v.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        dv = step(target - elapsed(v), v)
+        lo, hi = np.where(dv > 0, v, lo), np.where(dv < 0, v, hi)
+        new = v + dv
+        small = np.abs(dv) <= tol
+        new = np.where(small | ((lo < new) & (new < hi)),
+                       np.clip(new, lo, hi), 0.5 * (lo + hi))
+        v = np.where(open_, new, v)
+        open_ &= ~(small | (hi - lo <= tol))
+        if not open_.any():
+            return v
+    raise RootConvergenceError(f"x(t) at t = {t[open_][0]:.6g} not found in "
+                               f"{_NEWTON_STEPS} Newton steps")
+
+
+class _LegacyClock(_Clock):
+    """t(x) of the legacy law, dx/dt = w = 2(E - V)/S0'.  On the free pair
+    t is the rise of S0 over 2E; on a grid pair a cell's time is an 8-point
+    Gauss-Legendre sum of 1/w.  A path ends at a turning point x_turn, whose
+    cell takes infinite time; at a simple one, 1/w has the pole c/(x_turn -
+    x), c = S0'/(2V') at x_turn, which is summed in closed form instead."""
+
+    def __init__(self, s: ScenarioConfig, step: int, x_turn: float | None):
+        self.energy, self.hbar = s.params.energy, s.params.hbar
+        self.potential = s.potential
+        lo, hi = s.pair.domain
+        on_path = x_turn is not None and lo <= x_turn <= hi
+        self.x_turn = x_turn if on_path else None
+        slope = float(s.potential.grad(x_turn)) if on_path else 0.0
+        # a double root (slope 0) has a pole of order 2: none is subtracted
+        self.c = (float(s0p(s.pair, s.q, x_turn)) / (2.0 * slope) if slope
+                  else 0.0)
+        super().__init__(s, step)
+
+    def _dx(self, lag, x):
+        return lag * 2.0 * (self.energy - self.potential.value(x)) / s0p(
+            self.pair, self.q, x)
+
+    def _entry_time(self, node, s_in, x0=None):
+        # offsets from the nodes, or from x0 where it is given
+        if self.pair.source == "analytic":
+            k, a, b = self.pair.k, self.q.a, self.q.b
+
+            def theta(s):  # arctan(a tan ks + b), with cos ks >= 0
+                c = np.maximum(np.cos(k * s), 0.0)
+                return np.arctan2(a * np.sin(k * s) + b * c, c)
+
+            scale, theta_in = self.hbar / (2.0 * self.energy), theta(s_in)
+            return lambda s: scale * (theta(s) - theta_in)
+        nodes, weights = _gauss_legendre_8()
+        x0 = np.asarray(self.pair.cells(node)[0] if x0 is None else x0)
+        r = self.x_turn - x0 if self.c else 0.0
+
+        def elapsed(s):
+            half = 0.5 * (s - s_in)
+            x = (x0 + s_in + half)[..., None] + half[..., None] * nodes
+            f = 1.0 / self._dx(1.0, x)
+            if not self.c:
+                return half * (f @ weights)
+            # the pole c/(x_turn - x), integrated in closed form
+            f = f - self.c / (self.x_turn - x)
+            return half * (f @ weights) + self.c * np.log((r - s_in) / (r - s))
+
+        return elapsed
+
+    def _cell_times(self, span):
+        if self.pair.source == "analytic":
+            period = math.pi * self.hbar / (2.0 * self.energy)
+            return np.append(self._start_crossing(),
+                             np.full(1 + int(span // period), period))
+        last = self.pair.nearest_node(np.asarray(self.edge))[0]
+        node, s_in, s_out = self._cells(
+            np.arange(self.step * (last - self.i0) + 1))
+        if self.x_turn is None:
+            return self._entry_time(node, s_in)(s_out)
+        xn = self.pair.cells(node)[0]
+        m = int(np.argmax((xn + s_out - self.x_turn) * self.step >= 0))
+        return np.append(self._entry_time(node[:m], s_in[:m])(s_out[:m]),
+                         math.inf)
+
+    def positions(self, tau: np.ndarray) -> np.ndarray:
+        """x at the elapsed times tau.  In x_turn's cell, where t grows like
+        -c ln d (d = |x_turn - x|), Newton runs on ln d up to the last float
+        before x_turn, which takes the later samples."""
+        if self.x_turn is None:
+            return super().positions(tau)
+        m = self.t_exit.size - 1
+        t_in = float(self.t_exit[m - 1]) if m else 0.0
+        x = np.empty_like(tau)
+        x[tau < t_in] = super().positions(tau[tau < t_in])
+        node, s_in, _ = self._cells(np.asarray(m))
+        turn, step = self.x_turn, self.step
+        s_in = self.pair.cells(node)[0] + s_in - turn
+        d_last = step * (turn - math.nextafter(turn, -step * math.inf))
+        elapsed = self._entry_time(node, s_in, turn)
+        later = tau >= t_in + elapsed(-step * d_last)
+        x[later] = turn - step * d_last
+        rest = (tau >= t_in) & ~later
+        tr = tau[rest] - t_in
+        lo = np.full(tr.shape, math.log(d_last))
+        hi = np.full(tr.shape, math.log(-step * s_in))
+        u = np.clip(hi - tr / self.c if self.c else lo, lo, hi)
+        u = _newton(tr, lambda u: elapsed(-step * np.exp(u)),
+                    lambda lag, u: -step * self._dx(
+                        lag, turn - step * np.exp(u)) / np.exp(u), u, lo, hi,
+                    4.0 * np.finfo(float).eps * np.maximum(np.abs(u), 1.0),
+                    self.t0 + t_in + tr)
+        x[rest] = turn - step * np.exp(u)
+        return x
+
+
+def _edge_reached(result: TrajectoryResult, edge: float, t_edge: float):
+    """Note the run's reaching the domain edge, and raise DomainEdgeError."""
+    lo, hi = result.config.pair.domain
+    result.notes.append(f"domain edge x = {edge:.9g} reached at "
+                        f"t = {t_edge:.9g}; no samples after it")
+    raise DomainEdgeError(
+        f"the run reaches x = {edge:.6g} at t = {t_edge:.6g}, before t1 = "
+        f"{result.config.t_span[1]:.6g}; later positions are outside solved "
+        f"domain [{lo:.6g}, {hi:.6g}]", result)
 
 
 def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     """Sample mu xd = dS0/dx at evenly spaced times, from its t(x).
 
-    t(x) is summed over the pair's cells (``_VelocityClock``) and each
-    sample's x solves t(x) = t_k; no ODE is integrated, so the integrator
-    settings do not apply.  A run that reaches the edge of a grid pair's
-    covered domain before t1 raises DomainEdgeError, whose ``partial``
-    result holds the samples up to the edge and a note naming it.
+    t(x) is summed over the pair's cells (``_Clock``) and each sample's x
+    solves t(x) = t_k; no ODE is integrated.  A run that reaches the edge
+    of a grid pair's covered domain before t1 raises DomainEdgeError, whose
+    ``partial`` result holds the samples up to the edge.
     """
     pair = s.build_pair()
     mu = s.params.mu
-    clock = _VelocityClock(s)
-    t0, t1 = s.t_span
-    ts = np.linspace(t0, t1, s.samples)
-    if clock.t_edge < t1:
-        ts = ts[ts <= clock.t_edge]
-    j = state_jet_from_x(pair, s.q, s.params, clock.positions(ts - t0),
-                         order=3)
+    clock = _Clock(s)
+    ts, xs = clock.sample(s)
+    j = state_jet_from_x(pair, s.q, s.params, xs, order=3)
     obs = observables(j, s.params, s.potential)
     # the law itself is Bohm's relation, so s0p = mu*xd by construction;
     # summarize checks it in its integral form
@@ -440,80 +548,101 @@ def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     dx = np.diff(j.coeffs[0])
     if not (np.all(dx > 0) or np.all(dx < 0)):
         result.notes.append("sampled x is not strictly monotone")
-    if clock.t_edge < t1:
-        lo, hi = pair.domain
-        edge = hi if clock.step > 0 else lo
-        result.notes.append(f"domain edge x = {edge:.9g} reached at "
-                            f"t = {clock.t_edge:.9g}; no samples after it")
-        raise DomainEdgeError(
-            f"the run reaches x = {edge:.6g} at t = {clock.t_edge:.6g}, "
-            f"before t1 = {t1:.6g}; later positions are outside solved "
-            f"domain [{lo:.6g}, {hi:.6g}]", result)
+    if clock.t_edge < s.t_span[1]:
+        _edge_reached(result, clock.edge, clock.t_edge)
     return result
 
 
-def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
-    """Integrate the fourth-order law of motion as a first-order system.
+def _newton_series(s: ScenarioConfig):
+    """The law's series for ``ode.integrate_ivp``: a_{k+4} of x(t + tau) =
+    sum a_k tau^k from a_0..a_{k+3}, by Cauchy products and quotients, with
+    V'(x) quadratic about a point xm of the potential's piece (exact for the
+    analytic kinds; a spline's next knot is the step's wall)."""
+    mu = s.params.mu
+    coef = 4.0 * mu / s.params.hbar ** 2
+    knots = s.potential.knots
 
+    def dot(u, v):  # the newest Cauchy-product coefficient of u*v
+        return sum(map(operator.mul, u, reversed(v)))
+
+    def series(t, y, order):
+        x, xd, xdd, xddd = y
+        if abs(xd) < _VELOCITY_FLOOR:
+            raise VelocityFloorError(t, np.array(y))
+        wall, xm = None, x
+        if knots is not None:
+            i = int(np.searchsorted(knots, x, "right" if xd > 0 else "left"))
+            i = min(max(i, 1), knots.size - 1)
+            lo, hi = float(knots[i - 1]), float(knots[i])
+            wall, xm = (hi if xd > 0 else lo), 0.5 * (lo + hi)
+        g0, g1, g2 = (float(v) for v in s.potential.derivs(xm, 3)[1:])
+        a = [x, xd, 0.5 * xdd, xddd / 6.0]
+        p, q, r, e, p2, p4, q2, q3, qr, e2, m, ra, rb = ([] for _ in range(13))
+        for k in range(order - 3):
+            p.append((k + 1) * a[k + 1])
+            q.append((k + 1) * (k + 2) * a[k + 2])
+            r.append((k + 1) * (k + 2) * (k + 3) * a[k + 3])
+            e.append(x - xm if k == 0 else a[k])  # x - xm
+            p2.append(dot(p, p))
+            p4.append(dot(p2, p2))
+            q2.append(dot(q, q))
+            q3.append(dot(q2, q))
+            qr.append(dot(q, r))
+            e2.append(dot(e, e))
+            m.append(mu * q[k] + g1 * e[k] + 0.5 * g2 * e2[k]
+                     + (g0 if k == 0 else 0.0))  # mu x'' + V'(x)
+            ra.append((q3[k] - dot(p2[1:], ra)) / p2[0])  # x''^3/x'^2
+            rb.append((qr[k] - dot(p[1:], rb)) / p[0])    # x''x'''/x'
+            a.append((-coef * dot(p4, m) - 10.0 * ra[k] + 8.0 * rb[k])
+                     / ((k + 1) * (k + 2) * (k + 3) * (k + 4)))
+        return a, wall
+
+    return series
+
+
+def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
+    """Integrate the fourth-order law of motion by its Taylor series,
     x4 = -(4 mu xd^4/hbar^2)(mu xdd + V') - 10 xdd^3/xd^2 + 8 xdd xddd/xd.
 
     The default initial (x, xd, xdd, xddd) is the consistent jet of the
     first-order law at x_start; an explicit 4-tuple overrides it (the
-    fourth-order equation admits such data, but the sampled H then differs
-    from params.energy).  |xd| reaching the 1e-12 floor aborts: the law
-    cannot cross xd = 0 on consistent data.  The right-hand side does not
-    read the pair, but the sampled S0' does: on a grid pair the integration
-    stops at the first step that ends outside the covered domain, and the
-    run raises DomainEdgeError, whose ``partial`` result holds the samples
-    before the first one outside.
+    sampled H then differs from params.energy).  |xd| reaching the 1e-12
+    floor aborts: the law cannot cross xd = 0 on consistent data.  On a grid
+    pair the integration stops at the first step that ends outside the
+    covered domain, and DomainEdgeError's ``partial`` result holds the
+    samples up to the time at which x reaches the edge.
     """
     pair = s.build_pair()
-    mu, hbar = s.params.mu, s.params.hbar
-    coef = 4.0 * mu / hbar ** 2
-    grad = s.potential.grad
-
     if init is None:
         y0 = list(state_jet_from_x(pair, s.q, s.params, s.x_start, 3).coeffs)
     else:
         y0 = [float(v) for v in init]
         if len(y0) != 4:
             raise ValueError("init must supply (x, xd, xdd, xddd)")
-
-    def rhs(t, y):
-        x, xd, xdd, xddd = y
-        if abs(xd) < _VELOCITY_FLOOR:
-            raise VelocityFloorError(t, y)
-        x4 = (-coef * xd ** 4 * (mu * xdd + grad(x))
-              - 10.0 * xdd ** 3 / xd ** 2 + 8.0 * xdd * xddd / xd)
-        return [xd, xdd, xddd, x4]
-
+    if not pair.covers(y0[0]):  # only an explicit init can start outside
+        raise DomainError(f"initial x = {y0[0]} outside solved domain "
+                          f"{list(pair.domain)}")
     # x is monotone (xd never crosses 0), so once outside it stays outside
     stop = None if pair.source == "analytic" else (
         lambda y: not pair.covers(y[0]))
-    dense = integrate_ivp(rhs, y0, s.t_span, s.integrator, stop=stop)
-    ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
-    ys = dense(ts[ts <= dense.t1])
-    outside = np.flatnonzero(~pair.covers(ys[:, 0]))
-    k = int(outside[0]) if outside.size else len(ys)
-    if k == 0:  # only an explicit init can start outside
-        raise DomainError(f"initial x = {ys[0, 0]} outside solved domain "
-                          f"{list(pair.domain)}")
-    j = Jet(tuple(ys[:k].T))
-    obs = observables(j, s.params, s.potential)
-    # S0' at the sampled x is independent of the sampled xd
-    result = TrajectoryResult(
-        s, "newton", _samples(ts[:k], j, obs, s0p(pair, s.q, j.coeffs[0])),
-        _pair_notes(pair))
-    if k < len(ts):
+    dense = integrate_ivp(_newton_series(s), y0, s.t_span, s.integrator,
+                          stop=stop)
+    t_end, edge = dense.t1, None
+    if not pair.covers(dense.y_end[0]):
         lo, hi = pair.domain
         edge = hi if dense.y_end[0] > hi else lo
-        result.notes.append(
-            f"domain edge x = {edge:.9g} crossed between t = {ts[k - 1]:.9g}"
-            f" and t = {ts[k]:.9g}; no samples after it")
-        raise DomainEdgeError(
-            f"the run crosses x = {edge:.6g} between t = {ts[k - 1]:.6g} and "
-            f"t = {ts[k]:.6g}, before t1 = {s.t_span[1]:.6g}; later positions "
-            f"are outside solved domain [{lo:.6g}, {hi:.6g}]", result)
+        t_end = invert_monotone(lambda t: dense(t)[0], edge,
+                                (dense.t0, dense.t1))
+    ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
+    ts = ts[ts <= t_end]
+    j = Jet(tuple(dense(ts).T))
+    obs = observables(j, s.params, s.potential)
+    # S0' at the sampled x is independent of the sampled xd
+    result = TrajectoryResult(s, "newton",
+                              _samples(ts, j, obs, s0p(pair, s.q, j.coeffs[0])),
+                              _pair_notes(pair))
+    if edge is not None:
+        _edge_reached(result, edge, t_end)
     return result
 
 
@@ -529,37 +658,31 @@ def _turning_point(potential: PotentialModel, energy: float, x0: float,
 
 
 def integrate_legacy_law(s: ScenarioConfig):
-    """Integrate xd = 2(E - V)/S0' and watch for turning-point stalls.
+    """Sample xd = 2(E - V)/S0' at evenly spaced times, from its t(x), and
+    watch for turning-point stalls.
 
-    Returns (TrajectoryResult, LegacyReport).  A stall is flagged when
-    |xd| stays below 1e-6 of its initial size for three successive output
-    samples while x keeps creeping monotonically toward the classical
-    turning point; an integration abort near the turning point is folded
-    into the same report rather than raised.  Samples where the observables
-    are undefined (xd so small that its powers underflow) carry NaN for H,
-    P and Q.
+    Returns (TrajectoryResult, LegacyReport).  t(x) is summed over the
+    pair's cells (``_LegacyClock``), with no ODE, up to the turning point
+    ahead, which x approaches without reaching it; a run that starts on one
+    stays there.  A stall is flagged when |xd| stays below 1e-6 of its
+    initial size for three successive output samples while x keeps creeping
+    toward the turning point.  Samples where the observables are undefined
+    carry NaN for H, P and Q.  Reaching the edge of a grid pair's domain
+    raises DomainEdgeError, as for the velocity law.
     """
     pair = s.build_pair()
     mu = s.params.mu
     E = s.params.energy
-    vfun = s.potential.value
-
-    def rhs(t, y):
-        x = float(y[0])
-        return [2.0 * (E - vfun(x)) / s0p(pair, s.q, x)]
-
-    notes = _pair_notes(pair)
-    try:
-        dense = integrate_ivp(rhs, [s.x_start], s.t_span, s.integrator)
-        t_end = s.t_span[1]
-    except IntegrationFailure as fail:
-        dense = fail.partial
-        t_end = fail.t_last
-        notes.append(f"integration stopped early: {fail.reason}")
-        if dense is None:
-            raise
-    ts = np.linspace(s.t_span[0], t_end, s.samples)
-    xs = dense(ts)[:, 0]
+    step = int(np.sign((E - s.potential.value(s.x_start))
+                       * s0p(pair, s.q, s.x_start)))
+    x_turn = None
+    if s.potential.kind != "free":
+        x_turn = _turning_point(s.potential, E, s.x_start, float(step))
+    ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
+    xs = np.full(ts.shape, float(s.x_start))  # on a turning point
+    if step:
+        clock = _LegacyClock(s, step, x_turn)
+        ts, xs = clock.sample(s)
     sp = s0p_jet(pair, s.q, xs, 2)
     vj = Jet(tuple(s.potential.derivs(xs, 2)))
     wj = 2.0 * (E - vj) / sp          # (w, w', w'') as a spatial jet
@@ -570,17 +693,14 @@ def integrate_legacy_law(s: ScenarioConfig):
         obs = exc.partial
     gap = float(np.max(np.abs(j.coeffs[1] - sp.coeffs[0] / mu), initial=0.0))
     out = _samples(ts, j, obs, sp.coeffs[0])
-    result = TrajectoryResult(s, "legacy", out, notes)
+    result = TrajectoryResult(s, "legacy", out, _pair_notes(pair))
+    if step and clock.t_edge < s.t_span[1]:
+        _edge_reached(result, clock.edge, clock.t_edge)
 
     v0 = abs(out[0].xdot) if out else 0.0
     threshold = 1e-6 * v0
     report = LegacyReport(stalled=False, threshold=threshold,
-                          velocity_gap=gap)
-    direction = np.sign(out[0].xdot) if out else 1.0
-    x_turn = None
-    if s.potential.kind != "free":
-        x_turn = _turning_point(s.potential, E, s.x_start, float(direction))
-    report.x_turn = x_turn
+                          velocity_gap=gap, x_turn=x_turn)
     run = 0
     for p in out:
         slow = abs(p.xdot) < threshold
@@ -691,11 +811,10 @@ def summarize(result: TrajectoryResult) -> dict:
     """Drift maxima and invariant verdicts for one run.
 
     ``t_span`` is the span the samples cover: short of the requested one
-    when a legacy run spent its step budget or a velocity run reached the
-    domain edge.  ``max_bohm_gap_rel`` compares the sampled motion with
-    S0': for the velocity law, whose samples satisfy mu*xd = S0' by
-    construction, in integral form (``_interval_time_gap``); for the other
-    laws, pointwise between mu*xd and the sampled S0'."""
+    when a run reached the domain edge.  ``max_bohm_gap_rel`` compares the
+    sampled motion with S0': for the velocity law, whose samples satisfy
+    mu*xd = S0' by construction, in integral form (``_interval_time_gap``);
+    for the other laws, pointwise between mu*xd and the sampled S0'."""
     params = result.config.params
     cols = result.columns()
     E = params.energy

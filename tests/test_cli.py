@@ -232,12 +232,10 @@ def test_step_budget_exhaustion_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_legacy_step_budget_writes_partial_result_and_exits_0(tmp_path,
-                                                             capsys):
-    """The legacy law folds an exhausted step budget into its result: it
-    writes its samples over the completed span, notes the early stop and
-    exits 0, where the newton law on the same config exits 3 and writes
-    nothing."""
+def test_legacy_law_ignores_the_step_budget(tmp_path, capsys):
+    """The legacy law integrates no ODE, so ``integrator.max_steps`` does
+    not bind it: it writes every sample and exits 0, where the newton law
+    on the same config exits 3 and writes nothing."""
     out = tmp_path / "h.csv"
     doc = {"potential": {"kind": "harmonic", "stiffness": 1.0},
            "run": {"law": "legacy", "domain": [-3.0, 3.0]},
@@ -247,17 +245,8 @@ def test_legacy_step_budget_writes_partial_result_and_exits_0(tmp_path,
     assert run(["trajectory", "--config", cfg, "--quiet"]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER and len(lines) == 257
-    t_last = float(lines[-1].split(",")[0])
-    assert 0.0 < t_last < 10.0
     summary = json.loads((tmp_path / "h.csv.json").read_text())
-    assert summary["t_span"] == [0.0, t_last]
-    (note,) = summary["notes"]
-    # the stop time is named once, by the integrator's own reason
-    assert note.startswith("integration stopped early: "
-                           "step budget of 3 exhausted at t = ")
-    assert note.count("t = ") == 1
-    assert float(note.rsplit("t = ", 1)[1]) == pytest.approx(t_last,
-                                                            rel=1e-12)
+    assert summary["t_span"] == [0.0, 10.0] and summary["notes"] == []
     out.unlink()
     (tmp_path / "h.csv.json").unlink()
     assert run(["trajectory", "--config", cfg, "--law", "newton"]) == 3
@@ -300,9 +289,9 @@ def test_domain_edge_writes_partial_result_and_exits_3(tmp_path, capsys):
 
 def test_newton_domain_edge_writes_partial_result_and_exits_3(tmp_path,
                                                               capsys):
-    """The newton law stops at the first step past the edge; the samples
-    before the first one outside the solved domain are written, then the
-    run exits 3."""
+    """The newton law stops at the first step past the edge; the samples up
+    to the time at which it reaches the edge are written, then the run
+    exits 3."""
     out = tmp_path / "edge.csv"
     doc = dict(EDGE_DOC, output={"path": str(out), "format": "both"})
     cfg = write_config(tmp_path, doc)
@@ -317,8 +306,30 @@ def test_newton_domain_edge_writes_partial_result_and_exits_3(tmp_path,
     assert summary["law"] == "newton" and summary["samples"] == len(rows)
     assert summary["t_span"] == [0.0, rows[-1][0]]
     (note,) = summary["notes"]
-    assert note.startswith(
-        f"domain edge x = 3 crossed between t = {rows[-1][0]:.9g} and t = ")
+    assert note.startswith("domain edge x = 3 reached at t = ")
+    t_edge = float(note.split("t = ")[1].split(";")[0])
+    assert rows[-1][0] <= t_edge < rows[-1][0] + 50.0 / 255
+
+
+def test_legacy_domain_edge_writes_partial_result_and_exits_3(tmp_path,
+                                                              capsys):
+    """Downhill the legacy law meets no turning point and reaches x = 3;
+    it writes its samples up to the edge and exits 3, as the velocity law
+    does."""
+    out = tmp_path / "edge.csv"
+    doc = dict(EDGE_DOC, potential={"kind": "linear", "slope": -0.5},
+               output={"path": str(out), "format": "both"})
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg, "--law", "legacy",
+                "--quiet"]) == 3
+    assert "outside solved domain" in capsys.readouterr().err
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().strip().split("\n")[1:]]
+    summary = json.loads((tmp_path / "edge.csv.json").read_text())
+    assert 1 < len(rows) < 256 and all(row[1] <= 3.0 for row in rows)
+    assert summary["law"] == "legacy" and summary["samples"] == len(rows)
+    (note,) = summary["notes"]
+    assert note.startswith("domain edge x = 3 reached at t = ")
 
 
 def test_domain_edge_error_survives_pickling():

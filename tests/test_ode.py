@@ -1,8 +1,8 @@
-"""Tests for the adaptive Runge-Kutta integrator with dense output.
+"""Tests for the Taylor-series integrator with dense output.
 
-Oracles are closed-form solutions: exponentials, circular motion, and a
-stiff-ish decaying system where step control has to do real work.  scipy's
-RK45, whose controller the stepper copies, is the oracle for the steps.
+Oracles are closed-form solutions whose Taylor series are known exactly:
+exponentials (x' = +-x), circular motion (x'' = -x) and a quartic
+polynomial (x' = 4t^3, zero past its fourth coefficient).
 """
 
 import math
@@ -11,17 +11,34 @@ import pickle
 import numpy as np
 import pytest
 
-from qmotion import trajectory
 from qmotion.ode import (
-    _CONTROL_MARGIN,
-    DenseSolution,
+    ORDER,
     IntegrationFailure,
     IntegratorSettings,
     integrate_ivp,
 )
-from qmotion.reduced_action import QuantumStateParams
-from qmotion.schrodinger import PhysParams, PotentialModel
-from qmotion.trajectory import ScenarioConfig
+
+
+def exp_series(t, y, order):
+    """x' = x: a_k = x/k!."""
+    a = [y[0]]
+    for k in range(order):
+        a.append(a[-1] / (k + 1))
+    return a, None
+
+
+def circle_series(t, y, order):
+    """x'' = -x from (x, x'): a_{k+2} = -a_k/((k+1)(k+2))."""
+    a = [y[0], y[1]]
+    for k in range(order - 1):
+        a.append(-a[k] / ((k + 1) * (k + 2)))
+    return a, None
+
+
+def quartic_series(t, y, order):
+    """x' = 4t^3 from x: the series of t^4 ends at its fourth coefficient."""
+    return [y[0], 4.0 * t ** 3, 6.0 * t ** 2, 4.0 * t, 1.0] + [0.0] * (
+        order - 4), None
 
 
 def test_settings_validation():
@@ -32,52 +49,68 @@ def test_settings_validation():
 
 
 def test_exponential_decay():
-    sol = integrate_ivp(lambda t, y: -y, [1.0], (0.0, 5.0))
+    def series(t, y, order):  # x' = -x: a_k = x (-1)^k/k!
+        a = [y[0]]
+        for k in range(order):
+            a.append(-a[-1] / (k + 1))
+        return a, None
+
+    sol = integrate_ivp(series, [1.0], (0.0, 5.0))
     for t in np.linspace(0.0, 5.0, 23):
-        assert sol(t)[0] == pytest.approx(math.exp(-t), abs=1e-10)
+        assert sol(t)[0] == pytest.approx(math.exp(-t), rel=1e-13)
 
 
 def test_harmonic_circle_conserves_radius():
-    def rhs(t, y):
-        return np.array([y[1], -y[0]])
-
-    sol = integrate_ivp(rhs, [1.0, 0.0], (0.0, 20.0))
+    sol = integrate_ivp(circle_series, [1.0, 0.0], (0.0, 20.0))
     ts = np.linspace(0.0, 20.0, 200)
-    ys = np.array([sol(t) for t in ts])
-    r = np.hypot(ys[:, 0], ys[:, 1])
-    np.testing.assert_allclose(r, 1.0, atol=1e-9)
-    np.testing.assert_allclose(ys[:, 0], np.cos(ts), atol=1e-9)
-
-
-def test_reversed_span_rejected():
-    # forward-only by contract; callers reverse time in the rhs instead
-    with pytest.raises(ValueError):
-        integrate_ivp(lambda t, y: -y, [1.0], (2.0, 0.0))
+    ys = sol(ts)
+    np.testing.assert_allclose(ys[:, 0], np.cos(ts), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(ys[:, 1], -np.sin(ts), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(np.hypot(ys[:, 0], ys[:, 1]), 1.0, atol=1e-13)
+    np.testing.assert_allclose(sol.y_end, [math.cos(20.0), -math.sin(20.0)],
+                               atol=1e-13)
 
 
 def test_dense_output_between_grid_points():
-    # force large steps so interpolation, not step density, carries accuracy
-    settings = IntegratorSettings(rel_tol=1e-12, abs_tol=1e-13)
-    sol = integrate_ivp(lambda t, y: np.array([math.cos(t)]), [0.0],
-                        (0.0, 10.0), settings)
-    assert sol.n_steps < 2000
+    # few, long steps, so the steps' polynomials carry the accuracy
+    sol = integrate_ivp(circle_series, [0.0, 1.0], (0.0, 10.0))
+    assert sol.n_steps < 40
     for t in np.random.default_rng(7).uniform(0.0, 10.0, 50):
-        assert sol(t)[0] == pytest.approx(math.sin(t), abs=5e-11)
+        np.testing.assert_allclose(sol(t), [math.sin(t), math.cos(t)],
+                                   rtol=0.0, atol=1e-13)
 
 
 def test_vector_evaluation_shape():
-    sol = integrate_ivp(lambda t, y: -y, [1.0, 2.0], (0.0, 1.0))
-    out = sol(0.5)
-    assert out.shape == (2,)
-    np.testing.assert_allclose(out, [math.exp(-0.5), 2 * math.exp(-0.5)],
-                               rtol=1e-9)
+    sol = integrate_ivp(circle_series, [1.0, 0.0], (0.0, 1.0))
+    assert sol(0.5).shape == (2,)
+    assert sol(np.array([0.5])).shape == (1, 2)
+    assert sol(np.zeros((0,))).shape == (0, 2)
+
+
+def test_polynomial_solution_takes_one_step():
+    """Nothing but the span limits the quartic's step, and the step's
+    polynomial is the solution."""
+    sol = integrate_ivp(quartic_series, [0.0], (0.0, 3.0))
+    assert sol.n_steps == 1 and sol.t1 == 3.0
+    assert sol(2.0)[0] == 16.0 and sol.y_end[0] == 81.0
+
+
+def test_reversed_span_rejected():
+    # forward-only by contract; callers reverse time in the series instead
+    with pytest.raises(ValueError):
+        integrate_ivp(exp_series, [1.0], (2.0, 0.0))
+
+
+def test_out_of_range_evaluation_rejected():
+    sol = integrate_ivp(exp_series, [1.0], (0.0, 1.0))
+    with pytest.raises(ValueError):
+        sol(1.5)
 
 
 def test_time_array_rows_equal_scalar_calls_bitwise():
     """A time array is evaluated in one pass over all its times; each row
-    equals the call at that one time bit for bit, breakpoints included."""
-    sol = integrate_ivp(lambda t, y: np.array([y[1], -y[0]]), [0.0, 1.0],
-                        (0.0, 10.0))
+    equals the call at that one time bit for bit, step edges included."""
+    sol = integrate_ivp(circle_series, [0.0, 1.0], (0.0, 10.0))
     ts = np.concatenate([np.linspace(0.0, 10.0, 301), sol._ts[:40]])
     rows = sol(ts)
     assert rows.shape == (ts.size, 2)
@@ -85,142 +118,75 @@ def test_time_array_rows_equal_scalar_calls_bitwise():
         np.testing.assert_array_equal(sol(t), row)
 
 
-def _rk45_reference(rhs, y0, t_span):
-    """scipy's RK45 stepped to the end with the tolerances integrate_ivp
-    hands its controller by default: the step edges, the states there, the
-    per-step interpolants and the number of rhs calls."""
-    from scipy.integrate import RK45
-
-    settings = IntegratorSettings()
-    stepper = RK45(rhs, t_span[0], np.asarray(y0, dtype=float), t_span[1],
-                   rtol=max(settings.rel_tol / _CONTROL_MARGIN, 2.5e-14),
-                   atol=settings.abs_tol / _CONTROL_MARGIN,
-                   max_step=settings.max_step)
-    ts, ys, steps = [stepper.t], [stepper.y], []
-    while stepper.status == "running":
-        stepper.step()
-        ts.append(stepper.t)
-        ys.append(stepper.y)
-        steps.append(stepper.dense_output())
-    return np.array(ts), np.array(ys), steps, stepper.nfev
-
-
-def _free_newton_problem():
-    """The free fourth-order law at (a, b) = (1.4, 0.3), T = 10, as
-    integrate_newton_law hands it to the integrator."""
-    captured = []
-
-    def spy(rhs, y0, t_span, settings, stop=None):
-        captured.append((rhs, y0, t_span))
-        return integrate_ivp(rhs, y0, t_span, settings, stop=stop)
-
-    s = ScenarioConfig(PotentialModel.free(), PhysParams(1.0, 1.0, 0.5),
-                       QuantumStateParams(a=1.4, b=0.3), law="newton",
-                       t_span=(0.0, 10.0), samples=16)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trajectory, "integrate_ivp", spy)
-        trajectory.integrate_newton_law(s)
-    return captured[0]
-
-
-@pytest.mark.parametrize("problem", [
-    lambda: (lambda t, y: -y, [1.0], (0.0, 5.0)),
-    lambda: (lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.0], (0.0, 20.0)),
-    # y0 = 0: the initial step is the 100 h0 bound
-    lambda: (lambda t, y: np.array([math.cos(t)]), [0.0], (0.0, 10.0)),
-    _free_newton_problem,
-], ids=["exponential", "circle", "cosine", "free-newton"])
-def test_steps_match_scipy_rk45(problem):
-    """The stepper copies RK45: the same steps, the same rhs calls (two for
-    the initial step, then six per attempted step), the same states and
-    the same dense output."""
-    rhs, y0, t_span = problem()
-    calls = [0]
-
-    def counted(t, y):
-        calls[0] += 1
-        return rhs(t, y)
-
-    sol = integrate_ivp(counted, y0, t_span)
-    ts, ys, steps, nfev = _rk45_reference(rhs, y0, t_span)
-    assert sol.n_steps == len(steps)
-    assert calls[0] == nfev
-    assert (calls[0] - 2) % 6 == 0 and (calls[0] - 2) // 6 >= sol.n_steps
-    np.testing.assert_allclose(sol._ts, ts, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(np.vstack([sol._y, sol.y_end]), ys,
-                               rtol=1e-13, atol=0.0)
-    tq = np.concatenate([np.linspace(*t_span, 1001), ts])
-    idx = np.minimum(np.searchsorted(ts[1:], tq, side="left"), len(steps) - 1)
-    ref = np.array([steps[k](t) for k, t in zip(idx, tq)])
-    np.testing.assert_allclose(sol(tq), ref, rtol=1e-12,
-                               atol=1e-12 * np.abs(ys).max())
-
-
-def test_out_of_range_evaluation_rejected():
-    sol = integrate_ivp(lambda t, y: -y, [1.0], (0.0, 1.0))
-    with pytest.raises(ValueError):
-        sol(1.5)
-
-
-def test_step_budget_exhaustion_reports_partial():
-    settings = IntegratorSettings(max_steps=5)
-    with pytest.raises(IntegrationFailure) as info:
-        integrate_ivp(lambda t, y: np.array([math.cos(10.0 * t)]), [0.0],
-                      (0.0, 50.0), settings)
-    err = info.value
-    assert "budget" in err.reason
-    assert 0.0 < err.t_last < 50.0
-    # sweep workers send it back to the parent process, without the partial
-    back = pickle.loads(pickle.dumps(err))
-    assert (back.reason, back.t_last, back.partial) == (err.reason, err.t_last,
-                                                        None)
-    np.testing.assert_array_equal(back.y_last, err.y_last)
-    if err.partial is not None:
-        assert isinstance(err.partial, DenseSolution)
-        # the partial solution must agree with the oracle on its own range
-        tm = err.t_last * 0.5
-        assert err.partial(tm)[0] == pytest.approx(math.sin(10.0 * tm) / 10.0,
-                                                   abs=1e-6)
-
-
-def test_nonfinite_rhs_fails_cleanly():
-    def rhs(t, y):
-        return np.array([1.0 / (0.5 - t)])
-
-    with pytest.raises(IntegrationFailure):
-        integrate_ivp(rhs, [0.0], (0.0, 1.0))
-
-
 def test_tolerance_actually_tightens():
-    def rhs(t, y):
-        return np.array([y[0] * math.sin(3.0 * t)])
-
-    exact = math.exp((1.0 - math.cos(3.0 * 2.0)) / 3.0)
-    loose = integrate_ivp(rhs, [1.0], (0.0, 2.0),
-                          IntegratorSettings(rel_tol=1e-5, abs_tol=1e-8))
-    tight = integrate_ivp(rhs, [1.0], (0.0, 2.0),
+    exact = math.cos(20.0)
+    loose = integrate_ivp(circle_series, [1.0, 0.0], (0.0, 20.0),
+                          IntegratorSettings(rel_tol=1e-2, abs_tol=1e-2))
+    tight = integrate_ivp(circle_series, [1.0, 0.0], (0.0, 20.0),
                           IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14))
-    err_loose = abs(loose(2.0)[0] - exact)
-    err_tight = abs(tight(2.0)[0] - exact)
+    err_loose = abs(loose.y_end[0] - exact)
+    err_tight = abs(tight.y_end[0] - exact)
     assert err_tight < err_loose
-    assert err_tight < 1e-10
+    assert err_tight < 1e-13
     assert tight.n_steps > loose.n_steps
 
 
 def test_max_step_is_respected():
-    # a slow decay would otherwise be crossed in a handful of giant steps
-    settings = IntegratorSettings(max_step=0.25)
-    sol = integrate_ivp(lambda t, y: -0.01 * y, [1.0], (0.0, 10.0), settings)
-    assert sol.n_steps >= 40
+    # the quartic would otherwise be crossed in one step
+    sol = integrate_ivp(quartic_series, [0.0], (0.0, 10.0),
+                        IntegratorSettings(max_step=0.25))
+    assert sol.n_steps == 40
+    assert np.all(np.diff(sol._ts) <= 0.25)
 
 
 def test_stop_ends_the_solution_at_the_first_step_it_holds():
-    full = integrate_ivp(lambda t, y: np.ones(1), [0.0], (0.0, 10.0),
-                         IntegratorSettings(max_step=0.25))
-    sol = integrate_ivp(lambda t, y: np.ones(1), [0.0], (0.0, 10.0),
-                        IntegratorSettings(max_step=0.25),
-                        stop=lambda y: y[0] > 2.0)
-    assert 2.0 < sol.t1 <= 2.25 and sol.y_end[0] > 2.0
-    assert np.all(sol._y[:, 0] <= 2.0)
+    settings = IntegratorSettings(max_step=0.25)
+    full = integrate_ivp(exp_series, [1.0], (0.0, 10.0), settings)
+    sol = integrate_ivp(exp_series, [1.0], (0.0, 10.0), settings,
+                        stop=lambda y: y[0] > 100.0)
+    assert sol.t1 < 10.0 and sol.y_end[0] > 100.0
+    assert sol(sol._ts[-2])[0] <= 100.0
     # the steps up to the stop are the unstopped run's
     np.testing.assert_array_equal(sol._ts, full._ts[:sol.n_steps + 1])
+
+
+def test_wall_ends_a_step_where_x_reaches_it():
+    """A series that holds only up to x = 1.5 ends its step there, and the
+    next step starts on the wall."""
+    walls = []
+
+    def series(t, y, order):
+        a, _ = exp_series(t, y, order)
+        wall = 1.5 if y[0] < 1.5 else None
+        walls.append((t, y[0]))
+        return a, wall
+
+    sol = integrate_ivp(series, [1.0], (0.0, 2.0))
+    t_wall, x_wall = walls[1]
+    assert x_wall == 1.5
+    assert t_wall == pytest.approx(math.log(1.5), rel=1e-14)
+    assert sol._ts[1] == t_wall
+    assert sol(2.0)[0] == pytest.approx(math.exp(2.0), rel=1e-14)
+
+
+def test_step_budget_exhaustion_raises():
+    with pytest.raises(IntegrationFailure) as info:
+        integrate_ivp(circle_series, [1.0, 0.0], (0.0, 50.0),
+                      IntegratorSettings(max_steps=5))
+    err = info.value
+    assert err.reason.startswith("step budget of 5 exhausted at t = ")
+    assert 0.0 < float(err.reason.rsplit("t = ", 1)[1]) < 50.0
+    # sweep workers send it back to the parent process
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is IntegrationFailure and back.reason == err.reason
+
+
+def test_nonfinite_rhs_fails_cleanly():
+    def series(t, y, order):
+        a, _ = exp_series(t, y, order)
+        a[ORDER] = math.inf if t > 0.5 else a[ORDER]
+        return a, None
+
+    with pytest.raises(IntegrationFailure, match="non-finite derivative at t = "):
+        integrate_ivp(series, [1.0], (0.0, 2.0),
+                      IntegratorSettings(max_step=0.2))

@@ -10,6 +10,7 @@ Free-particle oracles are closed forms worked out by hand:
          a sqrt(2E/mu) t = 5x/2 - (3/4) sin 2x   (so t(pi) = 5 pi / 4).
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmotion.jets import Jet
 from qmotion import trajectory
-from qmotion.ode import IntegratorSettings, integrate_ivp
+from qmotion.ode import IntegratorSettings
 from qmotion.reduced_action import QuantumStateParams, s0p
 from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 from qmotion.trajectory import (
@@ -202,13 +203,31 @@ def test_velocity_law_free_positions_match_closed_form(a, b):
     assert worst < 1e-12
 
 
-def _rk45_reference(s: ScenarioConfig) -> np.ndarray:
-    """x at the sample times by the adaptive integrator at rel_tol 1e-13."""
+def _reference_positions(s: ScenarioConfig, rate) -> np.ndarray:
+    """x at the sample times by scipy's DOP853 on dx/dt = rate(x), at rtol
+    1e-13 and atol 1e-15: an integrator the package does not use."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(lambda t, y: [rate(y[0])], s.t_span, [s.x_start],
+                    method="DOP853", rtol=1e-13, atol=1e-15,
+                    t_eval=np.linspace(*s.t_span, s.samples))
+    assert sol.success, sol.message
+    return sol.y[0]
+
+
+def _velocity_reference(s: ScenarioConfig) -> np.ndarray:
+    """The velocity law's x at the sample times by DOP853."""
     pair = s.build_pair()
-    rhs = lambda t, y: [s0p(pair, s.q, float(y[0])) / s.params.mu]
-    dense = integrate_ivp(rhs, [s.x_start], s.t_span,
-                          IntegratorSettings(rel_tol=1e-13))
-    return dense(np.linspace(*s.t_span, s.samples))[:, 0]
+    return _reference_positions(
+        s, lambda x: float(s0p(pair, s.q, x)) / s.params.mu)
+
+
+def _legacy_reference(s: ScenarioConfig) -> np.ndarray:
+    """The legacy law's x at the sample times by DOP853."""
+    pair, E = s.build_pair(), s.params.energy
+    return _reference_positions(
+        s, lambda x: 2.0 * (E - float(s.potential.value(x)))
+        / float(s0p(pair, s.q, x)))
 
 
 @pytest.mark.parametrize("potential", [
@@ -220,7 +239,7 @@ def test_velocity_law_grid_positions_match_tight_rk45(potential, a, b):
     s = ScenarioConfig(potential, UNIT, QuantumStateParams(a=a, b=b),
                        t_span=(0.0, 10.0), samples=256, domain=(-3.0, 3.0))
     xs = np.array([p.x for p in integrate_velocity_law(s).samples])
-    assert np.max(np.abs(xs - _rk45_reference(s))) < 1e-11
+    assert np.max(np.abs(xs - _velocity_reference(s))) < 1e-11
 
 
 def test_velocity_law_integrates_no_ode(monkeypatch):
@@ -232,6 +251,17 @@ def test_velocity_law_integrates_no_ode(monkeypatch):
     integrate_velocity_law(ScenarioConfig(
         PotentialModel.harmonic(1.0), UNIT, QuantumStateParams(a=-1.4, b=0.3),
         t_span=(0.0, 10.0), domain=(-3.0, 3.0)))
+
+
+def test_legacy_law_integrates_no_ode(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the legacy law called integrate_ivp")
+
+    monkeypatch.setattr(trajectory, "integrate_ivp", refuse)
+    integrate_legacy_law(free_scenario(a=2.0, b=0.5, law="legacy", t1=10.0))
+    integrate_legacy_law(ScenarioConfig(
+        PotentialModel.harmonic(1.0), UNIT, QuantumStateParams(a=-1.4, b=0.3),
+        law="legacy", t_span=(0.0, 10.0), domain=(-3.0, 3.0)))
 
 
 _CLOCKS = [
@@ -284,9 +314,8 @@ def test_velocity_bohm_gap_detects_a_displaced_sample():
 
 
 def test_newton_law_stops_at_the_domain_edge():
-    """Downhill, x leaves the solved domain near t = 2.2.  The right-hand
-    side never reads the pair, so without a stop the run would go on to
-    t1 = 50 and exhaust the step budget near t = 5.2."""
+    """Downhill, x leaves the solved domain near t = 2.2.  The law never
+    reads the pair, so without a stop the run would go on to t1 = 50."""
     s = ScenarioConfig(PotentialModel.linear(-0.5), UNIT,
                        QuantumStateParams(a=1.0), law="newton",
                        t_span=(0.0, 50.0), samples=256, domain=(-2.0, 3.0),
@@ -313,6 +342,52 @@ def test_velocity_law_stops_at_the_domain_edge():
     assert info["energy_conserved"] and info["max_bohm_gap_rel"] < 1e-12
 
 
+def test_newton_and_velocity_laws_reach_the_domain_edge_together(monkeypatch):
+    """Uphill, both modified laws cross the barrier and reach x = 3 near
+    t = 14.39: the velocity law's time from its t(x), the newton law's as
+    the root of its step's polynomial."""
+    reached = {}
+
+    def record(result, edge, t_edge, _edge_reached=trajectory._edge_reached):
+        reached[result.law] = (edge, t_edge)
+        _edge_reached(result, edge, t_edge)
+
+    monkeypatch.setattr(trajectory, "_edge_reached", record)
+    base = dict(potential=PotentialModel.linear(0.5), params=UNIT,
+                q=QuantumStateParams(a=1.0, b=0.0), t_span=(0.0, 50.0),
+                samples=256, domain=(-2.0, 3.0))
+    for law, integrate in (("velocity", integrate_velocity_law),
+                           ("newton", integrate_newton_law)):
+        with pytest.raises(DomainEdgeError) as info:
+            integrate(ScenarioConfig(law=law, **base))
+        t_edge = reached[law][1]
+        assert info.value.partial.notes == [
+            f"domain edge x = 3 reached at t = {t_edge:.9g}; "
+            "no samples after it"]
+    assert reached["velocity"][0] == reached["newton"][0] == 3.0
+    assert abs(reached["velocity"][1] - reached["newton"][1]) < 1e-9
+
+
+def test_legacy_law_stops_at_the_domain_edge():
+    """Downhill there is no turning point ahead: the legacy law reaches
+    x = 3 and writes its samples up to the edge, as the velocity law does."""
+    s = ScenarioConfig(PotentialModel.linear(-0.5), UNIT,
+                       QuantumStateParams(a=1.0), law="legacy",
+                       t_span=(0.0, 50.0), samples=256, domain=(-2.0, 3.0))
+    with pytest.raises(DomainEdgeError, match="outside solved domain") as info:
+        integrate_legacy_law(s)
+    part = info.value.partial
+    (note,) = part.notes
+    assert note.startswith("domain edge x = 3 reached at t = ")
+    t_edge = float(note.split("t = ")[1].split(";")[0])
+    assert part.samples[-1].t <= t_edge < part.samples[-1].t + 50.0 / 255
+    xs = np.array([p.x for p in part.samples])
+    assert len(xs) > 1 and np.all(np.diff(xs) > 0) and xs[-1] <= 3.0
+    ref = _legacy_reference(dataclasses.replace(
+        s, t_span=(0.0, part.samples[-1].t), samples=len(xs)))
+    assert np.max(np.abs(xs - ref)) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Newton-type law
 # ---------------------------------------------------------------------------
@@ -324,6 +399,33 @@ def test_newton_law_agrees_with_velocity_law():
     xn = {s.t: s.x for s in integrate_newton_law(sn).samples}
     worst = max(abs(xv[t] - xn[t]) for t in xv)
     assert worst < 1e-7
+
+
+def test_newton_law_on_a_tabulated_potential_agrees_with_velocity_law(
+        monkeypatch):
+    """The spline's third derivative jumps at its knots, so steps end
+    there; the law still agrees with the velocity law on the same pair."""
+    sols = []
+
+    def keep(*args, _integrate=trajectory.integrate_ivp, **kwargs):
+        sols.append(_integrate(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(trajectory, "integrate_ivp", keep)
+    knots = np.linspace(-3.5, 3.5, 141)
+    potential = PotentialModel.tabulated(knots, 0.5 * knots ** 2)
+    pair = solve_pair(potential, UNIT, (-3.0, 3.0), grid_step=1e-3)
+    for a, b in [(1.4, 0.3), (-0.8, 0.3)]:
+        base = dict(potential=potential, params=UNIT,
+                    q=QuantumStateParams(a=a, b=b), t_span=(0.0, 10.0),
+                    samples=256, pair=pair)
+        xv = [p.x for p in integrate_velocity_law(
+            ScenarioConfig(law="velocity", **base)).samples]
+        xn = [p.x for p in integrate_newton_law(
+            ScenarioConfig(law="newton", **base)).samples]
+        assert np.max(np.abs(np.subtract(xv, xn))) < 1e-10
+        step_starts = sols[-1]._a[:, 0]
+        assert np.isin(knots, step_starts).sum() >= 5
 
 
 def test_arrival_time_needs_the_velocity_law():
@@ -411,6 +513,54 @@ def test_legacy_law_stalls_at_turning_point():
     assert rep.x_stall == pytest.approx(1.0, abs=1e-2)
     assert rep.x_stall < rep.x_turn
     assert rep.t_stall < 40.0
+
+
+@pytest.mark.parametrize("potential, a, b, t1", [
+    (PotentialModel.free(), 2.0, 0.5, 10.0),
+    (PotentialModel.free(), -0.7, -0.2, 10.0),
+    (PotentialModel.harmonic(1.0), 1.4, 0.3, 10.0),
+    (PotentialModel.harmonic(1.0), -0.8, 0.3, 10.0),
+    (PotentialModel.tabulated(np.linspace(-3.5, 3.5, 141),
+                              0.5 * np.linspace(-3.5, 3.5, 141) ** 2),
+     0.6, -0.9, 10.0),
+    # the barrier, up to its stall near t = 4.3
+    (PotentialModel.linear(0.5), 1.0, 0.0, 4.3),
+], ids=["free", "free-left", "harmonic", "harmonic-left", "tabulated",
+        "barrier"])
+def test_legacy_positions_match_dop853(potential, a, b, t1):
+    s = ScenarioConfig(potential, UNIT, QuantumStateParams(a=a, b=b),
+                       law="legacy", t_span=(0.0, t1), samples=256,
+                       domain=(-2.0, 6.0) if potential.kind == "linear"
+                       else (-3.0, 3.0))
+    res, _ = integrate_legacy_law(s)
+    xs = np.array([p.x for p in res.samples])
+    assert np.max(np.abs(xs - _legacy_reference(s))) < 1e-10
+
+
+def test_legacy_law_creeps_toward_a_double_root():
+    """Harmonic at E = 0: V = E only at x = 0, where V' vanishes too, so
+    dt/dx has a double pole and x creeps toward 0 like 1/t."""
+    s = ScenarioConfig(PotentialModel.harmonic(1.0),
+                       PhysParams(hbar=1.0, mu=1.0, energy=0.0),
+                       QuantumStateParams(a=1.0), x_start=1.0, law="legacy",
+                       t_span=(0.0, 15.0), samples=4, domain=(-3.0, 3.0))
+    res, rep = integrate_legacy_law(s)
+    xs = [p.x for p in res.samples]
+    np.testing.assert_allclose(
+        xs, [1.0, 0.150007, 0.085249, 0.059681], rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(xs, _legacy_reference(s), rtol=0.0, atol=1e-10)
+    assert rep.x_turn == 0.0 and not rep.stalled
+
+
+def test_legacy_law_started_on_a_turning_point_stays_there():
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT,
+                       QuantumStateParams(a=1.0), x_start=1.0, law="legacy",
+                       samples=4, domain=(-3.0, 3.0))
+    res, rep = integrate_legacy_law(s)
+    cols = res.columns()
+    assert (cols[:, 1] == 1.0).all() and (cols[:, 2] == 0.0).all()
+    assert np.isnan(cols[:, 5:8]).all()
+    assert not rep.stalled and rep.x_turn is None
 
 
 def test_modified_laws_cross_the_legacy_barrier():
