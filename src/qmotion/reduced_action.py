@@ -14,9 +14,11 @@ keeps one sign (that of a*W) and S0 is strictly monotone: S0/hbar is the
 phase angle of (phi2, a*phi1 + b*phi2), unwrapped by counting the zeros of
 phi2 from the anchor, where the principal arctan jumps.  All higher
 derivatives of S0 are evaluated through jet arithmetic on the pair's
-derivative stacks, which the wave equation supplies exactly.  ``s0p``
-evaluates S0' itself in closed form, on a point or an array of points
-(as the laws' cell sums do), with the order-0 arithmetic of ``s0p_jet``.
+derivative stacks, which the wave equation supplies exactly; only
+``qshje_residual`` reads phi'' from the pair itself, so that it can see the
+energy.  ``s0p`` evaluates S0' itself in closed form, on a point or an
+array of points (as the laws' cell sums do), with the order-0 arithmetic
+of ``s0p_jet``.
 """
 from __future__ import annotations
 
@@ -61,11 +63,11 @@ class QuantumStateParams:
             raise StateParamError("parameter a must be nonzero")
 
 
-def _denominator_jet(pair: SolutionPair, q: QuantumStateParams, x,
-                     order: int) -> Jet:
-    j1, j2 = pair.phi_jets(x, order)
+def _s0p_of(pair: SolutionPair, q: QuantumStateParams, j1: Jet,
+            j2: Jet) -> Jet:
+    """S0' = hbar*a*W/D from jets of (phi1, phi2)."""
     lin = q.a * j1 + q.b * j2
-    return lin * lin + j2 * j2
+    return (pair.params.hbar * q.a * pair.wronskian_ref) / (lin * lin + j2 * j2)
 
 
 def s0p(pair: SolutionPair, q: QuantumStateParams, x):
@@ -90,8 +92,7 @@ def inverse_s0p(pair: SolutionPair, q: QuantumStateParams, squares):
 def s0p_jet(pair: SolutionPair, q: QuantumStateParams, x, order: int) -> Jet:
     """Spatial jet of S0' at x: coefficients (S0', S0'', ..., S0^(order+1)),
     each a float or, for an array of points, an array."""
-    dj = _denominator_jet(pair, q, x, order)
-    return (pair.params.hbar * q.a * pair.wronskian_ref) / dj
+    return _s0p_of(pair, q, *pair.phi_jets(x, order))
 
 
 def s0_eval(pair: SolutionPair, q: QuantumStateParams, x: float) -> float:
@@ -113,13 +114,14 @@ def qshje_residual(pair: SolutionPair, q: QuantumStateParams, x):
     x, a float or an array of points.
 
     Evaluates (S0')^2/(2 mu) + V - E - (hbar^2/4 mu) * ((3/2)(S0''/S0')^2
-    - S0'''/S0'), normalized by |E| + |V| + (S0')^2/(2 mu).  S0'' and
-    S0''' come from the wave equation at the pair's own energy, so the
-    defect measures how far the Wronskian of (phi1, phi2) at x is from the
-    pair's stated one.
+    - S0'''/S0'), normalized by |E| + |V| + (S0')^2/(2 mu).  S0', S0'' and
+    S0''' are formed from the pair's own phi, phi' and phi''
+    (``SolutionPair.own_jets``), not from the wave equation at the stated
+    energy E, so the defect sees an energy the pair was not built at as
+    well as a Wronskian at x that differs from the pair's stated one.
     """
     params = pair.params
-    s1, s2, s3 = s0p_jet(pair, q, x, 2).coeffs
+    s1, s2, s3 = _s0p_of(pair, q, *pair.own_jets(x)).coeffs
     v = pair.potential.value(x)
     kin = s1 * s1 / (2.0 * params.mu)
     quant = (params.hbar**2 / (4.0 * params.mu)) * (

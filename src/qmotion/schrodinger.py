@@ -398,6 +398,25 @@ class SolutionPair:
         d1, d2 = eval_phi(self, x, order)
         return Jet(tuple(d1)), Jet(tuple(d2))
 
+    def own_jets(self, x) -> tuple[Jet, Jet]:
+        """Order-2 spatial jets of (phi1, phi2) at x (a float or an array
+        of points), every order read from the pair itself: sin kx and cos
+        kx at the pair's k, or the nearest node's polynomials.  Unlike
+        ``phi_jets``, phi'' does not come from the wave equation at
+        ``params.energy``, so it carries the energy the pair was built
+        at."""
+        p1, d1, p2, d2 = self.eval01(x)
+        if self.source == "analytic":
+            k2 = self.k * self.k
+            dd1, dd2 = -k2 * p1, -k2 * p2
+        else:
+            i, s = self.nearest_node(np.asarray(x, dtype=float))
+            # phi''/m! has the coefficients m (m - 1) c_m, m >= 2
+            m = np.arange(2, _TAYLOR_DEGREE + 1)
+            dd1, _, dd2, _ = _horner(
+                (self._grid["taylor"][2:, :, i].T * (m * (m - 1))).T, s)
+        return Jet((p1, d1, dd1)), Jet((p2, d2, dd2))
+
 
 def solve_pair(potential: PotentialModel, params: PhysParams,
                domain: tuple[float, float], anchor: float | None = None,

@@ -222,6 +222,27 @@ def test_bad_run_value_exits_2(tmp_path, capsys, key, value, message):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_missing_potential_csv_exits_2(tmp_path, capsys):
+    doc = free_doc(str(tmp_path / "x.csv"))
+    doc["potential"] = {"kind": "tabulated",
+                        "csv": str(tmp_path / "missing.csv")}
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "missing.csv" in err
+
+
+@pytest.mark.parametrize("command", ["trajectory", "sweep"])
+@pytest.mark.parametrize("out", ["missing-dir", "a-dir"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, out):
+    path = tmp_path / "nowhere" / "x.csv" if out == "missing-dir" else tmp_path
+    doc = free_doc("ignored", t1=0.5, samples=8, fmt="csv")
+    doc["sweep"] = {"a": [1.0], "b": [0.0]}
+    cfg = write_config(tmp_path, doc)
+    assert run([command, "--config", cfg, "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_step_budget_exhaustion_exits_3(tmp_path, capsys):
     # the step budget binds the integrated laws; the velocity law runs none
     doc = free_doc(str(tmp_path / "x.csv"), a=2.0)
@@ -561,6 +582,17 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert body[0].startswith("a,b,energy,")
     assert len(body) == 5  # header + 2 x 1 x 2 cells
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("axis", [1.4, [1.4, None], "0.5"],
+                         ids=["number", "null", "string"])
+def test_malformed_sweep_axis_exits_2(tmp_path, capsys, axis):
+    # a string axis used to be read character by character
+    doc = dict(SWEEP_DOC, sweep={"a": [1.0], "energy": axis})
+    cfg = write_config(tmp_path, doc)
+    assert run(["sweep", "--config", cfg, "--workers", "1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep axis 'energy'")
 
 
 @pytest.mark.parametrize("workers", ["2", "1"])

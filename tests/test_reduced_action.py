@@ -214,15 +214,36 @@ def test_qshje_residual_harmonic():
 
 
 def test_qshje_residual_detects_wrong_wronskian():
-    # S0'' and S0''' come from the wave equation at the pair's own energy,
-    # so the defect is a^2 (W_ref^2 - W(x)^2) / D^2 up to scaling: a pair
-    # whose stated Wronskian is off by 20 % must not pass
+    # S0' carries the pair's stated Wronskian, and phi, phi' and phi'' come
+    # from the pair itself: a pair whose stated Wronskian is off by 20 %
+    # must not pass
     pair = free_pair(energy=0.5)  # W = k = 1
     q = QuantumStateParams(a=1.0)
     assert qshje_residual(pair, q, 1.0) < 1e-15
     for w in (0.8, 1.2):
         wrong = dataclasses.replace(pair, wronskian_ref=w)
         assert qshje_residual(wrong, q, 1.0) > 1e-2
+
+
+@pytest.mark.parametrize("make, span, rel, tol", [
+    (free_pair, 6.0, 1e-6, 1e-10),
+    (harmonic_pair, 2.5, 1e-4, 1e-6),
+], ids=["free", "harmonic"])
+def test_qshje_residual_sees_a_relabelled_energy(make, span, rel, tol):
+    """phi'' is read from the pair itself, not from the wave equation at
+    the stated energy, so a pair relabelled with an energy it was not built
+    at fails acceptance criterion 5's tolerance for its kind on every
+    state, while its true label passes."""
+    pair = make()
+    rng = np.random.default_rng(3)
+    states = [QuantumStateParams(a=a, b=b) for a, b in zip(
+        rng.uniform(0.5, 2.0, 5) * [1, -1, 1, -1, 1], rng.uniform(-1, 1, 5))]
+    xs = rng.uniform(-span, span, 25)
+    energy = pair.params.energy * (1.0 + rel)
+    wrong = dataclasses.replace(
+        pair, params=dataclasses.replace(pair.params, energy=energy))
+    assert max(np.max(qshje_residual(pair, q, xs)) for q in states) <= tol
+    assert min(np.max(qshje_residual(wrong, q, xs)) for q in states) > tol
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,22 @@ def test_free_phi_jets_derivative_tower():
     np.testing.assert_allclose(j2.coeffs, [c, -s, -c, s, c, -s], atol=1e-14)
 
 
+@pytest.mark.parametrize("which", ["free", "harmonic"])
+def test_own_jets_match_the_wave_equation_at_the_true_energy(which):
+    """phi'' read from the pair itself agrees with the wave equation's at
+    the energy the pair was built at, on one point and on an array."""
+    params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
+    pair = (solve_pair(PotentialModel.free(), params, (-5.0, 5.0))
+            if which == "free" else harmonic_pair())
+    xs = np.linspace(-2.5, 2.5, 41)
+    own = [np.array(j.coeffs) for j in pair.own_jets(xs)]
+    for mine, ref in zip(own, pair.phi_jets(xs, 2)):
+        np.testing.assert_allclose(mine, ref.coeffs, rtol=0.0, atol=1e-12)
+    for k, x in enumerate(xs):
+        for mine, one in zip(own, pair.own_jets(float(x))):
+            assert np.array_equal(mine[:, k], one.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # Taylor-marched pair against the exact harmonic solutions
 # ---------------------------------------------------------------------------

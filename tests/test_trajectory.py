@@ -701,8 +701,7 @@ def test_legacy_law_underflowing_velocity_powers_give_nan_rows():
                        PhysParams(hbar=1.0, mu=1.0, energy=0.0),
                        QuantumStateParams(a=1.0), x_start=-1e-60,
                        law="legacy", t_span=(0.0, 60.0), samples=61,
-                       domain=(-2.0, 2.0),
-                       integrator=IntegratorSettings(abs_tol=1e-300))
+                       domain=(-2.0, 2.0))
     res, _ = integrate_legacy_law(s)
     cols = res.columns()
     xd = cols[:, 2]
