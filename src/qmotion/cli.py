@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -143,6 +145,25 @@ def scenario_from_config(doc: dict, law: str | None = None) -> traj.ScenarioConf
         raise ConfigError(f"bad scenario configuration: {exc}") from exc
 
 
+def _check_writable(path) -> None:
+    """Raise ConfigError unless ``path`` can be opened for writing: an
+    existing file that may be written, or a new name in a directory that
+    may be written.  Nothing is created or truncated, so a command checks
+    its outputs before any work."""
+    if not isinstance(path, str):
+        raise ConfigError(f"output path must be a string, got {path!r}")
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write output {path}: {problem}")
+
+
 def _doc_for(args) -> dict:
     """The --config document, or an empty one (every key at its default)."""
     if getattr(args, "config", None):
@@ -177,6 +198,9 @@ def _cmd_trajectory(args) -> int:
     fmt = doc.get("output", {}).get("format", "csv")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown output format {fmt!r}")
+    _check_writable(path)
+    if fmt == "both":
+        _check_writable(path + ".json")
     try:
         result, report = traj.run_scenario(s)
     except traj.DomainEdgeError as exc:
@@ -350,9 +374,14 @@ def _sweep_group(task):
     """Run the sweep cells ``[(idx, a, b), ...]`` that share one energy.
 
     The solution pair depends on the energy but not on (a, b): the first
-    cell builds it through its scenario's pair cache, and the other cells
-    reuse it.  Returns the ``(idx, row)`` pairs and the pair's truncation
-    note (None when the march covered the requested domain).
+    cell builds it, and the other cells reuse it.  Under the velocity law
+    the cells run as one batch of states, a single array pass over all
+    their samples (``trajectory.velocity_law_maxima``); the newton and
+    legacy laws run them one at a time.  Each cell's config is validated in
+    grid order, and the error raised is the one that running the cells one
+    at a time would raise first.  Returns the ``(idx, row)`` pairs and the
+    pair's truncation note (None when the march covered the requested
+    domain).
     """
     from . import trajectory as traj
 
@@ -360,21 +389,37 @@ def _sweep_group(task):
     doc = json.loads(json.dumps(doc))
     doc.setdefault("physics", {})["energy"] = energy
     q = doc.setdefault("quantum", {})
-    rows, pair = [], None
+    scenarios, invalid = [], None
     for idx, a, b in cells:
         q["a"], q["b"] = a, b
-        s = scenario_from_config(doc)
-        s.pair = pair
-        summary = traj.summarize(traj.run_scenario(s)[0])
-        pair = s.pair
-        rows.append((idx, (a, b, energy,
-                           *(summary[key] for key in _SWEEP_KEYS))))
+        try:
+            scenarios.append(scenario_from_config(doc))
+        except ConfigError as exc:
+            # raised once the cells before it have run
+            invalid = exc
+            break
+    if not scenarios:
+        raise invalid
+    first = scenarios[0]
+    pair = first.build_pair()
+    if first.law == "velocity":
+        maxima = traj.velocity_law_maxima(first, [s.q for s in scenarios])
+        values = zip(*(maxima[key] for key in _SWEEP_KEYS))
+    else:
+        values = []
+        for s in scenarios:
+            s.pair = pair
+            summary = traj.summarize(traj.run_scenario(s)[0])
+            values.append([summary[key] for key in _SWEEP_KEYS])
+    if invalid is not None:
+        raise invalid
+    rows = [(idx, (a, b, energy, *v)) for (idx, a, b), v in zip(cells, values)]
     return rows, pair.truncation_note()
 
 
 def _sweep_axis(grid: dict, key: str, default) -> list:
-    """The sweep axis ``key``: a JSON list of numbers, or [default] when
-    the section leaves it out."""
+    """The sweep axis ``key``: a non-empty JSON list of numbers, or
+    [default] when the section leaves it out."""
     if key not in grid:
         return [float(default)]
     values = grid[key]
@@ -382,6 +427,9 @@ def _sweep_axis(grid: dict, key: str, default) -> list:
             and all(type(v) in (int, float) for v in values)):
         raise ConfigError(f"sweep axis {key!r} must be a list of numbers, "
                           f"got {values!r}")
+    if not values:
+        raise ConfigError(f"sweep axis {key!r} is empty, so the sweep has "
+                          "no cells")
     return [float(v) for v in values]
 
 
@@ -391,11 +439,15 @@ def _cmd_sweep(args) -> int:
     Only a, b and E vary between cells, so the cells are run one energy
     group at a time and each group shares one solution pair (see
     ``_sweep_group``); serially that is one pair build per distinct energy.
-    Under ``--workers N`` each group is split into at most N interleaved
-    slices, one pool task each, so that a single energy still keeps the
-    pool busy.  A truncated pair is reported on stderr once per energy, in
-    the order the energies first appear.  When several cells fail, the
-    error raised first in this energy-major order is the one reported.
+    Under the velocity law a group's cells are one batch of states, run as
+    a single array pass.  Under ``--workers N`` each group is split into at
+    most N interleaved slices, one pool task and one batch each, so that a
+    single energy still keeps the pool busy; the rows do not depend on how
+    the cells are batched.  A truncated pair is reported on stderr once per
+    energy, in the order the energies first appear.  When several cells
+    fail, the error raised first in this energy-major order is the one
+    reported.  An empty axis, or an ``--out`` that cannot be written, is a
+    configuration error found before any cell runs.
     """
     doc = _doc_for(args)
     grid = doc.get("sweep")
@@ -405,6 +457,8 @@ def _cmd_sweep(args) -> int:
     b_list = _sweep_axis(grid, "b", 0.0)
     e_list = _sweep_axis(grid, "energy", doc.get("physics", {}).get(
         "energy", _DEFAULTS["physics"]["energy"]))
+    if args.out:
+        _check_writable(args.out)
     # repr(E) -> (E, its cells (idx, a, b) in grid order); repr keeps 0.0
     # and -0.0 apart, which print differently
     groups = {}
@@ -466,7 +520,11 @@ def _add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
                    help="suppress informational output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps its
+    results in a fresh namespace per call, so the parser holds no state of
+    a run."""
     parser = argparse.ArgumentParser(
         prog="qmotion",
         description="Quantum trajectory laws: runs, verifications, demos.")

@@ -15,10 +15,14 @@ a grid pair the last exit is the covered domain's edge, so the time at
 which a run leaves the solved domain is known before sampling.  The
 fourth-order law is stepped by its own Taylor series (``ode``).
 
-Sampling is one array pass per run: the positions at every sample time
-are found at once, and the spatial jets, the motion jets
-(``state_jet_from_x``, ``flow_jet``) and the observables are jets whose
-coefficients are arrays with one entry per sample.
+Sampling the velocity law is one array pass per batch of states (a, b)
+on one pair: the positions at every sample time of every state are found
+at once, and the spatial jets, the motion jets (``state_jet_from_x``,
+``flow_jet``) and the observables are jets whose coefficients are arrays
+with one row per state and one entry per sample.  A single run is the
+batch of one; a sweep runs each energy's cells as one batch
+(``velocity_law_maxima``).  The legacy law samples its one state the same
+way.
 
 The legacy first-order law xd = 2(E - V)/S0' is kept for comparison; it
 freezes at classical turning points, which integrate_legacy_law detects and
@@ -62,6 +66,7 @@ __all__ = [
     "run_scenario",
     "state_jet_from_x",
     "summarize",
+    "velocity_law_maxima",
     "write_csv",
     "write_summary",
 ]
@@ -243,6 +248,15 @@ def observables(j: Jet, params: PhysParams, potential=None) -> ObservableSet:
     under- or overflows, or a value is not finite raise SingularObservables,
     whose ``partial`` carries NaN in those rows.
     """
+    obs, singular = _observables(j, params, potential)
+    if singular.any():
+        raise SingularObservables(
+            _singular_message(singular.sum(), singular.size), obs)
+    return obs
+
+
+def _observables(j: Jet, params: PhysParams, potential):
+    """``observables`` with NaN in the singular rows, and their mask."""
     if j.order < 3:
         raise JetOrderError("observables need x..xdddot")
     xd, xdd, xddd = (np.asarray(c, dtype=float) for c in j.coeffs[1:4])
@@ -260,14 +274,13 @@ def observables(j: Jet, params: PhysParams, potential=None) -> ObservableSet:
         # an overflowing power (xd**5 first) divides to a finite 0, so it
         # is flagged apart from the non-finite values
         singular = np.isinf(p5) | ~(np.isfinite(H) & np.isfinite(P))
-    obs = ObservableSet(*(np.where(singular, np.nan, v)[()]
-                          for v in (H, P, Q)))
-    if singular.any():
-        raise SingularObservables(
-            f"observables undefined at {int(singular.sum())} of "
-            f"{singular.size} samples (xd = 0, or its powers under- or "
-            "overflow)", obs)
-    return obs
+    return ObservableSet(*(np.where(singular, np.nan, v)[()]
+                           for v in (H, P, Q))), singular
+
+
+def _singular_message(count: int, size: int) -> str:
+    return (f"observables undefined at {int(count)} of {int(size)} samples "
+            "(xd = 0, or its powers under- or overflow)")
 
 
 def state_jet_from_x(pair: SolutionPair, q: QuantumStateParams,
@@ -300,28 +313,47 @@ def _pair_notes(pair: SolutionPair) -> list:
 # ---------------------------------------------------------------------------
 # the three laws
 
+class _States(NamedTuple):
+    """A batch of S reduced actions, in the place of a QuantumStateParams:
+    a and b of shape (S, 1), which ``reduced_action`` broadcasts against
+    arrays of points with one row per state."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def of(cls, states) -> _States:
+        return cls(np.array([[q.a] for q in states], dtype=float),
+                   np.array([[q.b] for q in states], dtype=float))
+
+
 class _Clock:
-    """t(x) = t0 + integral of dx/(dx/dt) of a first-order law on one pair
-    and state, summed over the pair's cells (``SolutionPair.cells``) from
-    x_start in the direction of motion ``step``: ``t_exit`` at each cell
-    exit, and inside a cell the time from its entry.  A grid pair's cells
-    end at the covered domain's edge, reached at ``t_edge``; the free
-    pair's periods run on as far as ``t_span`` needs.  Three hooks carry the
-    law, here the velocity law mu dx/dt = S0': ``_dx`` (dx/dt times a time
-    lag), ``_entry_time`` (time from a cell's entry, from the squares'
-    primitives) and ``_cell_times`` (times across the run's cells, from the
-    pair's cell integrals, a table kept on a grid pair).
+    """t(x) = t0 + integral of dx/(dx/dt) of a first-order law on one pair,
+    for the states ``q`` (a _States of states that move the same way, or
+    the legacy law's one QuantumStateParams), summed over the pair's cells
+    (``SolutionPair.cells``) from x_start in the direction of motion
+    ``step``: ``t_exit`` holds one row per state of the time at each cell
+    exit, and inside a cell the time runs from its entry.  A grid pair's
+    cells end at the covered domain's edge, which each state reaches at its
+    entry of ``t_edge``; the free pair's periods run on as far as
+    ``t_span`` needs, so there the rows differ in length.  Three hooks carry
+    the law, here the velocity law mu dx/dt = S0': ``_dx`` (dx/dt times a
+    time lag), ``_entry_time`` (time from a cell's entry, from the squares'
+    primitives) and ``_cell_times`` (each state's times across its run's
+    cells, one row at a time, from the pair's cell integrals, a table kept
+    on a grid pair).
     """
 
-    def __init__(self, s: ScenarioConfig, step: int | None = None):
+    def __init__(self, s: ScenarioConfig, step: int, q):
         pair, self.mu = s.pair, s.params.mu
-        self.pair, self.q, self.t0 = pair, s.q, s.t_span[0]
-        self.step = step or (1 if s.q.a * pair.wronskian_ref > 0 else -1)
-        self.edge = pair.domain[1] if self.step > 0 else pair.domain[0]
+        self.pair, self.q, self.t0, self.step = pair, q, s.t_span[0], step
+        self.edge = pair.domain[1] if step > 0 else pair.domain[0]
         self.i0, self.s0 = pair.nearest_node(np.asarray(s.x_start, dtype=float))
-        self.t_exit = np.cumsum(self._cell_times(s.t_span[1] - s.t_span[0]))
-        self.t_edge = (math.inf if pair.source == "analytic"
-                       else self.t0 + float(self.t_exit[-1]))
+        self.t_exit = [np.cumsum(row) for row in
+                       self._cell_times(s.t_span[1] - s.t_span[0])]
+        self.t_edge = np.array([
+            math.inf if pair.source == "analytic" else self.t0 + float(t[-1])
+            for t in self.t_exit])
 
     def _dx(self, lag, x):
         return lag * s0p(self.pair, self.q, x) / self.mu
@@ -333,18 +365,22 @@ class _Clock:
                                                prim(s) - base)
 
     def _cell_times(self, span):
-        pair, q, mu, step = self.pair, self.q, self.mu, self.step
-        if pair.source == "analytic":
-            period = mu * step * inverse_s0p(pair, q,
-                                             pair.cell_integrals(self.i0))
-            count = 1 + int(span // period)
-            rest = pair.cell_integrals(self.i0 + step * np.arange(1, count + 1))
-        elif step > 0:  # grid cells are read from the pair's table
-            rest = pair.cell_integrals(slice(self.i0 + 1, None))
-        else:
-            rest = pair.cell_integrals(slice(None, self.i0))[:, ::-1]
-        crossings = (step * mu) * inverse_s0p(pair, q, rest)
-        return np.concatenate([[self._start_crossing()], crossings])
+        pair, mu, step = self.pair, self.mu, self.step
+        if pair.source != "analytic":  # a grid pair keeps a cell table
+            rest = (pair.cell_integrals(slice(self.i0 + 1, None)) if step > 0
+                    else pair.cell_integrals(slice(None, self.i0))[:, ::-1])
+        starts = np.ravel(self._start_crossing()).tolist()
+        for a, b, start in zip(np.ravel(self.q.a).tolist(),
+                               np.ravel(self.q.b).tolist(), starts):
+            q = QuantumStateParams(a, b)
+            if pair.source == "analytic":
+                period = mu * step * inverse_s0p(pair, q,
+                                                 pair.cell_integrals(self.i0))
+                count = 1 + int(span // period)
+                rest = pair.cell_integrals(
+                    self.i0 + step * np.arange(1, count + 1))
+            crossings = (step * mu) * inverse_s0p(pair, q, rest)
+            yield np.concatenate([[start], crossings])
 
     def _cells(self, cell):
         """Node, entry and exit offsets of the run's cells (0 starts it)."""
@@ -358,51 +394,66 @@ class _Clock:
         return self._entry_time(self.i0, self.s0)(s_out)
 
     def __call__(self, x):
-        """t at x, a float or an array of points on the run's path."""
+        """t at x, a float or an array of points on the path of a clock of
+        one state."""
         xa = np.asarray(x, dtype=float)
+        (t_exit,) = self.t_exit
         node, s = self.pair.nearest_node(xa)
         cell = self.step * (node - self.i0)
         if (not np.all(self.pair.covers(xa))
-                or np.any((cell < 0) | (cell >= self.t_exit.size))):
+                or np.any((cell < 0) | (cell >= t_exit.size))):
             raise ValueError(f"x = {x} is not on the run's path")
         node, s_in, _ = self._cells(cell)
-        t_in = np.where(cell > 0, self.t_exit[cell - 1], 0.0)
-        tau = t_in + self._entry_time(node, s_in)(s)
+        t_in = np.where(cell > 0, t_exit[cell - 1], 0.0)
+        # a one-state _States adds a leading axis of length 1
+        tau = np.reshape(t_in + self._entry_time(node, s_in)(s), xa.shape)
         if np.any(tau < 0):
             raise ValueError(f"x = {x} lies behind the run's start")
         t = self.t0 + tau
         return float(t) if t.ndim == 0 else t
 
     def sample(self, s: ScenarioConfig):
-        """The run's sample times up to the domain edge, and x at each."""
+        """The sample times ts of s, and each state's x at them: (ts, x,
+        valid, unconverged), the last three of shape (S, len(ts)) with one
+        row per state.  ``valid`` marks the times up to the state's domain
+        edge (later ones are solved at t0), ``unconverged`` those valid
+        times at which ``_newton`` did not find x."""
         ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
-        ts = ts[ts <= self.t_edge]
-        return ts, self.positions(ts - self.t0)
+        valid = ts <= self.t_edge[:, None]
+        x, unconverged = self.positions(np.where(valid, ts - self.t0, 0.0))
+        return ts, x, valid, unconverged & valid
 
-    def positions(self, tau: np.ndarray) -> np.ndarray:
-        """x at the elapsed times tau (within the summed cells), each solved
-        in its cell by ``_newton`` with the step dx = (tau - t(x)) * dx/dt."""
-        cell = np.minimum(np.searchsorted(self.t_exit, tau, side="right"),
-                          self.t_exit.size - 1)
+    def positions(self, tau: np.ndarray):
+        """x at the elapsed times tau, one row per state (within its summed
+        cells), each solved in its cell by ``_newton`` with the step dx =
+        (tau - t(x)) * dx/dt; returns x and the mask of unconverged times."""
+        rows = []
+        for t_exit, row in zip(self.t_exit, tau):
+            c = np.minimum(np.searchsorted(t_exit, row, side="right"),
+                           t_exit.size - 1)
+            rows.append((c, np.where(c > 0, t_exit[c - 1], 0.0), t_exit[c]))
+        cell, t_in, t_out = (np.array(v) for v in zip(*rows))
         node, s_in, s_out = self._cells(cell)
         xn = self.pair.cells(node)[0]
-        t_in = np.where(cell > 0, self.t_exit[cell - 1], 0.0)
         lo, hi = np.minimum(s_in, s_out), np.maximum(s_in, s_out)
-        width = self.t_exit[cell] - t_in
+        width = t_out - t_in
         frac = np.divide(tau - t_in, width, out=np.zeros_like(tau),
                          where=width > 0)
         s = s_in + (s_out - s_in) * np.clip(frac, 0.0, 1.0)
-        return xn + _newton(
+        v, unconverged = _newton(
             tau - t_in, self._entry_time(node, s_in),
             lambda lag, s: self._dx(lag, xn + s), s, lo, hi,
-            4.0 * np.finfo(float).eps * (np.abs(xn) + hi - lo), self.t0 + tau)
+            4.0 * np.finfo(float).eps * (np.abs(xn) + hi - lo))
+        return xn + v, unconverged
 
 
-def _newton(target, elapsed, step, v, lo, hi, tol, t):
+def _newton(target, elapsed, step, v, lo, hi, tol):
     """Solve elapsed(v) = target in the brackets [lo, hi] elementwise by
     Newton steps ``step(target - elapsed(v), v)``, bisecting where one does
     not land strictly inside (the last steps meet rounding noise), until the
-    step or bracket is below ``tol``; RootConvergenceError names time t."""
+    step or bracket is below ``tol``.  An element stops changing once it
+    converges, so each one's iterates do not depend on the others.  Returns
+    v and the mask of elements still open after _NEWTON_STEPS steps."""
     open_ = np.ones(v.shape, dtype=bool)
     for _ in range(_NEWTON_STEPS):
         dv = step(target - elapsed(v), v)
@@ -414,9 +465,13 @@ def _newton(target, elapsed, step, v, lo, hi, tol, t):
         v = np.where(open_, new, v)
         open_ &= ~(small | (hi - lo <= tol))
         if not open_.any():
-            return v
-    raise RootConvergenceError(f"x(t) at t = {t[open_][0]:.6g} not found in "
-                               f"{_NEWTON_STEPS} Newton steps")
+            break
+    return v, open_
+
+
+def _not_found(t: float) -> RootConvergenceError:
+    return RootConvergenceError(f"x(t) at t = {t:.6g} not found in "
+                                f"{_NEWTON_STEPS} Newton steps")
 
 
 class _LegacyClock(_Clock):
@@ -436,7 +491,7 @@ class _LegacyClock(_Clock):
         # a double root (slope 0) has a pole of order 2: none is subtracted
         self.c = (float(s0p(s.pair, s.q, x_turn)) / (2.0 * slope) if slope
                   else 0.0)
-        super().__init__(s, step)
+        super().__init__(s, step, s.q)
 
     def _dx(self, lag, x):
         return lag * 2.0 * (self.energy - self.potential.value(x)) / s0p(
@@ -472,28 +527,33 @@ class _LegacyClock(_Clock):
     def _cell_times(self, span):
         if self.pair.source == "analytic":
             period = math.pi * self.hbar / (2.0 * self.energy)
-            return np.append(self._start_crossing(),
-                             np.full(1 + int(span // period), period))
+            return [np.append(self._start_crossing(),
+                              np.full(1 + int(span // period), period))]
         last = self.pair.nearest_node(np.asarray(self.edge))[0]
         node, s_in, s_out = self._cells(
             np.arange(self.step * (last - self.i0) + 1))
         if self.x_turn is None:
-            return self._entry_time(node, s_in)(s_out)
+            return [self._entry_time(node, s_in)(s_out)]
         xn = self.pair.cells(node)[0]
         m = int(np.argmax((xn + s_out - self.x_turn) * self.step >= 0))
-        return np.append(self._entry_time(node[:m], s_in[:m])(s_out[:m]),
-                         math.inf)
+        return [np.append(self._entry_time(node[:m], s_in[:m])(s_out[:m]),
+                          math.inf)]
 
-    def positions(self, tau: np.ndarray) -> np.ndarray:
-        """x at the elapsed times tau.  In x_turn's cell, where t grows like
-        -c ln d (d = |x_turn - x|), Newton runs on ln d up to the last float
-        before x_turn, which takes the later samples."""
+    def positions(self, tau: np.ndarray):
+        """x at the elapsed times tau, one row as the clock has one state.
+        In x_turn's cell, where t grows like -c ln d (d = |x_turn - x|),
+        Newton runs on ln d up to the last float before x_turn, which takes
+        the later samples."""
         if self.x_turn is None:
             return super().positions(tau)
-        m = self.t_exit.size - 1
-        t_in = float(self.t_exit[m - 1]) if m else 0.0
+        (t_exit,), (tau,) = self.t_exit, tau
+        m = t_exit.size - 1
+        t_in = float(t_exit[m - 1]) if m else 0.0
         x = np.empty_like(tau)
-        x[tau < t_in] = super().positions(tau[tau < t_in])
+        unconverged = np.zeros(tau.shape, dtype=bool)
+        early = tau < t_in
+        x_early, open_early = super().positions(tau[early][None])
+        x[early], unconverged[early] = x_early[0], open_early[0]
         node, s_in, _ = self._cells(np.asarray(m))
         turn, step = self.x_turn, self.step
         s_in = self.pair.cells(node)[0] + s_in - turn
@@ -506,51 +566,123 @@ class _LegacyClock(_Clock):
         lo = np.full(tr.shape, math.log(d_last))
         hi = np.full(tr.shape, math.log(-step * s_in))
         u = np.clip(hi - tr / self.c if self.c else lo, lo, hi)
-        u = _newton(tr, lambda u: elapsed(-step * np.exp(u)),
-                    lambda lag, u: -step * self._dx(
-                        lag, turn - step * np.exp(u)) / np.exp(u), u, lo, hi,
-                    4.0 * np.finfo(float).eps * np.maximum(np.abs(u), 1.0),
-                    self.t0 + t_in + tr)
+        u, unconverged[rest] = _newton(
+            tr, lambda u: elapsed(-step * np.exp(u)),
+            lambda lag, u: -step * self._dx(
+                lag, turn - step * np.exp(u)) / np.exp(u), u, lo, hi,
+            4.0 * np.finfo(float).eps * np.maximum(np.abs(u), 1.0))
         x[rest] = turn - step * np.exp(u)
-        return x
+        return x[None], unconverged[None]
+
+
+def _edge_message(s: ScenarioConfig, edge: float, t_edge: float) -> str:
+    lo, hi = s.pair.domain
+    return (f"the run reaches x = {edge:.6g} at t = {t_edge:.6g}, before t1 = "
+            f"{s.t_span[1]:.6g}; later positions are outside solved domain "
+            f"[{lo:.6g}, {hi:.6g}]")
 
 
 def _edge_reached(result: TrajectoryResult, edge: float, t_edge: float):
     """Note the run's reaching the domain edge, and raise DomainEdgeError."""
-    lo, hi = result.config.pair.domain
     result.notes.append(f"domain edge x = {edge:.9g} reached at "
                         f"t = {t_edge:.9g}; no samples after it")
-    raise DomainEdgeError(
-        f"the run reaches x = {edge:.6g} at t = {t_edge:.6g}, before t1 = "
-        f"{result.config.t_span[1]:.6g}; later positions are outside solved "
-        f"domain [{lo:.6g}, {hi:.6g}]", result)
+    raise DomainEdgeError(_edge_message(result.config, edge, t_edge), result)
+
+
+class _VelocityRuns:
+    """The velocity law mu xd = dS0/dx run for a batch of states ``q`` (a
+    _States) on scenario s's pair, start and sample times, as one array
+    pass: every array has one row per state.  The states split by the sign
+    of a*W, since the two signs walk the pair's cells in opposite
+    directions; each direction has its own ``_Clock``, and all of them share
+    one pass of ``state_jet_from_x`` and the observables.  A state's run
+    fails where x was not found at a sample time or the observables are
+    undefined at a sample (``error``), and its samples end at its domain
+    edge, reached at ``t_edge``."""
+
+    def __init__(self, s: ScenarioConfig, q: _States):
+        forward = q.a[:, 0] * s.pair.wronskian_ref > 0
+        shape = (forward.size, s.samples)
+        self.x, self.valid = np.empty(shape), np.empty(shape, dtype=bool)
+        self.unconverged = np.empty(shape, dtype=bool)
+        self.t_edge, self.edge = np.empty(forward.size), np.empty(forward.size)
+        self.clocks = []
+        for step, rows in ((1, forward), (-1, ~forward)):
+            if rows.any():
+                clock = _Clock(s, step, _States(q.a[rows], q.b[rows]))
+                (self.ts, self.x[rows], self.valid[rows],
+                 self.unconverged[rows]) = clock.sample(s)
+                self.t_edge[rows], self.edge[rows] = clock.t_edge, clock.edge
+                self.clocks.append(clock)
+        self.jet = state_jet_from_x(s.pair, q, s.params, self.x, order=3)
+        self.obs, self.singular = _observables(self.jet, s.params, s.potential)
+
+    def error(self, k: int):
+        """The error that state k's run raises first, or None."""
+        valid = self.valid[k]
+        if self.unconverged[k].any():
+            return _not_found(self.ts[self.unconverged[k]][0])
+        singular = self.singular[k] & valid
+        if singular.any():
+            return SingularObservables(
+                _singular_message(singular.sum(), valid.sum()),
+                ObservableSet(*(v[k][valid] for v in self.obs)))
+        return None
 
 
 def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     """Sample mu xd = dS0/dx at evenly spaced times, from its t(x).
 
     t(x) is summed over the pair's cells (``_Clock``) and each sample's x
-    solves t(x) = t_k; no ODE is integrated.  A run that reaches the edge
-    of a grid pair's covered domain before t1 raises DomainEdgeError, whose
-    ``partial`` result holds the samples up to the edge.
+    solves t(x) = t_k; no ODE is integrated.  The run is the batch of one
+    state of ``_VelocityRuns``, the array pass that a sweep runs for many
+    states at once.  A run that reaches the edge of a grid pair's covered
+    domain before t1 raises DomainEdgeError, whose ``partial`` result holds
+    the samples up to the edge.
     """
     pair = s.build_pair()
-    mu = s.params.mu
-    clock = _Clock(s)
-    ts, xs = clock.sample(s)
-    j = state_jet_from_x(pair, s.q, s.params, xs, order=3)
-    obs = observables(j, s.params, s.potential)
+    run = _VelocityRuns(s, _States.of([s.q]))
+    error = run.error(0)
+    if error is not None:
+        raise error
+    valid = run.valid[0]
+    j = Jet(tuple(c[0][valid] for c in run.jet.coeffs))
+    obs = ObservableSet(*(v[0][valid] for v in run.obs))
+    (clock,) = run.clocks
     # the law itself is Bohm's relation, so s0p = mu*xd by construction;
     # summarize checks it in its integral form
-    result = TrajectoryResult(s, "velocity",
-                              _samples(ts, j, obs, mu * j.coeffs[1]),
-                              _pair_notes(pair), clock)
+    samples = _samples(run.ts[valid], j, obs, s.params.mu * j.coeffs[1])
+    result = TrajectoryResult(s, "velocity", samples, _pair_notes(pair), clock)
     dx = np.diff(j.coeffs[0])
     if not (np.all(dx > 0) or np.all(dx < 0)):
         result.notes.append("sampled x is not strictly monotone")
-    if clock.t_edge < s.t_span[1]:
-        _edge_reached(result, clock.edge, clock.t_edge)
+    if clock.t_edge[0] < s.t_span[1]:
+        _edge_reached(result, clock.edge, clock.t_edge[0])
     return result
+
+
+def velocity_law_maxima(s: ScenarioConfig, states) -> dict:
+    """``summarize``'s maxima of the velocity law run from each of
+    ``states`` (QuantumStateParams) on scenario s's pair, start and sample
+    times, as one array pass (``_VelocityRuns``): a dict of lists with one
+    entry per state.  The error raised is the one that running the states
+    one at a time, in order, would raise first."""
+    s.build_pair()
+    q = _States.of(states)
+    run = _VelocityRuns(s, q)
+    for k in range(len(states)):
+        error = run.error(k)
+        if error is None and run.t_edge[k] < s.t_span[1]:
+            error = DomainEdgeError(
+                _edge_message(s, run.edge[k], run.t_edge[k]))
+        if error is not None:
+            raise error
+    # no state reached its edge, so every row holds every sample
+    j, obs = run.jet, run.obs
+    cols = TrajectorySample(np.broadcast_to(run.ts, run.x.shape), *j.coeffs,
+                            *obs, s.params.mu * j.coeffs[1])
+    maxima = _maxima(s, q, "velocity", cols)
+    return {key: v.tolist() for key, v in maxima.items()}
 
 
 def _newton_series(s: ScenarioConfig):
@@ -682,7 +814,10 @@ def integrate_legacy_law(s: ScenarioConfig):
     xs = np.full(ts.shape, float(s.x_start))  # on a turning point
     if step:
         clock = _LegacyClock(s, step, x_turn)
-        ts, xs = clock.sample(s)
+        ts, (xs,), (valid,), (unconverged,) = clock.sample(s)
+        if unconverged.any():
+            raise _not_found(ts[unconverged][0])
+        ts, xs = ts[valid], xs[valid]
     sp = s0p_jet(pair, s.q, xs, 2)
     vj = Jet(tuple(s.potential.derivs(xs, 2)))
     wj = 2.0 * (E - vj) / sp          # (w, w', w'') as a spatial jet
@@ -694,8 +829,8 @@ def integrate_legacy_law(s: ScenarioConfig):
     gap = float(np.max(np.abs(j.coeffs[1] - sp.coeffs[0] / mu), initial=0.0))
     out = _samples(ts, j, obs, sp.coeffs[0])
     result = TrajectoryResult(s, "legacy", out, _pair_notes(pair))
-    if step and clock.t_edge < s.t_span[1]:
-        _edge_reached(result, clock.edge, clock.t_edge)
+    if step and clock.t_edge[0] < s.t_span[1]:
+        _edge_reached(result, clock.edge, clock.t_edge[0])
 
     v0 = abs(out[0].xdot) if out else 0.0
     threshold = 1e-6 * v0
@@ -790,21 +925,47 @@ def _gauss_legendre_8():
     return nodes, 2.0 * vecs[0] ** 2
 
 
-def _interval_time_gap(result: TrajectoryResult) -> float:
+def _interval_time_gap(s: ScenarioConfig, q, t, x):
     """The velocity law's Bohm gap in integral form: the worst relative gap
     between a sample interval t_{k+1} - t_k and mu * integral of dx/S0'
     over [x_k, x_{k+1}], by 8-point Gauss-Legendre quadrature of the
     closed-form S0' (``reduced_action.s0p``), apart from the cell sums
-    that placed the samples."""
-    s = result.config
-    cols = result.columns()
-    t, x = cols[:, 0], cols[:, 1]
+    that placed the samples.  t and x have one row per state of q."""
     nodes, weights = _gauss_legendre_8()
     half = 0.5 * np.diff(x)
-    points = (x[:-1] + half)[:, None] + half[:, None] * nodes
-    quad = s.params.mu * half * ((1.0 / s0p(s.pair, s.q, points)) @ weights)
+    points = (x[:, :-1] + half)[..., None] + half[..., None] * nodes
+    sp = s0p(s.pair, q, points.reshape(len(x), -1)).reshape(points.shape)
+    quad = s.params.mu * half * ((1.0 / sp) @ weights)
     dt = np.diff(t)
-    return float(np.max(np.abs(quad - dt) / np.abs(dt), initial=0.0))
+    return np.max(np.abs(quad - dt) / np.abs(dt), axis=-1, initial=0.0)
+
+
+def _maxima(s: ScenarioConfig, q, law: str, cols: TrajectorySample) -> dict:
+    """``summarize``'s maxima, each an array with one entry per row of the
+    columns ``cols`` (one row of samples per state of q), reduced over the
+    sample axis."""
+    E, mu = s.params.energy, s.params.mu
+    h_abs = np.nanmax(np.abs(cols.H - E), axis=-1)
+    xd = cols.xdot
+    if law == "velocity":
+        bohm = _interval_time_gap(s, q, cols.t, cols.x)
+    else:
+        bohm = np.nanmax(np.abs(mu * xd - cols.s0p)
+                         / np.maximum(np.abs(mu * xd), 1e-30), axis=-1)
+    p0 = cols.P[:, 0]
+    p_drift = (np.nanmax(np.abs(cols.P - p0[:, None]), axis=-1)
+               / np.maximum(np.abs(p0), 1e-30))
+    min_xd = np.min(np.abs(xd), axis=-1)
+    return {
+        "x_last": cols.x[:, -1],
+        "max_energy_drift_abs": h_abs,
+        "max_energy_drift_rel": h_abs / max(abs(E), 1e-30),
+        "max_bohm_gap_rel": bohm,
+        "max_principal_drift_rel": p_drift,
+        "min_abs_xdot": min_xd,
+        "energy_conserved": h_abs <= max(1e-8 * abs(E), 1e-10),
+        "no_node": min_xd > 0.0,
+    }
 
 
 def summarize(result: TrajectoryResult) -> dict:
@@ -814,33 +975,18 @@ def summarize(result: TrajectoryResult) -> dict:
     when a run reached the domain edge.  ``max_bohm_gap_rel`` compares the
     sampled motion with S0': for the velocity law, whose samples satisfy
     mu*xd = S0' by construction, in integral form (``_interval_time_gap``);
-    for the other laws, pointwise between mu*xd and the sampled S0'."""
-    params = result.config.params
-    cols = result.columns()
-    E = params.energy
-    h_abs = float(np.nanmax(np.abs(cols[:, 5] - E)))
-    xd = cols[:, 2]
-    if result.law == "velocity":
-        bohm = _interval_time_gap(result)
-    else:
-        bohm = float(np.nanmax(np.abs(params.mu * xd - cols[:, 8])
-                               / np.maximum(np.abs(params.mu * xd), 1e-30)))
-    p_drift = float(np.nanmax(np.abs(cols[:, 6] - cols[0, 6]))
-                    / max(abs(cols[0, 6]), 1e-30))
-    min_xd = float(np.min(np.abs(xd)))
+    for the other laws, pointwise between mu*xd and the sampled S0'.  The
+    maxima are those of ``_maxima``, which a sweep takes for many runs at
+    once."""
+    s = result.config
+    cols = TrajectorySample(*result.columns().T[:, None])
+    maxima = _maxima(s, s.q, result.law, cols)
     return {
         "law": result.law,
         "samples": len(result.samples),
-        "t_span": [float(cols[0, 0]), float(cols[-1, 0])],
-        "x_first": cols[0, 1],
-        "x_last": cols[-1, 1],
-        "max_energy_drift_abs": h_abs,
-        "max_energy_drift_rel": h_abs / max(abs(E), 1e-30),
-        "max_bohm_gap_rel": bohm,
-        "max_principal_drift_rel": p_drift,
-        "min_abs_xdot": min_xd,
-        "energy_conserved": bool(h_abs <= max(1e-8 * abs(E), 1e-10)),
-        "no_node": bool(min_xd > 0.0),
+        "t_span": [float(cols.t[0, 0]), float(cols.t[0, -1])],
+        "x_first": float(cols.x[0, 0]),
+        **{key: v[0].item() for key, v in maxima.items()},
         "notes": list(result.notes),
     }
 

@@ -234,13 +234,29 @@ def test_missing_potential_csv_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["trajectory", "sweep"])
 @pytest.mark.parametrize("out", ["missing-dir", "a-dir"])
-def test_unwritable_out_exits_2(tmp_path, capsys, command, out):
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command, out):
+    import qmotion.trajectory as traj
+
     path = tmp_path / "nowhere" / "x.csv" if out == "missing-dir" else tmp_path
     doc = free_doc("ignored", t1=0.5, samples=8, fmt="csv")
     doc["sweep"] = {"a": [1.0], "b": [0.0]}
     cfg = write_config(tmp_path, doc)
+    # the output is checked before any pair is built or law is run
+    work = []
+    for name in ("solve_pair", "run_scenario"):
+        monkeypatch.setattr(traj, name,
+                            lambda *args, name=name: work.append(name))
     assert run([command, "--config", cfg, "--out", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err.startswith("config error: cannot write")
+    assert work == []
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_non_string_output_path_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, free_doc(5, t1=0.5, samples=8))
+    assert run(["trajectory", "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("config error: output path must be a "
+                                       "string, got 5\n")
 
 
 def test_step_budget_exhaustion_exits_3(tmp_path, capsys):
@@ -487,6 +503,16 @@ def test_verify_master_perturbed_fails(capsys):
     assert "master residual" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_and_keeps_no_parsed_state(capsys):
+    from qmotion.cli import build_parser
+
+    assert build_parser() is build_parser()
+    argv = ["verify", "master", "--samples", "20"]
+    assert run(argv + ["--perturb", "alpha20=0.7"]) == 1
+    assert run(argv) == 0
+    assert build_parser().parse_args(argv).perturb is None
+
+
 def test_verify_master_rejects_bad_perturb(capsys):
     assert run(["verify", "master", "--perturb", "gamma=1"]) == 2
 
@@ -584,8 +610,8 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-@pytest.mark.parametrize("axis", [1.4, [1.4, None], "0.5"],
-                         ids=["number", "null", "string"])
+@pytest.mark.parametrize("axis", [1.4, [1.4, None], "0.5", []],
+                         ids=["number", "null", "string", "empty"])
 def test_malformed_sweep_axis_exits_2(tmp_path, capsys, axis):
     # a string axis used to be read character by character
     doc = dict(SWEEP_DOC, sweep={"a": [1.0], "energy": axis})
@@ -660,6 +686,50 @@ def test_sweep_shares_one_numerov_pair_per_energy(tmp_path, monkeypatch):
     body = out["1"].read_bytes()
     assert len(body.decode().strip().split("\n")) == 1 + 2 * 3
     assert body == out["2"].read_bytes() == _sweep_reference(HARMONIC_SWEEP_DOC)
+
+
+@pytest.mark.parametrize("base", [HARMONIC_SWEEP_DOC, SWEEP_DOC],
+                         ids=["harmonic", "free"])
+def test_sweep_batches_match_cells_run_one_at_a_time(tmp_path, base):
+    # both signs of a, so both directions of motion, and several b per a;
+    # one worker runs each energy's 9 cells as one batch, two workers as
+    # batches of 5 and 4
+    doc = json.loads(json.dumps(base))
+    doc["sweep"] = {"a": [1.4, -0.8, 0.6], "b": [0.3, -0.2, 0.0],
+                    "energy": [0.5, 0.8]}
+    cfg = write_config(tmp_path, doc)
+    out = {w: tmp_path / f"w{w}.csv" for w in ("1", "2")}
+    for workers, path in out.items():
+        assert run(["sweep", "--config", cfg, "--out", str(path),
+                    "--workers", workers, "--quiet"]) == 0
+    assert out["1"].read_bytes() == out["2"].read_bytes()
+    assert out["1"].read_bytes() == _sweep_reference(doc)
+
+
+def _edge_message(edge, t_edge):
+    return (f"numerical failure: the run reaches x = {edge} at t = {t_edge}, "
+            "before t1 = 20; later positions are outside solved domain "
+            "[-2, 3]\n")
+
+
+@pytest.mark.parametrize("a, workers, message", [
+    ([3.0, 1.0], "1", _edge_message(3, 14.3894)),
+    ([3.0, 1.0], "2", _edge_message(3, 14.3894)),
+    # a later cell's bad state does not pre-empt an earlier cell's error
+    ([3.0, 1.0, 0.0], "1", _edge_message(3, 14.3894)),
+    # the first error in grid order, whichever way the cells move
+    ([3.0, -1.0, 1.0], "1", _edge_message(-2, 1.57804)),
+    ([3.0, 1.0, -1.0], "1", _edge_message(3, 14.3894)),
+])
+def test_sweep_reports_the_first_cell_reaching_the_edge(tmp_path, capsys, a,
+                                                        workers, message):
+    # a = 3 moves right too slowly to reach x = 3 by t1 = 20
+    doc = dict(EDGE_DOC, run=dict(EDGE_DOC["run"], t1=20.0),
+               sweep={"a": a, "b": [0.0]})
+    cfg = write_config(tmp_path, doc)
+    assert run(["sweep", "--config", cfg, "--workers", workers,
+                "--quiet"]) == 3
+    assert capsys.readouterr().err == message
 
 
 def test_sweep_keeps_signed_zero_energies_apart(tmp_path):

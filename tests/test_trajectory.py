@@ -679,6 +679,24 @@ def test_batched_state_jets_and_observables_match_scalar(which, a, b, order,
                                    rtol=1e-14, atol=0.0)
 
 
+@given(st.integers(0, len(_SAMPLING_PAIRS) - 1),
+       st.lists(st.tuples(st.floats(0.5, 2.0), st.sampled_from([-1.0, 1.0]),
+                          st.floats(-1.0, 1.0)), min_size=1, max_size=5))
+@settings(deadline=None, max_examples=25)
+def test_batched_velocity_runs_equal_single_runs_bitwise(which, states):
+    """One array pass over a batch of states, of either direction, gives
+    each state's maxima bit for bit as its own run does."""
+    pair, _ = _SAMPLING_PAIRS[which]
+    qs = [QuantumStateParams(a=sign * m, b=b) for m, sign, b in states]
+    s = ScenarioConfig(pair.potential, UNIT, qs[0], t_span=(0.0, 1.5),
+                       samples=24, pair=pair)
+    maxima = trajectory.velocity_law_maxima(s, qs)
+    for k, q in enumerate(qs):
+        one = summarize(integrate_velocity_law(dataclasses.replace(s, q=q)))
+        assert {key: v[k] for key, v in maxima.items()} == {
+            key: one[key] for key in maxima}
+
+
 def test_batched_observables_flag_singular_rows():
     rows = np.array([[0.0, 1.0, 1.0, 0.0], [0.1, 0.0, 1.0, 0.0],
                      [0.2, 1e-70, 0.5, 0.1], [0.3, 1.7, -0.4, 0.9]])
