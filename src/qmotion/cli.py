@@ -276,14 +276,15 @@ def _apply_perturbations(c: KineticCoefficients, specs) -> KineticCoefficients:
 
 
 def _cmd_verify_master(args) -> int:
-    from .kinetic_series import KineticCoefficients, master_residual, sample_jets
+    from .kinetic_series import (KineticCoefficients, master_residual,
+                                 sample_jet_block)
 
     rng = np.random.default_rng(args.seed)
     c = _apply_perturbations(KineticCoefficients.canonical(), args.perturb)
     params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
     tol = 1e-10
-    worst = float(np.max(master_residual(c, sample_jets(rng, args.samples),
-                                         params), initial=0.0))
+    jets = sample_jet_block(rng, args.samples)
+    worst = float(np.max(master_residual(c, jets, params)))
     _say(args, f"master residual over {args.samples} jets: "
                f"max {worst:.3e} (tol {tol:.1e})")
     return 0 if worst <= tol else 1
@@ -520,6 +521,19 @@ def _add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
                    help="suppress informational output")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a sample count: a check over no samples would pass
+    having checked nothing, so a count below 1 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps its
@@ -541,13 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = v.add_subparsers(dest="suite", required=True)
 
     p = vsub.add_parser("qshje", help="stationary action equation residuals")
-    p.add_argument("--samples", type=int, default=5,
+    p.add_argument("--samples", type=_positive_int, default=5,
                    help="number of random (a, b) states per potential")
     _add_common(p)
     p.set_defaults(func=_cmd_verify_qshje)
 
     p = vsub.add_parser("master", help="kinetic-series master identity")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--perturb", action="append", metavar="NAME=VALUE",
                    help="override a lattice entry, e.g. alpha20=0.7")
     _add_common(p)
@@ -555,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("conservation", help="energy/Bohm/momentum drift")
     p.add_argument("--config")
-    p.add_argument("--samples", type=int, default=3,
+    p.add_argument("--samples", type=_positive_int, default=3,
                    help="number of random (a, b) states")
     _add_common(p)
     p.set_defaults(func=_cmd_verify_conservation)

@@ -25,17 +25,18 @@ Hamiltonian's gradient sums are derivatives of these tables.
 
 All evaluators are generic over the numeric type of the state entries
 (floats, jets, dual numbers, or numpy arrays holding one column of a batch
-of states), which is what lets the master identity be graded by hbar:
-passing a jet in hbar separates the residual into per-level components,
-and with array state columns that jet carries array coefficients, so one
-pass grades a whole batch of states (Taylor arithmetic over arrays,
-Griewank and Walther, *Evaluating Derivatives*, ch. 13).  A single state
-is the same computation on floats.
+of states).  The master identity is graded by hbar on level arrays: a
+term's hbar power is its table key n, so each series is held as a
+(levels,) + batch array whose row n is its level-n terms, and the
+identity's pieces are truncated products of such arrays (Taylor
+arithmetic over arrays, Griewank and Walther, *Evaluating Derivatives*,
+ch. 13).  A single state is the same computation on floats.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "master_residual",
     "level_residuals",
     "term_exponents",
+    "sample_jet_block",
     "sample_jets",
     "sample_states",
     "determine_coefficients",
@@ -150,7 +152,7 @@ def _sum(*parts) -> dict:
     out = {}
     for table, scale, shift in parts:
         for (n, e), coef in table.items():
-            key = (n, tuple(a + b for a, b in zip(e, shift)))
+            key = (n, tuple(map(add, e, shift)))
             out[key] = out.get(key, 0.0) + scale * coef
     return {key: coef for key, coef in out.items() if coef}
 
@@ -386,12 +388,6 @@ def _s0p_state(c: KineticCoefficients, state, mu, hbar):
 # ---------------------------------------------------------------------------
 # master identity
 
-def _taylor_of(v, m: int):
-    if isinstance(v, Jet):
-        return v.taylor(m)
-    return v if m == 0 else 0.0
-
-
 def _columns(states) -> np.ndarray:
     """An (N, 6) array of states as six contiguous (N,) columns x .. x5."""
     arr = np.asarray(states, dtype=float)
@@ -400,25 +396,50 @@ def _columns(states) -> np.ndarray:
     return np.ascontiguousarray(arr.T)
 
 
-def _level_pieces(c: KineticCoefficients, state, mu, hbar, order: int) -> np.ndarray:
+def _level_series(lattices, state, mu, hbar, order: int) -> np.ndarray:
+    """S0', S0'', S0''' and T of each lattice as hbar-level arrays, shape
+    (lattices, 4, order + 1) + batch shape.  Row n holds a series' level-n
+    terms, evaluated by ``_evaluate`` at hbar = 1 and scaled by hbar^n, so
+    the rows sum to the series at hbar.  One evaluation serves every
+    lattice, sharing the powers of the state."""
+    if _vanishes(state[1]):
+        raise SingularityError("xd = 0 in action-gradient series")
+    tables = {}  # (lattice, series, level) -> the level's terms
+    for i, c in enumerate(lattices):
+        series = c.derived(_s0_tables) + (c.derived(_kinetic_table),)
+        for j, table in enumerate(series):
+            for key, coef in table.items():
+                if key[0] <= order:
+                    tables.setdefault((i, j, key[0]), {})[key] = coef
+    vals = _evaluate(tables.values(), state, mu, 1.0)
+    batch = np.broadcast_shapes(np.shape(state[1]), *map(np.shape, vals))
+    out = np.zeros((len(lattices), 4, order + 1) + batch)
+    for key, v in zip(tables, vals):
+        out[key] = v * hbar ** key[2]
+    return out
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two hbar polynomials held as (levels,) + batch arrays,
+    truncated to their levels; a's empty levels are skipped."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i in np.flatnonzero(a.reshape(len(a), -1).any(axis=1)):
+        out[i:] += a[i] * b[:len(a) - i]
+    return out
+
+
+def _pieces(series: np.ndarray, xd, mu, hbar) -> np.ndarray:
     """hbar-level components of the five additive pieces of the master
-    identity (see level_residuals), shape (order + 1, 5) + batch shape."""
-    hb = Jet((0.0, float(hbar)) + (0.0,) * (order - 1))
-    s1, s2, s3 = ds0dx_state(c, state, mu, hb)
-    x, xd, xdd, xddd = state[:4]
-    t_val = kinetic_term(c, x, xd, xdd, xddd, mu, hb)
-    pieces = (
-        xd * s1 ** 3,
-        -(s1 ** 4) / (2.0 * mu),
-        (hb * hb) * 0.375 / mu * s2 * s2,
-        -(hb * hb) * 0.25 / mu * s1 * s3,
-        -(s1 * s1 * t_val),
-    )
-    vals = np.empty((order + 1, len(pieces)) + np.shape(xd))
-    for m in range(order + 1):
-        for i, p in enumerate(pieces):
-            vals[m, i] = _taylor_of(p, m)
-    return vals
+    identity (see level_residuals), shape (levels, 5) + batch shape, from
+    the (4, levels) + batch level arrays of S0', S0'', S0''' and T."""
+    s1, s2, s3, t_val = series
+    s1s1 = _mul(s1, s1)
+    # the two hbar^2 pieces: level m takes the products' level m - 2
+    quantum = np.zeros((2,) + s1.shape)
+    quantum[0, 2:] = (0.375 * hbar * hbar / mu) * _mul(s2, s2)[:-2]
+    quantum[1, 2:] = (-0.25 * hbar * hbar / mu) * _mul(s1, s3)[:-2]
+    return np.stack((xd * _mul(s1s1, s1), -_mul(s1s1, s1s1) / (2.0 * mu),
+                     quantum[0], quantum[1], -_mul(s1s1, t_val)), axis=1)
 
 
 def level_residuals(c: KineticCoefficients, state, mu, hbar, order: int | None = None):
@@ -429,16 +450,19 @@ def level_residuals(c: KineticCoefficients, state, mu, hbar, order: int | None =
         xd*S0'^3 - S0'^4/(2 mu) + (hbar^2/4 mu)[(3/2) S0''^2 - S0' S0''']
             = S0'^2 * T.
 
-    hbar is promoted to a jet variable so every additive piece splits into
-    level components; level m's residual is scaled by the largest piece
-    magnitude at that level, which keeps the measure meaningful both where
-    the classical terms dominate and deep in the quantum tail.
-    Returns (ratios, residuals, scales) indexed by level; with (N,) array
-    state columns each has shape (order + 1, N).
+    Each series is held as an array of its hbar levels, row n the terms of
+    hbar power n, so every additive piece, a truncated product of such
+    arrays, splits into level components.  Level m's residual is scaled by
+    the largest piece magnitude at that level, which keeps the measure
+    meaningful both where the classical terms dominate and deep in the
+    quantum tail.  ``state`` holds floats, or (N,) array columns of a batch
+    of states.  Returns (ratios, residuals, scales) indexed by level; with
+    (N,) array state columns each has shape (order + 1, N).
     """
     if order is None:
         order = 2 * c.n_max + 2
-    vals = _level_pieces(c, state, mu, hbar, order)
+    vals = _pieces(_level_series((c,), state, mu, hbar, order)[0],
+                   state[1], mu, hbar)
     residuals = np.abs(vals.sum(axis=1))
     scales = np.abs(vals).max(axis=1)
     ratios = np.divide(residuals, scales, out=np.zeros_like(residuals),
@@ -468,17 +492,59 @@ def master_residual(c: KineticCoefficients, j, params):
 # ---------------------------------------------------------------------------
 # samplers
 
-def sample_jets(rng: np.random.Generator, count: int, order: int = 5) -> list[Jet]:
-    """Random motion jets with xd bounded away from zero.
+def sample_jet_block(rng: np.random.Generator, count: int,
+                     order: int = 5) -> np.ndarray:
+    """The coefficients of ``count`` random motion jets as one
+    (count, order + 1) array, xd bounded away from zero.
 
     xd is uniform on +-[0.5, 2]; all other components uniform on [-1, 1].
+    The rows, and the generator state after them, are bit for bit those of
+    drawing jet by jet: ``rng.uniform(-1, 1, order + 1)``, then
+    ``rng.choice([-1.0, 1.0])`` for xd's sign and ``rng.uniform(0.5, 2.0)``
+    for its size.  That stream is read from one block of 64-bit words.
+    Each uniform takes one word.  Each choice takes the top bit of the next
+    32-bit half: the half the generator holds on entry, if any, then the
+    low and the high half of each word drawn for a choice.  A jet whose
+    choice finds no half held draws that word just before its last
+    uniform.  The generator is left holding the unused half, if any, as
+    the per-jet loop leaves it, so the bit generator must be one that
+    holds a half between draws: PCG64 (the default), PCG64DXSM, Philox or
+    SFC64.
     """
-    out = []
-    for _ in range(count):
-        coeffs = rng.uniform(-1.0, 1.0, order + 1)
-        coeffs[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        out.append(Jet(tuple(coeffs)))
-    return out
+    if count < 0:
+        raise ValueError(f"cannot draw {count} jets")
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    if "has_uint32" not in state:
+        raise TypeError(f"{state['bit_generator']} holds no 32-bit half, "
+                        "so the block draw cannot reproduce its stream")
+    held = state["has_uint32"]
+    jet = np.arange(count)
+    fresh = (jet + held) % 2 == 0  # no half held: the choice takes a word
+    start = (order + 2) * jet + (jet + 1 - held) // 2
+    words = bitgen.random_raw((order + 2) * count + int(fresh.sum()))
+    choice_words = words[start[fresh] + order + 1]
+    halves = np.concatenate((
+        np.full(held, state["uinteger"], dtype=np.uint64),
+        np.column_stack((choice_words & 0xFFFFFFFF, choice_words >> 32)).ravel()))
+    unit = (words >> 11) * 2.0 ** -53  # a double's 53 bits, as numpy reads them
+    block = -1.0 + 2.0 * unit[start[:, None] + np.arange(order + 1)]
+    sign = np.where(halves[:count] >> 31, 1.0, -1.0)
+    block[:, 1] = sign * (0.5 + 1.5 * unit[start + order + 1 + fresh])
+    state = bitgen.state
+    state["has_uint32"] = len(halves) - count
+    if len(choice_words):
+        state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    return block
+
+
+def sample_jets(rng: np.random.Generator, count: int, order: int = 5) -> list[Jet]:
+    """Random motion jets: the rows of ``sample_jet_block``, which draws in
+    one block the stream of a per-jet loop of ``rng.uniform(-1, 1, order +
+    1)``, ``rng.choice([-1.0, 1.0])`` and ``rng.uniform(0.5, 2.0)``, and
+    leaves the generator where that loop leaves it."""
+    return [Jet(tuple(row)) for row in sample_jet_block(rng, count, order)]
 
 
 def sample_states(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -694,27 +760,18 @@ def _determine_level_n(rng, n: int, base: KineticCoefficients):
     uniqueness.  The component scales as hbar^n, so hbar = 1 serves as the
     probe.  Returns the report and ``base`` with level n added.
     """
-    mu = hbar = 1.0
     n_unk = len(_LABELS)
-    cols = _columns(sample_states(rng, _SAMPLES))
-
-    r0 = _signed_level(base, cols, mu, hbar, n)
-    mat = np.empty((_SAMPLES, n_unk))
-    for l in range(n_unk):
-        theta = np.zeros(n_unk)
-        theta[l] = 1.0
-        mat[:, l] = _signed_level(_theta_lattice(theta, n, base),
-                                  cols, mu, hbar, n) - r0
+    r0, mat = _probe_matrix(base, n, _columns(sample_states(rng, _SAMPLES)))
     sol, _, rank, _ = np.linalg.lstsq(mat, -r0, rcond=None)
     if rank < n_unk:
         raise DeterminationError(
             f"level {n}: sample matrix rank {rank} < {n_unk} unknowns")
     fit = float(np.max(np.abs(mat @ sol + r0)))
     theta = [_snap(float(v)) for v in sol]
-    # confirm on fresh states
+    # confirm on fresh states, with the solved lattice's own tables
     solved = _theta_lattice(theta, n, base)
     fresh = _columns(sample_states(rng, n_unk))
-    ratios, _, _ = level_residuals(solved, fresh, mu, hbar, order=n)
+    ratios, _, _ = level_residuals(solved, fresh, 1.0, 1.0, order=n)
     worst = float(np.max(ratios))
     if worst > 1e-8:
         raise DeterminationError(
@@ -726,10 +783,18 @@ def _determine_level_n(rng, n: int, base: KineticCoefficients):
     return report, solved
 
 
-def _signed_level(c, cols, mu, hbar, n):
-    """Raw (signed) level-n coefficient of the master residual per state,
-    from the six (N,) state columns."""
-    return _level_pieces(c, cols, mu, hbar, n)[n].sum(axis=0)
+def _probe_matrix(base: KineticCoefficients, n: int, cols) -> tuple:
+    """The signed level-n master residual of ``base`` per state (mu = hbar
+    = 1), and the (states, unknowns) matrix of what each unit level-n
+    entry adds to it.  ``base`` has no level-n entries and every series is
+    linear in the lattice entries, so a probe lattice's series are the
+    base's plus the unit entry's own, whose small tables are derived
+    alone."""
+    units = [_theta_lattice(theta, n) for theta in np.eye(len(_LABELS))]
+    series = _level_series([base] + units, cols, 1.0, 1.0, n)
+    series[1:] += series[0]
+    signed = _pieces(np.moveaxis(series, 0, 2), cols[1], 1.0, 1.0)[n].sum(axis=0)
+    return signed[0], (signed[1:] - signed[0]).T
 
 
 def determine_coefficients(levels: int = 2, *, seed: int = 20260823):

@@ -39,7 +39,6 @@ from .kinetic_series import (
     _kinetic_table,
     _momentum_tables,
     _partial,
-    _taylor_of,
     kinetic_term,
     momenta_state,
     xi_series_core,
@@ -280,7 +279,7 @@ def canonical_consistency(c: KineticCoefficients, j: Jet, params,
     # rates for the two rate equations
     jstate = tuple(Jet(j.coeffs[i:i + 2]) for i in range(5)) + (j.coeffs[5],)
     jtrip = momenta_state(c, jstate, mu, hbar, lam)
-    trip = Momenta(*(_taylor_of(m, 0) for m in jtrip))
+    trip = Momenta(*(m.value if isinstance(m, Jet) else m for m in jtrip))
     xi_dot = jtrip.Xi.coeffs[1]
     pi_dot = jtrip.Pi.coeffs[1]
     core = xi_series_core(c, (x, xd, xdd), mu, hbar)

@@ -517,6 +517,29 @@ def test_verify_master_rejects_bad_perturb(capsys):
     assert run(["verify", "master", "--perturb", "gamma=1"]) == 2
 
 
+def test_verify_master_fails_the_benchmark_perturbation(capsys):
+    # alpha20 off its canonical 0.625 by 0.01 breaks the identity at level 2
+    argv = ["verify", "master", "--samples", "1000", "--seed", "3"]
+    assert run(argv) == 0
+    assert run(argv + ["--perturb", "alpha20=0.635"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "master", "--samples", "0"],
+    ["verify", "master", "--samples", "-1"],
+    ["verify", "qshje", "--samples", "0"],
+    ["verify", "conservation", "--samples", "0"],
+    ["verify", "conservation", "--samples", "-3"],
+])
+def test_verify_over_no_samples_is_a_usage_error(capsys, argv):
+    """A verification over no samples would pass having checked nothing,
+    so a sample count below 1 exits 2 before any work."""
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--samples: expected a positive integer" in err
+
+
 def test_verify_conservation(capsys):
     assert run(["verify", "conservation", "--samples", "1"]) == 0
     out = capsys.readouterr().out

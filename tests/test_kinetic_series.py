@@ -27,6 +27,7 @@ from qmotion.kinetic_series import (
     level_residuals,
     master_residual,
     momenta_state,
+    sample_jet_block,
     sample_jets,
     sample_states,
     series_momenta,
@@ -523,3 +524,177 @@ def test_derived_tables_stop_at_xddd(c):
 
     for table in (*ks._momentum_tables(c), ks._s0p_table(c)):
         assert all(e[4] == e[5] == 0 for _, e in table)
+
+
+# ---------------------------------------------------------------------------
+# hbar-level arrays against a jet in hbar
+# ---------------------------------------------------------------------------
+
+def jet_level_pieces(c, state, mu, hbar, order):
+    """The five pieces of the master identity per hbar level, graded by
+    evaluating the public series at a jet in hbar: its Taylor coefficient
+    m is the level-m component.  Shape (order + 1, 5) + batch shape."""
+    hb = Jet((0.0, float(hbar)) + (0.0,) * (order - 1))
+    s1, s2, s3 = ds0dx_state(c, state, mu, hb)
+    xd = state[1]
+    t_val = kinetic_term(c, *state[:4], mu, hb)
+    pieces = (xd * s1 ** 3, -(s1 ** 4) / (2.0 * mu),
+              (hb * hb) * 0.375 / mu * s2 * s2,
+              -(hb * hb) * 0.25 / mu * s1 * s3, -(s1 * s1 * t_val))
+    vals = np.zeros((order + 1, len(pieces)) + np.shape(xd))
+    for m in range(order + 1):
+        for i, p in enumerate(pieces):
+            vals[m, i] = p.taylor(m) if isinstance(p, Jet) else (p if m == 0 else 0.0)
+    return vals
+
+
+def level_magnitudes(c, state, mu, hbar, order):
+    """Per hbar level, the largest of the five pieces' sums of term
+    magnitudes, shape (order + 1,) + batch shape: the scale on which the
+    rounding of two gradings differs, since one level of a series can
+    cancel to far below its terms.  Level n of each series is its level-n
+    entries evaluated on Mag state entries; the pieces' products add up
+    their magnitudes level by level."""
+    mstate = [Mag(v) for v in state]
+    series = np.zeros((4, order + 1) + np.shape(state[1]))
+    for n in range(min(c.n_max, order) + 1):
+        cn = KineticCoefficients({nk: v for nk, v in c.entries.items()
+                                  if nk[0] == n})
+        vals = (*ds0dx_state(cn, mstate, mu, 1.0),
+                kinetic_term(cn, *mstate[:4], mu, 1.0))
+        for i, v in enumerate(vals):
+            series[i, n] = getattr(v, "v", v) * hbar ** n
+
+    def mul(a, b):
+        out = np.zeros_like(a)
+        for i in range(order + 1):
+            out[i:] += a[i] * b[:order + 1 - i]
+        return out
+
+    s1, s2, s3, t_val = series
+    s1s1 = mul(s1, s1)
+    pieces = [abs(state[1]) * mul(s1s1, s1), mul(s1s1, s1s1) / (2.0 * mu),
+              np.zeros_like(s1), np.zeros_like(s1), mul(s1s1, t_val)]
+    pieces[2][2:] = 0.375 * hbar * hbar / mu * mul(s2, s2)[:-2]
+    pieces[3][2:] = 0.25 * hbar * hbar / mu * mul(s1, s3)[:-2]
+    return np.max(pieces, axis=0)
+
+
+@given(seeded_lattices, batches, positive, positive)
+@settings(deadline=None, max_examples=60)
+def test_level_residuals_match_a_jet_in_hbar(c, states, mu, hbar):
+    """level_residuals' level arrays give the residuals and scales of the
+    jet-in-hbar grading to 1e-13 of the level's piece scale, or of the
+    magnitude of its terms where a series' level cancels below them, for a
+    batch and for each state of it, on lattices with k > 0 and beta
+    entries."""
+    order = 2 * c.n_max + 2
+    for state in [np.ascontiguousarray(states.T)] + [r.tolist() for r in states]:
+        vals = jet_level_pieces(c, state, mu, hbar, order)
+        want_res = np.abs(vals.sum(axis=1))
+        want_scale = np.abs(vals).max(axis=1)
+        ratios, residuals, scales = level_residuals(c, state, mu, hbar)
+        assert residuals.shape == want_res.shape
+        bound = 1e-13 * np.maximum(want_scale,
+                                   level_magnitudes(c, state, mu, hbar, order))
+        assert np.all(np.abs(residuals - want_res) <= bound)
+        assert np.all(np.abs(scales - want_scale) <= bound)
+        assert np.all((scales > 0.0) == (want_scale > 0.0))
+        want_ratio = np.divide(want_res, want_scale, out=np.zeros_like(want_res),
+                               where=want_scale > 0.0)
+        assert np.all(np.abs(ratios - want_ratio) * want_scale <= bound)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_probe_matrix_matches_full_lattices(n):
+    """The determination's probe matrix, summed from the base's series and
+    each unit entry's own, equals the signed level-n residual of each full
+    probe lattice (graded by a jet in hbar) minus the base's, within
+    rounding of the level's term magnitudes."""
+    import qmotion.kinetic_series as ks
+
+    rng = np.random.default_rng(100 + n)
+    base = KineticCoefficients(
+        {(m, k): tuple(rng.uniform(-1.0, 1.0, 2))
+         for m in range(n) for k in range(2)})
+    cols = np.ascontiguousarray(sample_states(rng, 12).T)
+    r0, mat = ks._probe_matrix(base, n, cols)
+    base_signed = jet_level_pieces(base, cols, 1.0, 1.0, n)[n].sum(axis=0)
+    base_mag = level_magnitudes(base, cols, 1.0, 1.0, n)[n]
+    assert np.all(np.abs(r0 - base_signed) <= 1e-13 * base_mag)
+    assert mat.shape == (12, len(ks._LABELS))
+    for l, theta in enumerate(np.eye(len(ks._LABELS))):
+        probe = ks._theta_lattice(theta, n, base)
+        signed = jet_level_pieces(probe, cols, 1.0, 1.0, n)[n].sum(axis=0)
+        mag = np.maximum(level_magnitudes(probe, cols, 1.0, 1.0, n)[n], base_mag)
+        assert np.all(np.abs(mat[:, l] - (signed - base_signed)) <= 1e-13 * mag)
+        assert np.any(mat[:, l] != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the block draw against the per-jet draw
+# ---------------------------------------------------------------------------
+
+def per_jet_draw(rng, count, order=5):
+    """The sample jets drawn one jet at a time: six uniforms, a choice of
+    xd's sign and a uniform for its size."""
+    out = []
+    for _ in range(count):
+        coeffs = rng.uniform(-1.0, 1.0, order + 1)
+        coeffs[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        out.append(Jet(tuple(coeffs)))
+    return out
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 20260823])
+@pytest.mark.parametrize("count", [0, 1, 2, 999, 1000])
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
+def test_block_draw_matches_per_jet_draw(seed, count, held):
+    """sample_jets and sample_jet_block give the per-jet loop's jets bit for
+    bit and leave the generator where the loop leaves it, with and without
+    a 32-bit half held from an earlier choice."""
+    gens = [np.random.default_rng(seed) for _ in range(3)]
+    if held:
+        for g in gens:
+            g.choice([-1.0, 1.0])
+    assert gens[0].bit_generator.state["has_uint32"] == held
+    want = per_jet_draw(gens[0], count)
+    got = sample_jets(gens[1], count)
+    block = sample_jet_block(gens[2], count)
+    assert type(got) is list and len(got) == len(want) == len(block)
+    for w, g, row in zip(want, got, block):
+        assert g.coeffs == w.coeffs
+        assert row.tobytes() == np.array(w.coeffs).tobytes()
+    for g in gens[1:]:
+        assert _same_state(g.bit_generator.state, gens[0].bit_generator.state)
+    nxt = [(g.random(3).tobytes(), g.choice([-1.0, 1.0]), g.choice([-1.0, 1.0]),
+            g.integers(0, 2**40, 2).tolist()) for g in gens]
+    assert nxt[1] == nxt[0] and nxt[2] == nxt[0]
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64DXSM, np.random.Philox,
+                                    np.random.SFC64])
+def test_block_draw_matches_on_other_bit_generators(bitgen):
+    for count, order in ((7, 5), (4, 2)):
+        a, b = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
+        want = per_jet_draw(a, count, order)
+        got = sample_jets(b, count, order)
+        assert [g.coeffs for g in got] == [w.coeffs for w in want]
+        assert _same_state(a.bit_generator.state, b.bit_generator.state)
+
+
+def test_block_draw_rejects_negative_counts_and_unheld_halves():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        sample_jets(rng, -1)
+    assert rng.bit_generator.state == before
+    # MT19937 draws 32-bit words natively, so its stream has no held half
+    with pytest.raises(TypeError):
+        sample_jets(np.random.Generator(np.random.MT19937(3)), 2)
