@@ -470,11 +470,10 @@ def _cmd_sweep(args) -> int:
                 groups.setdefault(repr(energy), (energy, []))[1].append(
                     (idx, a, b))
                 idx += 1
-    slices = max(args.workers, 1)
-    tasks = [(doc, energy, cells[k::slices])
+    tasks = [(doc, energy, cells[k::args.workers])
              for energy, cells in groups.values()
-             for k in range(min(slices, len(cells)))]
-    if len(tasks) > 1 and slices > 1:
+             for k in range(min(args.workers, len(cells)))]
+    if len(tasks) > 1 and args.workers > 1:
         # trajectory is loaded before the pool forks, so that its workers
         # inherit it instead of each compiling it again; concurrent.futures
         # is imported here so that no other command loads it
@@ -522,8 +521,9 @@ def _add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a sample count: a check over no samples would pass
-    having checked nothing, so a count below 1 is a usage error."""
+    """argparse type of a sample or worker count: a check over no samples
+    would pass having checked nothing, and a sweep needs a worker, so a
+    count below 1 is a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -601,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid over (a, b, E) with one row per cell")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=_positive_int, default=4)
     _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_sweep)
 

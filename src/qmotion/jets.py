@@ -1,11 +1,15 @@
 """Truncated Taylor jets with raw-derivative storage.
 
 A jet of order m carries the values (f, f', f'', ..., f^(m)) of a smooth
-function at a single point.  Coefficients are stored as *raw derivatives*;
-the factorial weights of the Taylor form are applied inside each operation.
-Coefficient entries may be floats or numpy arrays of a common shape, so
-the same recurrences serve scalar evaluation and batched evaluation over
-many sample points.
+function at a single point.  Coefficients are stored as *raw derivatives*,
+and products and quotients work on them directly: a product by the Leibniz
+rule (fg)^(k) = sum_j C(k, j) f^(j) g^(k-j), a quotient by the recurrence
+that rule gives for v = u/w, v^(k) = (u^(k) - sum_{j<k} C(k, j) v^(j)
+w^(k-j)) / w, both weighted by one table of binomial rows.  Only
+composition and flows build their jets in Taylor form.  Coefficient
+entries may be floats or numpy arrays of a common shape, so the same
+recurrences serve scalar evaluation and batched evaluation over many
+sample points.
 
 The module also provides a forward-mode perturbation (`Dual`) layered on
 top of jets, used to extract partial derivatives of black-box scalar
@@ -32,6 +36,9 @@ __all__ = [
 ]
 
 _FACT = [math.factorial(k) for k in range(32)]
+# binomial rows C(k, 0) .. C(k, k): the Leibniz weights of products and
+# quotients
+_BINOM = [[math.comb(k, j) for j in range(k + 1)] for k in range(32)]
 
 
 class JetError(ValueError):
@@ -54,7 +61,8 @@ class SingularityError(ZeroDivisionError):
 
 
 def _is_scalar(v) -> bool:
-    return isinstance(v, (numbers.Number, np.ndarray, np.generic))
+    # float first: it is the common case, and the Number check is slower
+    return isinstance(v, (float, np.ndarray, np.generic, numbers.Number))
 
 
 class Jet:
@@ -115,17 +123,17 @@ class Jet:
         return Jet(self.coeffs[1:])
 
     def truncated(self, order: int) -> "Jet":
-        if order > self.order:
+        """The jet cut to ``order``; ``self`` when it has that order (jets
+        are immutable, so no copy is needed)."""
+        m = len(self.coeffs) - 1
+        if order > m:
             raise JetOrderError("cannot extend a jet by truncation")
-        return Jet(self.coeffs[: order + 1])
+        return self if order == m else Jet(self.coeffs[: order + 1])
 
     def __repr__(self) -> str:
         return f"Jet({list(self.coeffs)!r})"
 
-    # -- Taylor-form helpers ------------------------------------------
-
-    def _tay(self):
-        return [c / _FACT[k] for k, c in enumerate(self.coeffs)]
+    # -- Taylor-form helper --------------------------------------------
 
     @staticmethod
     def _from_tay(tay) -> "Jet":
@@ -135,7 +143,7 @@ class Jet:
 
     def _coerce(self, other):
         if isinstance(other, Jet):
-            m = min(self.order, other.order)
+            m = min(len(self.coeffs), len(other.coeffs)) - 1
             return self.truncated(m), other.truncated(m)
         if _is_scalar(other):
             return self, Jet.constant(other, self.order)
@@ -164,25 +172,29 @@ class Jet:
         return Jet(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if _is_scalar(other):
-            return Jet(tuple(c * other for c in self.coeffs))
-        pair = self._coerce(other)
-        if pair is None:
+        if not isinstance(other, Jet):
+            if _is_scalar(other):
+                return Jet(tuple(c * other for c in self.coeffs))
             return NotImplemented
-        a, b = pair
-        u, w = a._tay(), b._tay()
-        out = [sum(u[j] * w[k - j] for j in range(k + 1)) for k in range(len(u))]
-        return Jet._from_tay(out)
+        u, w = (j.coeffs for j in self._coerce(other))
+        out = []
+        for k, row in enumerate(_BINOM[:len(u)]):
+            # from the integer 0, as sum() does, so a -0.0 total is +0.0
+            acc = 0
+            for j, c in enumerate(row):
+                t = u[j] * w[k - j]
+                acc = acc + (t if c == 1 else c * t)
+            out.append(acc)
+        return Jet(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if _is_scalar(other):
-            return Jet(tuple(c / other for c in self.coeffs))
-        pair = self._coerce(other)
-        if pair is None:
+        if not isinstance(other, Jet):
+            if _is_scalar(other):
+                return Jet(tuple(c / other for c in self.coeffs))
             return NotImplemented
-        a, b = pair
+        a, b = self._coerce(other)
         return a._div(b)
 
     def __rtruediv__(self, other):
@@ -192,14 +204,16 @@ class Jet:
 
     def _div(self, w: "Jet") -> "Jet":
         _check_nonzero(w.value, "division by a jet with zero value")
-        u, wt = self._tay(), w._tay()
-        v = [u[0] / wt[0]]
+        u, w = self.coeffs, w.coeffs
+        v = [u[0] / w[0]]
         for k in range(1, len(u)):
+            row = _BINOM[k]
             acc = u[k]
             for j in range(k):
-                acc = acc - v[j] * wt[k - j]
-            v.append(acc / wt[0])
-        return Jet._from_tay(v)
+                t = v[j] * w[k - j]
+                acc = acc - (t if row[j] == 1 else row[j] * t)
+            v.append(acc / w[0])
+        return Jet(v)
 
     def __pow__(self, p):
         if not isinstance(p, numbers.Integral):
@@ -221,8 +235,7 @@ class Jet:
 
 
 def _check_nonzero(v, msg: str) -> None:
-    bad = np.any(np.asarray(v) == 0)
-    if bad:
+    if (np.asarray(v) == 0).any():
         raise JetDomainError(msg)
 
 

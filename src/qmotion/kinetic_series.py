@@ -34,6 +34,7 @@ ch. 13).  A single state is the same computation on floats.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
@@ -790,11 +791,20 @@ def _probe_matrix(base: KineticCoefficients, n: int, cols) -> tuple:
     linear in the lattice entries, so a probe lattice's series are the
     base's plus the unit entry's own, whose small tables are derived
     alone."""
-    units = [_theta_lattice(theta, n) for theta in np.eye(len(_LABELS))]
+    units = [_unit_lattice(n, i) for i in range(len(_LABELS))]
     series = _level_series([base] + units, cols, 1.0, 1.0, n)
     series[1:] += series[0]
     signed = _pieces(np.moveaxis(series, 0, 2), cols[1], 1.0, 1.0)[n].sum(axis=0)
     return signed[0], (signed[1:] - signed[0]).T
+
+
+@functools.cache
+def _unit_lattice(n: int, i: int) -> KineticCoefficients:
+    """The lattice whose one entry is the level-n unknown ``_LABELS[i]`` at
+    1, kept per process with the tables derived from it: they depend on
+    nothing else, and the determination probes levels 1-4 only, so at
+    most 40 are kept."""
+    return _theta_lattice(np.eye(len(_LABELS))[i], n)
 
 
 def determine_coefficients(levels: int = 2, *, seed: int = 20260823):

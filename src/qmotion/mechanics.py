@@ -76,8 +76,20 @@ class LagrangianPartials:
 
 def _as_tjet(v, depth: int) -> Jet:
     if isinstance(v, Jet):
-        return v if v.order == depth else v.truncated(depth)
+        return v.truncated(depth)
     return Jet.constant(float(v), depth)
+
+
+def _per_jet(v, j: Jet):
+    """A float for a jet with float coefficients; for a stacked jet, whose
+    coefficients are (N,) arrays, an (N,) array, one entry per jet."""
+    shape = np.shape(j.value)
+    return np.full(shape, v, dtype=float) if shape else float(v)
+
+
+def _plain(v):
+    """A 0-d result as a float, an array result as it is."""
+    return v if np.ndim(v) else float(v)
 
 
 def partials(L: Callable, j: Jet, t: float = 0.0,
@@ -109,18 +121,19 @@ def partials(L: Callable, j: Jet, t: float = 0.0,
           for s in range(_SLOTS)))
 
 
-def el_residual(L: Callable, j: Jet, t: float = 0.0) -> float:
+def el_residual(L: Callable, j: Jet, t: float = 0.0) -> float | np.ndarray:
     """Generalized Euler-Lagrange residual at a motion jet of order 6.
 
     d^3/dt^3 (dL/dxddd) - d^2/dt^2 (dL/dxdd) + d/dt (dL/dxd) - dL/dx,
     zero on true trajectories.  The triple total derivative is why the
-    jet must carry x through x^(6).
+    jet must carry x through x^(6).  A stacked jet gives one residual per
+    jet, as an array.
     """
     if j.order < 6:
         raise JetOrderError("el_residual needs a jet of order 6")
     p = partials(L, j, t, depth=3)
-    return float(p.dxddd.coeffs[3] - p.dxdd.coeffs[2]
-                 + p.dxd.coeffs[1] - p.dx.coeffs[0])
+    return _per_jet(p.dxddd.coeffs[3] - p.dxdd.coeffs[2]
+                    + p.dxd.coeffs[1] - p.dx.coeffs[0], j)
 
 
 def _momenta(p: LagrangianPartials) -> Momenta:
@@ -136,20 +149,26 @@ def momenta(L: Callable, j: Jet, t: float = 0.0) -> Momenta:
     P  = dL/dxd - d/dt dL/dxdd + d^2/dt^2 dL/dxddd
     Pi = dL/dxdd - d/dt dL/dxddd
     Xi = dL/dxddd
+
+    A stacked jet (coefficients of shape (N,)) runs through one call of L
+    and gives each momentum as an (N,) array, entry by entry as the jets
+    one at a time would.
     """
     if j.order < 5:
         raise JetOrderError("momenta need a jet of order 5")
-    return Momenta(*map(float, _momenta(partials(L, j, t, depth=2))))
+    return Momenta(*(_per_jet(m, j)
+                     for m in _momenta(partials(L, j, t, depth=2))))
 
 
-def hamiltonian(L: Callable, j: Jet, t: float = 0.0) -> float:
-    """H = P xd + Pi xdd + Xi xddd - L; conserved when L has no explicit t."""
+def hamiltonian(L: Callable, j: Jet, t: float = 0.0) -> float | np.ndarray:
+    """H = P xd + Pi xdd + Xi xddd - L; conserved when L has no explicit t.
+    A stacked jet gives one H per jet, as an array."""
     if j.order < 5:
         raise JetOrderError("hamiltonian needs a jet of order 5")
     p = partials(L, j, t, depth=2)
     P, Pi, Xi = _momenta(p)
     xd, xdd, xddd = j.coeffs[1:4]
-    return float(P * xd + Pi * xdd + Xi * xddd - p.L.coeffs[0])
+    return _per_jet(P * xd + Pi * xdd + Xi * xddd - p.L.coeffs[0], j)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +229,18 @@ def series_lagrangian(c: KineticCoefficients, params, lam: float = 0.0,
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's |discrepancy| and scale: floats, or (N,) arrays with one
+    entry per jet of a stacked jet."""
+
     discrepancy: float
     scale: float
 
     @property
-    def ratio(self) -> float:
-        return self.discrepancy / self.scale if self.scale > 0.0 else 0.0
+    def ratio(self):
+        """discrepancy / scale, 0 where the scale is 0."""
+        pos = np.asarray(self.scale) > 0.0
+        return _plain(np.where(
+            pos, self.discrepancy / np.where(pos, self.scale, 1.0), 0.0))
 
 
 @dataclass
@@ -224,8 +249,9 @@ class CanonicalReport:
     checks: dict
 
     @property
-    def max_ratio(self) -> float:
-        return max(c.ratio for c in self.checks.values())
+    def max_ratio(self):
+        """The largest check ratio, per jet for a stacked jet."""
+        return _plain(np.max([c.ratio for c in self.checks.values()], axis=0))
 
     def summary(self) -> str:
         lines = [f"canonical-equation identities at lam = {self.lam:g}"]
@@ -266,7 +292,9 @@ def canonical_consistency(c: KineticCoefficients, j: Jet, params,
     so the Xi equation gives back xddd and the P-rate equation's dL/dx =
     -dH/dx compares that xddd with itself.  Both checks hold for any
     coefficient lattice, not only the canonical one.
-    lam must be positive (the Hamiltonian divides by it).
+    lam must be positive (the Hamiltonian divides by it).  A stacked jet
+    (coefficients of shape (N,)) is checked in one pass, and each check
+    then holds one discrepancy and scale per jet.
     """
     if not lam > 0.0:
         raise ValueError("canonical consistency needs lam > 0: "

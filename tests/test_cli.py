@@ -644,6 +644,27 @@ def test_malformed_sweep_axis_exits_2(tmp_path, capsys, axis):
     assert err.startswith("config error: sweep axis 'energy'")
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_without_a_worker_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                 workers):
+    """A worker count below 1 exits 2 before any pair is built; it used to
+    run the sweep serially and exit 0."""
+    import qmotion.cli as cli
+
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("a pair was built")
+
+    monkeypatch.setattr(cli, "_sweep_group", no_pairs)
+    out = tmp_path / "sweep.csv"
+    cfg = write_config(tmp_path, SWEEP_DOC)
+    assert run(["sweep", "--config", cfg, "--out", str(out),
+                "--workers", workers, "--quiet"]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert "--workers: expected a positive integer" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["2", "1"])
 def test_sweep_failing_cell_exits_3(tmp_path, capsys, workers):
     # the cell's IntegrationFailure must cross the process boundary intact

@@ -631,6 +631,30 @@ def test_probe_matrix_matches_full_lattices(n):
         assert np.any(mat[:, l] != 0.0)
 
 
+def test_unit_lattices_are_built_once_per_process(monkeypatch):
+    """The determination's 10 unit lattices of a level, with the tables
+    derived from them, are built on the first probe of that level only,
+    and a later determination returns the same lattice and report."""
+    import qmotion.kinetic_series as ks
+
+    first = determine_coefficients(levels=4)
+    ks._unit_lattice.cache_clear()
+    calls = []
+
+    def counting(theta, n, base=None):
+        calls.append((n, base is None))
+        return theta_lattice(theta, n, base)
+
+    theta_lattice = ks._theta_lattice
+    monkeypatch.setattr(ks, "_theta_lattice", counting)
+    cols = np.ascontiguousarray(sample_states(np.random.default_rng(4), 30).T)
+    base = KineticCoefficients.canonical()
+    for _ in range(2):
+        ks._probe_matrix(base, 3, cols)
+    assert calls == [(3, True)] * len(ks._LABELS)
+    assert determine_coefficients(levels=4) == first
+
+
 # ---------------------------------------------------------------------------
 # the block draw against the per-jet draw
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from qmotion.jets import Dual, Jet, JetOrderError
 from qmotion.kinetic_series import (
     KineticCoefficients,
     momenta_state,
+    sample_jet_block,
     sample_jets,
     sample_states,
     series_momenta,
@@ -386,6 +387,83 @@ def test_checks_see_one_scaled_momentum_coefficient(monkeypatch, which):
                                         momenta(L, j))))
               for j in jets)
     assert gap > 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Stacked jets: one call over (N,) coefficient arrays against the per-jet loop
+# ---------------------------------------------------------------------------
+
+@st.composite
+def jet_stacks(draw):
+    """(stacked jet, the same jets one by one): N = 1 .. 12 motion jets of
+    order 6 from ``sample_jet_block``, the single jets with float
+    coefficients as the bench reads them from JSON."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = sample_jet_block(rng, draw(st.integers(1, 12)), order=6)
+    return Jet(tuple(block.T)), [Jet(tuple(row.tolist())) for row in block]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+_STACK_LAGRANGIANS = [
+    quantum_lagrangian(PARAMS), quantum_lagrangian(_REF_PARAMS, _HARMONIC),
+    classical_lagrangian(_REF_PARAMS, _HARMONIC),
+    series_lagrangian(KineticCoefficients.canonical(), _REF_PARAMS, 0.3,
+                      _HARMONIC),
+]
+_STACK_IDS = ["quantum", "quantum-harmonic", "classical-harmonic", "series-lam"]
+
+
+@pytest.mark.parametrize("L", _STACK_LAGRANGIANS, ids=_STACK_IDS)
+@given(case=jet_stacks())
+@settings(deadline=None, max_examples=30)
+def test_stacked_momenta_match_the_per_jet_loop_bitwise(L, case):
+    stacked, jets = case
+    got = momenta(L, stacked)
+    assert all(isinstance(m, np.ndarray) and m.shape == (len(jets),)
+               for m in got)
+    want = [momenta(L, j) for j in jets]
+    assert all(isinstance(v, float) for m in want for v in m)
+    assert np.array_equal(_bits(np.array(got).T), _bits(want))
+    assert np.array_equal(_bits(hamiltonian(L, stacked)),
+                          _bits([hamiltonian(L, j) for j in jets]))
+    assert np.array_equal(_bits(el_residual(L, stacked)),
+                          _bits([el_residual(L, j) for j in jets]))
+
+
+@given(case=jet_stacks(), seed=st.integers(0, 2**32 - 1),
+       lam=st.sampled_from([0.5, 1e-3, 1e-6]))
+@settings(deadline=None, max_examples=40)
+def test_stacked_canonical_ratios_match_the_per_jet_loop(case, seed, lam):
+    # the stacked pass forms the momenta rates with array operands in
+    # places where the single jet has float ones, so the two agree to
+    # rounding of the ratios (about 1e-16), not bit for bit
+    stacked, jets = case
+    for c in (KineticCoefficients.canonical(), seeded_lattice(seed)):
+        report = canonical_consistency(c, stacked, PARAMS, lam)
+        singles = [canonical_consistency(c, j, PARAMS, lam) for j in jets]
+        for name, chk in report.checks.items():
+            assert chk.ratio.shape == (len(jets),)
+            want = [s.checks[name].ratio for s in singles]
+            assert np.max(np.abs(chk.ratio - want)) <= 1e-15, name
+        assert np.max(np.abs(report.max_ratio
+                             - [s.max_ratio for s in singles])) <= 1e-15
+
+
+def test_check_ratio_is_zero_where_the_scale_is_zero():
+    from qmotion.mechanics import CheckResult, CanonicalReport
+
+    assert CheckResult(0.0, 0.0).ratio == 0.0
+    assert isinstance(CheckResult(1.0, 4.0).ratio, float)
+    stacked = CheckResult(np.array([1.0, 0.0, 3.0]), np.array([4.0, 0.0, 2.0]))
+    np.testing.assert_array_equal(stacked.ratio, [0.25, 0.0, 1.5])
+    report = CanonicalReport(0.5, {
+        "a": stacked, "b": CheckResult(np.ones(3), np.array([2.0, 1.0, 4.0]))})
+    np.testing.assert_array_equal(report.max_ratio, [0.5, 1.0, 1.5])
+    assert isinstance(CanonicalReport(0.5, {"a": CheckResult(1.0, 4.0)})
+                      .max_ratio, float)
 
 
 # ---------------------------------------------------------------------------
