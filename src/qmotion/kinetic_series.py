@@ -379,13 +379,6 @@ def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
     return _evaluate(c.derived(_s0_tables), state, mu, hbar)
 
 
-def _s0p_state(c: KineticCoefficients, state, mu, hbar):
-    """S0' alone: ``ds0dx_state(...)[0]`` without deriving S0'' and S0'''."""
-    if _vanishes(state[1]):
-        raise SingularityError("xd = 0 in action-gradient series")
-    return _evaluate((c.derived(_s0p_table),), state, mu, hbar)[0]
-
-
 # ---------------------------------------------------------------------------
 # master identity
 
@@ -474,20 +467,15 @@ def level_residuals(c: KineticCoefficients, state, mu, hbar, order: int | None =
 def master_residual(c: KineticCoefficients, j, params):
     """Worst per-level scaled residual of the master identity.
 
-    ``j`` is one motion jet of order >= 5, giving a float, or a sequence of
-    such jets or an (N, 6) array of states x .. x5, giving an (N,) array
-    with one residual per state, all evaluated in one pass.
+    ``j`` is one motion jet of order >= 5, giving a float, or the same jet
+    with (N,) array coefficients or an (N, 6) array of states x .. x5,
+    giving an (N,) array with one residual per state, all evaluated in one
+    pass.
     """
-    if isinstance(j, Jet):
-        state = _state_from_jet(j)
-    elif isinstance(j, np.ndarray):
-        state = _columns(j)
-    else:
-        state = _columns(np.array([_state_from_jet(jj) for jj in j],
-                                  dtype=float).reshape(-1, 6))
+    state = _state_from_jet(j) if isinstance(j, Jet) else _columns(j)
     ratios, _, _ = level_residuals(c, state, params.mu, params.hbar)
     worst = ratios.max(axis=0)
-    return float(worst) if isinstance(j, Jet) else worst
+    return worst if worst.ndim else float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -496,55 +484,17 @@ def master_residual(c: KineticCoefficients, j, params):
 def sample_jet_block(rng: np.random.Generator, count: int,
                      order: int = 5) -> np.ndarray:
     """The coefficients of ``count`` random motion jets as one
-    (count, order + 1) array, xd bounded away from zero.
-
-    xd is uniform on +-[0.5, 2]; all other components uniform on [-1, 1].
-    The rows, and the generator state after them, are bit for bit those of
-    drawing jet by jet: ``rng.uniform(-1, 1, order + 1)``, then
-    ``rng.choice([-1.0, 1.0])`` for xd's sign and ``rng.uniform(0.5, 2.0)``
-    for its size.  That stream is read from one block of 64-bit words.
-    Each uniform takes one word.  Each choice takes the top bit of the next
-    32-bit half: the half the generator holds on entry, if any, then the
-    low and the high half of each word drawn for a choice.  A jet whose
-    choice finds no half held draws that word just before its last
-    uniform.  The generator is left holding the unused half, if any, as
-    the per-jet loop leaves it, so the bit generator must be one that
-    holds a half between draws: PCG64 (the default), PCG64DXSM, Philox or
-    SFC64.
-    """
+    (count, order + 1) array, xd bounded away from zero: xd is uniform on
+    +-[0.5, 2], all other components uniform on [-1, 1]."""
     if count < 0:
         raise ValueError(f"cannot draw {count} jets")
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    if "has_uint32" not in state:
-        raise TypeError(f"{state['bit_generator']} holds no 32-bit half, "
-                        "so the block draw cannot reproduce its stream")
-    held = state["has_uint32"]
-    jet = np.arange(count)
-    fresh = (jet + held) % 2 == 0  # no half held: the choice takes a word
-    start = (order + 2) * jet + (jet + 1 - held) // 2
-    words = bitgen.random_raw((order + 2) * count + int(fresh.sum()))
-    choice_words = words[start[fresh] + order + 1]
-    halves = np.concatenate((
-        np.full(held, state["uinteger"], dtype=np.uint64),
-        np.column_stack((choice_words & 0xFFFFFFFF, choice_words >> 32)).ravel()))
-    unit = (words >> 11) * 2.0 ** -53  # a double's 53 bits, as numpy reads them
-    block = -1.0 + 2.0 * unit[start[:, None] + np.arange(order + 1)]
-    sign = np.where(halves[:count] >> 31, 1.0, -1.0)
-    block[:, 1] = sign * (0.5 + 1.5 * unit[start + order + 1 + fresh])
-    state = bitgen.state
-    state["has_uint32"] = len(halves) - count
-    if len(choice_words):
-        state["uinteger"] = int(halves[-1])
-    bitgen.state = state
+    block = rng.uniform(-1.0, 1.0, (count, order + 1))
+    block[:, 1] = rng.choice([-1.0, 1.0], count) * rng.uniform(0.5, 2.0, count)
     return block
 
 
 def sample_jets(rng: np.random.Generator, count: int, order: int = 5) -> list[Jet]:
-    """Random motion jets: the rows of ``sample_jet_block``, which draws in
-    one block the stream of a per-jet loop of ``rng.uniform(-1, 1, order +
-    1)``, ``rng.choice([-1.0, 1.0])`` and ``rng.uniform(0.5, 2.0)``, and
-    leaves the generator where that loop leaves it."""
+    """Random motion jets: the rows of ``sample_jet_block``."""
     return [Jet(tuple(row)) for row in sample_jet_block(rng, count, order)]
 
 
@@ -637,7 +587,10 @@ def _determine_level0(rng):
     """Classical-level elimination on the divided form of the master identity.
 
     R(theta; state) = xd*S0'(theta) - S0'(theta)^2/(2 mu) - T(theta) must
-    vanish for every state.  Three stages: (a) the xddd slope of S0' has to
+    vanish for every state.  S0' and T are linear in theta, so each is a
+    theta-combination of the level-0 unit lattices' series, which are
+    evaluated once at the sampled states and at the same states with
+    xddd = +1 and -1.  Three stages: (a) the xddd slope of S0' has to
     vanish (kills the B column of the induced gradient series), (b) on that
     subspace the xddd slope of R kills the beta entries, (c) the surviving
     two-dimensional family (alpha_00, alpha_01) is resolved by reconstructing
@@ -649,35 +602,22 @@ def _determine_level0(rng):
     n_unk = len(_LABELS)
     cols = _columns(sample_states(rng, _SAMPLES))
     x, xd, xdd = cols[:3]
+    states = np.tile(cols, 3)
+    states[3, _SAMPLES:] = np.repeat([1.0, -1.0], _SAMPLES)
+    units = [_unit_lattice(0, i) for i in range(n_unk)]
+    series = _level_series(units, states, mu, 1.0, 0)[:, [0, 3], 0]
+    # S0' and T rows, (2, states, unknowns), at the sampled xddd, +1 and -1
+    at, up, down = np.moveaxis(series.reshape(n_unk, 2, 3, _SAMPLES),
+                               (0, 2), (3, 0))
 
-    def with_xddd(v):
-        out = cols.copy()
-        out[3] = v
-        return out
+    def resid(thetas, rows):
+        """R per state (rows) and theta (columns of ``thetas``)."""
+        s1, t_val = rows @ thetas
+        return xd[:, None] * s1 - s1 * s1 / (2.0 * mu) - t_val
 
-    def lattice(theta):
-        return _theta_lattice(theta, 0)
-
-    def s1_of(c, st):
-        """S0' of a pure level-0 lattice (hbar never enters), per state."""
-        return _s0p_state(c, st, mu, 0.0)
-
-    def resid(c, st):
-        s1 = s1_of(c, st)
-        t_val = kinetic_term(c, st[0], st[1], st[2], st[3], mu, 0.0)
-        return st[1] * s1 - s1 * s1 / (2.0 * mu) - t_val
-
-    up, down = with_xddd(1.0), with_xddd(-1.0)
-
-    def xddd_slope(f, c):
-        """The xddd slope of f on lattice c: f is linear in xddd, so the
-        central difference is exact."""
-        return 0.5 * (f(c, up) - f(c, down))
-
-    # stage (a): xddd slope of S0' is linear in theta
-    mat_a = np.column_stack([xddd_slope(s1_of, lattice(theta))
-                             for theta in np.eye(n_unk)])
-    null_a, rank_a = _nullspace(mat_a)
+    # stage (a): the xddd slope of S0' is linear in theta; S0' is linear in
+    # xddd, so the central difference is exact
+    null_a, rank_a = _nullspace(0.5 * (up[0] - down[0]))
     if null_a.shape[1] != _K_MAX + 1:
         raise DeterminationError(
             f"stage (a) nullspace dimension {null_a.shape[1]}, "
@@ -685,9 +625,7 @@ def _determine_level0(rng):
 
     # stage (b): on the stage-(a) subspace S0' carries no xddd, so the xddd
     # slope of R is again linear in theta
-    mat_b = np.column_stack([xddd_slope(resid, lattice(theta))
-                             for theta in null_a.T])
-    null_b, rank_b = _nullspace(mat_b)
+    null_b, rank_b = _nullspace(0.5 * (resid(null_a, up) - resid(null_a, down)))
     surv = null_a @ null_b
     if surv.shape[1] != 2:
         raise DeterminationError(
@@ -700,22 +638,22 @@ def _determine_level0(rng):
         raise DeterminationError("surviving family is not the "
                                  "(alpha_00, alpha_01) plane")
 
-    # stage (c): reconstruct the residual weights on the three monomials
-    probes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0),
-              (0.0, 2.0)]
+    # stage (c): reconstruct the residual weights on the three monomials,
+    # one column per probe (alpha_00, alpha_01) = (s, u)
+    s, u = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+                     (2.0, 0.0), (0.0, 2.0)]).T
+    probes = np.zeros((n_unk, len(s)))
+    probes[0], probes[1] = s, u
     design = np.column_stack((xd * xd, x * xdd, (x * xdd / xd) ** 2))
-    weights = np.empty((len(probes), 3))
+    weights = np.empty((len(s), 3))
     fit_res = 0.0
-    for p, (s, u) in enumerate(probes):
-        theta = np.zeros(n_unk)
-        theta[0], theta[1] = s, u
-        rhs = resid(lattice(theta), cols)
+    for p, rhs in enumerate(resid(probes, at).T):
         w, _, rank_c, _ = np.linalg.lstsq(design, rhs, rcond=None)
         if rank_c < 3:
             raise DeterminationError("stage (c) monomial design is rank-deficient")
         weights[p] = w
         fit_res = max(fit_res, float(np.max(np.abs(design @ w - rhs))))
-    vand = np.array([[1.0, s, u, s * s, s * u, u * u] for s, u in probes])
+    vand = np.column_stack((np.ones_like(s), s, u, s * s, s * u, u * u))
     quads = np.linalg.solve(vand, weights)  # columns: per-monomial quadratics
 
     notes = []
@@ -749,7 +687,7 @@ def _determine_level0(rng):
         level=0, values=dict(zip(_LABELS, theta.tolist())),
         rank=rank_a + rank_b + 2, n_unknowns=n_unk, fit_residual=fit_res,
         roots=roots, selected_root=selected, notes=notes)
-    return report, lattice(theta)
+    return report, _theta_lattice(theta, 0)
 
 
 def _determine_level_n(rng, n: int, base: KineticCoefficients):
@@ -802,8 +740,8 @@ def _probe_matrix(base: KineticCoefficients, n: int, cols) -> tuple:
 def _unit_lattice(n: int, i: int) -> KineticCoefficients:
     """The lattice whose one entry is the level-n unknown ``_LABELS[i]`` at
     1, kept per process with the tables derived from it: they depend on
-    nothing else, and the determination probes levels 1-4 only, so at
-    most 40 are kept."""
+    nothing else, and the determination probes levels 0-4 only, so at
+    most 50 are kept."""
     return _theta_lattice(np.eye(len(_LABELS))[i], n)
 
 

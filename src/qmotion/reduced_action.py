@@ -63,9 +63,8 @@ class QuantumStateParams:
             raise StateParamError("parameter a must be nonzero")
 
 
-def _s0p_of(pair: SolutionPair, q: QuantumStateParams, j1: Jet,
-            j2: Jet) -> Jet:
-    """S0' = hbar*a*W/D from jets of (phi1, phi2)."""
+def _s0p_of(pair: SolutionPair, q: QuantumStateParams, j1, j2):
+    """S0' = hbar*a*W/D from jets of (phi1, phi2), or from their values."""
     lin = q.a * j1 + q.b * j2
     return (pair.params.hbar * q.a * pair.wronskian_ref) / (lin * lin + j2 * j2)
 
@@ -74,8 +73,7 @@ def s0p(pair: SolutionPair, q: QuantumStateParams, x):
     """S0' = hbar*a*W / ((a*phi1 + b*phi2)^2 + phi2^2) at x, a float or an
     array of points; bit for bit ``s0p_jet(pair, q, x, 0).value``."""
     p1, _, p2, _ = pair.eval01(x)
-    lin = q.a * p1 + q.b * p2
-    return (pair.params.hbar * q.a * pair.wronskian_ref) / (lin * lin + p2 * p2)
+    return _s0p_of(pair, q, p1, p2)
 
 
 def inverse_s0p(pair: SolutionPair, q: QuantumStateParams, squares):

@@ -208,27 +208,29 @@ def test_determination_recovers_canonical():
         assert rep.rank == rep.n_unknowns
 
 
-def test_level0_builds_each_lattice_once_and_reads_only_s0p(monkeypatch):
-    # level 0 reads S0' alone, so it needs no d/dx of any table; its 10
-    # basis vectors (stage a), 5 stage-(b) vectors and 6 probes (stage c)
-    # each need one lattice, shared by the xddd = +1 and -1 states, and the
-    # determined lattice is the 22nd
+def test_level0_reads_the_cached_unit_lattices(monkeypatch):
+    # level 0 combines the series of its 10 unit lattices, which are built
+    # on the first determination only; every call builds the solved lattice
     import qmotion.kinetic_series as ks
 
-    calls = {"d_dx": 0, "lattice": 0}
+    built = []
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return theta_lattice(*args, **kwargs)
 
-    monkeypatch.setattr(ks, "_d_dx", counting("d_dx", ks._d_dx))
-    monkeypatch.setattr(ks, "_theta_lattice",
-                        counting("lattice", ks._theta_lattice))
-    _, report = determine_coefficients(levels=0)
-    assert report.levels[0].selected_root == pytest.approx(0.5)
-    assert calls == {"d_dx": 0, "lattice": 22}
+    theta_lattice = ks._theta_lattice
+    monkeypatch.setattr(ks, "_theta_lattice", counting)
+    ks._unit_lattice.cache_clear()
+    counts = []
+    for _ in range(2):
+        built.clear()
+        lattice, report = determine_coefficients(levels=0)
+        assert report.levels[0].selected_root == pytest.approx(0.5)
+        assert lattice == KineticCoefficients({(0, 0): (0.5, 0.0)})
+        counts.append(len(built))
+    assert built == [0]
+    assert counts == [len(ks._LABELS) + 1, 1]
 
 
 def test_determination_rejects_bad_levels():
@@ -386,8 +388,8 @@ def test_batched_values_match_per_state(c, states, mu, hbar, lam):
 @settings(deadline=None, max_examples=60)
 def test_batched_level_residuals_match_per_state(c, states, mu, hbar):
     """Per-level residual ratios of a batch agree with one call per state
-    to 1e-13, and master_residual takes the same batch as jets, as an
-    array, or one jet at a time."""
+    to 1e-13, and master_residual takes the same batch as an array, as one
+    jet with array coefficients, or one jet at a time."""
     cols = np.ascontiguousarray(states.T)
     ratios, residuals, scales = level_residuals(c, cols, mu, hbar)
     assert ratios.shape == residuals.shape == scales.shape == (
@@ -400,7 +402,7 @@ def test_batched_level_residuals_match_per_state(c, states, mu, hbar):
     jets = [Jet(tuple(row)) for row in states]
     per_jet = np.array([master_residual(c, j, params) for j in jets])
     np.testing.assert_array_equal(master_residual(c, states, params),
-                                  master_residual(c, jets, params))
+                                  master_residual(c, Jet(states.T), params))
     assert np.max(np.abs(master_residual(c, states, params) - per_jet)) <= 1e-13
     assert np.array_equal(ratios.max(axis=0),
                           master_residual(c, states, params))
@@ -656,19 +658,8 @@ def test_unit_lattices_are_built_once_per_process(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the block draw against the per-jet draw
+# the block draw
 # ---------------------------------------------------------------------------
-
-def per_jet_draw(rng, count, order=5):
-    """The sample jets drawn one jet at a time: six uniforms, a choice of
-    xd's sign and a uniform for its size."""
-    out = []
-    for _ in range(count):
-        coeffs = rng.uniform(-1.0, 1.0, order + 1)
-        coeffs[1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        out.append(Jet(tuple(coeffs)))
-    return out
-
 
 def _same_state(a, b):
     if isinstance(a, dict):
@@ -676,49 +667,56 @@ def _same_state(a, b):
     return np.array_equal(a, b)
 
 
+def _assert_block_bounds(block):
+    """|xd| lies in [0.5, 2] and every other entry in [-1, 1]."""
+    xd = np.abs(block[:, 1])
+    assert np.all((0.5 <= xd) & (xd <= 2.0))
+    rest = np.delete(block, 1, axis=1)
+    assert np.all((-1.0 <= rest) & (rest <= 1.0))
+
+
 @pytest.mark.parametrize("seed", [3, 11, 20260823])
 @pytest.mark.parametrize("count", [0, 1, 2, 999, 1000])
 @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
 def test_block_draw_matches_per_jet_draw(seed, count, held):
-    """sample_jets and sample_jet_block give the per-jet loop's jets bit for
-    bit and leave the generator where the loop leaves it, with and without
-    a 32-bit half held from an earlier choice."""
+    """One generator state gives one block, with and without a 32-bit half
+    held from an earlier choice, and sample_jets hands out its rows jet by
+    jet, leaving the generator where the block draw leaves it."""
     gens = [np.random.default_rng(seed) for _ in range(3)]
     if held:
         for g in gens:
             g.choice([-1.0, 1.0])
-    assert gens[0].bit_generator.state["has_uint32"] == held
-    want = per_jet_draw(gens[0], count)
-    got = sample_jets(gens[1], count)
-    block = sample_jet_block(gens[2], count)
-    assert type(got) is list and len(got) == len(want) == len(block)
-    for w, g, row in zip(want, got, block):
-        assert g.coeffs == w.coeffs
-        assert row.tobytes() == np.array(w.coeffs).tobytes()
+    block = sample_jet_block(gens[0], count)
+    again = sample_jet_block(gens[1], count)
+    jets = sample_jets(gens[2], count)
+    assert block.shape == (count, 6)
+    assert block.tobytes() == again.tobytes()
+    assert type(jets) is list and len(jets) == count
+    for jet, row in zip(jets, block):
+        assert np.array(jet.coeffs).tobytes() == row.tobytes()
     for g in gens[1:]:
         assert _same_state(g.bit_generator.state, gens[0].bit_generator.state)
-    nxt = [(g.random(3).tobytes(), g.choice([-1.0, 1.0]), g.choice([-1.0, 1.0]),
-            g.integers(0, 2**40, 2).tolist()) for g in gens]
-    assert nxt[1] == nxt[0] and nxt[2] == nxt[0]
+    _assert_block_bounds(block)
 
 
 @pytest.mark.parametrize("bitgen", [np.random.PCG64DXSM, np.random.Philox,
-                                    np.random.SFC64])
+                                    np.random.SFC64, np.random.MT19937])
 def test_block_draw_matches_on_other_bit_generators(bitgen):
     for count, order in ((7, 5), (4, 2)):
-        a, b = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
-        want = per_jet_draw(a, count, order)
-        got = sample_jets(b, count, order)
-        assert [g.coeffs for g in got] == [w.coeffs for w in want]
+        a, b = np.random.Generator(bitgen(3)), np.random.Generator(bitgen(3))
+        block = sample_jet_block(a, count, order)
+        jets = sample_jets(b, count, order)
+        assert block.shape == (count, order + 1)
+        assert [j.coeffs for j in jets] == [tuple(row) for row in block]
         assert _same_state(a.bit_generator.state, b.bit_generator.state)
+        _assert_block_bounds(block)
 
 
-def test_block_draw_rejects_negative_counts_and_unheld_halves():
+def test_block_draw_rejects_negative_counts():
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
     with pytest.raises(ValueError):
         sample_jets(rng, -1)
+    with pytest.raises(ValueError):
+        sample_jet_block(rng, -1)
     assert rng.bit_generator.state == before
-    # MT19937 draws 32-bit words natively, so its stream has no held half
-    with pytest.raises(TypeError):
-        sample_jets(np.random.Generator(np.random.MT19937(3)), 2)
