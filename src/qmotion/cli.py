@@ -1,14 +1,12 @@
 """Command-line front end: scenarios, verification suites, demos, sweeps.
 
 Scenario parameters live in a JSON config document with sections
-``potential``, ``physics``, ``quantum``, ``run``, ``integrator``,
-``output`` (and ``sweep`` for grid runs); unknown sections or keys are
-rejected before any computation starts.  A key the document leaves out
-takes its default from one place: ``ScenarioConfig`` for ``run`` keys,
-``IntegratorSettings`` for ``integrator`` keys, and this module's table
-for the physics and quantum values the library has no default for.  The
-``integrator`` keys act on the newton law only: the velocity and legacy
-laws sum t(x) over the pair's cells and integrate no ODE.  Exit codes:
+``potential``, ``physics``, ``quantum``, ``run``, ``output`` (and
+``sweep`` for grid runs); unknown sections or keys are rejected before
+any computation starts.  A key the document leaves out takes its default
+from one place: ``ScenarioConfig`` for ``run`` keys, this module's table
+for the physics and quantum values the library has no default for.  Exit
+codes:
 0 success, 1 a verification residual exceeded its tolerance, 2
 configuration error (a bad option, config document or sweep axis, or a
 file that cannot be read or written), 3 numerical failure.  A trajectory
@@ -56,7 +54,6 @@ _SCHEMA = {
     "physics": {"hbar", "mu", "energy"},
     "quantum": {"a", "b", "kappa"},
     "run": {"law", "x_start", "t0", "t1", "samples", "domain", "grid_step"},
-    "integrator": {"rel_tol", "abs_tol", "max_step", "max_steps"},
     "output": {"path", "format"},
     "sweep": {"a", "b", "energy"},
 }
@@ -103,12 +100,11 @@ def _potential_from(cfg: dict) -> PotentialModel:
 _DEFAULTS = {"physics": {"hbar": 1.0, "mu": 1.0, "energy": 0.5},
              "quantum": {"a": 1.0}}
 
-# how each key is read; a run or integrator key the document leaves out
-# takes the ScenarioConfig or IntegratorSettings default
+# how each key is read; a run key the document leaves out takes the
+# ScenarioConfig default
 _CASTS = {**dict.fromkeys(("hbar", "mu", "energy", "a", "b", "kappa",
-                           "x_start", "grid_step", "rel_tol", "abs_tol",
-                           "max_step"), float),
-          "samples": int, "max_steps": int,
+                           "x_start", "grid_step"), float),
+          "samples": int,
           "domain": lambda v: None if v is None else tuple(v)}
 
 
@@ -121,14 +117,12 @@ def _read(doc: dict, section: str) -> dict:
 
 def scenario_from_config(doc: dict, law: str | None = None) -> traj.ScenarioConfig:
     from . import trajectory as traj
-    from .ode import IntegratorSettings
     from .reduced_action import QuantumStateParams, StateParamError
 
     try:
         potential = _potential_from(doc.get("potential", {}))
         params = PhysParams(**_read(doc, "physics"))
         q = QuantumStateParams(**_read(doc, "quantum"))
-        settings = IntegratorSettings(**_read(doc, "integrator"))
         run = doc.get("run", {})
         kw = _read(doc, "run")
         if "t0" in run or "t1" in run:
@@ -137,7 +131,7 @@ def scenario_from_config(doc: dict, law: str | None = None) -> traj.ScenarioConf
         if law is not None or "law" in run:
             kw["law"] = run["law"] if law is None else law
         return traj.ScenarioConfig(potential=potential, params=params, q=q,
-                                   integrator=settings, **kw)
+                                   **kw)
     except (ValueError, TypeError, KeyError, SchrodingerError,
             StateParamError) as exc:
         if isinstance(exc, ConfigError):

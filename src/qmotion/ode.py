@@ -7,14 +7,12 @@ coefficients give (Jorba and Zou, *Experimental Mathematics* 14, 2005).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .rootfind import invert_monotone
 
 __all__ = [
-    "IntegratorSettings",
     "DenseSolution",
     "IntegrationFailure",
     "integrate_ivp",
@@ -25,24 +23,10 @@ ORDER = 24
 # the share of the estimated step that is taken: the estimate from two
 # coefficients can be far off, and the full step lets the error grow
 _STEP_SHARE = 0.5
-
-
-@dataclass(frozen=True)
-class IntegratorSettings:
-    """Tolerances and budgets for adaptive integration, checked when built."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = np.inf
-    max_steps: int = 1_000_000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
-        if not self.max_steps > 0:
-            raise ValueError("max_steps must be positive")
+# the step rule's tolerances and a run's step budget (``integrate_ivp``)
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+MAX_STEPS = 1_000_000
 
 
 def _horner(a, tau, n: int) -> list:
@@ -94,19 +78,17 @@ class IntegrationFailure(RuntimeError):
         self.reason = reason
 
 
-def integrate_ivp(series, y0, t_span, settings: IntegratorSettings | None = None,
-                  stop=None) -> DenseSolution:
+def integrate_ivp(series, y0, t_span, stop=None) -> DenseSolution:
     """Integrate x^(n) = f(x, ..., x^(n-1)) over t_span from y0 = (x, ...,
     x^(n-1)), with dense output.
 
     ``series(t, y, order)``, called once per step, returns the coefficients
     x^(k)(t)/k!, k = 0..order, and the x at which they stop holding (a
     ``wall``, or None): a step that would pass it ends on it.  A step keeps
-    the last two terms of each component y_d below abs_tol + rel_tol*|y_d|,
-    and is at most ``settings.max_step``.  ``stop(y)``, when given, is asked
-    after each step; once it holds, the solution ends there.
+    the last two terms of each component y_d below ABS_TOL + REL_TOL*|y_d|,
+    and a run fails after MAX_STEPS steps.  ``stop(y)``, when given, is
+    asked after each step; once it holds, the solution ends there.
     """
-    settings = settings or IntegratorSettings()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
@@ -115,17 +97,17 @@ def integrate_ivp(series, y0, t_span, settings: IntegratorSettings | None = None
         raise ValueError("the initial state must be a finite 1-d vector")
     ts, steps, t = [t0], [], t0
     while t < t1:
-        if len(steps) >= settings.max_steps:
-            raise IntegrationFailure(f"step budget of {settings.max_steps} "
+        if len(steps) >= MAX_STEPS:
+            raise IntegrationFailure(f"step budget of {MAX_STEPS} "
                                      f"exhausted at t = {t}")
         a, wall = series(t, y, ORDER)
         if not all(map(math.isfinite, a)):
             raise IntegrationFailure(f"non-finite derivative at t = {t}")
         # component d's degree-(k - d) coefficient is a_k k!/(k - d)!
-        h = min(t1 - t, settings.max_step, *(
-            _STEP_SHARE * ((settings.abs_tol + settings.rel_tol * abs(v))
+        h = min([t1 - t] + [
+            _STEP_SHARE * ((ABS_TOL + REL_TOL * abs(v))
                            / (abs(a[k]) * math.perm(k, d))) ** (1.0 / (k - d))
-            for d, v in enumerate(y) for k in (ORDER - 1, ORDER) if a[k]))
+            for d, v in enumerate(y) for k in (ORDER - 1, ORDER) if a[k]])
         x_of = lambda tau: _horner(a, tau, 1)[0]
         walled = wall is not None and (x_of(h) - wall) * (wall - a[0]) >= 0
         if walled:

@@ -19,7 +19,7 @@ steps and a float loop from block to block; the marched values then turn
 the unit coefficients into those of both solutions, which the pair keeps.
 Nothing is differenced.
 
-Evaluation is array-first: ``SolutionPair.eval01``, ``eval_phi`` and
+Evaluation is array-first: ``SolutionPair.eval01``, ``phi_jets`` and
 ``PotentialModel.derivs`` accept one point or an array of points.  eval01
 is the Horner sum from the nearest node, so a node gives back its stored
 (phi, phi'); a point gives bit for bit its value inside an array.
@@ -45,7 +45,6 @@ __all__ = [
     "SchrodingerError",
     "DomainError",
     "solve_pair",
-    "eval_phi",
     "OVERFLOW_CAP",
 ]
 
@@ -394,9 +393,16 @@ class SolutionPair:
 
     def phi_jets(self, x, order: int) -> tuple[Jet, Jet]:
         """Spatial jets of (phi1, phi2) at x (a float or an array of
-        points), derivatives from the wave equation beyond first order."""
-        d1, d2 = eval_phi(self, x, order)
-        return Jet(tuple(d1)), Jet(tuple(d2))
+        points) to the given order: orders 0 and 1 from ``eval01``, higher
+        ones from the wave equation's recursion (``_wave_derivatives``), so
+        nothing is differenced numerically."""
+        if not 0 <= order <= _MAX_PHI_ORDER:
+            raise SchrodingerError(f"order must be in [0, {_MAX_PHI_ORDER}]")
+        p1, d1, p2, d2 = self.eval01(x)
+        tower = [np.array((p1, p2)), np.array((d1, d2))] + [None] * (order - 1)
+        rows = np.asarray(
+            _wave_derivatives(self.potential, self.params, x, tower)[: order + 1])
+        return Jet(tuple(rows[:, 0])), Jet(tuple(rows[:, 1]))
 
     def own_jets(self, x) -> tuple[Jet, Jet]:
         """Order-2 spatial jets of (phi1, phi2) at x (a float or an array
@@ -580,21 +586,3 @@ def _wave_derivatives(potential: PotentialModel, params: PhysParams, x,
             acc += math.comb(m - 2, j) * fd[j] * tower[m - 2 - j]
         tower[m] = acc
     return tower
-
-
-def eval_phi(pair: SolutionPair, x, max_order: int = 1):
-    """Derivative stacks (phi1^(0..m), phi2^(0..m)) at x, each of shape
-    (m + 1,) + shape(x).
-
-    Orders 0 and 1 come from ``pair.eval01``; order >= 2 applies the wave
-    equation's recursion (``_wave_derivatives``), so no numerical
-    differencing beyond first order ever happens.
-    """
-    if not 0 <= max_order <= _MAX_PHI_ORDER:
-        raise SchrodingerError(f"max_order must be in [0, {_MAX_PHI_ORDER}]")
-    p1, d1, p2, d2 = pair.eval01(x)
-    tower = [np.array((p1, p2)), np.array((d1, d2))] + [None] * (max_order - 1)
-    rows = np.asarray(
-        _wave_derivatives(pair.potential, pair.params, x, tower)[: max_order + 1])
-    return rows[:, 0], rows[:, 1]
-

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import Jet, JetOrderError, SingularityError, flow_jet
-from .ode import IntegratorSettings, integrate_ivp
+from .ode import integrate_ivp
 from .reduced_action import QuantumStateParams, inverse_s0p, s0p, s0p_jet
 from .rootfind import RootConvergenceError, expand_bracket, invert_monotone
 from .schrodinger import (DomainError, PhysParams, PotentialModel,
@@ -159,7 +159,6 @@ class ScenarioConfig:
     x_start: float = 0.0
     t_span: tuple = (0.0, 10.0)
     law: str = "velocity"
-    integrator: IntegratorSettings = field(default_factory=IntegratorSettings)
     samples: int = 256
     domain: tuple | None = None
     grid_step: float = 1e-3
@@ -757,8 +756,7 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
     # x is monotone (xd never crosses 0), so once outside it stays outside
     stop = None if pair.source == "analytic" else (
         lambda y: not pair.covers(y[0]))
-    dense = integrate_ivp(_newton_series(s), y0, s.t_span, s.integrator,
-                          stop=stop)
+    dense = integrate_ivp(_newton_series(s), y0, s.t_span, stop=stop)
     t_end, edge = dense.t1, None
     if not pair.covers(dense.y_end[0]):
         lo, hi = pair.domain
@@ -822,10 +820,7 @@ def integrate_legacy_law(s: ScenarioConfig):
     vj = Jet(tuple(s.potential.derivs(xs, 2)))
     wj = 2.0 * (E - vj) / sp          # (w, w', w'') as a spatial jet
     j = flow_jet(wj.coeffs, xs, 3)    # (x, xd, xdd, xddd) under this law
-    try:
-        obs = observables(j, s.params, s.potential)
-    except SingularObservables as exc:
-        obs = exc.partial
+    obs = _observables(j, s.params, s.potential)[0]
     gap = float(np.max(np.abs(j.coeffs[1] - sp.coeffs[0] / mu), initial=0.0))
     out = _samples(ts, j, obs, sp.coeffs[0])
     result = TrajectoryResult(s, "legacy", out, _pair_notes(pair))

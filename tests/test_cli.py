@@ -11,8 +11,8 @@ import sys
 
 import pytest
 
+from qmotion import ode
 from qmotion.cli import ConfigError, load_config, run, scenario_from_config
-from qmotion.ode import IntegratorSettings
 from qmotion.trajectory import CSV_HEADER, ScenarioConfig
 
 
@@ -56,26 +56,22 @@ def test_missing_file_rejected(tmp_path):
 
 
 def test_omitted_run_keys_take_the_scenario_defaults():
-    """A document without run or integrator keys gives the scenario that
-    ScenarioConfig builds from the same potential, params and state."""
+    """A document without run keys gives the scenario that ScenarioConfig
+    builds from the same potential, params and state."""
     s = scenario_from_config({})
     lib = ScenarioConfig(s.potential, s.params, s.q)
-    for name in ("x_start", "t_span", "law", "samples", "domain",
-                 "grid_step", "integrator"):
+    for name in ("x_start", "t_span", "law", "samples", "domain", "grid_step"):
         assert getattr(s, name) == getattr(lib, name), name
     assert scenario_from_config({"run": {"t1": 3.0}}).t_span == (0.0, 3.0)
 
 
-def test_every_run_and_integrator_key_round_trips():
+def test_every_run_key_round_trips():
     s = scenario_from_config({
         "run": {"law": "newton", "x_start": 0.25, "t0": 1, "t1": 3.5,
-                "samples": 17, "domain": [-4.0, 5.0], "grid_step": 2e-3},
-        "integrator": {"rel_tol": 1e-9, "abs_tol": 1e-11, "max_step": 0.1,
-                       "max_steps": 5000}})
+                "samples": 17, "domain": [-4.0, 5.0], "grid_step": 2e-3}})
     assert (s.law, s.x_start, s.t_span, s.samples, s.domain, s.grid_step) \
         == ("newton", 0.25, (1.0, 3.5), 17, (-4.0, 5.0), 2e-3)
     assert type(s.t_span[0]) is float
-    assert s.integrator == IntegratorSettings(1e-9, 1e-11, 0.1, 5000)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +148,23 @@ def test_options_a_subcommand_does_not_read_exit_2(argv, capsys):
 
 
 def test_bad_integrator_settings_exit_2_for_every_law(tmp_path, capsys):
-    # the velocity law runs no integrator, yet its settings are still checked
-    doc = free_doc(str(tmp_path / "x.csv"))
-    doc["integrator"] = {"rel_tol": -1.0}
+    """The newton law's tolerances and step budget are module constants, so
+    an integrator section, even one that sets their values, is an unknown
+    section: every law and the sweep exit 2 before any work and write
+    nothing."""
+    out = tmp_path / "x.csv"
+    doc = free_doc(str(out))
+    doc["integrator"] = {"rel_tol": 1e-10, "abs_tol": 1e-12,
+                         "max_steps": 1000000}
+    doc["sweep"] = {"a": [1.0], "b": [0.0]}
     cfg = write_config(tmp_path, doc)
-    for law in ("velocity", "newton", "legacy"):
-        assert run(["trajectory", "--config", cfg, "--law", law]) == 2
-        assert "tolerances must be positive" in capsys.readouterr().err
+    for argv in (["trajectory", "--law", "velocity"],
+                 ["trajectory", "--law", "newton"],
+                 ["trajectory", "--law", "legacy"], ["sweep"]):
+        assert run(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: unknown config section 'integrator'\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["trajectory", "sweep"])
@@ -259,24 +265,24 @@ def test_non_string_output_path_exits_2(tmp_path, capsys):
                                        "string, got 5\n")
 
 
-def test_step_budget_exhaustion_exits_3(tmp_path, capsys):
+def test_step_budget_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
     # the step budget binds the integrated laws; the velocity law runs none
+    monkeypatch.setattr(ode, "MAX_STEPS", 3)
     doc = free_doc(str(tmp_path / "x.csv"), a=2.0)
     doc["run"]["law"] = "newton"
-    doc["integrator"] = {"max_steps": 3}
     cfg = write_config(tmp_path, doc)
     assert run(["trajectory", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_legacy_law_ignores_the_step_budget(tmp_path, capsys):
-    """The legacy law integrates no ODE, so ``integrator.max_steps`` does
-    not bind it: it writes every sample and exits 0, where the newton law
-    on the same config exits 3 and writes nothing."""
+def test_legacy_law_ignores_the_step_budget(tmp_path, capsys, monkeypatch):
+    """The legacy law integrates no ODE, so the integrator's step budget
+    does not bind it: it writes every sample and exits 0, where the newton
+    law on the same config exits 3 and writes nothing."""
+    monkeypatch.setattr(ode, "MAX_STEPS", 3)
     out = tmp_path / "h.csv"
     doc = {"potential": {"kind": "harmonic", "stiffness": 1.0},
            "run": {"law": "legacy", "domain": [-3.0, 3.0]},
-           "integrator": {"max_steps": 3},
            "output": {"path": str(out), "format": "both"}}
     cfg = write_config(tmp_path, doc)
     assert run(["trajectory", "--config", cfg, "--quiet"]) == 0
@@ -665,16 +671,23 @@ def test_sweep_without_a_worker_is_a_usage_error(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+# so stiff a harmonic well that the newton law's first series is not finite:
+# every cell fails at t = 0 with an IntegrationFailure
+STIFF_POTENTIAL = {"kind": "harmonic", "stiffness": 1e150}
+STIFF_RUN = {"law": "newton", "domain": [-1e-70, 1e-70], "grid_step": 1e-72}
+STIFF_FAILURE = "numerical failure: non-finite derivative at t = 0.0\n"
+
+
 @pytest.mark.parametrize("workers", ["2", "1"])
 def test_sweep_failing_cell_exits_3(tmp_path, capsys, workers):
     # the cell's IntegrationFailure must cross the process boundary intact
-    doc = dict(SWEEP_DOC, integrator={"max_steps": 3},
-               run=dict(SWEEP_DOC["run"], law="newton"),
+    doc = dict(SWEEP_DOC, potential=STIFF_POTENTIAL,
+               run=dict(SWEEP_DOC["run"], **STIFF_RUN),
                sweep={"a": [1.0, 2.0], "b": [0.0]})
     cfg = write_config(tmp_path, doc)
     assert run(["sweep", "--config", cfg, "--workers", workers,
                 "--quiet"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == STIFF_FAILURE
 
 
 HARMONIC_SWEEP_DOC = {
@@ -790,12 +803,12 @@ def test_sweep_keeps_signed_zero_energies_apart(tmp_path):
 
 @pytest.mark.parametrize("workers", ["2", "1"])
 def test_sweep_failing_harmonic_cell_exits_3(tmp_path, capsys, workers):
-    doc = dict(HARMONIC_SWEEP_DOC, integrator={"max_steps": 3},
-               run=dict(HARMONIC_SWEEP_DOC["run"], law="newton"))
+    doc = dict(HARMONIC_SWEEP_DOC, potential=STIFF_POTENTIAL,
+               run=dict(HARMONIC_SWEEP_DOC["run"], **STIFF_RUN))
     cfg = write_config(tmp_path, doc)
     assert run(["sweep", "--config", cfg, "--workers", workers,
                 "--quiet"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == STIFF_FAILURE
 
 
 @pytest.mark.parametrize("workers", ["2", "1"])

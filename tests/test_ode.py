@@ -11,12 +11,8 @@ import pickle
 import numpy as np
 import pytest
 
-from qmotion.ode import (
-    ORDER,
-    IntegrationFailure,
-    IntegratorSettings,
-    integrate_ivp,
-)
+from qmotion import ode
+from qmotion.ode import ORDER, IntegrationFailure, integrate_ivp
 
 
 def exp_series(t, y, order):
@@ -39,13 +35,6 @@ def quartic_series(t, y, order):
     """x' = 4t^3 from x: the series of t^4 ends at its fourth coefficient."""
     return [y[0], 4.0 * t ** 3, 6.0 * t ** 2, 4.0 * t, 1.0] + [0.0] * (
         order - 4), None
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        IntegratorSettings(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorSettings(max_steps=0)
 
 
 def test_exponential_decay():
@@ -88,11 +77,15 @@ def test_vector_evaluation_shape():
 
 
 def test_polynomial_solution_takes_one_step():
-    """Nothing but the span limits the quartic's step, and the step's
-    polynomial is the solution."""
+    """Nothing but the span limits the quartic's step, since its last two
+    coefficients are zero, and the step's polynomial is the solution."""
     sol = integrate_ivp(quartic_series, [0.0], (0.0, 3.0))
     assert sol.n_steps == 1 and sol.t1 == 3.0
     assert sol(2.0)[0] == 16.0 and sol.y_end[0] == 81.0
+    for t0, t1 in ((0.0, 1e6), (-2.0, -1.0), (1.5, 2.5)):
+        sol = integrate_ivp(quartic_series, [t0 ** 4], (t0, t1))
+        assert sol.n_steps == 1 and sol.t1 == t1
+        assert sol.y_end[0] == pytest.approx(t1 ** 4, rel=1e-15)
 
 
 def test_reversed_span_rejected():
@@ -118,12 +111,14 @@ def test_time_array_rows_equal_scalar_calls_bitwise():
         np.testing.assert_array_equal(sol(t), row)
 
 
-def test_tolerance_actually_tightens():
+def test_tolerance_actually_tightens(monkeypatch):
+    def run(rel_tol, abs_tol):
+        monkeypatch.setattr(ode, "REL_TOL", rel_tol)
+        monkeypatch.setattr(ode, "ABS_TOL", abs_tol)
+        return integrate_ivp(circle_series, [1.0, 0.0], (0.0, 20.0))
+
     exact = math.cos(20.0)
-    loose = integrate_ivp(circle_series, [1.0, 0.0], (0.0, 20.0),
-                          IntegratorSettings(rel_tol=1e-2, abs_tol=1e-2))
-    tight = integrate_ivp(circle_series, [1.0, 0.0], (0.0, 20.0),
-                          IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14))
+    loose, tight = run(1e-2, 1e-2), run(1e-12, 1e-14)
     err_loose = abs(loose.y_end[0] - exact)
     err_tight = abs(tight.y_end[0] - exact)
     assert err_tight < err_loose
@@ -131,18 +126,9 @@ def test_tolerance_actually_tightens():
     assert tight.n_steps > loose.n_steps
 
 
-def test_max_step_is_respected():
-    # the quartic would otherwise be crossed in one step
-    sol = integrate_ivp(quartic_series, [0.0], (0.0, 10.0),
-                        IntegratorSettings(max_step=0.25))
-    assert sol.n_steps == 40
-    assert np.all(np.diff(sol._ts) <= 0.25)
-
-
 def test_stop_ends_the_solution_at_the_first_step_it_holds():
-    settings = IntegratorSettings(max_step=0.25)
-    full = integrate_ivp(exp_series, [1.0], (0.0, 10.0), settings)
-    sol = integrate_ivp(exp_series, [1.0], (0.0, 10.0), settings,
+    full = integrate_ivp(exp_series, [1.0], (0.0, 10.0))
+    sol = integrate_ivp(exp_series, [1.0], (0.0, 10.0),
                         stop=lambda y: y[0] > 100.0)
     assert sol.t1 < 10.0 and sol.y_end[0] > 100.0
     assert sol(sol._ts[-2])[0] <= 100.0
@@ -169,10 +155,10 @@ def test_wall_ends_a_step_where_x_reaches_it():
     assert sol(2.0)[0] == pytest.approx(math.exp(2.0), rel=1e-14)
 
 
-def test_step_budget_exhaustion_raises():
+def test_step_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 5)
     with pytest.raises(IntegrationFailure) as info:
-        integrate_ivp(circle_series, [1.0, 0.0], (0.0, 50.0),
-                      IntegratorSettings(max_steps=5))
+        integrate_ivp(circle_series, [1.0, 0.0], (0.0, 50.0))
     err = info.value
     assert err.reason.startswith("step budget of 5 exhausted at t = ")
     assert 0.0 < float(err.reason.rsplit("t = ", 1)[1]) < 50.0
@@ -188,5 +174,4 @@ def test_nonfinite_rhs_fails_cleanly():
         return a, None
 
     with pytest.raises(IntegrationFailure, match="non-finite derivative at t = "):
-        integrate_ivp(series, [1.0], (0.0, 2.0),
-                      IntegratorSettings(max_step=0.2))
+        integrate_ivp(series, [1.0], (0.0, 2.0))

@@ -23,7 +23,6 @@ from qmotion.schrodinger import (
     PhysParams,
     PotentialModel,
     SchrodingerError,
-    eval_phi,
     solve_pair,
 )
 
@@ -280,10 +279,10 @@ def test_k_undefined_for_numerov():
         harmonic_pair().k
 
 
-def test_eval_phi_order_cap():
+def test_phi_jets_order_cap():
     pair = harmonic_pair()
     with pytest.raises(SchrodingerError):
-        eval_phi(pair, 0.5, 7)
+        pair.phi_jets(0.5, 7)
 
 
 def test_forbidden_region_growth_truncates_domain():
@@ -437,9 +436,9 @@ def test_batched_eval01_equals_scalar_bitwise(which, fractions):
     scalar = np.array([pair.eval01(float(v)) for v in x])
     np.testing.assert_array_equal(_bits(batched), _bits(scalar))
     for m in (0, 3):
-        b1, b2 = eval_phi(pair, x, m)
+        b1, b2 = (np.array(j.coeffs) for j in pair.phi_jets(x, m))
         for k, v in enumerate(x):
-            s1, s2 = eval_phi(pair, float(v), m)
+            s1, s2 = (np.array(j.coeffs) for j in pair.phi_jets(float(v), m))
             np.testing.assert_array_equal(_bits(b1[:, k]), _bits(s1))
             np.testing.assert_array_equal(_bits(b2[:, k]), _bits(s2))
 

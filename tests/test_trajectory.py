@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmotion.jets import Jet
 from qmotion import trajectory
-from qmotion.ode import IntegratorSettings
+from qmotion import ode
 from qmotion.reduced_action import QuantumStateParams, s0p
 from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 from qmotion.trajectory import (
@@ -313,13 +313,13 @@ def test_velocity_bohm_gap_detects_a_displaced_sample():
     assert summarize(res)["max_bohm_gap_rel"] > 1e-6
 
 
-def test_newton_law_stops_at_the_domain_edge():
+def test_newton_law_stops_at_the_domain_edge(monkeypatch):
     """Downhill, x leaves the solved domain near t = 2.2.  The law never
     reads the pair, so without a stop the run would go on to t1 = 50."""
+    monkeypatch.setattr(ode, "MAX_STEPS", 5000)
     s = ScenarioConfig(PotentialModel.linear(-0.5), UNIT,
                        QuantumStateParams(a=1.0), law="newton",
-                       t_span=(0.0, 50.0), samples=256, domain=(-2.0, 3.0),
-                       integrator=IntegratorSettings(max_steps=5000))
+                       t_span=(0.0, 50.0), samples=256, domain=(-2.0, 3.0))
     with pytest.raises(DomainEdgeError, match="outside solved domain") as info:
         integrate_newton_law(s)
     xs = [p.x for p in info.value.partial.samples]
@@ -459,15 +459,16 @@ def test_newton_law_nonfinite_derivative_fails_instead_of_hanging():
     # size passes every underflow test.  A child process runs it, so a
     # stepper that spins fails this test instead of hanging the suite.
     code = textwrap.dedent("""
-        from qmotion.ode import IntegrationFailure, IntegratorSettings
+        from qmotion import ode
+        from qmotion.ode import IntegrationFailure
         from qmotion.reduced_action import QuantumStateParams
         from qmotion.schrodinger import PhysParams, PotentialModel
         from qmotion.trajectory import ScenarioConfig, integrate_newton_law
+        ode.MAX_STEPS = 2000
         s = ScenarioConfig(PotentialModel.harmonic(1.0),
                            PhysParams(hbar=1.0, mu=1.0, energy=0.5),
                            QuantumStateParams(a=1.4, b=0.3), law="newton",
-                           domain=(-3.0, 3.0),
-                           integrator=IntegratorSettings(max_steps=2000))
+                           domain=(-3.0, 3.0))
         try:
             integrate_newton_law(s, init=(0.0, 1e80, 0.0, 0.0))
         except IntegrationFailure as exc:
