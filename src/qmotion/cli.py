@@ -375,8 +375,8 @@ def _sweep_group(task):
     legacy laws run them one at a time.  Each cell's config is validated in
     grid order, and the error raised is the one that running the cells one
     at a time would raise first.  Returns the ``(idx, row)`` pairs and the
-    pair's truncation note (None when the march covered the requested
-    domain).
+    pair's truncation note (None unless the cells' march met the overflow
+    cap).
     """
     from . import trajectory as traj
 
@@ -438,8 +438,9 @@ def _cmd_sweep(args) -> int:
     a single array pass.  Under ``--workers N`` each group is split into at
     most N interleaved slices, one pool task and one batch each, so that a
     single energy still keeps the pool busy; the rows do not depend on how
-    the cells are batched.  A truncated pair is reported on stderr once per
-    energy, in the order the energies first appear.  When several cells
+    the cells are batched.  A pair whose march met the overflow cap is
+    reported on stderr once per energy, in the order the energies first
+    appear, whichever of the energy's tasks met it.  When several cells
     fail, the error raised first in this energy-major order is the one
     reported.  An empty axis, or an ``--out`` that cannot be written, is a
     configuration error found before any cell runs.
@@ -481,17 +482,16 @@ def _cmd_sweep(args) -> int:
     rows = [None] * idx
     notes = {}
     for (_, energy, _), (group_rows, note) in zip(tasks, done):
-        notes.setdefault(repr(energy), note)
+        notes[repr(energy)] = notes.get(repr(energy)) or note
         for i, row in group_rows:
             rows[i] = row
     for note in notes.values():
         if note:
             print(note, file=sys.stderr)
+    # energy_conserved, the last column and the one bool, prints as 0 or 1
+    fmt = ",".join(["%.17g"] * (2 + len(_SWEEP_KEYS)) + ["%d"])
     lines = [",".join(("a", "b", "energy") + _SWEEP_KEYS)]
-    for row in rows:
-        # energy_conserved, the one bool, prints as 0 or 1
-        lines.append(",".join("%.17g" % v if isinstance(v, float)
-                              else str(int(v)) for v in row))
+    lines += [fmt % row for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -52,7 +52,6 @@ __all__ = [
     "kinetic_term",
     "series_momenta",
     "momenta_state",
-    "ds0dx_state",
     "master_residual",
     "level_residuals",
     "term_exponents",
@@ -360,23 +359,6 @@ def xi_series_core(c: KineticCoefficients, state, mu, hbar):
     bracket, dT/dxddd = sum hbar^n beta_nk / mu^(n-1) x^k xdd^(n+k-2) /
     xd^(3n+2k-3); ``state`` needs only (x, xd, xdd)."""
     return _evaluate(c.derived(_momentum_tables)[2:], state, mu, hbar)[0]
-
-
-# ---------------------------------------------------------------------------
-# action-gradient series dS0/dx and its derivatives
-
-def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
-    """(S0', S0'', S0''') as phase-space functions of the state (x .. x5),
-    whose entries may be (N,) arrays, one column each of a batch of states.
-
-    S0' is P + Pi xdd/xd + Xi xddd/xd; the second and third derivatives
-    are the exact spatial derivatives d/dx = (d/dt)/xd of its table.
-    Canonically these collapse to mu*xd, mu*xdd/xd and
-    mu*(xddd*xd - xdd^2)/xd^3.
-    """
-    if _vanishes(state[1]):
-        raise SingularityError("xd = 0 in action-gradient series")
-    return _evaluate(c.derived(_s0_tables), state, mu, hbar)
 
 
 # ---------------------------------------------------------------------------

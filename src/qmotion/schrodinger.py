@@ -19,6 +19,15 @@ steps and a float loop from block to block; the marched values then turn
 the unit coefficients into those of both solutions, which the pair keeps.
 Nothing is differenced.
 
+The march is on demand: ``solve_pair`` only sets up the grid, and each
+side is marched out from the anchor a chunk of ``_MARCH_BLOCK`` blocks at a
+time, when a reader asks for a node further out (``_Nodes``).  The blocks
+are cut from the anchor as in a march over the whole side, and the float
+loop carries on from chunk to chunk, so every node gets the same bits
+whatever order the nodes are asked for in.  A run therefore marches only
+the nodes its path reaches; reading ``domain`` or ``truncated`` marches
+the rest.
+
 Evaluation is array-first: ``SolutionPair.eval01``, ``phi_jets`` and
 ``PotentialModel.derivs`` accept one point or an array of points.  eval01
 is the Horner sum from the nearest node, so a node gives back its stored
@@ -53,12 +62,15 @@ _MAX_PHI_ORDER = 6
 # node Taylor coefficients phi^(m)/m! for m = 0..5, so phi' is a quartic; a
 # higher degree does not bring eval01 closer on the h = 1e-3 grids
 _TAYLOR_DEGREE = 5
-# nodes per block of the cell-integral table build
-_TABLE_BLOCK = 2048
 # steps per block of the march's prefix product: a product over many more
 # steps mixes the growing solution into the decaying one and loses the
 # Wronskian
 _MARCH_BLOCK = 64
+# steps per chunk of the on-demand march, whole blocks; also the nodes per
+# block of the cell-integral table, so its temporaries stay small
+_CHUNK = _MARCH_BLOCK * _MARCH_BLOCK
+_FACTORIALS = np.array([math.factorial(m) for m in range(_TAYLOR_DEGREE + 1)],
+                       dtype=float)
 # how far past a grid pair's covered domain eval01 still evaluates
 _EDGE_TOL = 1e-9
 
@@ -213,35 +225,64 @@ class SolutionPair:
 
     ``domain`` is the interval actually covered (it may be narrower than
     ``requested`` when the solution magnitude hit the overflow cap, in which
-    case ``truncated`` is set).  ``wronskian_ref`` is the pair's constant
-    Wronskian: k for the analytic free pair, 1 for Taylor-marched pairs.
+    case ``truncated`` is set); on a grid pair reading either marches every
+    node.  ``wronskian_ref`` is the pair's constant Wronskian: k for the
+    analytic free pair, 1 for Taylor-marched pairs.  A grid pair's nodes
+    are indexed from the first node of the requested domain.
     """
 
     potential: PotentialModel
     params: PhysParams
     anchor: float
-    domain: tuple[float, float]
+    requested: tuple[float, float]
     wronskian_ref: float
     source: str  # "analytic" | "taylor"
-    truncated: bool = False
-    requested: tuple[float, float] | None = None
-    _grid: dict = field(default_factory=dict, repr=False)
+    _nodes: _Nodes | None = field(default=None, repr=False)
+    _k: float | None = field(default=None, repr=False)
 
     # wave number, defined for the free analytic pair
     @property
     def k(self) -> float:
         if self.source != "analytic":
             raise SchrodingerError("wave number is defined for the free pair only")
-        return self._grid["k"]
+        return self._k
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        if self._nodes is None:
+            return self.requested
+        g = self._nodes
+        g.complete()
+        return float(g.xs[g.lo]), float(g.xs[g.hi])
+
+    @property
+    def truncated(self) -> bool:
+        if self._nodes is None:
+            return False
+        self._nodes.complete()
+        return self._nodes.capped
 
     def truncation_note(self) -> str | None:
         """The line reporting a march stopped at the overflow cap, naming
-        the requested and the covered domain; None for an untruncated pair."""
-        if not self.truncated:
+        the requested and the covered domain; None while the march has not
+        met the cap.  Only a note marches the rest of the pair, to name the
+        covered domain."""
+        if self._nodes is None or not self._nodes.capped:
             return None
         (r0, r1), (c0, c1) = self.requested, self.domain
         return (f"Taylor-marched pair truncated at the overflow cap: requested"
                 f" domain [{r0:.6g}, {r1:.6g}], covered [{c0:.6g}, {c1:.6g}]")
+
+    def march(self, step: int) -> bool:
+        """March a grid pair one chunk further in the direction step (1
+        right, -1 left); False, marching nothing, once that side is
+        complete, and always on the free pair."""
+        return self._nodes is not None and self._nodes.march(step)
+
+    def outermost(self, step: int) -> int:
+        """Index of the outermost node of a grid pair marched so far in the
+        direction step."""
+        return self._nodes.hi if step > 0 else self._nodes.lo
 
     def eval01(self, x):
         """(phi1, phi1', phi2, phi2') at x, a float or an array of points.
@@ -253,23 +294,23 @@ class SolutionPair:
         """
         x = np.asarray(x, dtype=float)
         if self.source == "analytic":
-            k = self._grid["k"]
+            k = self._k
             s, c = np.sin(k * x), np.cos(k * x)
             return s, k * c, c, -k * s
         outside = ~self.covers(np.atleast_1d(x))
         if outside.any():
             raise DomainError(f"x = {np.atleast_1d(x)[outside][0]} outside "
                               f"solved domain {list(self.domain)}")
-        i, s = self.nearest_node(x)
-        return _horner(self._grid["taylor"][:, :, i], s)
+        i, s = self._nodes.nearest(x)  # covers marched out to x
+        return _horner(self._nodes.taylor[:, :, i], s)
 
     def covers(self, x):
         """Whether eval01 accepts x, elementwise for an array: every x on
         the analytic pair, x within _EDGE_TOL of the covered domain on a
-        grid pair."""
+        grid pair, which is marched out to x first."""
         if self.source == "analytic":
             return np.full(np.shape(x), True)
-        lo, hi = self.domain
+        lo, hi = self._nodes.reach(x)
         return (lo - _EDGE_TOL <= x) & (x <= hi + _EDGE_TOL)
 
     def nearest_node(self, x):
@@ -280,68 +321,43 @@ class SolutionPair:
             h = math.pi / self.k
             i = np.rint(np.asarray(x) / h).astype(np.intp)
             return i, x - i * h
-        xs, h = self._grid["xs"], self._grid["h"]
-        i = np.rint((x - xs[0]) / h).astype(np.intp)
-        i = np.minimum(np.maximum(i, 0), len(xs) - 1)
-        return i, x - xs[i]
+        self._nodes.reach(x)
+        return self._nodes.nearest(x)
 
     def cells(self, i):
         """(x_i, lo, hi): the positions of the nodes i and the offsets from
-        them that bound their cells [x_i - h/2, x_i + h/2].  A grid pair's two end cells
-        stop at the covered domain's edges; the free pair's cells are its
-        periods pi/k."""
+        them that bound their cells [x_i - h/2, x_i + h/2].  A grid pair's
+        two end cells stop at the covered domain's edges, once the march
+        has reached them; the free pair's cells are its periods pi/k."""
         i = np.asarray(i)
         if self.source == "analytic":
             h = math.pi / self.k
             half = np.full(i.shape, 0.5 * h)
             return i * h, -half, half
-        xs, half = self._grid["xs"], 0.5 * self._grid["h"]
-        return (xs[i], np.where(i == 0, 0.0, -half),
-                np.where(i == len(xs) - 1, 0.0, half))
+        g = self._nodes
+        i = g.at(i)
+        first, last = g.ends()
+        half = 0.5 * g.h
+        return (g.xs[i], np.where(i == first, 0.0, -half),
+                np.where(i == last, 0.0, half))
 
     def cell_integrals(self, i):
         """Integrals of (phi1^2, phi1*phi2, phi2^2) over the cells of nodes
         i (see ``cells``), shape (3,) + shape(i).  On a grid pair i may be
-        a slice of the nodes; the result is then a view of the table.
+        a slice of the nodes, cut to the covered ones; the result is then a
+        view of the table.
 
-        A grid pair sums its node polynomials' squares over every cell
-        once, on first use, and keeps the table, so every run on the pair
-        reads the same values.  The free pair's cells are all alike:
+        A grid pair sums its node polynomials' squares over every marched
+        cell once, on first use, and keeps the table, so every run on the
+        pair reads the same values.  The free pair's cells are all alike:
         (h/2, 0, h/2) with h = pi/k.
         """
         if self.source == "analytic":
             h = math.pi / self.k
             return np.multiply.outer((0.5 * h, 0.0, 0.5 * h),
                                      np.ones(np.shape(i)))
-        table = self._grid.get("cells")
-        if table is None:
-            table = self._grid["cells"] = self._cell_table()
-        return table[:, i]
-
-    def _cell_table(self) -> np.ndarray:
-        """cell_integrals of every grid node.  Over a cell [-h/2, h/2] the
-        integral of p*q for two node polynomials is the quadratic form
-        sum_jk p_j M_jk q_k with the moments M_jk = integral of s^(j+k) ds,
-        zero for odd j + k; it runs over blocks of nodes, so temporaries
-        stay small.  The two end cells are summed apart."""
-        taylor, half = self._grid["taylor"], 0.5 * self._grid["h"]
-        m = np.arange(_TAYLOR_DEGREE + 1)
-        power = m[:, None] + m
-        moments = np.where(power % 2, 0.0,
-                           2.0 * half ** (power + 1) / (power + 1))
-        n = taylor.shape[2]
-        table = np.empty((3, n))
-        for lo in range(0, n, _TABLE_BLOCK):
-            block = slice(lo, lo + _TABLE_BLOCK)
-            p = taylor[:, :, block]
-            mp = np.tensordot(moments, p, 1)
-            for row, (u, v) in zip(table, ((0, 0), (0, 1), (1, 1))):
-                row[block] = np.einsum("jb,jb->b", p[:, u], mp[:, v])
-        ends = np.array([0, n - 1])
-        _, lo, hi = self.cells(ends)
-        prim = self.square_primitives(ends)
-        table[:, ends] = prim(hi) - prim(lo)
-        return table
+        i = self._nodes.at(i)
+        return self._nodes.cell_table()[:, i]
 
     def square_primitives(self, i):
         """F with F(s) = integral from 0 to s of (phi1^2, phi1*phi2,
@@ -360,17 +376,7 @@ class SolutionPair:
                                  0.5 * s + wave))
 
             return free
-        coeffs = self._grid["taylor"][:, :, i]
-        prim = [np.array(_square_terms(coeffs, m)) / (m + 1)
-                for m in range(2 * _TAYLOR_DEGREE + 1)]
-
-        def grid(s):
-            acc = prim[-1]
-            for c in prim[-2::-1]:
-                acc = acc * s + c
-            return acc * s
-
-        return grid
+        return _square_primitives(self._nodes.taylor[:, :, self._nodes.at(i)])
 
     def phi2_zeros(self, x: float) -> int:
         """Signed number of zeros of phi2 between the anchor and x (negative
@@ -383,8 +389,11 @@ class SolutionPair:
             if self.source == "analytic":
                 zeros, ref = int(j), (-1.0) ** j
             else:
-                y2 = self._grid["taylor"][0, 1, : j + 1]
-                zeros, ref = int(np.count_nonzero(np.diff(y2 < 0))), y2[-1]
+                g = self._nodes
+                y2 = g.taylor[0, 1, min(j, g.base) : max(j, g.base) + 1]
+                zeros = int(np.count_nonzero(np.diff(y2 < 0)))
+                zeros = zeros if j >= g.base else -zeros
+                ref = g.taylor[0, 1, j]
             if (self.eval01(u)[2] < 0) != (ref < 0):
                 zeros += 1 if past > 0 else -1
             return zeros
@@ -420,8 +429,166 @@ class SolutionPair:
             # phi''/m! has the coefficients m (m - 1) c_m, m >= 2
             m = np.arange(2, _TAYLOR_DEGREE + 1)
             dd1, _, dd2, _ = _horner(
-                (self._grid["taylor"][2:, :, i].T * (m * (m - 1))).T, s)
+                (self._nodes.taylor[2:, :, i].T * (m * (m - 1))).T, s)
         return Jet((p1, d1, dd1)), Jet((p2, d2, dd2))
+
+
+class _Nodes:
+    """A grid pair's nodes, marched out from the anchor on demand.
+
+    Node j sits at anchor + h*(j - base) for j = 0..n-1, the grid over the
+    requested domain, with base the anchor's index; the arrays hold every
+    node, but only the nodes lo..hi have been marched.  ``march`` takes a
+    side one chunk of _CHUNK steps further: the chunk's unit table, read
+    again at its first node, its step maps and block scan (``_march``), and
+    the float loop carried on from the side's last block.  A side is
+    complete at the requested edge or at the first node past the overflow
+    cap (then ``capped`` is set).  The cell integrals are tabled for the
+    marched nodes when they are read (``cell_table``).
+    """
+
+    def __init__(self, potential, params, anchor: float, h: float,
+                 n_left: int, n_right: int):
+        self.potential, self.params, self.anchor, self.h = (
+            potential, params, anchor, h)
+        n = n_left + n_right + 1
+        self.base = self.lo = self.hi = n_left
+        self.x_ref = anchor + h * -n_left  # node 0
+        self.xs = np.empty(n)
+        self.taylor = np.empty((_TAYLOR_DEGREE + 1, 2, n))
+        self.table, self.tabled = None, (n_left + 1, n_left)  # none yet
+        self.ends_tabled = set()
+        # each side's steps, and the (phi1, phi1', phi2, phi2') of its
+        # outermost node, None once the side is complete
+        self.steps = {-1: n_left, 1: n_right}
+        self.carry = {step: (0.0, 1.0, 1.0, 0.0) if self.steps[step] else None
+                      for step in (-1, 1)}
+        self.capped = False
+        # the anchor: its unit table, turned by the anchor data
+        xs = anchor + h * np.arange(1)
+        unit = _unit_table(potential, params, xs)
+        unit[:2, :, 0] = (0.0, 1.0), (1.0, 0.0)
+        self.xs[n_left] = xs[0]
+        self._store(slice(n_left, n_left + 1), unit)
+
+    def _store(self, cols: slice, unit: np.ndarray) -> None:
+        """Keep the nodes ``cols``, given by a unit table whose rows 0 and 1
+        hold the solutions' (phi, phi'): its unit coefficients become those
+        of (phi1, phi2)."""
+        for row in unit[2:]:
+            row[:] = row[:1] * unit[0] + row[1:] * unit[1]
+        self.taylor[:, :, cols] = unit
+        self.x_lo, self.x_hi = float(self.xs[self.lo]), float(self.xs[self.hi])
+
+    def march(self, step: int) -> bool:
+        """March side ``step`` one chunk further; False once it is
+        complete."""
+        start = self.carry[step]
+        if start is None:
+            return False
+        done = self.hi - self.base if step > 0 else self.base - self.lo
+        k = step * np.arange(done, min(done + _CHUNK, self.steps[step]) + 1)
+        xs = self.anchor + self.h * k
+        unit = _unit_table(self.potential, self.params, xs)
+        n, end = _march(unit, step * self.h, start)
+        short = done + n < self.steps[step]
+        self.carry[step] = end if short else None
+        self.capped |= end is None and short
+        if step > 0:
+            cols, new = slice(self.hi + 1, self.hi + n + 1), slice(1, n + 1)
+            self.hi += n
+        else:
+            cols, new = slice(self.lo - n, self.lo), slice(n, 0, -1)
+            self.lo -= n
+        self.xs[cols] = xs[new]
+        self._store(cols, unit[:, :, new])
+        return True
+
+    def reach(self, x) -> tuple[float, float]:
+        """March each side out past the points x (NaN aside), or to its
+        end; returns the positions of the outermost marched nodes."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            near = far = float(x)
+        elif x.size:
+            near = np.fmin.reduce(x, axis=None)
+            far = np.fmax.reduce(x, axis=None)
+        else:
+            return self.x_lo, self.x_hi
+        while self.x_hi < far and self.march(1):
+            pass
+        while self.x_lo > near and self.march(-1):
+            pass
+        return self.x_lo, self.x_hi
+
+    def nearest(self, x):
+        """``SolutionPair.nearest_node`` among the marched nodes."""
+        i = np.rint((x - self.x_ref) / self.h).astype(np.intp)
+        i = np.minimum(np.maximum(i, self.lo), self.hi)
+        return i, x - self.xs[i]
+
+    def at(self, i):
+        """The node indices i, an array or a slice of step 1, once both
+        sides are marched out to them; a slice is cut to the covered
+        nodes, and an array past them raises IndexError."""
+        if isinstance(i, slice):
+            first, stop, _ = i.indices(self.xs.size)
+            last = stop - 1
+        else:
+            i = np.asarray(i)
+            first, last = (int(i.min()), int(i.max())) if i.size else (0, -1)
+        while self.hi < last and self.march(1):
+            pass
+        while self.lo > first and first <= last and self.march(-1):
+            pass
+        if isinstance(i, slice):
+            return slice(max(first, self.lo), min(stop, self.hi + 1))
+        if i.size and (first < self.lo or last > self.hi):
+            raise IndexError(f"nodes {first}..{last} outside the covered"
+                             f" nodes {self.lo}..{self.hi}")
+        return i
+
+    def complete(self) -> None:
+        """March both sides to their ends."""
+        for step in (-1, 1):
+            while self.march(step):
+                pass
+
+    def ends(self) -> tuple[int, int]:
+        """Indices of the covered domain's first and last nodes, -1 for a
+        side the march has not completed."""
+        return (self.lo if self.carry[-1] is None else -1,
+                self.hi if self.carry[1] is None else -1)
+
+    def cell_table(self) -> np.ndarray:
+        """The table of cell integrals, brought up to the marched nodes.
+        Over a cell [-h/2, h/2] the integral of p*q for two node
+        polynomials is the quadratic form sum_jk p_j M_jk q_k with the
+        moments M_jk = integral of s^(j+k) ds, zero for odd j + k; it runs
+        over blocks of nodes, so temporaries stay small.  A complete side's
+        end cell stops at the node, and is summed apart."""
+        half = 0.5 * self.h
+        a, b = self.tabled
+        if self.table is None:
+            self.table = np.empty((3, self.xs.size))
+        m = np.arange(_TAYLOR_DEGREE + 1)
+        power = m[:, None] + m
+        moments = np.where(power % 2, 0.0,
+                           2.0 * half ** (power + 1) / (power + 1))
+        for lo, hi in ((self.lo, a), (b + 1, self.hi + 1)):
+            for start in range(lo, hi, _CHUNK):
+                block = slice(start, min(start + _CHUNK, hi))
+                p = self.taylor[:, :, block]
+                mp = np.tensordot(moments, p, 1)
+                for row, (u, v) in zip(self.table, ((0, 0), (0, 1), (1, 1))):
+                    row[block] = np.einsum("jb,jb->b", p[:, u], mp[:, v])
+        self.tabled = self.lo, self.hi
+        for end, (s_lo, s_hi) in zip(self.ends(), ((0.0, half), (-half, 0.0))):
+            if end >= 0 and end not in self.ends_tabled:
+                prim = _square_primitives(self.taylor[:, :, end])
+                self.table[:, end] = prim(s_hi) - prim(s_lo)
+                self.ends_tabled.add(end)
+        return self.table
 
 
 def solve_pair(potential: PotentialModel, params: PhysParams,
@@ -431,8 +598,8 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
 
     The free potential returns the closed-form pair.  Everything else is
     marched with the nodes' own Taylor polynomials over a grid of step
-    ``grid_step``, in both directions from the anchor (see the module
-    docstring).
+    ``grid_step``, in both directions from the anchor, as far as its
+    readers ask (see the module docstring).
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
@@ -448,7 +615,7 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
             raise SchrodingerError("free-particle pair needs positive energy")
         k = math.sqrt(2.0 * params.mu * params.energy) / params.hbar
         return SolutionPair(potential, params, anchor, (lo, hi), k, "analytic",
-                            requested=(lo, hi), _grid={"k": k})
+                            _k=k)
 
     if not grid_step > 0:
         raise SchrodingerError("grid_step must be positive")
@@ -458,44 +625,38 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
     n_right = int(math.ceil((hi - anchor) / h - 1e-9))
     if n_left + n_right < 8:
         raise DomainError("domain too narrow for the requested grid step")
-
-    # unit table: every node's phi^(m)/m! for the node data (phi, phi') =
-    # (1, 0) in column 0 and (0, 1) in column 1
-    xs = anchor + h * np.arange(-n_left, n_right + 1)
-    taylor = np.zeros((_TAYLOR_DEGREE + 1, 2, len(xs)))
-    taylor[0, 0] = taylor[1, 1] = 1.0
-    _wave_derivatives(potential, params, xs, taylor)
-    taylor /= np.array([math.factorial(m) for m in range(len(taylor))])[:, None, None]
-    nr = _march(taylor[:, :, n_left:], h)
-    nl = _march(taylor[:, :, n_left::-1], -h)
-    # the anchor data, once both marches have read the anchor's unit rows
-    taylor[:2, :, n_left] = (0.0, 1.0), (1.0, 0.0)
-    truncated = nl < n_left or nr < n_right
-
-    cover = slice(n_left - nl, n_left + nr + 1)
-    # a truncated pair keeps only its covered nodes, not the whole buffer
-    xs, taylor = xs[cover].copy(), np.ascontiguousarray(taylor[:, :, cover])
-    for row in taylor[2:]:  # unit coefficients -> those of (phi1, phi2)
-        row[:] = row[:1] * taylor[0] + row[1:] * taylor[1]
-    return SolutionPair(potential, params, anchor, (float(xs[0]), float(xs[-1])),
-                        1.0, "taylor", truncated=truncated, requested=(lo, hi),
-                        _grid={"xs": xs, "h": h, "taylor": taylor})
+    # a table must span the grid's two end nodes, checked before any march
+    potential.value(anchor + h * np.array([-n_left, n_right]))
+    return SolutionPair(potential, params, anchor, (lo, hi), 1.0, "taylor",
+                        _Nodes(potential, params, anchor, h, n_left, n_right))
 
 
-def _march(table: np.ndarray, s: float) -> int:
-    """March both solutions from the anchor data (0, 1) and (1, 0) over a
-    unit table's nodes, a step s apart from the anchor first; each step
-    solves for the (phi, phi') whose polynomials meet the last node's at
-    the midpoint.  Writes them to rows 0 and 1 past the anchor and returns
+def _unit_table(potential: PotentialModel, params: PhysParams,
+                xs: np.ndarray) -> np.ndarray:
+    """Every node's phi^(m)/m! for the node data (phi, phi') = (1, 0) in
+    column 0 and (0, 1) in column 1, shape (degree + 1, 2, len(xs))."""
+    table = np.zeros((_TAYLOR_DEGREE + 1, 2, len(xs)))
+    table[0, 0] = table[1, 1] = 1.0
+    _wave_derivatives(potential, params, xs, table)
+    table /= _FACTORIALS[:, None, None]
+    return table
+
+
+def _march(table: np.ndarray, s: float, start):
+    """March both solutions over a unit table's nodes, a step s apart, from
+    ``start``, their (phi1, phi1', phi2, phi2') at the first node; each step
+    solves for the (phi, phi') whose polynomials meet the last node's at the
+    midpoint.  Writes them to rows 0 and 1 past the first node and returns
     the step count, up to and including the first node with a phi past
-    OVERFLOW_CAP.
+    OVERFLOW_CAP, and the state at the last node, None when the march
+    stopped short of it at the cap.
 
     The nodes' values are the prefix products of the 2x2 step maps applied
-    to the anchor data.  The maps are cut into blocks of _MARCH_BLOCK steps
-    (the last one padded with identities); a doubling scan forms every
-    block's prefix products at once, then a float loop carries both
-    solutions from block to block, stopping after the first block whose end
-    passes the cap, and one product writes the covered blocks' nodes.
+    to the start.  The maps are cut into blocks of _MARCH_BLOCK steps (the
+    last one padded with identities); a doubling scan forms every block's
+    prefix products at once, then a float loop carries both solutions from
+    block to block, stopping after the first block whose end passes the
+    cap, and one product writes the covered blocks' nodes.
     """
     m = table.shape[2] - 1
     blocks = -(-m // _MARCH_BLOCK)
@@ -525,13 +686,14 @@ def _march(table: np.ndarray, s: float) -> int:
             maps, spare, d = spare, maps, 2 * d
         # the state at each block's first node, columns (phi, phi') of both
         # solutions, up to the first block that ends past the cap
-        y1, d1, y2, d2 = 0.0, 1.0, 1.0, 0.0
-        starts = []
+        y1, d1, y2, d2 = start
+        starts, capped = [], False
         for a, b, c, e in zip(*maps[:, :, :, -1].reshape(4, blocks).tolist()):
             starts.append((y1, y2, d1, d2))
             y1, d1 = a * y1 + b * d1, c * y1 + e * d1
             y2, d2 = a * y2 + b * d2, c * y2 + e * d2
             if not (abs(y1) <= OVERFLOW_CAP and abs(y2) <= OVERFLOW_CAP):
+                capped = True
                 break
         k = len(starts)
         starts = np.array(starts).T.reshape(2, 2, k)
@@ -540,7 +702,24 @@ def _march(table: np.ndarray, s: float) -> int:
     n = min(k * _MARCH_BLOCK, m)
     table[:2, :, 1 : n + 1] = spare.reshape(2, 2, -1)[:, :, :n]
     past = (abs(table[0, :, 1 : n + 1]) > OVERFLOW_CAP).any(axis=0)
-    return int(past.argmax()) + 1 if past.any() else n
+    if past.any():
+        return int(past.argmax()) + 1, None
+    return n, None if capped else (y1, d1, y2, d2)
+
+
+def _square_primitives(coeffs):
+    """``SolutionPair.square_primitives`` of the node polynomials whose
+    Taylor coefficients are ``coeffs``, shape (degree + 1, 2, ...)."""
+    prim = [np.array(_square_terms(coeffs, m)) / (m + 1)
+            for m in range(2 * _TAYLOR_DEGREE + 1)]
+
+    def grid(s):
+        acc = prim[-1]
+        for c in prim[-2::-1]:
+            acc = acc * s + c
+        return acc * s
+
+    return grid
 
 
 def _horner(coeffs, s: float):

@@ -10,10 +10,13 @@ along a run.
 
 Both first-order laws separate, t - t0 = integral of dx/(dx/dt): summed
 over the pair's cells it gives t at every cell exit, and each sample is a
-Newton solve of t(x) = t_k in its cell, so no ODE is solved for them.  On
-a grid pair the last exit is the covered domain's edge, so the time at
-which a run leaves the solved domain is known before sampling.  The
-fourth-order law is stepped by its own Taylor series (``ode``).
+Newton solve of t(x) = t_k in its cell, so no ODE is solved for them.  A
+grid pair is marched on demand (``schrodinger``), so the velocity law
+sums each state's cells, marching the pair on, only until the state
+passes t1; a state that runs out of cells first has reached the covered
+domain's edge, at a time known before sampling.  The fourth-order law is
+stepped by its own Taylor series (``ode``), and its steps march the pair
+out as they go.
 
 Sampling the velocity law is one array pass per batch of states (a, b)
 on one pair: the positions at every sample time of every state are found
@@ -56,9 +59,6 @@ __all__ = [
     "TrajectoryResult",
     "TrajectorySample",
     "VelocityFloorError",
-    "classical_limit_factor",
-    "free_time_of_x",
-    "free_x_of_time",
     "integrate_legacy_law",
     "integrate_newton_law",
     "integrate_velocity_law",
@@ -192,8 +192,8 @@ class ScenarioConfig:
                 dom = (self.x_start - 10.0, self.x_start + 10.0)
             self.pair = solve_pair(self.potential, self.params, dom,
                                    grid_step=self.grid_step)
-        lo, hi = self.pair.domain
-        if self.pair.source != "analytic" and not lo <= self.x_start <= hi:
+        if not self.pair.covers(self.x_start):
+            lo, hi = self.pair.domain
             raise ValueError(
                 f"x_start = {self.x_start} outside pair domain [{lo}, {hi}]")
         return self.pair
@@ -332,27 +332,33 @@ class _Clock:
     the legacy law's one QuantumStateParams), summed over the pair's cells
     (``SolutionPair.cells``) from x_start in the direction of motion
     ``step``: ``t_exit`` holds one row per state of the time at each cell
-    exit, and inside a cell the time runs from its entry.  A grid pair's
-    cells end at the covered domain's edge, which each state reaches at its
-    entry of ``t_edge``; the free pair's periods run on as far as
-    ``t_span`` needs, so there the rows differ in length.  Three hooks carry
-    the law, here the velocity law mu dx/dt = S0': ``_dx`` (dx/dt times a
-    time lag), ``_entry_time`` (time from a cell's entry, from the squares'
-    primitives) and ``_cell_times`` (each state's times across its run's
-    cells, one row at a time, from the pair's cell integrals, a table kept
-    on a grid pair).
+    exit, and inside a cell the time runs from its entry.  On a grid pair a
+    row runs until the state passes t1, marching the pair on as far as
+    that takes, and grows when t(x) is asked beyond it; a row that holds
+    the covered domain's last cell reaches that edge at its entry of
+    ``t_edge`` (inf for the other rows), and the edge's position is
+    ``edge``.  The free pair's periods run on as far as ``t_span`` needs,
+    so there the rows differ in length.  Three hooks carry the law, here
+    the velocity law mu dx/dt = S0': ``_dx`` (dx/dt times a time lag),
+    ``_entry_time`` (time from a cell's entry, from the squares'
+    primitives) and ``_exit_times`` (each state's row, from the pair's cell
+    integrals, a table kept on a grid pair).
     """
 
     def __init__(self, s: ScenarioConfig, step: int, q):
         pair, self.mu = s.pair, s.params.mu
         self.pair, self.q, self.t0, self.step = pair, q, s.t_span[0], step
-        self.edge = pair.domain[1] if step > 0 else pair.domain[0]
         self.i0, self.s0 = pair.nearest_node(np.asarray(s.x_start, dtype=float))
-        self.t_exit = [np.cumsum(row) for row in
-                       self._cell_times(s.t_span[1] - s.t_span[0])]
-        self.t_edge = np.array([
-            math.inf if pair.source == "analytic" else self.t0 + float(t[-1])
-            for t in self.t_exit])
+        self.t_exit, self.at_edge = (list(v) for v in zip(
+            *self._exit_times(s.t_span)))
+        self.t_edge = np.array([self.t0 + float(t[-1]) if edge else math.inf
+                                for t, edge in zip(self.t_exit, self.at_edge)])
+
+    @property
+    def edge(self) -> float:
+        """The covered domain's edge in the direction of motion; reading it
+        marches the whole pair."""
+        return self.pair.domain[self.step > 0]
 
     def _dx(self, lag, x):
         return lag * s0p(self.pair, self.q, x) / self.mu
@@ -363,23 +369,44 @@ class _Clock:
         return lambda s: self.mu * inverse_s0p(self.pair, self.q,
                                                prim(s) - base)
 
-    def _cell_times(self, span):
+    def _exit_times(self, t_span):
+        t0, t1 = t_span
         pair, mu, step = self.pair, self.mu, self.step
-        if pair.source != "analytic":  # a grid pair keeps a cell table
-            rest = (pair.cell_integrals(slice(self.i0 + 1, None)) if step > 0
-                    else pair.cell_integrals(slice(None, self.i0))[:, ::-1])
         starts = np.ravel(self._start_crossing()).tolist()
-        for a, b, start in zip(np.ravel(self.q.a).tolist(),
-                               np.ravel(self.q.b).tolist(), starts):
-            q = QuantumStateParams(a, b)
-            if pair.source == "analytic":
-                period = mu * step * inverse_s0p(pair, q,
-                                                 pair.cell_integrals(self.i0))
-                count = 1 + int(span // period)
-                rest = pair.cell_integrals(
-                    self.i0 + step * np.arange(1, count + 1))
+        self.states = [QuantumStateParams(a, b) for a, b in zip(
+            np.ravel(self.q.a).tolist(), np.ravel(self.q.b).tolist())]
+        for q, start in zip(self.states, starts):
+            if pair.source != "analytic":
+                yield self._sum_cells(
+                    q, np.array([start]),
+                    lambda t: t[-1] > t1 - t0 and t0 + t[-1] >= t1)
+                continue
+            period = mu * step * inverse_s0p(pair, q,
+                                             pair.cell_integrals(self.i0))
+            count = 1 + int((t1 - t0) // period)
+            rest = pair.cell_integrals(
+                self.i0 + step * np.arange(1, count + 1))
             crossings = (step * mu) * inverse_s0p(pair, q, rest)
-            yield np.concatenate([[start], crossings])
+            yield np.cumsum(np.concatenate([[start], crossings])), False
+
+    def _sum_cells(self, q, t_exit, done):
+        """Extend state q's row t_exit across the marched cells past it,
+        marching the pair a chunk on when they run out, until done(t_exit)
+        or the covered domain's last cell; returns the row and whether it
+        holds that cell.  The times run on as one cumulative sum, so a row
+        has the same bits however far it was taken at a time."""
+        pair, step = self.pair, self.step
+        while not done(t_exit):
+            node = self.i0 + step * (t_exit.size - 1)
+            if node == pair.outermost(step) and not pair.march(step):
+                return t_exit, True
+            end = pair.outermost(step)
+            cells = (pair.cell_integrals(slice(node + 1, end + 1)) if step > 0
+                     else pair.cell_integrals(slice(end, node))[:, ::-1])
+            crossings = (step * self.mu) * inverse_s0p(pair, q, cells)
+            more = np.cumsum(np.concatenate([t_exit[-1:], crossings]))
+            t_exit = np.concatenate([t_exit, more[1:]])
+        return t_exit, False
 
     def _cells(self, cell):
         """Node, entry and exit offsets of the run's cells (0 starts it)."""
@@ -396,11 +423,17 @@ class _Clock:
         """t at x, a float or an array of points on the path of a clock of
         one state."""
         xa = np.asarray(x, dtype=float)
-        (t_exit,) = self.t_exit
         node, s = self.pair.nearest_node(xa)
         cell = self.step * (node - self.i0)
-        if (not np.all(self.pair.covers(xa))
-                or np.any((cell < 0) | (cell >= t_exit.size))):
+        on_path = np.all(self.pair.covers(xa)) and np.all(cell >= 0)
+        (t_exit,), (at_edge,) = self.t_exit, self.at_edge
+        if on_path and np.any(cell >= t_exit.size) and not at_edge and (
+                self.pair.source != "analytic"):
+            (state,), last = self.states, int(np.max(cell))
+            t_exit, at_edge = self._sum_cells(state, t_exit,
+                                              lambda t: t.size > last)
+            self.t_exit[0], self.at_edge[0] = t_exit, at_edge
+        if not on_path or np.any(cell >= t_exit.size):
             raise ValueError(f"x = {x} is not on the run's path")
         node, s_in, _ = self._cells(cell)
         t_in = np.where(cell > 0, t_exit[cell - 1], 0.0)
@@ -483,8 +516,12 @@ class _LegacyClock(_Clock):
     def __init__(self, s: ScenarioConfig, step: int, x_turn: float | None):
         self.energy, self.hbar = s.params.energy, s.params.hbar
         self.potential = s.potential
-        lo, hi = s.pair.domain
-        on_path = x_turn is not None and lo <= x_turn <= hi
+        # x_turn lies ahead of x_start: covers marches out past it, or to
+        # the edge short of it, and the outermost node then bounds it
+        # exactly (covers alone takes points up to _EDGE_TOL past the edge)
+        on_path = x_turn is not None and bool(s.pair.covers(x_turn)) and (
+            step * (float(s.pair.cells(s.pair.outermost(step))[0]) - x_turn)
+            >= 0)
         self.x_turn = x_turn if on_path else None
         slope = float(s.potential.grad(x_turn)) if on_path else 0.0
         # a double root (slope 0) has a pole of order 2: none is subtracted
@@ -523,20 +560,27 @@ class _LegacyClock(_Clock):
 
         return elapsed
 
-    def _cell_times(self, span):
-        if self.pair.source == "analytic":
+    def _exit_times(self, t_span):
+        """The one row: up to x_turn, whose cell never ends, or else to the
+        covered domain's edge, which marches the whole side."""
+        pair, step = self.pair, self.step
+        if pair.source == "analytic":
             period = math.pi * self.hbar / (2.0 * self.energy)
-            return [np.append(self._start_crossing(),
-                              np.full(1 + int(span // period), period))]
-        last = self.pair.nearest_node(np.asarray(self.edge))[0]
+            count = 1 + int((t_span[1] - t_span[0]) // period)
+            yield np.cumsum(np.append(self._start_crossing(),
+                                      np.full(count, period))), False
+            return
+        while self.x_turn is None and pair.march(step):
+            pass
         node, s_in, s_out = self._cells(
-            np.arange(self.step * (last - self.i0) + 1))
+            np.arange(step * (pair.outermost(step) - self.i0) + 1))
         if self.x_turn is None:
-            return [self._entry_time(node, s_in)(s_out)]
-        xn = self.pair.cells(node)[0]
-        m = int(np.argmax((xn + s_out - self.x_turn) * self.step >= 0))
-        return [np.append(self._entry_time(node[:m], s_in[:m])(s_out[:m]),
-                          math.inf)]
+            yield np.cumsum(self._entry_time(node, s_in)(s_out)), True
+            return
+        xn = pair.cells(node)[0]
+        m = int(np.argmax((xn + s_out - self.x_turn) * step >= 0))
+        yield np.cumsum(np.append(
+            self._entry_time(node[:m], s_in[:m])(s_out[:m]), math.inf)), False
 
     def positions(self, tau: np.ndarray):
         """x at the elapsed times tau, one row as the clock has one state.
@@ -581,6 +625,13 @@ def _edge_message(s: ScenarioConfig, edge: float, t_edge: float) -> str:
             f"[{lo:.6g}, {hi:.6g}]")
 
 
+def _edge_ahead(clock: _Clock, s: ScenarioConfig) -> float | None:
+    """The edge that the clock's one state reaches before t1, or None.
+    Reading it marches the whole pair, so a run that reaches an edge notes
+    a truncation on either side (``_pair_notes``)."""
+    return clock.edge if clock.t_edge[0] < s.t_span[1] else None
+
+
 def _edge_reached(result: TrajectoryResult, edge: float, t_edge: float):
     """Note the run's reaching the domain edge, and raise DomainEdgeError."""
     result.notes.append(f"domain edge x = {edge:.9g} reached at "
@@ -597,22 +648,22 @@ class _VelocityRuns:
     one pass of ``state_jet_from_x`` and the observables.  A state's run
     fails where x was not found at a sample time or the observables are
     undefined at a sample (``error``), and its samples end at its domain
-    edge, reached at ``t_edge``."""
+    edge, reached at ``t_edge`` (``edge``)."""
 
     def __init__(self, s: ScenarioConfig, q: _States):
         forward = q.a[:, 0] * s.pair.wronskian_ref > 0
         shape = (forward.size, s.samples)
         self.x, self.valid = np.empty(shape), np.empty(shape, dtype=bool)
         self.unconverged = np.empty(shape, dtype=bool)
-        self.t_edge, self.edge = np.empty(forward.size), np.empty(forward.size)
-        self.clocks = []
+        self.t_edge, self.forward = np.empty(forward.size), forward
+        self.clocks = {}
         for step, rows in ((1, forward), (-1, ~forward)):
             if rows.any():
                 clock = _Clock(s, step, _States(q.a[rows], q.b[rows]))
                 (self.ts, self.x[rows], self.valid[rows],
                  self.unconverged[rows]) = clock.sample(s)
-                self.t_edge[rows], self.edge[rows] = clock.t_edge, clock.edge
-                self.clocks.append(clock)
+                self.t_edge[rows] = clock.t_edge
+                self.clocks[step] = clock
         self.jet = state_jet_from_x(s.pair, q, s.params, self.x, order=3)
         self.obs, self.singular = _observables(self.jet, s.params, s.potential)
 
@@ -627,6 +678,10 @@ class _VelocityRuns:
                 _singular_message(singular.sum(), valid.sum()),
                 ObservableSet(*(v[k][valid] for v in self.obs)))
         return None
+
+    def edge(self, k: int) -> float:
+        """The domain edge ahead of state k (``_Clock.edge``)."""
+        return self.clocks[1 if self.forward[k] else -1].edge
 
 
 def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
@@ -647,16 +702,17 @@ def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     valid = run.valid[0]
     j = Jet(tuple(c[0][valid] for c in run.jet.coeffs))
     obs = ObservableSet(*(v[0][valid] for v in run.obs))
-    (clock,) = run.clocks
+    (clock,) = run.clocks.values()
     # the law itself is Bohm's relation, so s0p = mu*xd by construction;
     # summarize checks it in its integral form
     samples = _samples(run.ts[valid], j, obs, s.params.mu * j.coeffs[1])
+    edge = _edge_ahead(clock, s)
     result = TrajectoryResult(s, "velocity", samples, _pair_notes(pair), clock)
     dx = np.diff(j.coeffs[0])
     if not (np.all(dx > 0) or np.all(dx < 0)):
         result.notes.append("sampled x is not strictly monotone")
-    if clock.t_edge[0] < s.t_span[1]:
-        _edge_reached(result, clock.edge, clock.t_edge[0])
+    if edge is not None:
+        _edge_reached(result, edge, clock.t_edge[0])
     return result
 
 
@@ -673,7 +729,7 @@ def velocity_law_maxima(s: ScenarioConfig, states) -> dict:
         error = run.error(k)
         if error is None and run.t_edge[k] < s.t_span[1]:
             error = DomainEdgeError(
-                _edge_message(s, run.edge[k], run.t_edge[k]))
+                _edge_message(s, run.edge(k), run.t_edge[k]))
         if error is not None:
             raise error
     # no state reached its edge, so every row holds every sample
@@ -816,6 +872,7 @@ def integrate_legacy_law(s: ScenarioConfig):
         if unconverged.any():
             raise _not_found(ts[unconverged][0])
         ts, xs = ts[valid], xs[valid]
+    edge = _edge_ahead(clock, s) if step else None
     sp = s0p_jet(pair, s.q, xs, 2)
     vj = Jet(tuple(s.potential.derivs(xs, 2)))
     wj = 2.0 * (E - vj) / sp          # (w, w', w'') as a spatial jet
@@ -824,8 +881,8 @@ def integrate_legacy_law(s: ScenarioConfig):
     gap = float(np.max(np.abs(j.coeffs[1] - sp.coeffs[0] / mu), initial=0.0))
     out = _samples(ts, j, obs, sp.coeffs[0])
     result = TrajectoryResult(s, "legacy", out, _pair_notes(pair))
-    if step and clock.t_edge[0] < s.t_span[1]:
-        _edge_reached(result, clock.edge, clock.t_edge[0])
+    if edge is not None:
+        _edge_reached(result, edge, clock.t_edge[0])
 
     v0 = abs(out[0].xdot) if out else 0.0
     threshold = 1e-6 * v0
@@ -859,54 +916,14 @@ def run_scenario(s: ScenarioConfig):
 
 
 # ---------------------------------------------------------------------------
-# free-particle closed form
-
-def free_time_of_x(params: PhysParams, q: QuantumStateParams, x: float) -> float:
-    """Elapsed time t - t0 for the free-particle law, measured from x = 0.
-
-    Closed form: a sqrt(2E/mu) (t - t0) =
-    (a^2+b^2+1) x/2 + (1+b^2-a^2) sin(2kx)/(4k) - a b cos(2kx)/(2k),
-    with the x = 0 value of the right-hand side subtracted.
-    """
-    E = params.energy
-    if not E > 0:
-        raise ValueError("the free closed form needs positive energy")
-    k = np.sqrt(2.0 * params.mu * E) / params.hbar
-    a, b = q.a, q.b
-
-    def F(u):
-        return ((a * a + b * b + 1.0) * u / 2.0
-                + (1.0 + b * b - a * a) * np.sin(2.0 * k * u) / (4.0 * k)
-                - a * b * np.cos(2.0 * k * u) / (2.0 * k))
-
-    return float((F(x) - F(0.0)) / (a * np.sqrt(2.0 * E / params.mu)))
-
-
-def free_x_of_time(params: PhysParams, q: QuantumStateParams, t: float) -> float:
-    """Invert the free closed form: position reached after elapsed time t."""
-    if t == 0.0:
-        return 0.0
-    f = lambda u: free_time_of_x(params, q, u)
-    v_cl = classical_limit_factor(q) * np.sqrt(2.0 * params.energy / params.mu)
-    step = np.sign(t) * np.sign(q.a) * max(0.5, abs(t * v_cl))
-    bracket = expand_bracket(f, t, 0.0, float(step))
-    return invert_monotone(f, t, bracket)
-
-
-def classical_limit_factor(q: QuantumStateParams) -> float:
-    """Proportionality factor between x and sqrt(2E/mu)(t - t0) in the
-    classical limit: 2a/(a^2 + b^2 + 1); equals 1 only at (a, b) = (1, 0)."""
-    return 2.0 * q.a / (q.a * q.a + q.b * q.b + 1.0)
-
-
-# ---------------------------------------------------------------------------
 # artifacts
 
 def write_csv(samples, path) -> None:
+    fmt = ",".join(["%.17g"] * len(TrajectorySample._fields)) + "\n"
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for p in samples:
-            fh.write(",".join("%.17g" % v for v in p) + "\n")
+            fh.write(fmt % p)
 
 
 @functools.cache

@@ -179,16 +179,36 @@ def test_free_pair_without_positive_energy_exits_2(tmp_path, capsys,
 
 
 def test_truncated_pair_reported_on_stderr(tmp_path, capsys):
+    # from x = 2 the legacy law runs uphill at 2(E - V)/S0', which grows
+    # with the pair, so it reaches the overflow cap at x = 7.794
+    out = tmp_path / "t.csv"
+    doc = free_doc(str(out), a=-1.0, t1=0.02, samples=8)
+    doc["potential"] = {"kind": "harmonic", "stiffness": 1.0}
+    doc["run"].update(law="legacy", x_start=2.0, domain=[-30.0, 30.0])
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg, "--quiet"]) == 3
+    line = ("Taylor-marched pair truncated at the overflow cap: requested "
+            "domain [-30, 30], covered [-7.794, 7.794]")
+    note, failure = capsys.readouterr().err.splitlines()
+    assert note == line
+    assert failure.startswith("numerical failure: the run reaches x = 7.794")
+    assert "outside solved domain [-7.794, 7.794]" in failure
+    notes = json.loads((tmp_path / "t.csv.json").read_text())["notes"]
+    assert notes[0] == line
+    assert notes[1].startswith("domain edge x = 7.794 reached at t = ")
+
+
+def test_run_short_of_the_cap_reports_no_truncation(tmp_path, capsys):
+    # the same pair, but a velocity run from x = 0 ends near x = 0.8: the
+    # march never gets to the cap, so nothing is noted
     out = tmp_path / "t.csv"
     doc = free_doc(str(out), t1=1.0, samples=8)
     doc["potential"] = {"kind": "harmonic", "stiffness": 1.0}
     doc["run"]["domain"] = [-30.0, 30.0]
     cfg = write_config(tmp_path, doc)
     assert run(["trajectory", "--config", cfg, "--quiet"]) == 0
-    line = ("Taylor-marched pair truncated at the overflow cap: requested "
-            "domain [-30, 30], covered [-7.794, 7.794]")
-    assert capsys.readouterr().err.strip() == line
-    assert json.loads((tmp_path / "t.csv.json").read_text())["notes"] == [line]
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "t.csv.json").read_text())["notes"] == []
 
 
 @pytest.mark.parametrize("domain", [[1.0], [3.0, -3.0]])
@@ -825,18 +845,20 @@ def test_sweep_reports_truncated_pair_once_per_energy(tmp_path, capsys,
                                                       workers):
     from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 
+    # from x = 4.5 the march gets to the caps at |x| = 7.92 and 7.79 of the
+    # two energies, though no cell's path reaches them
     doc = json.loads(json.dumps(HARMONIC_SWEEP_DOC))
-    doc["run"]["domain"] = [-30.0, 30.0]
+    doc["run"].update(domain=[-30.0, 30.0], x_start=4.5)
     doc["sweep"]["energy"] = [0.8, 0.5, 0.8]
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--config", cfg, "--out", str(out),
                 "--workers", workers, "--quiet"]) == 0
     captured = capsys.readouterr()
-    notes = [solve_pair(PotentialModel.harmonic(1.0),
-                        PhysParams(1.0, 1.0, e),
-                        (-30.0, 30.0)).truncation_note() for e in (0.8, 0.5)]
-    assert all(notes)
+    pairs = [solve_pair(PotentialModel.harmonic(1.0), PhysParams(1.0, 1.0, e),
+                        (-30.0, 30.0)) for e in (0.8, 0.5)]
+    assert all(pair.truncated for pair in pairs)
+    notes = [pair.truncation_note() for pair in pairs]
     assert captured.err.splitlines() == notes
     assert captured.out == ""
     assert out.read_bytes() == _sweep_reference(doc)

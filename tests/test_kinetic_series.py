@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmotion import kinetic_series
 from qmotion.kinetic_series import (
     KineticCoefficients,
     LatticeError,
     SingularityError,
     determine_coefficients,
-    ds0dx_state,
     kinetic_term,
     level_residuals,
     master_residual,
@@ -38,6 +38,21 @@ from qmotion.mechanics import series_lagrangian
 from qmotion.schrodinger import PhysParams, PotentialModel
 
 PARAMS = PhysParams(hbar=1.0, mu=1.0, energy=0.0)
+
+
+def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
+    """(S0', S0'', S0''') as phase-space functions of the state (x .. x5),
+    whose entries may be (N,) arrays, one column each of a batch of states:
+    the sums of the lattice's own S0' tables, which the master identity
+    reads.  S0' is P + Pi xdd/xd + Xi xddd/xd; the second and third
+    derivatives are the exact spatial derivatives d/dx = (d/dt)/xd of its
+    table.  Canonically these collapse to mu*xd, mu*xdd/xd and
+    mu*(xddd*xd - xdd^2)/xd^3.
+    """
+    if kinetic_series._vanishes(state[1]):
+        raise SingularityError("xd = 0 in action-gradient series")
+    return kinetic_series._evaluate(c.derived(kinetic_series._s0_tables),
+                                    state, mu, hbar)
 
 
 def quantum_kinetic(xd, xdd, xddd, mu=1.0, hbar=1.0):

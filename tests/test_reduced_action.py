@@ -141,8 +141,10 @@ def test_s0_monotone_in_x():
 def _zero_cells(pair):
     """Grid cells (x_j, x_j+1) across which the node column of phi2 changes
     sign."""
-    xs = pair._grid["xs"]
-    y2 = pair._grid["taylor"][0, 1]
+    nodes = pair._nodes
+    nodes.complete()
+    cover = slice(nodes.lo, nodes.hi + 1)
+    xs, y2 = nodes.xs[cover], nodes.taylor[0, 1, cover]
     j = np.flatnonzero(np.diff(y2 < 0))
     return list(zip(xs[j], xs[j + 1]))
 

@@ -312,11 +312,21 @@ def test_domain_validation():
 # Node columns, node polynomials and the reference Lagrange oracle
 # ---------------------------------------------------------------------------
 
+def marched_nodes(pair):
+    """A grid pair marched to completion: its covered nodes' positions and
+    Taylor coefficients, and the index of the first of them."""
+    nodes = pair._nodes
+    nodes.complete()
+    cover = slice(nodes.lo, nodes.hi + 1)
+    return nodes.xs[cover], nodes.taylor[:, :, cover], nodes.lo
+
+
 def node_columns(pair):
     """The node columns xs, y1, y2, d1, d2 a Taylor-marched pair keeps:
     (phi, phi') are its Taylor coefficients of orders 0 and 1."""
-    (y1, y2), (d1, d2) = pair._grid["taylor"][:2]
-    return {"xs": pair._grid["xs"], "y1": y1, "y2": y2, "d1": d1, "d2": d2}
+    xs, taylor, _ = marched_nodes(pair)
+    (y1, y2), (d1, d2) = taylor[:2]
+    return {"xs": xs, "y1": y1, "y2": y2, "d1": d1, "d2": d2}
 
 
 def reference_eval01(pair, x):
@@ -365,9 +375,10 @@ def _grid_case(case):
 
 
 def node_polynomial(pair, i, s):
-    """(phi1, phi1', phi2, phi2') of node i's Taylor polynomials at offset
-    s, summed by powers rather than by eval01's Horner rule."""
-    c = pair._grid["taylor"][:, :, i]
+    """(phi1, phi1', phi2, phi2') of the Taylor polynomials of the covered
+    nodes i, counted from the first, at offset s, summed by powers rather
+    than by eval01's Horner rule."""
+    c = marched_nodes(pair)[1][:, :, i]
     m = np.arange(len(c))[:, None, None]
     p = (c * s ** m).sum(axis=0)
     d = (c[1:] * m[1:] * s ** (m[1:] - 1)).sum(axis=0)
@@ -380,7 +391,7 @@ def test_node_polynomials_meet_at_midpoints(case):
     # polynomials meet the current node's halfway, where eval01 changes
     # node; every neighbour pair must agree there to rounding
     pair = _grid_case(case)
-    h, i = pair._grid["h"], np.arange(len(pair._grid["xs"]) - 1)
+    h, i = pair._nodes.h, np.arange(len(marched_nodes(pair)[0]) - 1)
     got = np.array(node_polynomial(pair, i, 0.5 * h))
     want = np.array(node_polynomial(pair, i + 1, -0.5 * h))
     for k in (0, 2):
@@ -484,7 +495,7 @@ def test_derivs_take_arrays():
 # The blocked march against the node-by-node float loop
 # ---------------------------------------------------------------------------
 
-def reference_march(table, s):
+def reference_march(table, s, start):
     """``schrodinger._march`` as a float loop that applies the step maps
     one node at a time: the oracle for the blocked prefix product."""
     pa, da, pb, db = schrodinger._horner(table[:, :, :-1], 0.5 * s)
@@ -493,7 +504,7 @@ def reference_march(table, s):
     steps = ((eb * pa - qb * da) / det, (eb * pb - qb * db) / det,
              (qa * da - ea * pa) / det, (qa * db - ea * pb) / det)
     o1, o2, o3, o4 = (memoryview(table[i, j]) for j in (0, 1) for i in (0, 1))
-    y1, d1, y2, d2 = 0.0, 1.0, 1.0, 0.0
+    y1, d1, y2, d2 = start
     n = 0
     for n, (a, b, c, e) in enumerate(zip(*map(memoryview, steps)), 1):
         y1, d1 = a * y1 + b * d1, c * y1 + e * d1
@@ -501,8 +512,8 @@ def reference_march(table, s):
         o1[n], o2[n], o3[n], o4[n] = y1, d1, y2, d2
         cap = schrodinger.OVERFLOW_CAP
         if abs(y1) > cap or abs(y2) > cap:
-            break
-    return n
+            return n, None
+    return n, (y1, d1, y2, d2)
 
 
 def _pair_and_oracle(monkeypatch, potential, energy, domain, anchor, h):
@@ -511,11 +522,12 @@ def _pair_and_oracle(monkeypatch, potential, energy, domain, anchor, h):
     with monkeypatch.context() as patch:
         patch.setattr(schrodinger, "_march", reference_march)
         oracle = solve_pair(*args, anchor=anchor, grid_step=h)
+        marched_nodes(oracle)
     return pair, oracle
 
 
 def _node_wronskian_gap(pair):
-    (y1, y2), (d1, d2) = pair._grid["taylor"][:2]
+    (y1, y2), (d1, d2) = marched_nodes(pair)[1][:2]
     return np.max(abs(y2 * d1 - y1 * d2 - 1.0))
 
 
@@ -532,7 +544,7 @@ def test_blocked_march_matches_float_loop(case, monkeypatch):
     pair, oracle = _pair_and_oracle(monkeypatch, *MARCH_CASES[case])
     assert pair.domain == oracle.domain
     assert pair.truncated == oracle.truncated
-    got, want = pair._grid["taylor"][:2], oracle._grid["taylor"][:2]
+    got, want = marched_nodes(pair)[1][:2], marched_nodes(oracle)[1][:2]
     # measured against all four of a node's values: where one solution
     # decays under the other's growth, both marches carry rounding of the
     # larger one, so the small one's own digits differ (the Gaussian of
@@ -540,6 +552,29 @@ def test_blocked_march_matches_float_loop(case, monkeypatch):
     scale = abs(want).sum(axis=(0, 1))
     assert np.max(abs(got - want) / scale) <= 1e-13
     assert _node_wronskian_gap(pair) <= 2.0 * _node_wronskian_gap(oracle)
+
+
+@pytest.mark.parametrize("case", sorted(MARCH_CASES))
+def test_chunked_march_matches_one_march_per_side_bitwise(case):
+    # the on-demand march cuts each side into chunks of whole blocks and
+    # carries the float loop across them, so every node has the bits of
+    # one blocked march over the whole side
+    potential, energy, domain, anchor, h = MARCH_CASES[case]
+    params = PhysParams(hbar=1.0, mu=1.0, energy=energy)
+    pair = solve_pair(potential, params, domain, anchor=anchor, grid_step=h)
+    nodes = pair._nodes
+    nodes.complete()
+    for step in (1, -1):
+        k = step * np.arange(nodes.steps[step] + 1)
+        table = schrodinger._unit_table(potential, params,
+                                        nodes.anchor + h * k)
+        n, _ = schrodinger._march(table, step * h, (0.0, 1.0, 1.0, 0.0))
+        marched = (nodes.taylor[:2, :, nodes.base + 1 : nodes.hi + 1]
+                   if step > 0 else
+                   nodes.taylor[:2, :, nodes.lo : nodes.base][:, :, ::-1])
+        assert marched.shape[2] == n
+        np.testing.assert_array_equal(_bits(marched),
+                                      _bits(table[:2, :, 1 : n + 1]))
 
 
 @pytest.mark.parametrize("where", ["inside-first-block", "block-first-node",
@@ -551,8 +586,9 @@ def test_cap_crossing_matches_float_loop(where, monkeypatch):
     # under it makes that node the first crossing
     case = (PotentialModel.harmonic(1.0), 0.5, (-3.0, 3.0), 2.0, 1e-3)
     _, full = _pair_and_oracle(monkeypatch, *case)
-    right = full._grid["xs"] > 2.0
-    high = abs(full._grid["taylor"][0][:, right]).max(axis=0)
+    xs, taylor, _ = marched_nodes(full)
+    right = xs > 2.0
+    high = abs(taylor[0][:, right]).max(axis=0)
     steps, block = len(high), schrodinger._MARCH_BLOCK
     assert steps % block  # the last block is a partial one
     node = {"inside-first-block": block // 2, "block-first-node": 3 * block + 1,
@@ -567,7 +603,7 @@ def test_cap_crossing_matches_float_loop(where, monkeypatch):
     pair, oracle = _pair_and_oracle(monkeypatch, *case)
     assert pair.domain == oracle.domain
     assert pair.truncated == oracle.truncated
-    assert np.count_nonzero(pair._grid["xs"] > 2.0) == (node or steps)
+    assert np.count_nonzero(marched_nodes(pair)[0] > 2.0) == (node or steps)
 
 
 def test_truncated_march_warns_nothing():
@@ -576,8 +612,93 @@ def test_truncated_march_warns_nothing():
         warnings.simplefilter("error")
         pair = solve_pair(PotentialModel.harmonic(1.0), params, (-30.0, 30.0),
                           grid_step=1e-3)
+        taylor = marched_nodes(pair)[1]
     assert pair.domain == pytest.approx((-7.794, 7.794), abs=1e-12)
-    assert np.isfinite(pair._grid["taylor"]).all()
+    assert np.isfinite(taylor).all()
+
+
+# ---------------------------------------------------------------------------
+# The on-demand march against a march to completion
+# ---------------------------------------------------------------------------
+
+def _assert_marched_alike(lazy, full):
+    """Every covered node of the two pairs, position, Taylor row and cell
+    integral, has the same bits."""
+    for pair in (lazy, full):
+        pair.cell_integrals(slice(None))  # marches and tables every node
+    a, b = lazy._nodes, full._nodes
+    assert (a.lo, a.hi, a.capped) == (b.lo, b.hi, b.capped)
+    cover = slice(a.lo, a.hi + 1)
+    for name in ("xs", "taylor", "table"):
+        np.testing.assert_array_equal(_bits(getattr(a, name)[..., cover]),
+                                      _bits(getattr(b, name)[..., cover]))
+
+
+def _read(pair, kind, where):
+    """One read of a grid pair at a fraction ``where`` of its requested
+    domain: a point's values, or the cells and square primitives of the
+    node there, or one more chunk of a side."""
+    lo, hi = pair.requested
+    x = lo + (hi - lo) * where
+    if kind == "march":
+        pair.march(1 if where > 0.5 else -1)
+    elif pair.covers(x):
+        if kind == "eval":
+            pair.eval01(x)
+        else:
+            i = pair.nearest_node(x)[0]
+            pair.cell_integrals(i)
+            pair.square_primitives(i)(0.0)
+
+
+_READS = st.lists(st.tuples(st.sampled_from(["eval", "cells", "march"]),
+                            st.floats(0.0, 1.0)), max_size=12)
+
+
+@given(st.floats(0.3, 3.0), st.floats(0.5, 8.0), st.floats(0.5, 8.0),
+       st.floats(0.0, 1.0), st.sampled_from([1e-3, 2.5e-3, 7e-3]), _READS)
+@settings(deadline=None, max_examples=25)
+def test_lazy_march_matches_full_march_bitwise(energy, left, right, where,
+                                               h, reads):
+    args = (PotentialModel.harmonic(1.0),
+            PhysParams(hbar=1.0, mu=1.0, energy=energy), (-left, right))
+    anchor = -left + (left + right) * where
+    full = solve_pair(*args, anchor=anchor, grid_step=h)
+    full._nodes.complete()
+    lazy = solve_pair(*args, anchor=anchor, grid_step=h)
+    for kind, at in reads:
+        _read(lazy, kind, at)
+    _assert_marched_alike(lazy, full)
+
+
+@pytest.mark.parametrize("case", ["linear", "truncated-harmonic"])
+@pytest.mark.parametrize("order", ["left-first", "right-first", "far-jump"])
+def test_lazy_march_of_truncated_pairs_matches_full_march(case, order):
+    reads = {"left-first": [("eval", 0.45), ("cells", 0.3), ("eval", 0.55),
+                            ("cells", 0.7)],
+             "right-first": [("cells", 0.6), ("eval", 0.7), ("eval", 0.4),
+                             ("march", 0.0)],
+             "far-jump": [("eval", 0.99), ("cells", 0.01), ("eval", 0.5)]}
+    full = _grid_case(case)
+    full._nodes.complete()
+    lazy = _grid_case(case)
+    for kind, at in reads[order]:
+        _read(lazy, kind, at)
+    _assert_marched_alike(lazy, full)
+
+
+def test_pair_marches_only_what_is_read():
+    pair = harmonic_pair((-6.0, 6.0), grid_step=2.5e-4)
+    nodes, chunk = pair._nodes, schrodinger._CHUNK
+    assert (nodes.lo, nodes.hi) == (nodes.base, nodes.base)
+    pair.eval01(0.3)  # the first chunk on the right
+    assert (nodes.lo, nodes.hi) == (nodes.base, nodes.base + chunk)
+    pair.eval01(-2.0)  # two chunks on the left
+    assert (nodes.lo, nodes.hi) == (nodes.base - 2 * chunk,
+                                    nodes.base + chunk)
+    assert pair.truncation_note() is None and not nodes.capped
+    assert pair.domain == (-6.0, 6.0)
+    assert (nodes.lo, nodes.hi) == (0, 48000)
 
 
 def test_pair_build_memory_peak():
@@ -589,10 +710,11 @@ def test_pair_build_memory_peak():
         base = tracemalloc.get_traced_memory()[0]
         pair = solve_pair(PotentialModel.harmonic(1.0), params, (-6.0, 6.0),
                           grid_step=2.5e-4)
+        xs, taylor, _ = marched_nodes(pair)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = pair._grid["xs"].nbytes + pair._grid["taylor"].nbytes
+    kept = xs.nbytes + taylor.nbytes
     assert peak <= 1.6 * kept, (peak, kept)
 
 
@@ -625,8 +747,10 @@ def test_cell_integrals_match_quadrature_of_the_squares(case):
         nodes, pieces = np.array([-3, -1, 0, 2, 5]), 16
     else:
         pair = _grid_case(case)
-        n = len(pair._grid["xs"])
-        nodes, pieces = np.array([0, 1, n // 3, n // 2, n - 2, n - 1]), 1
+        xs, _, first = marched_nodes(pair)
+        n = len(xs)
+        nodes = first + np.array([0, 1, n // 3, n // 2, n - 2, n - 1])
+        pieces = 1
     x, lo, hi = pair.cells(nodes)
     got = pair.cell_integrals(nodes)
     prim = pair.square_primitives(nodes)
@@ -641,7 +765,7 @@ def test_cell_integrals_match_quadrature_of_the_squares(case):
 
 def test_grid_cells_tile_the_covered_domain():
     pair = harmonic_pair()
-    n = len(pair._grid["xs"])
+    n = len(marched_nodes(pair)[0])
     x, lo, hi = pair.cells(np.arange(n))
     assert (x[0] + lo[0], x[-1] + hi[-1]) == pair.domain
     np.testing.assert_allclose((x + hi)[:-1], (x + lo)[1:], rtol=0.0,

@@ -27,6 +27,7 @@ from qmotion.jets import Jet
 from qmotion import trajectory
 from qmotion import ode
 from qmotion.reduced_action import QuantumStateParams, s0p
+from qmotion.rootfind import expand_bracket, invert_monotone
 from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 from qmotion.trajectory import (
     CSV_HEADER,
@@ -35,9 +36,6 @@ from qmotion.trajectory import (
     ScenarioConfig,
     SingularObservables,
     VelocityFloorError,
-    classical_limit_factor,
-    free_time_of_x,
-    free_x_of_time,
     integrate_legacy_law,
     integrate_newton_law,
     integrate_velocity_law,
@@ -50,6 +48,49 @@ from qmotion.trajectory import (
 )
 
 UNIT = PhysParams(hbar=1.0, mu=1.0, energy=0.5)  # free wave number k = 1
+
+
+# the free particle's closed form, the oracle of the free runs
+
+def free_time_of_x(params: PhysParams, q: QuantumStateParams,
+                   x: float) -> float:
+    """Elapsed time t - t0 for the free-particle law, measured from x = 0.
+
+    Closed form: a sqrt(2E/mu) (t - t0) =
+    (a^2+b^2+1) x/2 + (1+b^2-a^2) sin(2kx)/(4k) - a b cos(2kx)/(2k),
+    with the x = 0 value of the right-hand side subtracted.
+    """
+    E = params.energy
+    if not E > 0:
+        raise ValueError("the free closed form needs positive energy")
+    k = np.sqrt(2.0 * params.mu * E) / params.hbar
+    a, b = q.a, q.b
+
+    def F(u):
+        return ((a * a + b * b + 1.0) * u / 2.0
+                + (1.0 + b * b - a * a) * np.sin(2.0 * k * u) / (4.0 * k)
+                - a * b * np.cos(2.0 * k * u) / (2.0 * k))
+
+    return float((F(x) - F(0.0)) / (a * np.sqrt(2.0 * E / params.mu)))
+
+
+def free_x_of_time(params: PhysParams, q: QuantumStateParams,
+                   t: float) -> float:
+    """Invert the free closed form: position reached after elapsed time t."""
+    if t == 0.0:
+        return 0.0
+    f = lambda u: free_time_of_x(params, q, u)
+    v_cl = classical_limit_factor(q) * np.sqrt(2.0 * params.energy
+                                               / params.mu)
+    step = np.sign(t) * np.sign(q.a) * max(0.5, abs(t * v_cl))
+    bracket = expand_bracket(f, t, 0.0, float(step))
+    return invert_monotone(f, t, bracket)
+
+
+def classical_limit_factor(q: QuantumStateParams) -> float:
+    """Proportionality factor between x and sqrt(2E/mu)(t - t0) in the
+    classical limit: 2a/(a^2 + b^2 + 1); equals 1 only at (a, b) = (1, 0)."""
+    return 2.0 * q.a / (q.a * q.a + q.b * q.b + 1.0)
 
 
 def free_scenario(a=1.0, b=0.0, law="velocity", t1=5.0, samples=128, **kw):
@@ -698,6 +739,44 @@ def test_batched_velocity_runs_equal_single_runs_bitwise(which, states):
             key: one[key] for key in maxima}
 
 
+@pytest.mark.parametrize("energy", [0.5, 0.8])
+def test_sweep_group_marches_only_the_nodes_its_paths_reach(energy):
+    """A sweep group shaped as the benchmark's: 12 states on a 48k-node
+    pair over [-6, 6].  Every path ends within |x| < 1, and each side of
+    the pair is marched at most one chunk past the nodes the paths reach."""
+    from qmotion.schrodinger import _CHUNK
+
+    qs = [QuantumStateParams(a=a, b=b) for a in (1.4, -0.8, 0.6, -1.9)
+          for b in (0.3, -0.2, 0.9)]
+    s = ScenarioConfig(PotentialModel.harmonic(1.0),
+                       PhysParams(hbar=1.0, mu=1.0, energy=energy), qs[0],
+                       t_span=(0.0, 0.5), samples=16, domain=(-6.0, 6.0),
+                       grid_step=2.5e-4)
+    x_last = trajectory.velocity_law_maxima(s, qs)["x_last"]
+    nodes = s.pair._nodes
+    reach = [nodes.nearest(x)[0] for x in (min(x_last), max(x_last))]
+    assert nodes.lo < reach[0] and reach[1] < nodes.hi
+    assert reach[0] - nodes.lo <= _CHUNK and nodes.hi - reach[1] <= _CHUNK
+    assert nodes.hi - nodes.lo + 1 <= 2 * _CHUNK + 1 < 48001 // 5
+    assert s.pair.truncation_note() is None
+
+
+def test_time_of_x_past_t1_runs_on_as_a_longer_run():
+    """t(x) asked past where the run stood at t1 sums the cells further, a
+    march of the pair included, with the bits of a run that went there."""
+    base = dict(potential=PotentialModel.harmonic(1.0), params=UNIT,
+                q=QuantumStateParams(a=1.4, b=0.3), domain=(-6.0, 6.0),
+                grid_step=2.5e-4)
+    short = integrate_velocity_law(ScenarioConfig(t_span=(0.0, 0.5), **base))
+    long = integrate_velocity_law(ScenarioConfig(t_span=(0.0, 10.0), **base))
+    x_short, x_long = short.samples[-1].x, long.samples[-1].x
+    marched = short.config.pair._nodes.hi
+    xs = np.linspace(x_short, x_long, 7)
+    assert short.arrival_time(xs[-1]) > 0.5
+    assert short.config.pair._nodes.hi > marched
+    np.testing.assert_array_equal(short.time_of_x(xs), long.time_of_x(xs))
+
+
 def test_batched_observables_flag_singular_rows():
     rows = np.array([[0.0, 1.0, 1.0, 0.0], [0.1, 0.0, 1.0, 0.0],
                      [0.2, 1e-70, 0.5, 0.1], [0.3, 1.7, -0.4, 0.9]])
@@ -737,12 +816,27 @@ def test_legacy_law_underflowing_velocity_powers_give_nan_rows():
 
 
 def test_truncated_pair_is_noted_in_the_summary():
+    # uphill from x = 2 the legacy law reaches the cap at x = 7.794
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT,
+                       QuantumStateParams(a=-1.0), x_start=2.0,
+                       t_span=(0.0, 0.02), samples=8, law="legacy",
+                       domain=(-30.0, 30.0))
+    with pytest.raises(DomainEdgeError) as info:
+        integrate_legacy_law(s)
+    notes = summarize(info.value.partial)["notes"]
+    assert notes[0] == ("Taylor-marched pair truncated at the overflow cap: "
+                        "requested domain [-30, 30], covered [-7.794, 7.794]")
+    assert notes[1].startswith("domain edge x = 7.794 reached at t = ")
+
+
+def test_run_short_of_the_cap_notes_no_truncation():
+    # the march of a run that ends near x = 0.8 stops far short of the cap
     s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT,
                        QuantumStateParams(a=1.0), t_span=(0.0, 1.0),
                        samples=8, domain=(-30.0, 30.0))
-    notes = summarize(integrate_velocity_law(s))["notes"]
-    assert notes == ["Taylor-marched pair truncated at the overflow cap: "
-                     "requested domain [-30, 30], covered [-7.794, 7.794]"]
+    assert summarize(integrate_velocity_law(s))["notes"] == []
+    assert s.pair.truncation_note() is None
+    assert s.pair.truncated  # reading it marches the rest of the pair
 
 
 def test_free_scenario_needs_positive_energy():
