@@ -27,6 +27,10 @@ _STEP_SHARE = 0.5
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 MAX_STEPS = 1_000_000
+# component d's degree-(k - d) coefficient is a_k k!/(k - d)!: for each d,
+# the step rule's k, k!/(k - d)! and 1/(k - d) for the last two k
+_RULE = [[(k, math.perm(k, d), 1.0 / (k - d)) for k in (ORDER - 1, ORDER)]
+         for d in range(ORDER - 1)]
 
 
 def _horner(a, tau, n: int) -> list:
@@ -103,11 +107,9 @@ def integrate_ivp(series, y0, t_span, stop=None) -> DenseSolution:
         a, wall = series(t, y, ORDER)
         if not all(map(math.isfinite, a)):
             raise IntegrationFailure(f"non-finite derivative at t = {t}")
-        # component d's degree-(k - d) coefficient is a_k k!/(k - d)!
         h = min([t1 - t] + [
-            _STEP_SHARE * ((ABS_TOL + REL_TOL * abs(v))
-                           / (abs(a[k]) * math.perm(k, d))) ** (1.0 / (k - d))
-            for d, v in enumerate(y) for k in (ORDER - 1, ORDER) if a[k]])
+            _STEP_SHARE * ((ABS_TOL + REL_TOL * abs(v)) / (abs(a[k]) * f)) ** e
+            for v, rule in zip(y, _RULE) for k, f, e in rule if a[k]])
         x_of = lambda tau: _horner(a, tau, 1)[0]
         walled = wall is not None and (x_of(h) - wall) * (wall - a[0]) >= 0
         if walled:

@@ -71,8 +71,9 @@ _MARCH_BLOCK = 64
 _CHUNK = _MARCH_BLOCK * _MARCH_BLOCK
 _FACTORIALS = np.array([math.factorial(m) for m in range(_TAYLOR_DEGREE + 1)],
                        dtype=float)
-# how far past a grid pair's covered domain eval01 still evaluates
-_EDGE_TOL = 1e-9
+# how far past a grid pair's covered domain eval01 still evaluates, in grid
+# steps (1e-9 on the default 1e-3 grid)
+_EDGE_TOL = 1e-6
 
 
 class SchrodingerError(ValueError):
@@ -306,12 +307,13 @@ class SolutionPair:
 
     def covers(self, x):
         """Whether eval01 accepts x, elementwise for an array: every x on
-        the analytic pair, x within _EDGE_TOL of the covered domain on a
-        grid pair, which is marched out to x first."""
+        the analytic pair, x within _EDGE_TOL grid steps of the covered
+        domain on a grid pair, which is marched out to x first."""
         if self.source == "analytic":
             return np.full(np.shape(x), True)
         lo, hi = self._nodes.reach(x)
-        return (lo - _EDGE_TOL <= x) & (x <= hi + _EDGE_TOL)
+        tol = _EDGE_TOL * self._nodes.h
+        return (lo - tol <= x) & (x <= hi + tol)
 
     def nearest_node(self, x):
         """Index of the node nearest x and x's offset from it.  The free

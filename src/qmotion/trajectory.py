@@ -37,8 +37,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -518,7 +518,8 @@ class _LegacyClock(_Clock):
         self.potential = s.potential
         # x_turn lies ahead of x_start: covers marches out past it, or to
         # the edge short of it, and the outermost node then bounds it
-        # exactly (covers alone takes points up to _EDGE_TOL past the edge)
+        # exactly (covers alone takes points up to _EDGE_TOL grid steps
+        # past it)
         on_path = x_turn is not None and bool(s.pair.covers(x_turn)) and (
             step * (float(s.pair.cells(s.pair.outermost(step))[0]) - x_turn)
             >= 0)
@@ -742,15 +743,16 @@ def velocity_law_maxima(s: ScenarioConfig, states) -> dict:
 
 def _newton_series(s: ScenarioConfig):
     """The law's series for ``ode.integrate_ivp``: a_{k+4} of x(t + tau) =
-    sum a_k tau^k from a_0..a_{k+3}, by Cauchy products and quotients, with
-    V'(x) quadratic about a point xm of the potential's piece (exact for the
-    analytic kinds; a spline's next knot is the step's wall)."""
+    sum a_k tau^k from a_0..a_{k+3}, with V'(x) quadratic about a point xm
+    of the potential's piece (exact for the analytic kinds; a spline's next
+    knot is the step's wall).  With z = x''/x' the law reads
+    x'''' = z (8 x''' - 10 z x'') - (4 mu x'^4/hbar^2)(mu x'' + V'), so each
+    order takes six Cauchy sums: the quotient recurrence for z and the
+    newest coefficients of z x'', z (8 x''' - 10 z x''), x'^2, x'^4 and
+    x'^4 (mu x'' + V'); a seventh, of (x - xm)^2, only where V''' != 0."""
     mu = s.params.mu
     coef = 4.0 * mu / s.params.hbar ** 2
     knots = s.potential.knots
-
-    def dot(u, v):  # the newest Cauchy-product coefficient of u*v
-        return sum(map(operator.mul, u, reversed(v)))
 
     def series(t, y, order):
         x, xd, xdd, xddd = y
@@ -764,23 +766,22 @@ def _newton_series(s: ScenarioConfig):
             wall, xm = (hi if xd > 0 else lo), 0.5 * (lo + hi)
         g0, g1, g2 = (float(v) for v in s.potential.derivs(xm, 3)[1:])
         a = [x, xd, 0.5 * xdd, xddd / 6.0]
-        p, q, r, e, p2, p4, q2, q3, qr, e2, m, ra, rb = ([] for _ in range(13))
+        p, q, z, u, e, p2, p4, m = ([] for _ in range(8))
         for k in range(order - 3):
             p.append((k + 1) * a[k + 1])
             q.append((k + 1) * (k + 2) * a[k + 2])
-            r.append((k + 1) * (k + 2) * (k + 3) * a[k + 3])
-            e.append(x - xm if k == 0 else a[k])  # x - xm
-            p2.append(dot(p, p))
-            p4.append(dot(p2, p2))
-            q2.append(dot(q, q))
-            q3.append(dot(q2, q))
-            qr.append(dot(q, r))
-            e2.append(dot(e, e))
-            m.append(mu * q[k] + g1 * e[k] + 0.5 * g2 * e2[k]
-                     + (g0 if k == 0 else 0.0))  # mu x'' + V'(x)
-            ra.append((q3[k] - dot(p2[1:], ra)) / p2[0])  # x''^3/x'^2
-            rb.append((qr[k] - dot(p[1:], rb)) / p[0])    # x''x'''/x'
-            a.append((-coef * dot(p4, m) - 10.0 * ra[k] + 8.0 * rb[k])
+            z.append(0.0)  # a zero in z_k's place keeps it out of the sum
+            z[k] = (q[k] - sum(map(mul, p, reversed(z)))) / xd
+            u.append(8.0 * ((k + 1) * (k + 2) * (k + 3) * a[k + 3])
+                     - 10.0 * sum(map(mul, z, reversed(q))))
+            e.append(x - xm if k == 0 else a[k])
+            p2.append(sum(map(mul, p, reversed(p))))
+            p4.append(sum(map(mul, p2, reversed(p2))))
+            m.append(mu * q[k] + g1 * e[k]
+                     + (0.5 * g2 * sum(map(mul, e, reversed(e))) if g2
+                        else 0.0) + (g0 if k == 0 else 0.0))
+            a.append((sum(map(mul, z, reversed(u)))
+                      - coef * sum(map(mul, p4, reversed(m))))
                      / ((k + 1) * (k + 2) * (k + 3) * (k + 4)))
         return a, wall
 

@@ -274,6 +274,22 @@ def test_numerov_outside_domain_rejected():
         pair.eval01(3.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_edge_tolerance_scales_with_the_grid_step():
+    # 5e-10 lies within 1e-9 of this stiff well's covered domain but 5e61
+    # of its grid steps past it
+    params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
+    pair = solve_pair(PotentialModel.harmonic(1e150), params,
+                      (-1e-70, 1e-70), grid_step=1e-72)
+    assert not pair.covers(5e-10)
+    with pytest.raises(DomainError, match="x = 5e-10 outside"):
+        pair.eval01(5e-10)
+    # on the default 1e-3 grid the tolerance is 1e-9
+    pair = harmonic_pair()
+    hi = pair.domain[1]
+    assert pair.covers(hi + 0.9e-9) and not pair.covers(hi + 1.1e-9)
+
+
 def test_k_undefined_for_numerov():
     with pytest.raises(SchrodingerError):
         harmonic_pair().k

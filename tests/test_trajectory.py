@@ -13,6 +13,7 @@ Free-particle oracles are closed forms worked out by hand:
 import dataclasses
 import json
 import math
+import operator
 import os
 import pickle
 import subprocess
@@ -523,6 +524,79 @@ def test_newton_law_nonfinite_derivative_fails_instead_of_hanging():
                          text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "non-finite derivative at t = 0.0"
+
+
+def nine_sum_newton_series(s: ScenarioConfig):
+    """The newton law's series by nine Cauchy sums per order, the products
+    x'^2, x'^4, x''^2, x''^3, x'' x''' and (x - xm)^2, the quotients
+    x''^3/x'^2 and x'' x'''/x', and x'^4 (mu x'' + V'): the oracle of
+    ``trajectory._newton_series``."""
+    mu = s.params.mu
+    coef = 4.0 * mu / s.params.hbar ** 2
+    knots = s.potential.knots
+
+    def dot(u, v):  # the newest Cauchy-product coefficient of u*v
+        return sum(map(operator.mul, u, reversed(v)))
+
+    def series(t, y, order):
+        x, xd, xdd, xddd = y
+        wall, xm = None, x
+        if knots is not None:
+            i = int(np.searchsorted(knots, x, "right" if xd > 0 else "left"))
+            i = min(max(i, 1), knots.size - 1)
+            lo, hi = float(knots[i - 1]), float(knots[i])
+            wall, xm = (hi if xd > 0 else lo), 0.5 * (lo + hi)
+        g0, g1, g2 = (float(v) for v in s.potential.derivs(xm, 3)[1:])
+        a = [x, xd, 0.5 * xdd, xddd / 6.0]
+        p, q, r, e, p2, p4, q2, q3, qr, e2, m, ra, rb = ([] for _ in range(13))
+        for k in range(order - 3):
+            p.append((k + 1) * a[k + 1])
+            q.append((k + 1) * (k + 2) * a[k + 2])
+            r.append((k + 1) * (k + 2) * (k + 3) * a[k + 3])
+            e.append(x - xm if k == 0 else a[k])  # x - xm
+            p2.append(dot(p, p))
+            p4.append(dot(p2, p2))
+            q2.append(dot(q, q))
+            q3.append(dot(q2, q))
+            qr.append(dot(q, r))
+            e2.append(dot(e, e))
+            m.append(mu * q[k] + g1 * e[k] + 0.5 * g2 * e2[k]
+                     + (g0 if k == 0 else 0.0))  # mu x'' + V'(x)
+            ra.append((q3[k] - dot(p2[1:], ra)) / p2[0])  # x''^3/x'^2
+            rb.append((qr[k] - dot(p[1:], rb)) / p[0])    # x''x'''/x'
+            a.append((-coef * dot(p4, m) - 10.0 * ra[k] + 8.0 * rb[k])
+                     / ((k + 1) * (k + 2) * (k + 3) * (k + 4)))
+        return a, wall
+
+    return series
+
+
+_CUBIC_KNOTS = np.linspace(-3.5, 3.5, 15)
+# the spline reproduces the cubic, so V''' = 1.8 on every piece
+_SERIES_POTENTIALS = [
+    PotentialModel.free(), PotentialModel.linear(0.5),
+    PotentialModel.harmonic(1.0),
+    PotentialModel.tabulated(_CUBIC_KNOTS,
+                             0.3 * _CUBIC_KNOTS ** 3 + 0.5 * _CUBIC_KNOTS ** 2),
+]
+
+
+@given(st.sampled_from(_SERIES_POTENTIALS), st.floats(-2.5, 2.5),
+       st.floats(0.1, 3.0), st.sampled_from([1.0, -1.0]),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+@settings(deadline=None, max_examples=200)
+def test_newton_series_matches_the_nine_sum_recurrence(potential, x, speed,
+                                                       sign, xdd, xddd):
+    # (xdd, xddd) are free, so the states are off the consistent family
+    s = ScenarioConfig(potential, PhysParams(hbar=0.8, mu=1.3, energy=0.5),
+                       QuantumStateParams(a=1.4, b=0.3), law="newton",
+                       domain=(-3.0, 3.0))
+    y = [x, sign * speed, xdd, xddd]
+    a, wall = trajectory._newton_series(s)(0.0, y, ode.ORDER)
+    b, oracle_wall = nine_sum_newton_series(s)(0.0, y, ode.ORDER)
+    assert wall == oracle_wall and len(a) == len(b) == ode.ORDER + 1
+    scale = max(map(abs, b))
+    assert max(abs(u - v) for u, v in zip(a, b)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
