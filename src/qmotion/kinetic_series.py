@@ -12,8 +12,9 @@ module provides: the regularized Lagrangian T + (lam/2) xddd^2 - V, the
 three conjugate momenta of the third-order formalism, the action-gradient
 series dS0/dx together with its second and third spatial derivatives, the
 master identity tying these to the quantum stationary Hamilton-Jacobi
-equation, and a sampling-based elimination that recovers the unique
-physical coefficient values level by level.
+equation, and the level-by-level determination of the physical
+coefficient values, which matches the identity's monomial coefficients
+exactly.
 
 Each series is a table of monomials, and T's is the only one written
 down: every other table is derived from it exactly, once per lattice.
@@ -69,7 +70,8 @@ class LatticeError(ValueError):
 
 
 class DeterminationError(RuntimeError):
-    """The sampled elimination could not certify a unique solution."""
+    """The master identity's monomial equations admit no solution, or the
+    determined lattice fails its confirmation at random states."""
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +299,12 @@ def _s0_tables(c: KineticCoefficients) -> tuple:
     return s1, s2, _d_dx(s2)
 
 
+def _series_tables(c: KineticCoefficients) -> tuple:
+    """The tables of S0', S0'', S0''' and T, the series of the master
+    identity."""
+    return c.derived(_s0_tables) + (c.derived(_kinetic_table),)
+
+
 # ---------------------------------------------------------------------------
 # kinetic term and Lagrangian
 
@@ -382,8 +390,7 @@ def _level_series(lattices, state, mu, hbar, order: int) -> np.ndarray:
         raise SingularityError("xd = 0 in action-gradient series")
     tables = {}  # (lattice, series, level) -> the level's terms
     for i, c in enumerate(lattices):
-        series = c.derived(_s0_tables) + (c.derived(_kinetic_table),)
-        for j, table in enumerate(series):
+        for j, table in enumerate(c.derived(_series_tables)):
             for key, coef in table.items():
                 if key[0] <= order:
                     tables.setdefault((i, j, key[0]), {})[key] = coef
@@ -481,9 +488,9 @@ def sample_jets(rng: np.random.Generator, count: int, order: int = 5) -> list[Je
 
 
 def sample_states(rng: np.random.Generator, count: int) -> np.ndarray:
-    """States for the coefficient elimination: x, xd and xdd all bounded
-    away from zero (they enter solo monomial columns, some with negative
-    xdd exponents), higher components uniform on [-1, 1]."""
+    """States for the confirmation of a determined lattice: x, xd and xdd
+    all bounded away from zero (some monomials carry negative xdd
+    exponents), higher components uniform on [-1, 1]."""
     states = rng.uniform(-1.0, 1.0, (count, 6))
     for col in (0, 1, 2):
         states[:, col] = (rng.choice([-1.0, 1.0], count)
@@ -500,7 +507,6 @@ class LevelReport:
     values: dict
     rank: int
     n_unknowns: int
-    fit_residual: float
     roots: list = field(default_factory=list)
     selected_root: float | None = None
     notes: list = field(default_factory=list)
@@ -514,15 +520,10 @@ class DeterminationReport:
     def summary(self) -> str:
         lines = []
         for rep in self.levels:
-            head = f"level {rep.level}: rank {rep.rank}/{rep.n_unknowns}, " \
-                   f"fit residual {rep.fit_residual:.2e}"
-            lines.append(head)
-            nonzero = {lab: v for lab, v in rep.values.items() if v != 0.0}
-            if nonzero:
-                lines.append("  solved: " + ", ".join(
-                    f"{lab}={v:g}" for lab, v in sorted(nonzero.items())))
-            else:
-                lines.append("  solved: all zero")
+            lines.append(f"level {rep.level}: rank {rep.rank}/{rep.n_unknowns}")
+            solved = ", ".join(f"{lab}={v:g}"
+                               for lab, v in sorted(rep.values.items()) if v)
+            lines.append("  solved: " + (solved or "all zero"))
             if rep.roots:
                 lines.append(
                     f"  quadratic roots {sorted(rep.roots)}; "
@@ -530,21 +531,16 @@ class DeterminationReport:
                     "classical kinetic term)")
             for note in rep.notes:
                 lines.append("  " + note)
-        lines.append("unique: " + ("yes" if self.unique else "NO"))
         return "\n".join(lines)
 
 
-def _snap(v: float, tol: float = 1e-9, max_den: int = 16) -> float:
-    frac = Fraction(v).limit_denominator(max_den)
-    return float(frac) if abs(v - float(frac)) <= tol else v
-
-
-# the elimination's fixed design: spatial weights k = 0 .. _K_MAX at every
-# level, one unknown per (alpha or beta, k), three sampled states per unknown
+# the unknowns of a level: spatial weights k = 0 .. _K_MAX, one per (alpha or
+# beta, k)
 _K_MAX = 4
 _LABELS = tuple([("alpha", k) for k in range(_K_MAX + 1)]
                 + [("beta", k) for k in range(_K_MAX + 1)])
-_SAMPLES = 3 * len(_LABELS)
+_XD = (0, 1, 0, 0, 0, 0)
+_HBAR2 = {(2, _ONE): 1.0}  # hbar^2 / mu at mu = 1, as a table
 
 
 def _theta_lattice(theta, n: int,
@@ -558,190 +554,189 @@ def _theta_lattice(theta, n: int,
     return KineticCoefficients(entries)
 
 
-def _nullspace(mat: np.ndarray, rel_tol: float = 1e-9):
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rel_tol * max(smax, 1.0)))
-    return vt[rank:].T, rank
-
-
-def _determine_level0(rng):
-    """Classical-level elimination on the divided form of the master identity.
-
-    R(theta; state) = xd*S0'(theta) - S0'(theta)^2/(2 mu) - T(theta) must
-    vanish for every state.  S0' and T are linear in theta, so each is a
-    theta-combination of the level-0 unit lattices' series, which are
-    evaluated once at the sampled states and at the same states with
-    xddd = +1 and -1.  Three stages: (a) the xddd slope of S0' has to
-    vanish (kills the B column of the induced gradient series), (b) on that
-    subspace the xddd slope of R kills the beta entries, (c) the surviving
-    two-dimensional family (alpha_00, alpha_01) is resolved by reconstructing
-    R's weights on the three residual monomials xd^2, x*xdd, x^2 xdd^2/xd^2
-    as exact quadratics in the two unknowns.  Returns the report and the
-    level-0 lattice.
-    """
-    mu = 1.0
-    n_unk = len(_LABELS)
-    cols = _columns(sample_states(rng, _SAMPLES))
-    x, xd, xdd = cols[:3]
-    states = np.tile(cols, 3)
-    states[3, _SAMPLES:] = np.repeat([1.0, -1.0], _SAMPLES)
-    units = [_unit_lattice(0, i) for i in range(n_unk)]
-    series = _level_series(units, states, mu, 1.0, 0)[:, [0, 3], 0]
-    # S0' and T rows, (2, states, unknowns), at the sampled xddd, +1 and -1
-    at, up, down = np.moveaxis(series.reshape(n_unk, 2, 3, _SAMPLES),
-                               (0, 2), (3, 0))
-
-    def resid(thetas, rows):
-        """R per state (rows) and theta (columns of ``thetas``)."""
-        s1, t_val = rows @ thetas
-        return xd[:, None] * s1 - s1 * s1 / (2.0 * mu) - t_val
-
-    # stage (a): the xddd slope of S0' is linear in theta; S0' is linear in
-    # xddd, so the central difference is exact
-    null_a, rank_a = _nullspace(0.5 * (up[0] - down[0]))
-    if null_a.shape[1] != _K_MAX + 1:
-        raise DeterminationError(
-            f"stage (a) nullspace dimension {null_a.shape[1]}, "
-            f"expected {_K_MAX + 1}")
-
-    # stage (b): on the stage-(a) subspace S0' carries no xddd, so the xddd
-    # slope of R is again linear in theta
-    null_b, rank_b = _nullspace(0.5 * (resid(null_a, up) - resid(null_a, down)))
-    surv = null_a @ null_b
-    if surv.shape[1] != 2:
-        raise DeterminationError(
-            f"surviving family dimension {surv.shape[1]}, expected 2")
-    # the surviving family must be exactly the (alpha_00, alpha_01) plane
-    leak = surv.copy()
-    leak[0, :] = 0.0
-    leak[1, :] = 0.0
-    if np.max(np.abs(leak)) > 1e-8:
-        raise DeterminationError("surviving family is not the "
-                                 "(alpha_00, alpha_01) plane")
-
-    # stage (c): reconstruct the residual weights on the three monomials,
-    # one column per probe (alpha_00, alpha_01) = (s, u)
-    s, u = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
-                     (2.0, 0.0), (0.0, 2.0)]).T
-    probes = np.zeros((n_unk, len(s)))
-    probes[0], probes[1] = s, u
-    design = np.column_stack((xd * xd, x * xdd, (x * xdd / xd) ** 2))
-    weights = np.empty((len(s), 3))
-    fit_res = 0.0
-    for p, rhs in enumerate(resid(probes, at).T):
-        w, _, rank_c, _ = np.linalg.lstsq(design, rhs, rcond=None)
-        if rank_c < 3:
-            raise DeterminationError("stage (c) monomial design is rank-deficient")
-        weights[p] = w
-        fit_res = max(fit_res, float(np.max(np.abs(design @ w - rhs))))
-    vand = np.column_stack((np.ones_like(s), s, u, s * s, s * u, u * u))
-    quads = np.linalg.solve(vand, weights)  # columns: per-monomial quadratics
-
-    notes = []
-    # x^2 xdd^2 weight = q5*u^2 forces alpha_01 = 0
-    q_sq = quads[:, 2]
-    if max(abs(q_sq[i]) for i in range(5)) > 1e-8 or abs(q_sq[5]) < 1e-6:
-        raise DeterminationError("x^2 xdd^2 weight is not a pure u^2 multiple")
-    notes.append(
-        f"x^2*xdd^2 weight = {q_sq[5]:.6g}*u^2 -> alpha_01 = 0")
-    # cross monomial x*xdd must then vanish identically at u=0
-    q_cr = quads[:, 1]
-    if max(abs(q_cr[0]), abs(q_cr[1]), abs(q_cr[3])) > 1e-8:
-        raise DeterminationError("x*xdd weight does not vanish at u=0")
-    # xd^2 weight at u=0: c0 + c1 s + c3 s^2 = s - 2 s^2
-    q_xd = quads[:, 0]
-    roots = np.roots([q_xd[3], q_xd[1], q_xd[0]])
-    roots = sorted(_snap(float(np.real(r))) for r in roots)
-    if len(roots) != 2 or any(abs(np.imag(r)) > 1e-10 for r in
-                              np.roots([q_xd[3], q_xd[1], q_xd[0]])):
-        raise DeterminationError("classical-level quadratic has no two real roots")
-    selected = max(roots, key=abs)
-    if selected == 0.0:
-        raise DeterminationError("only the trivial root found at the classical level")
-    notes.append(
-        f"xd^2 weight roots {roots}; zero root drops the classical kinetic "
-        "term, nonzero root kept")
-
-    theta = np.zeros(n_unk)
-    theta[0] = selected
-    report = LevelReport(
-        level=0, values=dict(zip(_LABELS, theta.tolist())),
-        rank=rank_a + rank_b + 2, n_unknowns=n_unk, fit_residual=fit_res,
-        roots=roots, selected_root=selected, notes=notes)
-    return report, _theta_lattice(theta, 0)
-
-
-def _determine_level_n(rng, n: int, base: KineticCoefficients):
-    """Affine elimination of the level-n unknowns given the lower levels.
-
-    The level-n component of the master residual is exactly affine in the
-    level-n lattice entries (their pairwise products land at level 2n), so
-    a sampled linear solve determines them; full column rank certifies
-    uniqueness.  The component scales as hbar^n, so hbar = 1 serves as the
-    probe.  Returns the report and ``base`` with level n added.
-    """
-    n_unk = len(_LABELS)
-    r0, mat = _probe_matrix(base, n, _columns(sample_states(rng, _SAMPLES)))
-    sol, _, rank, _ = np.linalg.lstsq(mat, -r0, rcond=None)
-    if rank < n_unk:
-        raise DeterminationError(
-            f"level {n}: sample matrix rank {rank} < {n_unk} unknowns")
-    fit = float(np.max(np.abs(mat @ sol + r0)))
-    theta = [_snap(float(v)) for v in sol]
-    # confirm on fresh states, with the solved lattice's own tables
-    solved = _theta_lattice(theta, n, base)
-    fresh = _columns(sample_states(rng, n_unk))
-    ratios, _, _ = level_residuals(solved, fresh, 1.0, 1.0, order=n)
-    worst = float(np.max(ratios))
-    if worst > 1e-8:
-        raise DeterminationError(
-            f"level {n}: solved lattice leaves scaled residual {worst:.2e}")
-    report = LevelReport(
-        level=n, values=dict(zip(_LABELS, theta)), rank=rank, n_unknowns=n_unk,
-        fit_residual=fit,
-        notes=[f"confirmation residual on fresh states {worst:.2e}"])
-    return report, solved
-
-
-def _probe_matrix(base: KineticCoefficients, n: int, cols) -> tuple:
-    """The signed level-n master residual of ``base`` per state (mu = hbar
-    = 1), and the (states, unknowns) matrix of what each unit level-n
-    entry adds to it.  ``base`` has no level-n entries and every series is
-    linear in the lattice entries, so a probe lattice's series are the
-    base's plus the unit entry's own, whose small tables are derived
-    alone."""
-    units = [_unit_lattice(n, i) for i in range(len(_LABELS))]
-    series = _level_series([base] + units, cols, 1.0, 1.0, n)
-    series[1:] += series[0]
-    signed = _pieces(np.moveaxis(series, 0, 2), cols[1], 1.0, 1.0)[n].sum(axis=0)
-    return signed[0], (signed[1:] - signed[0]).T
+def _level_values(n: int, theta) -> dict:
+    """The level-n unknowns by their lattice names, alpha{n}{k} and beta{n}{k}."""
+    return {f"{kind}{n}{k}": float(v) for (kind, k), v in zip(_LABELS, theta)}
 
 
 @functools.cache
 def _unit_lattice(n: int, i: int) -> KineticCoefficients:
     """The lattice whose one entry is the level-n unknown ``_LABELS[i]`` at
-    1, kept per process with the tables derived from it: they depend on
-    nothing else, and the determination probes levels 0-4 only, so at
-    most 50 are kept."""
+    1, kept per process with its derived tables (at most 50: levels 0-4)."""
     return _theta_lattice(np.eye(len(_LABELS))[i], n)
+
+
+def _tmul(a: dict, b: dict, top: int) -> dict:
+    """Product of two tables at mu = 1, where a level-n term carries
+    hbar^n, keeping the levels up to ``top``."""
+    out = {}
+    for (n, e), u in a.items():
+        for (m, f), v in b.items():
+            if n + m <= top:
+                key = (n + m, tuple(map(add, e, f)))
+                out[key] = out.get(key, 0.0) + u * v
+    return out
+
+
+def _identity_table(series, top: int) -> dict:
+    """The master identity's left side minus its right (see
+    level_residuals) at mu = 1, as one table of the levels up to ``top``,
+    from the tables of S0', S0'', S0''' and T."""
+    s1, s2, s3, t = series
+    s1s1 = _tmul(s1, s1, top)
+    quantum = _sum((_tmul(s2, s2, top - 2), 0.375, _ONE),
+                   (_tmul(s1, s3, top - 2), -0.25, _ONE))
+    return _sum((_tmul(s1s1, s1, top), 1, _XD),
+                (_tmul(s1s1, s1s1, top), -0.5, _ONE),
+                (_tmul(_HBAR2, quantum, top), 1, _ONE),
+                (_tmul(s1s1, t, top), -1, _ONE))
+
+
+def _gauss_jordan(rows, n: int) -> tuple:
+    """Exact Gauss-Jordan reduction of the rows [a_1 .. a_n | b] of a
+    linear system in n unknowns, in Fractions.  Returns (rank, solution,
+    consistent), the solution with the free unknowns at 0."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        head = rows[r] = [v / rows[r][col] if v else v for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [a - f * h if h else a for a, h in zip(row, head)]
+        pivots.append(col)
+    solution = [Fraction(0)] * n
+    for row, col in zip(rows, pivots):
+        solution[col] = row[n]
+    consistent = not any(row[n] for row in rows[len(pivots):])
+    return len(pivots), solution, consistent
+
+
+def _rows(tables, keep=lambda key: True) -> dict:
+    """{monomial: row} over the sorted monomials of ``tables`` that ``keep``
+    admits, a row holding each table's coefficient there as a Fraction.
+    The conversion is exact, and so are the tables' float products while
+    the lattice values are dyadic, as the determined ones are."""
+    keys = sorted({key for t in tables for key in t if keep(key)})
+    return {key: [Fraction(t[key]) if key in t else 0 for t in tables]
+            for key in keys}
+
+
+def _determine_level0():
+    """The classical level, matched monomial by monomial on the divided
+    form of the master identity, R = xd*S0' - S0'^2/2 - T = 0 (mu = 1).
+
+    S0' and T are linear in the level-0 unknowns theta, sums of the unit
+    lattices' tables.  (a) S0' may carry no xddd; then neither does S0'^2,
+    so (b) R's xddd monomials are linear in theta too: (a) and (b) are one
+    exact homogeneous system, whose nullspace must be the (alpha00,
+    alpha01) plane.  On it, theta = (s, u), each monomial of R weighs a
+    quadratic in s and u with no constant term.  (c) A weight of u^2
+    alone sets u = 0, and the common roots in s of the weights at u = 0
+    are 0 and the classical root.  Returns the report and the lattice.
+    """
+    n_unk = len(_LABELS)
+    units = [_unit_lattice(0, i).derived(_series_tables) for i in range(n_unk)]
+    s1 = [u[0] for u in units]
+    linear = [_sum((u[0], 1, _XD), (u[3], -1, _ONE)) for u in units]
+    rows = [row + [0] for tabs in (s1, linear)
+            for row in _rows(tabs, lambda key: key[1][3]).values()]
+    rank = _gauss_jordan(rows, n_unk)[0]
+    if rank != n_unk - 2 or any(row[0] or row[1] for row in rows):
+        raise DeterminationError("the xddd monomials do not leave exactly "
+                                 "the (alpha00, alpha01) plane")
+
+    # R(s, u) = s*L0 + u*L1 - (s*A + u*B)^2/2, per monomial the weights of
+    # L0, L1, A^2, A*B and B^2; at u = 0 a weight s*L0 - s^2*A^2/2 has the
+    # roots 0 and 2*L0/A^2
+    a, b = s1[0], s1[1]
+    weights = _rows((linear[0], linear[1], _tmul(a, a, 0), _tmul(a, b, 0),
+                     _tmul(b, b, 0))).values()
+    if not any(w[4] and not any(w[:4]) for w in weights):
+        raise DeterminationError("no monomial weight is a multiple of u^2 alone")
+    at_u0 = [(w[0], w[2]) for w in weights if w[0] or w[2]]
+    roots = {Fraction(0)} | {
+        r for r in (2 * l0 / aa for l0, aa in at_u0 if aa)
+        if all(2 * l0 == aa * r for l0, aa in at_u0)}
+    if len(roots) != 2:
+        raise DeterminationError("no nonzero classical root")
+    selected = max(roots, key=abs)
+    theta = [selected] + [0] * (n_unk - 1)
+    report = LevelReport(
+        level=0, values=_level_values(0, theta), rank=rank + 2,  # u and s
+        n_unknowns=n_unk, roots=sorted(float(r) for r in roots),
+        selected_root=float(selected),
+        notes=[f"xddd monomials of S0' and R: rank {rank}, leaving the "
+               "(alpha00, alpha01) plane",
+               "a weight of u^2 alone -> alpha01 = 0"])
+    return report, _theta_lattice(theta, 0)
+
+
+def _level_system(base: KineticCoefficients, n: int) -> dict:
+    """The exact rows [a_1 .. a_10 | b] of the level-n unknowns, keyed by
+    the monomials of the master identity's level-n part, given the lower
+    levels in ``base``.  The identity is affine in the level-n entries (a
+    term with two of them lies at level 2n), so a_i is the identity of
+    base plus the unit entry ``_LABELS[i]``, its cached tables summed onto
+    base's, less base's own, and b is minus base's own.
+    """
+    below = base.derived(_series_tables)
+    cols = [_identity_table(
+        tuple(_sum((b, 1, _ONE), (u, 1, _ONE)) for b, u in
+              zip(below, _unit_lattice(n, i).derived(_series_tables))), n)
+        for i in range(len(_LABELS))]
+    rows = _rows(cols + [_identity_table(below, n)], lambda key: key[0] == n)
+    return {key: [a - row[-1] for a in row[:-1]] + [-row[-1]]
+            for key, row in rows.items()}
+
+
+def _determine_level_n(n: int, base: KineticCoefficients):
+    """The level-n unknowns given the lower levels in ``base``, by exact
+    Gauss-Jordan on the monomial rows of ``_level_system``.  A rank below
+    the number of unknowns leaves the free ones at 0; rows that admit no
+    solution raise.  Returns the report and ``base`` with level n added."""
+    n_unk = len(_LABELS)
+    rows = _level_system(base, n).values()
+    rank, theta, consistent = _gauss_jordan(rows, n_unk)
+    if not consistent:
+        raise DeterminationError(
+            f"level {n}: the monomial equations admit no solution")
+    report = LevelReport(level=n, values=_level_values(n, theta), rank=rank,
+                         n_unknowns=n_unk)
+    return report, _theta_lattice(theta, n, base)
 
 
 def determine_coefficients(levels: int = 2, *, seed: int = 20260823):
     """Level-by-level recovery of the kinetic coefficients.
 
-    Runs the classical-level elimination and then the affine solves for
-    levels 1..levels (each using the already-determined lower levels), over
-    states from ``sample_states``.  Levels above 4 are outside the
-    certified truncation.  Returns (coefficients, report).
+    Matches the master identity's monomial coefficients exactly: the
+    classical level, then levels 1..levels, each given the levels below.
+    ``unique`` is False when some level's exact nullspace is not zero.
+    ``level_residuals``, an independent evaluation, then confirms the
+    lattice at 30 ``sample_states`` drawn from ``seed``: a scaled residual
+    above 1e-8 raises DeterminationError, as does a level with no
+    solution.  Levels above 4 are outside the certified truncation.
+    Returns (coefficients, report).
     """
     if not 0 <= levels <= 4:
         raise ValueError("levels must lie in 0..4 (certified truncation)")
-    rng = np.random.default_rng(seed)
-    rep, lattice = _determine_level0(rng)
+    rep, lattice = _determine_level0()
     reports = [rep]
     for n in range(1, levels + 1):
-        rep, lattice = _determine_level_n(rng, n, lattice)
+        rep, lattice = _determine_level_n(n, lattice)
         reports.append(rep)
+    states = _columns(sample_states(np.random.default_rng(seed), 30))
+    ratios, _, _ = level_residuals(lattice, states, 1.0, 1.0, order=levels)
+    for rep, worst in zip(reports, ratios.max(axis=1)):
+        if worst > 1e-8:
+            raise DeterminationError(
+                f"level {rep.level}: determined lattice leaves scaled "
+                f"residual {worst:.2e}")
+        rep.notes.append(f"confirmation residual on random states {worst:.2e}")
     unique = all(r.rank >= r.n_unknowns for r in reports)
     return lattice, DeterminationReport(reports, unique)

@@ -580,7 +580,7 @@ def test_coefficients_command(capsys):
     assert run(["coefficients", "--levels", "1"]) == 0
     out = capsys.readouterr().out
     assert "level 0" in out
-    assert "unique: yes" in out
+    assert "unique: True" in out
 
 
 def test_demo_linear_term(capsys):

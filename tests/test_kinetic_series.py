@@ -211,16 +211,18 @@ def test_level_residuals_vanish_for_canonical():
 # ---------------------------------------------------------------------------
 
 def test_determination_recovers_canonical():
-    lattice, report = determine_coefficients(levels=2)
-    assert lattice == KineticCoefficients.canonical()
-    assert report.unique
-    # classical level must expose the sign pair and pick the nonzero root
-    lvl0 = report.levels[0]
-    assert len(lvl0.roots) == 2
-    assert sorted(lvl0.roots) == pytest.approx([0.0, 0.5])
-    assert lvl0.selected_root == pytest.approx(0.5)
-    for rep in report.levels:
-        assert rep.rank == rep.n_unknowns
+    # the seed draws only the confirmation states
+    for seed in (20260823, 1, 2):
+        lattice, report = determine_coefficients(levels=2, seed=seed)
+        assert lattice == KineticCoefficients.canonical()
+        assert report.unique
+        # classical level must expose the sign pair and pick the nonzero root
+        lvl0 = report.levels[0]
+        assert len(lvl0.roots) == 2
+        assert sorted(lvl0.roots) == pytest.approx([0.0, 0.5])
+        assert lvl0.selected_root == pytest.approx(0.5)
+        for rep in report.levels:
+            assert rep.rank == rep.n_unknowns
 
 
 def test_level0_reads_the_cached_unit_lattices(monkeypatch):
@@ -624,33 +626,37 @@ def test_level_residuals_match_a_jet_in_hbar(c, states, mu, hbar):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_probe_matrix_matches_full_lattices(n):
-    """The determination's probe matrix, summed from the base's series and
-    each unit entry's own, equals the signed level-n residual of each full
-    probe lattice (graded by a jet in hbar) minus the base's, within
-    rounding of the level's term magnitudes."""
+    """The level-n system's matrix, each unit probe's contribution to each
+    monomial summed onto the base's level-0 tables only, equals the
+    identity table of each full probe lattice minus the base's, and its
+    right side is minus the base's own level-n identity.  The base's
+    values are multiples of 1/8, so both sides are exact."""
     import qmotion.kinetic_series as ks
 
     rng = np.random.default_rng(100 + n)
     base = KineticCoefficients(
-        {(m, k): tuple(rng.uniform(-1.0, 1.0, 2))
+        {(m, k): tuple(rng.integers(-8, 9, 2) / 8.0)
          for m in range(n) for k in range(2)})
-    cols = np.ascontiguousarray(sample_states(rng, 12).T)
-    r0, mat = ks._probe_matrix(base, n, cols)
-    base_signed = jet_level_pieces(base, cols, 1.0, 1.0, n)[n].sum(axis=0)
-    base_mag = level_magnitudes(base, cols, 1.0, 1.0, n)[n]
-    assert np.all(np.abs(r0 - base_signed) <= 1e-13 * base_mag)
-    assert mat.shape == (12, len(ks._LABELS))
-    for l, theta in enumerate(np.eye(len(ks._LABELS))):
-        probe = ks._theta_lattice(theta, n, base)
-        signed = jet_level_pieces(probe, cols, 1.0, 1.0, n)[n].sum(axis=0)
-        mag = np.maximum(level_magnitudes(probe, cols, 1.0, 1.0, n)[n], base_mag)
-        assert np.all(np.abs(mat[:, l] - (signed - base_signed)) <= 1e-13 * mag)
-        assert np.any(mat[:, l] != 0.0)
+
+    def level_n(c):
+        table = ks._identity_table(c.derived(ks._series_tables), n)
+        return {key: v for key, v in table.items() if key[0] == n}
+
+    own = level_n(base)
+    probes = [level_n(ks._theta_lattice(theta, n, base))
+              for theta in np.eye(len(ks._LABELS))]
+    system = ks._level_system(base, n)
+    assert set(system) == set(own).union(*probes)
+    for key, row in system.items():
+        assert row[-1] == -own.get(key, 0.0)
+        assert row[:-1] == [p.get(key, 0.0) - own.get(key, 0.0) for p in probes]
+    assert all(any(row[i] for row in system.values())
+               for i in range(len(ks._LABELS)))
 
 
 def test_unit_lattices_are_built_once_per_process(monkeypatch):
     """The determination's 10 unit lattices of a level, with the tables
-    derived from them, are built on the first probe of that level only,
+    derived from them, are built on the first system of that level only,
     and a later determination returns the same lattice and report."""
     import qmotion.kinetic_series as ks
 
@@ -664,12 +670,99 @@ def test_unit_lattices_are_built_once_per_process(monkeypatch):
 
     theta_lattice = ks._theta_lattice
     monkeypatch.setattr(ks, "_theta_lattice", counting)
-    cols = np.ascontiguousarray(sample_states(np.random.default_rng(4), 30).T)
     base = KineticCoefficients.canonical()
     for _ in range(2):
-        ks._probe_matrix(base, 3, cols)
+        ks._level_system(base, 3)
     assert calls == [(3, True)] * len(ks._LABELS)
     assert determine_coefficients(levels=4) == first
+
+
+small_lattices = st.integers(0, 2**32 - 1).map(
+    lambda seed: KineticCoefficients(
+        {nk: v for nk, v in seeded_lattice(seed).entries.items()
+         if nk[0] <= 2}))
+
+
+@given(small_lattices, batches)
+@settings(deadline=None, max_examples=60)
+def test_identity_table_matches_the_float_pieces(c, states):
+    """The master identity built as one table by truncated table products
+    and evaluated level by level equals the signed sum of the five float
+    pieces from the hbar-level arrays (mu = hbar = 1), to 1e-12 of the
+    level's term magnitudes, on lattices up to level 2 with k > 0 and beta
+    entries."""
+    import qmotion.kinetic_series as ks
+
+    order = 2 * c.n_max + 2
+    cols = np.ascontiguousarray(states.T)
+    want = ks._pieces(ks._level_series((c,), cols, 1.0, 1.0, order)[0],
+                      cols[1], 1.0, 1.0).sum(axis=1)
+    table = ks._identity_table(c.derived(ks._series_tables), order)
+    levels = [{key: v for key, v in table.items() if key[0] == m}
+              for m in range(order + 1)]
+    got = np.array([np.broadcast_to(v, cols[1].shape)
+                    for v in ks._evaluate(levels, cols, 1.0, 1.0)])
+    bound = 1e-12 * level_magnitudes(c, cols, 1.0, 1.0, order)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_rank_deficit_reports_not_unique(monkeypatch, capsys):
+    """With monomial rows of levels 1 and 3 dropped until their exact
+    nullspaces are not zero, the determination still returns the
+    canonical lattice (the free unknowns at 0), and reports the ranks and
+    unique False without raising."""
+    import qmotion.kinetic_series as ks
+    from qmotion.cli import run
+
+    def fewer(base, n):
+        rows = level_system(base, n)
+        return dict(list(rows.items())[:4]) if n % 2 else rows
+
+    level_system = ks._level_system
+    monkeypatch.setattr(ks, "_level_system", fewer)
+    lattice, report = determine_coefficients(levels=4)
+    assert lattice == KineticCoefficients.canonical()
+    assert [r.rank for r in report.levels] == [10, 4, 10, 4, 10]
+    assert not report.unique
+    assert run(["coefficients", "--levels", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "level 3: rank 4/10" in out
+    assert out.endswith("unique: False\n")
+
+
+def test_inconsistent_identity_raises(monkeypatch):
+    """With the identity's 3/8 quantum factor changed to 0.38, the level-4
+    monomial equations admit no solution: the determination raises and
+    the coefficients command exits 3."""
+    import qmotion.kinetic_series as ks
+    from qmotion.cli import run
+
+    def perturbed(series, top):
+        s2 = series[1]
+        extra = ks._tmul({(2, ks._ONE): 0.005}, ks._tmul(s2, s2, top - 2), top)
+        return ks._sum((identity_table(series, top), 1, ks._ONE),
+                       (extra, 1, ks._ONE))
+
+    identity_table = ks._identity_table
+    monkeypatch.setattr(ks, "_identity_table", perturbed)
+    with pytest.raises(ks.DeterminationError, match="level 4: .* no solution"):
+        determine_coefficients(levels=4)
+    assert run(["coefficients", "--levels", "4"]) == 3
+
+
+def test_confirmation_catches_a_perturbed_lattice(monkeypatch):
+    """The random-state confirmation is an independent evaluation: a level
+    2 solve perturbed to alpha20 = 0.635 before it raises."""
+    import qmotion.kinetic_series as ks
+
+    def perturbed(n, base):
+        rep, lattice = determine_level_n(n, base)
+        return rep, (lattice.with_entry(2, 0, alpha=0.635) if n == 2 else lattice)
+
+    determine_level_n = ks._determine_level_n
+    monkeypatch.setattr(ks, "_determine_level_n", perturbed)
+    with pytest.raises(ks.DeterminationError, match="level 2: "):
+        determine_coefficients(levels=2)
 
 
 # ---------------------------------------------------------------------------
