@@ -52,7 +52,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "potential": {"kind", "slope", "stiffness", "csv", "xs", "vs"},
     "physics": {"hbar", "mu", "energy"},
-    "quantum": {"a", "b", "kappa"},
+    "quantum": {"a", "b"},
     "run": {"law", "x_start", "t0", "t1", "samples", "domain", "grid_step"},
     "output": {"path", "format"},
     "sweep": {"a", "b", "energy"},
@@ -96,14 +96,14 @@ def _potential_from(cfg: dict) -> PotentialModel:
 
 
 # the physics and quantum values the library has no default for, taken when
-# a document leaves them out (b and kappa default to 0 in QuantumStateParams)
+# a document leaves them out (b defaults to 0 in QuantumStateParams)
 _DEFAULTS = {"physics": {"hbar": 1.0, "mu": 1.0, "energy": 0.5},
              "quantum": {"a": 1.0}}
 
 # how each key is read; a run key the document leaves out takes the
 # ScenarioConfig default
-_CASTS = {**dict.fromkeys(("hbar", "mu", "energy", "a", "b", "kappa",
-                           "x_start", "grid_step"), float),
+_CASTS = {**dict.fromkeys(("hbar", "mu", "energy", "a", "b", "x_start",
+                           "grid_step"), float),
           "samples": int,
           "domain": lambda v: None if v is None else tuple(v)}
 
@@ -132,7 +132,7 @@ def scenario_from_config(doc: dict, law: str | None = None) -> traj.ScenarioConf
             kw["law"] = run["law"] if law is None else law
         return traj.ScenarioConfig(potential=potential, params=params, q=q,
                                    **kw)
-    except (ValueError, TypeError, KeyError, SchrodingerError,
+    except (ValueError, TypeError, KeyError, OverflowError, SchrodingerError,
             StateParamError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -368,82 +368,70 @@ _SWEEP_KEYS = ("x_last", "max_energy_drift_rel", "max_bohm_gap_rel",
 def _sweep_group(task):
     """Run the sweep cells ``[(idx, a, b), ...]`` that share one energy.
 
-    The solution pair depends on the energy but not on (a, b): the first
-    cell builds it, and the other cells reuse it.  Under the velocity law
-    the cells run as one batch of states, a single array pass over all
-    their samples (``trajectory.velocity_law_maxima``); the newton and
-    legacy laws run them one at a time.  Each cell's config is validated in
-    grid order, and the error raised is the one that running the cells one
-    at a time would raise first.  Returns the ``(idx, row)`` pairs and the
-    pair's truncation note (None unless the cells' march met the overflow
-    cap).
+    The solution pair depends on the energy but not on (a, b), so the
+    energy's cells are states of one scenario, read from the document with
+    the first cell's (a, b), and share its pair.  ``trajectory.state_maxima``
+    runs them under the scenario's law.  Each cell's state is checked in
+    grid order, and an invalid one is reported once the cells before it
+    have run, as running the cells one at a time would.  Returns the
+    ``(idx, row)`` pairs and the pair's truncation note (None unless the
+    cells' march met the overflow cap).
     """
     from . import trajectory as traj
+    from .reduced_action import StateParamError
 
     doc, energy, cells = task
-    doc = json.loads(json.dumps(doc))
-    doc.setdefault("physics", {})["energy"] = energy
-    q = doc.setdefault("quantum", {})
-    scenarios, invalid = [], None
-    for idx, a, b in cells:
-        q["a"], q["b"] = a, b
+    _, a, b = cells[0]
+    s = scenario_from_config({
+        **doc, "physics": {**doc.get("physics", {}), "energy": energy},
+        "quantum": {**doc.get("quantum", {}), "a": a, "b": b}})
+    states, invalid = [], None
+    for _, a, b in cells:
         try:
-            scenarios.append(scenario_from_config(doc))
-        except ConfigError as exc:
-            # raised once the cells before it have run
-            invalid = exc
+            states.append(dataclasses.replace(s.q, a=a, b=b))
+        except StateParamError as exc:
+            invalid = ConfigError(f"bad scenario configuration: {exc}")
             break
-    if not scenarios:
-        raise invalid
-    first = scenarios[0]
-    pair = first.build_pair()
-    if first.law == "velocity":
-        maxima = traj.velocity_law_maxima(first, [s.q for s in scenarios])
-        values = zip(*(maxima[key] for key in _SWEEP_KEYS))
-    else:
-        values = []
-        for s in scenarios:
-            s.pair = pair
-            summary = traj.summarize(traj.run_scenario(s)[0])
-            values.append([summary[key] for key in _SWEEP_KEYS])
+    maxima = traj.state_maxima(s, states)
     if invalid is not None:
         raise invalid
+    values = zip(*(maxima[key] for key in _SWEEP_KEYS))
     rows = [(idx, (a, b, energy, *v)) for (idx, a, b), v in zip(cells, values)]
-    return rows, pair.truncation_note()
+    return rows, s.pair.truncation_note()
 
 
 def _sweep_axis(grid: dict, key: str, default) -> list:
     """The sweep axis ``key``: a non-empty JSON list of numbers, or
     [default] when the section leaves it out."""
     if key not in grid:
-        return [float(default)]
-    values = grid[key]
-    if not (isinstance(values, list)
-            and all(type(v) in (int, float) for v in values)):
-        raise ConfigError(f"sweep axis {key!r} must be a list of numbers, "
-                          f"got {values!r}")
-    if not values:
-        raise ConfigError(f"sweep axis {key!r} is empty, so the sweep has "
-                          "no cells")
-    return [float(v) for v in values]
+        values = [default]
+    else:
+        values = grid[key]
+        if not (isinstance(values, list)
+                and all(type(v) in (int, float) for v in values)):
+            raise ConfigError(f"sweep axis {key!r} must be a list of "
+                              f"numbers, got {values!r}")
+        if not values:
+            raise ConfigError(f"sweep axis {key!r} is empty, so the sweep "
+                              "has no cells")
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise ConfigError(f"sweep axis {key!r}: {exc}") from exc
 
 
 def _cmd_sweep(args) -> int:
     """One CSV row per (a, b, E) cell, in grid order.
 
-    Only a, b and E vary between cells, so the cells are run one energy
-    group at a time and each group shares one solution pair (see
-    ``_sweep_group``); serially that is one pair build per distinct energy.
-    Under the velocity law a group's cells are one batch of states, run as
-    a single array pass.  Under ``--workers N`` each group is split into at
-    most N interleaved slices, one pool task and one batch each, so that a
-    single energy still keeps the pool busy; the rows do not depend on how
-    the cells are batched.  A pair whose march met the overflow cap is
-    reported on stderr once per energy, in the order the energies first
-    appear, whichever of the energy's tasks met it.  When several cells
-    fail, the error raised first in this energy-major order is the one
-    reported.  An empty axis, or an ``--out`` that cannot be written, is a
-    configuration error found before any cell runs.
+    Only a, b and E vary between cells, so each distinct energy is one
+    task that holds all of its cells and builds one solution pair (see
+    ``_sweep_group``).  Under ``--workers N``, min(N, energies) processes
+    run the tasks; the rows do not depend on N.  A pair whose march met the
+    overflow cap is reported on stderr once per energy, in the order the
+    energies first appear.  When several cells fail, the error raised
+    first in this energy-major order is the one reported.  An empty axis,
+    or an ``--out`` that cannot be written, is a configuration error found
+    before any cell runs.
     """
     doc = _doc_for(args)
     grid = doc.get("sweep")
@@ -465,29 +453,25 @@ def _cmd_sweep(args) -> int:
                 groups.setdefault(repr(energy), (energy, []))[1].append(
                     (idx, a, b))
                 idx += 1
-    tasks = [(doc, energy, cells[k::args.workers])
-             for energy, cells in groups.values()
-             for k in range(min(args.workers, len(cells)))]
-    if len(tasks) > 1 and args.workers > 1:
+    tasks = [(doc, energy, cells) for energy, cells in groups.values()]
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
         # trajectory is loaded before the pool forks, so that its workers
         # inherit it instead of each compiling it again; concurrent.futures
         # is imported here so that no other command loads it
         from . import trajectory  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_group, tasks))
     else:
         done = [_sweep_group(task) for task in tasks]
     rows = [None] * idx
-    notes = {}
-    for (_, energy, _), (group_rows, note) in zip(tasks, done):
-        notes[repr(energy)] = notes.get(repr(energy)) or note
-        for i, row in group_rows:
-            rows[i] = row
-    for note in notes.values():
+    for group_rows, note in done:
         if note:
             print(note, file=sys.stderr)
+        for i, row in group_rows:
+            rows[i] = row
     # energy_conserved, the last column and the one bool, prints as 0 or 1
     fmt = ",".join(["%.17g"] * (2 + len(_SWEEP_KEYS)) + ["%d"])
     lines = [",".join(("a", "b", "energy") + _SWEEP_KEYS)]
@@ -595,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid over (a, b, E) with one row per cell")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--workers", type=_positive_int, default=4)
+    p.add_argument("--workers", type=_positive_int, default=1)
     _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_sweep)
 

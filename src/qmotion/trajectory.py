@@ -23,9 +23,10 @@ on one pair: the positions at every sample time of every state are found
 at once, and the spatial jets, the motion jets (``state_jet_from_x``,
 ``flow_jet``) and the observables are jets whose coefficients are arrays
 with one row per state and one entry per sample.  A single run is the
-batch of one; a sweep runs each energy's cells as one batch
-(``velocity_law_maxima``).  The legacy law samples its one state the same
-way.
+batch of one.  The legacy law samples its one state the same way.
+
+A sweep hands each energy's cells to ``state_maxima``, under any law: the
+velocity law runs them as one batch, the other laws one at a time.
 
 The legacy first-order law xd = 2(E - V)/S0' is kept for comparison; it
 freezes at classical turning points, which integrate_legacy_law detects and
@@ -37,7 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import NamedTuple
 
@@ -65,8 +66,8 @@ __all__ = [
     "observables",
     "run_scenario",
     "state_jet_from_x",
+    "state_maxima",
     "summarize",
-    "velocity_law_maxima",
     "write_csv",
     "write_summary",
 ]
@@ -717,13 +718,18 @@ def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     return result
 
 
-def velocity_law_maxima(s: ScenarioConfig, states) -> dict:
-    """``summarize``'s maxima of the velocity law run from each of
-    ``states`` (QuantumStateParams) on scenario s's pair, start and sample
-    times, as one array pass (``_VelocityRuns``): a dict of lists with one
-    entry per state.  The error raised is the one that running the states
-    one at a time, in order, would raise first."""
+def state_maxima(s: ScenarioConfig, states) -> dict:
+    """``summarize``'s maxima of the run of s's law from each of ``states``
+    (QuantumStateParams) on scenario s's pair, start and sample times: a
+    dict of lists with one entry per state.  The velocity law runs the
+    states as one array pass (``_VelocityRuns``); the newton and legacy
+    laws run them one at a time, and give every ``summarize`` value.  The
+    error raised is the one that running the states one at a time, in
+    order, would raise first."""
     s.build_pair()
+    if s.law != "velocity":
+        runs = [summarize(run_scenario(replace(s, q=q))[0]) for q in states]
+        return {key: [one[key] for one in runs] for key in runs[0]}
     q = _States.of(states)
     run = _VelocityRuns(s, q)
     for k in range(len(states)):

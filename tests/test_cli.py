@@ -178,6 +178,52 @@ def test_free_pair_without_positive_energy_exits_2(tmp_path, capsys,
     assert "positive energy" in capsys.readouterr().err
 
 
+# an integer that JSON carries but a float cannot hold
+TOO_BIG = int("1" + "0" * 400)
+SCENARIO = "bad scenario configuration"
+
+
+@pytest.mark.parametrize("command, section, key, value, where", [
+    ("sweep", "sweep", "a", [TOO_BIG], "sweep axis 'a'"),
+    # the energy axis defaults to physics.energy
+    ("sweep", "physics", "energy", TOO_BIG, "sweep axis 'energy'"),
+    ("trajectory", "physics", "energy", TOO_BIG, SCENARIO),
+    ("trajectory", "run", "t1", TOO_BIG, SCENARIO),
+    ("trajectory", "run", "domain", [-1, TOO_BIG], SCENARIO),
+    ("trajectory", "potential", "slope", TOO_BIG, SCENARIO),
+    ("trajectory", "quantum", "b", TOO_BIG, SCENARIO),
+], ids=["sweep.a", "sweep-physics.energy", "physics.energy", "run.t1",
+        "run.domain", "potential.slope", "quantum.b"])
+def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, command,
+                                               section, key, value, where):
+    """It used to raise OverflowError out of the command: a traceback and
+    exit 1, the code of a failed verification."""
+    out = tmp_path / "x.csv"
+    doc = free_doc(str(out), t1=0.5, samples=8, fmt="csv")
+    doc["potential"] = {"kind": "linear", "slope": 0.5}
+    doc["run"]["domain"] = [-3.0, 3.0]
+    doc["sweep"] = {"a": [1.0], "b": [0.0]}
+    doc[section][key] = value
+    cfg = write_config(tmp_path, doc)
+    assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: {where}: int too large to convert to float\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trajectory", "sweep"])
+def test_kappa_is_not_a_config_key(tmp_path, capsys, command):
+    """kappa shifts S0 by a constant, and nothing a command writes depends
+    on it, so a document that sets it is rejected."""
+    doc = free_doc(str(tmp_path / "x.csv"))
+    doc["quantum"]["kappa"] = 0.25
+    doc["sweep"] = {"a": [1.0], "b": [0.0]}
+    cfg = write_config(tmp_path, doc)
+    assert run([command, "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: unknown keys in section 'quantum': ['kappa']\n")
+
+
 def test_truncated_pair_reported_on_stderr(tmp_path, capsys):
     # from x = 2 the legacy law runs uphill at 2(E - V)/S0', which grows
     # with the pair, so it reaches the overflow cap at x = 7.794
@@ -765,12 +811,78 @@ def test_sweep_shares_one_numerov_pair_per_energy(tmp_path, monkeypatch):
     assert body == out["2"].read_bytes() == _sweep_reference(HARMONIC_SWEEP_DOC)
 
 
+def test_sweep_builds_one_pair_per_energy_at_any_worker_count(tmp_path,
+                                                              monkeypatch):
+    """Each distinct energy is one pool task: three workers build the two
+    energies' pairs once each.  The pool used to slice each energy's cells
+    across the workers, and every slice built the pair again."""
+    import qmotion.trajectory as traj
+
+    log = tmp_path / "builds.log"
+    solve_pair = traj.solve_pair
+
+    def logged(*args, **kwargs):
+        # the forked workers inherit the patch and append to one file
+        with open(log, "a") as fh:
+            fh.write(f"{args[1].energy!r}\n")
+        return solve_pair(*args, **kwargs)
+
+    monkeypatch.setattr(traj, "solve_pair", logged)
+    cfg = write_config(tmp_path, HARMONIC_SWEEP_DOC)
+    out = tmp_path / "w3.csv"
+    assert run(["sweep", "--config", cfg, "--out", str(out),
+                "--workers", "3", "--quiet"]) == 0
+    assert sorted(log.read_text().split()) == ["0.5", "0.8"]
+    monkeypatch.undo()
+    assert out.read_bytes() == _sweep_reference(HARMONIC_SWEEP_DOC)
+
+
+def test_tabulated_sweep_reads_its_csv_once_per_energy(tmp_path, monkeypatch):
+    """An energy's cells share one scenario, so a tabulated potential is
+    read and splined once per energy, not once per cell."""
+    from qmotion.schrodinger import PotentialModel
+
+    table = tmp_path / "potential.csv"
+    table.write_text("x,V\n" + "".join(
+        f"{x / 20},{0.5 * (x / 20) ** 2}\n" for x in range(-70, 71)))
+    doc = json.loads(json.dumps(HARMONIC_SWEEP_DOC))
+    doc["potential"] = {"kind": "tabulated", "csv": str(table)}
+    cfg = write_config(tmp_path, doc)
+    reads, from_csv = [], PotentialModel.from_csv
+
+    def counted(path):
+        reads.append(path)
+        return from_csv(path)
+
+    monkeypatch.setattr(PotentialModel, "from_csv", counted)
+    out = tmp_path / "tab.csv"
+    assert run(["sweep", "--config", cfg, "--out", str(out),
+                "--workers", "1", "--quiet"]) == 0
+    assert reads == [str(table)] * 2  # energies 0.5 and 0.8
+    monkeypatch.undo()
+    assert out.read_bytes() == _sweep_reference(doc)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("a", [[0.0, 1.4], [1.4, 0.0, -0.8]],
+                         ids=["first", "later"])
+@pytest.mark.parametrize("law", ["velocity", "newton", "legacy"])
+def test_sweep_cell_with_a_zero_exits_2(tmp_path, capsys, workers, a, law):
+    doc = json.loads(json.dumps(HARMONIC_SWEEP_DOC))
+    doc["run"]["law"] = law
+    doc["sweep"]["a"] = a
+    cfg = write_config(tmp_path, doc)
+    assert run(["sweep", "--config", cfg, "--workers", workers]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: bad scenario configuration: parameter a must be "
+            "nonzero\n")
+
+
 @pytest.mark.parametrize("base", [HARMONIC_SWEEP_DOC, SWEEP_DOC],
                          ids=["harmonic", "free"])
 def test_sweep_batches_match_cells_run_one_at_a_time(tmp_path, base):
     # both signs of a, so both directions of motion, and several b per a;
-    # one worker runs each energy's 9 cells as one batch, two workers as
-    # batches of 5 and 4
+    # each energy's 9 cells are one task and one batch, at any worker count
     doc = json.loads(json.dumps(base))
     doc["sweep"] = {"a": [1.4, -0.8, 0.6], "b": [0.3, -0.2, 0.0],
                     "energy": [0.5, 0.8]}
@@ -797,6 +909,10 @@ def _edge_message(edge, t_edge):
     # the first error in grid order, whichever way the cells move
     ([3.0, -1.0, 1.0], "1", _edge_message(-2, 1.57804)),
     ([3.0, 1.0, -1.0], "1", _edge_message(3, 14.3894)),
+    # one task per energy, so a worker count does not change the order
+    ([3.0, 1.0, 0.0], "2", _edge_message(3, 14.3894)),
+    ([3.0, -1.0, 1.0], "2", _edge_message(-2, 1.57804)),
+    ([3.0, 1.0, -1.0], "2", _edge_message(3, 14.3894)),
 ])
 def test_sweep_reports_the_first_cell_reaching_the_edge(tmp_path, capsys, a,
                                                         workers, message):

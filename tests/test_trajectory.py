@@ -806,11 +806,30 @@ def test_batched_velocity_runs_equal_single_runs_bitwise(which, states):
     qs = [QuantumStateParams(a=sign * m, b=b) for m, sign, b in states]
     s = ScenarioConfig(pair.potential, UNIT, qs[0], t_span=(0.0, 1.5),
                        samples=24, pair=pair)
-    maxima = trajectory.velocity_law_maxima(s, qs)
+    maxima = trajectory.state_maxima(s, qs)
     for k, q in enumerate(qs):
         one = summarize(integrate_velocity_law(dataclasses.replace(s, q=q)))
         assert {key: v[k] for key, v in maxima.items()} == {
             key: one[key] for key in maxima}
+
+
+@pytest.mark.parametrize("law", ["newton", "legacy"])
+def test_state_maxima_runs_each_state_of_the_other_laws(law, monkeypatch):
+    """Under the newton and legacy laws each state is its own run on the
+    scenario's one pair, with the summary of a run on its own pair."""
+    qs = [QuantumStateParams(a=1.4, b=0.3), QuantumStateParams(a=-0.8, b=0.1)]
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT, qs[0],
+                       t_span=(0.0, 0.5), samples=16, domain=(-3.0, 3.0),
+                       law=law)
+    builds = []
+    monkeypatch.setattr(trajectory, "solve_pair",
+                        lambda *args, **kw: builds.append(1) or solve_pair(
+                            *args, **kw))
+    maxima = trajectory.state_maxima(s, qs)
+    assert len(builds) == 1
+    for k, q in enumerate(qs):
+        one = summarize(run_scenario(dataclasses.replace(s, q=q, pair=None))[0])
+        assert {key: v[k] for key, v in maxima.items()} == one
 
 
 @pytest.mark.parametrize("energy", [0.5, 0.8])
@@ -826,7 +845,7 @@ def test_sweep_group_marches_only_the_nodes_its_paths_reach(energy):
                        PhysParams(hbar=1.0, mu=1.0, energy=energy), qs[0],
                        t_span=(0.0, 0.5), samples=16, domain=(-6.0, 6.0),
                        grid_step=2.5e-4)
-    x_last = trajectory.velocity_law_maxima(s, qs)["x_last"]
+    x_last = trajectory.state_maxima(s, qs)["x_last"]
     nodes = s.pair._nodes
     reach = [nodes.nearest(x)[0] for x in (min(x_last), max(x_last))]
     assert nodes.lo < reach[0] and reach[1] < nodes.hi
