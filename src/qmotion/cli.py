@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .jets import SingularityError
+from .jets import JetDomainError, SingularityError
 from .schrodinger import PhysParams, PotentialModel, SchrodingerError, solve_pair
 
 # The other modules are imported inside the functions that run them, so that
@@ -344,7 +344,11 @@ def _cmd_demo_legacy_stall(args) -> int:
         doc["potential"] = {"kind": "linear", "slope": 0.5}
         doc.setdefault("run", {})
         doc["run"].setdefault("domain", [-2.0, 6.0])
-        doc["run"]["t1"] = max(40.0, float(doc["run"].get("t1", 0.0)))
+        try:
+            t1 = float(doc["run"].get("t1", 0.0))
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"bad scenario configuration: {exc}") from exc
+        doc["run"]["t1"] = max(40.0, t1)
     s = scenario_from_config(doc, law="legacy")
     _, report = traj.run_scenario(s)
     _say(args, f"legacy law on {s.potential.kind} potential, "
@@ -596,7 +600,7 @@ def _numerical_failures() -> tuple:
     from .trajectory import VelocityFloorError
 
     return (IntegrationFailure, VelocityFloorError, DeterminationError,
-            SingularityError, LatticeError, BracketError,
+            SingularityError, JetDomainError, LatticeError, BracketError,
             RootConvergenceError, SchrodingerError, ZeroDivisionError)
 
 

@@ -10,9 +10,8 @@ whose spatial derivative has the closed form
     S0' = hbar * a * W / D,     D = (a*phi1 + b*phi2)^2 + phi2^2 > 0.
 
 D is a sum of squares that never vanishes for admissible parameters, so S0'
-keeps one sign (that of a*W) and S0 is strictly monotone: S0/hbar is the
-phase angle of (phi2, a*phi1 + b*phi2), unwrapped by counting the zeros of
-phi2 from the anchor, where the principal arctan jumps.  All higher
+keeps one sign (that of a*W) and S0 is strictly monotone.  The laws of
+motion read only S0' and its derivatives, never S0 itself.  All higher
 derivatives of S0 are evaluated through jet arithmetic on the pair's
 derivative stacks, which the wave equation supplies exactly; only
 ``qshje_residual`` reads phi'' from the pair itself, so that it can see the
@@ -33,7 +32,6 @@ from .schrodinger import SolutionPair
 __all__ = [
     "QuantumStateParams",
     "StateParamError",
-    "s0_eval",
     "s0p",
     "s0p_jet",
     "inverse_s0p",
@@ -71,9 +69,9 @@ def _s0p_of(pair: SolutionPair, q: QuantumStateParams, j1, j2):
 
 def s0p(pair: SolutionPair, q: QuantumStateParams, x):
     """S0' = hbar*a*W / ((a*phi1 + b*phi2)^2 + phi2^2) at x, a float or an
-    array of points; bit for bit ``s0p_jet(pair, q, x, 0).value``."""
-    p1, _, p2, _ = pair.eval01(x)
-    return _s0p_of(pair, q, p1, p2)
+    array of points; bit for bit ``s0p_jet(pair, q, x, 0).value``.  It
+    reads only the pair's values (phi1, phi2), not their slopes."""
+    return _s0p_of(pair, q, *pair._eval(x, slopes=False))
 
 
 def inverse_s0p(pair: SolutionPair, q: QuantumStateParams, squares):
@@ -91,20 +89,6 @@ def s0p_jet(pair: SolutionPair, q: QuantumStateParams, x, order: int) -> Jet:
     """Spatial jet of S0' at x: coefficients (S0', S0'', ..., S0^(order+1)),
     each a float or, for an array of points, an array."""
     return _s0p_of(pair, q, *pair.phi_jets(x, order))
-
-
-def s0_eval(pair: SolutionPair, q: QuantumStateParams, x: float) -> float:
-    """Branch-unwrapped reduced action at x: the principal value
-    hbar*(arctan(a*phi1/phi2 + b) + kappa), plus sign(a*W)*pi*hbar per zero
-    of phi2 between the anchor and x (``SolutionPair.phi2_zeros``), so it is
-    continuous and strictly monotone across those zeros.  On a zero itself
-    arctan takes the limit sign(a*phi1)*pi/2 that the count agrees with.
-    """
-    p1, _, p2, _ = pair.eval01(x)
-    principal = (math.atan(q.a * p1 / p2 + q.b) if p2
-                 else math.copysign(0.5 * math.pi, q.a * p1))
-    turns = math.copysign(1.0, q.a * pair.wronskian_ref) * pair.phi2_zeros(x)
-    return pair.params.hbar * (principal + q.kappa + math.pi * turns)
 
 
 def qshje_residual(pair: SolutionPair, q: QuantumStateParams, x):

@@ -31,7 +31,13 @@ the rest.
 Evaluation is array-first: ``SolutionPair.eval01``, ``phi_jets`` and
 ``PotentialModel.derivs`` accept one point or an array of points.  eval01
 is the Horner sum from the nearest node, so a node gives back its stored
-(phi, phi'); a point gives bit for bit its value inside an array.
+(phi, phi'); a point gives bit for bit its value inside an array.  The
+Horner sum runs its slope recursion only for the readers of phi'
+(``eval01`` and the jets); ``reduced_action.s0p`` reads the values alone.
+The squares (phi1^2, phi1*phi2, phi2^2) of a node's polynomials are formed
+in one array pass over their coefficients (``_square_primitives``), and
+the table of their cell integrals is brought up to the marched nodes only
+when a march has added nodes since it was last read.
 """
 from __future__ import annotations
 
@@ -293,17 +299,23 @@ class SolutionPair:
         with their derivatives; at a node they give back its stored (phi,
         phi').
         """
+        return self._eval(x, slopes=True)
+
+    def _eval(self, x, slopes: bool):
+        """``eval01``, or only its values (phi1, phi2) unless ``slopes``:
+        a grid pair's Horner sum then skips the slope recursion, which
+        leaves the values' bits as they are."""
         x = np.asarray(x, dtype=float)
         if self.source == "analytic":
             k = self._k
             s, c = np.sin(k * x), np.cos(k * x)
-            return s, k * c, c, -k * s
+            return (s, k * c, c, -k * s) if slopes else (s, c)
         outside = ~self.covers(np.atleast_1d(x))
         if outside.any():
             raise DomainError(f"x = {np.atleast_1d(x)[outside][0]} outside "
                               f"solved domain {list(self.domain)}")
         i, s = self._nodes.nearest(x)  # covers marched out to x
-        return _horner(self._nodes.taylor[:, :, i], s)
+        return _horner(self._nodes.taylor[:, :, i], s, slopes)
 
     def covers(self, x):
         """Whether eval01 accepts x, elementwise for an array: every x on
@@ -365,9 +377,9 @@ class SolutionPair:
         """F with F(s) = integral from 0 to s of (phi1^2, phi1*phi2,
         phi2^2)(x_i + u) du, shape (3,) + shape(i), for offsets s from the
         nodes i (see ``nearest_node``).  On a grid pair the squares are the
-        products of the node polynomials, integrated term by term; on the
-        free pair, where they are sin^2, sin*cos and cos^2 of k*s, F is
-        closed form."""
+        products of the node polynomials, all their coefficients formed at
+        once and integrated term by term; on the free pair, where they are
+        sin^2, sin*cos and cos^2 of k*s, F is closed form."""
         if self.source == "analytic":
             k = self.k
 
@@ -379,28 +391,6 @@ class SolutionPair:
 
             return free
         return _square_primitives(self._nodes.taylor[:, :, self._nodes.at(i)])
-
-    def phi2_zeros(self, x: float) -> int:
-        """Signed number of zeros of phi2 between the anchor and x (negative
-        left of it): those up to the node nearest x -- on the free pair an
-        extremum m*pi/k of cos kx (see ``nearest_node``) -- plus one
-        when phi2(x) from ``eval01`` has the other sign, so that the count
-        always agrees with the sign eval01 gives."""
-        def left_of(u: float) -> int:
-            j, past = self.nearest_node(np.asarray(u))
-            if self.source == "analytic":
-                zeros, ref = int(j), (-1.0) ** j
-            else:
-                g = self._nodes
-                y2 = g.taylor[0, 1, min(j, g.base) : max(j, g.base) + 1]
-                zeros = int(np.count_nonzero(np.diff(y2 < 0)))
-                zeros = zeros if j >= g.base else -zeros
-                ref = g.taylor[0, 1, j]
-            if (self.eval01(u)[2] < 0) != (ref < 0):
-                zeros += 1 if past > 0 else -1
-            return zeros
-
-        return left_of(x) - left_of(self.anchor)
 
     def phi_jets(self, x, order: int) -> tuple[Jet, Jet]:
         """Spatial jets of (phi1, phi2) at x (a float or an array of
@@ -458,8 +448,10 @@ class _Nodes:
         self.x_ref = anchor + h * -n_left  # node 0
         self.xs = np.empty(n)
         self.taylor = np.empty((_TAYLOR_DEGREE + 1, 2, n))
-        self.table, self.tabled = None, (n_left + 1, n_left)  # none yet
-        self.ends_tabled = set()
+        # the table of cell integrals, and the (lo, hi, ends()) it was
+        # brought up to: none yet
+        self.table, self.moments = None, None
+        self.tabled = n_left + 1, n_left, (-1, -1)
         # each side's steps, and the (phi1, phi1', phi2, phi2') of its
         # outermost node, None once the side is complete
         self.steps = {-1: n_left, 1: n_right}
@@ -566,30 +558,35 @@ class _Nodes:
         """The table of cell integrals, brought up to the marched nodes.
         Over a cell [-h/2, h/2] the integral of p*q for two node
         polynomials is the quadratic form sum_jk p_j M_jk q_k with the
-        moments M_jk = integral of s^(j+k) ds, zero for odd j + k; it runs
-        over blocks of nodes, so temporaries stay small.  A complete side's
-        end cell stops at the node, and is summed apart."""
+        moments M_jk = integral of s^(j+k) ds, zero for odd j + k, formed
+        with the table; it runs over blocks of nodes, so temporaries stay
+        small.  A complete side's end cell stops at the node, and is summed
+        apart.  The table is returned as it is while no node and no end
+        has been marched since the last call."""
+        state = self.lo, self.hi, self.ends()
+        if state == self.tabled:
+            return self.table
         half = 0.5 * self.h
-        a, b = self.tabled
+        a, b, tabled_ends = self.tabled
         if self.table is None:
             self.table = np.empty((3, self.xs.size))
-        m = np.arange(_TAYLOR_DEGREE + 1)
-        power = m[:, None] + m
-        moments = np.where(power % 2, 0.0,
-                           2.0 * half ** (power + 1) / (power + 1))
+            m = np.arange(_TAYLOR_DEGREE + 1)
+            power = m[:, None] + m
+            self.moments = np.where(power % 2, 0.0,
+                                    2.0 * half ** (power + 1) / (power + 1))
         for lo, hi in ((self.lo, a), (b + 1, self.hi + 1)):
             for start in range(lo, hi, _CHUNK):
                 block = slice(start, min(start + _CHUNK, hi))
                 p = self.taylor[:, :, block]
-                mp = np.tensordot(moments, p, 1)
+                mp = np.tensordot(self.moments, p, 1)
                 for row, (u, v) in zip(self.table, ((0, 0), (0, 1), (1, 1))):
                     row[block] = np.einsum("jb,jb->b", p[:, u], mp[:, v])
-        self.tabled = self.lo, self.hi
-        for end, (s_lo, s_hi) in zip(self.ends(), ((0.0, half), (-half, 0.0))):
-            if end >= 0 and end not in self.ends_tabled:
+        for end, old, (s_lo, s_hi) in zip(state[2], tabled_ends,
+                                          ((0.0, half), (-half, 0.0))):
+            if end >= 0 and end != old:
                 prim = _square_primitives(self.taylor[:, :, end])
                 self.table[:, end] = prim(s_hi) - prim(s_lo)
-                self.ends_tabled.add(end)
+        self.tabled = state
         return self.table
 
 
@@ -711,9 +708,17 @@ def _march(table: np.ndarray, s: float, start):
 
 def _square_primitives(coeffs):
     """``SolutionPair.square_primitives`` of the node polynomials whose
-    Taylor coefficients are ``coeffs``, shape (degree + 1, 2, ...)."""
-    prim = [np.array(_square_terms(coeffs, m)) / (m + 1)
-            for m in range(2 * _TAYLOR_DEGREE + 1)]
+    Taylor coefficients are ``coeffs``, shape (degree + 1, 2, ...).
+
+    The squares' 2*degree + 1 coefficients are formed at once, one shifted
+    multiply-add per coefficient j of the first factor: the coefficient m
+    of p*q sums p_j q_(m-j) over j upward from +0.0."""
+    deg = len(coeffs) - 1
+    first, second = coeffs[:, (0, 0, 1)], coeffs[:, (0, 1, 1)]
+    terms = np.zeros((2 * deg + 1,) + second.shape[1:])
+    for j, c in enumerate(first):
+        terms[j : j + deg + 1] += c * second
+    prim = (terms.T / np.arange(1.0, 2 * deg + 2)).T
 
     def grid(s):
         acc = prim[-1]
@@ -724,29 +729,16 @@ def _square_primitives(coeffs):
     return grid
 
 
-def _horner(coeffs, s: float):
+def _horner(coeffs, s: float, slopes: bool = True):
     """(p1, p1', p2, p2') at offset s of the polynomial pairs whose Taylor
     coefficients are ``coeffs``, lowest order first, shape (degree + 1, 2,
-    ...)."""
+    ...); (p1, p2) alone, without the slope recursion, unless ``slopes``."""
     (p1, p2), d1, d2 = coeffs[-1], 0.0, 0.0
     for c1, c2 in coeffs[-2::-1]:
-        d1, p1 = d1 * s + p1, p1 * s + c1
-        d2, p2 = d2 * s + p2, p2 * s + c2
-    return p1, d1, p2, d2
-
-
-def _square_terms(coeffs, m: int):
-    """The degree-m Taylor coefficients of (p1^2, p1*p2, p2^2) for the
-    polynomial pairs whose coefficients are ``coeffs``, lowest order first,
-    shape (degree + 1, 2, ...)."""
-    deg = len(coeffs) - 1
-    s11 = s12 = s22 = 0.0
-    for j in range(max(0, m - deg), min(m, deg) + 1):
-        (a1, a2), (b1, b2) = coeffs[j], coeffs[m - j]
-        s11 = s11 + a1 * b1
-        s12 = s12 + a1 * b2
-        s22 = s22 + a2 * b2
-    return s11, s12, s22
+        if slopes:
+            d1, d2 = d1 * s + p1, d2 * s + p2
+        p1, p2 = p1 * s + c1, p2 * s + c2
+    return (p1, d1, p2, d2) if slopes else (p1, p2)
 
 
 def _wave_derivatives(potential: PotentialModel, params: PhysParams, x,

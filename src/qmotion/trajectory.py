@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import Jet, JetOrderError, SingularityError, flow_jet
-from .ode import integrate_ivp
+from .ode import IntegrationFailure, integrate_ivp
 from .reduced_action import QuantumStateParams, inverse_s0p, s0p, s0p_jet
 from .rootfind import RootConvergenceError, expand_bracket, invert_monotone
 from .schrodinger import (DomainError, PhysParams, PotentialModel,
@@ -809,6 +809,11 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
     pair = s.build_pair()
     if init is None:
         y0 = list(state_jet_from_x(pair, s.q, s.params, s.x_start, 3).coeffs)
+        if not all(map(math.isfinite, y0)):
+            # S0' under- or overflows at x_start
+            raise IntegrationFailure(
+                f"the consistent initial jet at x = {s.x_start:.6g} is not"
+                f" finite: {[float(v) for v in y0]}")
     else:
         y0 = [float(v) for v in init]
         if len(y0) != 4:

@@ -211,6 +211,51 @@ def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("potential", [None, {"kind": "free"},
+                                       {"kind": "harmonic", "stiffness": 1.0}],
+                         ids=["no-potential", "free", "harmonic"])
+def test_demo_legacy_stall_with_a_t1_too_large_for_a_float_exits_2(
+        tmp_path, capsys, potential):
+    """Without a potential, or with the free one, the demo sets its own
+    potential and t1 = max(40, t1), which used to raise OverflowError out of
+    the command (a traceback and exit 1); now every potential gives the
+    config error that ``scenario_from_config`` gives."""
+    doc = {"run": {"t1": TOO_BIG}}
+    if potential is not None:
+        doc["potential"] = potential
+    cfg = write_config(tmp_path, doc)
+    assert run(["demo", "legacy-stall", "--config", cfg]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: {SCENARIO}: int too large to convert to float\n")
+
+
+# the finite b makes D = (a phi1 + b phi2)^2 + phi2^2 overflow, so S0' = 0
+UNDERFLOW = {"potential": {"kind": "harmonic", "stiffness": 1.0},
+             "quantum": {"a": 1.0, "b": 1e308},
+             "run": {"t1": 0.5, "samples": 16, "domain": [-3.0, 3.0]},
+             "sweep": {"a": [1.0], "b": [0.3, 1e308]}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["trajectory", "sweep"])
+@pytest.mark.parametrize("law, reason", [
+    ("velocity", "x(t) at t = 0 not found in 100 Newton steps"),
+    ("newton", "the consistent initial jet at x = 0 is not finite: "
+               "[0.0, 0.0, nan, nan]"),
+    ("legacy", "division by a jet with zero value")],
+    ids=["velocity", "newton", "legacy"])
+def test_state_whose_s0p_underflows_is_a_numerical_failure(
+        tmp_path, capsys, command, law, reason):
+    """The newton and legacy laws used to exit 2, each with its own config
+    error, where the velocity law exits 3."""
+    out = tmp_path / "u.csv"
+    doc = {**UNDERFLOW, "run": {**UNDERFLOW["run"], "law": law}}
+    cfg = write_config(tmp_path, doc)
+    assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {reason}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["trajectory", "sweep"])
 def test_kappa_is_not_a_config_key(tmp_path, capsys, command):
     """kappa shifts S0 by a constant, and nothing a command writes depends
@@ -519,14 +564,16 @@ def test_commands_load_only_their_own_modules(tmp_path):
 
 
 def test_reduced_action_on_numerov_pair_does_not_import_scipy_integrate():
-    # S0 is a phase angle read off the pair, not a quadrature of S0'
+    # S0' and its jets are read off the pair, nothing is a quadrature
     code = ("import sys\n"
-            "from qmotion.reduced_action import QuantumStateParams, s0_eval\n"
+            "from qmotion.reduced_action import (QuantumStateParams,\n"
+            "    qshje_residual, s0p, s0p_jet)\n"
             "from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair\n"
             "pair = solve_pair(PotentialModel.harmonic(1.0),\n"
             "                  PhysParams(1.0, 1.0, 4.5), (-3.0, 3.0))\n"
             "q = QuantumStateParams(a=1.3, b=0.2)\n"
-            "s0_eval(pair, q, 2.5)")
+            "s0p(pair, q, 2.5), s0p_jet(pair, q, 2.5, 3)\n"
+            "qshje_residual(pair, q, 2.5)")
     assert "scipy.integrate" not in _modules_after(code, "scipy")
 
 

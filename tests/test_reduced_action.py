@@ -16,7 +16,6 @@ from qmotion.reduced_action import (
     QuantumStateParams,
     StateParamError,
     qshje_residual,
-    s0_eval,
     s0p,
     s0p_jet,
 )
@@ -32,6 +31,44 @@ def harmonic_pair():
     return solve_pair(PotentialModel.harmonic(1.0),
                       PhysParams(hbar=1.0, mu=1.0, energy=0.5),
                       (-3.0, 3.0), anchor=0.0)
+
+
+def phi2_zeros(pair, x: float) -> int:
+    """Signed number of zeros of phi2 between the pair's anchor and x
+    (negative left of it): those up to the node nearest x -- on the free
+    pair an extremum m*pi/k of cos kx -- plus one when phi2(x) from
+    ``eval01`` has the other sign, so that the count always agrees with the
+    sign eval01 gives."""
+    def left_of(u: float) -> int:
+        j, past = pair.nearest_node(np.asarray(u))
+        if pair.source == "analytic":
+            zeros, ref = int(j), (-1.0) ** j
+        else:
+            g = pair._nodes
+            y2 = g.taylor[0, 1, min(j, g.base) : max(j, g.base) + 1]
+            zeros = int(np.count_nonzero(np.diff(y2 < 0)))
+            zeros = zeros if j >= g.base else -zeros
+            ref = g.taylor[0, 1, j]
+        if (pair.eval01(u)[2] < 0) != (ref < 0):
+            zeros += 1 if past > 0 else -1
+        return zeros
+
+    return left_of(x) - left_of(pair.anchor)
+
+
+def s0_eval(pair, q: QuantumStateParams, x: float) -> float:
+    """Oracle: the branch-unwrapped reduced action at x.  S0/hbar is the
+    phase angle of (phi2, a*phi1 + b*phi2): the principal value
+    arctan(a*phi1/phi2 + b) + kappa, plus sign(a*W)*pi per zero of phi2
+    between the anchor and x (``phi2_zeros``), so it is continuous and
+    strictly monotone across those zeros.  On a zero itself arctan takes
+    the limit sign(a*phi1)*pi/2 that the count agrees with.  The package
+    reads only S0' and its derivatives; this checks them against S0."""
+    p1, _, p2, _ = pair.eval01(x)
+    principal = (math.atan(q.a * p1 / p2 + q.b) if p2
+                 else math.copysign(0.5 * math.pi, q.a * p1))
+    turns = math.copysign(1.0, q.a * pair.wronskian_ref) * phi2_zeros(pair, x)
+    return pair.params.hbar * (principal + q.kappa + math.pi * turns)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import dawsn
 
 from qmotion import schrodinger
 from qmotion.jets import Dual, Jet
-from qmotion.reduced_action import QuantumStateParams, qshje_residual
+from qmotion.reduced_action import QuantumStateParams, qshje_residual, s0p
 from qmotion.schrodinger import (
     DomainError,
     PhysParams,
@@ -791,3 +792,123 @@ def test_grid_cells_tile_the_covered_domain():
     assert np.shares_memory(table, pair.cell_integrals(slice(None)))
     np.testing.assert_array_equal(table, harmonic_pair().cell_integrals(
         np.arange(n)))
+
+
+# ---------------------------------------------------------------------------
+# The pair's reads against their per-order and per-point oracles
+# ---------------------------------------------------------------------------
+
+def _square_terms(coeffs, m: int):
+    """Oracle: the degree-m Taylor coefficients of (p1^2, p1*p2, p2^2) for
+    the polynomial pairs whose coefficients are ``coeffs``, lowest order
+    first, shape (degree + 1, 2, ...), one order at a time."""
+    deg = len(coeffs) - 1
+    s11 = s12 = s22 = 0.0
+    for j in range(max(0, m - deg), min(m, deg) + 1):
+        (a1, a2), (b1, b2) = coeffs[j], coeffs[m - j]
+        s11 = s11 + a1 * b1
+        s12 = s12 + a1 * b2
+        s22 = s22 + a2 * b2
+    return s11, s12, s22
+
+
+def _square_primitives_by_order(coeffs):
+    """Oracle of ``schrodinger._square_primitives``: its coefficients from
+    ``_square_terms``, summed by the same Horner rule."""
+    prim = [np.array(_square_terms(coeffs, m)) / (m + 1)
+            for m in range(2 * len(coeffs) - 1)]
+
+    def grid(s):
+        acc = prim[-1]
+        for c in prim[-2::-1]:
+            acc = acc * s + c
+        return acc * s
+
+    return grid
+
+
+# zeros of both signs, where the sums' +0.0 start shows, and values that
+# are not dyadic, so the order of the sums shows in their rounding
+_COEFFS = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e3, 1e3).map(lambda v: v / 3.0))
+_OFFSETS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def _coefficients_and_offsets(draw):
+    """Node coefficients of shape (6, 2), one node, or (6, 2, S, 16), S
+    states' rows of nodes, with offsets of the nodes' shape."""
+    shape = draw(st.sampled_from([(), (1, 16), (3, 16)]))
+    coeffs = draw(arrays(float, (6, 2) + shape, elements=_COEFFS))
+    return coeffs, draw(arrays(float, shape, elements=_OFFSETS))
+
+
+def _signed_zeros(shape):
+    """Coefficients -0.0 for phi1 and +0.0 for phi2: every product in
+    phi1*phi2 is -0.0, and only a sum that starts from +0.0 gives +0.0."""
+    return np.stack([np.full((6,) + shape, -0.0), np.zeros((6,) + shape)],
+                    axis=1)
+
+
+@given(_coefficients_and_offsets())
+@example((_signed_zeros(()), np.array(0.25)))
+@example((_signed_zeros((3, 16)), np.full((3, 16), -0.5)))
+# normal draws, at which summing j downward changes a few outputs' bits
+@example((np.random.default_rng(0).standard_normal((6, 2, 3, 16)),
+          np.random.default_rng(1).uniform(-0.5, 0.5, (3, 16))))
+@settings(deadline=None, max_examples=80)
+def test_square_primitives_match_the_per_order_oracle_bitwise(drawn):
+    coeffs, s = drawn
+    got = schrodinger._square_primitives(coeffs)(s)
+    want = _square_primitives_by_order(coeffs)(s)
+    assert got.shape == (3,) + s.shape
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@given(st.integers(0, len(_GRID_PAIRS)),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       st.floats(0.5, 2.0), st.booleans(), st.floats(-1.0, 1.0))
+@settings(deadline=None, max_examples=60)
+def test_s0p_values_are_those_of_eval01_bitwise(which, fractions, a, flip, b):
+    """s0p reads only (phi1, phi2), without the slope recursion; they and
+    S0' keep eval01's bits, at one point and over an array."""
+    pair = (_GRID_PAIRS + [solve_pair(PotentialModel.free(),
+                                      PhysParams(1.0, 1.0, 0.8),
+                                      (-8.0, 8.0))])[which]
+    lo, hi = pair.domain
+    q = QuantumStateParams(a=-a if flip else a, b=b)
+    x = lo + (hi - lo) * np.asarray(fractions)
+    for where in (x, float(x[0])):
+        p1, _, p2, _ = pair.eval01(where)
+        values = pair._eval(where, slopes=False)
+        np.testing.assert_array_equal(_bits(values), _bits((p1, p2)))
+        lin = q.a * p1 + q.b * p2
+        want = (pair.params.hbar * q.a * pair.wronskian_ref) / (
+            lin * lin + p2 * p2)
+        np.testing.assert_array_equal(_bits(s0p(pair, q, where)), _bits(want))
+
+
+@pytest.mark.parametrize("case", ["harmonic", "linear", "truncated-harmonic"])
+def test_cell_table_sums_the_end_cells_of_sides_completed_later(case):
+    """The table is read before either side is complete, then after a
+    march that completes the right side, then after the left: each read
+    has every covered node's bits, end cells included, as a table first
+    read on the completed pair, and the end cells are the half cells'
+    integrals from the per-order oracle."""
+    lazy, full = _grid_case(case), _grid_case(case)
+    nodes = lazy._nodes
+    table = lazy.cell_integrals(nodes.base)
+    full._nodes.complete()
+    want = full.cell_integrals(slice(None))
+    half = 0.5 * nodes.h
+    for step in (1, -1):
+        while lazy.march(step):
+            pass
+        end = lazy.outermost(step)
+        table = lazy.cell_integrals(slice(nodes.lo, nodes.hi + 1))
+        cover = slice(nodes.lo - full._nodes.lo, nodes.hi - full._nodes.lo + 1)
+        np.testing.assert_array_equal(_bits(table), _bits(want[:, cover]))
+        prim = _square_primitives_by_order(nodes.taylor[:, :, end])
+        edge = prim(half) - prim(0.0) if step < 0 else prim(0.0) - prim(-half)
+        np.testing.assert_array_equal(_bits(lazy.cell_integrals(end)),
+                                      _bits(edge))
