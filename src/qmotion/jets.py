@@ -46,8 +46,8 @@ class JetError(ValueError):
 
 
 class JetOrderError(JetError):
-    """A jet's order is too low for the requested operation (differentiating
-    an order-0 jet, extending by truncation, too few outer derivatives)."""
+    """A jet's order is too low for the requested operation (extending by
+    truncation, too few outer derivatives)."""
 
 
 class JetDomainError(JetError):
@@ -115,12 +115,6 @@ class Jet:
     def taylor(self, m: int):
         """Taylor coefficient f^(m)/m!."""
         return self.coeffs[m] / _FACT[m]
-
-    def derivative(self) -> "Jet":
-        """Jet of the derivative function (order drops by one)."""
-        if self.order == 0:
-            raise JetOrderError("cannot differentiate an order-0 jet")
-        return Jet(self.coeffs[1:])
 
     def truncated(self, order: int) -> "Jet":
         """The jet cut to ``order``; ``self`` when it has that order (jets
@@ -237,6 +231,27 @@ class Jet:
 def _check_nonzero(v, msg: str) -> None:
     if (np.asarray(v) == 0).any():
         raise JetDomainError(msg)
+
+
+def _horner(a, tau, n: int) -> list:
+    """f, f', ..., f^(n-1) at offsets tau of the polynomials whose Taylor
+    coefficients f^(k)/k!, lowest first, run along the first axis of ``a``:
+    Horner's rule from the top coefficient, run for the value and its
+    Taylor shifts together, each shift updated before the one below it;
+    the value alone (n = 1), the most frequent call, takes a plain loop.
+    It is the package's one Taylor sum, for the solution pair and its
+    march (``schrodinger``) and for the integrator's steps (``ode``)."""
+    if n == 1:
+        acc = a[-1]
+        for c in a[-2::-1]:
+            acc = acc * tau + c
+        return [acc]
+    vals = [a[-1]] + [0.0] * (n - 1)
+    for c in a[-2::-1]:
+        for d in range(n - 1, 0, -1):
+            vals[d] = vals[d] * tau + vals[d - 1]
+        vals[0] = vals[0] * tau + c
+    return vals[:2] + [v * _FACT[d] for d, v in enumerate(vals[2:], 2)]
 
 
 # -- composition and autonomous flows ---------------------------------

@@ -362,13 +362,6 @@ def series_momenta(c: KineticCoefficients, j: Jet, params,
     return momenta_state(c, _state_from_jet(j), params.mu, params.hbar, lam)
 
 
-def xi_series_core(c: KineticCoefficients, state, mu, hbar):
-    """The bare beta sum appearing in Xi and in the regulated Hamiltonian
-    bracket, dT/dxddd = sum hbar^n beta_nk / mu^(n-1) x^k xdd^(n+k-2) /
-    xd^(3n+2k-3); ``state`` needs only (x, xd, xdd)."""
-    return _evaluate(c.derived(_momentum_tables)[2:], state, mu, hbar)[0]
-
-
 # ---------------------------------------------------------------------------
 # master identity
 
@@ -380,25 +373,24 @@ def _columns(states) -> np.ndarray:
     return np.ascontiguousarray(arr.T)
 
 
-def _level_series(lattices, state, mu, hbar, order: int) -> np.ndarray:
-    """S0', S0'', S0''' and T of each lattice as hbar-level arrays, shape
-    (lattices, 4, order + 1) + batch shape.  Row n holds a series' level-n
-    terms, evaluated by ``_evaluate`` at hbar = 1 and scaled by hbar^n, so
-    the rows sum to the series at hbar.  One evaluation serves every
-    lattice, sharing the powers of the state."""
+def _level_series(c, state, mu, hbar, order: int) -> np.ndarray:
+    """S0', S0'', S0''' and T as hbar-level arrays, shape (4, order + 1) +
+    batch shape.  Row n holds a series' level-n terms, evaluated by
+    ``_evaluate`` at hbar = 1 and scaled by hbar^n, so the rows sum to the
+    series at hbar.  One evaluation serves the four series, sharing the
+    powers of the state."""
     if _vanishes(state[1]):
         raise SingularityError("xd = 0 in action-gradient series")
-    tables = {}  # (lattice, series, level) -> the level's terms
-    for i, c in enumerate(lattices):
-        for j, table in enumerate(c.derived(_series_tables)):
-            for key, coef in table.items():
-                if key[0] <= order:
-                    tables.setdefault((i, j, key[0]), {})[key] = coef
+    tables = {}  # (series, level) -> the level's terms
+    for j, table in enumerate(c.derived(_series_tables)):
+        for key, coef in table.items():
+            if key[0] <= order:
+                tables.setdefault((j, key[0]), {})[key] = coef
     vals = _evaluate(tables.values(), state, mu, 1.0)
     batch = np.broadcast_shapes(np.shape(state[1]), *map(np.shape, vals))
-    out = np.zeros((len(lattices), 4, order + 1) + batch)
+    out = np.zeros((4, order + 1) + batch)
     for key, v in zip(tables, vals):
-        out[key] = v * hbar ** key[2]
+        out[key] = v * hbar ** key[1]
     return out
 
 
@@ -444,8 +436,8 @@ def level_residuals(c: KineticCoefficients, state, mu, hbar, order: int | None =
     """
     if order is None:
         order = 2 * c.n_max + 2
-    vals = _pieces(_level_series((c,), state, mu, hbar, order)[0],
-                   state[1], mu, hbar)
+    vals = _pieces(_level_series(c, state, mu, hbar, order), state[1], mu,
+                   hbar)
     residuals = np.abs(vals.sum(axis=1))
     scales = np.abs(vals).max(axis=1)
     ratios = np.divide(residuals, scales, out=np.zeros_like(residuals),

@@ -41,7 +41,6 @@ from .kinetic_series import (
     _partial,
     kinetic_term,
     momenta_state,
-    xi_series_core,
 )
 
 __all__ = [
@@ -310,7 +309,9 @@ def canonical_consistency(c: KineticCoefficients, j: Jet, params,
     trip = Momenta(*(m.value if isinstance(m, Jet) else m for m in jtrip))
     xi_dot = jtrip.Xi.coeffs[1]
     pi_dot = jtrip.Pi.coeffs[1]
-    core = xi_series_core(c, (x, xd, xdd), mu, hbar)
+    # the bare beta sum dT/dxddd, in Xi and in the regulated bracket
+    core = _evaluate(c.derived(_momentum_tables)[2:], (x, xd, xdd), mu,
+                     hbar)[0]
     gap = (trip.Xi - core) / lam
     big = (abs(trip.Xi) + abs(core)) / lam
     # -d/dxd and d/dxdd of T's alpha rows (_a) and of dT/dxddd (_b)

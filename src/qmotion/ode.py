@@ -3,6 +3,8 @@ output: each step is a polynomial of degree ``ORDER`` whose coefficients
 the caller's recurrence gives (Griewank and Walther, *Evaluating
 Derivatives*, ch. 13), half as long as the radius that its last two
 coefficients give (Jorba and Zou, *Experimental Mathematics* 14, 2005).
+A step's end state, its wall crossing and the dense output are that
+polynomial summed by ``jets._horner``, the package's one Taylor sum.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import math
 
 import numpy as np
 
+from .jets import _horner
 from .rootfind import invert_monotone
 
 __all__ = [
@@ -31,18 +34,6 @@ MAX_STEPS = 1_000_000
 # the step rule's k, k!/(k - d)! and 1/(k - d) for the last two k
 _RULE = [[(k, math.perm(k, d), 1.0 / (k - d)) for k in (ORDER - 1, ORDER)]
          for d in range(ORDER - 1)]
-
-
-def _horner(a, tau, n: int) -> list:
-    """x, x', ..., x^(n-1) at offsets tau of the polynomials whose
-    coefficients, lowest first, run along the first axis of ``a``: Horner's
-    rule run for the value and its Taylor shifts together."""
-    vals = [0.0] * n
-    for c in a[::-1]:
-        for d in range(n - 1, 0, -1):
-            vals[d] = vals[d] * tau + vals[d - 1]
-        vals[0] = vals[0] * tau + c
-    return [v * math.factorial(d) for d, v in enumerate(vals)]
 
 
 class DenseSolution:

@@ -3,7 +3,7 @@
 Given two independent real wave solutions (phi1, phi2) with constant
 Wronskian W, the one-parameter family of reduced actions is
 
-    S0(x) = hbar * arctan(a * phi1/phi2 + b) + hbar * kappa,      a != 0,
+    S0(x) = hbar * arctan(a * phi1/phi2 + b) + const,      a != 0,
 
 whose spatial derivative has the closed form
 
@@ -45,17 +45,14 @@ class StateParamError(ValueError):
 
 @dataclass(frozen=True)
 class QuantumStateParams:
-    """Parameters (a, b, kappa) selecting one reduced action of the family.
-
-    ``kappa`` shifts S0 by a constant and never influences dynamics.
-    """
+    """Parameters (a, b) selecting one reduced action of the family; S0's
+    additive constant never influences dynamics, so none is kept."""
 
     a: float
     b: float = 0.0
-    kappa: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.a, self.b, self.kappa)):
+        if not all(math.isfinite(v) for v in (self.a, self.b)):
             raise StateParamError("state parameters must be finite")
         if self.a == 0:
             raise StateParamError("parameter a must be nonzero")

@@ -29,15 +29,16 @@ the nodes its path reaches; reading ``domain`` or ``truncated`` marches
 the rest.
 
 Evaluation is array-first: ``SolutionPair.eval01``, ``phi_jets`` and
-``PotentialModel.derivs`` accept one point or an array of points.  eval01
-is the Horner sum from the nearest node, so a node gives back its stored
-(phi, phi'); a point gives bit for bit its value inside an array.  The
-Horner sum runs its slope recursion only for the readers of phi'
-(``eval01`` and the jets); ``reduced_action.s0p`` reads the values alone.
-The squares (phi1^2, phi1*phi2, phi2^2) of a node's polynomials are formed
-in one array pass over their coefficients (``_square_primitives``), and
-the table of their cell integrals is brought up to the marched nodes only
-when a march has added nodes since it was last read.
+``PotentialModel.derivs`` accept one point or an array of points.  Every
+polynomial here is summed by ``jets._horner``, once per solution: eval01
+sums the nearest node's polynomials, so a node gives back its stored
+(phi, phi'), and a point gives bit for bit its value inside an array;
+``reduced_action.s0p`` asks for the values alone, without the slopes.  The
+march sums the nodes' polynomials at the midpoints for its step maps.  The
+squares (phi1^2, phi1*phi2, phi2^2) of a node's polynomials are formed in
+one array pass over their coefficients (``_square_primitives``), and the
+table of their cell integrals is brought up to the marched nodes only when
+a march has added nodes since it was last read.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .jets import Jet, Dual
+from .jets import Jet, Dual, _horner
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -315,7 +316,9 @@ class SolutionPair:
             raise DomainError(f"x = {np.atleast_1d(x)[outside][0]} outside "
                               f"solved domain {list(self.domain)}")
         i, s = self._nodes.nearest(x)  # covers marched out to x
-        return _horner(self._nodes.taylor[:, :, i], s, slopes)
+        c, n = self._nodes.taylor[:, :, i], 2 if slopes else 1
+        p1, p2 = _horner(c[:, 0], s, n), _horner(c[:, 1], s, n)
+        return (p1[0], p1[1], p2[0], p2[1]) if slopes else (p1[0], p2[0])
 
     def covers(self, x):
         """Whether eval01 accepts x, elementwise for an array: every x on
@@ -420,8 +423,8 @@ class SolutionPair:
             i, s = self.nearest_node(np.asarray(x, dtype=float))
             # phi''/m! has the coefficients m (m - 1) c_m, m >= 2
             m = np.arange(2, _TAYLOR_DEGREE + 1)
-            dd1, _, dd2, _ = _horner(
-                (self._nodes.taylor[2:, :, i].T * (m * (m - 1))).T, s)
+            c = (self._nodes.taylor[2:, :, i].T * (m * (m - 1))).T
+            dd1, dd2 = _horner(c[:, 0], s, 1)[0], _horner(c[:, 1], s, 1)[0]
         return Jet((p1, d1, dd1)), Jet((p2, d2, dd2))
 
 
@@ -659,8 +662,8 @@ def _march(table: np.ndarray, s: float, start):
     """
     m = table.shape[2] - 1
     blocks = -(-m // _MARCH_BLOCK)
-    pa, da, pb, db = _horner(table[:, :, :-1], 0.5 * s)
-    qa, ea, qb, eb = _horner(table[:, :, 1:], -0.5 * s)
+    (pa, da), (pb, db) = (_horner(table[:, j, :-1], 0.5 * s, 2) for j in (0, 1))
+    (qa, ea), (qb, eb) = (_horner(table[:, j, 1:], -0.5 * s, 2) for j in (0, 1))
     det = qa * eb - qb * ea
     # every step's map [[a, b], [c, e]], one row per entry, identities past
     # the last step; formed in place, so one temporary is alive at a time
@@ -719,26 +722,7 @@ def _square_primitives(coeffs):
     for j, c in enumerate(first):
         terms[j : j + deg + 1] += c * second
     prim = (terms.T / np.arange(1.0, 2 * deg + 2)).T
-
-    def grid(s):
-        acc = prim[-1]
-        for c in prim[-2::-1]:
-            acc = acc * s + c
-        return acc * s
-
-    return grid
-
-
-def _horner(coeffs, s: float, slopes: bool = True):
-    """(p1, p1', p2, p2') at offset s of the polynomial pairs whose Taylor
-    coefficients are ``coeffs``, lowest order first, shape (degree + 1, 2,
-    ...); (p1, p2) alone, without the slope recursion, unless ``slopes``."""
-    (p1, p2), d1, d2 = coeffs[-1], 0.0, 0.0
-    for c1, c2 in coeffs[-2::-1]:
-        if slopes:
-            d1, d2 = d1 * s + p1, d2 * s + p2
-        p1, p2 = p1 * s + c1, p2 * s + c2
-    return (p1, d1, p2, d2) if slopes else (p1, p2)
+    return lambda s: _horner(prim, s, 1)[0] * s
 
 
 def _wave_derivatives(potential: PotentialModel, params: PhysParams, x,

@@ -723,11 +723,12 @@ def state_maxima(s: ScenarioConfig, states) -> dict:
     (QuantumStateParams) on scenario s's pair, start and sample times: a
     dict of lists with one entry per state.  The velocity law runs the
     states as one array pass (``_VelocityRuns``); the newton and legacy
-    laws run them one at a time, and give every ``summarize`` value.  The
-    error raised is the one that running the states one at a time, in
-    order, would raise first."""
+    laws run them one at a time, and give every ``summarize`` value, and so
+    does the velocity law when a state's S0' at x_start under- or
+    overflows.  The error raised is the one that running the states one at
+    a time, in order, would raise first."""
     s.build_pair()
-    if s.law != "velocity":
+    if s.law != "velocity" or _start_failure(s, _States.of(states)) is not None:
         runs = [summarize(run_scenario(replace(s, q=q))[0]) for q in states]
         return {key: [one[key] for one in runs] for key in runs[0]}
     q = _States.of(states)
@@ -822,9 +823,8 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
         raise DomainError(f"initial x = {y0[0]} outside solved domain "
                           f"{list(pair.domain)}")
     # x is monotone (xd never crosses 0), so once outside it stays outside
-    stop = None if pair.source == "analytic" else (
-        lambda y: not pair.covers(y[0]))
-    dense = integrate_ivp(_newton_series(s), y0, s.t_span, stop=stop)
+    dense = integrate_ivp(_newton_series(s), y0, s.t_span,
+                          stop=lambda y: not pair.covers(y[0]))
     t_end, edge = dense.t1, None
     if not pair.covers(dense.y_end[0]):
         lo, hi = pair.domain
@@ -918,9 +918,27 @@ def integrate_legacy_law(s: ScenarioConfig):
     return result, report
 
 
+def _start_failure(s: ScenarioConfig, q: _States):
+    """The SingularityError that names S0' at x_start, where every law
+    starts from it, for the first state of q whose S0' there is 0 or not
+    finite; None when there is none.  S0' is formed under np.errstate, so
+    its under- or overflow prints no warning."""
+    with np.errstate(all="ignore"):
+        v = np.ravel(s0p(s.build_pair(), q, s.x_start))
+    bad = v[~np.isfinite(v) | (v == 0)]
+    if bad.size:
+        return SingularityError(f"S0' at x_start = {s.x_start:.6g} is "
+                                f"{bad[0]:g}: it under- or overflows")
+    return None
+
+
 def run_scenario(s: ScenarioConfig):
     """Integrate a scenario under its law: (TrajectoryResult, LegacyReport
-    for the legacy law, else None)."""
+    for the legacy law, else None).  A state whose S0' at x_start under- or
+    overflows raises SingularityError."""
+    error = _start_failure(s, _States.of([s.q]))
+    if error is not None:
+        raise error
     if s.law == "legacy":
         return integrate_legacy_law(s)
     law = integrate_velocity_law if s.law == "velocity" else integrate_newton_law

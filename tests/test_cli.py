@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -236,24 +237,49 @@ UNDERFLOW = {"potential": {"kind": "harmonic", "stiffness": 1.0},
              "sweep": {"a": [1.0], "b": [0.3, 1e308]}}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["trajectory", "sweep"])
-@pytest.mark.parametrize("law, reason", [
-    ("velocity", "x(t) at t = 0 not found in 100 Newton steps"),
-    ("newton", "the consistent initial jet at x = 0 is not finite: "
-               "[0.0, 0.0, nan, nan]"),
-    ("legacy", "division by a jet with zero value")],
-    ids=["velocity", "newton", "legacy"])
+@pytest.mark.parametrize("law", ["velocity", "newton", "legacy"])
 def test_state_whose_s0p_underflows_is_a_numerical_failure(
-        tmp_path, capsys, command, law, reason):
-    """The newton and legacy laws used to exit 2, each with its own config
-    error, where the velocity law exits 3."""
+        tmp_path, capsys, command, law):
+    """Every law fails in one line that names S0' and x_start, with no
+    numpy warning before it; the sweep's first cell, at b = 0.3, runs
+    first.  The laws used to print numpy warnings and then each a symptom
+    of its own: an x(t) not found, a non-finite initial jet, a division by
+    a jet with zero value."""
     out = tmp_path / "u.csv"
     doc = {**UNDERFLOW, "run": {**UNDERFLOW["run"], "law": law}}
     cfg = write_config(tmp_path, doc)
-    assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
-    assert capsys.readouterr().err == f"numerical failure: {reason}\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: S0' at x_start = 0 is 0: it under- or "
+        "overflows\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("law", ["velocity", "newton"])
+def test_a_cell_failing_before_an_underflowing_one_is_reported(
+        tmp_path, capsys, law):
+    """The sweep reports the first failure in grid order: here the first
+    cell's domain edge, not the second cell's S0', and no numpy warning."""
+    out = tmp_path / "u.csv"
+    doc = {"potential": {"kind": "linear", "slope": 0.5},
+           "quantum": {"a": 1.0},
+           "run": {"law": law, "t1": 50.0, "samples": 16,
+                   "domain": [-2.0, 3.0]},
+           "sweep": {"a": [1.0], "b": [0.0, 1e308]}}
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["sweep", "--config", cfg, "--out", str(out), "--quiet"])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the run reaches x = 3 at t = 14.3894, before "
+        "t1 = 50; later positions are outside solved domain [-2, 3]\n")
 
 
 @pytest.mark.parametrize("command", ["trajectory", "sweep"])

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmotion.jets import (
     Dual,
@@ -16,6 +16,7 @@ from qmotion.jets import (
     JetDomainError,
     JetError,
     JetOrderError,
+    _horner,
     compose,
     flow_jet,
 )
@@ -51,9 +52,6 @@ def test_variable_requires_first_order():
 def test_truncated_and_derivative_shift():
     j = Jet((1.0, 2.0, 3.0, 4.0))
     assert j.truncated(1).coeffs == (1.0, 2.0)
-    d = j.derivative()
-    # raw-derivative storage: derivative() drops the value slot
-    assert d.coeffs == (2.0, 3.0, 4.0)
 
 
 def test_empty_coeffs_rejected():
@@ -340,3 +338,134 @@ def test_truncating_to_the_same_order_returns_the_jet():
     j = Jet((1.0, 2.0, 3.0))
     assert j.truncated(2) is j
     assert j.truncated(1).coeffs == (1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The shared Taylor sum against the three loops it replaced
+
+def integrator_loop(a, tau, n):
+    """The Taylor integrator's former sum: from zeros, over every
+    coefficient, then scaled by d!."""
+    vals = [0.0] * n
+    for c in a[::-1]:
+        for d in range(n - 1, 0, -1):
+            vals[d] = vals[d] * tau + vals[d - 1]
+        vals[0] = vals[0] * tau + c
+    return [v * math.factorial(d) for d, v in enumerate(vals)]
+
+
+def pair_loop(coeffs, s, slopes=True):
+    """The solution pair's former sum over (degree + 1, 2, ...) node
+    coefficients, both solutions in one loop: (p1, p1', p2, p2'), or
+    (p1, p2) unless ``slopes``."""
+    (p1, p2), d1, d2 = coeffs[-1], 0.0, 0.0
+    for c1, c2 in coeffs[-2::-1]:
+        if slopes:
+            d1, d2 = d1 * s + p1, d2 * s + p2
+        p1, p2 = p1 * s + c1, p2 * s + c2
+    return (p1, d1, p2, d2) if slopes else (p1, p2)
+
+
+def primitive_loop(prim, s):
+    """The square primitives' former sum, times s."""
+    acc = prim[-1]
+    for c in prim[-2::-1]:
+        acc = acc * s + c
+    return acc * s
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# signed zeros, where the start of a sum shows, and values that are not
+# dyadic, so the order of the updates shows in their rounding
+_TAYLOR_COEFFS = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(-1e3, 1e3).map(lambda v: v / 3.0))
+_TAYLOR_OFFSETS = st.one_of(st.sampled_from([0.0, -0.0]),
+                            st.floats(-0.5, 0.5))
+
+
+@st.composite
+def taylor_tables(draw):
+    """(coeffs, tau, n): coefficients of shape (K, 2) + tau's shape, the
+    two solutions of a node table, for K in (2, 6, 25); tau 0-d, (256,),
+    or (S, T) with the coefficients fancy-indexed from an (K, 2, 8) node
+    table as the pair reads them; n in (1, 2, 4).  Entries are picked from
+    small drawn pools, so whole runs of signed zeros are common, and the
+    top coefficient is -0.0 in half the draws."""
+    coeff_pool = np.array(draw(st.lists(_TAYLOR_COEFFS, min_size=1,
+                                        max_size=6)))
+    offset_pool = np.array(draw(st.lists(_TAYLOR_OFFSETS, min_size=1,
+                                         max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([2, 6, 25]))
+    kind = draw(st.sampled_from(["0-d", "vector", "table"]))
+    if kind == "table":
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 16)))
+        nodes = rng.choice(coeff_pool, (k, 2, 8))
+        coeffs = nodes[:, :, rng.integers(0, 8, shape)]
+    else:
+        shape = () if kind == "0-d" else (256,)
+        coeffs = rng.choice(coeff_pool, (k, 2) + shape)
+    if draw(st.booleans()):
+        coeffs[-1] = -0.0
+    tau = np.array(rng.choice(offset_pool, shape))
+    return coeffs, tau, draw(st.sampled_from([1, 2, 4]))
+
+
+# every coefficient -0.0: only a sum that starts from the top coefficient
+# keeps the sign, where one started from zeros gives +0.0
+_NEGATIVE_ZEROS = (np.full((6, 2), -0.0), np.array(0.25), 2)
+
+
+@given(taylor_tables())
+@example(_NEGATIVE_ZEROS)
+@settings(deadline=None, max_examples=150)
+def test_shared_sum_is_the_pair_loop_bit_for_bit(drawn):
+    """The pair's values and slopes, each solution summed apart, are its
+    former loop's over both solutions, with and without the slopes."""
+    coeffs, s, _ = drawn
+    p1, d1 = _horner(coeffs[:, 0], s, 2)
+    p2, d2 = _horner(coeffs[:, 1], s, 2)
+    np.testing.assert_array_equal(_bits([p1, d1, p2, d2]),
+                                  _bits(pair_loop(coeffs, s)))
+    values = _horner(coeffs[:, 0], s, 1) + _horner(coeffs[:, 1], s, 1)
+    np.testing.assert_array_equal(_bits(values),
+                                  _bits(pair_loop(coeffs, s, False)))
+
+
+@given(taylor_tables())
+@example(_NEGATIVE_ZEROS)
+@settings(deadline=None, max_examples=150)
+def test_shared_sum_is_the_primitive_loop_bit_for_bit(drawn):
+    coeffs, s, _ = drawn
+    prim = coeffs[:, 0]
+    np.testing.assert_array_equal(_bits(_horner(prim, s, 1)[0] * s),
+                                  _bits(primitive_loop(prim, s)))
+
+
+@given(taylor_tables())
+@example(_NEGATIVE_ZEROS)
+@settings(deadline=None, max_examples=150)
+def test_shared_sum_is_the_integrator_loop_bit_for_bit(drawn):
+    """The integrator's loop started from zeros, so its top coefficient
+    entered as 0.0*tau + a[-1]: a -0.0 top became +0.0 where tau has no
+    sign bit.  With that one entry, its every derivative is the shared
+    sum's; on coefficient lists of floats too, as a step passes them."""
+    coeffs, tau, n = drawn
+    a = coeffs[:, 0]
+    entered = list(a[:-1]) + [0.0 * tau + a[-1]]
+    want = integrator_loop(a, tau, n)
+    np.testing.assert_array_equal(_bits(_horner(entered, tau, n)),
+                                  _bits(want))
+    if tau.ndim == 0:
+        floats, t = [float(c) for c in entered], float(tau)
+        np.testing.assert_array_equal(
+            _bits(_horner(floats, t, n)),
+            _bits(integrator_loop([float(c) for c in a], t, n)))
+
+
+def test_shared_sum_is_the_value_and_scaled_derivatives():
+    # 1 + 2t + 3t^2 + 4t^3 at t = 0.5: f = 3.25, f' = 8, f'' = 18, f''' = 24
+    assert _horner([1.0, 2.0, 3.0, 4.0], 0.5, 4) == [3.25, 8.0, 18.0, 24.0]

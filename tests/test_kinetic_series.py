@@ -496,7 +496,8 @@ def chain_rule_s0(c, state, mu, hbar):
     tjets = [Jet((x, xd, xdd)), Jet((xd, xdd, xddd)), Jet((xdd, xddd, x4)),
              Jet((xddd, x4, x5)), Jet((x4, x5, zero)), Jet((x5, zero, zero))]
     s1 = ds0dx_state(c, tjets, mu, hbar)[0]
-    s2 = s1.derivative() / tjets[1].truncated(1)
+    # raw-derivative storage: dropping the value slot differentiates
+    s2 = Jet(s1.coeffs[1:]) / tjets[1].truncated(1)
     return s2.value, s2.coeffs[1] / xd
 
 
@@ -695,8 +696,8 @@ def test_identity_table_matches_the_float_pieces(c, states):
 
     order = 2 * c.n_max + 2
     cols = np.ascontiguousarray(states.T)
-    want = ks._pieces(ks._level_series((c,), cols, 1.0, 1.0, order)[0],
-                      cols[1], 1.0, 1.0).sum(axis=1)
+    want = ks._pieces(ks._level_series(c, cols, 1.0, 1.0, order), cols[1],
+                      1.0, 1.0).sum(axis=1)
     table = ks._identity_table(c.derived(ks._series_tables), order)
     levels = [{key: v for key, v in table.items() if key[0] == m}
               for m in range(order + 1)]

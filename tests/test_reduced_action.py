@@ -59,7 +59,7 @@ def phi2_zeros(pair, x: float) -> int:
 def s0_eval(pair, q: QuantumStateParams, x: float) -> float:
     """Oracle: the branch-unwrapped reduced action at x.  S0/hbar is the
     phase angle of (phi2, a*phi1 + b*phi2): the principal value
-    arctan(a*phi1/phi2 + b) + kappa, plus sign(a*W)*pi per zero of phi2
+    arctan(a*phi1/phi2 + b), plus sign(a*W)*pi per zero of phi2
     between the anchor and x (``phi2_zeros``), so it is continuous and
     strictly monotone across those zeros.  On a zero itself arctan takes
     the limit sign(a*phi1)*pi/2 that the count agrees with.  The package
@@ -68,7 +68,7 @@ def s0_eval(pair, q: QuantumStateParams, x: float) -> float:
     principal = (math.atan(q.a * p1 / p2 + q.b) if p2
                  else math.copysign(0.5 * math.pi, q.a * p1))
     turns = math.copysign(1.0, q.a * pair.wronskian_ref) * phi2_zeros(pair, x)
-    return pair.params.hbar * (principal + q.kappa + math.pi * turns)
+    return pair.params.hbar * (principal + math.pi * turns)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_zero_a_rejected():
 
 def test_defaults():
     q = QuantumStateParams(a=1.5)
-    assert q.b == 0.0 and q.kappa == 0.0
+    assert q.b == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +149,6 @@ def test_s0_linear_for_unit_state():
         assert s0_eval(pair, q, x) - base == pytest.approx(x, abs=1e-10)
 
 
-def test_kappa_shifts_s0_by_constant():
-    pair = free_pair()
-    lo = s0_eval(pair, QuantumStateParams(a=2.0, b=0.1, kappa=0.0), 1.3)
-    hi = s0_eval(pair, QuantumStateParams(a=2.0, b=0.1, kappa=2.5), 1.3)
-    assert hi - lo == pytest.approx(2.5, abs=1e-12)
-
-
 def test_s0_continuous_across_phi2_zero():
     # phi2 = cos x vanishes at pi/2; the arctan branch must not jump
     pair = free_pair()
@@ -204,12 +197,12 @@ def test_s0_on_numerov_pair_is_the_unwrapped_phase(energy, zeros, a, b):
                       (-3.0, 3.0), anchor=0.0)
     cells = _zero_cells(pair)
     assert len(cells) == zeros
-    q = QuantumStateParams(a=a, b=b, kappa=0.3)
+    q = QuantumStateParams(a=a, b=b)
     sign = math.copysign(1.0, a)
 
     # the principal value at the anchor
     p1, _, p2, _ = pair.eval01(0.0)
-    assert s0_eval(pair, q, 0.0) == math.atan(a * p1 / p2 + b) + 0.3
+    assert s0_eval(pair, q, 0.0) == math.atan(a * p1 / p2 + b)
 
     # strictly monotone, in the direction of a*W
     xs = np.linspace(-2.99, 2.99, 601)

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import dawsn
 
 from qmotion import schrodinger
-from qmotion.jets import Dual, Jet
+from qmotion.jets import Dual, Jet, _horner
 from qmotion.reduced_action import QuantumStateParams, qshje_residual, s0p
 from qmotion.schrodinger import (
     DomainError,
@@ -515,8 +515,10 @@ def test_derivs_take_arrays():
 def reference_march(table, s, start):
     """``schrodinger._march`` as a float loop that applies the step maps
     one node at a time: the oracle for the blocked prefix product."""
-    pa, da, pb, db = schrodinger._horner(table[:, :, :-1], 0.5 * s)
-    qa, ea, qb, eb = schrodinger._horner(table[:, :, 1:], -0.5 * s)
+    pa, da = _horner(table[:, 0, :-1], 0.5 * s, 2)
+    pb, db = _horner(table[:, 1, :-1], 0.5 * s, 2)
+    qa, ea = _horner(table[:, 0, 1:], -0.5 * s, 2)
+    qb, eb = _horner(table[:, 1, 1:], -0.5 * s, 2)
     det = qa * eb - qb * ea
     steps = ((eb * pa - qb * da) / det, (eb * pb - qb * db) / det,
              (qa * da - ea * pa) / det, (qa * db - ea * pb) / det)
