@@ -215,17 +215,20 @@ class Jet:
         n = int(p)
         if n == 0:
             return Jet.constant(self.value * 0 + 1.0, self.order)
-        if n < 0:
-            return (1.0 / self) ** (-n)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(1.0 / self if n < 0 else self, abs(n))
+
+
+def _power(base, n: int):
+    """base**n for an integer n >= 1 by binary exponentiation, alike for a
+    Jet, a float or an array, so a float gets the bits of an array entry."""
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def _check_nonzero(v, msg: str) -> None:

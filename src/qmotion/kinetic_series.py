@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import Dual, Jet, SingularityError
+from .jets import Dual, Jet, SingularityError, _power
 
 __all__ = [
     "LatticeError",
@@ -93,11 +93,14 @@ def _vanishes(v) -> bool:
 
 
 def _ipow(base, e: int):
-    """base**e for integer e with the 0^0 = 1 skip convention."""
+    """base**e for integer e with the 0^0 = 1 skip convention; floats and
+    arrays by ``jets._power``, so a float gets the bits of an array entry."""
     if e == 0:
         return 1
     if e < 0 and _vanishes(base):
         raise SingularityError("negative power of a vanishing state component")
+    if isinstance(base, (float, np.ndarray)):
+        return _power(1.0 / base if e < 0 else base, abs(e))
     return base ** e
 
 

@@ -21,12 +21,12 @@ Nothing is differenced.
 
 The march is on demand: ``solve_pair`` only sets up the grid, and each
 side is marched out from the anchor a chunk of ``_MARCH_BLOCK`` blocks at a
-time, when a reader asks for a node further out (``_Nodes``).  The blocks
-are cut from the anchor as in a march over the whole side, and the float
-loop carries on from chunk to chunk, so every node gets the same bits
-whatever order the nodes are asked for in.  A run therefore marches only
-the nodes its path reaches; reading ``domain`` or ``truncated`` marches
-the rest.
+time (``_Nodes``), to the node nearest a point read or past the last
+marched node (``ahead``); the cell reads take marched nodes only.  The
+blocks are cut from the anchor as in a march over the whole side, and the
+float loop carries on from chunk to chunk, so every node gets the same
+bits whatever order the nodes are asked for in.  A run therefore marches
+only the nodes its path reaches; reading ``domain`` marches the rest.
 
 Evaluation is array-first: ``SolutionPair.eval01``, ``phi_jets`` and
 ``PotentialModel.derivs`` accept one point or an array of points.  Every
@@ -281,16 +281,17 @@ class SolutionPair:
         return (f"Taylor-marched pair truncated at the overflow cap: requested"
                 f" domain [{r0:.6g}, {r1:.6g}], covered [{c0:.6g}, {c1:.6g}]")
 
-    def march(self, step: int) -> bool:
-        """March a grid pair one chunk further in the direction step (1
-        right, -1 left); False, marching nothing, once that side is
-        complete, and always on the free pair."""
-        return self._nodes is not None and self._nodes.march(step)
-
-    def outermost(self, step: int) -> int:
-        """Index of the outermost node of a grid pair marched so far in the
-        direction step."""
-        return self._nodes.hi if step > 0 else self._nodes.lo
+    def ahead(self, i: int, step: int) -> np.ndarray:
+        """The marched nodes past node i in the direction step (1 right, -1
+        left), nearest first, marching one chunk on if there are none: none
+        past the covered domain's edge.  The free pair's run on without end,
+        _CHUNK at a time."""
+        if self.source == "analytic":
+            return i + step * np.arange(1, _CHUNK + 1)
+        g = self._nodes
+        if i == (g.hi if step > 0 else g.lo):
+            g.march(step)
+        return np.arange(i + step, (g.hi if step > 0 else g.lo) + step, step)
 
     def eval01(self, x):
         """(phi1, phi1', phi2, phi2') at x, a float or an array of points.
@@ -323,7 +324,7 @@ class SolutionPair:
     def covers(self, x):
         """Whether eval01 accepts x, elementwise for an array: every x on
         the analytic pair, x within _EDGE_TOL grid steps of the covered
-        domain on a grid pair, which is marched out to x first."""
+        domain on a grid pair, marched out first to the node nearest x."""
         if self.source == "analytic":
             return np.full(np.shape(x), True)
         lo, hi = self._nodes.reach(x)
@@ -360,9 +361,9 @@ class SolutionPair:
 
     def cell_integrals(self, i):
         """Integrals of (phi1^2, phi1*phi2, phi2^2) over the cells of nodes
-        i (see ``cells``), shape (3,) + shape(i).  On a grid pair i may be
-        a slice of the nodes, cut to the covered ones; the result is then a
-        view of the table.
+        i (see ``cells``), shape (3,) + shape(i).  A slice of a grid pair's
+        nodes is cut to the marched ones and gives a view of the table; on
+        the free pair, whose nodes are every integer, it gives a count.
 
         A grid pair sums its node polynomials' squares over every marched
         cell once, on first use, and keeps the table, so every run on the
@@ -371,8 +372,8 @@ class SolutionPair:
         """
         if self.source == "analytic":
             h = math.pi / self.k
-            return np.multiply.outer((0.5 * h, 0.0, 0.5 * h),
-                                     np.ones(np.shape(i)))
+            shape = (i.stop - i.start,) if isinstance(i, slice) else np.shape(i)
+            return np.multiply.outer((0.5 * h, 0.0, 0.5 * h), np.ones(shape))
         i = self._nodes.at(i)
         return self._nodes.cell_table()[:, i]
 
@@ -502,21 +503,22 @@ class _Nodes:
         return True
 
     def reach(self, x) -> tuple[float, float]:
-        """March each side out past the points x (NaN aside), or to its
-        end; returns the positions of the outermost marched nodes."""
+        """March each side out to the node nearest the points x (NaN
+        aside), or to its end; returns the covered domain's edges, -inf or
+        inf for a side not yet complete."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             near = far = float(x)
-        elif x.size:
-            near = np.fmin.reduce(x, axis=None)
-            far = np.fmax.reduce(x, axis=None)
         else:
-            return self.x_lo, self.x_hi
-        while self.x_hi < far and self.march(1):
+            near = np.fmin.reduce(x, axis=None, initial=math.inf)
+            far = np.fmax.reduce(x, axis=None, initial=-math.inf)
+        # (x - x_ref)/h rounds to the node nearest x (``nearest``)
+        while (far - self.x_ref) / self.h >= self.hi + 0.5 and self.march(1):
             pass
-        while self.x_lo > near and self.march(-1):
+        while self.lo - 0.5 >= (near - self.x_ref) / self.h and self.march(-1):
             pass
-        return self.x_lo, self.x_hi
+        return (self.x_lo if self.carry[-1] is None else -math.inf,
+                self.x_hi if self.carry[1] is None else math.inf)
 
     def nearest(self, x):
         """``SolutionPair.nearest_node`` among the marched nodes."""
@@ -525,23 +527,15 @@ class _Nodes:
         return i, x - self.xs[i]
 
     def at(self, i):
-        """The node indices i, an array or a slice of step 1, once both
-        sides are marched out to them; a slice is cut to the covered
-        nodes, and an array past them raises IndexError."""
+        """The node indices i, an array or a slice of step 1, among the
+        marched nodes: a slice is cut to them, and an array past them
+        raises IndexError.  Nothing is marched."""
         if isinstance(i, slice):
             first, stop, _ = i.indices(self.xs.size)
-            last = stop - 1
-        else:
-            i = np.asarray(i)
-            first, last = (int(i.min()), int(i.max())) if i.size else (0, -1)
-        while self.hi < last and self.march(1):
-            pass
-        while self.lo > first and first <= last and self.march(-1):
-            pass
-        if isinstance(i, slice):
             return slice(max(first, self.lo), min(stop, self.hi + 1))
-        if i.size and (first < self.lo or last > self.hi):
-            raise IndexError(f"nodes {first}..{last} outside the covered"
+        i = np.asarray(i)
+        if i.size and (i.min() < self.lo or i.max() > self.hi):
+            raise IndexError(f"nodes {i.min()}..{i.max()} outside the marched"
                              f" nodes {self.lo}..{self.hi}")
         return i
 

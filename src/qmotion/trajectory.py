@@ -10,13 +10,12 @@ along a run.
 
 Both first-order laws separate, t - t0 = integral of dx/(dx/dt): summed
 over the pair's cells it gives t at every cell exit, and each sample is a
-Newton solve of t(x) = t_k in its cell, so no ODE is solved for them.  A
-grid pair is marched on demand (``schrodinger``), so the velocity law
-sums each state's cells, marching the pair on, only until the state
-passes t1; a state that runs out of cells first has reached the covered
-domain's edge, at a time known before sampling.  The fourth-order law is
-stepped by its own Taylor series (``ode``), and its steps march the pair
-out as they go.
+Newton solve of t(x) = t_k in its cell, so no ODE is solved for them.
+Both sum each state's cells in one loop, on demand (``_Clock._sum_cells``
+over ``SolutionPair.ahead``), only until the state passes t1; a state that
+runs out of cells first has reached the covered domain's edge, at a time
+known before sampling.  The fourth-order law is stepped by its own Taylor
+series (``ode``), and its steps march the pair out as they go.
 
 Sampling the velocity law is one array pass per batch of states (a, b)
 on one pair: the positions at every sample time of every state are found
@@ -333,27 +332,30 @@ class _Clock:
     the legacy law's one QuantumStateParams), summed over the pair's cells
     (``SolutionPair.cells``) from x_start in the direction of motion
     ``step``: ``t_exit`` holds one row per state of the time at each cell
-    exit, and inside a cell the time runs from its entry.  On a grid pair a
-    row runs until the state passes t1, marching the pair on as far as
-    that takes, and grows when t(x) is asked beyond it; a row that holds
-    the covered domain's last cell reaches that edge at its entry of
-    ``t_edge`` (inf for the other rows), and the edge's position is
-    ``edge``.  The free pair's periods run on as far as ``t_span`` needs,
-    so there the rows differ in length.  Three hooks carry the law, here
-    the velocity law mu dx/dt = S0': ``_dx`` (dx/dt times a time lag),
+    exit, and inside a cell the time runs from its entry.  A row is summed
+    on demand (``_sum_cells``) until the state passes t1, and grows when
+    t(x) is asked beyond it; a row that holds the covered domain's last
+    cell reaches that edge at its entry of ``t_edge`` (inf for the other
+    rows), and the edge's position is ``edge``.  Three hooks carry the law,
+    here the velocity law mu dx/dt = S0': ``_dx`` (dx/dt times a time lag),
     ``_entry_time`` (time from a cell's entry, from the squares'
-    primitives) and ``_exit_times`` (each state's row, from the pair's cell
-    integrals, a table kept on a grid pair).
+    primitives) and ``_crossings`` (time to cross whole cells, from the
+    pair's cell integrals, a table kept on a grid pair).
     """
 
     def __init__(self, s: ScenarioConfig, step: int, q):
         pair, self.mu = s.pair, s.params.mu
         self.pair, self.q, self.t0, self.step = pair, q, s.t_span[0], step
         self.i0, self.s0 = pair.nearest_node(np.asarray(s.x_start, dtype=float))
-        self.t_exit, self.at_edge = (list(v) for v in zip(
-            *self._exit_times(s.t_span)))
-        self.t_edge = np.array([self.t0 + float(t[-1]) if edge else math.inf
-                                for t, edge in zip(self.t_exit, self.at_edge)])
+        self.states = [QuantumStateParams(a, b) for a, b in zip(
+            np.ravel(q.a).tolist(), np.ravel(q.b).tolist())]
+        t0, t1 = s.t_span
+        rows = [self._sum_cells(state, row,
+                                lambda t: t[-1] > t1 - t0 and t0 + t[-1] >= t1)
+                for state, row in zip(self.states, self._rows())]
+        self.t_exit = [t for t, _ in rows]
+        self.t_edge = np.array([t0 + float(t[-1]) if edge else math.inf
+                                for t, edge in rows])
 
     @property
     def edge(self) -> float:
@@ -370,43 +372,32 @@ class _Clock:
         return lambda s: self.mu * inverse_s0p(self.pair, self.q,
                                                prim(s) - base)
 
-    def _exit_times(self, t_span):
-        t0, t1 = t_span
-        pair, mu, step = self.pair, self.mu, self.step
-        starts = np.ravel(self._start_crossing()).tolist()
-        self.states = [QuantumStateParams(a, b) for a, b in zip(
-            np.ravel(self.q.a).tolist(), np.ravel(self.q.b).tolist())]
-        for q, start in zip(self.states, starts):
-            if pair.source != "analytic":
-                yield self._sum_cells(
-                    q, np.array([start]),
-                    lambda t: t[-1] > t1 - t0 and t0 + t[-1] >= t1)
-                continue
-            period = mu * step * inverse_s0p(pair, q,
-                                             pair.cell_integrals(self.i0))
-            count = 1 + int((t1 - t0) // period)
-            rest = pair.cell_integrals(
-                self.i0 + step * np.arange(1, count + 1))
-            crossings = (step * mu) * inverse_s0p(pair, q, rest)
-            yield np.cumsum(np.concatenate([[start], crossings])), False
+    def _crossings(self, q, nodes):
+        first, last = sorted((nodes[0], nodes[-1]))
+        cells = self.pair.cell_integrals(slice(first, last + 1))[:, ::self.step]
+        return (self.step * self.mu) * inverse_s0p(self.pair, q, cells)
+
+    def _rows(self):
+        """Each state's row before the cells past its start cell: the time
+        to leave that cell."""
+        s_out = self._cells(np.asarray(0))[2]
+        start = np.ravel(self._entry_time(self.i0, self.s0)(s_out))
+        return [np.array([t]) for t in start.tolist()]
 
     def _sum_cells(self, q, t_exit, done):
-        """Extend state q's row t_exit across the marched cells past it,
-        marching the pair a chunk on when they run out, until done(t_exit)
+        """Extend state q's row t_exit across the cells past it, the nodes
+        that the pair has ahead (``SolutionPair.ahead``), until done(t_exit)
         or the covered domain's last cell; returns the row and whether it
         holds that cell.  The times run on as one cumulative sum, so a row
         has the same bits however far it was taken at a time."""
-        pair, step = self.pair, self.step
-        while not done(t_exit):
-            node = self.i0 + step * (t_exit.size - 1)
-            if node == pair.outermost(step) and not pair.march(step):
+        while not (t_exit.size and done(t_exit)):
+            nodes = self.pair.ahead(self.i0 + self.step * (t_exit.size - 1),
+                                    self.step)
+            if not nodes.size:
                 return t_exit, True
-            end = pair.outermost(step)
-            cells = (pair.cell_integrals(slice(node + 1, end + 1)) if step > 0
-                     else pair.cell_integrals(slice(end, node))[:, ::-1])
-            crossings = (step * self.mu) * inverse_s0p(pair, q, cells)
-            more = np.cumsum(np.concatenate([t_exit[-1:], crossings]))
-            t_exit = np.concatenate([t_exit, more[1:]])
+            more = np.cumsum(np.concatenate([t_exit[-1:],
+                                             self._crossings(q, nodes)]))
+            t_exit = np.concatenate([t_exit[:-1], more])
         return t_exit, False
 
     def _cells(self, cell):
@@ -416,10 +407,6 @@ class _Clock:
         s_in, s_out = (lo, hi) if self.step > 0 else (hi, lo)
         return node, np.where(cell == 0, self.s0, s_in), s_out
 
-    def _start_crossing(self):
-        _, _, s_out = self._cells(np.asarray(0))
-        return self._entry_time(self.i0, self.s0)(s_out)
-
     def __call__(self, x):
         """t at x, a float or an array of points on the path of a clock of
         one state."""
@@ -427,13 +414,11 @@ class _Clock:
         node, s = self.pair.nearest_node(xa)
         cell = self.step * (node - self.i0)
         on_path = np.all(self.pair.covers(xa)) and np.all(cell >= 0)
-        (t_exit,), (at_edge,) = self.t_exit, self.at_edge
-        if on_path and np.any(cell >= t_exit.size) and not at_edge and (
-                self.pair.source != "analytic"):
-            (state,), last = self.states, int(np.max(cell))
-            t_exit, at_edge = self._sum_cells(state, t_exit,
-                                              lambda t: t.size > last)
-            self.t_exit[0], self.at_edge[0] = t_exit, at_edge
+        (t_exit,), (state,) = self.t_exit, self.states
+        if on_path and np.any(cell >= t_exit.size):
+            last = int(np.max(cell))
+            t_exit = self.t_exit[0] = self._sum_cells(
+                state, t_exit, lambda t: t.size > last)[0]
         if not on_path or np.any(cell >= t_exit.size):
             raise ValueError(f"x = {x} is not on the run's path")
         node, s_in, _ = self._cells(cell)
@@ -517,13 +502,13 @@ class _LegacyClock(_Clock):
     def __init__(self, s: ScenarioConfig, step: int, x_turn: float | None):
         self.energy, self.hbar = s.params.energy, s.params.hbar
         self.potential = s.potential
-        # x_turn lies ahead of x_start: covers marches out past it, or to
-        # the edge short of it, and the outermost node then bounds it
-        # exactly (covers alone takes points up to _EDGE_TOL grid steps
-        # past it)
-        on_path = x_turn is not None and bool(s.pair.covers(x_turn)) and (
-            step * (float(s.pair.cells(s.pair.outermost(step))[0]) - x_turn)
-            >= 0)
+        # x_turn lies ahead of x_start: covers marches out to the node
+        # nearest it, or to the edge short of it, and takes points up to
+        # _EDGE_TOL grid steps past that edge, which x_turn must not pass
+        on_path = x_turn is not None and bool(s.pair.covers(x_turn))
+        if on_path:
+            i, d = s.pair.nearest_node(x_turn)
+            on_path = step * d <= 0 or s.pair.ahead(i, step).size > 0
         self.x_turn = x_turn if on_path else None
         slope = float(s.potential.grad(x_turn)) if on_path else 0.0
         # a double root (slope 0) has a pole of order 2: none is subtracted
@@ -562,27 +547,25 @@ class _LegacyClock(_Clock):
 
         return elapsed
 
-    def _exit_times(self, t_span):
-        """The one row: up to x_turn, whose cell never ends, or else to the
-        covered domain's edge, which marches the whole side."""
-        pair, step = self.pair, self.step
-        if pair.source == "analytic":
-            period = math.pi * self.hbar / (2.0 * self.energy)
-            count = 1 + int((t_span[1] - t_span[0]) // period)
-            yield np.cumsum(np.append(self._start_crossing(),
-                                      np.full(count, period))), False
-            return
-        while self.x_turn is None and pair.march(step):
-            pass
-        node, s_in, s_out = self._cells(
-            np.arange(step * (pair.outermost(step) - self.i0) + 1))
+    def _rows(self):
+        # a grid row starts empty, so that its first Gauss-Legendre sums run
+        # from the start cell through the marched nodes in one batch, as
+        # f @ weights rounds a cell's sum by the batch's length
+        return super()._rows() if self.pair.source == "analytic" else [
+            np.empty(0)]
+
+    def _crossings(self, q, nodes):
+        """The cells' Gauss-Legendre sums, the start cell's from x_start;
+        x_turn's cell never ends, so a row ends there with the time inf.  On
+        the free pair each cell is a period, pi hbar/(2E)."""
+        if self.pair.source == "analytic":
+            return np.full(nodes.size, math.pi * self.hbar / (2.0 * self.energy))
+        node, s_in, s_out = self._cells(self.step * (nodes - self.i0))
         if self.x_turn is None:
-            yield np.cumsum(self._entry_time(node, s_in)(s_out)), True
-            return
-        xn = pair.cells(node)[0]
-        m = int(np.argmax((xn + s_out - self.x_turn) * step >= 0))
-        yield np.cumsum(np.append(
-            self._entry_time(node[:m], s_in[:m])(s_out[:m]), math.inf)), False
+            return self._entry_time(node, s_in)(s_out)
+        short = (self.pair.cells(node)[0] + s_out - self.x_turn) * self.step < 0
+        times = self._entry_time(node[short], s_in[short])(s_out[short])
+        return times if short.all() else np.append(times, math.inf)
 
     def positions(self, tau: np.ndarray):
         """x at the elapsed times tau, one row as the clock has one state.
@@ -696,7 +679,7 @@ def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     domain before t1 raises DomainEdgeError, whose ``partial`` result holds
     the samples up to the edge.
     """
-    pair = s.build_pair()
+    pair = _checked_pair(s)
     run = _VelocityRuns(s, _States.of([s.q]))
     error = run.error(0)
     if error is not None:
@@ -809,6 +792,7 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
     """
     pair = s.build_pair()
     if init is None:
+        _checked_pair(s)
         y0 = list(state_jet_from_x(pair, s.q, s.params, s.x_start, 3).coeffs)
         if not all(map(math.isfinite, y0)):
             # S0' under- or overflows at x_start
@@ -868,7 +852,7 @@ def integrate_legacy_law(s: ScenarioConfig):
     carry NaN for H, P and Q.  Reaching the edge of a grid pair's domain
     raises DomainEdgeError, as for the velocity law.
     """
-    pair = s.build_pair()
+    pair = _checked_pair(s)
     mu = s.params.mu
     E = s.params.energy
     step = int(np.sign((E - s.potential.value(s.x_start))
@@ -932,13 +916,18 @@ def _start_failure(s: ScenarioConfig, q: _States):
     return None
 
 
+def _checked_pair(s: ScenarioConfig) -> SolutionPair:
+    """s's pair, once ``_start_failure`` finds no error to raise."""
+    error = _start_failure(s, _States.of([s.q]))
+    if error is not None:
+        raise error
+    return s.pair
+
+
 def run_scenario(s: ScenarioConfig):
     """Integrate a scenario under its law: (TrajectoryResult, LegacyReport
     for the legacy law, else None).  A state whose S0' at x_start under- or
     overflows raises SingularityError."""
-    error = _start_failure(s, _States.of([s.q]))
-    if error is not None:
-        raise error
     if s.law == "legacy":
         return integrate_legacy_law(s)
     law = integrate_velocity_law if s.law == "velocity" else integrate_newton_law

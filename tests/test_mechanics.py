@@ -437,9 +437,9 @@ def test_stacked_momenta_match_the_per_jet_loop_bitwise(L, case):
        lam=st.sampled_from([0.5, 1e-3, 1e-6]))
 @settings(deadline=None, max_examples=40)
 def test_stacked_canonical_ratios_match_the_per_jet_loop(case, seed, lam):
-    # the stacked pass forms the momenta rates with array operands in
-    # places where the single jet has float ones, so the two agree to
-    # rounding of the ratios (about 1e-16), not bit for bit
+    # the stacked pass raises arrays where the single jet raises floats;
+    # both take their integer powers by one binary exponentiation, so the
+    # ratios agree bit for bit
     stacked, jets = case
     for c in (KineticCoefficients.canonical(), seeded_lattice(seed)):
         report = canonical_consistency(c, stacked, PARAMS, lam)
@@ -447,9 +447,9 @@ def test_stacked_canonical_ratios_match_the_per_jet_loop(case, seed, lam):
         for name, chk in report.checks.items():
             assert chk.ratio.shape == (len(jets),)
             want = [s.checks[name].ratio for s in singles]
-            assert np.max(np.abs(chk.ratio - want)) <= 1e-15, name
-        assert np.max(np.abs(report.max_ratio
-                             - [s.max_ratio for s in singles])) <= 1e-15
+            assert np.array_equal(_bits(chk.ratio), _bits(want)), name
+        assert np.array_equal(_bits(report.max_ratio),
+                              _bits([s.max_ratio for s in singles]))
 
 
 def test_check_ratio_is_zero_where_the_scale_is_zero():

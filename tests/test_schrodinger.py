@@ -644,7 +644,8 @@ def _assert_marched_alike(lazy, full):
     """Every covered node of the two pairs, position, Taylor row and cell
     integral, has the same bits."""
     for pair in (lazy, full):
-        pair.cell_integrals(slice(None))  # marches and tables every node
+        pair.domain  # marches every node
+        pair.cell_integrals(slice(None))  # tables every node
     a, b = lazy._nodes, full._nodes
     assert (a.lo, a.hi, a.capped) == (b.lo, b.hi, b.capped)
     cover = slice(a.lo, a.hi + 1)
@@ -660,7 +661,7 @@ def _read(pair, kind, where):
     lo, hi = pair.requested
     x = lo + (hi - lo) * where
     if kind == "march":
-        pair.march(1 if where > 0.5 else -1)
+        pair._nodes.march(1 if where > 0.5 else -1)
     elif pair.covers(x):
         if kind == "eval":
             pair.eval01(x)
@@ -718,6 +719,42 @@ def test_pair_marches_only_what_is_read():
     assert pair.truncation_note() is None and not nodes.capped
     assert pair.domain == (-6.0, 6.0)
     assert (nodes.lo, nodes.hi) == (0, 48000)
+
+
+def test_ahead_marches_only_when_no_marched_node_lies_ahead():
+    pair = harmonic_pair((-6.0, 6.0), grid_step=2.5e-4)
+    nodes, chunk = pair._nodes, schrodinger._CHUNK
+    base = nodes.base
+    # nothing is marched past the anchor yet: each side marches one chunk
+    np.testing.assert_array_equal(pair.ahead(base, 1),
+                                  np.arange(base + 1, base + chunk + 1))
+    np.testing.assert_array_equal(pair.ahead(base, -1),
+                                  np.arange(base - 1, base - chunk - 1, -1))
+    # marched nodes lie ahead: they are returned, and nothing is marched
+    np.testing.assert_array_equal(pair.ahead(base + 10, 1),
+                                  np.arange(base + 11, base + chunk + 1))
+    assert (nodes.lo, nodes.hi) == (base - chunk, base + chunk)
+    # past the covered domain's edges there are none
+    assert pair.domain == (-6.0, 6.0)
+    assert pair.ahead(nodes.hi, 1).size == 0
+    assert pair.ahead(nodes.lo, -1).size == 0
+
+
+def test_ahead_ends_at_the_overflow_cap_and_runs_on_for_the_free_pair():
+    capped = _grid_case("truncated-harmonic")
+    nodes = capped._nodes
+    hi = nodes.base
+    while (ahead := capped.ahead(hi, 1)).size:
+        np.testing.assert_array_equal(ahead, np.arange(hi + 1, nodes.hi + 1))
+        hi = int(ahead[-1])
+    assert nodes.capped and hi == nodes.hi < nodes.xs.size - 1
+    free = solve_pair(PotentialModel.free(),
+                      PhysParams(hbar=1.0, mu=1.0, energy=0.8), (-8.0, 8.0))
+    chunk = schrodinger._CHUNK
+    np.testing.assert_array_equal(free.ahead(-3, -1),
+                                  np.arange(-4, -4 - chunk, -1))
+    np.testing.assert_array_equal(free.cell_integrals(slice(-5, 3)),
+                                  free.cell_integrals(np.arange(-5, 3)))
 
 
 def test_pair_build_memory_peak():
@@ -792,8 +829,9 @@ def test_grid_cells_tile_the_covered_domain():
     # built once, then read as views: every run on the pair sees one table
     table = pair.cell_integrals(slice(None))
     assert np.shares_memory(table, pair.cell_integrals(slice(None)))
-    np.testing.assert_array_equal(table, harmonic_pair().cell_integrals(
-        np.arange(n)))
+    other = harmonic_pair()
+    other.domain  # marches every node
+    np.testing.assert_array_equal(table, other.cell_integrals(np.arange(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -904,9 +942,9 @@ def test_cell_table_sums_the_end_cells_of_sides_completed_later(case):
     want = full.cell_integrals(slice(None))
     half = 0.5 * nodes.h
     for step in (1, -1):
-        while lazy.march(step):
+        while nodes.march(step):
             pass
-        end = lazy.outermost(step)
+        end = nodes.hi if step > 0 else nodes.lo
         table = lazy.cell_integrals(slice(nodes.lo, nodes.hi + 1))
         cover = slice(nodes.lo - full._nodes.lo, nodes.hi - full._nodes.lo + 1)
         np.testing.assert_array_equal(_bits(table), _bits(want[:, cover]))

@@ -19,12 +19,13 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmotion.jets import Jet
+from qmotion.jets import Jet, SingularityError
 from qmotion import trajectory
 from qmotion import ode
 from qmotion.reduced_action import QuantumStateParams, s0p
@@ -693,6 +694,24 @@ def test_modified_laws_cross_the_legacy_barrier():
 @pytest.mark.parametrize("law, integrate", [
     ("velocity", integrate_velocity_law), ("newton", integrate_newton_law),
     ("legacy", integrate_legacy_law)])
+def test_law_called_directly_names_an_underflowing_start(law, integrate):
+    """Each law checks S0' at x_start itself, so a library call fails in
+    the one line that the CLI prints, with no numpy warning before it."""
+    # the finite b makes D overflow at x = 0, so S0' = 0 there
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT,
+                       QuantumStateParams(a=1.0, b=1e308), law=law,
+                       t_span=(0.0, 0.5), samples=16, domain=(-3.0, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularityError) as info:
+            integrate(s)
+    assert str(info.value) == ("S0' at x_start = 0 is 0: it under- or "
+                               "overflows")
+
+
+@pytest.mark.parametrize("law, integrate", [
+    ("velocity", integrate_velocity_law), ("newton", integrate_newton_law),
+    ("legacy", integrate_legacy_law)])
 def test_run_scenario_dispatches_on_the_law(law, integrate):
     """run_scenario gives the law's own samples, and a report only for the
     legacy law."""
@@ -868,6 +887,40 @@ def test_time_of_x_past_t1_runs_on_as_a_longer_run():
     assert short.arrival_time(xs[-1]) > 0.5
     assert short.config.pair._nodes.hi > marched
     np.testing.assert_array_equal(short.time_of_x(xs), long.time_of_x(xs))
+
+
+def test_free_arrival_time_past_t1_runs_on_as_on_a_grid_pair():
+    """The free pair's periods are summed on demand as a grid pair's cells
+    are, so t(x) past where the run stood at t1 is the closed form's."""
+    res = integrate_velocity_law(free_scenario(a=2.0, t1=4.5))
+    assert res.samples[-1].x < 30.0
+    assert res.arrival_time(30.0) == pytest.approx(
+        free_time_of_x(UNIT, QuantumStateParams(a=2.0), 30.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("t1", [1.0, 10.0])
+def test_legacy_run_with_no_turning_point_ahead_marches_as_far_as_it_goes(t1):
+    """Downhill no turning point lies ahead, and the legacy law's cells are
+    summed on demand, a chunk at a time, as far as t1 takes them: the pair
+    is marched at most a chunk past the last sample, on its side only, and
+    the samples have the bits of a run on the completed pair."""
+    def scenario():
+        return ScenarioConfig(PotentialModel.linear(-0.5), UNIT,
+                              QuantumStateParams(a=1.0), law="legacy",
+                              t_span=(0.0, t1), domain=(-100.0, 100.0))
+
+    from qmotion.schrodinger import _CHUNK
+
+    lazy, full = scenario(), scenario()
+    res, report = integrate_legacy_law(lazy)
+    assert report.x_turn is None
+    nodes = lazy.pair._nodes
+    last = nodes.nearest(res.samples[-1].x)[0]
+    assert nodes.lo == nodes.base and nodes.hi - last <= _CHUNK
+    full.build_pair().domain  # marches every node
+    want = integrate_legacy_law(full)[0].columns()
+    np.testing.assert_array_equal(res.columns().view(np.int64),
+                                  want.view(np.int64))
 
 
 def test_batched_observables_flag_singular_rows():
