@@ -5,11 +5,12 @@ function at a single point.  Coefficients are stored as *raw derivatives*,
 and products and quotients work on them directly: a product by the Leibniz
 rule (fg)^(k) = sum_j C(k, j) f^(j) g^(k-j), a quotient by the recurrence
 that rule gives for v = u/w, v^(k) = (u^(k) - sum_{j<k} C(k, j) v^(j)
-w^(k-j)) / w, both weighted by one table of binomial rows.  Only
-composition and flows build their jets in Taylor form.  Coefficient
-entries may be floats or numpy arrays of a common shape, so the same
-recurrences serve scalar evaluation and batched evaluation over many
-sample points.
+w^(k-j)) / w, both weighted by one table of binomial rows.  This is the
+module's one jet arithmetic: the time jet of a flow dx/dt = g(x)
+(`flow_jet`) is formed from the rate's spatial jet by the chain rule d/dt
+= g d/dx, with these products alone.  Coefficient entries may be floats
+or numpy arrays of a common shape, so the same recurrences serve scalar
+evaluation and batched evaluation over many sample points.
 
 The module also provides a forward-mode perturbation (`Dual`) layered on
 top of jets, used to extract partial derivatives of black-box scalar
@@ -31,7 +32,6 @@ __all__ = [
     "JetOrderError",
     "JetDomainError",
     "SingularityError",
-    "compose",
     "flow_jet",
 ]
 
@@ -112,10 +112,6 @@ class Jet:
     def value(self):
         return self.coeffs[0]
 
-    def taylor(self, m: int):
-        """Taylor coefficient f^(m)/m!."""
-        return self.coeffs[m] / _FACT[m]
-
     def truncated(self, order: int) -> "Jet":
         """The jet cut to ``order``; ``self`` when it has that order (jets
         are immutable, so no copy is needed)."""
@@ -126,12 +122,6 @@ class Jet:
 
     def __repr__(self) -> str:
         return f"Jet({list(self.coeffs)!r})"
-
-    # -- Taylor-form helper --------------------------------------------
-
-    @staticmethod
-    def _from_tay(tay) -> "Jet":
-        return Jet(tuple(c * _FACT[k] for k, c in enumerate(tay)))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -257,26 +247,7 @@ def _horner(a, tau, n: int) -> list:
     return vals[:2] + [v * _FACT[d] for d, v in enumerate(vals[2:], 2)]
 
 
-# -- composition and autonomous flows ---------------------------------
-
-
-def compose(g_derivs, u: Jet) -> Jet:
-    """Jet of g(u(t)) from raw derivatives of g at the point u.value.
-
-    ``g_derivs`` lists g, g', g'', ... evaluated at u.value; at least
-    ``u.order + 1`` entries are used (extra entries are ignored).
-    """
-    m = u.order
-    if len(g_derivs) < m + 1:
-        raise JetOrderError(
-            f"need {m + 1} derivatives of the outer function, got {len(g_derivs)}"
-        )
-    gt = [g_derivs[j] / _FACT[j] for j in range(m + 1)]
-    w = u - u.value  # zero constant term
-    acc = Jet.constant(gt[m] + 0.0 * u.value, m)
-    for j in range(m - 1, -1, -1):
-        acc = acc * w + gt[j]
-    return acc
+# -- autonomous flows --------------------------------------------------
 
 
 def flow_jet(g_derivs, x0, order: int) -> Jet:
@@ -284,7 +255,9 @@ def flow_jet(g_derivs, x0, order: int) -> Jet:
 
     ``g_derivs`` lists the spatial derivatives g, g', ..., g^(order-1)
     evaluated at x0.  The returned jet has the requested order, with
-    coefficient k equal to d^k x/dt^k at t = 0.
+    coefficient k equal to d^k x/dt^k at t = 0.  By the chain rule d/dt =
+    g d/dx, x^(k) is the value of F_k, with F_1 = g and F_{k+1} = g F_k',
+    each F_k a spatial jet at x0 one order shorter than the last.
     """
     if order < 1:
         raise JetError("flow jet order must be >= 1")
@@ -292,12 +265,12 @@ def flow_jet(g_derivs, x0, order: int) -> Jet:
         raise JetOrderError(
             f"need {order} spatial derivatives of the rate, got {len(g_derivs)}"
         )
-    tay = [x0]
-    for m in range(order):
-        xj = Jet._from_tay(tay)  # order m
-        gj = compose(g_derivs[: m + 1], xj)
-        tay.append(gj.taylor(m) / (m + 1))
-    return Jet._from_tay(tay)
+    f = g = Jet(g_derivs[:order])
+    out = [x0, f.value]
+    for _ in range(order - 1):
+        f = g * Jet(f.coeffs[1:])
+        out.append(f.value)
+    return Jet(out)
 
 
 class Dual:

@@ -4,12 +4,13 @@ The model Lagrangians treated by this package depend on time derivatives of
 the coordinate up to third order, so the variational calculus brings in a
 generalized Euler-Lagrange equation with total time derivatives up to
 d^3/dt^3, three conjugate momenta and a Hamiltonian built from all of them.
-A Lagrangian is a plain function ``L(x, xd, xdd, xddd, t)``, and the stock
-ones are built as such.  Everything here treats it as a black box:
-``partials`` makes one call of it on four-channel duals over jets in t and
-gets L and its four slot partials (vector forward mode, Griewank and
-Walther, *Evaluating Derivatives*, ch. 3), so total time derivatives are
-exact rather than finite differences.
+A Lagrangian is a plain function ``L(x, xd, xdd, xddd, t)``, and the
+closed-form quantum one (``quantum_lagrangian``) is built as such.
+Everything here treats it as a black box: ``partials`` makes one call of
+it on four-channel duals over jets in t and gets L and its four slot
+partials (vector forward mode, Griewank and Walther, *Evaluating
+Derivatives*, ch. 3), so total time derivatives are exact rather than
+finite differences.
 
 The module also carries two consistency demonstrations: the two rate
 equations of the regulated series Hamiltonian (Pi and P recovered from the
@@ -39,7 +40,6 @@ from .kinetic_series import (
     _kinetic_table,
     _momentum_tables,
     _partial,
-    kinetic_term,
     momenta_state,
 )
 
@@ -49,14 +49,12 @@ __all__ = [
     "LagrangianPartials",
     "LinearTermReport",
     "canonical_consistency",
-    "classical_lagrangian",
     "el_residual",
     "hamiltonian",
     "linear_term_demo",
     "momenta",
     "partials",
     "quantum_lagrangian",
-    "series_lagrangian",
 ]
 
 _SLOTS = 4  # x, xd, xdd, xddd
@@ -171,20 +169,7 @@ def hamiltonian(L: Callable, j: Jet, t: float = 0.0) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stock Lagrangians
-
-def classical_lagrangian(params, potential=None) -> Callable:
-    """mu xd^2/2 - V(x)."""
-    mu = params.mu
-
-    def fn(x, xd, xdd, xddd, t):
-        out = 0.5 * mu * xd * xd
-        if potential is not None:
-            out = out - potential.value(x)
-        return out
-
-    return fn
-
+# the closed-form quantum Lagrangian
 
 def quantum_lagrangian(params, potential=None) -> Callable:
     """Closed-form quantum Lagrangian: the classical kinetic term plus the
@@ -200,22 +185,6 @@ def quantum_lagrangian(params, potential=None) -> Callable:
     def fn(x, xd, xdd, xddd, t):
         out = 0.5 * mu * xd * xd + qc * (
             2.5 * xdd * xdd / _ipow(xd, 4) - xddd / _ipow(xd, 3))
-        if potential is not None:
-            out = out - potential.value(x)
-        return out
-
-    return fn
-
-
-def series_lagrangian(c: KineticCoefficients, params, lam: float = 0.0,
-                      potential=None) -> Callable:
-    """T(c) + (lam/2) xddd^2 - V(x)."""
-    mu, hb = params.mu, params.hbar
-
-    def fn(x, xd, xdd, xddd, t):
-        out = kinetic_term(c, x, xd, xdd, xddd, mu, hb)
-        if lam:
-            out = out + 0.5 * lam * xddd * xddd
         if potential is not None:
             out = out - potential.value(x)
         return out

@@ -261,7 +261,7 @@ class SolutionPair:
             return self.requested
         g = self._nodes
         g.complete()
-        return float(g.xs[g.lo]), float(g.xs[g.hi])
+        return g.x_lo, g.x_hi
 
     @property
     def truncated(self) -> bool:
@@ -316,8 +316,9 @@ class SolutionPair:
         if outside.any():
             raise DomainError(f"x = {np.atleast_1d(x)[outside][0]} outside "
                               f"solved domain {list(self.domain)}")
-        i, s = self._nodes.nearest(x)  # covers marched out to x
-        c, n = self._nodes.taylor[:, :, i], 2 if slopes else 1
+        g = self._nodes
+        i, s = g.nearest(x)  # covers marched out to x
+        c, n = g.taylor[:, :, i - g.first], 2 if slopes else 1
         p1, p2 = _horner(c[:, 0], s, n), _horner(c[:, 1], s, n)
         return (p1[0], p1[1], p2[0], p2[1]) if slopes else (p1[0], p2[0])
 
@@ -353,10 +354,10 @@ class SolutionPair:
             half = np.full(i.shape, 0.5 * h)
             return i * h, -half, half
         g = self._nodes
-        i = g.at(i)
+        g.cols(i)  # IndexError past the marched nodes
         first, last = g.ends()
         half = 0.5 * g.h
-        return (g.xs[i], np.where(i == first, 0.0, -half),
+        return (g.x(i), np.where(i == first, 0.0, -half),
                 np.where(i == last, 0.0, half))
 
     def cell_integrals(self, i):
@@ -374,8 +375,7 @@ class SolutionPair:
             h = math.pi / self.k
             shape = (i.stop - i.start,) if isinstance(i, slice) else np.shape(i)
             return np.multiply.outer((0.5 * h, 0.0, 0.5 * h), np.ones(shape))
-        i = self._nodes.at(i)
-        return self._nodes.cell_table()[:, i]
+        return self._nodes.cell_table()[:, self._nodes.cols(i)]
 
     def square_primitives(self, i):
         """F with F(s) = integral from 0 to s of (phi1^2, phi1*phi2,
@@ -394,7 +394,8 @@ class SolutionPair:
                                  0.5 * s + wave))
 
             return free
-        return _square_primitives(self._nodes.taylor[:, :, self._nodes.at(i)])
+        g = self._nodes
+        return _square_primitives(g.taylor[:, :, g.cols(i)])
 
     def phi_jets(self, x, order: int) -> tuple[Jet, Jet]:
         """Spatial jets of (phi1, phi2) at x (a float or an array of
@@ -422,9 +423,10 @@ class SolutionPair:
             dd1, dd2 = -k2 * p1, -k2 * p2
         else:
             i, s = self.nearest_node(np.asarray(x, dtype=float))
+            g = self._nodes
             # phi''/m! has the coefficients m (m - 1) c_m, m >= 2
             m = np.arange(2, _TAYLOR_DEGREE + 1)
-            c = (self._nodes.taylor[2:, :, i].T * (m * (m - 1))).T
+            c = (g.taylor[2:, :, i - g.first].T * (m * (m - 1))).T
             dd1, dd2 = _horner(c[:, 0], s, 1)[0], _horner(c[:, 1], s, 1)[0]
         return Jet((p1, d1, dd1)), Jet((p2, d2, dd2))
 
@@ -433,8 +435,10 @@ class _Nodes:
     """A grid pair's nodes, marched out from the anchor on demand.
 
     Node j sits at anchor + h*(j - base) for j = 0..n-1, the grid over the
-    requested domain, with base the anchor's index; the arrays hold every
-    node, but only the nodes lo..hi have been marched.  ``march`` takes a
+    requested domain, with base the anchor's index; only the nodes lo..hi
+    have been marched, and only they are stored: the arrays' columns hold
+    the nodes from ``first`` on, and grow toward the nodes the march adds
+    (``cols`` maps nodes to columns).  ``march`` takes a
     side one chunk of _CHUNK steps further: the chunk's unit table, read
     again at its first node, its step maps and block scan (``_march``), and
     the float loop carried on from the side's last block.  A side is
@@ -447,11 +451,10 @@ class _Nodes:
                  n_left: int, n_right: int):
         self.potential, self.params, self.anchor, self.h = (
             potential, params, anchor, h)
-        n = n_left + n_right + 1
-        self.base = self.lo = self.hi = n_left
+        self.n = n_left + n_right + 1
+        self.base = self.lo = self.hi = self.first = n_left
         self.x_ref = anchor + h * -n_left  # node 0
-        self.xs = np.empty(n)
-        self.taylor = np.empty((_TAYLOR_DEGREE + 1, 2, n))
+        self.taylor = np.empty((_TAYLOR_DEGREE + 1, 2, 1))
         # the table of cell integrals, and the (lo, hi, ends()) it was
         # brought up to: none yet
         self.table, self.moments = None, None
@@ -463,20 +466,33 @@ class _Nodes:
                       for step in (-1, 1)}
         self.capped = False
         # the anchor: its unit table, turned by the anchor data
-        xs = anchor + h * np.arange(1)
-        unit = _unit_table(potential, params, xs)
+        unit = _unit_table(potential, params, anchor + h * np.arange(1))
         unit[:2, :, 0] = (0.0, 1.0), (1.0, 0.0)
-        self.xs[n_left] = xs[0]
         self._store(slice(n_left, n_left + 1), unit)
 
-    def _store(self, cols: slice, unit: np.ndarray) -> None:
-        """Keep the nodes ``cols``, given by a unit table whose rows 0 and 1
-        hold the solutions' (phi, phi'): its unit coefficients become those
-        of (phi1, phi2)."""
+    def x(self, i):
+        """Positions of the nodes i."""
+        return self.anchor + self.h * (i - self.base)
+
+    def _store(self, nodes: slice, unit: np.ndarray) -> None:
+        """Keep the nodes ``nodes``, given by a unit table whose rows 0 and
+        1 hold the solutions' (phi, phi'): its unit coefficients become
+        those of (phi1, phi2).  The storage first grows to hold them."""
         for row in unit[2:]:
             row[:] = row[:1] * unit[0] + row[1:] * unit[1]
-        self.taylor[:, :, cols] = unit
-        self.x_lo, self.x_hi = float(self.xs[self.lo]), float(self.xs[self.hi])
+        a, b = nodes.start, nodes.stop
+        first, stop = self.first, self.first + self.taylor.shape[-1]
+        # grow toward new nodes by at least the old size, within the grid
+        lo = first if a >= first else max(min(a, 2 * first - stop), 0)
+        hi = stop if b <= stop else min(max(b, 2 * stop - first), self.n)
+        if (lo, hi) != (first, stop):
+            widths = [(0, 0), (first - lo, hi - stop)]
+            self.taylor = np.pad(self.taylor, [(0, 0)] + widths)
+            if self.table is not None:
+                self.table = np.pad(self.table, widths)
+            self.first = lo
+        self.taylor[:, :, self.cols(nodes)] = unit
+        self.x_lo, self.x_hi = float(self.x(self.lo)), float(self.x(self.hi))
 
     def march(self, step: int) -> bool:
         """March side ``step`` one chunk further; False once it is
@@ -486,20 +502,19 @@ class _Nodes:
             return False
         done = self.hi - self.base if step > 0 else self.base - self.lo
         k = step * np.arange(done, min(done + _CHUNK, self.steps[step]) + 1)
-        xs = self.anchor + self.h * k
-        unit = _unit_table(self.potential, self.params, xs)
+        unit = _unit_table(self.potential, self.params,
+                           self.anchor + self.h * k)
         n, end = _march(unit, step * self.h, start)
         short = done + n < self.steps[step]
         self.carry[step] = end if short else None
         self.capped |= end is None and short
         if step > 0:
-            cols, new = slice(self.hi + 1, self.hi + n + 1), slice(1, n + 1)
+            nodes, new = slice(self.hi + 1, self.hi + n + 1), slice(1, n + 1)
             self.hi += n
         else:
-            cols, new = slice(self.lo - n, self.lo), slice(n, 0, -1)
+            nodes, new = slice(self.lo - n, self.lo), slice(n, 0, -1)
             self.lo -= n
-        self.xs[cols] = xs[new]
-        self._store(cols, unit[:, :, new])
+        self._store(nodes, unit[:, :, new])
         return True
 
     def reach(self, x) -> tuple[float, float]:
@@ -524,20 +539,22 @@ class _Nodes:
         """``SolutionPair.nearest_node`` among the marched nodes."""
         i = np.rint((x - self.x_ref) / self.h).astype(np.intp)
         i = np.minimum(np.maximum(i, self.lo), self.hi)
-        return i, x - self.xs[i]
+        return i, x - self.x(i)
 
-    def at(self, i):
-        """The node indices i, an array or a slice of step 1, among the
-        marched nodes: a slice is cut to them, and an array past them
-        raises IndexError.  Nothing is marched."""
+    def cols(self, i):
+        """The storage columns of the node indices i, an array or a slice
+        of step 1, among the marched nodes: a slice is cut to them, and an
+        array past them raises IndexError.  Nothing is marched."""
         if isinstance(i, slice):
-            first, stop, _ = i.indices(self.xs.size)
-            return slice(max(first, self.lo), min(stop, self.hi + 1))
+            start, stop, _ = i.indices(self.n)
+            start = max(start, self.lo)
+            stop = max(min(stop, self.hi + 1), start)
+            return slice(start - self.first, stop - self.first)
         i = np.asarray(i)
         if i.size and (i.min() < self.lo or i.max() > self.hi):
             raise IndexError(f"nodes {i.min()}..{i.max()} outside the marched"
                              f" nodes {self.lo}..{self.hi}")
-        return i
+        return i - self.first
 
     def complete(self) -> None:
         """March both sides to their ends."""
@@ -566,14 +583,14 @@ class _Nodes:
         half = 0.5 * self.h
         a, b, tabled_ends = self.tabled
         if self.table is None:
-            self.table = np.empty((3, self.xs.size))
+            self.table = np.empty((3, self.taylor.shape[-1]))
             m = np.arange(_TAYLOR_DEGREE + 1)
             power = m[:, None] + m
             self.moments = np.where(power % 2, 0.0,
                                     2.0 * half ** (power + 1) / (power + 1))
         for lo, hi in ((self.lo, a), (b + 1, self.hi + 1)):
             for start in range(lo, hi, _CHUNK):
-                block = slice(start, min(start + _CHUNK, hi))
+                block = self.cols(slice(start, min(start + _CHUNK, hi)))
                 p = self.taylor[:, :, block]
                 mp = np.tensordot(self.moments, p, 1)
                 for row, (u, v) in zip(self.table, ((0, 0), (0, 1), (1, 1))):
@@ -581,8 +598,8 @@ class _Nodes:
         for end, old, (s_lo, s_hi) in zip(state[2], tabled_ends,
                                           ((0.0, half), (-half, 0.0))):
             if end >= 0 and end != old:
-                prim = _square_primitives(self.taylor[:, :, end])
-                self.table[:, end] = prim(s_hi) - prim(s_lo)
+                prim = _square_primitives(self.taylor[:, :, end - self.first])
+                self.table[:, end - self.first] = prim(s_hi) - prim(s_lo)
         self.tabled = state
         return self.table
 

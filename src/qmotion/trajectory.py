@@ -287,7 +287,8 @@ def state_jet_from_x(pair: SolutionPair, q: QuantumStateParams,
     """Time jet (x, xd, xdd, ...) of the first-order law at position x, a
     float or an array of positions (then each coefficient is an array).
 
-    With g(x) = dS0/dx / mu, the jet is the Taylor flow of xd = g(x), so
+    With g(x) = dS0/dx / mu the law is xd = g(x), and the chain rule d/dt =
+    g d/dx turns the spatial jet of g into the time jet (``flow_jet``), so
     every coefficient is exact given the spatial derivatives of the action
     gradient (which the wave equation supplies in closed recursion).
     """
@@ -351,7 +352,7 @@ class _Clock:
             np.ravel(q.a).tolist(), np.ravel(q.b).tolist())]
         t0, t1 = s.t_span
         rows = [self._sum_cells(state, row,
-                                lambda t: t[-1] > t1 - t0 and t0 + t[-1] >= t1)
+                                lambda n, t: t > t1 - t0 and t0 + t >= t1)
                 for state, row in zip(self.states, self._rows())]
         self.t_exit = [t for t, _ in rows]
         self.t_edge = np.array([t0 + float(t[-1]) if edge else math.inf
@@ -386,19 +387,24 @@ class _Clock:
 
     def _sum_cells(self, q, t_exit, done):
         """Extend state q's row t_exit across the cells past it, the nodes
-        that the pair has ahead (``SolutionPair.ahead``), until done(t_exit)
-        or the covered domain's last cell; returns the row and whether it
-        holds that cell.  The times run on as one cumulative sum, so a row
-        has the same bits however far it was taken at a time."""
-        while not (t_exit.size and done(t_exit)):
-            nodes = self.pair.ahead(self.i0 + self.step * (t_exit.size - 1),
+        that the pair has ahead (``SolutionPair.ahead``), until done(row
+        length, last time) or the covered domain's last cell; returns the
+        row and whether it holds that cell.  The times run on as one
+        cumulative sum, each chunk's seeded by the last time before it, so
+        a row has the same bits however far it was taken at a time; the
+        chunks are joined once, so a row grows in time linear in its
+        length."""
+        chunks, size = [t_exit], t_exit.size
+        while not (size and done(size, chunks[-1][-1])):
+            nodes = self.pair.ahead(self.i0 + self.step * (size - 1),
                                     self.step)
             if not nodes.size:
-                return t_exit, True
-            more = np.cumsum(np.concatenate([t_exit[-1:],
-                                             self._crossings(q, nodes)]))
-            t_exit = np.concatenate([t_exit[:-1], more])
-        return t_exit, False
+                return np.concatenate(chunks), True
+            seed = chunks[-1][-1:]  # none before a row's first cell
+            more = np.cumsum(np.concatenate([seed, self._crossings(q, nodes)]))
+            chunks.append(more[seed.size:])
+            size += chunks[-1].size
+        return np.concatenate(chunks), False
 
     def _cells(self, cell):
         """Node, entry and exit offsets of the run's cells (0 starts it)."""
@@ -418,7 +424,7 @@ class _Clock:
         if on_path and np.any(cell >= t_exit.size):
             last = int(np.max(cell))
             t_exit = self.t_exit[0] = self._sum_cells(
-                state, t_exit, lambda t: t.size > last)[0]
+                state, t_exit, lambda n, t: n > last)[0]
         if not on_path or np.any(cell >= t_exit.size):
             raise ValueError(f"x = {x} is not on the run's path")
         node, s_in, _ = self._cells(cell)
@@ -795,7 +801,7 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
         _checked_pair(s)
         y0 = list(state_jet_from_x(pair, s.q, s.params, s.x_start, 3).coeffs)
         if not all(map(math.isfinite, y0)):
-            # S0' under- or overflows at x_start
+            # _checked_pair has passed S0', so S0'' or S0''' is not finite
             raise IntegrationFailure(
                 f"the consistent initial jet at x = {s.x_start:.6g} is not"
                 f" finite: {[float(v) for v in y0]}")

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -326,6 +327,31 @@ def test_run_short_of_the_cap_reports_no_truncation(tmp_path, capsys):
     assert run(["trajectory", "--config", cfg, "--quiet"]) == 0
     assert capsys.readouterr().err == ""
     assert json.loads((tmp_path / "t.csv.json").read_text())["notes"] == []
+
+
+def test_wide_domain_stores_only_the_marched_nodes(tmp_path, capsys):
+    # a grid of 2e9 nodes, of which the run marches a few thousand: the
+    # pair stores only those, so the run allocates a few MB (traced, so
+    # the bound does not depend on the machine) and writes the bytes of
+    # the same run on [-30, 30]
+    rows = {}
+    for name, domain in (("wide", [-1e6, 1e6]), ("narrow", [-30.0, 30.0])):
+        out = tmp_path / f"{name}.csv"
+        doc = free_doc(str(out), a=1.4, t1=1.0, samples=256)
+        doc["potential"] = {"kind": "harmonic", "stiffness": 1.0}
+        doc["quantum"]["b"] = 0.3
+        doc["run"].update(domain=domain, grid_step=1e-3)
+        cfg = write_config(tmp_path, doc, name=f"{name}.json")
+        tracemalloc.start()
+        try:
+            assert run(["trajectory", "--config", cfg, "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        rows[name] = out.read_bytes()
+    assert capsys.readouterr().err == ""
+    assert rows["wide"] == rows["narrow"]
 
 
 @pytest.mark.parametrize("domain", [[1.0], [3.0, -3.0]])

@@ -5,6 +5,7 @@ jet arithmetic is validated against calculus, not against itself.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from qmotion.jets import (
     JetError,
     JetOrderError,
     _horner,
-    compose,
     flow_jet,
 )
 
@@ -36,7 +36,7 @@ def test_constant_jet_has_zero_derivatives():
     assert j.order == 4
     assert j.value == 3.5
     assert j.coeffs[1:] == (0.0, 0.0, 0.0, 0.0)
-    assert j.taylor(2) == 0.0
+    assert j.coeffs[2] / math.factorial(2) == 0.0
 
 
 def test_variable_jet_seeds_unit_slope():
@@ -71,8 +71,8 @@ def test_product_rule_third_order():
     assert p.coeffs[1] == pytest.approx(80.0)
     assert p.coeffs[3] == pytest.approx(240.0)
     assert p.coeffs[5] == pytest.approx(120.0)
-    # taylor() divides out the factorials
-    assert p.taylor(3) == pytest.approx(40.0)
+    # dividing out the factorial gives the Taylor coefficient
+    assert p.coeffs[3] / math.factorial(3) == pytest.approx(40.0)
 
 
 def test_quotient_matches_geometric_series():
@@ -80,7 +80,7 @@ def test_quotient_matches_geometric_series():
     t = Jet.variable(0.0, 6)
     g = 1.0 / (1.0 - t)
     for m in range(7):
-        assert g.taylor(m) == pytest.approx(1.0)
+        assert g.coeffs[m] / math.factorial(m) == pytest.approx(1.0)
         assert g.coeffs[m] == pytest.approx(math.factorial(m))
 
 
@@ -122,19 +122,8 @@ def test_numpy_left_operand_gives_a_jet():
 
 
 # ---------------------------------------------------------------------------
-# Composition and flows
+# Flows
 # ---------------------------------------------------------------------------
-
-def test_compose_chain_rule():
-    # g(u) = u^2 with derivative list [u0^2, 2u0, 2] composed with
-    # u = t/(1 + t^2)
-    t = Jet.variable(0.6, 4)
-    u = t / (1.0 + t * t)
-    u0 = u.value
-    g = compose([u0 * u0, 2.0 * u0, 2.0, 0.0, 0.0], u)
-    direct = u * u
-    np.testing.assert_allclose(g.coeffs, direct.coeffs, rtol=1e-13)
-
 
 def test_flow_jet_exponential():
     # xdot = x gives x^(m)(0) = x0 for all m
@@ -148,6 +137,18 @@ def test_flow_jet_logistic_oracle():
     # xdot = x(1-x) at x0=0.5: xd=0.25, xdd=xd(1-2x)=0, xddd=-2 xd^2 = -0.125
     j = flow_jet([0.25, 0.0, -2.0], 0.5, 3)
     np.testing.assert_allclose(j.coeffs, [0.5, 0.25, 0.0, -0.125], atol=1e-15)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_flow_jet_is_exact_on_fractions(order):
+    # xdot = x^2 has x(t) = x0/(1 - x0 t), so x^(k)(0) = k! x0^(k+1); the
+    # rate's jet is (x0^2, 2 x0, 2, 0, ...), and only jet products touch it
+    x0 = Fraction(2, 3)
+    g = [x0 * x0, 2 * x0, Fraction(2)] + [Fraction(0)] * 3
+    j = flow_jet(g[:order], x0, order)
+    expected = [math.factorial(k) * x0 ** (k + 1) for k in range(order + 1)]
+    assert all(isinstance(c, Fraction) for c in j.coeffs)
+    assert list(j.coeffs) == expected
 
 
 # ---------------------------------------------------------------------------

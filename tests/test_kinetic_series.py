@@ -34,10 +34,26 @@ from qmotion.kinetic_series import (
     term_exponents,
 )
 from qmotion.jets import Jet
-from qmotion.mechanics import series_lagrangian
 from qmotion.schrodinger import PhysParams, PotentialModel
 
 PARAMS = PhysParams(hbar=1.0, mu=1.0, energy=0.0)
+
+
+def series_lagrangian(c: KineticCoefficients, params, lam: float = 0.0,
+                      potential=None):
+    """The Lagrangian T(c) + (lam/2) xddd^2 - V(x) of a lattice, as a plain
+    function L(x, xd, xdd, xddd, t) for the black-box mechanics."""
+    mu, hb = params.mu, params.hbar
+
+    def fn(x, xd, xdd, xddd, t):
+        out = kinetic_term(c, x, xd, xdd, xddd, mu, hb)
+        if lam:
+            out = out + 0.5 * lam * xddd * xddd
+        if potential is not None:
+            out = out - potential.value(x)
+        return out
+
+    return fn
 
 
 def ds0dx_state(c: KineticCoefficients, state, mu, hbar):
@@ -564,7 +580,8 @@ def jet_level_pieces(c, state, mu, hbar, order):
     vals = np.zeros((order + 1, len(pieces)) + np.shape(xd))
     for m in range(order + 1):
         for i, p in enumerate(pieces):
-            vals[m, i] = p.taylor(m) if isinstance(p, Jet) else (p if m == 0 else 0.0)
+            vals[m, i] = (p.coeffs[m] / math.factorial(m) if isinstance(p, Jet)
+                          else (p if m == 0 else 0.0))
     return vals
 
 

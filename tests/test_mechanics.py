@@ -29,19 +29,30 @@ from qmotion.kinetic_series import (
 )
 from qmotion.mechanics import (
     canonical_consistency,
-    classical_lagrangian,
     el_residual,
     hamiltonian,
     linear_term_demo,
     momenta,
     partials,
     quantum_lagrangian,
-    series_lagrangian,
 )
 from qmotion.schrodinger import PhysParams, PotentialModel
-from test_kinetic_series import Mag, seeded_lattice
+from test_kinetic_series import Mag, seeded_lattice, series_lagrangian
 
 PARAMS = PhysParams(hbar=1.0, mu=1.0, energy=0.0)
+
+
+def classical_lagrangian(params, potential=None):
+    """mu xd^2/2 - V(x), as a plain function L(x, xd, xdd, xddd, t)."""
+    mu = params.mu
+
+    def fn(x, xd, xdd, xddd, t):
+        out = 0.5 * mu * xd * xd
+        if potential is not None:
+            out = out - potential.value(x)
+        return out
+
+    return fn
 
 
 def sin_jet(t0, order=6):

@@ -45,10 +45,11 @@ def phi2_zeros(pair, x: float) -> int:
             zeros, ref = int(j), (-1.0) ** j
         else:
             g = pair._nodes
-            y2 = g.taylor[0, 1, min(j, g.base) : max(j, g.base) + 1]
+            y2 = g.taylor[0, 1, g.cols(slice(min(j, g.base),
+                                             max(j, g.base) + 1))]
             zeros = int(np.count_nonzero(np.diff(y2 < 0)))
             zeros = zeros if j >= g.base else -zeros
-            ref = g.taylor[0, 1, j]
+            ref = g.taylor[0, 1, g.cols(j)]
         if (pair.eval01(u)[2] < 0) != (ref < 0):
             zeros += 1 if past > 0 else -1
         return zeros
@@ -173,8 +174,8 @@ def _zero_cells(pair):
     sign."""
     nodes = pair._nodes
     nodes.complete()
-    cover = slice(nodes.lo, nodes.hi + 1)
-    xs, y2 = nodes.xs[cover], nodes.taylor[0, 1, cover]
+    xs = nodes.x(np.arange(nodes.lo, nodes.hi + 1))
+    y2 = nodes.taylor[0, 1, nodes.cols(slice(nodes.lo, nodes.hi + 1))]
     j = np.flatnonzero(np.diff(y2 < 0))
     return list(zip(xs[j], xs[j + 1]))
 

@@ -335,7 +335,8 @@ def marched_nodes(pair):
     nodes = pair._nodes
     nodes.complete()
     cover = slice(nodes.lo, nodes.hi + 1)
-    return nodes.xs[cover], nodes.taylor[:, :, cover], nodes.lo
+    return (nodes.x(np.arange(nodes.lo, nodes.hi + 1)),
+            nodes.taylor[:, :, nodes.cols(cover)], nodes.lo)
 
 
 def node_columns(pair):
@@ -588,9 +589,9 @@ def test_chunked_march_matches_one_march_per_side_bitwise(case):
         table = schrodinger._unit_table(potential, params,
                                         nodes.anchor + h * k)
         n, _ = schrodinger._march(table, step * h, (0.0, 1.0, 1.0, 0.0))
-        marched = (nodes.taylor[:2, :, nodes.base + 1 : nodes.hi + 1]
-                   if step > 0 else
-                   nodes.taylor[:2, :, nodes.lo : nodes.base][:, :, ::-1])
+        side = (slice(nodes.base + 1, nodes.hi + 1) if step > 0
+                else slice(nodes.lo, nodes.base))
+        marched = nodes.taylor[:2, :, nodes.cols(side)][:, :, ::step]
         assert marched.shape[2] == n
         np.testing.assert_array_equal(_bits(marched),
                                       _bits(table[:2, :, 1 : n + 1]))
@@ -649,9 +650,12 @@ def _assert_marched_alike(lazy, full):
     a, b = lazy._nodes, full._nodes
     assert (a.lo, a.hi, a.capped) == (b.lo, b.hi, b.capped)
     cover = slice(a.lo, a.hi + 1)
-    for name in ("xs", "taylor", "table"):
-        np.testing.assert_array_equal(_bits(getattr(a, name)[..., cover]),
-                                      _bits(getattr(b, name)[..., cover]))
+    np.testing.assert_array_equal(_bits(marched_nodes(lazy)[0]),
+                                  _bits(marched_nodes(full)[0]))
+    for name in ("taylor", "table"):
+        np.testing.assert_array_equal(
+            _bits(getattr(a, name)[..., a.cols(cover)]),
+            _bits(getattr(b, name)[..., b.cols(cover)]))
 
 
 def _read(pair, kind, where):
@@ -747,7 +751,7 @@ def test_ahead_ends_at_the_overflow_cap_and_runs_on_for_the_free_pair():
     while (ahead := capped.ahead(hi, 1)).size:
         np.testing.assert_array_equal(ahead, np.arange(hi + 1, nodes.hi + 1))
         hi = int(ahead[-1])
-    assert nodes.capped and hi == nodes.hi < nodes.xs.size - 1
+    assert nodes.capped and hi == nodes.hi < nodes.n - 1
     free = solve_pair(PotentialModel.free(),
                       PhysParams(hbar=1.0, mu=1.0, energy=0.8), (-8.0, 8.0))
     chunk = schrodinger._CHUNK
@@ -948,7 +952,8 @@ def test_cell_table_sums_the_end_cells_of_sides_completed_later(case):
         table = lazy.cell_integrals(slice(nodes.lo, nodes.hi + 1))
         cover = slice(nodes.lo - full._nodes.lo, nodes.hi - full._nodes.lo + 1)
         np.testing.assert_array_equal(_bits(table), _bits(want[:, cover]))
-        prim = _square_primitives_by_order(nodes.taylor[:, :, end])
+        prim = _square_primitives_by_order(
+            nodes.taylor[:, :, nodes.cols(end)])
         edge = prim(half) - prim(0.0) if step < 0 else prim(0.0) - prim(-half)
         np.testing.assert_array_equal(_bits(lazy.cell_integrals(end)),
                                       _bits(edge))

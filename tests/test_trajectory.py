@@ -807,11 +807,10 @@ def test_batched_state_jets_and_observables_match_scalar(which, a, b, order,
     obs = observables(batched, UNIT, pair.potential)
     for k, x in enumerate(xs):
         one = state_jet_from_x(pair, q, UNIT, float(x), order=order)
-        np.testing.assert_allclose([c[k] for c in batched.coeffs], one.coeffs,
-                                   rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose([v[k] for v in obs],
-                                   observables(one, UNIT, pair.potential),
-                                   rtol=1e-14, atol=0.0)
+        assert (np.array([c[k] for c in batched.coeffs]).tobytes()
+                == np.array(one.coeffs).tobytes())
+        assert (np.array([v[k] for v in obs]).tobytes()
+                == np.array(observables(one, UNIT, pair.potential)).tobytes())
 
 
 @given(st.integers(0, len(_SAMPLING_PAIRS) - 1),
@@ -896,6 +895,34 @@ def test_free_arrival_time_past_t1_runs_on_as_on_a_grid_pair():
     assert res.samples[-1].x < 30.0
     assert res.arrival_time(30.0) == pytest.approx(
         free_time_of_x(UNIT, QuantumStateParams(a=2.0), 30.0), rel=1e-13)
+
+
+def test_free_row_grows_in_linear_time(monkeypatch):
+    """A row taken on over many chunks of cells is joined once, so the
+    arrays np.concatenate writes stay within a few times its length (a row
+    joined anew at each chunk writes about chunks/2 times it), and it has
+    the bits of the row summed in one go."""
+    from qmotion.schrodinger import _CHUNK
+
+    res = integrate_velocity_law(free_scenario(a=2.0, t1=4.5))
+    res.arrival_time(1e5)
+    written, real = [], np.concatenate
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        written.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    t = res.arrival_time(1e6)
+    monkeypatch.undo()
+    row = res.time_of_x.t_exit[0].size
+    assert row > 60 * _CHUNK
+    assert sum(written) <= 3 * row
+    again = integrate_velocity_law(free_scenario(a=2.0, t1=4.5))
+    assert again.arrival_time(1e6) == t
+    np.testing.assert_array_equal(again.time_of_x.t_exit[0].view(np.int64),
+                                  res.time_of_x.t_exit[0].view(np.int64))
 
 
 @pytest.mark.parametrize("t1", [1.0, 10.0])
