@@ -68,7 +68,7 @@ def s0p(pair: SolutionPair, q: QuantumStateParams, x):
     """S0' = hbar*a*W / ((a*phi1 + b*phi2)^2 + phi2^2) at x, a float or an
     array of points; bit for bit ``s0p_jet(pair, q, x, 0).value``.  It
     reads only the pair's values (phi1, phi2), not their slopes."""
-    return _s0p_of(pair, q, *pair._eval(x, slopes=False))
+    return _s0p_of(pair, q, *pair.eval01(x, slopes=False))
 
 
 def inverse_s0p(pair: SolutionPair, q: QuantumStateParams, squares):

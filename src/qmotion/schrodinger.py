@@ -33,12 +33,13 @@ Evaluation is array-first: ``SolutionPair.eval01``, ``phi_jets`` and
 polynomial here is summed by ``jets._horner``, once per solution: eval01
 sums the nearest node's polynomials, so a node gives back its stored
 (phi, phi'), and a point gives bit for bit its value inside an array;
-``reduced_action.s0p`` asks for the values alone, without the slopes.  The
-march sums the nodes' polynomials at the midpoints for its step maps.  The
-squares (phi1^2, phi1*phi2, phi2^2) of a node's polynomials are formed in
-one array pass over their coefficients (``_square_primitives``), and the
-table of their cell integrals is brought up to the marched nodes only when
-a march has added nodes since it was last read.
+``reduced_action.s0p`` asks eval01 for the values alone, without the
+slopes.  The march sums the nodes' polynomials at the midpoints for its
+step maps.  The squares (phi1^2, phi1*phi2, phi2^2) of a node's
+polynomials are formed in one array pass over their coefficients
+(``_square_primitives``), and the table of their cell integrals is brought
+up to the marched nodes only when a march has added nodes since it was
+last read.
 """
 from __future__ import annotations
 
@@ -293,20 +294,16 @@ class SolutionPair:
             g.march(step)
         return np.arange(i + step, (g.hi if step > 0 else g.lo) + step, step)
 
-    def eval01(self, x):
-        """(phi1, phi1', phi2, phi2') at x, a float or an array of points.
+    def eval01(self, x, slopes: bool = True):
+        """(phi1, phi1', phi2, phi2') at x, a float or an array of points,
+        or only the values (phi1, phi2) unless ``slopes``.
 
         On a Taylor-marched pair both solutions are the Taylor polynomials of
         the grid node nearest the point, summed by Horner's rule together
         with their derivatives; at a node they give back its stored (phi,
-        phi').
+        phi').  Without the slopes the Horner sum skips their recursion,
+        which leaves the values' bits as they are.
         """
-        return self._eval(x, slopes=True)
-
-    def _eval(self, x, slopes: bool):
-        """``eval01``, or only its values (phi1, phi2) unless ``slopes``:
-        a grid pair's Horner sum then skips the slope recursion, which
-        leaves the values' bits as they are."""
         x = np.asarray(x, dtype=float)
         if self.source == "analytic":
             k = self._k

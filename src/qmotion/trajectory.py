@@ -18,8 +18,9 @@ known before sampling.  The fourth-order law is stepped by its own Taylor
 series (``ode``), and its steps march the pair out as they go.
 
 Sampling the velocity law is one array pass per batch of states (a, b)
-on one pair: the positions at every sample time of every state are found
-at once, and the spatial jets, the motion jets (``state_jet_from_x``,
+on one pair, each state walking the pair's cells in its own direction:
+the positions at every sample time of every state are found at once (one
+``_Clock``), and the spatial jets, the motion jets (``state_jet_from_x``,
 ``flow_jet``) and the observables are jets whose coefficients are arrays
 with one row per state and one entry per sample.  A single run is the
 batch of one.  The legacy law samples its one state the same way.
@@ -329,40 +330,43 @@ class _States(NamedTuple):
 
 class _Clock:
     """t(x) = t0 + integral of dx/(dx/dt) of a first-order law on one pair,
-    for the states ``q`` (a _States of states that move the same way, or
-    the legacy law's one QuantumStateParams), summed over the pair's cells
-    (``SolutionPair.cells``) from x_start in the direction of motion
-    ``step``: ``t_exit`` holds one row per state of the time at each cell
-    exit, and inside a cell the time runs from its entry.  A row is summed
-    on demand (``_sum_cells``) until the state passes t1, and grows when
-    t(x) is asked beyond it; a row that holds the covered domain's last
-    cell reaches that edge at its entry of ``t_edge`` (inf for the other
-    rows), and the edge's position is ``edge``.  Three hooks carry the law,
-    here the velocity law mu dx/dt = S0': ``_dx`` (dx/dt times a time lag),
-    ``_entry_time`` (time from a cell's entry, from the squares'
-    primitives) and ``_crossings`` (time to cross whole cells, from the
-    pair's cell integrals, a table kept on a grid pair).
+    for the states ``q`` (a _States, or the legacy law's one
+    QuantumStateParams), summed over the pair's cells (``SolutionPair.cells``)
+    from x_start, each state's in its own direction of motion: ``step`` is
+    an (S, 1) array of +-1 for a _States (the sign of a*W), an int for the
+    legacy law's state, and ``steps`` lists them.  ``t_exit`` holds one row
+    per state of the time at each cell exit, and inside a cell the time
+    runs from its entry.  A row is summed on demand (``_sum_cells``) until
+    the state passes t1, and grows when t(x) is asked beyond it; a row that
+    holds the covered domain's last cell reaches that edge at its entry of
+    ``t_edge`` (inf for the other rows), and the edge's position is
+    ``edge(k)``.  Three hooks carry the law, here the velocity law mu dx/dt
+    = S0': ``_dx`` (dx/dt times a time lag), ``_entry_time`` (time from a
+    cell's entry, from the squares' primitives) and ``_crossings`` (time to
+    cross whole cells, from the pair's cell integrals, a table kept on a
+    grid pair).
     """
 
-    def __init__(self, s: ScenarioConfig, step: int, q):
+    def __init__(self, s: ScenarioConfig, step: int | np.ndarray, q):
         pair, self.mu = s.pair, s.params.mu
         self.pair, self.q, self.t0, self.step = pair, q, s.t_span[0], step
         self.i0, self.s0 = pair.nearest_node(np.asarray(s.x_start, dtype=float))
         self.states = [QuantumStateParams(a, b) for a, b in zip(
             np.ravel(q.a).tolist(), np.ravel(q.b).tolist())]
+        self.steps = np.ravel(step).tolist()
         t0, t1 = s.t_span
-        rows = [self._sum_cells(state, row,
+        rows = [self._sum_cells(state, way, row,
                                 lambda n, t: t > t1 - t0 and t0 + t >= t1)
-                for state, row in zip(self.states, self._rows())]
+                for state, way, row in zip(self.states, self.steps,
+                                           self._rows())]
         self.t_exit = [t for t, _ in rows]
         self.t_edge = np.array([t0 + float(t[-1]) if edge else math.inf
                                 for t, edge in rows])
 
-    @property
-    def edge(self) -> float:
-        """The covered domain's edge in the direction of motion; reading it
-        marches the whole pair."""
-        return self.pair.domain[self.step > 0]
+    def edge(self, k: int) -> float:
+        """The covered domain's edge in state k's direction of motion;
+        reading it marches the whole pair."""
+        return self.pair.domain[self.steps[k] > 0]
 
     def _dx(self, lag, x):
         return lag * s0p(self.pair, self.q, x) / self.mu
@@ -373,61 +377,63 @@ class _Clock:
         return lambda s: self.mu * inverse_s0p(self.pair, self.q,
                                                prim(s) - base)
 
-    def _crossings(self, q, nodes):
+    def _crossings(self, q, step, nodes):
         first, last = sorted((nodes[0], nodes[-1]))
-        cells = self.pair.cell_integrals(slice(first, last + 1))[:, ::self.step]
-        return (self.step * self.mu) * inverse_s0p(self.pair, q, cells)
+        cells = self.pair.cell_integrals(slice(first, last + 1))[:, ::step]
+        return (step * self.mu) * inverse_s0p(self.pair, q, cells)
 
     def _rows(self):
         """Each state's row before the cells past its start cell: the time
         to leave that cell."""
-        s_out = self._cells(np.asarray(0))[2]
-        start = np.ravel(self._entry_time(self.i0, self.s0)(s_out))
+        node, s_in, s_out = self._cells(np.asarray(0), self.step)
+        start = np.ravel(self._entry_time(node, s_in)(s_out))
         return [np.array([t]) for t in start.tolist()]
 
-    def _sum_cells(self, q, t_exit, done):
-        """Extend state q's row t_exit across the cells past it, the nodes
-        that the pair has ahead (``SolutionPair.ahead``), until done(row
-        length, last time) or the covered domain's last cell; returns the
-        row and whether it holds that cell.  The times run on as one
-        cumulative sum, each chunk's seeded by the last time before it, so
-        a row has the same bits however far it was taken at a time; the
-        chunks are joined once, so a row grows in time linear in its
-        length."""
+    def _sum_cells(self, q, step, t_exit, done):
+        """Extend the row t_exit of state q, moving in the direction step,
+        across the cells past it, the nodes that the pair has ahead
+        (``SolutionPair.ahead``), until done(row length, last time) or the
+        covered domain's last cell; returns the row and whether it holds
+        that cell.  The times run on as one cumulative sum, each chunk's
+        seeded by the last time before it, so a row has the same bits
+        however far it was taken at a time; the chunks are joined once, so
+        a row grows in time linear in its length."""
         chunks, size = [t_exit], t_exit.size
         while not (size and done(size, chunks[-1][-1])):
-            nodes = self.pair.ahead(self.i0 + self.step * (size - 1),
-                                    self.step)
+            nodes = self.pair.ahead(self.i0 + step * (size - 1), step)
             if not nodes.size:
                 return np.concatenate(chunks), True
             seed = chunks[-1][-1:]  # none before a row's first cell
-            more = np.cumsum(np.concatenate([seed, self._crossings(q, nodes)]))
+            more = np.cumsum(np.concatenate(
+                [seed, self._crossings(q, step, nodes)]))
             chunks.append(more[seed.size:])
             size += chunks[-1].size
         return np.concatenate(chunks), False
 
-    def _cells(self, cell):
-        """Node, entry and exit offsets of the run's cells (0 starts it)."""
-        node = self.i0 + self.step * cell
+    def _cells(self, cell, step):
+        """Node, entry and exit offsets of the cells of states moving in
+        the directions step (cell 0 starts a run), broadcast together."""
+        node = self.i0 + step * cell
         _, lo, hi = self.pair.cells(node)
-        s_in, s_out = (lo, hi) if self.step > 0 else (hi, lo)
-        return node, np.where(cell == 0, self.s0, s_in), s_out
+        forward = step > 0
+        return (node, np.where(cell == 0, self.s0, np.where(forward, lo, hi)),
+                np.where(forward, hi, lo))
 
     def __call__(self, x):
         """t at x, a float or an array of points on the path of a clock of
         one state."""
         xa = np.asarray(x, dtype=float)
+        (t_exit,), (state,), (step,) = self.t_exit, self.states, self.steps
         node, s = self.pair.nearest_node(xa)
-        cell = self.step * (node - self.i0)
+        cell = step * (node - self.i0)
         on_path = np.all(self.pair.covers(xa)) and np.all(cell >= 0)
-        (t_exit,), (state,) = self.t_exit, self.states
         if on_path and np.any(cell >= t_exit.size):
             last = int(np.max(cell))
             t_exit = self.t_exit[0] = self._sum_cells(
-                state, t_exit, lambda n, t: n > last)[0]
+                state, step, t_exit, lambda n, t: n > last)[0]
         if not on_path or np.any(cell >= t_exit.size):
             raise ValueError(f"x = {x} is not on the run's path")
-        node, s_in, _ = self._cells(cell)
+        node, s_in, _ = self._cells(cell, step)
         t_in = np.where(cell > 0, t_exit[cell - 1], 0.0)
         # a one-state _States adds a leading axis of length 1
         tau = np.reshape(t_in + self._entry_time(node, s_in)(s), xa.shape)
@@ -457,7 +463,7 @@ class _Clock:
                            t_exit.size - 1)
             rows.append((c, np.where(c > 0, t_exit[c - 1], 0.0), t_exit[c]))
         cell, t_in, t_out = (np.array(v) for v in zip(*rows))
-        node, s_in, s_out = self._cells(cell)
+        node, s_in, s_out = self._cells(cell, self.step)
         xn = self.pair.cells(node)[0]
         lo, hi = np.minimum(s_in, s_out), np.maximum(s_in, s_out)
         width = t_out - t_in
@@ -560,16 +566,16 @@ class _LegacyClock(_Clock):
         return super()._rows() if self.pair.source == "analytic" else [
             np.empty(0)]
 
-    def _crossings(self, q, nodes):
+    def _crossings(self, q, step, nodes):
         """The cells' Gauss-Legendre sums, the start cell's from x_start;
         x_turn's cell never ends, so a row ends there with the time inf.  On
         the free pair each cell is a period, pi hbar/(2E)."""
         if self.pair.source == "analytic":
             return np.full(nodes.size, math.pi * self.hbar / (2.0 * self.energy))
-        node, s_in, s_out = self._cells(self.step * (nodes - self.i0))
+        node, s_in, s_out = self._cells(step * (nodes - self.i0), step)
         if self.x_turn is None:
             return self._entry_time(node, s_in)(s_out)
-        short = (self.pair.cells(node)[0] + s_out - self.x_turn) * self.step < 0
+        short = (self.pair.cells(node)[0] + s_out - self.x_turn) * step < 0
         times = self._entry_time(node[short], s_in[short])(s_out[short])
         return times if short.all() else np.append(times, math.inf)
 
@@ -588,8 +594,8 @@ class _LegacyClock(_Clock):
         early = tau < t_in
         x_early, open_early = super().positions(tau[early][None])
         x[early], unconverged[early] = x_early[0], open_early[0]
-        node, s_in, _ = self._cells(np.asarray(m))
         turn, step = self.x_turn, self.step
+        node, s_in, _ = self._cells(np.asarray(m), step)
         s_in = self.pair.cells(node)[0] + s_in - turn
         d_last = step * (turn - math.nextafter(turn, -step * math.inf))
         elapsed = self._entry_time(node, s_in, turn)
@@ -620,7 +626,7 @@ def _edge_ahead(clock: _Clock, s: ScenarioConfig) -> float | None:
     """The edge that the clock's one state reaches before t1, or None.
     Reading it marches the whole pair, so a run that reaches an edge notes
     a truncation on either side (``_pair_notes``)."""
-    return clock.edge if clock.t_edge[0] < s.t_span[1] else None
+    return clock.edge(0) if clock.t_edge[0] < s.t_span[1] else None
 
 
 def _edge_reached(result: TrajectoryResult, edge: float, t_edge: float):
@@ -633,28 +639,17 @@ def _edge_reached(result: TrajectoryResult, edge: float, t_edge: float):
 class _VelocityRuns:
     """The velocity law mu xd = dS0/dx run for a batch of states ``q`` (a
     _States) on scenario s's pair, start and sample times, as one array
-    pass: every array has one row per state.  The states split by the sign
-    of a*W, since the two signs walk the pair's cells in opposite
-    directions; each direction has its own ``_Clock``, and all of them share
-    one pass of ``state_jet_from_x`` and the observables.  A state's run
-    fails where x was not found at a sample time or the observables are
-    undefined at a sample (``error``), and its samples end at its domain
-    edge, reached at ``t_edge`` (``edge``)."""
+    pass: every array has one row per state.  One ``_Clock`` serves the
+    batch, each state walking the pair's cells in its own direction, the
+    sign of a*W, and the states share one pass of ``state_jet_from_x`` and
+    the observables.  A state's run fails where x was not found at a sample
+    time or the observables are undefined at a sample (``error``), and its
+    samples end at its domain edge, reached at the clock's ``t_edge``."""
 
     def __init__(self, s: ScenarioConfig, q: _States):
-        forward = q.a[:, 0] * s.pair.wronskian_ref > 0
-        shape = (forward.size, s.samples)
-        self.x, self.valid = np.empty(shape), np.empty(shape, dtype=bool)
-        self.unconverged = np.empty(shape, dtype=bool)
-        self.t_edge, self.forward = np.empty(forward.size), forward
-        self.clocks = {}
-        for step, rows in ((1, forward), (-1, ~forward)):
-            if rows.any():
-                clock = _Clock(s, step, _States(q.a[rows], q.b[rows]))
-                (self.ts, self.x[rows], self.valid[rows],
-                 self.unconverged[rows]) = clock.sample(s)
-                self.t_edge[rows] = clock.t_edge
-                self.clocks[step] = clock
+        step = np.where(q.a * s.pair.wronskian_ref > 0, 1, -1)
+        self.clock = _Clock(s, step, q)
+        self.ts, self.x, self.valid, self.unconverged = self.clock.sample(s)
         self.jet = state_jet_from_x(s.pair, q, s.params, self.x, order=3)
         self.obs, self.singular = _observables(self.jet, s.params, s.potential)
 
@@ -669,10 +664,6 @@ class _VelocityRuns:
                 _singular_message(singular.sum(), valid.sum()),
                 ObservableSet(*(v[k][valid] for v in self.obs)))
         return None
-
-    def edge(self, k: int) -> float:
-        """The domain edge ahead of state k (``_Clock.edge``)."""
-        return self.clocks[1 if self.forward[k] else -1].edge
 
 
 def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
@@ -693,7 +684,7 @@ def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     valid = run.valid[0]
     j = Jet(tuple(c[0][valid] for c in run.jet.coeffs))
     obs = ObservableSet(*(v[0][valid] for v in run.obs))
-    (clock,) = run.clocks.values()
+    clock = run.clock
     # the law itself is Bohm's relation, so s0p = mu*xd by construction;
     # summarize checks it in its integral form
     samples = _samples(run.ts[valid], j, obs, s.params.mu * j.coeffs[1])
@@ -724,9 +715,9 @@ def state_maxima(s: ScenarioConfig, states) -> dict:
     run = _VelocityRuns(s, q)
     for k in range(len(states)):
         error = run.error(k)
-        if error is None and run.t_edge[k] < s.t_span[1]:
+        if error is None and run.clock.t_edge[k] < s.t_span[1]:
             error = DomainEdgeError(
-                _edge_message(s, run.edge(k), run.t_edge[k]))
+                _edge_message(s, run.clock.edge(k), run.clock.t_edge[k]))
         if error is not None:
             raise error
     # no state reached its edge, so every row holds every sample

@@ -375,10 +375,6 @@ def primitive_loop(prim, s):
     return acc * s
 
 
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.int64)
-
-
 # signed zeros, where the start of a sum shows, and values that are not
 # dyadic, so the order of the updates shows in their rounding
 _TAYLOR_COEFFS = st.one_of(st.sampled_from([0.0, -0.0]),

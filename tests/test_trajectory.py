@@ -326,7 +326,7 @@ def test_batched_time_of_x_equals_scalar_bitwise(which, fractions):
     clock = _CLOCKS[which]
     x0 = clock.pair.cells(clock.i0)[0] + clock.s0
     reach = 3.0 if clock.pair.source == "analytic" else 0.5
-    xs = x0 + clock.step * reach * np.asarray(fractions)
+    xs = x0 + clock.steps[0] * reach * np.asarray(fractions)
     batched = clock(xs)
     for k, x in enumerate(xs):
         assert clock(float(x)) == batched[k]
@@ -829,6 +829,25 @@ def test_batched_velocity_runs_equal_single_runs_bitwise(which, states):
         one = summarize(integrate_velocity_law(dataclasses.replace(s, q=q)))
         assert {key: v[k] for key, v in maxima.items()} == {
             key: one[key] for key in maxima}
+
+
+def test_velocity_batch_moving_both_ways_takes_one_newton_solve(monkeypatch):
+    """A batch whose states move both ways is sampled by one clock: one
+    ``_newton`` call over every state's row of sample times."""
+    qs = [QuantumStateParams(a=a, b=0.3) for a in (1.4, -0.8, 0.6)]
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT, qs[0],
+                       t_span=(0.0, 0.5), samples=16, domain=(-3.0, 3.0))
+    shapes = []
+    newton = trajectory._newton
+
+    def counted(target, *args):
+        shapes.append(np.shape(target))
+        return newton(target, *args)
+
+    monkeypatch.setattr(trajectory, "_newton", counted)
+    x_last = trajectory.state_maxima(s, qs)["x_last"]
+    assert shapes == [(3, 16)]
+    assert x_last[0] > 0 > x_last[1] and x_last[2] > 0
 
 
 @pytest.mark.parametrize("law", ["newton", "legacy"])
