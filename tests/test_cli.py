@@ -401,6 +401,26 @@ def test_missing_potential_csv_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "missing.csv" in err
 
 
+@pytest.mark.parametrize("source", ["config", "csv"])
+def test_non_finite_table_exits_2(tmp_path, capsys, source):
+    # a NaN in the table's V column is a usage error, whether the table is
+    # given inline or read from a CSV file
+    doc = free_doc(str(tmp_path / "x.csv"))
+    xs, vs = [-3.5, -1.0, 0.0, 1.0, 3.5], [6.125, 0.5, float("nan"), 0.5, 6.125]
+    if source == "csv":
+        table = tmp_path / "table.csv"
+        table.write_text("".join(f"{x},{v}\n" for x, v in zip(xs, vs)))
+        doc["potential"] = {"kind": "tabulated", "csv": str(table)}
+    else:
+        doc["potential"] = {"kind": "tabulated", "xs": xs, "vs": vs}
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "table x and V values must be finite" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["trajectory", "sweep"])
 @pytest.mark.parametrize("out", ["missing-dir", "a-dir"])
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command, out):
@@ -630,13 +650,16 @@ def test_reduced_action_on_numerov_pair_does_not_import_scipy_integrate():
 
 
 def test_trajectory_and_sweep_runs_do_not_import_scipy(tmp_path):
-    # the integrator is the package's own, so only a tabulated potential's
-    # spline needs scipy
+    # the integrator and a tabulated potential's spline are the package's
+    # own, so no command loads scipy
     harmonic = {"kind": "harmonic", "stiffness": 1.0}
+    xs = [-3.5 + 0.05 * i for i in range(141)]
+    tabulated = {"kind": "tabulated", "xs": xs, "vs": [0.5 * x * x for x in xs]}
     runs = []
     for law in ("velocity", "newton", "legacy"):
         for name, potential in (("free", {"kind": "free"}),
-                                ("harmonic", harmonic)):
+                                ("harmonic", harmonic),
+                                ("tabulated", tabulated)):
             out = str(tmp_path / f"{name}-{law}.csv")
             doc = {"potential": potential, "quantum": {"a": 1.4, "b": 0.3},
                    "run": {"law": law, "t1": 2.0, "samples": 16,
@@ -649,17 +672,6 @@ def test_trajectory_and_sweep_runs_do_not_import_scipy(tmp_path):
         runs.append(["sweep", "--config", sweep, "--workers", workers,
                      "--out", str(tmp_path / f"sweep{workers}.csv")])
     assert _modules_after(_cli_code(runs), "scipy") == []
-    xs = [-3.5 + 0.05 * i for i in range(141)]
-    tabulated = {"potential": {"kind": "tabulated", "xs": xs,
-                               "vs": [0.5 * x * x for x in xs]},
-                 "run": {"law": "velocity", "t1": 2.0, "samples": 16,
-                         "domain": [-3.0, 3.0]}}
-    argv = ["trajectory", "--config",
-            write_config(tmp_path, tabulated, "tabulated.json"),
-            "--out", str(tmp_path / "tabulated.csv")]
-    loaded = _modules_after(_cli_code([argv]), "scipy")
-    assert "scipy.interpolate" in loaded
-    assert "scipy.integrate" not in loaded
 
 
 def test_verify_master_canonical(capsys):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline
 from scipy.special import dawsn
 
 from qmotion import schrodinger
@@ -89,6 +90,63 @@ def test_tabulated_out_of_range():
     pot = PotentialModel.tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0])
     with pytest.raises(DomainError):
         pot.value(5.0)
+
+
+def _spline_tables():
+    """The bench's 141-row table, random non-uniform tables of 80-255
+    rows, and random tables of 4-6 rows, the 4-row minimum among them;
+    spacings span six decades, so the elimination's row interchanges run
+    too."""
+    xs = np.linspace(-3.5, 3.5, 141)
+    tables = [(xs, 0.5 * xs * xs)]
+    rng = np.random.default_rng(35)
+    for n in [int(k) for k in rng.integers(80, 256, 6)] + [4] * 20 + [
+            int(k) for k in rng.integers(4, 7, 80)]:
+        xs = np.cumsum(rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3, 3, n))
+        tables.append((xs - xs[n // 2], rng.normal(size=n)))
+    return tables
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(_bits(got), _bits(want), strict=True)
+
+
+def test_tabulated_spline_matches_scipy_bit_for_bit():
+    # a tabulated run's outputs keep their bits only if the package's
+    # spline gives every coefficient of scipy's CubicSpline, and every
+    # value of orders 0-3, with scipy's bits: for one point (0-d) and for
+    # arrays, at the knots, both ends and between them
+    rng = np.random.default_rng(36)
+    for xs, vs in _spline_tables():
+        pot, ref = PotentialModel.tabulated(xs, vs), CubicSpline(xs, vs)
+        _same_bits(pot._coeffs, ref.c)
+        pts = np.concatenate((xs, rng.uniform(xs[0], xs[-1], 64)))
+        for x in (pts, np.stack((pts, pts[::-1])), xs[0], xs[-1], pts[-1]):
+            want = [ref(x, nu) for nu in range(4)]
+            for got, w in zip(pot.derivs(x, 3), want):
+                _same_bits(got, w)
+            _same_bits(pot.value(x), want[0])
+            _same_bits(pot.grad(x), want[1])
+        # a float gives a 0-d value and gradient, and scalar derivatives
+        x = float(pts[-1])
+        assert pot.value(x).shape == pot.grad(x).shape == ()
+        assert all(isinstance(v, np.float64) for v in pot.derivs(x, 3))
+
+
+def test_tabulated_spline_rejects_what_scipy_rejects():
+    # a non-finite entry, and a table whose slope system has a zero pivot
+    # (scipy's LinAlgError, "singular matrix"), are rejected when built
+    for xs, vs in (([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 4.0, 9.0]),
+                   ([0.0, 1.0, 2.0, np.inf], [0.0, 1.0, 4.0, 9.0])):
+        with pytest.raises(ValueError):
+            CubicSpline(xs, vs)
+        with pytest.raises(SchrodingerError, match="must be finite"):
+            PotentialModel.tabulated(xs, vs)
+    xs, vs = [0.0, 1000.0, 1000.0000000000001, 20001000.0], [3.0, -2.0, 2.0, 3.0]
+    with pytest.raises(np.linalg.LinAlgError):
+        CubicSpline(xs, vs)
+    with pytest.raises(SchrodingerError, match="singular"):
+        PotentialModel.tabulated(xs, vs)
 
 
 def test_potential_from_csv(tmp_path):
