@@ -12,10 +12,11 @@ Both first-order laws separate, t - t0 = integral of dx/(dx/dt): summed
 over the pair's cells it gives t at every cell exit, and each sample is a
 Newton solve of t(x) = t_k in its cell, so no ODE is solved for them.
 Both sum each state's cells in one loop, on demand (``_Clock._sum_cells``
-over ``SolutionPair.ahead``), only until the state passes t1; a state that
-runs out of cells first has reached the covered domain's edge, at a time
-known before sampling.  The fourth-order law is stepped by its own Taylor
-series (``ode``), and its steps march the pair out as they go.
+over ``SolutionPair.ahead``), from the start cell until the state passes
+t1; a state that runs out of cells first has reached the covered domain's
+edge (``_Clock.edge``), at a time known before sampling.  The fourth-order
+law is stepped by its own Taylor series (``ode``), and its steps march the
+pair out as they go.
 
 Sampling the velocity law is one array pass per batch of states (a, b)
 on one pair, each state walking the pair's cells in its own direction:
@@ -295,9 +296,9 @@ def state_jet_from_x(pair: SolutionPair, q: QuantumStateParams,
     """
     if not 1 <= order <= 6:
         raise ValueError("state jets support orders 1..6")
-    sp = s0p_jet(pair, q, x, order - 1)
-    g = [c / params.mu for c in sp.coeffs]
-    return flow_jet(g, x, order)
+    with np.errstate(all="ignore"):  # the callers check for a non-finite jet
+        sp = s0p_jet(pair, q, x, order - 1)
+        return flow_jet([c / params.mu for c in sp.coeffs], x, order)
 
 
 def _samples(ts: np.ndarray, j: Jet, obs: ObservableSet, s0p_values) -> list:
@@ -336,37 +337,40 @@ class _Clock:
     an (S, 1) array of +-1 for a _States (the sign of a*W), an int for the
     legacy law's state, and ``steps`` lists them.  ``t_exit`` holds one row
     per state of the time at each cell exit, and inside a cell the time
-    runs from its entry.  A row is summed on demand (``_sum_cells``) until
-    the state passes t1, and grows when t(x) is asked beyond it; a row that
-    holds the covered domain's last cell reaches that edge at its entry of
-    ``t_edge`` (inf for the other rows), and the edge's position is
-    ``edge(k)``.  Three hooks carry the law, here the velocity law mu dx/dt
-    = S0': ``_dx`` (dx/dt times a time lag), ``_entry_time`` (time from a
+    runs from its entry.  A row starts empty, is summed on demand
+    (``_sum_cells``) from the start cell until the state passes t1, and
+    grows when t(x) is asked beyond it; a row that holds the covered
+    domain's last cell reaches that edge at its entry of ``t_edge`` (inf for
+    the other rows), and ``edge(k)`` is None unless state k reaches it
+    before t1.  Three hooks carry the law, here the velocity law mu dx/dt =
+    S0': ``_dx`` (dx/dt times a time lag), ``_entry_time`` (time from a
     cell's entry, from the squares' primitives) and ``_crossings`` (time to
-    cross whole cells, from the pair's cell integrals, a table kept on a
-    grid pair).
+    cross cells, from the pair's cell integrals, a table kept on a grid
+    pair, but the start cell's from x_start, by its squares' primitives).
     """
 
     def __init__(self, s: ScenarioConfig, step: int | np.ndarray, q):
         pair, self.mu = s.pair, s.params.mu
-        self.pair, self.q, self.t0, self.step = pair, q, s.t_span[0], step
+        self.pair, self.q, self.step = pair, q, step
+        self.t0, self.t1 = t0, t1 = s.t_span
         self.i0, self.s0 = pair.nearest_node(np.asarray(s.x_start, dtype=float))
         self.states = [QuantumStateParams(a, b) for a, b in zip(
             np.ravel(q.a).tolist(), np.ravel(q.b).tolist())]
         self.steps = np.ravel(step).tolist()
-        t0, t1 = s.t_span
-        rows = [self._sum_cells(state, way, row,
+        rows = [self._sum_cells(state, way, np.empty(0),
                                 lambda n, t: t > t1 - t0 and t0 + t >= t1)
-                for state, way, row in zip(self.states, self.steps,
-                                           self._rows())]
+                for state, way in zip(self.states, self.steps)]
         self.t_exit = [t for t, _ in rows]
         self.t_edge = np.array([t0 + float(t[-1]) if edge else math.inf
                                 for t, edge in rows])
 
-    def edge(self, k: int) -> float:
-        """The covered domain's edge in state k's direction of motion;
-        reading it marches the whole pair."""
-        return self.pair.domain[self.steps[k] > 0]
+    def edge(self, k: int) -> float | None:
+        """The covered domain's edge in state k's direction of motion if the
+        state reaches it before t1, else None.  Only then is the whole pair
+        marched, so a run that reaches an edge notes a truncation on either
+        side (``_pair_notes``)."""
+        return (self.pair.domain[self.steps[k] > 0] if self.t_edge[k] < self.t1
+                else None)
 
     def _dx(self, lag, x):
         return lag * s0p(self.pair, self.q, x) / self.mu
@@ -380,14 +384,18 @@ class _Clock:
     def _crossings(self, q, step, nodes):
         first, last = sorted((nodes[0], nodes[-1]))
         cells = self.pair.cell_integrals(slice(first, last + 1))[:, ::step]
+        if nodes[0] == self.i0:  # a new array: cells may view the table
+            cells = np.concatenate([self._start_cell[step], cells[:, 1:]], 1)
         return (step * self.mu) * inverse_s0p(self.pair, q, cells)
 
-    def _rows(self):
-        """Each state's row before the cells past its start cell: the time
-        to leave that cell."""
-        node, s_in, s_out = self._cells(np.asarray(0), self.step)
-        start = np.ravel(self._entry_time(node, s_in)(s_out))
-        return [np.array([t]) for t in start.tolist()]
+    @functools.cached_property
+    def _start_cell(self) -> dict:
+        """The squares' integrals over the start cell from x_start, as a
+        column for each direction of motion: every state shares them."""
+        _, lo, hi = self.pair.cells(self.i0)
+        prim = self.pair.square_primitives(self.i0)
+        f0 = prim(self.s0)
+        return {-1: (f0 - prim(lo))[:, None], 1: (prim(hi) - f0)[:, None]}
 
     def _sum_cells(self, q, step, t_exit, done):
         """Extend the row t_exit of state q, moving in the direction step,
@@ -559,20 +567,16 @@ class _LegacyClock(_Clock):
 
         return elapsed
 
-    def _rows(self):
-        # a grid row starts empty, so that its first Gauss-Legendre sums run
-        # from the start cell through the marched nodes in one batch, as
-        # f @ weights rounds a cell's sum by the batch's length
-        return super()._rows() if self.pair.source == "analytic" else [
-            np.empty(0)]
-
     def _crossings(self, q, step, nodes):
         """The cells' Gauss-Legendre sums, the start cell's from x_start;
         x_turn's cell never ends, so a row ends there with the time inf.  On
         the free pair each cell is a period, pi hbar/(2E)."""
-        if self.pair.source == "analytic":
-            return np.full(nodes.size, math.pi * self.hbar / (2.0 * self.energy))
         node, s_in, s_out = self._cells(step * (nodes - self.i0), step)
+        if self.pair.source == "analytic":
+            times = np.full(nodes.size, math.pi * self.hbar / (2.0 * self.energy))
+            if nodes[0] == self.i0:
+                times[0] = self._entry_time(node[0], s_in[0])(s_out[0])
+            return times
         if self.x_turn is None:
             return self._entry_time(node, s_in)(s_out)
         short = (self.pair.cells(node)[0] + s_out - self.x_turn) * step < 0
@@ -620,13 +624,6 @@ def _edge_message(s: ScenarioConfig, edge: float, t_edge: float) -> str:
     return (f"the run reaches x = {edge:.6g} at t = {t_edge:.6g}, before t1 = "
             f"{s.t_span[1]:.6g}; later positions are outside solved domain "
             f"[{lo:.6g}, {hi:.6g}]")
-
-
-def _edge_ahead(clock: _Clock, s: ScenarioConfig) -> float | None:
-    """The edge that the clock's one state reaches before t1, or None.
-    Reading it marches the whole pair, so a run that reaches an edge notes
-    a truncation on either side (``_pair_notes``)."""
-    return clock.edge(0) if clock.t_edge[0] < s.t_span[1] else None
 
 
 def _edge_reached(result: TrajectoryResult, edge: float, t_edge: float):
@@ -688,7 +685,7 @@ def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     # the law itself is Bohm's relation, so s0p = mu*xd by construction;
     # summarize checks it in its integral form
     samples = _samples(run.ts[valid], j, obs, s.params.mu * j.coeffs[1])
-    edge = _edge_ahead(clock, s)
+    edge = clock.edge(0)
     result = TrajectoryResult(s, "velocity", samples, _pair_notes(pair), clock)
     dx = np.diff(j.coeffs[0])
     if not (np.all(dx > 0) or np.all(dx < 0)):
@@ -715,9 +712,8 @@ def state_maxima(s: ScenarioConfig, states) -> dict:
     run = _VelocityRuns(s, q)
     for k in range(len(states)):
         error = run.error(k)
-        if error is None and run.clock.t_edge[k] < s.t_span[1]:
-            error = DomainEdgeError(
-                _edge_message(s, run.clock.edge(k), run.clock.t_edge[k]))
+        if error is None and (edge := run.clock.edge(k)) is not None:
+            error = DomainEdgeError(_edge_message(s, edge, run.clock.t_edge[k]))
         if error is not None:
             raise error
     # no state reached its edge, so every row holds every sample
@@ -865,11 +861,16 @@ def integrate_legacy_law(s: ScenarioConfig):
         if unconverged.any():
             raise _not_found(ts[unconverged][0])
         ts, xs = ts[valid], xs[valid]
-    edge = _edge_ahead(clock, s) if step else None
-    sp = s0p_jet(pair, s.q, xs, 2)
-    vj = Jet(tuple(s.potential.derivs(xs, 2)))
-    wj = 2.0 * (E - vj) / sp          # (w, w', w'') as a spatial jet
-    j = flow_jet(wj.coeffs, xs, 3)    # (x, xd, xdd, xddd) under this law
+    edge = clock.edge(0) if step else None
+    with np.errstate(all="ignore"):
+        sp = s0p_jet(pair, s.q, xs, 2)
+        vj = Jet(tuple(s.potential.derivs(xs, 2)))
+        wj = 2.0 * (E - vj) / sp          # (w, w', w'') as a spatial jet
+        j = flow_jet(wj.coeffs, xs, 3)    # (x, xd, xdd, xddd) under this law
+    bad = ~np.isfinite(j.coeffs).all(axis=0)
+    if bad.any():
+        raise SingularityError(f"the motion jet (x, xd, xdd, xddd) is not "
+                               f"finite at {bad.sum()} of {bad.size} samples")
     obs = _observables(j, s.params, s.potential)[0]
     gap = float(np.max(np.abs(j.coeffs[1] - sp.coeffs[0] / mu), initial=0.0))
     out = _samples(ts, j, obs, sp.coeffs[0])

@@ -261,6 +261,29 @@ def test_state_whose_s0p_underflows_is_a_numerical_failure(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("law, message", [
+    ("velocity", "observables undefined at 256 of 256 samples (xd = 0, or its "
+     "powers under- or overflow)"),
+    ("newton", "the consistent initial jet at x = 0 is not finite: "
+     "[0.0, 1e+150, 0.0, -inf]"),
+    ("legacy", "the motion jet (x, xd, xdd, xddd) is not finite at 256 of 256 "
+     "samples")])
+def test_state_whose_motion_jet_overflows_is_a_numerical_failure(
+        tmp_path, capsys, law, message):
+    """At a = 1e150 S0' is finite at x_start but its jet overflows: every
+    law fails in one line with no numpy warning, here raised as an error.
+    The legacy law used to exit 0 with inf in every row's xdddot."""
+    out = tmp_path / "o.csv"
+    cfg = write_config(tmp_path, {"quantum": {"a": 1e150}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["trajectory", "--config", cfg, "--law", law,
+                  "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("law", ["velocity", "newton"])
 def test_a_cell_failing_before_an_underflowing_one_is_reported(
         tmp_path, capsys, law):

@@ -29,7 +29,8 @@ from qmotion.jets import Jet, SingularityError
 from qmotion import trajectory
 from qmotion import ode
 from qmotion.reduced_action import QuantumStateParams, s0p
-from qmotion.rootfind import expand_bracket, invert_monotone
+from qmotion.rootfind import (RootConvergenceError, expand_bracket,
+                              invert_monotone)
 from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 from qmotion.trajectory import (
     CSV_HEADER,
@@ -981,6 +982,39 @@ def test_batched_observables_flag_singular_rows():
         np.testing.assert_allclose([v[k] for v in partial],
                                    observables(Jet(tuple(rows[k])), UNIT),
                                    rtol=1e-14, atol=0.0)
+
+
+def test_velocity_batch_raises_singular_observables_in_grid_order():
+    """At a = 1e75 xd**5 overflows at x = 0 only.  The single run and a
+    batch that holds the state between two sound ones raise the same
+    SingularObservables: a batch raises its first failing state's error."""
+    s = free_scenario(t1=1.0, samples=8)
+    with pytest.raises(SingularObservables) as one:
+        integrate_velocity_law(
+            dataclasses.replace(s, q=QuantumStateParams(1e75)))
+    with pytest.raises(SingularObservables) as batch:
+        trajectory.state_maxima(
+            s, [QuantumStateParams(a) for a in (1.0, 1e75, 2.0)])
+    for info in (one, batch):
+        assert str(info.value) == (
+            "observables undefined at 1 of 8 samples (xd = 0, or its powers "
+            "under- or overflow)")
+        assert np.isnan(info.value.partial.H).tolist() == [True] + [False] * 7
+
+
+def test_velocity_batch_raises_an_unconverged_sample(monkeypatch):
+    """With one Newton step per sample x(t) is not found, in the single run
+    and in a batch of two states, at the same first sample time."""
+    monkeypatch.setattr(trajectory, "_NEWTON_STEPS", 1)
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT,
+                       QuantumStateParams(a=1.4, b=0.3), t_span=(0.0, 0.5),
+                       samples=16, domain=(-3.0, 3.0))
+    with pytest.raises(RootConvergenceError) as one:
+        integrate_velocity_law(s)
+    with pytest.raises(RootConvergenceError) as batch:
+        trajectory.state_maxima(s, [s.q, QuantumStateParams(a=-0.8, b=0.1)])
+    assert str(one.value).endswith("not found in 1 Newton steps")
+    assert str(batch.value) == str(one.value)
 
 
 def test_legacy_law_underflowing_velocity_powers_give_nan_rows():
