@@ -32,12 +32,14 @@ Evaluation is array-first: ``SolutionPair.eval01``, ``phi_jets`` and
 ``PotentialModel.derivs`` accept one point or an array of points.  Every
 polynomial here but a tabulated potential's spline, which sums its cubics
 as scipy does (``_power_sums``), is summed by ``jets._horner``, once per
-solution: eval01 sums the nearest node's polynomials, so a node gives back
-its stored (phi, phi'), and a point gives bit for bit its value inside an
+solution: ``node_values`` sums given nodes' polynomials at offsets from
+them, and eval01 hands it the nearest node, so a node gives back its
+stored (phi, phi'), and a point gives bit for bit its value inside an
 array; ``reduced_action.s0p`` asks eval01 for the values alone, without
-the slopes.  The march sums the nodes' polynomials at the midpoints for its
-step maps.  The squares (phi1^2, phi1*phi2, phi2^2) of a node's
-polynomials are formed in one array pass over their coefficients
+the slopes, and the first-order laws' clocks ask ``node_values`` for the
+cells they solve in.  The march sums the nodes' polynomials at the
+midpoints for its step maps.  The squares (phi1^2, phi1*phi2, phi2^2) of a
+node's polynomials are formed in one array pass over their coefficients
 (``_square_primitives``), and the table of their cell integrals is brought
 up to the marched nodes only when a march has added nodes since it was
 last read.
@@ -306,26 +308,44 @@ class SolutionPair:
         """(phi1, phi1', phi2, phi2') at x, a float or an array of points,
         or only the values (phi1, phi2) unless ``slopes``.
 
-        On a Taylor-marched pair both solutions are the Taylor polynomials of
-        the grid node nearest the point, summed by Horner's rule together
-        with their derivatives; at a node they give back its stored (phi,
-        phi').  Without the slopes the Horner sum skips their recursion,
-        which leaves the values' bits as they are.
+        On a Taylor-marched pair the point is read from the grid node
+        nearest it (``node_values``), so at a node it gives back the node's
+        stored (phi, phi').
         """
         x = np.asarray(x, dtype=float)
         if self.source == "analytic":
-            k = self._k
-            s, c = np.sin(k * x), np.cos(k * x)
-            return (s, k * c, c, -k * s) if slopes else (s, c)
+            return self._free_values(x, slopes)
         outside = ~self.covers(np.atleast_1d(x))
         if outside.any():
             raise DomainError(f"x = {np.atleast_1d(x)[outside][0]} outside "
                               f"solved domain {list(self.domain)}")
+        i, s = self._nodes.nearest(x)  # covers marched out to x
+        return self.node_values(i, slopes)(s)
+
+    def node_values(self, i, slopes: bool = False):
+        """The function that gives (phi1, phi2), or (phi1, phi1', phi2,
+        phi2') with ``slopes``, at offsets s from the marched nodes i (see
+        ``nearest_node``), broadcast against them.  On a grid pair the
+        nodes' Taylor polynomials are gathered once and summed by Horner's
+        rule, with their derivatives for the slopes; without the slopes the
+        sum skips their recursion, which leaves the values' bits as they
+        are.  On the free pair it is sin and cos at x_i + s."""
+        if self.source == "analytic":
+            x = math.pi / self.k * np.asarray(i)
+            return lambda s: self._free_values(x + s, slopes)
         g = self._nodes
-        i, s = g.nearest(x)  # covers marched out to x
-        c, n = g.taylor[:, :, i - g.first], 2 if slopes else 1
-        p1, p2 = _horner(c[:, 0], s, n), _horner(c[:, 1], s, n)
-        return (p1[0], p1[1], p2[0], p2[1]) if slopes else (p1[0], p2[0])
+        c, n = g.taylor[:, :, g.cols(i)], 2 if slopes else 1
+
+        def values(s):
+            p1, p2 = _horner(c[:, 0], s, n), _horner(c[:, 1], s, n)
+            return (p1[0], p1[1], p2[0], p2[1]) if slopes else (p1[0], p2[0])
+
+        return values
+
+    def _free_values(self, x, slopes: bool):
+        k = self._k
+        s, c = np.sin(k * x), np.cos(k * x)
+        return (s, k * c, c, -k * s) if slopes else (s, c)
 
     def covers(self, x):
         """Whether eval01 accepts x, elementwise for an array: every x on

@@ -47,7 +47,8 @@ import numpy as np
 
 from .jets import Jet, JetOrderError, SingularityError, flow_jet
 from .ode import IntegrationFailure, integrate_ivp
-from .reduced_action import QuantumStateParams, inverse_s0p, s0p, s0p_jet
+from .reduced_action import (QuantumStateParams, _s0p_of, inverse_s0p, s0p,
+                             s0p_jet)
 from .rootfind import RootConvergenceError, expand_bracket, invert_monotone
 from .schrodinger import (DomainError, PhysParams, PotentialModel,
                           SolutionPair, solve_pair)
@@ -343,10 +344,13 @@ class _Clock:
     domain's last cell reaches that edge at its entry of ``t_edge`` (inf for
     the other rows), and ``edge(k)`` is None unless state k reaches it
     before t1.  Three hooks carry the law, here the velocity law mu dx/dt =
-    S0': ``_dx`` (dx/dt times a time lag), ``_entry_time`` (time from a
-    cell's entry, from the squares' primitives) and ``_crossings`` (time to
-    cross cells, from the pair's cell integrals, a table kept on a grid
-    pair, but the start cell's from x_start, by its squares' primitives).
+    S0': ``_entry_time`` (the time from a cell's entry, from the squares'
+    primitives, and dx/dt times a time lag, from ``SolutionPair.node_values``:
+    both functions of the offset from the cell's node, on polynomials
+    gathered once), ``_crossings`` (time to cross cells, from the pair's
+    cell integrals, a table kept on a grid pair, but the start cell's from
+    x_start, by its squares' primitives) and ``_guess`` (where a position's
+    Newton solve starts in its cell).
     """
 
     def __init__(self, s: ScenarioConfig, step: int | np.ndarray, q):
@@ -372,14 +376,12 @@ class _Clock:
         return (self.pair.domain[self.steps[k] > 0] if self.t_edge[k] < self.t1
                 else None)
 
-    def _dx(self, lag, x):
-        return lag * s0p(self.pair, self.q, x) / self.mu
-
     def _entry_time(self, node, s_in):
-        prim = self.pair.square_primitives(node)
+        pair, q, mu = self.pair, self.q, self.mu
+        prim, phi = pair.square_primitives(node), pair.node_values(node)
         base = prim(s_in)
-        return lambda s: self.mu * inverse_s0p(self.pair, self.q,
-                                               prim(s) - base)
+        return (lambda s: mu * inverse_s0p(pair, q, prim(s) - base),
+                lambda lag, s: lag * _s0p_of(pair, q, *phi(s)) / mu)
 
     def _crossings(self, q, step, nodes):
         first, last = sorted((nodes[0], nodes[-1]))
@@ -408,7 +410,10 @@ class _Clock:
         a row grows in time linear in its length."""
         chunks, size = [t_exit], t_exit.size
         while not (size and done(size, chunks[-1][-1])):
-            nodes = self.pair.ahead(self.i0 + step * (size - 1), step)
+            if size:
+                nodes = self.pair.ahead(self.i0 + step * (size - 1), step)
+            else:  # the start cell, and the cells the pair has past it
+                nodes = np.append(self.i0, self.pair.ahead(self.i0, step))
             if not nodes.size:
                 return np.concatenate(chunks), True
             seed = chunks[-1][-1:]  # none before a row's first cell
@@ -444,7 +449,7 @@ class _Clock:
         node, s_in, _ = self._cells(cell, step)
         t_in = np.where(cell > 0, t_exit[cell - 1], 0.0)
         # a one-state _States adds a leading axis of length 1
-        tau = np.reshape(t_in + self._entry_time(node, s_in)(s), xa.shape)
+        tau = np.reshape(t_in + self._entry_time(node, s_in)[0](s), xa.shape)
         if np.any(tau < 0):
             raise ValueError(f"x = {x} lies behind the run's start")
         t = self.t0 + tau
@@ -464,7 +469,9 @@ class _Clock:
     def positions(self, tau: np.ndarray):
         """x at the elapsed times tau, one row per state (within its summed
         cells), each solved in its cell by ``_newton`` with the step dx =
-        (tau - t(x)) * dx/dt; returns x and the mask of unconverged times."""
+        (tau - t(x)) * dx/dt, both read from the cells' own polynomials
+        (``_entry_time``), which the solve gathers once; returns x and the
+        mask of unconverged times."""
         rows = []
         for t_exit, row in zip(self.t_exit, tau):
             c = np.minimum(np.searchsorted(t_exit, row, side="right"),
@@ -477,12 +484,16 @@ class _Clock:
         width = t_out - t_in
         frac = np.divide(tau - t_in, width, out=np.zeros_like(tau),
                          where=width > 0)
-        s = s_in + (s_out - s_in) * np.clip(frac, 0.0, 1.0)
+        s = self._guess(xn, s_in, s_out, np.clip(frac, 0.0, 1.0))
         v, unconverged = _newton(
-            tau - t_in, self._entry_time(node, s_in),
-            lambda lag, s: self._dx(lag, xn + s), s, lo, hi,
+            tau - t_in, *self._entry_time(node, s_in), s, lo, hi,
             4.0 * np.finfo(float).eps * (np.abs(xn) + hi - lo))
         return xn + v, unconverged
+
+    def _guess(self, xn, s_in, s_out, frac):
+        """Newton's start in the cells of nodes at xn: x linear in t from
+        the entry offsets s_in to the exits s_out."""
+        return s_in + (s_out - s_in) * frac
 
 
 def _newton(target, elapsed, step, v, lo, hi, tol):
@@ -517,7 +528,10 @@ class _LegacyClock(_Clock):
     t is the rise of S0 over 2E; on a grid pair a cell's time is an 8-point
     Gauss-Legendre sum of 1/w.  A path ends at a turning point x_turn, whose
     cell takes infinite time; at a simple one, 1/w has the pole c/(x_turn -
-    x), c = S0'/(2V') at x_turn, which is summed in closed form instead."""
+    x), c = S0'/(2V') at x_turn, which is summed in closed form instead.
+    The Gauss-Legendre points and the Newton steps read w from the cells'
+    own polynomials (``SolutionPair.node_values``), gathered once per sum or
+    solve."""
 
     def __init__(self, s: ScenarioConfig, step: int, x_turn: float | None):
         self.energy, self.hbar = s.params.energy, s.params.hbar
@@ -536,36 +550,48 @@ class _LegacyClock(_Clock):
                   else 0.0)
         super().__init__(s, step, s.q)
 
-    def _dx(self, lag, x):
-        return lag * 2.0 * (self.energy - self.potential.value(x)) / s0p(
-            self.pair, self.q, x)
-
     def _entry_time(self, node, s_in, x0=None):
-        # offsets from the nodes, or from x0 where it is given
-        if self.pair.source == "analytic":
-            k, a, b = self.pair.k, self.q.a, self.q.b
+        # elapsed takes offsets from the nodes, or from x0 where it is
+        # given, and rate from the nodes; the nodes' polynomials are
+        # gathered with a last axis of length 1, along which the
+        # Gauss-Legendre points run
+        pair, q, energy = self.pair, self.q, self.energy
+        xn = pair.cells(node)[0][..., None]
+        phi = pair.node_values(np.asarray(node)[..., None])
+
+        def dx(lag, s):  # lag times dx/dt at offsets s from the nodes
+            return lag * 2.0 * (energy - self.potential.value(xn + s)) / (
+                _s0p_of(pair, q, *phi(s)))
+
+        def rate(lag, s):
+            return dx(np.asarray(lag)[..., None], s[..., None])[..., 0]
+
+        if pair.source == "analytic":
+            k, a, b = pair.k, q.a, q.b
 
             def theta(s):  # arctan(a tan ks + b), with cos ks >= 0
                 c = np.maximum(np.cos(k * s), 0.0)
                 return np.arctan2(a * np.sin(k * s) + b * c, c)
 
-            scale, theta_in = self.hbar / (2.0 * self.energy), theta(s_in)
-            return lambda s: scale * (theta(s) - theta_in)
+            scale, theta_in = self.hbar / (2.0 * energy), theta(s_in)
+            return lambda s: scale * (theta(s) - theta_in), rate
         nodes, weights = _gauss_legendre_8()
-        x0 = np.asarray(self.pair.cells(node)[0] if x0 is None else x0)
+        x0 = xn[..., 0] if x0 is None else np.asarray(x0)
         r = self.x_turn - x0 if self.c else 0.0
 
         def elapsed(s):
             half = 0.5 * (s - s_in)
             x = (x0 + s_in + half)[..., None] + half[..., None] * nodes
-            f = 1.0 / self._dx(1.0, x)
+            f = 1.0 / dx(1.0, x - xn)
             if not self.c:
                 return half * (f @ weights)
-            # the pole c/(x_turn - x), integrated in closed form
+            # the pole c/(x_turn - x), integrated in closed form; a log of
+            # the ratio, near 1 short of x_turn, would lose an ulp a cell
             f = f - self.c / (self.x_turn - x)
-            return half * (f @ weights) + self.c * np.log((r - s_in) / (r - s))
+            pole = self.c * np.log1p((s - s_in) / (r - s))
+            return half * (f @ weights) + pole
 
-        return elapsed
+        return elapsed, rate
 
     def _crossings(self, q, step, nodes):
         """The cells' Gauss-Legendre sums, the start cell's from x_start;
@@ -575,19 +601,31 @@ class _LegacyClock(_Clock):
         if self.pair.source == "analytic":
             times = np.full(nodes.size, math.pi * self.hbar / (2.0 * self.energy))
             if nodes[0] == self.i0:
-                times[0] = self._entry_time(node[0], s_in[0])(s_out[0])
+                times[0] = self._entry_time(node[0], s_in[0])[0](s_out[0])
             return times
         if self.x_turn is None:
-            return self._entry_time(node, s_in)(s_out)
+            return self._entry_time(node, s_in)[0](s_out)
         short = (self.pair.cells(node)[0] + s_out - self.x_turn) * step < 0
-        times = self._entry_time(node[short], s_in[short])(s_out[short])
+        times = self._entry_time(node[short], s_in[short])[0](s_out[short])
         return times if short.all() else np.append(times, math.inf)
+
+    def _guess(self, xn, s_in, s_out, frac):
+        """In the cells short of x_turn, ln(x_turn - x) linear in t, which
+        is exact for the pole c/(x_turn - x) alone."""
+        if self.x_turn is None:
+            return super()._guess(xn, s_in, s_out, frac)
+        r = self.x_turn - xn
+        d_in, d_out = np.abs(r - s_in), np.abs(r - s_out)
+        return r - self.step * d_in * (d_out / d_in) ** frac
 
     def positions(self, tau: np.ndarray):
         """x at the elapsed times tau, one row as the clock has one state.
         In x_turn's cell, where t grows like -c ln d (d = |x_turn - x|),
-        Newton runs on ln d up to the last float before x_turn, which takes
-        the later samples."""
+        Newton runs on u = ln d up to the last float before x_turn, which
+        takes the later samples, with the step dt/du = -c - step d (1/w(x)
+        - c/(x_turn - x)): its pole part -c is exact in d, so the steps
+        converge where x = x_turn - step d has rounded.  A double root (c =
+        0) has no pole part, and the step is -step d/w(x)."""
         if self.x_turn is None:
             return super().positions(tau)
         (t_exit,), (tau,) = self.t_exit, tau
@@ -598,23 +636,37 @@ class _LegacyClock(_Clock):
         early = tau < t_in
         x_early, open_early = super().positions(tau[early][None])
         x[early], unconverged[early] = x_early[0], open_early[0]
-        turn, step = self.x_turn, self.step
+        turn, step, c = self.x_turn, self.step, self.c
         node, s_in, _ = self._cells(np.asarray(m), step)
-        s_in = self.pair.cells(node)[0] + s_in - turn
+        xn = self.pair.cells(node)[0]
+        s_in = xn + s_in - turn
         d_last = step * (turn - math.nextafter(turn, -step * math.inf))
-        elapsed = self._entry_time(node, s_in, turn)
+        elapsed, rate = self._entry_time(node, s_in, turn)
         later = tau >= t_in + elapsed(-step * d_last)
         x[later] = turn - step * d_last
         rest = (tau >= t_in) & ~later
         tr = tau[rest] - t_in
         lo = np.full(tr.shape, math.log(d_last))
         hi = np.full(tr.shape, math.log(-step * s_in))
-        u = np.clip(hi - tr / self.c if self.c else lo, lo, hi)
+        u = np.clip(hi - tr / c if c else lo, lo, hi)
+        # the steps stop below the resolution of u or, as t carries the
+        # rounding of V near x_turn, of x: 4 eps |x_turn| over d in u, with
+        # d at the pole's start, near the root
+        scale = np.maximum(np.abs(u), 1.0)
+        if c:
+            scale = np.maximum(scale, abs(turn) * np.exp(-u))
+
+        def du(lag, u):
+            d = np.exp(u)
+            xu = turn - step * d
+            if not c:
+                return -step * rate(lag, xu - xn) / d
+            pole = c / (turn - xu)
+            return lag / (-c - step * d * (1.0 / rate(1.0, xu - xn) - pole))
+
         u, unconverged[rest] = _newton(
-            tr, lambda u: elapsed(-step * np.exp(u)),
-            lambda lag, u: -step * self._dx(
-                lag, turn - step * np.exp(u)) / np.exp(u), u, lo, hi,
-            4.0 * np.finfo(float).eps * np.maximum(np.abs(u), 1.0))
+            tr, lambda u: elapsed(-step * np.exp(u)), du, u, lo, hi,
+            4.0 * np.finfo(float).eps * scale)
         x[rest] = turn - step * np.exp(u)
         return x[None], unconverged[None]
 

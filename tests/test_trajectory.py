@@ -670,6 +670,32 @@ def test_legacy_law_creeps_toward_a_double_root():
     assert rep.x_turn == 0.0 and not rep.stalled
 
 
+_KNOTS = np.linspace(-3.5, 3.5, 141)
+
+
+@pytest.mark.parametrize("potential, a, b, domain, t1, samples", [
+    (PotentialModel.linear(0.5), 1.0, 0.0, (-2.0, 6.0), 40.0, 400),
+    (PotentialModel.tabulated(_KNOTS, 0.5 * _KNOTS ** 2), 1.4, 0.3,
+     (-3.0, 3.0), 10.0, 256),
+    (PotentialModel.tabulated(_KNOTS, 0.5 * _KNOTS ** 2), -1.5, 0.9,
+     (-3.0, 3.0), 10.0, 256),
+], ids=["barrier", "tabulated-right", "tabulated-left"])
+def test_legacy_positions_converge_in_six_newton_steps(
+        potential, a, b, domain, t1, samples, monkeypatch):
+    """The position solves of the legacy law converge quadratically, in
+    the cells short of a turning point and on ln d in its cell, where the
+    pole part of the step is exact in d: six Newton steps give the
+    samples of the default budget bit for bit."""
+    s = ScenarioConfig(potential, UNIT, QuantumStateParams(a=a, b=b),
+                       law="legacy", t_span=(0.0, t1), samples=samples,
+                       domain=domain, grid_step=1e-3)
+    full, report = integrate_legacy_law(s)
+    monkeypatch.setattr(trajectory, "_NEWTON_STEPS", 6)
+    six, _ = integrate_legacy_law(dataclasses.replace(s, pair=None))
+    assert report.x_turn == pytest.approx(math.copysign(1.0, a), abs=1e-9)
+    assert six.samples == full.samples
+
+
 def test_legacy_law_started_on_a_turning_point_stays_there():
     s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT,
                        QuantumStateParams(a=1.0), x_start=1.0, law="legacy",
@@ -849,6 +875,28 @@ def test_velocity_batch_moving_both_ways_takes_one_newton_solve(monkeypatch):
     x_last = trajectory.state_maxima(s, qs)["x_last"]
     assert shapes == [(3, 16)]
     assert x_last[0] > 0 > x_last[1] and x_last[2] > 0
+
+
+def test_velocity_batch_sums_each_row_in_one_round_on_a_fresh_pair(
+        monkeypatch):
+    """On a fresh grid pair the first state moving each way sums its start
+    cell together with the chunk that the march takes past it: a batch
+    whose rows each end within one chunk takes one ``_crossings`` round per
+    state, each over many cells."""
+    qs = [QuantumStateParams(a=a, b=0.3) for a in (1.4, -0.8, 0.6, -1.9)]
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT, qs[0],
+                       t_span=(0.0, 0.5), samples=16, domain=(-3.0, 3.0))
+    sizes = []
+    crossings = trajectory._Clock._crossings
+
+    def counted(self, q, step, nodes):
+        sizes.append(nodes.size)
+        return crossings(self, q, step, nodes)
+
+    monkeypatch.setattr(trajectory._Clock, "_crossings", counted)
+    x_last = trajectory.state_maxima(s, qs)["x_last"]
+    assert len(sizes) == len(qs) and min(sizes) > 1
+    assert x_last[0] > 0 > x_last[1] and x_last[2] > 0 > x_last[3]
 
 
 @pytest.mark.parametrize("law", ["newton", "legacy"])
