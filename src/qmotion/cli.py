@@ -424,18 +424,37 @@ def _sweep_axis(grid: dict, key: str, default) -> list:
         raise ConfigError(f"sweep axis {key!r}: {exc}") from exc
 
 
+# the cells of one energy from which a pool pays for a batched law: on 2
+# cores, 2 energies of harmonic velocity cells ran faster in process up to
+# 200 cells an energy, and from 600 the pool won every round by more than
+# the quartile spread (BENCH_38.json); each forked child holds about 30 MB
+_POOL_MIN_CELLS = 600
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _cmd_sweep(args) -> int:
     """One CSV row per (a, b, E) cell, in grid order.
 
     Only a, b and E vary between cells, so each distinct energy is one
     task that holds all of its cells and builds one solution pair (see
-    ``_sweep_group``).  Under ``--workers N``, min(N, energies) processes
-    run the tasks; the rows do not depend on N.  A pair whose march met the
-    overflow cap is reported on stderr once per energy, in the order the
-    energies first appear.  When several cells fail, the error raised
-    first in this energy-major order is the one reported.  An empty axis,
-    or an ``--out`` that cannot be written, is a configuration error found
-    before any cell runs.
+    ``_sweep_group``).  A law in ``trajectory.BATCHED_LAWS`` runs an
+    energy's cells as one array pass, so its tasks run in this process
+    whatever ``--workers`` says, unless some energy has ``_POOL_MIN_CELLS``
+    cells or more.  Otherwise, under ``--workers N``, min(N, energies,
+    usable cores) processes run the tasks.  The rows do not depend on N.
+    A pair whose march met the overflow cap is reported on stderr once per
+    energy, in the order the energies first appear.  When several cells
+    fail, the error raised first in this energy-major order is the one
+    reported.  An empty axis, or an ``--out`` that cannot be written, is a
+    configuration error found before any cell runs.
     """
     doc = _doc_for(args)
     grid = doc.get("sweep")
@@ -458,12 +477,18 @@ def _cmd_sweep(args) -> int:
                     (idx, a, b))
                 idx += 1
     tasks = [(doc, energy, cells) for energy, cells in groups.values()]
-    workers = min(args.workers, len(tasks))
+    # trajectory is loaded before a pool forks, so that its workers inherit
+    # it instead of each compiling it again
+    from . import trajectory as traj
+
+    law = doc.get("run", {}).get("law", traj.ScenarioConfig.law)
+    if (law in traj.BATCHED_LAWS
+            and max(len(cells) for *_, cells in tasks) < _POOL_MIN_CELLS):
+        workers = 1
+    else:
+        workers = min(args.workers, len(tasks), _usable_cores())
     if workers > 1:
-        # trajectory is loaded before the pool forks, so that its workers
-        # inherit it instead of each compiling it again; concurrent.futures
-        # is imported here so that no other command loads it
-        from . import trajectory  # noqa: F401
+        # imported here so that no other command loads it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -583,7 +608,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid over (a, b, E) with one row per cell")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="processes that run the energies, at most one per "
+                        "energy and per usable core; a velocity-law sweep "
+                        f"with fewer than {_POOL_MIN_CELLS} cells in each "
+                        "energy runs in process")
     _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_sweep)
 

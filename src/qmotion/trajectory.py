@@ -27,7 +27,10 @@ with one row per state and one entry per sample.  A single run is the
 batch of one.  The legacy law samples its one state the same way.
 
 A sweep hands each energy's cells to ``state_maxima``, under any law: the
-velocity law runs them as one batch, the other laws one at a time.
+laws in ``BATCHED_LAWS`` (the velocity law) run them as one batch, the other
+laws one at a time.  So a sweep forks its process pool for the other laws,
+and for a batched law only when an energy's cells are many enough that a
+second core repays the child.
 
 The legacy first-order law xd = 2(E - V)/S0' is kept for comparison; it
 freezes at classical turning points, which integrate_legacy_law detects and
@@ -75,6 +78,9 @@ __all__ = [
 ]
 
 LAWS = ("velocity", "newton", "legacy")
+# the laws that state_maxima runs as one array pass over a batch of states;
+# a sweep of these laws forks no process pool for small energy groups
+BATCHED_LAWS = ("velocity",)
 _VELOCITY_FLOOR = 1e-12
 # Newton steps allowed per sample of a first-order law; bisection inside a
 # cell reaches rounding level in about 60
@@ -757,7 +763,8 @@ def state_maxima(s: ScenarioConfig, states) -> dict:
     overflows.  The error raised is the one that running the states one at
     a time, in order, would raise first."""
     s.build_pair()
-    if s.law != "velocity" or _start_failure(s, _States.of(states)) is not None:
+    if (s.law not in BATCHED_LAWS
+            or _start_failure(s, _States.of(states)) is not None):
         runs = [summarize(run_scenario(replace(s, q=q))[0]) for q in states]
         return {key: [one[key] for one in runs] for key in runs[0]}
     q = _States.of(states)

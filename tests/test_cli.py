@@ -949,7 +949,8 @@ def test_sweep_builds_one_pair_per_energy_at_any_worker_count(tmp_path,
                                                               monkeypatch):
     """Each distinct energy is one pool task: three workers build the two
     energies' pairs once each.  The pool used to slice each energy's cells
-    across the workers, and every slice built the pair again."""
+    across the workers, and every slice built the pair again.  The newton
+    law runs its cells one at a time, so its sweep still forks the pool."""
     import qmotion.trajectory as traj
 
     log = tmp_path / "builds.log"
@@ -962,13 +963,15 @@ def test_sweep_builds_one_pair_per_energy_at_any_worker_count(tmp_path,
         return solve_pair(*args, **kwargs)
 
     monkeypatch.setattr(traj, "solve_pair", logged)
-    cfg = write_config(tmp_path, HARMONIC_SWEEP_DOC)
+    doc = json.loads(json.dumps(HARMONIC_SWEEP_DOC))
+    doc["run"]["law"] = "newton"
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "w3.csv"
     assert run(["sweep", "--config", cfg, "--out", str(out),
                 "--workers", "3", "--quiet"]) == 0
     assert sorted(log.read_text().split()) == ["0.5", "0.8"]
     monkeypatch.undo()
-    assert out.read_bytes() == _sweep_reference(HARMONIC_SWEEP_DOC)
+    assert out.read_bytes() == _sweep_reference(doc)
 
 
 def test_tabulated_sweep_reads_its_csv_once_per_energy(tmp_path, monkeypatch):
@@ -1112,6 +1115,150 @@ def test_sweep_reports_truncated_pair_once_per_energy(tmp_path, capsys,
     assert captured.err.splitlines() == notes
     assert captured.out == ""
     assert out.read_bytes() == _sweep_reference(doc)
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replace the sweep's ProcessPoolExecutor by one that runs its tasks in
+    this process, on a host of 4 usable cores; returns the max_workers of
+    each pool made, in order."""
+    import concurrent.futures
+
+    made = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    return made
+
+
+# sized as the bench's sweep: 4 x 3 harmonic velocity cells at each of 2
+# energies, on a 48k-node pair
+BENCH_SWEEP_DOC = {
+    "potential": {"kind": "harmonic", "stiffness": 1.0},
+    "run": {"law": "velocity", "t1": 0.5, "samples": 16,
+            "domain": [-6.0, 6.0], "grid_step": 2.5e-4},
+    "sweep": {"a": [1.62, -0.71, 1.13, -1.88], "b": [-0.42, 0.17, 0.86],
+              "energy": [0.5, 0.8]},
+}
+
+
+def test_small_velocity_sweep_forks_no_pool(tmp_path, monkeypatch):
+    """Each energy's velocity cells are one array pass, which a child
+    process only slows down at this size: --workers 2 runs in process and
+    writes the --workers 1 bytes."""
+    import concurrent.futures
+
+    cfg = write_config(tmp_path, BENCH_SWEEP_DOC)
+    out = {w: tmp_path / f"w{w}.csv" for w in ("1", "2")}
+    assert run(["sweep", "--config", cfg, "--out", str(out["1"]),
+                "--workers", "1", "--quiet"]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert run(["sweep", "--config", cfg, "--out", str(out["2"]),
+                "--workers", "2", "--quiet"]) == 0
+    assert out["2"].read_bytes() == out["1"].read_bytes()
+
+
+def test_newton_sweep_reaches_the_pool(tmp_path, inline_pools):
+    # the newton law runs an energy's cells one at a time, so two energies
+    # still go to two workers
+    doc = json.loads(json.dumps(HARMONIC_SWEEP_DOC))
+    doc["run"]["law"] = "newton"
+    cfg = write_config(tmp_path, doc)
+    assert run(["sweep", "--config", cfg, "--workers", "2", "--quiet"]) == 0
+    assert inline_pools == [2]
+
+
+def test_large_velocity_groups_reach_the_pool(tmp_path, monkeypatch,
+                                              inline_pools):
+    import qmotion.cli as cli
+
+    cfg = write_config(tmp_path, HARMONIC_SWEEP_DOC)
+    out = tmp_path / "pool.csv"
+    # energy 0.5 appears twice, so its group holds 4 cells, the largest
+    monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 5)
+    assert run(["sweep", "--config", cfg, "--out", str(out), "--workers", "2",
+                "--quiet"]) == 0
+    assert inline_pools == []
+    monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 4)
+    assert run(["sweep", "--config", cfg, "--out", str(out), "--workers", "2",
+                "--quiet"]) == 0
+    assert inline_pools == [2]
+    assert out.read_bytes() == _sweep_reference(HARMONIC_SWEEP_DOC)
+
+
+@pytest.mark.parametrize("cores, workers", [
+    ({0, 1, 2}, 3),                 # the affinity mask caps 64 workers
+    (set(range(8)), 4),             # so do the 4 energies
+    (None, 2),                      # no affinity mask: os.cpu_count()
+])
+def test_sweep_pool_is_capped_at_the_usable_cores(tmp_path, monkeypatch,
+                                                  inline_pools, cores,
+                                                  workers):
+    import qmotion.cli as cli
+
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores,
+                            raising=False)
+    monkeypatch.setattr(cli, "_POOL_MIN_CELLS", 1)
+    doc = json.loads(json.dumps(HARMONIC_SWEEP_DOC))
+    doc["sweep"] = {"a": [1.4], "b": [0.3], "energy": [0.5, 0.6, 0.7, 0.8]}
+    cfg = write_config(tmp_path, doc)
+    assert run(["sweep", "--config", cfg, "--workers", "64", "--quiet"]) == 0
+    assert inline_pools == [workers]
+
+
+def test_sweep_pool_reports_the_first_energy_reaching_the_edge(
+        tmp_path, capsys, monkeypatch):
+    """A domain edge error crosses a real pool of two workers.  Both
+    energies' newton tasks fail: the first energy's error is the one
+    reported, though the second energy's failing cell (3, 0, 0.8) comes
+    first in grid order, and of the first energy's cells the first to fail
+    in grid order, (-1, 0, 0.5)."""
+    import concurrent.futures
+
+    made, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    class CountedPool(pool):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    doc = dict(EDGE_DOC, run=dict(EDGE_DOC["run"], t1=20.0, law="newton"),
+               sweep={"a": [3.0, -1.0, 1.0], "b": [0.0], "energy": [0.5, 0.8]})
+    cfg = write_config(tmp_path, doc)
+    errs = []
+    for workers in ("1", "2"):
+        assert run(["sweep", "--config", cfg, "--workers", workers,
+                    "--quiet"]) == 3
+        errs.append(capsys.readouterr().err)
+    assert made == [2]
+    assert errs == [_edge_message(-2, 1.57804)] * 2
 
 
 def test_quiet_silences_stdout(tmp_path, capsys):

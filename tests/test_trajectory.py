@@ -493,6 +493,7 @@ def test_newton_law_velocity_floor():
         integrate_newton_law(s, init=(0.0, 1e-13, 0.0, 0.0))
     # sweep workers send it back to the parent process
     back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is VelocityFloorError
     assert (str(back), back.t, back.state) == (str(info.value), info.value.t,
                                               info.value.state)
 
