@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import Jet, JetOrderError, SingularityError, flow_jet
-from .ode import IntegrationFailure, integrate_ivp
+from .ode import ORDER, IntegrationFailure, integrate_ivp
 from .reduced_action import (QuantumStateParams, _s0p_of, inverse_s0p, s0p,
                              s0p_jet)
 from .rootfind import RootConvergenceError, expand_bracket, invert_monotone
@@ -85,6 +85,9 @@ _VELOCITY_FLOOR = 1e-12
 # Newton steps allowed per sample of a first-order law; bisection inside a
 # cell reaches rounding level in about 60
 _NEWTON_STEPS = 100
+# _RISE[n][k] = (k + 1)(k + 2)...(k + n): the k-th Taylor coefficient of a
+# function's n-th derivative is _RISE[n][k] times the function's (k + n)-th
+_RISE = [[float(math.perm(k + n, n)) for k in range(ORDER)] for n in range(5)]
 
 
 class VelocityFloorError(RuntimeError):
@@ -787,14 +790,17 @@ def _newton_series(s: ScenarioConfig):
     """The law's series for ``ode.integrate_ivp``: a_{k+4} of x(t + tau) =
     sum a_k tau^k from a_0..a_{k+3}, with V'(x) quadratic about a point xm
     of the potential's piece (exact for the analytic kinds; a spline's next
-    knot is the step's wall).  With z = x''/x' the law reads
-    x'''' = z (8 x''' - 10 z x'') - (4 mu x'^4/hbar^2)(mu x'' + V'), so each
-    order takes six Cauchy sums: the quotient recurrence for z and the
-    newest coefficients of z x'', z (8 x''' - 10 z x''), x'^2, x'^4 and
-    x'^4 (mu x'' + V'); a seventh, of (x - xm)^2, only where V''' != 0."""
+    knot is the step's wall).  With z = x''/x', u = 8 x''' - 10 z x'',
+    w = -(4 mu/hbar^2) x'^4 and m = mu x'' + V' the law reads
+    x'''' = z u + w m, so each order takes four Cauchy sums: z's quotient
+    recurrence, w's power rule (w' = 4 z w, so k w_k = 4 sum z_j w_{k-1-j}),
+    the newest coefficient of z x'' for u, and one sum over the interleaved
+    lists [z_0, w_0, z_1, ...] and [m_0, u_0, m_1, ...] for z u + w m; a
+    fifth, of (x - xm)^2, only where V''' != 0."""
     mu = s.params.mu
     coef = 4.0 * mu / s.params.hbar ** 2
     knots = s.potential.knots
+    _, f1, f2, f3, f4 = _RISE
 
     def series(t, y, order):
         x, xd, xdd, xddd = y
@@ -808,23 +814,25 @@ def _newton_series(s: ScenarioConfig):
             wall, xm = (hi if xd > 0 else lo), 0.5 * (lo + hi)
         g0, g1, g2 = (float(v) for v in s.potential.derivs(xm, 3)[1:])
         a = [x, xd, 0.5 * xdd, xddd / 6.0]
-        p, q, z, u, e, p2, p4, m = ([] for _ in range(8))
+        # x'^4 by two products: on floats ** raises OverflowError where *
+        # gives inf, which ode reports as a non-finite derivative
+        w = [-coef * ((xd * xd) * (xd * xd))]
+        # p holds x'_1, x'_2, ...: x'_0 = xd is the quotient's divisor
+        p, q, z, e, zw, m_u = ([] for _ in range(6))
         for k in range(order - 3):
-            p.append((k + 1) * a[k + 1])
-            q.append((k + 1) * (k + 2) * a[k + 2])
-            z.append(0.0)  # a zero in z_k's place keeps it out of the sum
-            z[k] = (q[k] - sum(map(mul, p, reversed(z)))) / xd
-            u.append(8.0 * ((k + 1) * (k + 2) * (k + 3) * a[k + 3])
-                     - 10.0 * sum(map(mul, z, reversed(q))))
+            q.append(f2[k] * a[k + 2])
+            if k:
+                w.append(4.0 * sum(map(mul, z, reversed(w))) / k)
+            z.append((q[k] - sum(map(mul, p, reversed(z)))) / xd)
+            p.append(f1[k + 1] * a[k + 2])
             e.append(x - xm if k == 0 else a[k])
-            p2.append(sum(map(mul, p, reversed(p))))
-            p4.append(sum(map(mul, p2, reversed(p2))))
-            m.append(mu * q[k] + g1 * e[k]
-                     + (0.5 * g2 * sum(map(mul, e, reversed(e))) if g2
-                        else 0.0) + (g0 if k == 0 else 0.0))
-            a.append((sum(map(mul, z, reversed(u)))
-                      - coef * sum(map(mul, p4, reversed(m))))
-                     / ((k + 1) * (k + 2) * (k + 3) * (k + 4)))
+            zw += z[k], w[k]
+            m_u += (mu * q[k] + g1 * e[k]
+                    + (0.5 * g2 * sum(map(mul, e, reversed(e))) if g2
+                       else 0.0) + (g0 if k == 0 else 0.0),
+                    8.0 * (f3[k] * a[k + 3])
+                    - 10.0 * sum(map(mul, z, reversed(q))))
+            a.append(sum(map(mul, zw, reversed(m_u))) / f4[k])
         return a, wall
 
     return series

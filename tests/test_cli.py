@@ -880,10 +880,11 @@ STIFF_FAILURE = "numerical failure: non-finite derivative at t = 0.0\n"
 
 @pytest.mark.parametrize("workers", ["2", "1"])
 def test_sweep_failing_cell_exits_3(tmp_path, capsys, workers):
-    # the cell's IntegrationFailure must cross the process boundary intact
+    # the cell's IntegrationFailure must cross the process boundary intact:
+    # two energies, so --workers 2 runs a pool of two
     doc = dict(SWEEP_DOC, potential=STIFF_POTENTIAL,
                run=dict(SWEEP_DOC["run"], **STIFF_RUN),
-               sweep={"a": [1.0, 2.0], "b": [0.0]})
+               sweep={"a": [1.0, 2.0], "b": [0.0], "energy": [0.5, 1.0]})
     cfg = write_config(tmp_path, doc)
     assert run(["sweep", "--config", cfg, "--workers", workers,
                 "--quiet"]) == 3

@@ -529,6 +529,20 @@ def test_newton_law_nonfinite_derivative_fails_instead_of_hanging():
     assert res.stdout.strip() == "non-finite derivative at t = 0.0"
 
 
+def test_newton_series_overflow_gives_a_nonfinite_coefficient():
+    # xd^4 overflows: the series must hand ode a non-finite coefficient,
+    # which it reports as an IntegrationFailure, and raise nothing itself
+    # (xd ** 4 on floats raises OverflowError)
+    s = ScenarioConfig(PotentialModel.harmonic(1.0),
+                       PhysParams(hbar=1.0, mu=1.0, energy=0.5),
+                       QuantumStateParams(a=1.4, b=0.3), law="newton",
+                       domain=(-3.0, 3.0))
+    a, wall = trajectory._newton_series(s)(0.0, [0.0, 1e80, 0.0, 0.0],
+                                           ode.ORDER)
+    assert wall is None and len(a) == ode.ORDER + 1
+    assert not all(map(math.isfinite, a))
+
+
 def nine_sum_newton_series(s: ScenarioConfig):
     """The newton law's series by nine Cauchy sums per order, the products
     x'^2, x'^4, x''^2, x''^3, x'' x''' and (x - xm)^2, the quotients
