@@ -216,8 +216,8 @@ def _write_run(args, s: traj.ScenarioConfig, fmt: str, path: str,
     if note:
         print(note, file=sys.stderr)
     if fmt in ("csv", "both"):
-        traj.write_csv(result.samples, path)
-        _say(args, f"wrote {len(result.samples)} samples to {path}")
+        traj.write_csv(result.columns(), path)
+        _say(args, f"wrote {len(result.columns())} samples to {path}")
     if fmt in ("json", "both"):
         jpath = path if fmt == "json" else path + ".json"
         traj.write_summary(result, jpath)
@@ -358,9 +358,9 @@ def _cmd_demo_legacy_stall(args) -> int:
         _say(args, f"  {note}")
     # the same scenario and pair under the first-order law
     rv, _ = traj.run_scenario(dataclasses.replace(s, law="velocity"))
-    vmin = min(abs(p.xdot) for p in rv.samples)
+    x, xd = rv.columns()[:, 1:3].T
     _say(args, f"  first-order action-gradient law over the same span: "
-               f"x reaches {rv.samples[-1].x:.6g}, min |xd| = {vmin:.6g}")
+               f"x reaches {x[-1]:.6g}, min |xd| = {np.min(np.abs(xd)):.6g}")
     return 0
 
 

@@ -226,14 +226,20 @@ class LegacyReport:
 
 @dataclass
 class TrajectoryResult:
-    """One run's samples.  The velocity law also keeps ``time_of_x``, its
-    t(x)."""
+    """One run's samples as ``table`` (``columns()``), a float array with
+    one row per sample time in TrajectorySample's field order; ``samples``
+    reads its rows as a read-only tuple of TrajectorySamples, built on each
+    read.  The velocity law also keeps ``time_of_x``, its t(x)."""
 
     config: ScenarioConfig
     law: str
-    samples: list
+    table: np.ndarray
     notes: list = field(default_factory=list)
     time_of_x: _Clock | None = None
+
+    @property
+    def samples(self) -> tuple:
+        return tuple(map(TrajectorySample._make, self.table.tolist()))
 
     def arrival_time(self, x_target: float) -> float:
         """First time at which x(t) reaches x_target, from the velocity
@@ -244,7 +250,7 @@ class TrajectoryResult:
         return self.time_of_x(x_target)
 
     def columns(self) -> np.ndarray:
-        return np.array([tuple(s) for s in self.samples])
+        return self.table
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +317,9 @@ def state_jet_from_x(pair: SolutionPair, q: QuantumStateParams,
         return flow_jet([c / params.mu for c in sp.coeffs], x, order)
 
 
-def _samples(ts: np.ndarray, j: Jet, obs: ObservableSet, s0p_values) -> list:
-    """One TrajectorySample of plain floats per sample time."""
-    cols = (ts, *j.coeffs[:4], obs.H, obs.P, obs.Q, s0p_values)
-    return [TrajectorySample(*row) for row in zip(*(c.tolist() for c in cols))]
+def _table(ts: np.ndarray, j: Jet, obs: ObservableSet, s0p_values):
+    """A run's table: one row per sample time, in TrajectorySample's order."""
+    return np.column_stack((ts, *j.coeffs[:4], *obs, s0p_values))
 
 
 def _pair_notes(pair: SolutionPair) -> list:
@@ -745,9 +750,9 @@ def integrate_velocity_law(s: ScenarioConfig) -> TrajectoryResult:
     clock = run.clock
     # the law itself is Bohm's relation, so s0p = mu*xd by construction;
     # summarize checks it in its integral form
-    samples = _samples(run.ts[valid], j, obs, s.params.mu * j.coeffs[1])
+    table = _table(run.ts[valid], j, obs, s.params.mu * j.coeffs[1])
     edge = clock.edge(0)
-    result = TrajectoryResult(s, "velocity", samples, _pair_notes(pair), clock)
+    result = TrajectoryResult(s, "velocity", table, _pair_notes(pair), clock)
     dx = np.diff(j.coeffs[0])
     if not (np.all(dx > 0) or np.all(dx < 0)):
         result.notes.append("sampled x is not strictly monotone")
@@ -801,6 +806,9 @@ def _newton_series(s: ScenarioConfig):
     coef = 4.0 * mu / s.params.hbar ** 2
     knots = s.potential.knots
     _, f1, f2, f3, f4 = _RISE
+    # the last xm and (V', V'', V''') there: the steps inside one spline
+    # piece share its midpoint, so they read the potential once
+    piece = [None, ()]
 
     def series(t, y, order):
         x, xd, xdd, xddd = y
@@ -812,7 +820,9 @@ def _newton_series(s: ScenarioConfig):
             i = min(max(i, 1), knots.size - 1)
             lo, hi = float(knots[i - 1]), float(knots[i])
             wall, xm = (hi if xd > 0 else lo), 0.5 * (lo + hi)
-        g0, g1, g2 = (float(v) for v in s.potential.derivs(xm, 3)[1:])
+        if xm != piece[0]:
+            piece[:] = xm, [float(v) for v in s.potential.derivs(xm, 3)[1:]]
+        g0, g1, g2 = piece[1]
         a = [x, xd, 0.5 * xdd, xddd / 6.0]
         # x'^4 by two products: on floats ** raises OverflowError where *
         # gives inf, which ode reports as a non-finite derivative
@@ -881,7 +891,7 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
     obs = observables(j, s.params, s.potential)
     # S0' at the sampled x is independent of the sampled xd
     result = TrajectoryResult(s, "newton",
-                              _samples(ts, j, obs, s0p(pair, s.q, j.coeffs[0])),
+                              _table(ts, j, obs, s0p(pair, s.q, j.coeffs[0])),
                               _pair_notes(pair))
     if edge is not None:
         _edge_reached(result, edge, t_end)
@@ -940,31 +950,32 @@ def integrate_legacy_law(s: ScenarioConfig):
                                f"finite at {bad.sum()} of {bad.size} samples")
     obs = _observables(j, s.params, s.potential)[0]
     gap = float(np.max(np.abs(j.coeffs[1] - sp.coeffs[0] / mu), initial=0.0))
-    out = _samples(ts, j, obs, sp.coeffs[0])
-    result = TrajectoryResult(s, "legacy", out, _pair_notes(pair))
+    result = TrajectoryResult(s, "legacy", _table(ts, j, obs, sp.coeffs[0]),
+                              _pair_notes(pair))
     if edge is not None:
         _edge_reached(result, edge, clock.t_edge[0])
 
-    v0 = abs(out[0].xdot) if out else 0.0
-    threshold = 1e-6 * v0
-    report = LegacyReport(stalled=False, threshold=threshold,
-                          velocity_gap=gap, x_turn=x_turn)
-    run = 0
-    for p in out:
-        slow = abs(p.xdot) < threshold
-        closing = x_turn is None or abs(p.x - x_turn) <= abs(s.x_start - x_turn)
-        run = run + 1 if (slow and closing) else 0
-        if run >= 3:
-            report.stalled = True
-            report.t_stall = p.t
-            report.x_stall = p.x
-            break
+    x, xd = j.coeffs[:2]
+    threshold = 1e-6 * float(abs(xd[0])) if xd.size else 0.0
+    stall = _stall(ts, x, xd, threshold, x_turn, s.x_start)
+    report = LegacyReport(stall is not None, threshold,
+                          *(stall or (None, None)), x_turn, gap)
     if report.stalled:
         report.notes.append(
             f"xd below {threshold:.3e} from t = {report.t_stall:.6g} on; "
             f"x pinned near {report.x_stall:.9g}"
             + (f" (turning point {x_turn:.9g})" if x_turn is not None else ""))
     return result, report
+
+
+def _stall(ts, x, xd, threshold: float, x_turn, x_start: float):
+    """(t, x) that ends the first three successive samples both slow, |xd| <
+    threshold, and no farther from x_turn than x_start; None if none."""
+    hit = np.abs(xd) < threshold
+    if x_turn is not None:
+        hit &= np.abs(x - x_turn) <= abs(x_start - x_turn)
+    k = np.flatnonzero(hit[2:] & hit[1:-1] & hit[:-2]) + 2
+    return (float(ts[k[0]]), float(x[k[0]])) if k.size else None
 
 
 def _start_failure(s: ScenarioConfig, q: _States):
@@ -1003,11 +1014,13 @@ def run_scenario(s: ScenarioConfig):
 # artifacts
 
 def write_csv(samples, path) -> None:
-    fmt = ",".join(["%.17g"] * len(TrajectorySample._fields)) + "\n"
+    """Write a run's table (``TrajectoryResult.columns()``), or its rows,
+    as CSV: every value "%.17g", the whole table in one % operation."""
+    table = np.asarray(samples, dtype=float)
+    row = ",".join(["%.17g"] * len(TrajectorySample._fields)) + "\n"
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for p in samples:
-            fh.write(fmt % p)
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 @functools.cache
@@ -1075,11 +1088,11 @@ def summarize(result: TrajectoryResult) -> dict:
     maxima are those of ``_maxima``, which a sweep takes for many runs at
     once."""
     s = result.config
-    cols = TrajectorySample(*result.columns().T[:, None])
+    cols = TrajectorySample(*result.table.T[:, None])
     maxima = _maxima(s, s.q, result.law, cols)
     return {
         "law": result.law,
-        "samples": len(result.samples),
+        "samples": len(result.table),
         "t_span": [float(cols.t[0, 0]), float(cols.t[0, -1])],
         "x_first": float(cols.x[0, 0]),
         **{key: v[0].item() for key, v in maxima.items()},

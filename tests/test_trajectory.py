@@ -18,6 +18,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 
@@ -353,7 +354,7 @@ def test_velocity_bohm_gap_detects_a_displaced_sample():
         t_span=(0.0, 10.0), samples=256, domain=(-3.0, 3.0)))
     assert summarize(res)["max_bohm_gap_rel"] < 1e-12
     k = 100
-    res.samples[k] = res.samples[k]._replace(x=res.samples[k].x + 1e-7)
+    res.columns()[k, 1] += 1e-7  # the summary reads the run's own table
     assert summarize(res)["max_bohm_gap_rel"] > 1e-6
 
 
@@ -470,6 +471,40 @@ def test_newton_law_on_a_tabulated_potential_agrees_with_velocity_law(
         assert np.max(np.abs(np.subtract(xv, xn))) < 1e-10
         step_starts = sols[-1]._a[:, 0]
         assert np.isin(knots, step_starts).sum() >= 5
+
+
+def test_newton_series_reads_each_spline_piece_once(monkeypatch):
+    """The series takes V' about the midpoint of x's spline piece, the same
+    for every step inside it, so a tabulated run reads the spline's
+    derivatives once a piece, not once a series call."""
+    counts = {"series": 0, "derivs": 0}
+    inside = [False]
+
+    def derivs(self, x, m, _derivs=PotentialModel.derivs):
+        counts["derivs"] += inside[0]
+        return _derivs(self, x, m)
+
+    def newton_series(s, _make=trajectory._newton_series):
+        series = _make(s)
+
+        def counted(t, y, order):
+            counts["series"] += 1
+            inside[0] = True
+            try:
+                return series(t, y, order)
+            finally:
+                inside[0] = False
+
+        return counted
+
+    monkeypatch.setattr(PotentialModel, "derivs", derivs)
+    monkeypatch.setattr(trajectory, "_newton_series", newton_series)
+    knots = np.linspace(-3.5, 3.5, 141)
+    integrate_newton_law(ScenarioConfig(
+        PotentialModel.tabulated(knots, 0.5 * knots ** 2), UNIT,
+        QuantumStateParams(a=0.6, b=-0.9), law="newton",
+        t_span=(0.0, 10.0), samples=256, domain=(-3.0, 3.0)))
+    assert 0 < counts["derivs"] < counts["series"]
 
 
 def test_arrival_time_needs_the_velocity_law():
@@ -646,6 +681,71 @@ def test_legacy_law_stalls_at_turning_point():
     assert rep.x_stall == pytest.approx(1.0, abs=1e-2)
     assert rep.x_stall < rep.x_turn
     assert rep.t_stall < 40.0
+    # the scan over the run's columns finds the sample that the rule, run
+    # one sample at a time, stops at
+    want = stall_by_sample(res.samples, rep.threshold, rep.x_turn, 0.0)
+    assert (rep.t_stall, rep.x_stall) == want
+
+
+def stall_by_sample(samples, threshold, x_turn, x_start):
+    """The legacy law's stall rule, one sample at a time: (t, x) of the
+    third of three successive samples both slow and closing on x_turn."""
+    run = 0
+    for p in samples:
+        slow = abs(p.xdot) < threshold
+        closing = x_turn is None or abs(p.x - x_turn) <= abs(x_start - x_turn)
+        run = run + 1 if (slow and closing) else 0
+        if run >= 3:
+            return p.t, p.x
+    return None
+
+
+_SLOW, _FAST = 1e-4, 1.0
+_TOWARD = [0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 0.9999, 0.99999]
+
+
+@pytest.mark.parametrize("x, xd, x_turn, want", [
+    # two slow samples, a fast one, then three slow: the third of those
+    (_TOWARD, [_FAST, _SLOW, _SLOW, _FAST, _SLOW, _SLOW, _SLOW, _SLOW],
+     1.0, 6),
+    # slow, but moving away from x_turn: farther from it than x_start
+    ([0.0, -0.5, -1.1, -1.2, -1.3, -1.4, -1.5, -1.6],
+     [_FAST, _FAST] + [_SLOW] * 6, 1.0, None),
+    # slow on both sides of x_start's distance: only the closing ones count
+    ([0.0, 0.5, -1.5, 0.9, -1.2, 0.95, 0.96, 0.97],
+     [_FAST] + [_SLOW] * 7, 1.0, 7),
+    # no turning point: slowness alone
+    ([0.0, -0.5, -1.1, -1.2, -1.3, -1.4, -1.5, -1.6],
+     [_FAST, _FAST, _SLOW, _FAST, _SLOW, _SLOW, _SLOW, _FAST], None, 6),
+    # a NaN speed is not slow
+    (_TOWARD, [_FAST, _SLOW, _SLOW, math.nan, _SLOW, _SLOW, _FAST, _FAST],
+     1.0, None),
+    # fewer than three samples
+    ([0.0, 0.5], [_SLOW, _SLOW], None, None),
+], ids=["break-then-three", "moving-away", "mixed", "no-turn", "nan",
+        "short"])
+def test_stall_scan_matches_the_per_sample_rule(x, xd, x_turn, want):
+    ts = np.arange(len(x)) * 0.5
+    samples = [trajectory.TrajectorySample(t, xv, v, *[0.0] * 6)
+               for t, xv, v in zip(ts.tolist(), x, xd)]
+    got = trajectory._stall(ts, np.array(x), np.array(xd), 1e-3, x_turn, 0.0)
+    assert got == stall_by_sample(samples, 1e-3, x_turn, 0.0)
+    assert got == (None if want is None else (ts[want], x[want]))
+
+
+@given(st.lists(st.tuples(st.sampled_from([_SLOW, _FAST, -_SLOW, math.nan]),
+                          st.floats(-3.0, 3.0)), max_size=12),
+       st.sampled_from([None, 1.0, -0.5]), st.floats(-1.0, 1.0))
+@settings(deadline=None, max_examples=200)
+def test_stall_scan_matches_the_per_sample_rule_on_random_columns(
+        rows, x_turn, x_start):
+    ts = np.arange(len(rows)) * 0.25
+    xd = np.array([v for v, _ in rows], dtype=float)
+    x = np.array([p for _, p in rows], dtype=float)
+    samples = [trajectory.TrajectorySample(t, p, v, *[0.0] * 6)
+               for t, p, v in zip(ts.tolist(), x.tolist(), xd.tolist())]
+    assert (trajectory._stall(ts, x, xd, 1e-3, x_turn, x_start)
+            == stall_by_sample(samples, 1e-3, x_turn, x_start))
 
 
 @pytest.mark.parametrize("potential, a, b, t1", [
@@ -798,6 +898,49 @@ def test_csv_format(tmp_path):
     assert len(row) == 9
     # %.17g rows reproduce the sampled values bit-for-bit
     assert row[1] == res.samples[2].x
+
+
+def _csv_bytes(samples) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "run.csv")
+        write_csv(samples, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                -2.5e-310, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
+
+
+@given(st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
+                         min_size=9, max_size=9), max_size=12))
+@settings(deadline=None, max_examples=200)
+def test_write_csv_writes_each_row_as_the_row_loop_did(rows):
+    """The table is formatted in one operation, to the bytes of one "%.17g"
+    join a row, from TrajectorySample rows or from the float table."""
+    fmt = ",".join(["%.17g"] * 9) + "\n"
+    want = (CSV_HEADER + "\n" + "".join(fmt % tuple(r) for r in rows)).encode()
+    samples = [trajectory.TrajectorySample(*r) for r in rows]
+    assert _csv_bytes(samples) == want
+    assert _csv_bytes(np.array(rows, dtype=float).reshape(-1, 9)) == want
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_samples_are_a_read_only_view_of_the_table(law):
+    """``samples`` reads the rows of the run's table as TrajectorySamples
+    of plain floats, and both write the same CSV; assigning to a row
+    raises, so an edit the table would not see is never lost silently."""
+    res, _ = run_scenario(free_scenario(a=2.0, law=law, t1=2.0, samples=16))
+    table = res.columns()
+    assert table.dtype == np.float64 and table.shape == (16, 9)
+    rows = res.samples
+    assert all(type(r) is trajectory.TrajectorySample for r in rows)
+    assert all(type(v) is float for r in rows for v in r)
+    np.testing.assert_array_equal(np.array(rows).view(np.int64),
+                                  table.view(np.int64))
+    assert _csv_bytes(rows) == _csv_bytes(table)
+    with pytest.raises(TypeError):
+        res.samples[3] = rows[3]._replace(x=0.0)
 
 
 def test_summary_contents(tmp_path):
