@@ -247,6 +247,13 @@ def _horner(a, tau, n: int) -> list:
     return vals[:2] + [v * _FACT[d] for d, v in enumerate(vals[2:], 2)]
 
 
+def _inverse(d1, d2, d3):
+    """The first three derivatives of a function's inverse from its own
+    d1 != 0, d2 and d3: floats, or arrays under the caller's errstate."""
+    r = 1.0 / d1
+    return r, -d2 * r ** 3, (3.0 * d2 * d2 - d1 * d3) * r ** 5
+
+
 # -- autonomous flows --------------------------------------------------
 
 

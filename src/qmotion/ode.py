@@ -2,9 +2,10 @@
 output: each step is a polynomial of degree ``ORDER`` whose coefficients
 the caller's recurrence gives (Griewank and Walther, *Evaluating
 Derivatives*, ch. 13), half as long as the radius that its last two
-coefficients give (Jorba and Zou, *Experimental Mathematics* 14, 2005).
-A step's end state, its wall crossing and the dense output are that
-polynomial summed by ``jets._horner``, the package's one Taylor sum.
+coefficients give (Jorba and Zou, *Experimental Mathematics* 14, 2005),
+and no longer than the caller's ``wall``, a bound on the independent
+variable.  A step's end state and the dense output are that polynomial
+summed by ``jets._horner``, the package's one Taylor sum.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import math
 import numpy as np
 
 from .jets import _horner
-from .rootfind import invert_monotone
 
 __all__ = [
     "DenseSolution",
@@ -66,11 +66,12 @@ class DenseSolution:
 
 
 class IntegrationFailure(RuntimeError):
-    """Integration stopped before reaching the end of the span."""
+    """Integration stopped before reaching the end of the span, at the state
+    ``y`` (None where it is not known)."""
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, y=None):
         super().__init__(reason)
-        self.reason = reason
+        self.reason, self.y = reason, y
 
 
 def integrate_ivp(series, y0, t_span, stop=None) -> DenseSolution:
@@ -78,11 +79,13 @@ def integrate_ivp(series, y0, t_span, stop=None) -> DenseSolution:
     x^(n-1)), with dense output.
 
     ``series(t, y, order)``, called once per step, returns the coefficients
-    x^(k)(t)/k!, k = 0..order, and the x at which they stop holding (a
-    ``wall``, or None): a step that would pass it ends on it.  A step keeps
-    the last two terms of each component y_d below ABS_TOL + REL_TOL*|y_d|,
-    and a run fails after MAX_STEPS steps.  ``stop(y)``, when given, is
-    asked after each step; once it holds, the solution ends there.
+    x^(k)(t)/k!, k = 0..order, and a ``wall``, a t past t that the step may
+    not pass (where the coefficients stop holding, say), or None: a step
+    that would pass it ends on it.  A step keeps the last two terms of each
+    component y_d below ABS_TOL + REL_TOL*|y_d|, and a run fails after
+    MAX_STEPS steps.  t1 may be inf when the walls bound every step.
+    ``stop(y)``, when given, is asked after each step; once it holds, the
+    solution ends there.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -94,23 +97,20 @@ def integrate_ivp(series, y0, t_span, stop=None) -> DenseSolution:
     while t < t1:
         if len(steps) >= MAX_STEPS:
             raise IntegrationFailure(f"step budget of {MAX_STEPS} "
-                                     f"exhausted at t = {t}")
+                                     f"exhausted at t = {t}", y)
         a, wall = series(t, y, ORDER)
         if not all(map(math.isfinite, a)):
-            raise IntegrationFailure(f"non-finite derivative at t = {t}")
-        h = min([t1 - t] + [
+            raise IntegrationFailure(f"non-finite derivative at t = {t}", y)
+        end = t1 if wall is None else min(t1, wall)
+        h = min([end - t] + [
             _STEP_SHARE * ((ABS_TOL + REL_TOL * abs(v)) / (abs(a[k]) * f)) ** e
             for v, rule in zip(y, _RULE) for k, f, e in rule if a[k]])
-        x_of = lambda tau: _horner(a, tau, 1)[0]
-        walled = wall is not None and (x_of(h) - wall) * (wall - a[0]) >= 0
-        if walled:
-            h = invert_monotone(x_of, wall, (0.0, h))
-        t_new = t1 if h == t1 - t else t + h
-        if not t_new > t:
-            raise IntegrationFailure(f"step size underflow at t = {t}")
+        t_new = end if h == end - t else t + h
+        if not t < t_new < math.inf:
+            raise IntegrationFailure(f"step size underflow at t = {t}"
+                                     if t_new <= t else
+                                     f"no bound on the step at t = {t}", y)
         y = _horner(a, h, len(y))
-        if walled:
-            y[0] = wall
         ts.append(t_new)
         steps.append(a)
         t = t_new

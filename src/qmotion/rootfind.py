@@ -1,16 +1,21 @@
 """Bracketed scalar root finding for inverting monotone maps.
 
-The solver is plain bisection, run until the bracket's ends are adjacent
-floats: every iterate stays inside the current sign-change bracket, so it
-converges for any continuous function with a sign change, and the answer is
-the better of the two floats that straddle the root.  There is no secant
-step and no residual stopping rule, so there is no tolerance to choose.
+``invert_monotone`` is plain bisection, run until the bracket's ends are
+adjacent floats: every iterate stays inside the current sign-change
+bracket, so it converges for any continuous function with a sign change,
+and the answer is the better of the two floats that straddle the root.
+There is no secant step and no residual stopping rule, so there is no
+tolerance to choose.  ``newton`` solves many monotone maps at once,
+elementwise over arrays, by Newton steps kept inside each bracket: the
+trajectory laws' positions, and the newton law's distances, at their
+sample times.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BracketError", "RootConvergenceError", "invert_monotone", "expand_bracket"]
+__all__ = ["BracketError", "RootConvergenceError", "invert_monotone",
+           "expand_bracket", "newton"]
 
 # geometric widening of expand_bracket: factor per try, and tries
 _GROW = 2.0
@@ -84,3 +89,25 @@ def expand_bracket(f, target: float, start: float, step: float):
         f"no sign change found from {start} in direction {np.sign(step):+.0f} "
         f"after {_MAX_EXPANSIONS} expansions"
     )
+
+
+def newton(target, elapsed, step, v, lo, hi, tol, max_steps: int):
+    """Solve elapsed(v) = target in the brackets [lo, hi] elementwise by
+    Newton steps ``step(target - elapsed(v), v)``, bisecting where one does
+    not land strictly inside (the last steps meet rounding noise), until the
+    step or bracket is below ``tol``.  An element stops changing once it
+    converges, so each one's iterates do not depend on the others.  Returns
+    v and the mask of elements still open after ``max_steps`` steps."""
+    open_ = np.ones(v.shape, dtype=bool)
+    for _ in range(max_steps):
+        dv = step(target - elapsed(v), v)
+        lo, hi = np.where(dv > 0, v, lo), np.where(dv < 0, v, hi)
+        new = v + dv
+        small = np.abs(dv) <= tol
+        new = np.where(small | ((lo < new) & (new < hi)),
+                       np.clip(new, lo, hi), 0.5 * (lo + hi))
+        v = np.where(open_, new, v)
+        open_ &= ~(small | (hi - lo <= tol))
+        if not open_.any():
+            break
+    return v, open_

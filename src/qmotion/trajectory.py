@@ -15,8 +15,8 @@ Both sum each state's cells in one loop, on demand (``_Clock._sum_cells``
 over ``SolutionPair.ahead``), from the start cell until the state passes
 t1; a state that runs out of cells first has reached the covered domain's
 edge (``_Clock.edge``), at a time known before sampling.  The fourth-order
-law is stepped by its own Taylor series (``ode``), and its steps march the
-pair out as they go.
+law is stepped by its own Taylor series (``ode``) as t(x), and each sample
+is a Newton solve in its step.
 
 Sampling the velocity law is one array pass per batch of states (a, b)
 on one pair, each state walking the pair's cells in its own direction:
@@ -48,11 +48,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import Jet, JetOrderError, SingularityError, flow_jet
+from .jets import (Jet, JetOrderError, SingularityError, _horner, _inverse,
+                   flow_jet)
 from .ode import ORDER, IntegrationFailure, integrate_ivp
 from .reduced_action import (QuantumStateParams, _s0p_of, inverse_s0p, s0p,
                              s0p_jet)
-from .rootfind import RootConvergenceError, expand_bracket, invert_monotone
+from .rootfind import (RootConvergenceError, expand_bracket, invert_monotone,
+                       newton as _newton)
 from .schrodinger import (DomainError, PhysParams, PotentialModel,
                           SolutionPair, solve_pair)
 
@@ -82,8 +84,8 @@ LAWS = ("velocity", "newton", "legacy")
 # a sweep of these laws forks no process pool for small energy groups
 BATCHED_LAWS = ("velocity",)
 _VELOCITY_FLOOR = 1e-12
-# Newton steps allowed per sample of a first-order law; bisection inside a
-# cell reaches rounding level in about 60
+# Newton steps allowed per sample; bisection inside a cell reaches rounding
+# level in about 60
 _NEWTON_STEPS = 100
 # _RISE[n][k] = (k + 1)(k + 2)...(k + n): the k-th Taylor coefficient of a
 # function's n-th derivative is _RISE[n][k] times the function's (k + n)-th
@@ -501,35 +503,13 @@ class _Clock:
         s = self._guess(xn, s_in, s_out, np.clip(frac, 0.0, 1.0))
         v, unconverged = _newton(
             tau - t_in, *self._entry_time(node, s_in), s, lo, hi,
-            4.0 * np.finfo(float).eps * (np.abs(xn) + hi - lo))
+            4.0 * np.finfo(float).eps * (np.abs(xn) + hi - lo), _NEWTON_STEPS)
         return xn + v, unconverged
 
     def _guess(self, xn, s_in, s_out, frac):
         """Newton's start in the cells of nodes at xn: x linear in t from
         the entry offsets s_in to the exits s_out."""
         return s_in + (s_out - s_in) * frac
-
-
-def _newton(target, elapsed, step, v, lo, hi, tol):
-    """Solve elapsed(v) = target in the brackets [lo, hi] elementwise by
-    Newton steps ``step(target - elapsed(v), v)``, bisecting where one does
-    not land strictly inside (the last steps meet rounding noise), until the
-    step or bracket is below ``tol``.  An element stops changing once it
-    converges, so each one's iterates do not depend on the others.  Returns
-    v and the mask of elements still open after _NEWTON_STEPS steps."""
-    open_ = np.ones(v.shape, dtype=bool)
-    for _ in range(_NEWTON_STEPS):
-        dv = step(target - elapsed(v), v)
-        lo, hi = np.where(dv > 0, v, lo), np.where(dv < 0, v, hi)
-        new = v + dv
-        small = np.abs(dv) <= tol
-        new = np.where(small | ((lo < new) & (new < hi)),
-                       np.clip(new, lo, hi), 0.5 * (lo + hi))
-        v = np.where(open_, new, v)
-        open_ &= ~(small | (hi - lo <= tol))
-        if not open_.any():
-            break
-    return v, open_
 
 
 def _not_found(t: float) -> RootConvergenceError:
@@ -680,7 +660,7 @@ class _LegacyClock(_Clock):
 
         u, unconverged[rest] = _newton(
             tr, lambda u: elapsed(-step * np.exp(u)), du, u, lo, hi,
-            4.0 * np.finfo(float).eps * scale)
+            4.0 * np.finfo(float).eps * scale, _NEWTON_STEPS)
         x[rest] = turn - step * np.exp(u)
         return x[None], unconverged[None]
 
@@ -791,74 +771,76 @@ def state_maxima(s: ScenarioConfig, states) -> dict:
     return {key: v.tolist() for key, v in maxima.items()}
 
 
-def _newton_series(s: ScenarioConfig):
-    """The law's series for ``ode.integrate_ivp``: a_{k+4} of x(t + tau) =
-    sum a_k tau^k from a_0..a_{k+3}, with V'(x) quadratic about a point xm
-    of the potential's piece (exact for the analytic kinds; a spline's next
-    knot is the step's wall).  With z = x''/x', u = 8 x''' - 10 z x'',
-    w = -(4 mu/hbar^2) x'^4 and m = mu x'' + V' the law reads
-    x'''' = z u + w m, so each order takes four Cauchy sums: z's quotient
-    recurrence, w's power rule (w' = 4 z w, so k w_k = 4 sum z_j w_{k-1-j}),
-    the newest coefficient of z x'' for u, and one sum over the interleaved
-    lists [z_0, w_0, z_1, ...] and [m_0, u_0, m_1, ...] for z u + w m; a
-    fifth, of (x - xm)^2, only where V''' != 0."""
-    mu = s.params.mu
-    coef = 4.0 * mu / s.params.hbar ** 2
+def _newton_series(s: ScenarioConfig, x0: float, sign: float):
+    """The law's series for ``ode.integrate_ivp`` in the distance travelled
+    d = sign (x - x0): a_{k+4} of t(d + h) = sum a_k h^k from a_0..a_{k+3}.
+    With ' = d/dd, z = t''/t' and y = z/t' the law reads t'''' = sign (4
+    mu/hbar^2) V' t' - (4 mu^2/hbar^2) y + z (2 t''' - z t''): four Cauchy
+    sums an order, with V'(x) quadratic about a point xm of the potential's
+    piece (exact for the analytic kinds).  A step's wall is the piece's
+    end, or less (see the return)."""
+    c1 = 4.0 * s.params.mu / s.params.hbar ** 2
+    c2, sc1, t1 = c1 * s.params.mu, sign * c1, s.t_span[1]
     knots = s.potential.knots
+    if knots is not None:  # the knots in x and in d, ascending in d
+        xs = knots[::int(sign)]
+        ks = sign * (xs - x0)
     _, f1, f2, f3, f4 = _RISE
     # the last xm and (V', V'', V''') there: the steps inside one spline
     # piece share its midpoint, so they read the potential once
     piece = [None, ()]
 
-    def series(t, y, order):
-        x, xd, xdd, xddd = y
-        if abs(xd) < _VELOCITY_FLOOR:
-            raise VelocityFloorError(t, np.array(y))
-        wall, xm = None, x
+    def series(d, y, order):
+        t, tp, tpp, tppp = y
+        x = xm = x0 + sign * d
+        wall = math.inf
+        if not tp * _VELOCITY_FLOOR < 1.0:  # |xd| = 1/t'
+            raise VelocityFloorError(t, np.array(
+                [x, *(sign * v for v in _inverse(tp, tpp, tppp))]))
         if knots is not None:
-            i = int(np.searchsorted(knots, x, "right" if xd > 0 else "left"))
-            i = min(max(i, 1), knots.size - 1)
-            lo, hi = float(knots[i - 1]), float(knots[i])
-            wall, xm = (hi if xd > 0 else lo), 0.5 * (lo + hi)
+            i = min(max(int(np.searchsorted(ks, d, "right")), 1), ks.size - 1)
+            wall = float(ks[i]) if ks[i] > d else wall
+            xm = 0.5 * float(xs[i - 1] + xs[i])
         if xm != piece[0]:
             piece[:] = xm, [float(v) for v in s.potential.derivs(xm, 3)[1:]]
         g0, g1, g2 = piece[1]
-        a = [x, xd, 0.5 * xdd, xddd / 6.0]
-        # x'^4 by two products: on floats ** raises OverflowError where *
-        # gives inf, which ode reports as a non-finite derivative
-        w = [-coef * ((xd * xd) * (xd * xd))]
-        # p holds x'_1, x'_2, ...: x'_0 = xd is the quotient's divisor
-        p, q, z, e, zw, m_u = ([] for _ in range(6))
+        e = x - xm
+        v = [sc1 * (g0 + e * (g1 + 0.5 * g2 * e)), c1 * (g1 + g2 * e),
+             0.5 * sc1 * g2]
+        a = [t, tp, 0.5 * tpp, tppp / 6.0]
+        # against a list one shorter, reversed(p) leaves out the divisor t'
+        p, q, z, zy, zq, m = ([] for _ in range(6))
         for k in range(order - 3):
+            p.append(f1[k] * a[k + 1])
             q.append(f2[k] * a[k + 2])
-            if k:
-                w.append(4.0 * sum(map(mul, z, reversed(w))) / k)
-            z.append((q[k] - sum(map(mul, p, reversed(z)))) / xd)
-            p.append(f1[k + 1] * a[k + 2])
-            e.append(x - xm if k == 0 else a[k])
-            zw += z[k], w[k]
-            m_u += (mu * q[k] + g1 * e[k]
-                    + (0.5 * g2 * sum(map(mul, e, reversed(e))) if g2
-                       else 0.0) + (g0 if k == 0 else 0.0),
-                    8.0 * (f3[k] * a[k + 3])
-                    - 10.0 * sum(map(mul, z, reversed(q))))
-            a.append(sum(map(mul, zw, reversed(m_u))) / f4[k])
-        return a, wall
+            z.append((q[k] - sum(map(mul, reversed(p), z))) / tp)
+            zy.append((z[k] - sum(map(mul, reversed(p), zy))) / tp)
+            zq.append(sum(map(mul, z, reversed(q))))
+            m.append(2.0 * (f3[k] * a[k + 3]) - zq[k])
+            a.append((sum(map(mul, reversed(p), v)) - c2 * zy[k]
+                      + sum(map(mul, z, reversed(m)))) / f4[k])
+        # the quotients' rounding grows as (h/r)^k past r, z's radius (the
+        # root test on its last two terms); a linear t passes t1 twice over
+        n = len(z) - 1
+        return a, min([wall, d + 2.0 * (t1 - t) / tp] + [
+            d + abs(z[j]) ** (-1.0 / j) for j in (n - 1, n) if z[j]])
 
     return series
 
 
 def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
-    """Integrate the fourth-order law of motion by its Taylor series,
-    x4 = -(4 mu xd^4/hbar^2)(mu xdd + V') - 10 xdd^3/xd^2 + 8 xdd xddd/xd.
+    """Integrate the fourth-order law of motion,
+    x4 = -(4 mu xd^4/hbar^2)(mu xdd + V') - 10 xdd^3/xd^2 + 8 xdd xddd/xd,
+    as t(d), d = sign(xd)(x - x0) (``_newton_series``): x is monotone, and
+    t(d) has a far wider radius than x(t) (Floyd, Phys. Rev. D 26, 1982).
+    The steps end once t passes t1 or at a grid pair's requested edge.
 
     The default initial (x, xd, xdd, xddd) is the consistent jet of the
     first-order law at x_start; an explicit 4-tuple overrides it (the
     sampled H then differs from params.energy).  |xd| reaching the 1e-12
-    floor aborts: the law cannot cross xd = 0 on consistent data.  On a grid
-    pair the integration stops at the first step that ends outside the
-    covered domain, and DomainEdgeError's ``partial`` result holds the
-    samples up to the time at which x reaches the edge.
+    floor aborts: the law cannot cross xd = 0 on consistent data.  A run
+    whose t at the covered domain's edge comes before t1 raises
+    DomainEdgeError, whose ``partial`` result holds the samples up to it.
     """
     pair = s.build_pair()
     if init is None:
@@ -876,24 +858,56 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
     if not pair.covers(y0[0]):  # only an explicit init can start outside
         raise DomainError(f"initial x = {y0[0]} outside solved domain "
                           f"{list(pair.domain)}")
-    # x is monotone (xd never crosses 0), so once outside it stays outside
-    dense = integrate_ivp(_newton_series(s), y0, s.t_span,
-                          stop=lambda y: not pair.covers(y[0]))
-    t_end, edge = dense.t1, None
-    if not pair.covers(dense.y_end[0]):
-        lo, hi = pair.domain
-        edge = hi if dense.y_end[0] > hi else lo
-        t_end = invert_monotone(lambda t: dense(t)[0], edge,
-                                (dense.t0, dense.t1))
-    ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
+    (x0, xd, *_), (t0, t1) = y0, s.t_span
+    if abs(xd) < _VELOCITY_FLOOR:
+        raise VelocityFloorError(t0, np.array(y0))
+    sign = math.copysign(1.0, xd)
+    edge = pair.requested[sign > 0]
+    # the free pair covers every x; a start on the edge is there at t0, and
+    # takes one tiny step for the sample there
+    span = math.inf if pair.source == "analytic" else sign * (edge - x0)
+    try:
+        dense = integrate_ivp(
+            _newton_series(s, x0, sign),
+            [t0, *_inverse(*(sign * v for v in y0[1:]))],
+            (0.0, max(span, 5e-324)),
+            stop=lambda y: y[0] >= t1)
+    except IntegrationFailure as exc:  # ode names the d of a failure
+        what = exc.reason.rpartition(" at t = ")[0]
+        raise IntegrationFailure(f"{what} at t = {exc.y[0]}", exc.y) from None
+    t_end = dense.y_end[0] if span > 0.0 else t0
+    if not pair.covers(x0 + sign * dense.t1):  # the pair is truncated
+        edge = pair.domain[sign > 0]
+        t_end = dense(sign * (edge - x0))[0]
+    ts = np.linspace(t0, t1, s.samples)
     ts = ts[ts <= t_end]
-    j = Jet(tuple(dense(ts).T))
+    # each sample's d in its step, by Newton steps lag/t' from the series'
+    # inverse to second order; a step reuses the t' of the elapsed time
+    # just taken at the same d
+    edges, a = dense._ts, dense._a
+    k = np.maximum(np.searchsorted(a[:, 0], ts, "right") - 1, 0)
+    c, width, lag = a[k].T, np.diff(edges)[k], ts - a[k, 0]
+    tp, u = [None], lag / c[1]
+
+    def elapsed(h):
+        t, tp[0] = _horner(c, h, 2)
+        return t - c[0]
+
+    h, unconverged = _newton(
+        lag, elapsed, lambda lag, h: lag / tp[0],
+        np.clip(u - c[2] / c[1] * u * u, 0.0, width), 0.0 * width, width,
+        4.0 * np.finfo(float).eps * edges[k + 1], _NEWTON_STEPS)
+    if unconverged.any():
+        raise _not_found(ts[unconverged][0])
+    with np.errstate(all="ignore"):  # observables checks the jet
+        j = Jet((x0 + sign * (edges[k] + h),
+                 *(sign * v for v in _inverse(*_horner(c, h, 4)[1:]))))
     obs = observables(j, s.params, s.potential)
     # S0' at the sampled x is independent of the sampled xd
     result = TrajectoryResult(s, "newton",
                               _table(ts, j, obs, s0p(pair, s.q, j.coeffs[0])),
                               _pair_notes(pair))
-    if edge is not None:
+    if t_end < t1:
         _edge_reached(result, edge, t_end)
     return result
 

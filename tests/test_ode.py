@@ -136,23 +136,37 @@ def test_stop_ends_the_solution_at_the_first_step_it_holds():
     np.testing.assert_array_equal(sol._ts, full._ts[:sol.n_steps + 1])
 
 
-def test_wall_ends_a_step_where_x_reaches_it():
-    """A series that holds only up to x = 1.5 ends its step there, and the
+def test_wall_ends_a_step_on_it():
+    """A series that holds only up to t = 0.4 ends its step there, and the
     next step starts on the wall."""
-    walls = []
+    starts = []
 
     def series(t, y, order):
         a, _ = exp_series(t, y, order)
-        wall = 1.5 if y[0] < 1.5 else None
-        walls.append((t, y[0]))
-        return a, wall
+        starts.append(t)
+        return a, (0.4 if t < 0.4 else None)
 
     sol = integrate_ivp(series, [1.0], (0.0, 2.0))
-    t_wall, x_wall = walls[1]
-    assert x_wall == 1.5
-    assert t_wall == pytest.approx(math.log(1.5), rel=1e-14)
-    assert sol._ts[1] == t_wall
+    assert starts[1] == sol._ts[1] == 0.4
+    assert sol(0.4)[0] == pytest.approx(math.exp(0.4), rel=1e-15)
     assert sol(2.0)[0] == pytest.approx(math.exp(2.0), rel=1e-14)
+
+
+def test_an_endless_span_needs_a_wall_where_the_rule_reads_nothing():
+    """The quartic's step rule has no coefficient to read: over an endless
+    span a wall must bound each step, and without one the run fails."""
+    with pytest.raises(IntegrationFailure) as info:
+        integrate_ivp(quartic_series, [0.0], (0.0, math.inf))
+    assert info.value.reason == "no bound on the step at t = 0.0"
+    assert info.value.y == [0.0]
+
+    def walled(t, y, order):
+        return quartic_series(t, y, order)[0], t + 1.0
+
+    sol = integrate_ivp(walled, [0.0], (0.0, math.inf),
+                        stop=lambda y: y[0] >= 50.0)
+    assert sol._ts.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert sol.y_end[0] == pytest.approx(81.0, rel=1e-15)
 
 
 def test_step_budget_exhaustion_raises(monkeypatch):

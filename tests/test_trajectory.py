@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmotion.jets import Jet, SingularityError
+from qmotion.jets import Jet, SingularityError, _horner
 from qmotion import trajectory
 from qmotion import ode
 from qmotion.reduced_action import QuantumStateParams, s0p
@@ -446,6 +446,124 @@ def test_newton_law_agrees_with_velocity_law():
     assert worst < 1e-7
 
 
+# the newton law's own checks: bounds about ten times the worst gap measured
+# over these states (1.1e-13 in t on the free pair, 6.4e-14 in x on the
+# harmonic one), where relabelling the law's hbar by 1e-6 gives 1.2e-6 and
+# 4.6e-7
+_FREE_STATES = [(2.0, 0.5), (-1.8659213137870747, 0.4679349528437209),
+                (0.6, -0.9), (-0.5, 1.0), (1.4, 0.3)]
+_HARMONIC_STATES = [(1.4, 0.3), (-0.8, 0.1), (0.6, -0.9), (-1.9, 0.9),
+                    (1.0, 0.0)]
+NEWTON_FREE_TOL = 1e-12
+NEWTON_HARMONIC_TOL = 1e-12
+RELABELLED = PhysParams(hbar=1.0 + 1e-6, mu=1.0, energy=0.5)
+
+
+def newton_run(s: ScenarioConfig, law_params=None):
+    """The newton law's run of s, from the consistent jet of s's params,
+    stepped with ``law_params`` in their place when given."""
+    if law_params is None:
+        return integrate_newton_law(s)
+    init = state_jet_from_x(s.build_pair(), s.q, s.params, s.x_start,
+                            3).coeffs
+    return integrate_newton_law(dataclasses.replace(s, params=law_params),
+                                init=init)
+
+
+def free_closed_form_gap(params, q, law_params=None):
+    """The worst |t_k - t(x_k)| of a newton run on the free pair against
+    t(x) = t0 + mu/(hbar a k) [F(x) - F(x_start)] (``free_time_of_x``),
+    from t0 = 1 and x_start = 0.3."""
+    s = ScenarioConfig(PotentialModel.free(), params, q, law="newton",
+                       x_start=0.3, t_span=(1.0, 11.0), samples=256)
+    cols = newton_run(s, law_params).columns()
+    t_start = free_time_of_x(params, q, 0.3)
+    model = [1.0 + free_time_of_x(params, q, x) - t_start for x in cols[:, 1]]
+    return float(np.max(np.abs(np.subtract(model, cols[:, 0]))))
+
+
+@pytest.mark.parametrize("params", [UNIT, PhysParams(hbar=0.8, mu=1.3,
+                                                     energy=0.7)])
+def test_newton_law_samples_lie_on_the_free_closed_form(params):
+    gaps = [free_closed_form_gap(params, QuantumStateParams(a=a, b=b))
+            for a, b in _FREE_STATES]
+    assert max(gaps) < NEWTON_FREE_TOL, gaps
+
+
+def test_newton_law_agrees_with_velocity_law_on_the_harmonic_pair():
+    """Far inside criterion 7's 1e-6, with t1 = 10 and 256 samples."""
+    pair = solve_pair(PotentialModel.harmonic(1.0), UNIT, (-3.0, 3.0),
+                      grid_step=1e-3)
+    gaps = [harmonic_gap(pair, QuantumStateParams(a=a, b=b))
+            for a, b in _HARMONIC_STATES]
+    assert max(gaps) < NEWTON_HARMONIC_TOL, gaps
+
+
+def harmonic_gap(pair, q, law_params=None):
+    base = dict(potential=PotentialModel.harmonic(1.0), params=UNIT, q=q,
+                t_span=(0.0, 10.0), samples=256, pair=pair)
+    xv = integrate_velocity_law(ScenarioConfig(law="velocity", **base))
+    xn = newton_run(ScenarioConfig(law="newton", **base), law_params)
+    return float(np.max(np.abs(xv.columns()[:, 1] - xn.columns()[:, 1])))
+
+
+def test_newton_checks_fail_for_a_law_with_hbar_relabelled():
+    """From the consistent jet, a law whose hbar is off by 1e-6 fails both
+    checks above by orders of magnitude, and criterion 7's 1e-6 would not
+    see it on the harmonic pair."""
+    pair = solve_pair(PotentialModel.harmonic(1.0), UNIT, (-3.0, 3.0),
+                      grid_step=1e-3)
+    for a, b in _FREE_STATES:
+        q = QuantumStateParams(a=a, b=b)
+        gap = free_closed_form_gap(UNIT, q, RELABELLED)
+        assert gap > 1e3 * NEWTON_FREE_TOL
+    for a, b in _HARMONIC_STATES:
+        q = QuantumStateParams(a=a, b=b)
+        assert harmonic_gap(pair, q, RELABELLED) > 1e3 * NEWTON_HARMONIC_TOL
+
+
+def test_newton_law_at_criterion_1s_state_ends_at_t1():
+    """At a = 1, b = 0 on the free pair t(x) is linear, so the step rule
+    reads no coefficient and the steps are bounded by t1 alone."""
+    res = integrate_newton_law(free_scenario(law="newton", t1=20.0,
+                                             samples=512))
+    cols = res.columns()
+    assert np.isfinite(cols).all() and cols[-1, 0] == 20.0
+    assert np.max(np.abs(cols[:, 1] - cols[:, 0])) < 1e-12
+
+
+def test_newton_law_stops_at_a_truncated_pairs_edge():
+    """The steps run to the requested edge x = 30, past the overflow cap
+    at 7.794: the samples end where the pair's covered domain does."""
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT,
+                       QuantumStateParams(a=-1.4, b=0.3), law="newton",
+                       x_start=2.0, t_span=(0.0, 0.02), samples=16,
+                       domain=(-30.0, 30.0))
+    with pytest.raises(DomainEdgeError, match="outside solved domain") as info:
+        integrate_newton_law(s, init=(2.0, 1e3, 0.0, 0.0))
+    part = info.value.partial
+    edge = s.pair.domain[1]
+    assert s.pair.truncated and edge == pytest.approx(7.794, abs=1e-3)
+    assert part.notes[-1].startswith(f"domain edge x = {edge:.9g} reached")
+    xs = part.columns()[:, 1]
+    assert 1 < len(xs) < 16 and xs[-1] <= edge
+
+
+@pytest.mark.parametrize("x0, xd", [(3.0, 1.0), (-3.0, -0.5)])
+def test_newton_law_started_on_the_edge_moving_out_stops_at_t0(x0, xd):
+    """The span of the distance travelled is empty: the run keeps its one
+    sample at t0 and names t0 as the edge time."""
+    s = ScenarioConfig(PotentialModel.harmonic(1.0), UNIT,
+                       QuantumStateParams(a=1.4, b=0.3), law="newton",
+                       t_span=(0.0, 1.0), samples=8, domain=(-3.0, 3.0))
+    with pytest.raises(DomainEdgeError) as info:
+        integrate_newton_law(s, init=(x0, xd, 0.0, 0.0))
+    part = info.value.partial
+    assert part.columns()[:, :2].tolist() == [[0.0, x0]]
+    assert part.notes == [f"domain edge x = {x0:.9g} reached at t = 0; "
+                          "no samples after it"]
+
+
 def test_newton_law_on_a_tabulated_potential_agrees_with_velocity_law(
         monkeypatch):
     """The spline's third derivative jumps at its knots, so steps end
@@ -469,14 +587,16 @@ def test_newton_law_on_a_tabulated_potential_agrees_with_velocity_law(
         xn = [p.x for p in integrate_newton_law(
             ScenarioConfig(law="newton", **base)).samples]
         assert np.max(np.abs(np.subtract(xv, xn))) < 1e-10
-        step_starts = sols[-1]._a[:, 0]
-        assert np.isin(knots, step_starts).sum() >= 5
+        # the steps run in the distance travelled from x_start = 0
+        step_edges = sols[-1]._ts
+        assert np.isin(np.sign(xn[-1]) * knots, step_edges).sum() >= 5
 
 
 def test_newton_series_reads_each_spline_piece_once(monkeypatch):
     """The series takes V' about the midpoint of x's spline piece, the same
     for every step inside it, so a tabulated run reads the spline's
-    derivatives once a piece, not once a series call."""
+    derivatives once a piece, not once a series call.  Steps end on the
+    knots, so the pieces are wider than a step: those of the CI's table."""
     counts = {"series": 0, "derivs": 0}
     inside = [False]
 
@@ -484,8 +604,8 @@ def test_newton_series_reads_each_spline_piece_once(monkeypatch):
         counts["derivs"] += inside[0]
         return _derivs(self, x, m)
 
-    def newton_series(s, _make=trajectory._newton_series):
-        series = _make(s)
+    def newton_series(*args, _make=trajectory._newton_series):
+        series = _make(*args)
 
         def counted(t, y, order):
             counts["series"] += 1
@@ -499,7 +619,7 @@ def test_newton_series_reads_each_spline_piece_once(monkeypatch):
 
     monkeypatch.setattr(PotentialModel, "derivs", derivs)
     monkeypatch.setattr(trajectory, "_newton_series", newton_series)
-    knots = np.linspace(-3.5, 3.5, 141)
+    knots = np.array([-3.5, -2.0, -1.0, 0.0, 1.0, 2.0, 3.5])
     integrate_newton_law(ScenarioConfig(
         PotentialModel.tabulated(knots, 0.5 * knots ** 2), UNIT,
         QuantumStateParams(a=0.6, b=-0.9), law="newton",
@@ -565,60 +685,63 @@ def test_newton_law_nonfinite_derivative_fails_instead_of_hanging():
 
 
 def test_newton_series_overflow_gives_a_nonfinite_coefficient():
-    # xd^4 overflows: the series must hand ode a non-finite coefficient,
-    # which it reports as an IntegrationFailure, and raise nothing itself
-    # (xd ** 4 on floats raises OverflowError)
+    # at xd = 1e80, dt/dx = 1e-80, and the quotients by it overflow: the
+    # series must hand ode a non-finite coefficient, which it reports as an
+    # IntegrationFailure, and raise nothing itself (a power on floats
+    # raises OverflowError)
     s = ScenarioConfig(PotentialModel.harmonic(1.0),
                        PhysParams(hbar=1.0, mu=1.0, energy=0.5),
                        QuantumStateParams(a=1.4, b=0.3), law="newton",
                        domain=(-3.0, 3.0))
-    a, wall = trajectory._newton_series(s)(0.0, [0.0, 1e80, 0.0, 0.0],
-                                           ode.ORDER)
-    assert wall is None and len(a) == ode.ORDER + 1
+    s.build_pair()
+    a, wall = trajectory._newton_series(s, 0.0, 1.0)(
+        0.0, [0.0, 1e-80, 0.0, 0.0], ode.ORDER)
+    assert len(a) == ode.ORDER + 1 and wall > 0.0
     assert not all(map(math.isfinite, a))
 
 
-def nine_sum_newton_series(s: ScenarioConfig):
-    """The newton law's series by nine Cauchy sums per order, the products
-    x'^2, x'^4, x''^2, x''^3, x'' x''' and (x - xm)^2, the quotients
-    x''^3/x'^2 and x'' x'''/x', and x'^4 (mu x'' + V'): the oracle of
-    ``trajectory._newton_series``."""
-    mu = s.params.mu
-    coef = 4.0 * mu / s.params.hbar ** 2
+def product_form_newton_series(s: ScenarioConfig, x0: float, sign: float):
+    """The newton law's series in the distance travelled d = sign (x - x0)
+    by Cauchy products of the raw terms, t'^2, t''^2, t''^3, t'' t''',
+    (x - xm)^2 and V' t', and the quotients t''/t'^2, t''^3/t'^2 and
+    t'' t'''/t': the oracle of ``trajectory._newton_series``."""
+    mu, hbar = s.params.mu, s.params.hbar
     knots = s.potential.knots
 
     def dot(u, v):  # the newest Cauchy-product coefficient of u*v
         return sum(map(operator.mul, u, reversed(v)))
 
-    def series(t, y, order):
-        x, xd, xdd, xddd = y
-        wall, xm = None, x
+    def series(d, y, order):
+        t, tp, tpp, tppp = y
+        x = xm = x0 + sign * d
         if knots is not None:
-            i = int(np.searchsorted(knots, x, "right" if xd > 0 else "left"))
+            i = int(np.searchsorted(knots, x, "right" if sign > 0 else "left"))
             i = min(max(i, 1), knots.size - 1)
-            lo, hi = float(knots[i - 1]), float(knots[i])
-            wall, xm = (hi if xd > 0 else lo), 0.5 * (lo + hi)
+            xm = 0.5 * (knots[i - 1] + knots[i])
         g0, g1, g2 = (float(v) for v in s.potential.derivs(xm, 3)[1:])
-        a = [x, xd, 0.5 * xdd, xddd / 6.0]
-        p, q, r, e, p2, p4, q2, q3, qr, e2, m, ra, rb = ([] for _ in range(13))
+        a = [t, tp, 0.5 * tpp, tppp / 6.0]
+        p, q, r, e, p2, q2, q3, qr, e2, v, vp, ra, rb, rc = (
+            [] for _ in range(14))
         for k in range(order - 3):
             p.append((k + 1) * a[k + 1])
             q.append((k + 1) * (k + 2) * a[k + 2])
             r.append((k + 1) * (k + 2) * (k + 3) * a[k + 3])
-            e.append(x - xm if k == 0 else a[k])  # x - xm
+            e.append([x - xm, sign][k] if k < 2 else 0.0)  # x - xm
             p2.append(dot(p, p))
-            p4.append(dot(p2, p2))
             q2.append(dot(q, q))
             q3.append(dot(q2, q))
             qr.append(dot(q, r))
             e2.append(dot(e, e))
-            m.append(mu * q[k] + g1 * e[k] + 0.5 * g2 * e2[k]
-                     + (g0 if k == 0 else 0.0))  # mu x'' + V'(x)
-            ra.append((q3[k] - dot(p2[1:], ra)) / p2[0])  # x''^3/x'^2
-            rb.append((qr[k] - dot(p[1:], rb)) / p[0])    # x''x'''/x'
-            a.append((-coef * dot(p4, m) - 10.0 * ra[k] + 8.0 * rb[k])
+            v.append(g1 * e[k] + 0.5 * g2 * e2[k] + (g0 if k == 0 else 0.0))
+            vp.append(dot(v, p))                                  # V' t'
+            ra.append((q[k] - dot(p2[1:], ra)) / p2[0])           # t''/t'^2
+            rb.append((q3[k] - dot(p2[1:], rb)) / p2[0])          # t''^3/t'^2
+            rc.append((qr[k] - dot(p[1:], rc)) / p[0])            # t''t'''/t'
+            a.append((sign * 4.0 * mu / hbar ** 2 * vp[k]
+                      - 4.0 * mu * mu / hbar ** 2 * ra[k]
+                      - rb[k] + 2.0 * rc[k])
                      / ((k + 1) * (k + 2) * (k + 3) * (k + 4)))
-        return a, wall
+        return a
 
     return series
 
@@ -635,20 +758,47 @@ _SERIES_POTENTIALS = [
 
 @given(st.sampled_from(_SERIES_POTENTIALS), st.floats(-2.5, 2.5),
        st.floats(0.1, 3.0), st.sampled_from([1.0, -1.0]),
-       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 2.0))
 @settings(deadline=None, max_examples=200)
-def test_newton_series_matches_the_nine_sum_recurrence(potential, x, speed,
-                                                       sign, xdd, xddd):
-    # (xdd, xddd) are free, so the states are off the consistent family
-    s = ScenarioConfig(potential, PhysParams(hbar=0.8, mu=1.3, energy=0.5),
-                       QuantumStateParams(a=1.4, b=0.3), law="newton",
-                       domain=(-3.0, 3.0))
-    y = [x, sign * speed, xdd, xddd]
-    a, wall = trajectory._newton_series(s)(0.0, y, ode.ORDER)
-    b, oracle_wall = nine_sum_newton_series(s)(0.0, y, ode.ORDER)
-    assert wall == oracle_wall and len(a) == len(b) == ode.ORDER + 1
-    scale = max(map(abs, b))
-    assert max(abs(u - v) for u, v in zip(a, b)) <= 1e-12 * scale
+def test_newton_series_matches_the_product_form_recurrence(
+        potential, x, speed, sign, xdd, xddd, d):
+    """The series at a state (xd, xdd, xddd) off the consistent family, d
+    from its start x0: its t'''' is the x-form law's x'''' through the
+    inverse-function rule, its wall comes no later than the spline's next
+    knot, and over half the step to the wall its polynomial is the
+    oracle's.  t(d) is entire on the free pair, so its last coefficients
+    are the quotients' rounding noise, which a step damps as h^k."""
+    params = PhysParams(hbar=0.8, mu=1.3, energy=0.5)
+    s = ScenarioConfig(potential, params, QuantumStateParams(a=1.4, b=0.3),
+                       law="newton", domain=(-3.0, 3.0))
+    s.build_pair()
+    x0, xd = x - sign * d, sign * speed
+    x = x0 + sign * d  # the series' x, rounded as it rounds it
+    # d(t) = sign (x(t) - x0) has the derivatives f, and t(d) inverts it
+    f1, f2, f3 = sign * xd, sign * xdd, sign * xddd
+    y = [0.7, 1.0 / f1, -f2 / f1 ** 3, (3.0 * f2 * f2 - f1 * f3) / f1 ** 5]
+    a, wall = trajectory._newton_series(s, x0, sign)(d, y, ode.ORDER)
+    b = product_form_newton_series(s, x0, sign)(d, y, ode.ORDER)
+    assert len(a) == len(b) == ode.ORDER + 1
+    mu, hbar = params.mu, params.hbar
+    law = (4.0 * mu * xd ** 4 / hbar ** 2 * mu * xdd,
+           4.0 * mu * xd ** 4 / hbar ** 2 * float(potential.grad(x)),
+           10.0 * xdd ** 3 / xd ** 2, 8.0 * xdd * xddd / xd)
+    f4 = sign * (-law[0] - law[1] - law[2] + law[3])
+    t4 = -(f4 * f1 ** 2 - 10.0 * f1 * f2 * f3 + 15.0 * f2 ** 3) / f1 ** 7
+    # the series rounds V' at the size of the potentials' slopes here, 1
+    law_size = max(map(abs, law + (4.0 * mu * xd ** 4 / hbar ** 2,)))
+    size = (law_size * f1 ** 2 + abs(10.0 * f1 * f2 * f3)
+            + abs(15.0 * f2 ** 3)) / f1 ** 7
+    assert abs(24.0 * a[4] - t4) <= 1e-12 * size
+    assert wall > d
+    if potential.knots is not None:
+        ahead = sign * (potential.knots - x0)
+        assert wall <= ahead[ahead > d].min()
+    h = 0.5 * (wall - d)
+    got, want = _horner(a, h, 4), _horner(b, h, 4)
+    sizes = _horner([abs(v) for v in b], h, 4)
+    assert all(abs(u - v) <= 1e-12 * z for u, v, z in zip(got, want, sizes))
 
 
 # ---------------------------------------------------------------------------
