@@ -8,8 +8,9 @@ produces two real, linearly independent solutions (phi1, phi2) of
 normalized at an anchor point by phi1 = 0, phi1' = 1, phi2 = 1, phi2' = 0,
 so their Wronskian phi2*phi1' - phi1*phi2' equals 1 there (and everywhere).
 The free potential gets the closed-form pair sin(kx), cos(kx) with
-Wronskian k.  Every other catalog entry is solved on a uniform grid by the
-wave equation alone, which gives every derivative at a node as a linear
+Wronskian k, and no nodes or cells: the first-order laws time it in closed
+form.  Every other catalog entry is solved on a uniform grid by the wave
+equation alone, which gives every derivative at a node as a linear
 function of the node's (phi, phi'): one ``_wave_derivatives`` call gives
 each node's Taylor coefficients phi^(m)/m!, m = 0..5, for the unit data
 (1, 0) and (0, 1); 2x2 step maps built from them, each making two
@@ -257,14 +258,13 @@ class SolutionPair:
     wronskian_ref: float
     source: str  # "analytic" | "taylor"
     _nodes: _Nodes | None = field(default=None, repr=False)
-    _k: float | None = field(default=None, repr=False)
 
-    # wave number, defined for the free analytic pair
+    # wave number, defined for the free analytic pair: its Wronskian
     @property
     def k(self) -> float:
         if self.source != "analytic":
             raise SchrodingerError("wave number is defined for the free pair only")
-        return self._k
+        return self.wronskian_ref
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -293,12 +293,9 @@ class SolutionPair:
                 f" domain [{r0:.6g}, {r1:.6g}], covered [{c0:.6g}, {c1:.6g}]")
 
     def ahead(self, i: int, step: int) -> np.ndarray:
-        """The marched nodes past node i in the direction step (1 right, -1
-        left), nearest first, marching one chunk on if there are none: none
-        past the covered domain's edge.  The free pair's run on without end,
-        _CHUNK at a time."""
-        if self.source == "analytic":
-            return i + step * np.arange(1, _CHUNK + 1)
+        """The marched nodes past node i of a grid pair in the direction
+        step (1 right, -1 left), nearest first, marching one chunk on if
+        there are none: none past the covered domain's edge."""
         g = self._nodes
         if i == (g.hi if step > 0 else g.lo):
             g.march(step)
@@ -314,7 +311,9 @@ class SolutionPair:
         """
         x = np.asarray(x, dtype=float)
         if self.source == "analytic":
-            return self._free_values(x, slopes)
+            k = self.wronskian_ref
+            s, c = np.sin(k * x), np.cos(k * x)
+            return (s, k * c, c, -k * s) if slopes else (s, c)
         outside = ~self.covers(np.atleast_1d(x))
         if outside.any():
             raise DomainError(f"x = {np.atleast_1d(x)[outside][0]} outside "
@@ -324,15 +323,11 @@ class SolutionPair:
 
     def node_values(self, i, slopes: bool = False):
         """The function that gives (phi1, phi2), or (phi1, phi1', phi2,
-        phi2') with ``slopes``, at offsets s from the marched nodes i (see
-        ``nearest_node``), broadcast against them.  On a grid pair the
-        nodes' Taylor polynomials are gathered once and summed by Horner's
-        rule, with their derivatives for the slopes; without the slopes the
-        sum skips their recursion, which leaves the values' bits as they
-        are.  On the free pair it is sin and cos at x_i + s."""
-        if self.source == "analytic":
-            x = math.pi / self.k * np.asarray(i)
-            return lambda s: self._free_values(x + s, slopes)
+        phi2') with ``slopes``, at offsets s from a grid pair's marched
+        nodes i (see ``nearest_node``), broadcast against them.  The nodes'
+        Taylor polynomials are gathered once and summed by Horner's rule,
+        with their derivatives for the slopes; without the slopes the sum
+        skips their recursion, which leaves the values' bits as they are."""
         g = self._nodes
         c, n = g.taylor[:, :, g.cols(i)], 2 if slopes else 1
 
@@ -341,11 +336,6 @@ class SolutionPair:
             return (p1[0], p1[1], p2[0], p2[1]) if slopes else (p1[0], p2[0])
 
         return values
-
-    def _free_values(self, x, slopes: bool):
-        k = self._k
-        s, c = np.sin(k * x), np.cos(k * x)
-        return (s, k * c, c, -k * s) if slopes else (s, c)
 
     def covers(self, x):
         """Whether eval01 accepts x, elementwise for an array: every x on
@@ -358,26 +348,17 @@ class SolutionPair:
         return (lo - tol <= x) & (x <= hi + tol)
 
     def nearest_node(self, x):
-        """Index of the node nearest x and x's offset from it.  The free
-        pair's nodes are the points m*pi/k, one per period of its squares,
-        for every integer m."""
-        if self.source == "analytic":
-            h = math.pi / self.k
-            i = np.rint(np.asarray(x) / h).astype(np.intp)
-            return i, x - i * h
+        """Index of the grid pair's node nearest x and x's offset from it,
+        marched out to it first."""
         self._nodes.reach(x)
         return self._nodes.nearest(x)
 
     def cells(self, i):
-        """(x_i, lo, hi): the positions of the nodes i and the offsets from
-        them that bound their cells [x_i - h/2, x_i + h/2].  A grid pair's
-        two end cells stop at the covered domain's edges, once the march
-        has reached them; the free pair's cells are its periods pi/k."""
+        """(x_i, lo, hi): the positions of a grid pair's nodes i and the
+        offsets from them that bound their cells [x_i - h/2, x_i + h/2].
+        The two end cells stop at the covered domain's edges, once the
+        march has reached them."""
         i = np.asarray(i)
-        if self.source == "analytic":
-            h = math.pi / self.k
-            half = np.full(i.shape, 0.5 * h)
-            return i * h, -half, half
         g = self._nodes
         g.cols(i)  # IndexError past the marched nodes
         first, last = g.ends()
@@ -386,39 +367,19 @@ class SolutionPair:
                 np.where(i == last, 0.0, half))
 
     def cell_integrals(self, i):
-        """Integrals of (phi1^2, phi1*phi2, phi2^2) over the cells of nodes
-        i (see ``cells``), shape (3,) + shape(i).  A slice of a grid pair's
-        nodes is cut to the marched ones and gives a view of the table; on
-        the free pair, whose nodes are every integer, it gives a count.
-
-        A grid pair sums its node polynomials' squares over every marched
-        cell once, on first use, and keeps the table, so every run on the
-        pair reads the same values.  The free pair's cells are all alike:
-        (h/2, 0, h/2) with h = pi/k.
-        """
-        if self.source == "analytic":
-            h = math.pi / self.k
-            shape = (i.stop - i.start,) if isinstance(i, slice) else np.shape(i)
-            return np.multiply.outer((0.5 * h, 0.0, 0.5 * h), np.ones(shape))
+        """Integrals of (phi1^2, phi1*phi2, phi2^2) over the cells of a grid
+        pair's nodes i (see ``cells``), shape (3,) + shape(i), from the table
+        that the pair sums over every marched cell once, on first use, so
+        every run on the pair reads the same values; a slice of nodes is cut
+        to the marched ones and gives a view of the table."""
         return self._nodes.cell_table()[:, self._nodes.cols(i)]
 
     def square_primitives(self, i):
         """F with F(s) = integral from 0 to s of (phi1^2, phi1*phi2,
-        phi2^2)(x_i + u) du, shape (3,) + shape(i), for offsets s from the
-        nodes i (see ``nearest_node``).  On a grid pair the squares are the
+        phi2^2)(x_i + u) du, shape (3,) + shape(i), for offsets s from a
+        grid pair's nodes i (see ``nearest_node``): the squares are the
         products of the node polynomials, all their coefficients formed at
-        once and integrated term by term; on the free pair, where they are
-        sin^2, sin*cos and cos^2 of k*s, F is closed form."""
-        if self.source == "analytic":
-            k = self.k
-
-            def free(s):
-                s = np.asarray(s, dtype=float)
-                wave = np.sin(2.0 * k * s) / (4.0 * k)
-                return np.array((0.5 * s - wave, np.sin(k * s) ** 2 / (2.0 * k),
-                                 0.5 * s + wave))
-
-            return free
+        once and integrated term by term."""
         g = self._nodes
         return _square_primitives(g.taylor[:, :, g.cols(i)])
 
@@ -658,8 +619,7 @@ def solve_pair(potential: PotentialModel, params: PhysParams,
         if not params.energy > 0:
             raise SchrodingerError("free-particle pair needs positive energy")
         k = math.sqrt(2.0 * params.mu * params.energy) / params.hbar
-        return SolutionPair(potential, params, anchor, (lo, hi), k, "analytic",
-                            _k=k)
+        return SolutionPair(potential, params, anchor, (lo, hi), k, "analytic")
 
     if not grid_step > 0:
         raise SchrodingerError("grid_step must be positive")

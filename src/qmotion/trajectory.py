@@ -9,22 +9,25 @@ produced, and how the closed-form observables (H, P, Q) are sampled
 along a run.
 
 Both first-order laws separate, t - t0 = integral of dx/(dx/dt): summed
-over the pair's cells it gives t at every cell exit, and each sample is a
-Newton solve of t(x) = t_k in its cell, so no ODE is solved for them.
+over a grid pair's cells it gives t at every cell exit, and each sample is
+a Newton solve of t(x) = t_k in its cell, so no ODE is solved for them.
 Both sum each state's cells in one loop, on demand (``_Clock._sum_cells``
 over ``SolutionPair.ahead``), from the start cell until the state passes
 t1; a state that runs out of cells first has reached the covered domain's
-edge (``_Clock.edge``), at a time known before sampling.  The fourth-order
-law is stepped by its own Taylor series (``ode``) as t(x), and each sample
-is a Newton solve in its step.
+edge (``_Clock.edge``), at a time known before sampling.  On the free pair
+the integral is closed form (``_FreeClock``), a mean motion plus a
+periodic part, so each sample is one Newton solve near the mean motion,
+and a run's cost does not grow with E t1.  The fourth-order law is stepped
+by its own Taylor series (``ode``) as t(x), and each sample is a Newton
+solve in its step.
 
 Sampling the velocity law is one array pass per batch of states (a, b)
-on one pair, each state walking the pair's cells in its own direction:
-the positions at every sample time of every state are found at once (one
-``_Clock``), and the spatial jets, the motion jets (``state_jet_from_x``,
-``flow_jet``) and the observables are jets whose coefficients are arrays
-with one row per state and one entry per sample.  A single run is the
-batch of one.  The legacy law samples its one state the same way.
+on one pair, each state moving in its own direction: the positions at
+every sample time of every state are found at once (one ``_Clock``), and
+the spatial jets, the motion jets (``state_jet_from_x``, ``flow_jet``) and
+the observables are jets whose coefficients are arrays with one row per
+state and one entry per sample.  A single run is the batch of one.  The
+legacy law samples its one state the same way.
 
 A sweep hands each energy's cells to ``state_maxima``, under any law: the
 laws in ``BATCHED_LAWS`` (the velocity law) run them as one batch, the other
@@ -347,8 +350,8 @@ class _States(NamedTuple):
 
 
 class _Clock:
-    """t(x) = t0 + integral of dx/(dx/dt) of a first-order law on one pair,
-    for the states ``q`` (a _States, or the legacy law's one
+    """t(x) = t0 + integral of dx/(dx/dt) of a first-order law on a grid
+    pair, for the states ``q`` (a _States, or the legacy law's one
     QuantumStateParams), summed over the pair's cells (``SolutionPair.cells``)
     from x_start, each state's in its own direction of motion: ``step`` is
     an (S, 1) array of +-1 for a _States (the sign of a*W), an int for the
@@ -364,9 +367,9 @@ class _Clock:
     primitives, and dx/dt times a time lag, from ``SolutionPair.node_values``:
     both functions of the offset from the cell's node, on polynomials
     gathered once), ``_crossings`` (time to cross cells, from the pair's
-    cell integrals, a table kept on a grid pair, but the start cell's from
-    x_start, by its squares' primitives) and ``_guess`` (where a position's
-    Newton solve starts in its cell).
+    table of cell integrals, but the start cell's from x_start, by its
+    squares' primitives) and ``_guess`` (where a position's Newton solve
+    starts in its cell).
     """
 
     def __init__(self, s: ScenarioConfig, step: int | np.ndarray, q):
@@ -422,22 +425,18 @@ class _Clock:
         covered domain's last cell; returns the row and whether it holds
         that cell.  The times run on as one cumulative sum, each chunk's
         seeded by the last time before it, so a row has the same bits
-        however far it was taken at a time; the chunks are joined once, so
-        a row grows in time linear in its length."""
-        chunks, size = [t_exit], t_exit.size
-        while not (size and done(size, chunks[-1][-1])):
-            if size:
-                nodes = self.pair.ahead(self.i0 + step * (size - 1), step)
-            else:  # the start cell, and the cells the pair has past it
-                nodes = np.append(self.i0, self.pair.ahead(self.i0, step))
+        however far it was taken at a time."""
+        while not (t_exit.size and done(t_exit.size, t_exit[-1])):
+            n = t_exit.size  # the start cell first, with the cells past it
+            nodes = (self.pair.ahead(self.i0 + step * (n - 1), step) if n
+                     else np.append(self.i0, self.pair.ahead(self.i0, step)))
             if not nodes.size:
-                return np.concatenate(chunks), True
-            seed = chunks[-1][-1:]  # none before a row's first cell
+                return t_exit, True
+            seed = t_exit[-1:]  # none before a row's first cell
             more = np.cumsum(np.concatenate(
                 [seed, self._crossings(q, step, nodes)]))
-            chunks.append(more[seed.size:])
-            size += chunks[-1].size
-        return np.concatenate(chunks), False
+            t_exit = np.concatenate([t_exit, more[seed.size:]])
+        return t_exit, False
 
     def _cells(self, cell, step):
         """Node, entry and exit offsets of the cells of states moving in
@@ -452,6 +451,15 @@ class _Clock:
         """t at x, a float or an array of points on the path of a clock of
         one state."""
         xa = np.asarray(x, dtype=float)
+        # a one-state _States adds a leading axis of length 1
+        tau = np.reshape(self._tau(xa), xa.shape)
+        if np.any(tau < 0):
+            raise ValueError(f"x = {x} lies behind the run's start")
+        t = self.t0 + tau
+        return float(t) if t.ndim == 0 else t
+
+    def _tau(self, xa):
+        """t - t0 at the points xa, summing the row on to reach them."""
         (t_exit,), (state,), (step,) = self.t_exit, self.states, self.steps
         node, s = self.pair.nearest_node(xa)
         cell = step * (node - self.i0)
@@ -461,15 +469,10 @@ class _Clock:
             t_exit = self.t_exit[0] = self._sum_cells(
                 state, step, t_exit, lambda n, t: n > last)[0]
         if not on_path or np.any(cell >= t_exit.size):
-            raise ValueError(f"x = {x} is not on the run's path")
+            raise ValueError(f"x = {xa} is not on the run's path")
         node, s_in, _ = self._cells(cell, step)
         t_in = np.where(cell > 0, t_exit[cell - 1], 0.0)
-        # a one-state _States adds a leading axis of length 1
-        tau = np.reshape(t_in + self._entry_time(node, s_in)[0](s), xa.shape)
-        if np.any(tau < 0):
-            raise ValueError(f"x = {x} lies behind the run's start")
-        t = self.t0 + tau
-        return float(t) if t.ndim == 0 else t
+        return t_in + self._entry_time(node, s_in)[0](s)
 
     def sample(self, s: ScenarioConfig):
         """The sample times ts of s, and each state's x at them: (ts, x,
@@ -518,18 +521,16 @@ def _not_found(t: float) -> RootConvergenceError:
 
 
 class _LegacyClock(_Clock):
-    """t(x) of the legacy law, dx/dt = w = 2(E - V)/S0'.  On the free pair
-    t is the rise of S0 over 2E; on a grid pair a cell's time is an 8-point
-    Gauss-Legendre sum of 1/w.  A path ends at a turning point x_turn, whose
-    cell takes infinite time; at a simple one, 1/w has the pole c/(x_turn -
-    x), c = S0'/(2V') at x_turn, which is summed in closed form instead.
-    The Gauss-Legendre points and the Newton steps read w from the cells'
-    own polynomials (``SolutionPair.node_values``), gathered once per sum or
-    solve."""
+    """t(x) of the legacy law, dx/dt = w = 2(E - V)/S0', on a grid pair: a
+    cell's time is an 8-point Gauss-Legendre sum of 1/w.  A path ends at a
+    turning point x_turn, whose cell takes infinite time; at a simple one,
+    1/w has the pole c/(x_turn - x), c = S0'/(2V') at x_turn, which is
+    summed in closed form instead.  The Gauss-Legendre points and the Newton
+    steps read w from the cells' own polynomials
+    (``SolutionPair.node_values``), gathered once per sum or solve."""
 
     def __init__(self, s: ScenarioConfig, step: int, x_turn: float | None):
-        self.energy, self.hbar = s.params.energy, s.params.hbar
-        self.potential = s.potential
+        self.energy, self.potential = s.params.energy, s.potential
         # x_turn lies ahead of x_start: covers marches out to the node
         # nearest it, or to the edge short of it, and takes points up to
         # _EDGE_TOL grid steps past that edge, which x_turn must not pass
@@ -560,15 +561,6 @@ class _LegacyClock(_Clock):
         def rate(lag, s):
             return dx(np.asarray(lag)[..., None], s[..., None])[..., 0]
 
-        if pair.source == "analytic":
-            k, a, b = pair.k, q.a, q.b
-
-            def theta(s):  # arctan(a tan ks + b), with cos ks >= 0
-                c = np.maximum(np.cos(k * s), 0.0)
-                return np.arctan2(a * np.sin(k * s) + b * c, c)
-
-            scale, theta_in = self.hbar / (2.0 * energy), theta(s_in)
-            return lambda s: scale * (theta(s) - theta_in), rate
         nodes, weights = _gauss_legendre_8()
         x0 = xn[..., 0] if x0 is None else np.asarray(x0)
         r = self.x_turn - x0 if self.c else 0.0
@@ -589,14 +581,8 @@ class _LegacyClock(_Clock):
 
     def _crossings(self, q, step, nodes):
         """The cells' Gauss-Legendre sums, the start cell's from x_start;
-        x_turn's cell never ends, so a row ends there with the time inf.  On
-        the free pair each cell is a period, pi hbar/(2E)."""
+        x_turn's cell never ends, so a row ends there with the time inf."""
         node, s_in, s_out = self._cells(step * (nodes - self.i0), step)
-        if self.pair.source == "analytic":
-            times = np.full(nodes.size, math.pi * self.hbar / (2.0 * self.energy))
-            if nodes[0] == self.i0:
-                times[0] = self._entry_time(node[0], s_in[0])[0](s_out[0])
-            return times
         if self.x_turn is None:
             return self._entry_time(node, s_in)[0](s_out)
         short = (self.pair.cells(node)[0] + s_out - self.x_turn) * step < 0
@@ -665,6 +651,57 @@ class _LegacyClock(_Clock):
         return x[None], unconverged[None]
 
 
+class _FreeClock(_Clock):
+    """t(x) of a first-order law on the free pair in closed form (``_tau``),
+    for the states q of ``_Clock``: t - t0 = c (m (x - x0) + r(x) - r(x0)),
+    a mean motion m plus a part r of period pi/k, so x stays within pi/k of
+    the mean motion, where each sample is one Newton solve, and no state
+    reaches an edge.  Under the velocity law r is one harmonic: t - t0 =
+    mu/(hbar a k) [A0 x + (A1 sin 2kx - A2 cos 2kx)/(2k)] with A0 = (a^2 +
+    b^2 + 1)/2, A1 = (1 + b^2 - a^2)/2 and A2 = ab, Kepler's equation in
+    another form (Markley, Celest. Mech. Dyn. Astron. 63, 1995).  Under the
+    legacy law t - t0 = (S0(x) - S0(x_start))/(2E), and S0/hbar, the phase
+    angle of (cos kx, a sin kx + b cos kx), gains sign(a) pi a period."""
+
+    def __init__(self, s: ScenarioConfig, step, q, legacy: bool = False):
+        self.pair, (self.t0, self.t1) = s.pair, s.t_span
+        self.steps = np.ravel(step).tolist()
+        self.t_edge = np.full(len(self.steps), math.inf)
+        p, k, a, b = s.params, s.pair.k, q.a, q.b
+        self.x0, self.period = x0, h = float(s.x_start), math.pi / k
+        with np.errstate(all="ignore"):  # positions checks convergence
+            if legacy:  # S0/hbar, less m x = sign(a) k x
+                c, m = p.hbar / (2.0 * p.energy), np.sign(a) * k
+
+                def r(x):
+                    u = k * (x - np.rint(x / h) * h)
+                    cos = np.maximum(np.cos(u), 0.0)
+                    return np.arctan2(a * np.sin(u) + b * cos, cos) - m / k * u
+
+                self._dx = lambda lag, x: (lag * 2.0 * p.energy
+                                           / s0p(s.pair, q, x))
+            else:  # m, A1: A0 and A1 over a, finite where a*a overflows
+                c, ab = p.mu / (p.hbar * k), b * (b / a)
+                m, A1 = 0.5 * (a + ab + 1.0 / a), 0.5 * (1.0 / a + ab - a)
+
+                def r(x):
+                    w = 2.0 * k * x
+                    return (A1 * np.sin(w) - b * np.cos(w)) / (2.0 * k)
+
+                self._dx = lambda lag, x: lag * s0p(s.pair, q, x) / p.mu
+            r0, self._speed = r(x0), 1.0 / (c * m)
+        self._tau = lambda x: c * (m * (x - x0) + (r(x) - r0))
+
+    def positions(self, tau: np.ndarray):
+        """x at the elapsed times tau, one row per state, and the mask of
+        unconverged times: Newton steps ``_dx`` from the mean motion."""
+        x, h = self.x0 + tau * self._speed, self.period
+        with np.errstate(all="ignore"):  # a non-finite t stays unconverged
+            return _newton(tau, self._tau, self._dx, x, x - h, x + h,
+                           4.0 * np.finfo(float).eps * (np.abs(x) + h),
+                           _NEWTON_STEPS)
+
+
 def _edge_message(s: ScenarioConfig, edge: float, t_edge: float) -> str:
     lo, hi = s.pair.domain
     return (f"the run reaches x = {edge:.6g} at t = {t_edge:.6g}, before t1 = "
@@ -691,7 +728,8 @@ class _VelocityRuns:
 
     def __init__(self, s: ScenarioConfig, q: _States):
         step = np.where(q.a * s.pair.wronskian_ref > 0, 1, -1)
-        self.clock = _Clock(s, step, q)
+        free = s.pair.source == "analytic"
+        self.clock = (_FreeClock if free else _Clock)(s, step, q)
         self.ts, self.x, self.valid, self.unconverged = self.clock.sample(s)
         self.jet = state_jet_from_x(s.pair, q, s.params, self.x, order=3)
         self.obs, self.singular = _observables(self.jet, s.params, s.potential)
@@ -939,15 +977,17 @@ def integrate_legacy_law(s: ScenarioConfig):
     pair = _checked_pair(s)
     mu = s.params.mu
     E = s.params.energy
-    step = int(np.sign((E - s.potential.value(s.x_start))
-                       * s0p(pair, s.q, s.x_start)))
-    x_turn = None
-    if s.potential.kind != "free":
-        x_turn = _turning_point(s.potential, E, s.x_start, float(step))
+    # the product of the signs: E - V times S0' may overflow
+    step = int(np.sign(E - s.potential.value(s.x_start))
+               * np.sign(s0p(pair, s.q, s.x_start)))
+    free = pair.source == "analytic"
+    x_turn = None if free else _turning_point(s.potential, E, s.x_start,
+                                              float(step))
     ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
     xs = np.full(ts.shape, float(s.x_start))  # on a turning point
     if step:
-        clock = _LegacyClock(s, step, x_turn)
+        clock = (_FreeClock(s, step, s.q, legacy=True) if free
+                 else _LegacyClock(s, step, x_turn))
         ts, (xs,), (valid,), (unconverged,) = clock.sample(s)
         if unconverged.any():
             raise _not_found(ts[unconverged][0])

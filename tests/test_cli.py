@@ -5,6 +5,7 @@ console output can be asserted exactly; files land in tmp_path.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import warnings
 
 import pytest
 
-from qmotion import ode
+from qmotion import ode, trajectory
 from qmotion.cli import ConfigError, load_config, run, scenario_from_config
 from qmotion.trajectory import CSV_HEADER, ScenarioConfig
 
@@ -481,6 +482,104 @@ def test_step_budget_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("law", ["newton", "legacy"])
+def test_unconverged_position_solve_exits_3(tmp_path, capsys, monkeypatch,
+                                            law):
+    """A sample whose x the Newton solve does not find in its step budget
+    is a numerical failure in one line."""
+    monkeypatch.setattr(trajectory, "_NEWTON_STEPS", 1)
+    out = tmp_path / "x.csv"
+    doc = free_doc(str(out), a=2.0)
+    doc["quantum"]["b"] = 0.5
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg, "--law", law]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: x(t) at t = ")
+    assert err.endswith(" not found in 1 Newton steps\n")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_newton_run_whose_speed_falls_below_the_floor_exits_3(tmp_path,
+                                                            capsys):
+    """On the free pair at k = 1e-12, a = 0.5, the speed a k/D falls from
+    1.6e-12 at x_start to 0.5e-12 at x = 0: the newton law's series stops
+    at the floor 1e-12 in one line."""
+    doc = {"potential": {"kind": "free"},
+           "physics": {"hbar": 1.0, "mu": 1.0, "energy": 5e-25},
+           "quantum": {"a": 0.5},
+           "run": {"law": "newton", "x_start": -1.3e12, "t1": 1e24,
+                   "samples": 16}}
+    out = tmp_path / "f.csv"
+    cfg = write_config(tmp_path, doc)
+    assert run(["trajectory", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: |xd| below 1e-12 at t = ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def _free_config(tmp_path, energy):
+    return write_config(tmp_path, {
+        "potential": {"kind": "free"},
+        "physics": {"hbar": 1.0, "mu": 1.0, "energy": energy},
+        "quantum": {"a": 1.4, "b": 0.3}, "run": {"t1": 0.5, "samples": 16}})
+
+
+def test_legacy_direction_at_a_large_energy_raises_no_warning(tmp_path,
+                                                              capsys):
+    """The legacy law takes its direction from the signs of E - V and S0'
+    at x_start, not from their product, which overflows at E = 1e300: its
+    RuntimeWarning, an error here, ended the run in a traceback.  The run
+    then fails in one line, as the motion jet overflows."""
+    out = tmp_path / "l.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["trajectory", "--config", _free_config(tmp_path, 1e300),
+                  "--law", "legacy", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the motion jet (x, xd, xdd, xddd) is not finite"
+        " at 16 of 16 samples\n")
+
+
+def _capped_cli(argv):
+    """Run the CLI on argv in a fresh interpreter under -W error, with an
+    address space of 1 GB and a wall time of 30 s."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from qmotion.cli import run\n"
+            f"sys.exit(run({argv!r}))\n")
+    return subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=30)
+
+
+@pytest.mark.parametrize("law", ["velocity", "legacy"])
+def test_free_run_at_a_large_energy_is_bounded(tmp_path, law):
+    """The free pair's t(x) is closed form, so a run's cost does not grow
+    with E t1.  Summed one period pi/k at a time, this run held 7.6 GB and
+    had not ended after 60 s."""
+    out = tmp_path / "f.csv"
+    res = _capped_cli(["trajectory", "--config", _free_config(tmp_path, 1e10),
+                       "--law", law, "--out", str(out), "--quiet"])
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 17
+    assert all(math.isfinite(float(v)) for row in lines[1:]
+               for v in row.split(","))
+
+
+def test_free_velocity_run_at_an_overflowing_energy_exits_3(tmp_path):
+    """At E = 1e300 the motion jet overflows: one line, exit 3, and no
+    warning.  Summed one period at a time, the run did not end."""
+    res = _capped_cli(["trajectory", "--config",
+                       _free_config(tmp_path, 1e300),
+                       "--out", str(tmp_path / "f.csv")])
+    assert res.returncode == 3
+    assert res.stderr == (
+        "numerical failure: observables undefined at 16 of 16 samples (xd ="
+        " 0, or its powers under- or overflow)\n")
+
+
 def test_legacy_law_ignores_the_step_budget(tmp_path, capsys, monkeypatch):
     """The legacy law integrates no ODE, so the integrator's step budget
     does not bind it: it writes every sample and exits 0, where the newton
@@ -603,17 +702,22 @@ def test_verify_qshje(capsys):
     assert "harmonic pair: max residual" in out
 
 
+def _src_env():
+    """The environment with the package's source first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _modules_after(code, package):
     """The modules of ``package`` loaded once ``code`` has run in a fresh
     interpreter."""
     code += ("\nprint(*sorted(m for m in sys.modules "
              f"if m.split('.')[0] == {package!r}))\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=120)
+                         text=True, env=_src_env(), timeout=120)
     assert res.returncode == 0, res.stderr
     return res.stdout.split()
 

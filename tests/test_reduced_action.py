@@ -40,10 +40,11 @@ def phi2_zeros(pair, x: float) -> int:
     ``eval01`` has the other sign, so that the count always agrees with the
     sign eval01 gives."""
     def left_of(u: float) -> int:
-        j, past = pair.nearest_node(np.asarray(u))
         if pair.source == "analytic":
-            zeros, ref = int(j), (-1.0) ** j
+            j = round(u * pair.k / math.pi)
+            zeros, ref, past = j, (-1.0) ** j, u - j * math.pi / pair.k
         else:
+            j, past = pair.nearest_node(np.asarray(u))
             g = pair._nodes
             y2 = g.taylor[0, 1, g.cols(slice(min(j, g.base),
                                              max(j, g.base) + 1))]

@@ -803,7 +803,7 @@ def test_ahead_marches_only_when_no_marched_node_lies_ahead():
     assert pair.ahead(nodes.lo, -1).size == 0
 
 
-def test_ahead_ends_at_the_overflow_cap_and_runs_on_for_the_free_pair():
+def test_ahead_ends_at_the_overflow_cap():
     capped = _grid_case("truncated-harmonic")
     nodes = capped._nodes
     hi = nodes.base
@@ -811,13 +811,6 @@ def test_ahead_ends_at_the_overflow_cap_and_runs_on_for_the_free_pair():
         np.testing.assert_array_equal(ahead, np.arange(hi + 1, nodes.hi + 1))
         hi = int(ahead[-1])
     assert nodes.capped and hi == nodes.hi < nodes.n - 1
-    free = solve_pair(PotentialModel.free(),
-                      PhysParams(hbar=1.0, mu=1.0, energy=0.8), (-8.0, 8.0))
-    chunk = schrodinger._CHUNK
-    np.testing.assert_array_equal(free.ahead(-3, -1),
-                                  np.arange(-4, -4 - chunk, -1))
-    np.testing.assert_array_equal(free.cell_integrals(slice(-5, 3)),
-                                  free.cell_integrals(np.arange(-5, 3)))
 
 
 def test_pair_build_memory_peak():
@@ -841,40 +834,30 @@ def test_pair_build_memory_peak():
 # Cell integrals of the squares
 # ---------------------------------------------------------------------------
 
-def _squares_by_quadrature(pair, x0, lo, hi, pieces):
+def _squares_by_quadrature(pair, x0, lo, hi):
     """(phi1^2, phi1*phi2, phi2^2) integrated over [x0 + lo, x0 + hi] by
-    8-point Gauss-Legendre on ``pieces`` equal parts, from eval01.  The
-    widths are taken from the offsets, which x0 + offset would round."""
+    8-point Gauss-Legendre, from eval01.  The width is taken from the
+    offsets, which x0 + offset would round."""
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(lo, hi, pieces + 1)
-    half = 0.5 * np.diff(edges)
-    x = x0 + ((edges[:-1] + half)[:, None] + half[:, None] * nodes)
-    p1, _, p2, _ = pair.eval01(x)
-    return np.array([((f @ weights) * half).sum()
+    half = 0.5 * (hi - lo)
+    p1, _, p2, _ = pair.eval01(x0 + (lo + half + half * nodes))
+    return np.array([(f @ weights) * half
                      for f in (p1 * p1, p1 * p2, p2 * p2)])
 
 
-@pytest.mark.parametrize("case", sorted(GRID_CASES) + ["free"])
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
 def test_cell_integrals_match_quadrature_of_the_squares(case):
     # a grid cell's squares are its node's degree-10 polynomials, which
-    # 8-point quadrature integrates exactly; the free pair's cells are
-    # periods of sin^2, sin*cos and cos^2 of kx
-    if case == "free":
-        pair = solve_pair(PotentialModel.free(),
-                          PhysParams(hbar=1.0, mu=1.0, energy=0.8),
-                          (-8.0, 8.0))
-        nodes, pieces = np.array([-3, -1, 0, 2, 5]), 16
-    else:
-        pair = _grid_case(case)
-        xs, _, first = marched_nodes(pair)
-        n = len(xs)
-        nodes = first + np.array([0, 1, n // 3, n // 2, n - 2, n - 1])
-        pieces = 1
+    # 8-point quadrature integrates exactly
+    pair = _grid_case(case)
+    xs, _, first = marched_nodes(pair)
+    n = len(xs)
+    nodes = first + np.array([0, 1, n // 3, n // 2, n - 2, n - 1])
     x, lo, hi = pair.cells(nodes)
     got = pair.cell_integrals(nodes)
     prim = pair.square_primitives(nodes)
     for k, i in enumerate(nodes):
-        want = _squares_by_quadrature(pair, x[k], lo[k], hi[k], pieces)
+        want = _squares_by_quadrature(pair, x[k], lo[k], hi[k])
         scale = want[0] + want[2]
         np.testing.assert_allclose(got[:, k], want, rtol=0.0,
                                    atol=1e-14 * scale)

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmotion.jets import Jet, SingularityError, _horner
 from qmotion import trajectory
@@ -309,24 +309,23 @@ def test_legacy_law_integrates_no_ode(monkeypatch):
         law="legacy", t_span=(0.0, 10.0), domain=(-3.0, 3.0)))
 
 
-_CLOCKS = [
-    integrate_velocity_law(free_scenario(a=2.0, b=0.5, t1=10.0)).time_of_x,
-    integrate_velocity_law(free_scenario(a=-0.7, b=-0.2, t1=10.0)).time_of_x,
+_RUNS = [
+    integrate_velocity_law(free_scenario(a=2.0, b=0.5, t1=10.0)),
+    integrate_velocity_law(free_scenario(a=-0.7, b=-0.2, t1=10.0)),
     integrate_velocity_law(ScenarioConfig(
         PotentialModel.harmonic(1.0), UNIT, QuantumStateParams(a=1.4, b=0.3),
-        t_span=(0.0, 2.0), domain=(-3.0, 3.0))).time_of_x,
+        t_span=(0.0, 2.0), domain=(-3.0, 3.0))),
     integrate_velocity_law(ScenarioConfig(
         PotentialModel.harmonic(1.0), UNIT, QuantumStateParams(a=-0.8, b=0.3),
-        x_start=0.4, t_span=(0.0, 2.0), domain=(-3.0, 3.0))).time_of_x,
+        x_start=0.4, t_span=(0.0, 2.0), domain=(-3.0, 3.0))),
 ]
 
 
-@given(st.integers(0, len(_CLOCKS) - 1),
+@given(st.integers(0, len(_RUNS) - 1),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24))
 @settings(deadline=None, max_examples=60)
 def test_batched_time_of_x_equals_scalar_bitwise(which, fractions):
-    clock = _CLOCKS[which]
-    x0 = clock.pair.cells(clock.i0)[0] + clock.s0
+    clock, x0 = _RUNS[which].time_of_x, _RUNS[which].config.x_start
     reach = 3.0 if clock.pair.source == "analytic" else 0.5
     xs = x0 + clock.steps[0] * reach * np.asarray(fractions)
     batched = clock(xs)
@@ -700,11 +699,14 @@ def test_newton_series_overflow_gives_a_nonfinite_coefficient():
     assert not all(map(math.isfinite, a))
 
 
-def product_form_newton_series(s: ScenarioConfig, x0: float, sign: float):
+def product_form_newton_series(s: ScenarioConfig, x0: float, sign: float,
+                               magnitude: bool = False):
     """The newton law's series in the distance travelled d = sign (x - x0)
     by Cauchy products of the raw terms, t'^2, t''^2, t''^3, t'' t''',
     (x - xm)^2 and V' t', and the quotients t''/t'^2, t''^3/t'^2 and
-    t'' t'''/t': the oracle of ``trajectory._newton_series``."""
+    t'' t'''/t': the oracle of ``trajectory._newton_series``.  With
+    ``magnitude``, V' sums its terms about xm in magnitude, which is the
+    size at which the series rounds it."""
     mu, hbar = s.params.mu, s.params.hbar
     knots = s.potential.knots
 
@@ -732,7 +734,9 @@ def product_form_newton_series(s: ScenarioConfig, x0: float, sign: float):
             q3.append(dot(q2, q))
             qr.append(dot(q, r))
             e2.append(dot(e, e))
-            v.append(g1 * e[k] + 0.5 * g2 * e2[k] + (g0 if k == 0 else 0.0))
+            terms = g1 * e[k], 0.5 * g2 * e2[k], g0 if k == 0 else 0.0
+            v.append(sum(map(abs, terms)) if magnitude
+                     else terms[0] + terms[1] + terms[2])
             vp.append(dot(v, p))                                  # V' t'
             ra.append((q[k] - dot(p2[1:], ra)) / p2[0])           # t''/t'^2
             rb.append((q3[k] - dot(p2[1:], rb)) / p2[0])          # t''^3/t'^2
@@ -759,6 +763,10 @@ _SERIES_POTENTIALS = [
 @given(st.sampled_from(_SERIES_POTENTIALS), st.floats(-2.5, 2.5),
        st.floats(0.1, 3.0), st.sampled_from([1.0, -1.0]),
        st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 2.0))
+# just left of the cubic's knot at 0, where V' = -6e-8 is the sum of terms
+# of size 0.2 about the piece's midpoint -0.25
+@example(_SERIES_POTENTIALS[3], -5.960464477539063e-08, 1.0, 1.0, 0.0, 0.0,
+         0.0)
 @settings(deadline=None, max_examples=200)
 def test_newton_series_matches_the_product_form_recurrence(
         potential, x, speed, sign, xdd, xddd, d):
@@ -797,7 +805,11 @@ def test_newton_series_matches_the_product_form_recurrence(
         assert wall <= ahead[ahead > d].min()
     h = 0.5 * (wall - d)
     got, want = _horner(a, h, 4), _horner(b, h, 4)
-    sizes = _horner([abs(v) for v in b], h, 4)
+    # both series round V' at the size of its terms about xm, so near a
+    # zero of V' the sizes are those of the series with V' at that size
+    m = product_form_newton_series(s, x0, sign, True)(d, y, ode.ORDER)
+    sizes = [max(u, v) for u, v in zip(_horner([abs(v) for v in b], h, 4),
+                                       _horner([abs(v) for v in m], h, 4))]
     assert all(abs(u - v) <= 1e-12 * z for u, v, z in zip(got, want, sizes))
 
 
@@ -1264,41 +1276,38 @@ def test_time_of_x_past_t1_runs_on_as_a_longer_run():
     np.testing.assert_array_equal(short.time_of_x(xs), long.time_of_x(xs))
 
 
+@pytest.mark.parametrize("law", ["velocity", "legacy"])
+@pytest.mark.parametrize("a, b, x0", [(1.4, 0.3, 0.3), (-0.7, -0.5, -1.1),
+                                      (5.0, 0.0, 2.0)])
+def test_free_clock_matches_quadrature_of_dt_dx(law, a, b, x0):
+    """The free pair's closed-form t(x), a mean motion plus one harmonic
+    under the velocity law and the continued phase angle of S0 under the
+    legacy law, against 8-point Gauss-Legendre sums of dt/dx = mu/S0' or
+    S0'/(2E) over 64 parts of each of six periods pi/k from x_start, with
+    S0' from the pair's sin kx and cos kx."""
+    s = free_scenario(a=a, b=b, x_start=x0, law=law)
+    pair, step = s.build_pair(), int(math.copysign(1.0, a))
+    clock = trajectory._FreeClock(s, step, s.q, legacy=law == "legacy")
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    edges = x0 + step * np.linspace(0.0, 6.0 * math.pi / pair.k, 6 * 64 + 1)
+    half = 0.5 * np.diff(edges)
+    sp = s0p(pair, s.q, (edges[:-1] + half)[:, None] + half[:, None] * nodes)
+    rate = sp / UNIT.mu if law == "velocity" else 2.0 * UNIT.energy / sp
+    want = np.cumsum(half * ((1.0 / rate) @ weights))
+    np.testing.assert_allclose(clock(edges[1:]), want, rtol=1e-14)
+    assert clock(x0) == 0.0
+    with pytest.raises(ValueError, match="behind the run's start"):
+        clock(x0 - 1e-3 * step)
+
+
 def test_free_arrival_time_past_t1_runs_on_as_on_a_grid_pair():
-    """The free pair's periods are summed on demand as a grid pair's cells
-    are, so t(x) past where the run stood at t1 is the closed form's."""
+    """The free pair's t(x) is closed form, so past where the run stood at
+    t1 it is the closed form's, as a grid pair's cells are summed on
+    demand."""
     res = integrate_velocity_law(free_scenario(a=2.0, t1=4.5))
     assert res.samples[-1].x < 30.0
     assert res.arrival_time(30.0) == pytest.approx(
         free_time_of_x(UNIT, QuantumStateParams(a=2.0), 30.0), rel=1e-13)
-
-
-def test_free_row_grows_in_linear_time(monkeypatch):
-    """A row taken on over many chunks of cells is joined once, so the
-    arrays np.concatenate writes stay within a few times its length (a row
-    joined anew at each chunk writes about chunks/2 times it), and it has
-    the bits of the row summed in one go."""
-    from qmotion.schrodinger import _CHUNK
-
-    res = integrate_velocity_law(free_scenario(a=2.0, t1=4.5))
-    res.arrival_time(1e5)
-    written, real = [], np.concatenate
-
-    def counted(*args, **kwargs):
-        out = real(*args, **kwargs)
-        written.append(out.size)
-        return out
-
-    monkeypatch.setattr(np, "concatenate", counted)
-    t = res.arrival_time(1e6)
-    monkeypatch.undo()
-    row = res.time_of_x.t_exit[0].size
-    assert row > 60 * _CHUNK
-    assert sum(written) <= 3 * row
-    again = integrate_velocity_law(free_scenario(a=2.0, t1=4.5))
-    assert again.arrival_time(1e6) == t
-    np.testing.assert_array_equal(again.time_of_x.t_exit[0].view(np.int64),
-                                  res.time_of_x.t_exit[0].view(np.int64))
 
 
 @pytest.mark.parametrize("t1", [1.0, 10.0])
