@@ -5,21 +5,17 @@ adjacent floats: every iterate stays inside the current sign-change
 bracket, so it converges for any continuous function with a sign change,
 and the answer is the better of the two floats that straddle the root.
 There is no secant step and no residual stopping rule, so there is no
-tolerance to choose.  ``newton`` solves many monotone maps at once,
-elementwise over arrays, by Newton steps kept inside each bracket: the
-trajectory laws' positions, and the newton law's distances, at their
+tolerance to choose; it solves the legacy law's V = E in the cell where
+its clock meets a turning point.  ``newton`` solves many monotone maps at
+once, elementwise over arrays, by Newton steps kept inside each bracket:
+the trajectory laws' positions, and the newton law's distances, at their
 sample times.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BracketError", "RootConvergenceError", "invert_monotone",
-           "expand_bracket", "newton"]
-
-# geometric widening of expand_bracket: factor per try, and tries
-_GROW = 2.0
-_MAX_EXPANSIONS = 60
+__all__ = ["BracketError", "RootConvergenceError", "invert_monotone", "newton"]
 
 
 class BracketError(ValueError):
@@ -63,32 +59,6 @@ def invert_monotone(f, target: float, bracket) -> float:
             a, fa = mid, fm
         else:
             b, fb = mid, fm
-
-
-def expand_bracket(f, target: float, start: float, step: float):
-    """Geometrically widen an interval from ``start`` until it brackets target.
-
-    Searches in the direction of ``step`` (sign included), doubling the
-    step up to 60 times.  Returns the bracketing pair (a, b) with a < b,
-    or raises BracketError.
-    """
-    if step == 0:
-        raise ValueError("step must be nonzero")
-    a = start
-    fa = f(a) - target
-    if fa == 0:
-        return (a, a + abs(step) * 1e-9) if step > 0 else (a - abs(step) * 1e-9, a)
-    h = step
-    for _ in range(_MAX_EXPANSIONS):
-        b = a + h
-        fb = f(b) - target
-        if np.sign(fb) != np.sign(fa):
-            return (a, b) if b > a else (b, a)
-        h *= _GROW
-    raise BracketError(
-        f"no sign change found from {start} in direction {np.sign(step):+.0f} "
-        f"after {_MAX_EXPANSIONS} expansions"
-    )
 
 
 def newton(target, elapsed, step, v, lo, hi, tol, max_steps: int):

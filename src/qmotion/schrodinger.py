@@ -104,8 +104,12 @@ class PhysParams:
     energy: float
 
     def __post_init__(self):
-        if not (self.hbar > 0 and self.mu > 0):
-            raise SchrodingerError("hbar and mu must be positive")
+        h2 = float(self.hbar) * self.hbar if self.hbar > 0 < self.mu else 0.0
+        if not (0.0 < h2 < math.inf and 0.0 < 2.0 * self.mu / h2 < math.inf
+                and 0.0 < h2 / (4.0 * self.mu) < math.inf):
+            raise SchrodingerError(
+                f"hbar = {self.hbar:g} and mu = {self.mu:g} must be positive, "
+                "with hbar^2, 2 mu/hbar^2 and hbar^2/(4 mu) finite and not 0")
         if not math.isfinite(self.energy):
             raise SchrodingerError("energy must be finite")
 
@@ -641,7 +645,8 @@ def _unit_table(potential: PotentialModel, params: PhysParams,
     column 0 and (0, 1) in column 1, shape (degree + 1, 2, len(xs))."""
     table = np.zeros((_TAYLOR_DEGREE + 1, 2, len(xs)))
     table[0, 0] = table[1, 1] = 1.0
-    _wave_derivatives(potential, params, xs, table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _wave_derivatives(potential, params, xs, table)
     table /= _FACTORIALS[:, None, None]
     return table
 
@@ -660,8 +665,13 @@ def _march(table: np.ndarray, s: float, start):
     last one padded with identities); a doubling scan forms every block's
     prefix products at once, then a float loop carries both solutions from
     block to block, stopping after the first block whose end passes the
-    cap, and one product writes the covered blocks' nodes.
+    cap, and one product writes the covered blocks' nodes.  A node with a
+    coefficient that is not finite ends the march before it, as at the cap.
     """
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=(0, 1)))
+    if bad.size:
+        stop = int(bad[0])
+        return _march(table[:, :, :stop], s, start)[0] if stop > 1 else 0, None
     m = table.shape[2] - 1
     blocks = -(-m // _MARCH_BLOCK)
     (pa, da), (pb, db) = (_horner(table[:, j, :-1], 0.5 * s, 2) for j in (0, 1))

@@ -36,8 +36,8 @@ and for a batched law only when an energy's cells are many enough that a
 second core repays the child.
 
 The legacy first-order law xd = 2(E - V)/S0' is kept for comparison; it
-freezes at classical turning points, which integrate_legacy_law detects and
-reports instead of treating as an integration failure.
+freezes at the first classical turning point on the cells its clock sums,
+which integrate_legacy_law reports instead of treating as a failure.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from .jets import (Jet, JetOrderError, SingularityError, _horner, _inverse,
 from .ode import ORDER, IntegrationFailure, integrate_ivp
 from .reduced_action import (QuantumStateParams, _s0p_of, inverse_s0p, s0p,
                              s0p_jet)
-from .rootfind import (RootConvergenceError, expand_bracket, invert_monotone,
-                       newton as _newton)
+from .rootfind import RootConvergenceError, invert_monotone, newton as _newton
 from .schrodinger import (DomainError, PhysParams, PotentialModel,
                           SolutionPair, solve_pair)
 
@@ -189,6 +188,8 @@ class ScenarioConfig:
             raise ValueError(f"law must be one of {LAWS}, got {self.law!r}")
         if self.samples < 2:
             raise ValueError("need at least two output samples")
+        if not np.all(np.diff(np.linspace(t0, t1, self.samples)) > 0):
+            raise ValueError(f"the sample times over {self.t_span} repeat")
         if not math.isfinite(self.x_start):
             raise ValueError(f"x_start must be finite, got {self.x_start}")
         if not 0.0 < self.grid_step < math.inf:
@@ -218,7 +219,8 @@ class ScenarioConfig:
 
 @dataclass
 class LegacyReport:
-    """Stall diagnostics for the legacy first-order law."""
+    """Stall diagnostics for the legacy first-order law; ``x_turn`` is None
+    when the run ends, at t1 or at the edge, before meeting a turning point."""
 
     stalled: bool
     threshold: float
@@ -372,20 +374,29 @@ class _Clock:
     starts in its cell).
     """
 
+    # the legacy law's turning point, where a path ends, and its pole's c
+    x_turn, c = None, 0.0
+
     def __init__(self, s: ScenarioConfig, step: int | np.ndarray, q):
         pair, self.mu = s.pair, s.params.mu
+        self.energy, self.potential = s.params.energy, s.potential
         self.pair, self.q, self.step = pair, q, step
         self.t0, self.t1 = t0, t1 = s.t_span
         self.i0, self.s0 = pair.nearest_node(np.asarray(s.x_start, dtype=float))
         self.states = [QuantumStateParams(a, b) for a, b in zip(
             np.ravel(q.a).tolist(), np.ravel(q.b).tolist())]
         self.steps = np.ravel(step).tolist()
-        rows = [self._sum_cells(state, way, np.empty(0),
-                                lambda n, t: t > t1 - t0 and t0 + t >= t1)
-                for state, way in zip(self.states, self.steps)]
+        # a pair that overflows on the path gives NaN times, raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = [self._sum_cells(state, way, np.empty(0),
+                                    lambda n, t: t > t1 - t0 and t0 + t >= t1)
+                    for state, way in zip(self.states, self.steps)]
         self.t_exit = [t for t, _ in rows]
         self.t_edge = np.array([t0 + float(t[-1]) if edge else math.inf
                                 for t, edge in rows])
+        if np.isnan(self.t_edge).any():
+            raise SingularityError("the time across the pair's cells from "
+                                   f"x_start = {s.x_start:.6g} is NaN")
 
     def edge(self, k: int) -> float | None:
         """The covered domain's edge in state k's direction of motion if the
@@ -522,28 +533,12 @@ def _not_found(t: float) -> RootConvergenceError:
 
 class _LegacyClock(_Clock):
     """t(x) of the legacy law, dx/dt = w = 2(E - V)/S0', on a grid pair: a
-    cell's time is an 8-point Gauss-Legendre sum of 1/w.  A path ends at a
-    turning point x_turn, whose cell takes infinite time; at a simple one,
-    1/w has the pole c/(x_turn - x), c = S0'/(2V') at x_turn, which is
-    summed in closed form instead.  The Gauss-Legendre points and the Newton
-    steps read w from the cells' own polynomials
+    cell's time is an 8-point Gauss-Legendre sum of 1/w.  A path ends at the
+    first turning point x_turn that the sums meet (``_meet_turn``), whose
+    cell takes infinite time; at a simple one, 1/w has the pole c/(x_turn -
+    x), c = S0'/(2V') at x_turn, summed in closed form instead.  The points
+    and the Newton steps read w from the cells' own polynomials
     (``SolutionPair.node_values``), gathered once per sum or solve."""
-
-    def __init__(self, s: ScenarioConfig, step: int, x_turn: float | None):
-        self.energy, self.potential = s.params.energy, s.potential
-        # x_turn lies ahead of x_start: covers marches out to the node
-        # nearest it, or to the edge short of it, and takes points up to
-        # _EDGE_TOL grid steps past that edge, which x_turn must not pass
-        on_path = x_turn is not None and bool(s.pair.covers(x_turn))
-        if on_path:
-            i, d = s.pair.nearest_node(x_turn)
-            on_path = step * d <= 0 or s.pair.ahead(i, step).size > 0
-        self.x_turn = x_turn if on_path else None
-        slope = float(s.potential.grad(x_turn)) if on_path else 0.0
-        # a double root (slope 0) has a pole of order 2: none is subtracted
-        self.c = (float(s0p(s.pair, s.q, x_turn)) / (2.0 * slope) if slope
-                  else 0.0)
-        super().__init__(s, step, s.q)
 
     def _entry_time(self, node, s_in, x0=None):
         # elapsed takes offsets from the nodes, or from x0 where it is
@@ -580,14 +575,33 @@ class _LegacyClock(_Clock):
         return elapsed, rate
 
     def _crossings(self, q, step, nodes):
-        """The cells' Gauss-Legendre sums, the start cell's from x_start;
-        x_turn's cell never ends, so a row ends there with the time inf."""
+        """The cells' Gauss-Legendre sums, the start cell's from x_start; the
+        turning point's cell (``_meet_turn``) ends a row with the time inf."""
         node, s_in, s_out = self._cells(step * (nodes - self.i0), step)
-        if self.x_turn is None:
-            return self._entry_time(node, s_in)[0](s_out)
-        short = (self.pair.cells(node)[0] + s_out - self.x_turn) * step < 0
+        short = self._meet_turn(self.pair.cells(node)[0], s_in, s_out)
         times = self._entry_time(node[short], s_in[short])[0](s_out[short])
         return times if short.all() else np.append(times, math.inf)
+
+    def _meet_turn(self, xn, s_in, s_out):
+        """Which cells of nodes at xn, entered at offsets s_in and left at
+        s_out, end short of the first turning point among them: E - V is read
+        at the first entry, then at each cell's node (x_start if that lies
+        behind it) and exit, and x_turn is bisected where it first is 0 or
+        changes sign, between that point and the one before."""
+        step = self.step
+        ahead = np.column_stack((step * np.maximum(step * s_in, 0.0), s_out))
+        path = np.append(xn[0] + s_in[0], xn[:, None] + ahead)
+        sign = np.sign(self.energy - self.potential.value(path))
+        hit = np.flatnonzero(sign[1:] != sign[0])
+        if not hit.size:
+            return np.ones(xn.shape, dtype=bool)
+        self.x_turn = turn = invert_monotone(
+            self.potential.value, self.energy, np.sort(path[hit[0]:][:2]))
+        slope = float(self.potential.grad(turn))
+        # a double root (slope 0) has a pole of order 2: none is subtracted
+        if slope:
+            self.c = float(s0p(self.pair, self.q, turn)) / (2.0 * slope)
+        return (xn + s_out - turn) * step < 0
 
     def _guess(self, xn, s_in, s_out, frac):
         """In the cells short of x_turn, ln(x_turn - x) linear in t, which
@@ -950,17 +964,6 @@ def integrate_newton_law(s: ScenarioConfig, init=None) -> TrajectoryResult:
     return result
 
 
-def _turning_point(potential: PotentialModel, energy: float, x0: float,
-                   direction: float):
-    """Nearest solution of V(x) = energy beyond x0 in the motion direction."""
-    try:
-        bracket = expand_bracket(potential.value, energy, x0,
-                                 0.25 * direction)
-        return invert_monotone(potential.value, energy, bracket)
-    except ValueError:
-        return None
-
-
 def integrate_legacy_law(s: ScenarioConfig):
     """Sample xd = 2(E - V)/S0' at evenly spaced times, from its t(x), and
     watch for turning-point stalls.
@@ -980,19 +983,16 @@ def integrate_legacy_law(s: ScenarioConfig):
     # the product of the signs: E - V times S0' may overflow
     step = int(np.sign(E - s.potential.value(s.x_start))
                * np.sign(s0p(pair, s.q, s.x_start)))
-    free = pair.source == "analytic"
-    x_turn = None if free else _turning_point(s.potential, E, s.x_start,
-                                              float(step))
     ts = np.linspace(s.t_span[0], s.t_span[1], s.samples)
     xs = np.full(ts.shape, float(s.x_start))  # on a turning point
     if step:
-        clock = (_FreeClock(s, step, s.q, legacy=True) if free
-                 else _LegacyClock(s, step, x_turn))
+        clock = (_FreeClock(s, step, s.q, legacy=True)
+                 if pair.source == "analytic" else _LegacyClock(s, step, s.q))
         ts, (xs,), (valid,), (unconverged,) = clock.sample(s)
         if unconverged.any():
             raise _not_found(ts[unconverged][0])
         ts, xs = ts[valid], xs[valid]
-    edge = clock.edge(0) if step else None
+    edge, x_turn = (clock.edge(0), clock.x_turn) if step else (None, None)
     with np.errstate(all="ignore"):
         sp = s0p_jet(pair, s.q, xs, 2)
         vj = Jet(tuple(s.potential.derivs(xs, 2)))

@@ -17,6 +17,7 @@ import pytest
 from qmotion import ode, trajectory
 from qmotion.cli import ConfigError, load_config, run, scenario_from_config
 from qmotion.trajectory import CSV_HEADER, ScenarioConfig
+from test_trajectory import BARRIER_XS, BARRIERS, first_root_ahead
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -578,6 +579,105 @@ def test_free_velocity_run_at_an_overflowing_energy_exits_3(tmp_path):
     assert res.stderr == (
         "numerical failure: observables undefined at 16 of 16 samples (xd ="
         " 0, or its powers under- or overflow)\n")
+
+
+@pytest.mark.parametrize("physics, potential, law", [
+    ({"hbar": 1e300}, {"kind": "harmonic", "stiffness": 1.0}, "velocity"),
+    ({"hbar": 1e300, "mu": 1e300}, {"kind": "free"}, "newton"),
+], ids=["harmonic-velocity", "free-newton"])
+def test_hbar_whose_square_overflows_exits_2(tmp_path, capsys, physics,
+                                             potential, law):
+    """hbar^2 overflows at hbar = 1e300: the parameters are rejected in one
+    line, where the run ended in an OverflowError traceback."""
+    cfg = write_config(tmp_path, {"potential": potential, "physics": physics,
+                                  "run": {"law": law, "domain": [-3.0, 3.0]}})
+    assert run(["trajectory", "--config", cfg,
+                "--out", str(tmp_path / "h.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad scenario configuration: hbar = 1e+300 and mu = "
+        f"{physics.get('mu', 1.0):g} must be positive, with hbar^2, 2 "
+        "mu/hbar^2 and hbar^2/(4 mu) finite and not 0\n")
+
+
+@pytest.mark.parametrize("law, run_keys, lines", [
+    ("velocity", {}, ["numerical failure: the time across the pair's cells "
+                      "from x_start = 0 is NaN"]),
+    ("legacy", {"t1": 5e-324, "samples": 2},
+     ["Taylor-marched pair truncated at the overflow cap: requested domain "
+      "[-3, 3], covered [0, 0]",
+      "numerical failure: the run reaches x = 0 at t = 0, before t1 = "
+      "4.94066e-324; later positions are outside solved domain [0, 0]"]),
+], ids=["velocity", "legacy"])
+def test_well_whose_taylor_coefficients_overflow_exits_3(
+        tmp_path, capsys, law, run_keys, lines):
+    """At stiffness 1e300 the wave equation's Taylor coefficients overflow
+    one grid step from the anchor, so the pair covers the anchor alone: the
+    run fails in a line or two and raises no warning.  The velocity run
+    wrote no samples and exited 0 after RuntimeWarnings, the legacy run
+    exited 0 with an energy drift of 1e300."""
+    cfg = write_config(tmp_path, {
+        "potential": {"kind": "harmonic", "stiffness": 1e300},
+        "run": {"law": law, "domain": [-3.0, 3.0], **run_keys}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["trajectory", "--config", cfg, "--quiet",
+                  "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == lines
+
+
+def test_sample_times_that_repeat_exit_2(tmp_path, capsys):
+    """16 samples over t1 = 5e-324 repeat the sample times 0 and 5e-324: a
+    configuration error, where the run exited 0 with a NaN Bohm gap."""
+    doc = free_doc(str(tmp_path / "r.csv"), t1=5e-324, samples=16)
+    assert run(["trajectory", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bad scenario configuration: the sample times over "
+        "(0.0, 5e-324) repeat\n")
+
+
+def _barrier_config(tmp_path, name):
+    return write_config(tmp_path, {
+        "potential": {"kind": "tabulated", "xs": BARRIER_XS.tolist(),
+                      "vs": BARRIERS[name].tolist()},
+        "quantum": {"a": 1.4, "b": 0.3},
+        "run": {"law": "legacy", "t1": 10.0, "samples": 64,
+                "domain": [-3.0, 3.0]}})
+
+
+@pytest.mark.parametrize("name", BARRIERS)
+def test_legacy_run_stalls_at_the_first_barrier_ahead(tmp_path, capsys,
+                                                      name):
+    """The stall line names the first root of V = E ahead, on the bump's
+    rising side: the run left the domain at x = 3 past the bump alone, and
+    named the second barrier's root behind the bump."""
+    cfg = _barrier_config(tmp_path, name)
+    assert run(["trajectory", "--config", cfg,
+                "--out", str(tmp_path / "b.csv")]) == 0
+    stall, = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("legacy law stalled near x = ")]
+    lo, hi = first_root_ahead(scenario_from_config(load_config(cfg)).potential,
+                              0.5, 0.0, 3.0)
+    assert float(stall.rpartition("(turning point ")[2][:-1]) in (lo, hi)
+
+
+def test_legacy_run_toward_a_far_turning_point_marches_one_chunk(
+        tmp_path, monkeypatch):
+    """Uphill on V = x/2 at E = 20 the run stands at x = 0.26 at t1 = 0.05,
+    and the turning point is x = 40: the pair is marched one chunk, where
+    a search for the turning point marched it out to x = 40 first."""
+    from qmotion import schrodinger
+
+    marches, march = [], schrodinger._Nodes.march
+    monkeypatch.setattr(schrodinger._Nodes, "march", lambda self, step: (
+        marches.append(step) or march(self, step)))
+    cfg = write_config(tmp_path, {
+        "potential": {"kind": "linear", "slope": 0.5},
+        "physics": {"energy": 20.0},
+        "run": {"law": "legacy", "t1": 0.05, "domain": [-60.0, 60.0]}})
+    assert run(["trajectory", "--config", cfg, "--quiet",
+                "--out", str(tmp_path / "f.csv")]) == 0
+    assert marches == [1]
 
 
 def test_legacy_law_ignores_the_step_budget(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from qmotion.rootfind import (
     BracketError,
     RootConvergenceError,
-    expand_bracket,
     invert_monotone,
 )
 
@@ -37,23 +36,6 @@ def test_tolerance_is_honoured():
     f = lambda u: math.sinh(u)
     x = invert_monotone(f, 1.0, (0.0, 3.0))
     assert abs(f(x) - 1.0) < 1e-13
-
-
-def test_expand_bracket_finds_far_target():
-    lo, hi = expand_bracket(lambda u: u ** 3, 1000.0, 0.0, 0.5)
-    assert lo <= 10.0 <= hi
-    x = invert_monotone(lambda u: u ** 3, 1000.0, (lo, hi))
-    assert x == pytest.approx(10.0, rel=1e-10)
-
-
-def test_expand_bracket_negative_direction():
-    lo, hi = expand_bracket(lambda u: u, -7.0, 0.0, -1.0)
-    assert lo <= -7.0 <= hi
-
-
-def test_expand_bracket_gives_up():
-    with pytest.raises(BracketError):
-        expand_bracket(lambda u: math.tanh(u), 2.0, 0.0, 1.0)
 
 
 @given(st.floats(-0.9, 0.9), st.floats(0.05, 2.0))

@@ -372,6 +372,21 @@ def test_forbidden_region_growth_truncates_domain():
     assert wronskian(pair, 4.0) == pytest.approx(1.0, rel=1e-8)
 
 
+def test_overflowing_taylor_coefficients_end_the_march_without_a_warning():
+    """In a well this stiff (V'' = 1e300) the wave equation's fourth
+    derivative, f^2 phi + ... with f = 2(V - E), overflows one grid step
+    from the anchor: that node counts as past the overflow cap but is not
+    kept, so the covered domain is the anchor alone, and the march raises
+    no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = solve_pair(PotentialModel.harmonic(1e300),
+                          PhysParams(hbar=1.0, mu=1.0, energy=0.5),
+                          (-3.0, 3.0))
+        assert pair.truncated and pair.domain == (0.0, 0.0)
+        assert [float(v) for v in pair.eval01(0.0)] == [0.0, 1.0, 1.0, 0.0]
+
+
 def test_domain_validation():
     params = PhysParams(hbar=1.0, mu=1.0, energy=0.5)
     with pytest.raises(DomainError):

@@ -30,8 +30,7 @@ from qmotion.jets import Jet, SingularityError, _horner
 from qmotion import trajectory
 from qmotion import ode
 from qmotion.reduced_action import QuantumStateParams, s0p
-from qmotion.rootfind import (RootConvergenceError, expand_bracket,
-                              invert_monotone)
+from qmotion.rootfind import RootConvergenceError, invert_monotone
 from qmotion.schrodinger import PhysParams, PotentialModel, solve_pair
 from qmotion.trajectory import (
     CSV_HEADER,
@@ -80,15 +79,20 @@ def free_time_of_x(params: PhysParams, q: QuantumStateParams,
 
 def free_x_of_time(params: PhysParams, q: QuantumStateParams,
                    t: float) -> float:
-    """Invert the free closed form: position reached after elapsed time t."""
+    """Invert the free closed form: position reached after elapsed time t.
+
+    The mean motion x = v_cl t, v_cl the classical-limit speed, brackets
+    the position to within pi/k: t(x) rises by the same amount over every
+    period pi/k of its harmonic part, and is monotone."""
     if t == 0.0:
         return 0.0
     f = lambda u: free_time_of_x(params, q, u)
     v_cl = classical_limit_factor(q) * np.sqrt(2.0 * params.energy
                                                / params.mu)
-    step = np.sign(t) * np.sign(q.a) * max(0.5, abs(t * v_cl))
-    bracket = expand_bracket(f, t, 0.0, float(step))
-    return invert_monotone(f, t, bracket)
+    period = math.pi * params.hbar / math.sqrt(2.0 * params.mu
+                                               * params.energy)
+    x = float(t * v_cl)
+    return invert_monotone(f, t, (x - period, x + period))
 
 
 def classical_limit_factor(q: QuantumStateParams) -> float:
@@ -982,6 +986,66 @@ def test_legacy_law_started_on_a_turning_point_stays_there():
     assert (cols[:, 1] == 1.0).all() and (cols[:, 2] == 0.0).all()
     assert np.isnan(cols[:, 5:8]).all()
     assert not rep.stalled and rep.x_turn is None
+
+
+BARRIER_XS = np.linspace(-4.0, 4.0, 161)
+_BUMP = np.where(np.abs(BARRIER_XS - 1.2) < 0.15, 1.0, 0.0)
+# a tabulated bump of height 1 at x = 1.2, alone or before a second barrier
+# on x > 1.8
+BARRIERS = {"bump": _BUMP, "two-barriers": np.where(BARRIER_XS > 1.8, 1.0,
+                                                    _BUMP)}
+
+
+def first_root_ahead(potential, energy, x0, x1):
+    """The two adjacent floats that straddle the first root of V - E on
+    [x0, x1]: a scan of V at 1e-5 steps, then bisection between the scan
+    points on either side of the first change of sign."""
+    xs = np.linspace(x0, x1, int(round((x1 - x0) * 1e5)) + 1)
+    ahead = np.sign(potential.value(xs) - energy)
+    k = int(np.flatnonzero(ahead != ahead[0])[0])
+    lo, hi = float(xs[k - 1]), float(xs[k])
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if np.sign(potential.value(mid) - energy) == ahead[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("vs", BARRIERS.values(), ids=BARRIERS)
+def test_legacy_law_stalls_at_the_first_barrier_ahead(vs):
+    """The legacy law meets its turning point on the cells it sums: the
+    first root of V = E ahead, on the bump's rising side, where the run
+    stalls with every sample behind it.  A search that doubled its steps
+    from x_start stepped over the bump (the run left the domain at x = 3)
+    or landed in the second barrier (x_turn = 1.7750001128)."""
+    s = ScenarioConfig(PotentialModel.tabulated(BARRIER_XS, vs), UNIT,
+                       QuantumStateParams(a=1.4, b=0.3), law="legacy",
+                       t_span=(0.0, 10.0), samples=64, domain=(-3.0, 3.0))
+    res, rep = integrate_legacy_law(s)
+    lo, hi = first_root_ahead(s.potential, UNIT.energy, 0.0, 3.0)
+    assert rep.stalled and rep.x_turn in (lo, hi)
+    assert (res.columns()[:, 1] < rep.x_turn).all()
+    assert rep.x_stall == pytest.approx(rep.x_turn, abs=1e-6)
+
+
+def test_legacy_run_toward_a_far_turning_point_marches_as_far_as_it_goes():
+    """Uphill on V = x/2 at E = 20 the turning point x = 40 lies far past
+    where the run stands at t1 = 0.05 (x = 0.26): the cells are summed a
+    chunk at a time, so the pair is marched at most a chunk past the last
+    sample, and the run meets no turning point.  A search for it first
+    marched the pair out to x = 40, 40 700 nodes past the last sample."""
+    from qmotion.schrodinger import _CHUNK
+
+    s = ScenarioConfig(PotentialModel.linear(0.5),
+                       PhysParams(hbar=1.0, mu=1.0, energy=20.0),
+                       QuantumStateParams(a=1.0), law="legacy",
+                       t_span=(0.0, 0.05), domain=(-60.0, 60.0))
+    res, report = integrate_legacy_law(s)
+    assert report.x_turn is None and not report.stalled
+    nodes = s.pair._nodes
+    last = nodes.nearest(res.samples[-1].x)[0]
+    assert nodes.lo == nodes.base and nodes.hi - last <= _CHUNK
 
 
 def test_modified_laws_cross_the_legacy_barrier():
